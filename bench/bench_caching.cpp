@@ -100,8 +100,13 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   const auto mc = [iters](core::SkatPipeline& pipeline) {
     core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
   };
-  const double t_unlimited = Mean(TimeAnalysisRuns(unlimited, reps, mc));
-  const double t_recompute = Mean(TimeAnalysisRuns(no_spill, reps, mc));
+  // Medians, not means: one slow rep (host noise) must not decide a
+  // millisecond-scale comparison.
+  const auto median = [](const std::vector<double>& seconds) {
+    return Quantile(seconds, 0.5);
+  };
+  const double t_unlimited = median(TimeAnalysisRuns(unlimited, reps, mc));
+  const double t_recompute = median(TimeAnalysisRuns(no_spill, reps, mc));
   auto& spills_counter = engine::CounterRegistry::Global().Get("cache.spills");
   auto& reloads_counter =
       engine::CounterRegistry::Global().Get("cache.reloads");
@@ -109,7 +114,7 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   const std::uint64_t reloads_before = reloads_counter.load();
   // Runs last with args so metrics=/trace= artifacts capture a run whose
   // cache stats include nonzero spills and reloads.
-  const double t_spill = Mean(TimeAnalysisRuns(tight, reps, mc, &args));
+  const double t_spill = median(TimeAnalysisRuns(tight, reps, mc, &args));
   const std::uint64_t spills = spills_counter.load() - spills_before;
   const std::uint64_t reloads = reloads_counter.load() - reloads_before;
 

@@ -12,12 +12,18 @@
 // `out=` writes a BENCH_pvalue.json datapoint consumed by
 // tools/check_pvalue_savings.py (the bench_pvalue_smoke ctest gate:
 // savings >= 10x, zero classification disagreements, tolerances hold).
+// The datapoint also records wall_ratio (hybrid seconds / exhaustive
+// seconds) with the host's core count and kernel level; wall time is
+// reported, not gated — at smoke scale a run lasts a fraction of a
+// second and its timing would flake.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
+#include "stats/kernels/kernels.hpp"
 
 namespace ss::bench {
 namespace {
@@ -118,6 +124,10 @@ int Run(int argc, char** argv) {
   const double savings =
       static_cast<double>(exhaustive_replicates) /
       static_cast<double>(std::max<std::uint64_t>(1, hybrid_replicates));
+  const double wall_ratio = hybrid_seconds / exhaustive_seconds;
+  const unsigned nproc = std::thread::hardware_concurrency();
+  const char* kernel_level = stats::kernels::DispatchLevelName(
+      stats::kernels::ActiveDispatchLevel());
 
   Table table("Adaptive p-value engine — replicate consumption",
               {"mode", "set-replicates", "seconds"});
@@ -127,9 +137,11 @@ int Run(int argc, char** argv) {
                 MeanStdevCell({hybrid_seconds})});
   table.Print();
   std::printf(
-      "savings %.1fx | %llu/%llu sets refined, %llu early-stopped | "
+      "savings %.1fx | wall ratio %.3f (hybrid/exhaustive, %u cores, %s) | "
+      "%llu/%llu sets refined, %llu early-stopped | "
       "max |dp| %.3g | %llu disagreements, %llu tolerance violations\n",
-      savings, static_cast<unsigned long long>(refined_sets),
+      savings, wall_ratio, nproc, kernel_level,
+      static_cast<unsigned long long>(refined_sets),
       static_cast<unsigned long long>(num_sets),
       static_cast<unsigned long long>(early_stops), max_abs_diff,
       static_cast<unsigned long long>(disagreements),
@@ -147,22 +159,24 @@ int Run(int argc, char** argv) {
         out,
         "{\"bench\":\"bench_pvalue\",\"patients\":%u,\"snps\":%u,"
         "\"sets\":%u,\"reps\":%llu,\"h\":%llu,\"threshold\":%g,"
-        "\"seed\":%llu,"
+        "\"seed\":%llu,\"nproc\":%u,\"kernel_level\":\"%s\","
         "\"exhaustive\":{\"set_replicates\":%llu,\"seconds\":%.6f},"
         "\"hybrid\":{\"set_replicates\":%llu,\"seconds\":%.6f,"
         "\"refined_sets\":%llu,\"early_stops\":%llu},"
-        "\"savings_ratio\":%.4f,\"max_abs_diff\":%.9g,"
+        "\"savings_ratio\":%.4f,\"wall_ratio\":%.4f,"
+        "\"max_abs_diff\":%.9g,"
         "\"disagreements\":%llu,\"tolerance_violations\":%llu}\n",
         workload.generator.num_patients, workload.generator.num_snps,
         workload.generator.num_sets,
         static_cast<unsigned long long>(replicates),
         static_cast<unsigned long long>(h), threshold,
-        static_cast<unsigned long long>(seed),
+        static_cast<unsigned long long>(seed), nproc, kernel_level,
         static_cast<unsigned long long>(exhaustive_replicates),
         exhaustive_seconds,
         static_cast<unsigned long long>(hybrid_replicates), hybrid_seconds,
         static_cast<unsigned long long>(refined_sets),
-        static_cast<unsigned long long>(early_stops), savings, max_abs_diff,
+        static_cast<unsigned long long>(early_stops), savings, wall_ratio,
+        max_abs_diff,
         static_cast<unsigned long long>(disagreements),
         static_cast<unsigned long long>(tolerance_violations));
     std::fclose(out);

@@ -74,6 +74,51 @@ std::vector<std::uint8_t> BuildMembership(
   return member;
 }
 
+/// Row a of a weighted Gram, entries (a, b≥a) and their mirrors:
+/// M_ab = w_a w_b Σ_i u_a[i] u_b[i]. Four columns share each pass over
+/// u_a, but every dot is still its own ascending-i accumulator chain, so
+/// each entry is bitwise the plain one-column loop's.
+void FillGramRow(const std::vector<const std::vector<double>*>& u,
+                 const std::vector<double>& w, std::size_t a,
+                 stats::Matrix* gram) {
+  const std::size_t d = u.size();
+  const std::vector<double>& ua = *u[a];
+  const std::size_t n = ua.size();
+  const auto store = [&](std::size_t b, double dot) {
+    const double m = w[a] * w[b] * dot;
+    gram->at(a, b) = m;
+    gram->at(b, a) = m;
+  };
+  std::size_t b = a;
+  for (; b + 4 <= d; b += 4) {
+    const double* u0 = u[b]->data();
+    const double* u1 = u[b + 1]->data();
+    const double* u2 = u[b + 2]->data();
+    const double* u3 = u[b + 3]->data();
+    double dot0 = 0.0;
+    double dot1 = 0.0;
+    double dot2 = 0.0;
+    double dot3 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = ua[i];
+      dot0 += x * u0[i];
+      dot1 += x * u1[i];
+      dot2 += x * u2[i];
+      dot3 += x * u3[i];
+    }
+    store(b, dot0);
+    store(b + 1, dot1);
+    store(b + 2, dot2);
+    store(b + 3, dot3);
+  }
+  for (; b < d; ++b) {
+    const std::vector<double>& ub = *u[b];
+    double dot = 0.0;
+    for (std::size_t i = 0; i < n; ++i) dot += ua[i] * ub[i];
+    store(b, dot);
+  }
+}
+
 }  // namespace
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
@@ -488,8 +533,9 @@ SkatPipeline::ComputeMonteCarloSkatBurdenReplicate(
 }
 
 std::unordered_map<std::uint32_t, std::vector<double>>
-SkatPipeline::ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
-                                          std::size_t count) {
+SkatPipeline::ComputeMonteCarloScoreBlock(
+    const std::vector<double>& zblock, std::size_t count,
+    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
   SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
   SS_CHECK(zblock.size() == count * n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
@@ -497,13 +543,17 @@ SkatPipeline::ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
                          {engine::Arg("replicates", count)});
   auto z = engine::MakeBroadcast(*ctx_, zblock);
   auto scored = u_observed_.MapPartitions(
-      [z, count](std::uint32_t,
-                 const std::vector<std::pair<std::uint32_t,
-                                             std::vector<double>>>& records) {
+      [z, count, live_snps](
+          std::uint32_t,
+          const std::vector<std::pair<std::uint32_t, std::vector<double>>>&
+              records) {
         std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
         out.reserve(records.size());
         std::vector<double> scores;
         for (const auto& record : records) {
+          if (live_snps != nullptr && live_snps->count(record.first) == 0) {
+            continue;
+          }
           stats::BatchedReplicateScores(record.second, z->data(), count,
                                         &scores);
           out.push_back({record.first, scores});
@@ -537,39 +587,75 @@ SkatPipeline::CollectSetGramMatrices() {
   EnsureUBuilt();
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "collect set gram matrices");
-  // Driver-side copy of the per-SNP contribution vectors; set sizes are a
-  // few to a few dozen members, so d×d Grams are tiny — the n-vectors
-  // dominate and are the same bytes the score-block collect moves.
+  // Driver-side copy of the per-SNP contribution vectors — the same bytes
+  // the score-block collect moves. Sets reach hundreds of members (a
+  // generated cohort's last set takes every leftover SNP), so the d²/2
+  // length-n dots are real work: they run as one engine stage below.
   const auto u_by_snp = engine::CollectAsMap(u_observed_, "collect-u-vectors");
   const std::unordered_map<std::uint32_t, double>& weights = DriverWeights();
-  std::unordered_map<std::uint32_t, stats::Matrix> grams;
-  grams.reserve(sets_.size());
-  for (const stats::SnpSet& set : sets_) {
-    // Members with live (unfiltered) U vectors, in declaration order.
+
+  // One preallocated Gram per set, and its members with live (unfiltered)
+  // U vectors in declaration order.
+  struct SetMembers {
+    stats::Matrix* gram = nullptr;
     std::vector<const std::vector<double>*> u;
     std::vector<double> w;
+  };
+  std::unordered_map<std::uint32_t, stats::Matrix> grams;
+  grams.reserve(sets_.size());
+  std::vector<SetMembers> members;
+  members.reserve(sets_.size());
+  for (const stats::SnpSet& set : sets_) {
+    SetMembers entry;
     for (std::uint32_t snp : set.snps) {
       auto u_it = u_by_snp.find(snp);
       if (u_it == u_by_snp.end()) continue;  // SNP filtered out
       auto w_it = weights.find(snp);
-      u.push_back(&u_it->second);
-      w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
+      entry.u.push_back(&u_it->second);
+      entry.w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
     }
-    const std::size_t d = u.size();
-    stats::Matrix gram(d, d);
+    const std::size_t d = entry.u.size();
+    auto [it, inserted] = grams.emplace(set.id, stats::Matrix(d, d));
+    if (!inserted) continue;  // a repeated set id keeps its first Gram
+    entry.gram = &it->second;
+    members.push_back(std::move(entry));
+  }
+
+  // Tasks are fixed (set, row-block) ranges of about kDotsPerTask upper-
+  // triangle entries each, so a large set is split across workers. Task
+  // [a_begin, a_end) owns entries (a, b≥a) and their mirrors (b, a): no
+  // two tasks write the same entry, and a retried task rewrites the same
+  // values. Each entry is a fixed ascending-i dot (FillGramRow), so the
+  // Grams are bitwise independent of the split and the thread count.
+  constexpr std::size_t kDotsPerTask = 2048;
+  struct RowBlock {
+    const SetMembers* set;
+    std::size_t a_begin;
+    std::size_t a_end;
+  };
+  std::vector<RowBlock> blocks;
+  for (const SetMembers& entry : members) {
+    const std::size_t d = entry.u.size();
+    std::size_t a_begin = 0;
+    std::size_t dots = 0;
     for (std::size_t a = 0; a < d; ++a) {
-      for (std::size_t b = a; b < d; ++b) {
-        double dot = 0.0;
-        const std::vector<double>& ua = *u[a];
-        const std::vector<double>& ub = *u[b];
-        for (std::size_t i = 0; i < ua.size(); ++i) dot += ua[i] * ub[i];
-        const double m = w[a] * w[b] * dot;
-        gram.at(a, b) = m;
-        gram.at(b, a) = m;
+      dots += d - a;
+      if (dots >= kDotsPerTask || a + 1 == d) {
+        blocks.push_back({&entry, a_begin, a + 1});
+        a_begin = a + 1;
+        dots = 0;
       }
     }
-    grams.emplace(set.id, std::move(gram));
   }
+  if (blocks.empty()) return grams;
+  ctx_->RunTasks(
+      "set-gram", static_cast<std::uint32_t>(blocks.size()),
+      [&blocks](engine::TaskContext& task) {
+        const RowBlock& block = blocks[task.partition()];
+        for (std::size_t a = block.a_begin; a < block.a_end; ++a) {
+          FillGramRow(block.set->u, block.set->w, a, block.set->gram);
+        }
+      });
   return grams;
 }
 

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/record_traits.hpp"  // IWYU pragma: keep (codec/byte-size traits)
@@ -153,9 +154,14 @@ class SkatPipeline {
   /// stats::BatchedReplicateScores kernel. The per-set folds (steps 9-12)
   /// happen driver-side in the resampling driver, in the serial oracle's
   /// canonical accumulation order — see core/resampling_methods.hpp.
+  /// A non-null `live_snps` restricts the pass to those SNPs (every other
+  /// record is skipped and absent from the result); each scored SNP's
+  /// vector is bitwise the same as in an unfiltered pass.
   std::unordered_map<std::uint32_t, std::vector<double>>
-  ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
-                              std::size_t count);
+  ComputeMonteCarloScoreBlock(
+      const std::vector<double>& zblock, std::size_t count,
+      std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
+          nullptr);
 
   /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
   /// driver (one double per filtered SNP), for the batched drivers'

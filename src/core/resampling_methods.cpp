@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
+#include <unordered_set>
 
 #include "engine/trace.hpp"
 #include "stats/adaptive_pvalue.hpp"
@@ -293,24 +295,54 @@ bool IsAdaptive(const ResamplingRequest& request) {
 /// Analytic screen: per-set null spectrum from the weighted Gram, then
 /// the Liu (kAnalytic) or saddlepoint (kSaddlepoint/kHybrid — tail
 /// accuracy is what the hybrid screen is for) tail at the observed
-/// statistic. Populates result->inference with refined=false entries.
+/// statistic. Runs as one `analytic-screen` engine stage with one task per
+/// set, largest Gram first so the cubic eigensolves are spread evenly
+/// over the workers; each task writes only its own p slot. Populates
+/// result->inference with refined=false entries.
 void AnalyticScreen(SkatPipeline& pipeline, PValueMethod method,
                     ResamplingResult* result) {
   static std::atomic<std::uint64_t>& screens =
       engine::CounterRegistry::Global().Get("pvalue.analytic_screens");
   engine::TraceSpan span(engine::Tracer::Global(), "algo", "analytic screen");
   const auto grams = pipeline.CollectSetGramMatrices();
+  struct ScreenTask {
+    std::uint32_t set_id;
+    double observed;
+    const stats::Matrix* gram;  // null: the set has no Gram
+    std::size_t dim;
+    double p = 1.0;
+  };
+  std::vector<ScreenTask> tasks;
+  tasks.reserve(result->observed.size());
   for (const auto& [set_id, observed] : result->observed) {
-    std::vector<double> lambda;
     auto it = grams.find(set_id);
-    if (it != grams.end()) lambda = stats::NullSpectrumFromGram(it->second);
-    SetInference info;
-    info.analytic_p = method == PValueMethod::kAnalytic
-                          ? stats::LiuPValue(lambda, observed)
-                          : stats::SaddlepointPValue(lambda, observed);
-    result->inference[set_id] = info;
-    screens.fetch_add(1, std::memory_order_relaxed);
+    const stats::Matrix* gram = it == grams.end() ? nullptr : &it->second;
+    tasks.push_back({set_id, observed, gram, gram ? gram->rows() : 0});
   }
+  std::sort(tasks.begin(), tasks.end(),
+            [](const ScreenTask& a, const ScreenTask& b) {
+              return a.dim > b.dim || (a.dim == b.dim && a.set_id < b.set_id);
+            });
+  if (!tasks.empty()) {
+    pipeline.context().RunTasks(
+        "analytic-screen", static_cast<std::uint32_t>(tasks.size()),
+        [&tasks, method](engine::TaskContext& context) {
+          ScreenTask& task = tasks[context.partition()];
+          std::vector<double> lambda;
+          if (task.gram != nullptr) {
+            lambda = stats::NullSpectrumFromGram(*task.gram);
+          }
+          task.p = method == PValueMethod::kAnalytic
+                       ? stats::LiuPValue(lambda, task.observed)
+                       : stats::SaddlepointPValue(lambda, task.observed);
+        });
+  }
+  for (const ScreenTask& task : tasks) {
+    SetInference info;
+    info.analytic_p = task.p;
+    result->inference[task.set_id] = info;
+  }
+  screens.fetch_add(tasks.size(), std::memory_order_relaxed);
 }
 
 /// One Besag–Clifford stopper per set that will consume replicates:
@@ -344,6 +376,30 @@ std::unordered_map<std::uint32_t, stats::SequentialStopper> MakeStoppers(
   }
   refined_sets.fetch_add(stoppers.size(), std::memory_order_relaxed);
   return stoppers;
+}
+
+/// The refinement's live work at the start of a batch: the sets whose
+/// stopper has not stopped, in canonical (declaration) order, and the
+/// SNPs they cover. Screened-out and stopped sets cost nothing further.
+struct LiveSets {
+  std::vector<stats::SnpSet> sets;
+  std::shared_ptr<const std::unordered_set<std::uint32_t>> snps;
+};
+
+LiveSets CollectLiveSets(
+    const std::vector<stats::SnpSet>& sets,
+    const std::unordered_map<std::uint32_t, stats::SequentialStopper>&
+        stoppers) {
+  LiveSets live;
+  auto snps = std::make_shared<std::unordered_set<std::uint32_t>>();
+  for (const stats::SnpSet& set : sets) {
+    auto it = stoppers.find(set.id);
+    if (it == stoppers.end() || it->second.stopped()) continue;
+    live.sets.push_back(set);
+    snps->insert(set.snps.begin(), set.snps.end());
+  }
+  live.snps = std::move(snps);
+  return live;
 }
 
 /// Offers replicate r's scores to every live stopper. Returns true while
@@ -431,10 +487,13 @@ ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
           [&](std::uint64_t begin, std::uint64_t end) {
             const std::size_t count = end - begin;
             const std::vector<double> zblock = zblocks.Take(begin, count);
+            // Only the SNPs of still-live sets are scored and folded; a
+            // set that stops mid-batch stays live until the next batch.
+            const LiveSets live = CollectLiveSets(pipeline.sets(), stoppers);
             const auto block =
-                pipeline.ComputeMonteCarloScoreBlock(zblock, count);
+                pipeline.ComputeMonteCarloScoreBlock(zblock, count, live.snps);
             const std::vector<SetScores> replicate_scores =
-                FoldReplicateScores(pipeline.sets(), block, weights, count);
+                FoldReplicateScores(live.sets, block, weights, count);
             bool any_active = false;
             for (std::size_t r = 0; r < count; ++r) {
               any_active = OfferReplicate(result.observed, replicate_scores[r],

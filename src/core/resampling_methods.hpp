@@ -123,7 +123,12 @@ class ProgressSink {
 
   /// Replicate b's per-set statistics S_k^b, emitted just before
   /// OnReplicate(b). Permutation and Monte Carlo only (SKAT-O replicates
-  /// carry ρ-grids, not a single statistic per set).
+  /// carry ρ-grids, not a single statistic per set). In adaptive Monte
+  /// Carlo runs (pvalue_method != kResampling or early_stop != 0) only
+  /// the sets still live at the start of b's batch are scored, so
+  /// `scores` holds exactly those: refined sets whose stopper had not yet
+  /// stopped. Each entry is bitwise the set's S_k^b in an exhaustive run
+  /// from the same seed.
   virtual void OnReplicateScores(std::uint64_t /*b*/,
                                  const SetScores& /*scores*/) {}
 

@@ -1,5 +1,7 @@
 #include "stats/distributions_math.hpp"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 
@@ -8,9 +10,14 @@
 namespace ss::stats {
 namespace {
 
-// lgamma is thread-safe via std::lgamma on glibc when not inspecting
-// signgam; inputs here are positive so the sign is always +.
-double LogGamma(double x) { return std::lgamma(x); }
+// std::lgamma writes the global signgam, a data race once the analytic
+// screen evaluates tails on several workers; the reentrant lgamma_r
+// returns the sign through its argument instead. Inputs here are
+// positive, so the sign is always +.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 /// Series representation of P(a, x); converges quickly for x < a + 1.
 double GammaPSeries(double a, double x) {

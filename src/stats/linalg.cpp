@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <functional>
+#include <limits>
 
 namespace ss::stats {
 
@@ -158,59 +160,130 @@ std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
   SS_CHECK(symmetric.rows() == symmetric.cols());
   const std::size_t d = symmetric.rows();
   if (d == 0) return {};
+  // Only the lower triangle is read from here on; it holds the average
+  // of the two triangles, so a slightly asymmetric input (accumulation
+  // round-off) is reduced as the nearest symmetric matrix.
   Matrix a = symmetric;
-  // Symmetrize defensively so tiny accumulation asymmetries in the input
-  // cannot stall convergence.
   for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = r + 1; c < d; ++c) {
-      const double mean = 0.5 * (a.at(r, c) + a.at(c, r));
-      a.at(r, c) = mean;
-      a.at(c, r) = mean;
+    for (std::size_t c = 0; c < r; ++c) {
+      a.at(r, c) = 0.5 * (a.at(r, c) + a.at(c, r));
     }
   }
-  double norm = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < d; ++c) norm += a.at(r, c) * a.at(r, c);
-  }
-  norm = std::sqrt(norm);
-  const double kTol = 1e-14;
-  const int kMaxSweeps = 64;
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    double off = 0.0;
-    for (std::size_t r = 0; r < d; ++r) {
-      for (std::size_t c = r + 1; c < d; ++c) off += a.at(r, c) * a.at(r, c);
+
+  // Householder reduction to tridiagonal form: step i annihilates row i
+  // left of the subdiagonal, recording diag[i] and off[i] (the (i, i-1)
+  // entry), and applies H = I - u uᵀ/h to the leading i×i block as the
+  // rank-2 update A ← A - q uᵀ - u qᵀ. Both the product A·u and the
+  // update walk contiguous rows of the lower triangle.
+  std::vector<double> diag(d, 0.0);
+  std::vector<double> off(d, 0.0);
+  std::vector<double> u(d, 0.0);
+  std::vector<double> q(d, 0.0);
+  for (std::size_t i = d - 1; i >= 1; --i) {
+    diag[i] = a.at(i, i);
+    double scale = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::fabs(a.at(i, k));
+    if (i == 1 || scale == 0.0) {
+      off[i] = a.at(i, i - 1);
+      continue;
     }
-    if (std::sqrt(2.0 * off) <= kTol * std::max(norm, 1e-300)) break;
-    for (std::size_t p = 0; p < d; ++p) {
-      for (std::size_t q = p + 1; q < d; ++q) {
-        const double apq = a.at(p, q);
-        if (std::fabs(apq) <= kTol * 1e-2 * std::max(norm, 1e-300)) continue;
-        // Classic Jacobi rotation annihilating a[p][q].
-        const double theta = (a.at(q, q) - a.at(p, p)) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::fabs(theta) +
-                          std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double akp = a.at(k, p);
-          const double akq = a.at(k, q);
-          a.at(k, p) = c * akp - s * akq;
-          a.at(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < d; ++k) {
-          const double apk = a.at(p, k);
-          const double aqk = a.at(q, k);
-          a.at(p, k) = c * apk - s * aqk;
-          a.at(q, k) = s * apk + c * aqk;
-        }
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) {
+      u[k] = a.at(i, k) / scale;
+      h += u[k] * u[k];
+    }
+    const double f = u[i - 1];
+    const double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+    off[i] = scale * g;
+    h -= f * g;
+    u[i - 1] = f - g;
+    // q = A·u from the lower triangle: row j contributes its dot with u
+    // to q[j] and, by symmetry, row[k]·u[j] to every q[k] with k < j.
+    std::fill(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+    for (std::size_t j = 0; j < i; ++j) {
+      const double* row = &a.at(j, 0);
+      const double uj = u[j];
+      double dot = 0.0;
+      for (std::size_t k = 0; k < j; ++k) {
+        dot += row[k] * u[k];
+        q[k] += row[k] * uj;
       }
+      q[j] += dot + row[j] * uj;
+    }
+    // p = A·u / h, then q = p - (uᵀp / 2h)·u.
+    double k_coeff = 0.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      q[j] /= h;
+      k_coeff += u[j] * q[j];
+    }
+    k_coeff /= h + h;
+    for (std::size_t j = 0; j < i; ++j) q[j] -= k_coeff * u[j];
+    for (std::size_t j = 0; j < i; ++j) {
+      const double qj = q[j];
+      const double uj = u[j];
+      double* row = &a.at(j, 0);
+      for (std::size_t k = 0; k <= j; ++k) row[k] -= qj * u[k] + uj * q[k];
     }
   }
-  std::vector<double> eigenvalues(d);
-  for (std::size_t r = 0; r < d; ++r) eigenvalues[r] = a.at(r, r);
-  std::sort(eigenvalues.begin(), eigenvalues.end(), std::greater<double>());
-  return eigenvalues;
+  diag[0] = a.at(0, 0);
+
+  // Implicit QL with the Wilkinson shift on the tridiagonal (diag, off),
+  // off[i] now holding the (i+1, i) entry. Each eigenvalue converges in a
+  // couple of sweeps (cubically); one that exceeds the cap means the
+  // input was not a finite symmetric matrix, and the solver fails closed
+  // rather than return an unconverged spectrum.
+  for (std::size_t i = 1; i < d; ++i) off[i - 1] = off[i];
+  off[d - 1] = 0.0;
+  constexpr int kMaxIterations = 64;
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (std::size_t l = 0; l < d; ++l) {
+    int iterations = 0;
+    for (;;) {
+      std::size_t m = l;
+      for (; m + 1 < d; ++m) {
+        const double scale = std::fabs(diag[m]) + std::fabs(diag[m + 1]);
+        if (std::fabs(off[m]) <= eps * scale) break;
+      }
+      if (m == l) break;  // diag[l] has converged
+      SS_CHECK(++iterations <= kMaxIterations &&
+               "SymmetricEigenvalues: QL iteration did not converge");
+      // Wilkinson shift: the eigenvalue of the leading 2×2 block nearer
+      // diag[l].
+      double g = (diag[l + 1] - diag[l]) / (2.0 * off[l]);
+      double r = std::hypot(g, 1.0);
+      g = diag[m] - diag[l] + off[l] / (g + std::copysign(r, g));
+      double s = 1.0;
+      double c = 1.0;
+      double p = 0.0;
+      bool underflow = false;
+      for (std::size_t i = m; i-- > l;) {
+        const double f = s * off[i];
+        const double b = c * off[i];
+        r = std::hypot(f, g);
+        off[i + 1] = r;
+        if (r == 0.0) {
+          // The rotation underflowed: deflate and restart the sweep.
+          diag[i + 1] -= p;
+          off[m] = 0.0;
+          underflow = true;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = diag[i + 1] - p;
+        r = (diag[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        diag[i + 1] = g + p;
+        g = c * r - b;
+      }
+      if (underflow) continue;
+      diag[l] -= p;
+      off[l] = g;
+      off[m] = 0.0;
+    }
+  }
+  std::sort(diag.begin(), diag.end(), std::greater<double>());
+  return diag;
 }
 
 Matrix DesignMatrix(std::size_t n,

@@ -247,6 +247,66 @@ TEST(ResamplingMethodsTest, ReplicateScoreStreamMatchesSerialOracle) {
   }
 }
 
+TEST(ResamplingMethodsTest, AdaptiveSinkCarriesOnlyLiveSets) {
+  // Adaptive Monte Carlo scores only the sets still live at the start of
+  // a batch: OnReplicateScores carries exactly those, and each entry is
+  // bitwise the same set's statistic in an exhaustive run of that seed.
+  simdata::GeneratorConfig generator;
+  generator.num_patients = 60;
+  generator.num_snps = 120;
+  generator.num_sets = 12;
+  generator.seed = 44;
+  const simdata::SyntheticDataset dataset = simdata::Generate(generator);
+  struct Recorder final : ProgressSink {
+    std::vector<std::pair<std::uint64_t, SetScores>> stream;
+    void OnReplicateScores(std::uint64_t b, const SetScores& scores) override {
+      stream.push_back({b, scores});
+    }
+  };
+  constexpr std::uint64_t kReplicates = 200;
+  constexpr std::uint64_t kBatch = 8;
+  Recorder exhaustive_sink;
+  ResamplingRequest exhaustive(ResamplingMethod::kMonteCarlo, kReplicates);
+  exhaustive.sink = &exhaustive_sink;
+  RunWithRequest(dataset, exhaustive, kBatch, 4);
+  ASSERT_EQ(exhaustive_sink.stream.size(), kReplicates);
+
+  Recorder adaptive_sink;
+  ResamplingRequest adaptive(ResamplingMethod::kMonteCarlo, kReplicates);
+  adaptive.pvalue_method = PValueMethod::kHybrid;
+  adaptive.refine_threshold = 0.5;
+  adaptive.early_stop = 3;
+  adaptive.sink = &adaptive_sink;
+  const ResamplingResult result = RunWithRequest(dataset, adaptive, kBatch, 4);
+
+  std::size_t screened_out = 0;
+  std::size_t stopped_early = 0;
+  for (const auto& [set_id, info] : result.inference) {
+    if (!info.refined) ++screened_out;
+    if (info.early_stopped && info.replicates_used + kBatch <= kReplicates) {
+      ++stopped_early;
+    }
+  }
+  EXPECT_GT(screened_out, 0u) << "no set was screened out";
+  EXPECT_GT(stopped_early, 0u) << "no set stopped before the last batch";
+
+  ASSERT_FALSE(adaptive_sink.stream.empty());
+  for (const auto& [b, scores] : adaptive_sink.stream) {
+    const std::uint64_t batch_begin = b / kBatch * kBatch;
+    for (const auto& [set_id, info] : result.inference) {
+      const bool live = info.refined && (!info.early_stopped ||
+                                         batch_begin < info.replicates_used);
+      EXPECT_EQ(scores.count(set_id), live ? 1u : 0u)
+          << "replicate " << b << " set " << set_id;
+    }
+    const SetScores& reference = exhaustive_sink.stream[b].second;
+    for (const auto& [set_id, score] : scores) {
+      EXPECT_TRUE(BitEqual(score, reference.at(set_id)))
+          << "replicate " << b << " set " << set_id;
+    }
+  }
+}
+
 TEST(ResamplingMethodsTest, SinkReportsBatchBoundaries) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   struct Recorder final : ProgressSink {

@@ -4,6 +4,7 @@
 // between a 1-thread and an N-thread run from the same seed — the
 // property the resampling literature this repo reproduces silently
 // assumes, and the one a data race would corrupt first.
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -12,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/fault_injector.hpp"
 #include "core/resampling_methods.hpp"
 #include "engine/context.hpp"
+#include "engine/metrics.hpp"
 #include "stats/kernels/kernels.hpp"
 
 namespace ss::core {
@@ -253,6 +256,178 @@ TEST(DeterminismTest, HybridRunsIdenticalAcrossSchedulingKnobs) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The analytic screen as engine stages. A cohort with one 220-SNP set
+// makes the `set-gram` stage split that set's Gram across many row-block
+// tasks and gives the `analytic-screen` stage one long eigensolve among
+// short ones; neither the split, the scheduling knobs, nor a retried
+// task may move a bit of the result.
+// ---------------------------------------------------------------------
+
+simdata::SyntheticDataset LargeSetDataset() {
+  simdata::GeneratorConfig config;
+  config.num_patients = 120;
+  config.num_snps = 320;
+  config.num_sets = 5;
+  config.seed = kSeed;
+  simdata::SyntheticDataset dataset = simdata::Generate(config);
+  const std::vector<std::uint32_t> bounds = {0, 220, 260, 290, 310, 320};
+  for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+    dataset.sets[k].id = static_cast<std::uint32_t>(k);
+    dataset.sets[k].snps.clear();
+    for (std::uint32_t snp = bounds[k]; snp < bounds[k + 1]; ++snp) {
+      dataset.sets[k].snps.push_back(snp);
+    }
+  }
+  return dataset;
+}
+
+struct HashedRun {
+  ResamplingResult result;
+  std::uint64_t hash = 0;  ///< This run's `resampling.result_hash`.
+  std::vector<engine::StageMetrics> stages;
+};
+
+HashedRun RunHashed(std::size_t threads, std::uint64_t batch, int prefetch,
+                    PValueMethod pmethod, std::uint64_t early_stop,
+                    const simdata::SyntheticDataset& dataset,
+                    cluster::FaultInjector* faults = nullptr) {
+  std::atomic<std::uint64_t>& hash_counter =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  const std::uint64_t before = hash_counter.load();
+  engine::EngineContext ctx(OptionsWithThreads(threads), nullptr, faults);
+  PipelineConfig config;
+  config.seed = kSeed;
+  config.resampling_batch_size = batch;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  ResamplingRequest request(ResamplingMethod::kMonteCarlo, 200);
+  request.pvalue_method = pmethod;
+  request.refine_threshold = 0.5;
+  request.early_stop = early_stop;
+  engine::ExecConfig exec;
+  exec.prefetch_depth = prefetch;
+  request.exec = exec;
+  HashedRun run;
+  run.result = RunResampling(pipeline, request).scores;
+  run.hash = hash_counter.load() - before;
+  run.stages = ctx.metrics().stages();
+  return run;
+}
+
+const engine::StageMetrics* FindStage(const HashedRun& run,
+                                      const std::string& label) {
+  for (const engine::StageMetrics& stage : run.stages) {
+    if (stage.label == label) return &stage;
+  }
+  return nullptr;
+}
+
+TEST(DeterminismTest, SetGramStageBitwiseEqualsSerialGram) {
+  // The stage splits the 220-SNP set into row blocks and scores four
+  // columns per pass; every entry must still be the plain serial
+  // w_a·w_b·Σ_i u_a[i]·u_b[i], bit for bit.
+  const simdata::SyntheticDataset dataset = LargeSetDataset();
+  engine::EngineContext ctx(OptionsWithThreads(4));
+  PipelineConfig config;
+  config.seed = kSeed;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  const auto grams = pipeline.CollectSetGramMatrices();
+  const stats::ScoreEngine engine(stats::Phenotype::Cox(dataset.survival));
+  for (const stats::SnpSet& set : dataset.sets) {
+    SCOPED_TRACE("set " + std::to_string(set.id));
+    std::vector<std::vector<double>> u;
+    for (std::uint32_t snp : set.snps) {
+      u.push_back(engine.Contributions(dataset.genotypes.by_snp[snp]));
+    }
+    const stats::Matrix& gram = grams.at(set.id);
+    ASSERT_EQ(gram.rows(), set.snps.size());
+    for (std::size_t a = 0; a < u.size(); ++a) {
+      for (std::size_t b = 0; b < u.size(); ++b) {
+        double dot = 0.0;
+        for (std::size_t i = 0; i < u[a].size(); ++i) dot += u[a][i] * u[b][i];
+        const double expected = dataset.weights[set.snps[a]] *
+                                dataset.weights[set.snps[b]] * dot;
+        ASSERT_TRUE(BitEqual(gram.at(a, b), expected))
+            << "entry (" << a << ", " << b << ")";
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, ScreenStagesIdenticalAcrossSchedulingKnobs) {
+  const simdata::SyntheticDataset dataset = LargeSetDataset();
+  for (const auto& [pmethod, name] :
+       {std::pair<PValueMethod, const char*>{PValueMethod::kHybrid, "hybrid"},
+        std::pair<PValueMethod, const char*>{PValueMethod::kResampling,
+                                             "early-stop"}}) {
+    const HashedRun reference = RunHashed(1, 1, 0, pmethod, 5, dataset);
+    if (pmethod == PValueMethod::kHybrid) {
+      const engine::StageMetrics* gram = FindStage(reference, "set-gram");
+      ASSERT_NE(gram, nullptr);
+      EXPECT_GT(gram->task_seconds.size(), dataset.sets.size())
+          << "the 220-SNP set's Gram should span several tasks";
+      ASSERT_NE(FindStage(reference, "analytic-screen"), nullptr);
+      EXPECT_TRUE(reference.result.inference.at(0).refined)
+          << "the large set should take the refinement path";
+    }
+    for (std::size_t threads : {1u, 4u}) {
+      for (std::uint64_t batch : {1u, 64u}) {
+        for (int prefetch : {0, 2}) {
+          SCOPED_TRACE(std::string(name) + " threads=" +
+                       std::to_string(threads) + " batch=" +
+                       std::to_string(batch) +
+                       " prefetch=" + std::to_string(prefetch));
+          const HashedRun run =
+              RunHashed(threads, batch, prefetch, pmethod, 5, dataset);
+          EXPECT_EQ(run.hash, reference.hash);
+          ExpectAdaptiveIdentical(reference.result, run.result);
+        }
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
+  const simdata::SyntheticDataset dataset = LargeSetDataset();
+  const HashedRun clean = RunHashed(4, 64, 2, PValueMethod::kHybrid, 5, dataset);
+  // Stage ids are assigned in driver order, so a second identical run
+  // reaches the screen stages under the same ids.
+  cluster::FaultInjector faults;
+  for (const char* label : {"set-gram", "analytic-screen"}) {
+    const engine::StageMetrics* stage = FindStage(clean, label);
+    ASSERT_NE(stage, nullptr) << label;
+    const auto last = static_cast<std::uint32_t>(stage->task_seconds.size() - 1);
+    faults.FailTask(stage->stage_id, 0, 1);
+    faults.FailTask(stage->stage_id, last, 2);
+  }
+  const HashedRun retried =
+      RunHashed(4, 64, 2, PValueMethod::kHybrid, 5, dataset, &faults);
+  for (const char* label : {"set-gram", "analytic-screen"}) {
+    const engine::StageMetrics* stage = FindStage(retried, label);
+    ASSERT_NE(stage, nullptr) << label;
+    EXPECT_EQ(stage->failed_attempts, 3) << label;
+  }
+  EXPECT_EQ(retried.hash, clean.hash);
+  ExpectAdaptiveIdentical(clean.result, retried.result);
+}
+
+TEST(DeterminismTest, PureResamplingHashesUnchanged) {
+  // pmethod=resampling never runs the screen, and the live-SNP filter
+  // changes which SNPs are scored, not their values: these hashes are
+  // pinned to the values the engine produced before either existed.
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 0, FixedDataset())
+                .hash,
+            0xc35d887c450dc88dULL);
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 0,
+                      LargeSetDataset())
+                .hash,
+            0x5be26fc1f655d12bULL);
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 5,
+                      LargeSetDataset())
+                .hash,
+            0xcd848862324b848cULL);
 }
 
 TEST(DeterminismTest, TaskRngIndependentOfAttemptNumber) {
