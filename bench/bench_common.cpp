@@ -168,13 +168,14 @@ Workload DefaultWorkload(const Args& args, std::uint64_t snps_default,
   workload.pipeline.seed = workload.generator.seed;
   // Timing benches reproduce the paper's cost regime: per-patient (O(n²)
   // per SNP) Cox evaluation, re-executed per permutation replicate. Pass
-  // faithful=0 to time this library's O(n) risk-set path instead.
+  // faithful=0 to time this library's O(n) risk-set path and batched
+  // permutation (genotypes against permuted coefficient blocks) instead.
   workload.pipeline.paper_faithful_scores = args.GetU64("faithful", 1) != 0;
   workload.pipeline.num_partitions =
       static_cast<std::uint32_t>(args.GetU64("partitions", 8));
   workload.pipeline.num_reducers =
       static_cast<std::uint32_t>(args.GetU64("reducers", 8));
-  // Monte Carlo replicates per engine pass; results are bitwise invariant
+  // Resampling replicates per engine pass; results are bitwise invariant
   // to this knob (batch=1 recovers per-replicate scheduling).
   workload.pipeline.resampling_batch_size = std::max<std::uint64_t>(
       1, args.GetU64("batch", workload.pipeline.resampling_batch_size));

@@ -80,8 +80,8 @@ int main() {
   std::printf("\n-- Monte Carlo (Lin), B=999 --\n%s",
               core::FormatTopHits(mc, 5).c_str());
 
-  // Algorithm 2 (permutation), B = 99 (deliberately fewer — it is the
-  // expensive method; that asymmetry is the paper's point).
+  // Algorithm 2 (permutation), B = 99 (deliberately fewer — in the paper
+  // it is the expensive method, and that asymmetry is its point).
   engine::EngineContext ctx2(options);
   core::SkatPipeline perm_pipeline =
       core::SkatPipeline::FromMemory(ctx2, dataset, config);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
 #include "core/store_source.hpp"
@@ -119,6 +120,62 @@ void FillGramRow(const std::vector<const std::vector<double>*>& u,
   }
 }
 
+std::uint32_t SnpOf(
+    const std::pair<std::uint32_t, std::vector<double>>& record) {
+  return record.first;
+}
+std::uint32_t SnpOf(const stats::PackedSnpRecord& record) { return record.snp; }
+std::uint32_t SnpOf(const SnpRecord& record) { return record.snp; }
+
+/// The score-block scaffold: one MapPartitions pass that scores every
+/// record whose SNP is live (all, when `live_snps` is null) and collects
+/// SNP -> replicate scores to the driver. `score(record, &scratch,
+/// &scores)` fills one SNP's scores; `Scratch` is per-partition working
+/// memory.
+template <typename Scratch, typename Record, typename Score>
+std::unordered_map<std::uint32_t, std::vector<double>> CollectScoreBlock(
+    const Dataset<Record>& records,
+    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps,
+    Score score) {
+  auto scored = records.MapPartitions(
+      [live_snps, score](std::uint32_t, const std::vector<Record>& partition) {
+        std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
+        out.reserve(partition.size());
+        Scratch scratch;
+        std::vector<double> scores;
+        for (const Record& record : partition) {
+          const std::uint32_t snp = SnpOf(record);
+          if (live_snps != nullptr && live_snps->count(snp) == 0) continue;
+          score(record, &scratch, &scores);
+          out.push_back({snp, scores});
+        }
+        return out;
+      });
+  return engine::CollectAsMap(scored, "collect-score-block");
+}
+
+struct NoScratch {};
+
+struct GenotypeScratch {
+  std::vector<std::uint8_t> dosages;
+  std::vector<double> widened;
+};
+
+/// out[r] = Σ_i G_i · vblock[i*count + r], or exactly 0 for a constant
+/// column: Σ_l v_l = 0 makes 0 its exact value, and Σ_l c·v_l would
+/// instead leave rounding noise that decides its exceedances by coin flip.
+void GenotypeScores(const std::vector<std::uint8_t>& dosages,
+                    const double* vblock, std::size_t count,
+                    std::vector<double>* widened, std::vector<double>* out) {
+  if (std::adjacent_find(dosages.begin(), dosages.end(),
+                         std::not_equal_to<>()) == dosages.end()) {
+    out->assign(count, 0.0);
+    return;
+  }
+  widened->assign(dosages.begin(), dosages.end());
+  stats::BatchedReplicateScores(*widened, vblock, count, out);
+}
+
 }  // namespace
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
@@ -171,9 +228,9 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
           return packed;
         });
     if (config_.cache_contributions) {
-      // Permutation replicates rebuild U from genotypes every pass;
-      // caching the packed form keeps that rebuild off the parse chain
-      // at a quarter of the unpacked footprint.
+      // Permutation batches score the genotypes every pass; caching the
+      // packed form keeps them off the parse chain at a quarter of the
+      // unpacked footprint.
       fgm_packed_.Cache();
     }
   }
@@ -542,25 +599,46 @@ SkatPipeline::ComputeMonteCarloScoreBlock(
                          "monte-carlo score block",
                          {engine::Arg("replicates", count)});
   auto z = engine::MakeBroadcast(*ctx_, zblock);
-  auto scored = u_observed_.MapPartitions(
-      [z, count, live_snps](
-          std::uint32_t,
-          const std::vector<std::pair<std::uint32_t, std::vector<double>>>&
-              records) {
-        std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
-        out.reserve(records.size());
-        std::vector<double> scores;
-        for (const auto& record : records) {
-          if (live_snps != nullptr && live_snps->count(record.first) == 0) {
-            continue;
-          }
-          stats::BatchedReplicateScores(record.second, z->data(), count,
-                                        &scores);
-          out.push_back({record.first, scores});
-        }
-        return out;
+  return CollectScoreBlock<NoScratch>(
+      u_observed_, std::move(live_snps),
+      [z, count](const std::pair<std::uint32_t, std::vector<double>>& record,
+                 NoScratch*, std::vector<double>* scores) {
+        stats::BatchedReplicateScores(record.second, z->data(), count, scores);
       });
-  return engine::CollectAsMap(scored, "collect-score-block");
+}
+
+std::unordered_map<std::uint32_t, std::vector<double>>
+SkatPipeline::ComputeGenotypeScoreBlock(
+    const std::vector<double>& vblock, std::size_t count,
+    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
+  SS_CHECK(vblock.size() == count * n());
+  engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                         "genotype score block",
+                         {engine::Arg("replicates", count)});
+  auto v = engine::MakeBroadcast(*ctx_, vblock);
+  if (config_.pack_genotypes) {
+    return CollectScoreBlock<GenotypeScratch>(
+        fgm_packed_, std::move(live_snps),
+        [v, count](const stats::PackedSnpRecord& record,
+                   GenotypeScratch* scratch, std::vector<double>* scores) {
+          {
+            // Untraced like BuildU's unpack: one span per record would
+            // flood the trace.
+            ss::engine::PhaseTimer decode_phase(
+                ss::engine::TaskPhase::kDecode, /*trace=*/false);
+            record.genotypes.UnpackInto(&scratch->dosages);
+          }
+          GenotypeScores(scratch->dosages, v->data(), count,
+                         &scratch->widened, scores);
+        });
+  }
+  return CollectScoreBlock<GenotypeScratch>(
+      fgm_, std::move(live_snps),
+      [v, count](const SnpRecord& record, GenotypeScratch* scratch,
+                 std::vector<double>* scores) {
+        GenotypeScores(record.genotypes, v->data(), count, &scratch->widened,
+                       scores);
+      });
 }
 
 std::unordered_map<std::uint32_t, double> SkatPipeline::CollectObservedScores() {

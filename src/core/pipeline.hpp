@@ -14,8 +14,13 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// The U RDD is exposed so Algorithm 3 can cache and reuse it; Algorithm 2
-// instead re-executes steps 6-12 per replicate with a permuted phenotype.
+// The U RDD is exposed so Algorithm 3 can cache and reuse it. Algorithm 2
+// never needs it: U_j = Σ_l G_lj v_l with v the phenotype's score
+// coefficients, and a permutation only permutes v, so replicates score
+// the genotypes against permuted coefficient blocks
+// (ComputeGenotypeScoreBlock). Re-executing steps 6-12 per replicate with
+// a permuted phenotype (ComputePermutationReplicate) is kept for the
+// paper-faithful cost regime.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +75,10 @@ struct PipelineConfig {
   bool pack_genotypes = true;
 
   /// Evaluate Cox contributions with the paper's per-patient formulation
-  /// (O(n²) per SNP) instead of this library's O(n) risk-set path. Same
-  /// values; reproduces the paper's cost regime. The timing benches set
-  /// this; see stats/score_engine.hpp.
+  /// (O(n²) per SNP) instead of this library's O(n) risk-set path, and run
+  /// plain permutation as a full pipeline rebuild per replicate instead of
+  /// batched score blocks. Reproduces the paper's cost regime. The timing
+  /// benches set this; see stats/score_engine.hpp.
   bool paper_faithful_scores = false;
 
   /// When non-empty (and the context has a DFS), the observed U RDD is
@@ -85,9 +91,10 @@ struct PipelineConfig {
   /// Seed for the resampling plans layered on top (Algorithms 2/3).
   std::uint64_t seed = 2016;
 
-  /// Monte Carlo replicates per engine pass (Algorithm 3): each batch
-  /// broadcasts an n×R Z block and computes all R replicate scores in one
-  /// blocked kernel over the cached U partitions, amortizing the
+  /// Resampling replicates per engine pass: each batch broadcasts an n×R
+  /// block (Z multipliers for Monte Carlo, permuted coefficients for
+  /// permutation) and computes all R replicate scores in one blocked
+  /// kernel over the cached U or genotype partitions, amortizing the
   /// per-pass scheduling cost. Results are bitwise invariant to this
   /// knob; 1 recovers one-pass-per-replicate scheduling (the ablation
   /// baseline). 0 is treated as 1.
@@ -163,6 +170,21 @@ class SkatPipeline {
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
           nullptr);
 
+  /// Algorithm 2 for a whole batch, without U: per SNP, the signed
+  /// replicate scores U_jr = Σ_i G_ij · vblock[i*count + r] for a
+  /// patient-major block of permuted score coefficients
+  /// (stats::PermutedCoefficientBlock; count 1 with the unpermuted
+  /// coefficients gives the observed scores). One engine pass over the
+  /// cached genotype partitions — packed ones are unpacked per SNP —
+  /// with the same blocked kernel, live-SNP filter and collect as
+  /// ComputeMonteCarloScoreBlock. A constant genotype column scores
+  /// exactly 0 in every replicate, as its Cox U vector does.
+  std::unordered_map<std::uint32_t, std::vector<double>>
+  ComputeGenotypeScoreBlock(
+      const std::vector<double>& vblock, std::size_t count,
+      std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
+          nullptr);
+
   /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
   /// driver (one double per filtered SNP), for the batched drivers'
   /// canonical observed fold. Materializes the U RDD like ComputeObserved.
@@ -180,7 +202,9 @@ class SkatPipeline {
   /// ComputeObserved.
   std::unordered_map<std::uint32_t, stats::Matrix> CollectSetGramMatrices();
 
-  /// Steps 6-12 from scratch under a permuted phenotype (Algorithm 2).
+  /// Steps 6-12 from scratch under a permuted phenotype: Algorithm 2 as
+  /// the paper runs it, which RunResampling uses for plain (non-adaptive)
+  /// permutation under `paper_faithful_scores`.
   SetScores ComputePermutationReplicate(const std::vector<std::uint32_t>& perm);
 
   const PipelineConfig& config() const { return config_; }
@@ -228,7 +252,8 @@ class SkatPipeline {
   engine::Dataset<simdata::SnpRecord> fgm_;  ///< Filtered genotype RDD (step 4).
 
   /// 2-bit packed form of fgm_ (the cached/spilled genotype format when
-  /// `pack_genotypes` is set); all U builds decode from this instead.
+  /// `pack_genotypes` is set); all U builds and genotype score blocks
+  /// decode from this instead.
   engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
   engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.
   engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω (SKAT-O path).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -43,46 +44,48 @@ std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
   return std::max<std::uint64_t>(1, batch);
 }
 
-/// Double-buffers Z-block generation on the I/O lane: while batch k's
-/// score block computes and folds, batch k+1's n×R multiplier block is
-/// generated concurrently. stats::MonteCarloZBlock is a pure function of
-/// (seed, n, begin, count) — per-replicate splittable RNG streams — so
-/// WHERE it runs cannot change a single bit of it; the lane only moves
-/// the generation off the critical path. With the lane ablated
-/// (prefetch=0 → context.io() == nullptr) every block is generated
-/// inline, byte-for-byte the old schedule.
-class ZBlockPrefetcher {
+/// Double-buffers replicate-block generation on the I/O lane: while batch
+/// k's score block computes and folds, batch k+1's patient-major block (a
+/// Monte Carlo Z block or a permuted coefficient block) is generated
+/// concurrently. `make_block` is a pure function of (begin, count) —
+/// per-replicate splittable RNG streams — so WHERE it runs cannot change
+/// a single bit of it; the lane only moves the generation off the
+/// critical path. With the lane ablated (prefetch=0 → context.io() ==
+/// nullptr) every block is generated inline, byte-for-byte the old
+/// schedule.
+class BlockPrefetcher {
  public:
-  ZBlockPrefetcher(engine::AsyncExecutor* io, std::uint64_t seed,
-                   std::size_t n, std::uint64_t replicates,
-                   std::uint64_t batch_size)
-      : io_(io),
-        seed_(seed),
-        n_(n),
-        replicates_(replicates),
-        batch_size_(batch_size) {}
+  using MakeBlock = std::function<std::vector<double>(std::uint64_t begin,
+                                                      std::size_t count)>;
 
-  /// The Z-block for [begin, begin+count): the in-flight one when the
-  /// lane was generating exactly that range, else generated inline; then
-  /// the NEXT batch's generation is queued. The driver-side wait for an
+  BlockPrefetcher(engine::AsyncExecutor* io, std::uint64_t replicates,
+                  std::uint64_t batch_size, MakeBlock make_block)
+      : io_(io),
+        replicates_(replicates),
+        batch_size_(batch_size),
+        make_block_(std::move(make_block)) {}
+
+  /// The block for [begin, begin+count): the in-flight one when the lane
+  /// was generating exactly that range, else generated inline; then the
+  /// NEXT batch's generation is queued. The driver-side wait for an
   /// in-flight block shows up as a `prefetch`-category trace span.
   std::vector<double> Take(std::uint64_t begin, std::size_t count) {
     static std::atomic<std::uint64_t>& zblock_prefetches =
         engine::CounterRegistry::Global().Get("exec.zblock_prefetches");
-    std::vector<double> zblock;
+    std::vector<double> block;
     if (next_.valid() && next_begin_ == begin && next_count_ == count) {
       engine::TraceSpan span(engine::Tracer::Global(), "prefetch",
                              "zblock wait",
                              {engine::Arg("b_begin", begin),
                               engine::Arg("count", count)});
-      zblock = next_.get();
+      block = next_.get();
       zblock_prefetches.fetch_add(1, std::memory_order_relaxed);
     } else {
       if (next_.valid()) next_.get();  // stale; discard the bytes
-      zblock = stats::MonteCarloZBlock(seed_, n_, begin, count);
+      block = make_block_(begin, count);
     }
     Schedule(begin + count);
-    return zblock;
+    return block;
   }
 
  private:
@@ -92,16 +95,16 @@ class ZBlockPrefetcher {
         std::min<std::uint64_t>(batch_size_, replicates_ - begin));
     next_begin_ = begin;
     next_count_ = count;
-    next_ = io_->Submit([seed = seed_, n = n_, begin, count]() {
-      return stats::MonteCarloZBlock(seed, n, begin, count);
-    });
+    // The job owns a copy of the generator, so a run that stops early
+    // may return while it is still in flight.
+    next_ = io_->Submit(
+        [make = make_block_, begin, count]() { return make(begin, count); });
   }
 
   engine::AsyncExecutor* const io_;
-  const std::uint64_t seed_;
-  const std::size_t n_;
   const std::uint64_t replicates_;
   const std::uint64_t batch_size_;
+  const MakeBlock make_block_;
   std::future<std::vector<double>> next_;
   std::uint64_t next_begin_ = 0;
   std::size_t next_count_ = 0;
@@ -451,18 +454,82 @@ void FinalizeAdaptive(
   }
 }
 
-/// Algorithm 3, batched: one engine pass per batch over the cached U RDD,
-/// canonical driver-side folds. The observed statistics are folded in the
-/// same canonical order, so the whole ResamplingResult — not only the
-/// counters — is bitwise equal to baseline::SerialMonteCarlo's analysis
-/// from the same seed, for every batch size and thread count.
-ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
-                                      const ResamplingRequest& request) {
+/// Where a score-block run's replicates come from. Both resampling
+/// methods score per-SNP vectors against patient-major replicate blocks:
+/// Monte Carlo scores the cached U partitions against N(0,1) multiplier
+/// blocks (Algorithm 3), permutation scores the genotype partitions
+/// against permuted score-coefficient blocks (Algorithm 2, using
+/// U_j^π = g_jᵀ(v∘π)).
+struct ScoreBlockSource {
+  const char* algorithm;
+  /// Observed per-SNP marginal scores U_j.
+  std::function<std::unordered_map<std::uint32_t, double>()> observed;
+  /// The block for replicates [begin, begin+count); must be a pure
+  /// function of its arguments (it may run on the I/O lane).
+  BlockPrefetcher::MakeBlock make_block;
+  /// One engine pass over a block: SNP -> `count` replicate scores,
+  /// restricted to `live_snps` when non-null.
+  std::function<std::unordered_map<std::uint32_t, std::vector<double>>(
+      const std::vector<double>& block, std::size_t count,
+      std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps)>
+      score;
+};
+
+ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
+  return {"monte-carlo",
+          [&pipeline] { return pipeline.CollectObservedScores(); },
+          [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
+            return stats::MonteCarloZBlock(seed, n, begin, count);
+          },
+          [&pipeline](const std::vector<double>& block, std::size_t count,
+                      std::shared_ptr<const std::unordered_set<std::uint32_t>>
+                          live_snps) {
+            return pipeline.ComputeMonteCarloScoreBlock(block, count,
+                                                        std::move(live_snps));
+          }};
+}
+
+/// U is never built: the observed scores are a count-1 block of the
+/// unpermuted coefficients, and replicate b's block column is v∘π_b with
+/// π_b from the same streams as stats::PermutationPlan (Algorithm 2 step
+/// 2), so replicate b is reproducible in isolation.
+ScoreBlockSource PermutationSource(SkatPipeline& pipeline, std::uint64_t seed) {
+  auto v = std::make_shared<const std::vector<double>>(
+      stats::ScoreEngine(pipeline.phenotype()).Coefficients());
+  return {"permutation",
+          [&pipeline, v] {
+            std::unordered_map<std::uint32_t, double> scores;
+            for (const auto& [snp, block] :
+                 pipeline.ComputeGenotypeScoreBlock(*v, 1)) {
+              scores[snp] = block[0];
+            }
+            return scores;
+          },
+          [seed, v](std::uint64_t begin, std::size_t count) {
+            return stats::PermutedCoefficientBlock(seed, *v, begin, count);
+          },
+          [&pipeline](const std::vector<double>& block, std::size_t count,
+                      std::shared_ptr<const std::unordered_set<std::uint32_t>>
+                          live_snps) {
+            return pipeline.ComputeGenotypeScoreBlock(block, count,
+                                                      std::move(live_snps));
+          }};
+}
+
+/// The batched resampling driver: one engine pass per batch, canonical
+/// driver-side folds. The observed statistics are folded in the same
+/// canonical order, so for Monte Carlo the whole ResamplingResult — not
+/// only the counters — is bitwise equal to baseline::SerialMonteCarlo's
+/// analysis from the same seed; every method's result is bitwise
+/// invariant to batch size, thread count and prefetch depth.
+ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
+                                const ResamplingRequest& request,
+                                const ScoreBlockSource& source) {
   ResamplingResult result;
   result.replicates = request.replicates;
   const std::unordered_map<std::uint32_t, double> observed_scores = [&] {
     engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-    return pipeline.CollectObservedScores();
+    return source.observed();
   }();
   const std::unordered_map<std::uint32_t, double>& weights =
       pipeline.DriverWeights();
@@ -470,80 +537,71 @@ ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
       FoldObservedScores(pipeline.sets(), observed_scores, weights);
   InitCounters(result.observed, &result.exceed);
 
-  const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
-  const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-
-  if (IsAdaptive(request)) {
+  const bool adaptive = IsAdaptive(request);
+  std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers;
+  if (adaptive) {
     result.early_stop_h = request.early_stop;
     if (request.pvalue_method != PValueMethod::kResampling) {
+      // For permutation the Σ λ χ²₁ tail is the standard asymptotic
+      // approximation, not exact as under the Monte Carlo null.
       AnalyticScreen(pipeline, request.pvalue_method, &result);
     }
-    auto stoppers = MakeStoppers(request, &result);
-    if (!stoppers.empty() && request.replicates > 0) {
-      ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
-                               request.replicates, batch_size);
-      RunBatches(
-          "monte-carlo", request.replicates, batch_size, request.sink,
-          [&](std::uint64_t begin, std::uint64_t end) {
-            const std::size_t count = end - begin;
-            const std::vector<double> zblock = zblocks.Take(begin, count);
-            // Only the SNPs of still-live sets are scored and folded; a
-            // set that stops mid-batch stays live until the next batch.
-            const LiveSets live = CollectLiveSets(pipeline.sets(), stoppers);
-            const auto block =
-                pipeline.ComputeMonteCarloScoreBlock(zblock, count, live.snps);
-            const std::vector<SetScores> replicate_scores =
-                FoldReplicateScores(live.sets, block, weights, count);
-            bool any_active = false;
-            for (std::size_t r = 0; r < count; ++r) {
-              any_active = OfferReplicate(result.observed, replicate_scores[r],
-                                          &stoppers);
-              if (request.sink != nullptr) {
-                request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
-                request.sink->OnReplicate(begin + r);
-              }
-            }
-            return any_active;
-          });
-    }
-    FinalizeAdaptive(request, stoppers, &result);
-    RecordResultHash(result);
-    return result;
+    stoppers = MakeStoppers(request, &result);
   }
 
-  ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
-                           request.replicates, batch_size);
-  RunBatches(
-      "monte-carlo", request.replicates, batch_size,
-      request.sink, [&](std::uint64_t begin, std::uint64_t end) {
-        const std::size_t count = end - begin;
-        // Algorithm 3 step 3, per batch: (end-begin) × n multipliers from
-        // the per-replicate streams (bitwise invariant to batching);
-        // double-buffered on the I/O lane when prefetch is enabled.
-        const std::vector<double> zblock = zblocks.Take(begin, count);
-        const auto block = pipeline.ComputeMonteCarloScoreBlock(zblock, count);
-        const std::vector<SetScores> replicate_scores =
-            FoldReplicateScores(pipeline.sets(), block, weights, count);
-        for (std::size_t r = 0; r < count; ++r) {
-          CountExceedances(result.observed, replicate_scores[r],
-                           &result.exceed);
-          if (request.sink != nullptr) {
-            request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
-            request.sink->OnReplicate(begin + r);
+  if (!adaptive || !stoppers.empty()) {
+    const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
+    BlockPrefetcher blocks(pipeline.context().io(), request.replicates,
+                           batch_size, source.make_block);
+    RunBatches(
+        source.algorithm, request.replicates, batch_size, request.sink,
+        [&](std::uint64_t begin, std::uint64_t end) {
+          const std::size_t count = end - begin;
+          // Per batch: `count` × n block entries from the per-replicate
+          // streams (bitwise invariant to batching), double-buffered on
+          // the I/O lane when prefetch is enabled.
+          const std::vector<double> block = blocks.Take(begin, count);
+          // Adaptive runs score and fold only the SNPs of still-live
+          // sets; a set that stops mid-batch stays live until the next
+          // batch.
+          LiveSets live;
+          const std::vector<stats::SnpSet>* sets = &pipeline.sets();
+          if (adaptive) {
+            live = CollectLiveSets(pipeline.sets(), stoppers);
+            sets = &live.sets;
           }
-        }
-        return true;
-      });
+          const std::vector<SetScores> replicate_scores = FoldReplicateScores(
+              *sets, source.score(block, count, live.snps), weights, count);
+          bool any_active = true;
+          for (std::size_t r = 0; r < count; ++r) {
+            if (adaptive) {
+              any_active = OfferReplicate(result.observed,
+                                          replicate_scores[r], &stoppers);
+            } else {
+              CountExceedances(result.observed, replicate_scores[r],
+                               &result.exceed);
+            }
+            if (request.sink != nullptr) {
+              request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
+              request.sink->OnReplicate(begin + r);
+            }
+          }
+          return any_active;
+        });
+  }
+  if (adaptive) FinalizeAdaptive(request, stoppers, &result);
   RecordResultHash(result);
   return result;
 }
 
-/// Algorithm 2: every replicate re-executes the full pipeline, so a batch
-/// is a scheduling/telemetry unit rather than a fused engine pass. The
-/// observed statistics keep the engine's fold (replicates flow through
-/// the same path, keeping the exceedance comparisons aligned).
-ResamplingResult RunBatchedPermutation(SkatPipeline& pipeline,
-                                       const ResamplingRequest& request) {
+/// Algorithm 2 as the paper runs it, for plain `paper_faithful_scores`
+/// runs: every replicate re-executes the full pipeline (steps 6-12) under
+/// a permuted phenotype, so a batch is a scheduling/telemetry unit rather
+/// than a fused engine pass. The observed statistics keep the engine's
+/// fold (replicates flow through the same path, keeping the exceedance
+/// comparisons aligned). Adaptive permutation always takes RunScoreBlocks.
+ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
+                                        const ResamplingRequest& request) {
   ResamplingResult result;
   result.observed = pipeline.ComputeObserved();
   result.replicates = request.replicates;
@@ -553,46 +611,6 @@ ResamplingResult RunBatchedPermutation(SkatPipeline& pipeline,
   // Algorithm 2 step 2: all B shufflings are derived from the seed up
   // front, so replicate b is reproducible in isolation.
   const stats::PermutationPlan plan(seed, pipeline.n(), request.replicates);
-
-  if (IsAdaptive(request)) {
-    result.early_stop_h = request.early_stop;
-    if (request.pvalue_method != PValueMethod::kResampling) {
-      // For permutation the Σ λ χ²₁ tail is the standard asymptotic
-      // approximation, not exact as under the Monte Carlo null.
-      AnalyticScreen(pipeline, request.pvalue_method, &result);
-    }
-    auto stoppers = MakeStoppers(request, &result);
-    if (!stoppers.empty() && request.replicates > 0) {
-      RunBatches(
-          "permutation", request.replicates,
-          EffectiveBatchSize(pipeline, request), request.sink,
-          [&](std::uint64_t begin, std::uint64_t end) {
-            bool any_active = false;
-            for (std::uint64_t b = begin; b < end; ++b) {
-              engine::TraceSpan span(engine::Tracer::Global(), "replicate",
-                                     "permutation b=" + std::to_string(b),
-                                     {engine::Arg("algorithm", "permutation"),
-                                      engine::Arg("b", b)});
-              const SetScores replicate =
-                  pipeline.ComputePermutationReplicate(plan.Get(b));
-              any_active =
-                  OfferReplicate(result.observed, replicate, &stoppers);
-              if (request.sink != nullptr) {
-                request.sink->OnReplicateScores(b, replicate);
-                request.sink->OnReplicate(b);
-              }
-              // Full-pipeline replicates are expensive; unlike the batched
-              // Monte Carlo block (already computed), stop mid-batch.
-              if (!any_active) break;
-            }
-            return any_active;
-          });
-    }
-    FinalizeAdaptive(request, stoppers, &result);
-    RecordResultHash(result);
-    return result;
-  }
-
   RunBatches(
       "permutation", request.replicates, EffectiveBatchSize(pipeline, request),
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
@@ -642,8 +660,11 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   std::unordered_map<std::uint32_t, std::vector<std::vector<double>>>
       replicate_grids;
   const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-  ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
-                           request.replicates, batch_size);
+  BlockPrefetcher zblocks(
+      pipeline.context().io(), request.replicates, batch_size,
+      [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
+        return stats::MonteCarloZBlock(seed, n, begin, count);
+      });
   RunBatches(
       "skat-o", request.replicates, batch_size,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
@@ -735,12 +756,18 @@ ResamplingRun RunResampling(SkatPipeline& pipeline,
   }
   ResamplingRun run;
   run.method = request.method;
+  const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   switch (request.method) {
     case ResamplingMethod::kPermutation:
-      run.scores = RunBatchedPermutation(pipeline, request);
+      run.scores = pipeline.config().paper_faithful_scores &&
+                           !IsAdaptive(request)
+                       ? RunFaithfulPermutation(pipeline, request)
+                       : RunScoreBlocks(pipeline, request,
+                                        PermutationSource(pipeline, seed));
       break;
     case ResamplingMethod::kMonteCarlo:
-      run.scores = RunBatchedMonteCarlo(pipeline, request);
+      run.scores = RunScoreBlocks(pipeline, request,
+                                  MonteCarloSource(pipeline, seed));
       break;
     case ResamplingMethod::kSkatO:
       if (IsAdaptive(request)) {

@@ -5,23 +5,29 @@
 // S_k⁰ (the paper's counter_k). The empirical p-value follows directly.
 //
 //   * kPermutation — Algorithm 2: each replicate shuffles the phenotype
-//     pairs and re-executes the full pipeline (steps 6-12).
+//     pairs. A shuffle only permutes the score coefficients v
+//     (U_j^π = g_jᵀ(v∘π)), so replicates score the genotypes against
+//     permuted coefficient blocks; plain (non-adaptive) runs under
+//     `paper_faithful_scores` instead re-execute the full pipeline
+//     (steps 6-12) per replicate.
 //   * kMonteCarlo — Algorithm 3: replicates reuse the cached observed
 //     U RDD with fresh N(0,1) multipliers; only steps 8-12 re-execute.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
 //     replicate pool.
 //
 // All methods share one batched driver loop: replicates are scheduled in
-// batches of `ResamplingRequest::batch_size`. For the Monte Carlo methods
-// a batch is ONE engine pass — an n×R Z block is broadcast and a blocked
-// multiply-accumulate kernel computes every replicate's per-SNP scores
-// over the cached U partitions (stats::BatchedReplicateScores); the
-// per-set folds then run driver-side in the serial oracle's canonical
-// accumulation order. Results are bitwise invariant to the batch size,
-// the thread count, and the partitioning, and the Monte Carlo
-// ResamplingResult is bitwise equal to baseline::SerialMonteCarlo from
-// the same seed. Permutation re-executes the full pipeline per replicate
-// (its cost model is the point of Experiment A), so for it a batch is a
+// batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
+// pass — an n×R block is broadcast and a blocked multiply-accumulate
+// kernel (stats::BatchedReplicateScores) computes every replicate's
+// per-SNP scores: Z multipliers against the cached U partitions for the
+// Monte Carlo methods, permuted coefficients against the cached genotype
+// partitions for permutation. The per-set folds then run driver-side in
+// the serial oracle's canonical accumulation order. Results are bitwise
+// invariant to the batch size, the thread count, packing and the
+// partitioning, and the Monte Carlo ResamplingResult is bitwise equal to
+// baseline::SerialMonteCarlo from the same seed. Paper-faithful
+// permutation re-executes the full pipeline per replicate (its cost
+// model is the point of Experiment A), so for it a batch is a
 // scheduling/telemetry unit only.
 #pragma once
 
@@ -117,15 +123,15 @@ class ProgressSink {
   virtual ~ProgressSink() = default;
 
   /// Batch `batch_index` covering replicates [begin, end) is about to
-  /// execute (one engine pass for the Monte Carlo methods).
+  /// execute (one engine pass, except for paper-faithful permutation).
   virtual void OnBatchBegin(std::uint64_t /*batch_index*/,
                             std::uint64_t /*begin*/, std::uint64_t /*end*/) {}
 
   /// Replicate b's per-set statistics S_k^b, emitted just before
   /// OnReplicate(b). Permutation and Monte Carlo only (SKAT-O replicates
-  /// carry ρ-grids, not a single statistic per set). In adaptive Monte
-  /// Carlo runs (pvalue_method != kResampling or early_stop != 0) only
-  /// the sets still live at the start of b's batch are scored, so
+  /// carry ρ-grids, not a single statistic per set). In adaptive runs
+  /// (pvalue_method != kResampling or early_stop != 0) only the sets
+  /// still live at the start of b's batch are scored, so
   /// `scores` holds exactly those: refined sets whose stopper had not yet
   /// stopped. Each entry is bitwise the set's S_k^b in an exhaustive run
   /// from the same seed.

@@ -29,6 +29,32 @@ std::vector<double> CoxScoreContributions(
   return contributions;
 }
 
+std::vector<double> CoxScoreCoefficients(const SurvivalData& data,
+                                         const RiskSetIndex& index) {
+  const std::size_t n = data.n();
+  SS_CHECK(index.n() == n);
+  const std::vector<std::uint32_t>& order = index.order();
+  std::vector<double> coefficients(n);
+  // `order` is time-descending and a tie group [begin, end) shares
+  // prefix_end == end == b, so walking it backwards is ascending time.
+  double hazard = 0.0;  // Σ Δ_i / b_i over the groups seen so far
+  std::size_t end = n;
+  while (end > 0) {
+    std::size_t begin = end;
+    while (begin > 0 && index.prefix_end(order[begin - 1]) == end) --begin;
+    const double b = static_cast<double>(end);
+    for (std::size_t k = begin; k < end; ++k) {
+      if (data.event[order[k]] != 0) hazard += 1.0 / b;
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+      coefficients[order[k]] =
+          static_cast<double>(data.event[order[k]]) - hazard;
+    }
+    end = begin;
+  }
+  return coefficients;
+}
+
 std::vector<double> CoxScoreContributionsNaive(
     const SurvivalData& data, const std::vector<std::uint8_t>& genotypes) {
   const std::size_t n = data.n();

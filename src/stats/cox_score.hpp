@@ -27,6 +27,18 @@ std::vector<double> CoxScoreContributions(const SurvivalData& data,
                                           const RiskSetIndex& index,
                                           const std::vector<std::uint8_t>& genotypes);
 
+/// The SNP-invariant coefficients of the marginal score: U_j = Σ_l G_lj v_l
+/// for every genotype column, with
+///
+///     v_l = Δ_l − Σ_{i: Y_i <= Y_l} Δ_i / b_i
+///
+/// (swap the sums in Σ_i U_ij). One ascending-time pass over the index's
+/// sorted order; tied times enter the running sum together, since each
+/// is in the others' risk sets. A tie group's terms are all 1/b or 0, so
+/// the sum is the same for every order of the tied patients.
+std::vector<double> CoxScoreCoefficients(const SurvivalData& data,
+                                         const RiskSetIndex& index);
+
 /// Same values computed directly from the definition in O(n^2); reference
 /// implementation for tests and the risk-set ablation bench.
 std::vector<double> CoxScoreContributionsNaive(

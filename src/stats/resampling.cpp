@@ -54,6 +54,21 @@ std::vector<double> MonteCarloZBlock(std::uint64_t seed, std::size_t n,
   return block;
 }
 
+std::vector<double> PermutedCoefficientBlock(std::uint64_t seed,
+                                             const std::vector<double>& v,
+                                             std::uint64_t first,
+                                             std::size_t count) {
+  const std::size_t n = v.size();
+  std::vector<double> block(n * count);
+  Rng root(seed);
+  for (std::size_t r = 0; r < count; ++r) {
+    Rng rng = root.Split(first + r + 1);
+    const std::vector<std::uint32_t> perm = SamplePermutation(rng, n);
+    for (std::size_t i = 0; i < n; ++i) block[i * count + r] = v[perm[i]];
+  }
+  return block;
+}
+
 void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             std::vector<double>* out) {

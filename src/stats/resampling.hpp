@@ -64,6 +64,17 @@ double MonteCarloReplicateScore(const std::vector<double>& contributions,
 std::vector<double> MonteCarloZBlock(std::uint64_t seed, std::size_t n,
                                      std::uint64_t first, std::size_t count);
 
+/// Algorithm 2's coefficient block: replicate r of [first, first+count)
+/// shuffles the observed score coefficients `v` (ScoreEngine::
+/// Coefficients()) by PermutationPlan's permutation π_{first+r}, stored
+/// patient-major like MonteCarloZBlock: [i*count + r] = v[π_{first+r}[i]].
+/// The permutations come from the same streams as PermutationPlan, so the
+/// block is a pure function of (seed, v, first, count).
+std::vector<double> PermutedCoefficientBlock(std::uint64_t seed,
+                                             const std::vector<double>& v,
+                                             std::uint64_t first,
+                                             std::size_t count);
+
 /// The batched form of MonteCarloReplicateScore: one pass over the
 /// contributions computes Ũ_jb for all `count` replicates of a Z block
 /// (MonteCarloZBlock layout), writing out[r] = Σ_i Z[i*count+r] · U_i. The

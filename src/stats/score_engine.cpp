@@ -103,4 +103,30 @@ std::vector<double> ScoreEngine::Contributions(
   return {};
 }
 
+std::vector<double> ScoreEngine::Coefficients() const {
+  switch (phenotype_.model) {
+    case ScoreModel::kCox:
+      if (risk_index_ == nullptr) {  // paper-faithful engines skip the index
+        return CoxScoreCoefficients(phenotype_.survival,
+                                    RiskSetIndex(phenotype_.survival));
+      }
+      return CoxScoreCoefficients(phenotype_.survival, *risk_index_);
+    case ScoreModel::kGaussian: {
+      std::vector<double> v(n());
+      for (std::size_t i = 0; i < n(); ++i) {
+        v[i] = phenotype_.quantitative.value[i] - center_;
+      }
+      return v;
+    }
+    case ScoreModel::kBinomial: {
+      std::vector<double> v(n());
+      for (std::size_t i = 0; i < n(); ++i) {
+        v[i] = static_cast<double>(phenotype_.binary.value[i]) - center_;
+      }
+      return v;
+    }
+  }
+  return {};
+}
+
 }  // namespace ss::stats

@@ -65,6 +65,15 @@ class ScoreEngine {
   std::vector<double> Contributions(
       const std::vector<std::uint8_t>& genotypes) const;
 
+  /// The phenotype's score coefficients v: for every genotype column G,
+  /// Σ_i Contributions(G)_i = Σ_l G_l v_l up to rounding. Cox:
+  /// v_l = Δ_l − Σ_{i: Y_i <= Y_l} Δ_i / b_i; Gaussian: y − ȳ; Binomial:
+  /// y − p̄. Σ_l v_l = 0 for all three. A permutation replicate only
+  /// permutes v — Coefficients() of Phenotype::Permuted(perm) is
+  /// v[perm[i]] at patient i — so Algorithm 2 can score genotypes
+  /// against permuted copies of v instead of rebuilding U. O(n).
+  std::vector<double> Coefficients() const;
+
  private:
   Phenotype phenotype_;
   bool paper_faithful_ = false;

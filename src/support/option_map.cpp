@@ -60,7 +60,9 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"ld_block", OptionType::kU64, "1", "LD block size for the generator",
        "workload", {}},
       {"faithful", OptionType::kBool, "1",
-       "paper-faithful per-patient Cox scores (0 = O(n) risk-set path)",
+       "paper-faithful cost mode: per-patient Cox scores and a full "
+       "pipeline rebuild per permutation replicate (0 = O(n) risk-set "
+       "path, batched permutation)",
        "workload", {}},
       // -- engine: cluster topology + storage -------------------------------
       {"nodes", OptionType::kU64, "6", "simulated EMR cluster size", "engine",
@@ -70,7 +72,7 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"threads", OptionType::kU64, "4", "physical worker threads", "engine",
        {}},
       {"batch", OptionType::kU64, "64",
-       "Monte Carlo replicates per engine pass (bitwise-invariant)", "engine",
+       "resampling replicates per engine pass (bitwise-invariant)", "engine",
        {}},
       {"cache_budget", OptionType::kU64, "0",
        "partition-cache budget in bytes (0 = unlimited)", "engine", {}},

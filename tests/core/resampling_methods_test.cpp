@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
+#include "support/distributions.hpp"
+#include "support/rng.hpp"
 
 namespace ss::core {
 namespace {
@@ -78,6 +81,95 @@ TEST(ResamplingMethodsTest, PermutationMatchesSerialBaselineExactly) {
     const std::uint32_t id = dataset.sets[k].id;
     EXPECT_EQ(distributed.exceed.at(id), serial.exceed_count[k]) << "set " << k;
   }
+}
+
+/// Algorithm 2 through the engine with an arbitrary phenotype model,
+/// next to the literal serial Algorithm 2 on the same inputs.
+void ExpectPermutationMatchesSerial(const simdata::SyntheticDataset& dataset,
+                                    const stats::Phenotype& phenotype,
+                                    std::uint64_t seed,
+                                    std::uint64_t replicates) {
+  baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
+                              &dataset.sets};
+  const baseline::SkatAnalysis serial =
+      baseline::SerialPermutation(inputs, seed, replicates);
+
+  std::vector<simdata::SnpRecord> records;
+  for (std::uint32_t j = 0; j < dataset.genotypes.num_snps(); ++j) {
+    records.push_back({j, dataset.genotypes.by_snp[j]});
+  }
+  engine::EngineContext ctx(LocalOptions());
+  PipelineConfig config;
+  config.seed = seed;
+  config.model = phenotype.model;
+  config.resampling_batch_size = 8;
+  SkatPipeline pipeline(ctx, config, engine::Parallelize(ctx, records, 4),
+                        phenotype, dataset.weights, dataset.sets);
+  const ResamplingResult distributed =
+      RunResampling(pipeline, {ResamplingMethod::kPermutation, replicates})
+          .scores;
+
+  for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+    const std::uint32_t id = dataset.sets[k].id;
+    EXPECT_NEAR(distributed.observed.at(id), serial.observed[k],
+                1e-12 * serial.observed[k])
+        << "set " << k;
+    EXPECT_EQ(distributed.exceed.at(id), serial.exceed_count[k]) << "set " << k;
+  }
+}
+
+TEST(ResamplingMethodsTest, GaussianPermutationMatchesSerialBaselineExactly) {
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  Rng rng(81);
+  stats::QuantitativeData expression;
+  for (std::size_t i = 0; i < dataset.survival.n(); ++i) {
+    expression.value.push_back(1.5 + SampleNormal(rng));
+  }
+  ExpectPermutationMatchesSerial(
+      dataset, stats::Phenotype::Gaussian(expression), 82, 40);
+}
+
+TEST(ResamplingMethodsTest, BinomialPermutationMatchesSerialBaselineExactly) {
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  Rng rng(83);
+  stats::BinaryData status;
+  for (std::size_t i = 0; i < dataset.survival.n(); ++i) {
+    status.value.push_back(rng.NextDouble() < 0.4 ? 1 : 0);
+  }
+  ExpectPermutationMatchesSerial(dataset, stats::Phenotype::Binomial(status),
+                                 84, 40);
+}
+
+TEST(ResamplingMethodsTest, MonomorphicSetNeverLosesToItsReplicates) {
+  // A constant genotype column has score exactly 0 (its coefficients sum
+  // to 0), observed and permuted alike, so a set made only of such SNPs
+  // meets its observed statistic in every replicate: exceed = B, p = 1,
+  // as in the literal Algorithm 2 where its Cox U vector is exactly 0.
+  simdata::SyntheticDataset dataset = SmallDataset();
+  const std::uint32_t snp = 3;
+  dataset.genotypes.by_snp[snp].assign(dataset.survival.n(), 1);
+  std::uint32_t id = 0;
+  for (const stats::SnpSet& set : dataset.sets) id = std::max(id, set.id + 1);
+  dataset.sets.push_back({id, {snp}});
+  const std::uint64_t replicates = 30;
+
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
+  baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
+                              &dataset.sets};
+  const baseline::SkatAnalysis serial =
+      baseline::SerialPermutation(inputs, 85, replicates);
+  EXPECT_EQ(serial.exceed_count.back(), replicates);
+
+  engine::EngineContext ctx(LocalOptions());
+  PipelineConfig config;
+  config.seed = 85;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  const ResamplingResult result =
+      RunResampling(pipeline, {ResamplingMethod::kPermutation, replicates})
+          .scores;
+  EXPECT_EQ(result.observed.at(id), 0.0);
+  EXPECT_EQ(result.exceed.at(id), replicates);
+  EXPECT_EQ(result.PValue(id), 1.0);
 }
 
 TEST(ResamplingMethodsTest, MethodsAgreeOnObservedScores) {
@@ -336,6 +428,64 @@ TEST(ResamplingMethodsTest, SinkReportsBatchBoundaries) {
   EXPECT_EQ(recorder.ends, expected);
   EXPECT_EQ(recorder.replicates,
             (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(ResamplingMethodsTest, PaperFaithfulPermutationMatchesSerialBaseline) {
+  // The per-replicate rebuild that Experiments A and B time: exact
+  // counts, and invariant to the batch size like the default path.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
+  baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
+                              &dataset.sets};
+  const baseline::SkatAnalysis serial =
+      baseline::SerialPermutation(inputs, 79, 12);
+  std::vector<ResamplingResult> runs;
+  for (std::uint64_t batch : {1u, 5u}) {
+    engine::EngineContext ctx(LocalOptions());
+    PipelineConfig config;
+    config.seed = 79;
+    config.paper_faithful_scores = true;
+    config.resampling_batch_size = batch;
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    runs.push_back(
+        RunResampling(pipeline, {ResamplingMethod::kPermutation, 12}).scores);
+  }
+  ExpectByteIdentical(runs[0], runs[1]);
+  for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+    const std::uint32_t id = dataset.sets[k].id;
+    EXPECT_NEAR(runs[0].observed.at(id), serial.observed[k],
+                1e-12 * serial.observed[k]);
+    EXPECT_EQ(runs[0].exceed.at(id), serial.exceed_count[k]) << "set " << k;
+  }
+}
+
+TEST(ResamplingMethodsTest, AdaptivePermutationIgnoresPaperFaithfulMode) {
+  // Only plain permutation keeps the per-replicate rebuild; an early-stop
+  // run takes the score-block driver in both modes, so they agree bit for
+  // bit (the rebuild's observed statistics are folded from U and round
+  // differently from G·v).
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  std::vector<ResamplingResult> runs;
+  for (bool faithful : {false, true}) {
+    engine::EngineContext ctx(LocalOptions());
+    PipelineConfig config;
+    config.seed = 81;
+    config.paper_faithful_scores = faithful;
+    config.resampling_batch_size = 4;
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    ResamplingRequest request;
+    request.method = ResamplingMethod::kPermutation;
+    request.replicates = 40;
+    request.early_stop = 2;
+    runs.push_back(RunResampling(pipeline, request).scores);
+  }
+  ExpectByteIdentical(runs[0], runs[1]);
+  ASSERT_EQ(runs[0].inference.size(), dataset.sets.size());
+  for (const auto& [set_id, info] : runs[0].inference) {
+    const SetInference& other = runs[1].inference.at(set_id);
+    EXPECT_EQ(info.replicates_used, other.replicates_used) << "set " << set_id;
+    EXPECT_EQ(info.early_stopped, other.early_stopped) << "set " << set_id;
+  }
 }
 
 TEST(ResamplingMethodsTest, UnifiedPermutationMatchesLegacyWrapper) {

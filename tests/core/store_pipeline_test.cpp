@@ -66,11 +66,13 @@ std::uint64_t Counter(const char* name) {
   return engine::CounterRegistry::Global().Get(name).load();
 }
 
-/// Monte Carlo resampling under the given prefetch depth; returns the
-/// run's `resampling.result_hash` contribution.
-std::uint64_t ResamplingHash(SkatPipeline& pipeline, int prefetch) {
+/// Resampling under the given prefetch depth; returns the run's
+/// `resampling.result_hash` contribution.
+std::uint64_t ResamplingHash(SkatPipeline& pipeline, int prefetch,
+                             ResamplingMethod method =
+                                 ResamplingMethod::kMonteCarlo) {
   const std::uint64_t before = Counter("resampling.result_hash");
-  ResamplingRequest request(ResamplingMethod::kMonteCarlo, 16);
+  ResamplingRequest request(method, 16);
   engine::ExecConfig exec;
   exec.prefetch_depth = prefetch;
   exec.io_threads = 1;
@@ -100,49 +102,58 @@ TEST(StorePipelineTest, ObservedScoresBitwiseEqualInMemory) {
 }
 
 TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
-  // The ISSUE's differential matrix: {in-memory, spill-backed,
-  // store-backed} x threads {1,4} x prefetch {0,2}, one hash.
+  // The differential matrix: {in-memory, spill-backed, store-backed} x
+  // threads {1,4} x prefetch {0,2}, one hash per resampling method.
+  // Monte Carlo scores U partitions; permutation scores the genotype
+  // partitions themselves (packed frames off the mmap when store-backed).
   const std::string path = StageStore("ss_store_differential.ssg", 4);
   const simdata::GeneratorConfig generator = StudyConfig();
-  std::uint64_t golden = 0;
-  bool have_golden = false;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (int prefetch : {0, 2}) {
-      const std::string cell = "threads=" + std::to_string(threads) +
-                               " prefetch=" + std::to_string(prefetch);
-      std::vector<std::uint64_t> hashes;
+  for (ResamplingMethod method :
+       {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
+    std::uint64_t golden = 0;
+    bool have_golden = false;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (int prefetch : {0, 2}) {
+        const std::string cell =
+            std::string(method == ResamplingMethod::kMonteCarlo ? "mc"
+                                                                : "perm") +
+            " threads=" + std::to_string(threads) +
+            " prefetch=" + std::to_string(prefetch);
+        std::vector<std::uint64_t> hashes;
 
-      {  // In-memory, unlimited budget.
-        engine::EngineContext ctx(LocalOptions(threads));
-        SkatPipeline pipeline = SkatPipeline::FromMemory(
-            ctx, simdata::Generate(generator), StudyPipelineConfig());
-        hashes.push_back(ResamplingHash(pipeline, prefetch));
-      }
-      {  // Spill-backed: budget small enough to churn the spill tier.
-        engine::EngineContext::Options options = LocalOptions(threads);
-        options.cache_capacity_bytes = 6000;
-        options.cache_spill = true;
-        engine::EngineContext ctx(options);
-        SkatPipeline pipeline = SkatPipeline::FromMemory(
-            ctx, simdata::Generate(generator), StudyPipelineConfig());
-        hashes.push_back(ResamplingHash(pipeline, prefetch));
-      }
-      {  // Store-backed under the same tight budget (drop-on-evict path).
-        engine::EngineContext ctx(LocalOptions(threads));
-        PipelineConfig config = StudyPipelineConfig();
-        config.cache_budget_bytes = 6000;
-        auto opened = SkatPipeline::OpenFromStore(
-            ctx, path, config, simdata::StoreFingerprint(generator));
-        ASSERT_TRUE(opened.ok()) << cell << ": " << opened.status().ToString();
-        hashes.push_back(ResamplingHash(opened.value(), prefetch));
-      }
-
-      for (std::uint64_t hash : hashes) {
-        if (!have_golden) {
-          golden = hash;
-          have_golden = true;
+        {  // In-memory, unlimited budget.
+          engine::EngineContext ctx(LocalOptions(threads));
+          SkatPipeline pipeline = SkatPipeline::FromMemory(
+              ctx, simdata::Generate(generator), StudyPipelineConfig());
+          hashes.push_back(ResamplingHash(pipeline, prefetch, method));
         }
-        EXPECT_EQ(hash, golden) << cell;
+        {  // Spill-backed: budget small enough to churn the spill tier.
+          engine::EngineContext::Options options = LocalOptions(threads);
+          options.cache_capacity_bytes = 6000;
+          options.cache_spill = true;
+          engine::EngineContext ctx(options);
+          SkatPipeline pipeline = SkatPipeline::FromMemory(
+              ctx, simdata::Generate(generator), StudyPipelineConfig());
+          hashes.push_back(ResamplingHash(pipeline, prefetch, method));
+        }
+        {  // Store-backed under the same tight budget (drop-on-evict path).
+          engine::EngineContext ctx(LocalOptions(threads));
+          PipelineConfig config = StudyPipelineConfig();
+          config.cache_budget_bytes = 6000;
+          auto opened = SkatPipeline::OpenFromStore(
+              ctx, path, config, simdata::StoreFingerprint(generator));
+          ASSERT_TRUE(opened.ok())
+              << cell << ": " << opened.status().ToString();
+          hashes.push_back(ResamplingHash(opened.value(), prefetch, method));
+        }
+
+        for (std::uint64_t hash : hashes) {
+          if (!have_golden) {
+            golden = hash;
+            have_golden = true;
+          }
+          EXPECT_EQ(hash, golden) << cell;
+        }
       }
     }
   }

@@ -413,6 +413,69 @@ TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
   ExpectAdaptiveIdentical(clean.result, retried.result);
 }
 
+// ---------------------------------------------------------------------
+// Permutation as score blocks: genotypes scored against permuted
+// coefficient blocks must hash the same across every scheduling and
+// storage knob — threads, batch size, packing and prefetch — both
+// exhaustive and early-stopped.
+// ---------------------------------------------------------------------
+
+HashedRun RunPermutationHashed(std::size_t threads, std::uint64_t batch,
+                               bool pack, int prefetch,
+                               std::uint64_t early_stop,
+                               const simdata::SyntheticDataset& dataset) {
+  std::atomic<std::uint64_t>& hash_counter =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  const std::uint64_t before = hash_counter.load();
+  engine::EngineContext ctx(OptionsWithThreads(threads));
+  PipelineConfig config;
+  config.seed = kSeed;
+  config.resampling_batch_size = batch;
+  config.pack_genotypes = pack;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  ResamplingRequest request(ResamplingMethod::kPermutation, 90);
+  request.early_stop = early_stop;
+  engine::ExecConfig exec;
+  exec.prefetch_depth = prefetch;
+  request.exec = exec;
+  HashedRun run;
+  run.result = RunResampling(pipeline, request).scores;
+  run.hash = hash_counter.load() - before;
+  return run;
+}
+
+TEST(DeterminismTest, PermutationHashIdenticalAcrossSchedulingKnobs) {
+  const simdata::SyntheticDataset dataset = FixedDataset();
+  for (std::uint64_t early_stop : {0u, 5u}) {
+    const HashedRun reference =
+        RunPermutationHashed(1, 1, false, 0, early_stop, dataset);
+    if (early_stop != 0) {
+      bool any_stopped = false;
+      for (const auto& [set_id, info] : reference.result.inference) {
+        any_stopped = any_stopped || info.early_stopped;
+      }
+      EXPECT_TRUE(any_stopped) << "the grid should cover a mid-run stop";
+    }
+    for (std::size_t threads : {1u, 4u}) {
+      for (std::uint64_t batch : {1u, 8u, 64u}) {
+        for (bool pack : {false, true}) {
+          for (int prefetch : {0, 2}) {
+            SCOPED_TRACE("early_stop=" + std::to_string(early_stop) +
+                         " threads=" + std::to_string(threads) +
+                         " batch=" + std::to_string(batch) +
+                         " pack=" + std::to_string(pack) +
+                         " prefetch=" + std::to_string(prefetch));
+            const HashedRun run = RunPermutationHashed(
+                threads, batch, pack, prefetch, early_stop, dataset);
+            EXPECT_EQ(run.hash, reference.hash);
+            ExpectAdaptiveIdentical(reference.result, run.result);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DeterminismTest, PureResamplingHashesUnchanged) {
   // pmethod=resampling never runs the screen, and the live-SNP filter
   // changes which SNPs are scored, not their values: these hashes are

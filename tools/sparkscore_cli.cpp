@@ -107,7 +107,7 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   config.num_partitions =
       static_cast<std::uint32_t>(args.GetU64("partitions", 8));
   config.num_reducers = static_cast<std::uint32_t>(args.GetU64("reducers", 8));
-  // Monte Carlo replicates per engine pass; results are bitwise invariant
+  // Resampling replicates per engine pass; results are bitwise invariant
   // to this knob (batch=1 recovers per-replicate scheduling).
   config.resampling_batch_size = std::max<std::uint64_t>(
       1, args.GetU64("batch", config.resampling_batch_size));
