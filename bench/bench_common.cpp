@@ -167,9 +167,10 @@ Workload DefaultWorkload(const Args& args, std::uint64_t snps_default,
 
   workload.pipeline.seed = workload.generator.seed;
   // Timing benches reproduce the paper's cost regime: per-patient (O(n²)
-  // per SNP) Cox evaluation, re-executed per permutation replicate. Pass
-  // faithful=0 to time this library's O(n) risk-set path and batched
-  // permutation (genotypes against permuted coefficient blocks) instead.
+  // per SNP) Cox evaluation, re-executed per permutation replicate, and
+  // Monte Carlo over the cached U. Pass faithful=0 to time this library's
+  // O(n) risk-set path and batched resampling (genotypes against permuted
+  // or multiplier coefficient blocks) instead.
   workload.pipeline.paper_faithful_scores = args.GetU64("faithful", 1) != 0;
   workload.pipeline.num_partitions =
       static_cast<std::uint32_t>(args.GetU64("partitions", 8));

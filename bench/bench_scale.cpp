@@ -235,9 +235,12 @@ int Run(int argc, char** argv) {
       std::max<std::uint64_t>(1, base.generator.num_snps / 1000)));
   base.pipeline.resampling_batch_size =
       std::max<std::uint64_t>(1, args.GetU64("batch", 32));
-  // Cache the observed U RDD (Algorithm 3); under a tight budget it
-  // spills to real files while store-backed genotype partitions drop and
-  // re-read off the mmap. cache_u=0 ablates to recompute-per-pass.
+  // Cache the decoded genotype partitions (dropped and re-read off the
+  // mmap under a tight budget) and, with faithful=1 only, the observed U
+  // RDD that paper-faithful Monte Carlo reuses (spilled to real files
+  // under a tight budget). The default Monte Carlo path scores genotype
+  // × V(z) blocks and never builds U. cache_u=0 ablates both to
+  // recompute-per-pass.
   base.pipeline.cache_contributions = args.GetBool("cache_u", true);
   // The async I/O lane is the default here: streaming off the store is
   // exactly the workload prefetch + background spill exist to overlap.

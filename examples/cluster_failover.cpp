@@ -3,8 +3,8 @@
 //
 // The example runs a Monte Carlo analysis while killing a node mid-job:
 //   1. a DFS data node dies -> block reads fail over to replicas;
-//   2. an executor node dies -> its cached U-RDD partitions vanish and are
-//      rebuilt through lineage;
+//   2. an executor node dies -> its cached genotype partitions vanish and
+//      are rebuilt through lineage;
 //   3. re-replication repairs DFS redundancy afterwards.
 // The analysis results must be identical to an undisturbed run.
 //

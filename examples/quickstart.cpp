@@ -51,9 +51,10 @@ int main() {
   }
 
   // 5. Monte Carlo resampling (Algorithm 3), 500 replicates. Replicates
-  // run in batches of 100: each batch is ONE engine pass over the cached
-  // U RDD; results are bitwise identical for any batch size (batch 1
-  // recovers one-pass-per-replicate scheduling).
+  // run in batches of 100: each batch is ONE engine pass scoring the
+  // cached genotype partitions against the batch's multiplier
+  // coefficients; results are bitwise identical for any batch size
+  // (batch 1 recovers one-pass-per-replicate scheduling).
   core::ResamplingRequest request;
   request.method = core::ResamplingMethod::kMonteCarlo;
   request.replicates = 500;

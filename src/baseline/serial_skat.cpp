@@ -1,6 +1,7 @@
 #include "baseline/serial_skat.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "stats/pvalue.hpp"
@@ -158,6 +159,48 @@ std::vector<std::vector<double>> SerialMonteCarloReplicateStatistics(
     statistics.push_back(SkatFromScores(inputs, replicate_scores));
   }
   return statistics;
+}
+
+SkatAnalysis SerialMonteCarloFactored(
+    const SkatInputs& inputs, std::uint64_t seed, std::uint64_t replicates,
+    std::vector<std::vector<double>>* replicate_statistics) {
+  CheckInputs(inputs);
+  const stats::ScoreEngine engine(*inputs.phenotype);
+  const std::uint32_t m = inputs.genotypes->num_snps();
+  const bool zero_sum_columns = engine.MultiplierColumnsSumToZero();
+  std::vector<double> scores(m);
+  const auto score_genotypes = [&](const std::vector<double>& v) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const std::vector<std::uint8_t>& g = inputs.genotypes->by_snp[j];
+      double total = 0.0;
+      if (!zero_sum_columns ||
+          std::adjacent_find(g.begin(), g.end(), std::not_equal_to<>()) !=
+              g.end()) {
+        for (std::size_t l = 0; l < g.size(); ++l) {
+          total += v[l] * static_cast<double>(g[l]);
+        }
+      }
+      scores[j] = total;
+    }
+    return SkatFromScores(inputs, scores);
+  };
+
+  SkatAnalysis analysis;
+  analysis.observed = score_genotypes(engine.Coefficients());
+  analysis.exceed_count.assign(inputs.sets->size(), 0);
+  analysis.replicates = replicates;
+  if (replicate_statistics != nullptr) replicate_statistics->clear();
+  for (std::uint64_t b = 0; b < replicates; ++b) {
+    const std::vector<double> statistics = score_genotypes(
+        stats::MonteCarloCoefficientBlock(seed, engine, b, 1));
+    for (std::size_t k = 0; k < statistics.size(); ++k) {
+      if (statistics[k] >= analysis.observed[k]) ++analysis.exceed_count[k];
+    }
+    if (replicate_statistics != nullptr) {
+      replicate_statistics->push_back(statistics);
+    }
+  }
+  return analysis;
 }
 
 SkatAnalysis SerialMonteCarloBatched(const SkatInputs& inputs,

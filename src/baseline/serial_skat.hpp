@@ -50,6 +50,21 @@ SkatAnalysis SerialPermutation(const SkatInputs& inputs, std::uint64_t seed,
 SkatAnalysis SerialMonteCarlo(const SkatInputs& inputs, std::uint64_t seed,
                               std::uint64_t replicates);
 
+/// Lin's Monte Carlo resampling in factored form (serial): no U is built.
+/// Replicate b's marginal scores are Ũ_j = g_jᵀV(z_b), with V(z_b) =
+/// stats::MonteCarloCoefficientBlock(seed, engine, b, 1), and the
+/// observed ones are g_jᵀv (v = ScoreEngine::Coefficients()), each a
+/// plain ascending-patient dot product. Where V's columns sum to zero
+/// (Cox) a constant genotype column scores exactly 0. The bit-for-bit
+/// oracle of the distributed Monte Carlo driver, which scores the same
+/// way; Gaussian and Binomial results are also bitwise equal to
+/// SerialMonteCarlo, and Cox results agree with it within rounding. When
+/// `replicate_statistics` is non-null it receives S_k^b as
+/// SerialMonteCarloReplicateStatistics lays them out.
+SkatAnalysis SerialMonteCarloFactored(
+    const SkatInputs& inputs, std::uint64_t seed, std::uint64_t replicates,
+    std::vector<std::vector<double>>* replicate_statistics = nullptr);
+
 /// Per-replicate per-set Monte Carlo statistics S_k^b; result[b][k]
 /// corresponds to (replicate b, (*inputs.sets)[k]). The bit-for-bit
 /// oracle for the batched distributed driver's per-replicate stream

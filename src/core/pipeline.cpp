@@ -161,13 +161,17 @@ struct GenotypeScratch {
   std::vector<double> widened;
 };
 
-/// out[r] = Σ_i G_i · vblock[i*count + r], or exactly 0 for a constant
-/// column: Σ_l v_l = 0 makes 0 its exact value, and Σ_l c·v_l would
-/// instead leave rounding noise that decides its exceedances by coin flip.
+/// out[r] = Σ_i G_i · vblock[i*count + r]. When the block's columns sum to
+/// zero exactly (`zero_sum_columns`), a constant column scores exactly 0,
+/// its exact value: Σ_l c·V_l would instead leave rounding noise that
+/// decides its exceedances by coin flip. Otherwise it is scored like any
+/// other column, as the U path scores it.
 void GenotypeScores(const std::vector<std::uint8_t>& dosages,
                     const double* vblock, std::size_t count,
-                    std::vector<double>* widened, std::vector<double>* out) {
-  if (std::adjacent_find(dosages.begin(), dosages.end(),
+                    bool zero_sum_columns, std::vector<double>* widened,
+                    std::vector<double>* out) {
+  if (zero_sum_columns &&
+      std::adjacent_find(dosages.begin(), dosages.end(),
                          std::not_equal_to<>()) == dosages.end()) {
     out->assign(count, 0.0);
     return;
@@ -228,7 +232,7 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
           return packed;
         });
     if (config_.cache_contributions) {
-      // Permutation batches score the genotypes every pass; caching the
+      // Resampling batches score the genotypes every pass; caching the
       // packed form keeps them off the parse chain at a quarter of the
       // unpacked footprint.
       fgm_packed_.Cache();
@@ -515,80 +519,6 @@ SetScores SkatPipeline::ComputeObserved() {
   return SetScoresFromU(u_observed_);
 }
 
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::SkatBurdenFromScores(
-    const Dataset<std::pair<std::uint32_t, double>>& scores) const {
-  // Join the signed per-SNP scores with the unsquared weights, then
-  // accumulate (ω²U², ωU) per set; burden = (Σ ωU)² on the driver.
-  auto joined = engine::Join(weights_, scores, config_.num_reducers);
-  auto map = snp_to_sets_;
-  using PairStat = std::pair<double, double>;  // (Σ ω²U², Σ ωU)
-  auto set_contributions = joined.FlatMap(
-      [map](const std::pair<std::uint32_t, std::pair<double, double>>& record) {
-        const double w = record.second.first;
-        const double u = record.second.second;
-        std::vector<std::pair<std::uint32_t, PairStat>> out;
-        auto it = map->find(record.first);
-        if (it != map->end()) {
-          out.reserve(it->second.size());
-          for (std::uint32_t set_id : it->second) {
-            out.push_back({set_id, {w * w * u * u, w * u}});
-          }
-        }
-        return out;
-      });
-  auto per_set = engine::ReduceByKey(
-      set_contributions,
-      [](const PairStat& a, const PairStat& b) {
-        return PairStat{a.first + b.first, a.second + b.second};
-      },
-      config_.num_reducers);
-  auto collected = engine::CollectAsMap(per_set, "collect-skat-burden");
-  std::unordered_map<std::uint32_t, std::pair<double, double>> result;
-  for (const auto& [set_id, pair] : collected) {
-    // Second component becomes the burden statistic (square of Σ ωU).
-    result[set_id] = {pair.first, pair.second * pair.second};
-  }
-  for (const stats::SnpSet& set : sets_) {
-    result.try_emplace(set.id, std::pair<double, double>{0.0, 0.0});
-  }
-  return result;
-}
-
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::ComputeObservedSkatBurden() {
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "observed skat+burden");
-  EnsureUBuilt();
-  auto scores = u_observed_.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total);
-      });
-  return SkatBurdenFromScores(scores);
-}
-
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::ComputeMonteCarloSkatBurdenReplicate(
-    const std::vector<double>& multipliers) {
-  SS_CHECK(u_built_);
-  SS_CHECK(multipliers.size() == n());
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "monte-carlo skat+burden replicate");
-  auto z = engine::MakeBroadcast(*ctx_, multipliers);
-  auto scores = u_observed_.Map(
-      [z](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        const std::vector<double>& multiplier = *z;
-        for (std::size_t i = 0; i < record.second.size(); ++i) {
-          total += multiplier[i] * record.second[i];
-        }
-        return std::pair<std::uint32_t, double>(record.first, total);
-      });
-  return SkatBurdenFromScores(scores);
-}
-
 std::unordered_map<std::uint32_t, std::vector<double>>
 SkatPipeline::ComputeMonteCarloScoreBlock(
     const std::vector<double>& zblock, std::size_t count,
@@ -610,6 +540,7 @@ SkatPipeline::ComputeMonteCarloScoreBlock(
 std::unordered_map<std::uint32_t, std::vector<double>>
 SkatPipeline::ComputeGenotypeScoreBlock(
     const std::vector<double>& vblock, std::size_t count,
+    bool zero_sum_columns,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
   SS_CHECK(vblock.size() == count * n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
@@ -619,8 +550,9 @@ SkatPipeline::ComputeGenotypeScoreBlock(
   if (config_.pack_genotypes) {
     return CollectScoreBlock<GenotypeScratch>(
         fgm_packed_, std::move(live_snps),
-        [v, count](const stats::PackedSnpRecord& record,
-                   GenotypeScratch* scratch, std::vector<double>* scores) {
+        [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
+                                     GenotypeScratch* scratch,
+                                     std::vector<double>* scores) {
           {
             // Untraced like BuildU's unpack: one span per record would
             // flood the trace.
@@ -628,16 +560,17 @@ SkatPipeline::ComputeGenotypeScoreBlock(
                 ss::engine::TaskPhase::kDecode, /*trace=*/false);
             record.genotypes.UnpackInto(&scratch->dosages);
           }
-          GenotypeScores(scratch->dosages, v->data(), count,
+          GenotypeScores(scratch->dosages, v->data(), count, zero_sum_columns,
                          &scratch->widened, scores);
         });
   }
   return CollectScoreBlock<GenotypeScratch>(
       fgm_, std::move(live_snps),
-      [v, count](const SnpRecord& record, GenotypeScratch* scratch,
-                 std::vector<double>* scores) {
-        GenotypeScores(record.genotypes, v->data(), count, &scratch->widened,
-                       scores);
+      [v, count, zero_sum_columns](const SnpRecord& record,
+                                   GenotypeScratch* scratch,
+                                   std::vector<double>* scores) {
+        GenotypeScores(record.genotypes, v->data(), count, zero_sum_columns,
+                       &scratch->widened, scores);
       });
 }
 

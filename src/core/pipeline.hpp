@@ -14,10 +14,11 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// The U RDD is exposed so Algorithm 3 can cache and reuse it. Algorithm 2
-// never needs it: U_j = Σ_l G_lj v_l with v the phenotype's score
-// coefficients, and a permutation only permutes v, so replicates score
-// the genotypes against permuted coefficient blocks
+// The U RDD is exposed so paper-faithful Algorithm 3 can cache and reuse
+// it. Every other resampling run avoids it: U_j = Σ_l G_lj v_l with v the
+// phenotype's score coefficients, a permutation only permutes v, and Monte
+// Carlo multipliers z only change it to V(z) (Σ_i z_i U_ij = g_jᵀV(z)),
+// so replicates score the genotypes against coefficient blocks
 // (ComputeGenotypeScoreBlock). Re-executing steps 6-12 per replicate with
 // a permuted phenotype (ComputePermutationReplicate) is kept for the
 // paper-faithful cost regime.
@@ -57,7 +58,11 @@ struct PipelineConfig {
   /// partition per block instead).
   std::uint32_t num_partitions = 8;
 
-  /// Cache the U RDD (prerequisite of Algorithm 3; Experiment B ablates it).
+  /// Cache the U RDD (the prerequisite of the paper's Algorithm 3;
+  /// Experiment B ablates it) and the packed genotype partitions. Caching
+  /// U now matters only to paper-faithful Monte Carlo, the one resampling
+  /// path that re-reads U every batch (the adaptive screen reads it once,
+  /// for its Grams); every other run re-reads the genotypes instead.
   bool cache_contributions = true;
 
   /// Memory budget for the engine's partition cache, applied to the
@@ -75,10 +80,14 @@ struct PipelineConfig {
   bool pack_genotypes = true;
 
   /// Evaluate Cox contributions with the paper's per-patient formulation
-  /// (O(n²) per SNP) instead of this library's O(n) risk-set path, and run
-  /// plain permutation as a full pipeline rebuild per replicate instead of
-  /// batched score blocks. Reproduces the paper's cost regime. The timing
-  /// benches set this; see stats/score_engine.hpp.
+  /// (O(n²) per SNP) instead of this library's O(n) risk-set path, run
+  /// plain permutation as a full pipeline rebuild per replicate, and run
+  /// Monte Carlo over the cached U RDD — instead of genotype score blocks
+  /// for both. Reproduces the paper's cost regime; outside it, Monte Carlo
+  /// never builds U (only the adaptive screen does), so this is the only
+  /// setting under which Monte Carlo caches, spills or reloads U. SKAT-O
+  /// scores genotype blocks either way. The timing benches set this; see
+  /// stats/score_engine.hpp.
   bool paper_faithful_scores = false;
 
   /// When non-empty (and the context has a DFS), the observed U RDD is
@@ -92,12 +101,12 @@ struct PipelineConfig {
   std::uint64_t seed = 2016;
 
   /// Resampling replicates per engine pass: each batch broadcasts an n×R
-  /// block (Z multipliers for Monte Carlo, permuted coefficients for
-  /// permutation) and computes all R replicate scores in one blocked
-  /// kernel over the cached U or genotype partitions, amortizing the
-  /// per-pass scheduling cost. Results are bitwise invariant to this
-  /// knob; 1 recovers one-pass-per-replicate scheduling (the ablation
-  /// baseline). 0 is treated as 1.
+  /// block (Monte Carlo V(z) or permuted coefficients; Z multipliers for
+  /// paper-faithful Monte Carlo) and computes all R replicate scores in
+  /// one blocked kernel over the cached genotype or U partitions,
+  /// amortizing the per-pass scheduling cost. Results are bitwise
+  /// invariant to this knob; 1 recovers one-pass-per-replicate scheduling
+  /// (the ablation baseline). 0 is treated as 1.
   std::uint64_t resampling_batch_size = 64;
 };
 
@@ -144,50 +153,49 @@ class SkatPipeline {
   /// multipliers z (Algorithm 3's modified step 8): S̃_k per set.
   SetScores ComputeMonteCarloReplicate(const std::vector<double>& multipliers);
 
-  /// Per-set (SKAT, burden) statistic pair, for the SKAT-O combination:
-  /// SKAT = Σ ω²U², burden = (Σ ωU)². Observed phenotype; materializes
-  /// the U RDD like ComputeObserved.
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  ComputeObservedSkatBurden();
-
-  /// The same pair under Monte Carlo multipliers (cached U reuse).
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  ComputeMonteCarloSkatBurdenReplicate(const std::vector<double>& multipliers);
-
-  /// Algorithm 3's modified step 8 for a whole batch: per SNP, the signed
-  /// replicate scores Ũ_jb = Σ_i Z_ib U_ij for all `count` replicates of a
-  /// patient-major Z block (stats::MonteCarloZBlock layout), computed in
-  /// ONE engine pass over the cached U partitions with the blocked
-  /// stats::BatchedReplicateScores kernel. The per-set folds (steps 9-12)
-  /// happen driver-side in the resampling driver, in the serial oracle's
-  /// canonical accumulation order — see core/resampling_methods.hpp.
-  /// A non-null `live_snps` restricts the pass to those SNPs (every other
-  /// record is skipped and absent from the result); each scored SNP's
-  /// vector is bitwise the same as in an unfiltered pass.
+  /// Algorithm 3's modified step 8 for a whole batch, as the paper runs
+  /// it: per SNP, the signed replicate scores Ũ_jb = Σ_i Z_ib U_ij for all
+  /// `count` replicates of a patient-major Z block (stats::MonteCarloZBlock
+  /// layout), computed in ONE engine pass over the cached U partitions
+  /// with the blocked stats::BatchedReplicateScores kernel. Only
+  /// paper-faithful Monte Carlo (`paper_faithful_scores`) uses it; every
+  /// other run scores V(z) blocks with ComputeGenotypeScoreBlock. The
+  /// per-set folds (steps 9-12) happen driver-side in the resampling
+  /// driver, in the serial oracle's canonical accumulation order — see
+  /// core/resampling_methods.hpp. A non-null `live_snps` restricts the
+  /// pass to those SNPs (every other record is skipped and absent from
+  /// the result); each scored SNP's vector is bitwise the same as in an
+  /// unfiltered pass.
   std::unordered_map<std::uint32_t, std::vector<double>>
   ComputeMonteCarloScoreBlock(
       const std::vector<double>& zblock, std::size_t count,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
           nullptr);
 
-  /// Algorithm 2 for a whole batch, without U: per SNP, the signed
-  /// replicate scores U_jr = Σ_i G_ij · vblock[i*count + r] for a
-  /// patient-major block of permuted score coefficients
-  /// (stats::PermutedCoefficientBlock; count 1 with the unpermuted
-  /// coefficients gives the observed scores). One engine pass over the
+  /// Algorithms 2 and 3 for a whole batch, without U: per SNP, the signed
+  /// replicate scores Σ_i G_ij · vblock[i*count + r] for a patient-major
+  /// block of score coefficients — permuted ones
+  /// (stats::PermutedCoefficientBlock) or Monte Carlo V(z) ones
+  /// (stats::MonteCarloCoefficientBlock); count 1 with the unpermuted
+  /// coefficients gives the observed scores. One engine pass over the
   /// cached genotype partitions — packed ones are unpacked per SNP —
   /// with the same blocked kernel, live-SNP filter and collect as
-  /// ComputeMonteCarloScoreBlock. A constant genotype column scores
-  /// exactly 0 in every replicate, as its Cox U vector does.
+  /// ComputeMonteCarloScoreBlock. `zero_sum_columns` says every column
+  /// of the block sums to zero exactly (permutation blocks, Cox V(z)
+  /// blocks, the observed v); a constant genotype column then scores
+  /// exactly 0, as its Cox U vector does. Gaussian and Binomial Monte
+  /// Carlo blocks (z∘v) do not sum to zero and pass false.
   std::unordered_map<std::uint32_t, std::vector<double>>
   ComputeGenotypeScoreBlock(
       const std::vector<double>& vblock, std::size_t count,
+      bool zero_sum_columns,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
           nullptr);
 
   /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
-  /// driver (one double per filtered SNP), for the batched drivers'
-  /// canonical observed fold. Materializes the U RDD like ComputeObserved.
+  /// driver (one double per filtered SNP), for paper-faithful Monte
+  /// Carlo's canonical observed fold. Materializes the U RDD like
+  /// ComputeObserved.
   std::unordered_map<std::uint32_t, double> CollectObservedScores();
 
   /// Driver-resident unsquared weights ω_j, collected once and memoized.
@@ -236,12 +244,6 @@ class SkatPipeline {
   SetScores SetScoresFromInnerSigma(
       const engine::Dataset<std::pair<std::uint32_t, double>>& inner_sigma)
       const;
-
-  /// Per-set (Σ ω²U², Σ ωU) accumulation from per-SNP signed scores; the
-  /// SKAT-O building block (burden = square of the second component).
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  SkatBurdenFromScores(
-      const engine::Dataset<std::pair<std::uint32_t, double>>& scores) const;
 
   /// Materializes the U RDD if needed (shared by all observed paths).
   void EnsureUBuilt();

@@ -46,7 +46,7 @@ std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
 
 /// Double-buffers replicate-block generation on the I/O lane: while batch
 /// k's score block computes and folds, batch k+1's patient-major block (a
-/// Monte Carlo Z block or a permuted coefficient block) is generated
+/// coefficient block, or a Z block for cached-U Monte Carlo) is generated
 /// concurrently. `make_block` is a pure function of (begin, count) —
 /// per-replicate splittable RNG streams — so WHERE it runs cannot change
 /// a single bit of it; the lane only moves the generation off the
@@ -454,12 +454,12 @@ void FinalizeAdaptive(
   }
 }
 
-/// Where a score-block run's replicates come from. Both resampling
-/// methods score per-SNP vectors against patient-major replicate blocks:
-/// Monte Carlo scores the cached U partitions against N(0,1) multiplier
-/// blocks (Algorithm 3), permutation scores the genotype partitions
-/// against permuted score-coefficient blocks (Algorithm 2, using
-/// U_j^π = g_jᵀ(v∘π)).
+/// Where a score-block run's replicates come from. Every source scores
+/// per-SNP vectors against patient-major replicate blocks: permutation
+/// and Monte Carlo score the genotype partitions against permuted
+/// coefficient blocks (Algorithm 2, U_j^π = g_jᵀ(v∘π)) or V(z) blocks
+/// (Algorithm 3, Ũ_j = g_jᵀV(z)); paper-faithful Monte Carlo scores the
+/// cached U partitions against N(0,1) multiplier blocks.
 struct ScoreBlockSource {
   const char* algorithm;
   /// Observed per-SNP marginal scores U_j.
@@ -475,7 +475,67 @@ struct ScoreBlockSource {
       score;
 };
 
+/// A source that never builds U: observed scores U_j = g_jᵀv from a
+/// count-1 block of the coefficients v, replicates from `make_block`'s
+/// coefficient blocks. `zero_sum_columns` must hold for every generated
+/// block; v is scored under the same rule, so a constant column's
+/// observed score is exactly 0 where its replicate scores are, and is the
+/// U path's value where they are.
+ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
+                                const std::vector<double>& v,
+                                bool zero_sum_columns,
+                                BlockPrefetcher::MakeBlock make_block) {
+  return {algorithm,
+          [&pipeline, v, zero_sum_columns] {
+            std::unordered_map<std::uint32_t, double> scores;
+            for (const auto& [snp, block] :
+                 pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns)) {
+              scores[snp] = block[0];
+            }
+            return scores;
+          },
+          std::move(make_block),
+          [&pipeline, zero_sum_columns](
+              const std::vector<double>& block, std::size_t count,
+              std::shared_ptr<const std::unordered_set<std::uint32_t>>
+                  live_snps) {
+            return pipeline.ComputeGenotypeScoreBlock(
+                block, count, zero_sum_columns, std::move(live_snps));
+          }};
+}
+
+/// Replicate b's block column is v∘π_b with π_b from the same streams as
+/// stats::PermutationPlan (Algorithm 2 step 2), so replicate b is
+/// reproducible in isolation. Permuted columns sum to Σv = 0.
+ScoreBlockSource PermutationSource(SkatPipeline& pipeline, std::uint64_t seed) {
+  auto v = std::make_shared<const std::vector<double>>(
+      stats::ScoreEngine(pipeline.phenotype()).Coefficients());
+  return GenotypeSource(
+      "permutation", pipeline, *v, /*zero_sum_columns=*/true,
+      [seed, v](std::uint64_t begin, std::size_t count) {
+        return stats::PermutedCoefficientBlock(seed, *v, begin, count);
+      });
+}
+
+/// Replicate b's block column is V(z_b) with z_b from the same streams as
+/// stats::MonteCarloWeights (Algorithm 3 step 3), so replicate b is
+/// reproducible in isolation. The observed v is V(1).
 ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
+  auto score_engine =
+      std::make_shared<const stats::ScoreEngine>(pipeline.phenotype());
+  return GenotypeSource(
+      "monte-carlo", pipeline, score_engine->Coefficients(),
+      score_engine->MultiplierColumnsSumToZero(),
+      [seed, score_engine](std::uint64_t begin, std::size_t count) {
+        return stats::MonteCarloCoefficientBlock(seed, *score_engine, begin,
+                                                 count);
+      });
+}
+
+/// Algorithm 3 as the paper runs it, for `paper_faithful_scores`: the
+/// observed U RDD is built and cached once, and every batch scores its
+/// partitions against a Z block.
+ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
   return {"monte-carlo",
           [&pipeline] { return pipeline.CollectObservedScores(); },
           [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
@@ -489,38 +549,12 @@ ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
           }};
 }
 
-/// U is never built: the observed scores are a count-1 block of the
-/// unpermuted coefficients, and replicate b's block column is v∘π_b with
-/// π_b from the same streams as stats::PermutationPlan (Algorithm 2 step
-/// 2), so replicate b is reproducible in isolation.
-ScoreBlockSource PermutationSource(SkatPipeline& pipeline, std::uint64_t seed) {
-  auto v = std::make_shared<const std::vector<double>>(
-      stats::ScoreEngine(pipeline.phenotype()).Coefficients());
-  return {"permutation",
-          [&pipeline, v] {
-            std::unordered_map<std::uint32_t, double> scores;
-            for (const auto& [snp, block] :
-                 pipeline.ComputeGenotypeScoreBlock(*v, 1)) {
-              scores[snp] = block[0];
-            }
-            return scores;
-          },
-          [seed, v](std::uint64_t begin, std::size_t count) {
-            return stats::PermutedCoefficientBlock(seed, *v, begin, count);
-          },
-          [&pipeline](const std::vector<double>& block, std::size_t count,
-                      std::shared_ptr<const std::unordered_set<std::uint32_t>>
-                          live_snps) {
-            return pipeline.ComputeGenotypeScoreBlock(block, count,
-                                                      std::move(live_snps));
-          }};
-}
-
 /// The batched resampling driver: one engine pass per batch, canonical
 /// driver-side folds. The observed statistics are folded in the same
 /// canonical order, so for Monte Carlo the whole ResamplingResult — not
-/// only the counters — is bitwise equal to baseline::SerialMonteCarlo's
-/// analysis from the same seed; every method's result is bitwise
+/// only the counters — is bitwise equal to the serial oracle's analysis
+/// from the same seed (baseline::SerialMonteCarloFactored; for the cached
+/// U source, baseline::SerialMonteCarlo); every method's result is bitwise
 /// invariant to batch size, thread count and prefetch depth.
 ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
                                 const ResamplingRequest& request,
@@ -633,15 +667,29 @@ ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
   return result;
 }
 
-/// SKAT-O over the batched Monte Carlo replicate pool: each batch reuses
-/// the same score block as the plain Monte Carlo method and folds per-set
-/// (SKAT, burden) pairs canonically on the driver.
+/// SKAT-O over the batched Monte Carlo replicate pool: each batch scores
+/// the same V(z) genotype blocks as plain Monte Carlo, so U is never
+/// built, and folds per-set (SKAT, burden) pairs canonically on the
+/// driver. The observed pair folds a count-1 block of v the same way.
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
+  const std::unordered_map<std::uint32_t, double>& weights =
+      pipeline.DriverWeights();
+  auto score_engine =
+      std::make_shared<const stats::ScoreEngine>(pipeline.phenotype());
+  const bool zero_sum_columns = score_engine->MultiplierColumnsSumToZero();
 
   // Observed (SKAT, burden) pair and grid per set.
-  const auto observed = pipeline.ComputeObservedSkatBurden();
+  const auto observed = [&] {
+    engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                           "observed skat+burden");
+    return FoldSkatBurdenScores(
+        pipeline.sets(),
+        pipeline.ComputeGenotypeScoreBlock(score_engine->Coefficients(), 1,
+                                           zero_sum_columns),
+        weights, 1)[0];
+  }();
   std::unordered_map<std::uint32_t, std::vector<double>> observed_grids;
   SkatOResult result;
   result.replicates = request.replicates;
@@ -654,23 +702,23 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
         stats::SkatOGridStatistics(pair.second, pair.first, rho_grid);
   }
 
-  const std::unordered_map<std::uint32_t, double>& weights =
-      pipeline.DriverWeights();
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   std::unordered_map<std::uint32_t, std::vector<std::vector<double>>>
       replicate_grids;
   const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-  BlockPrefetcher zblocks(
+  BlockPrefetcher vblocks(
       pipeline.context().io(), request.replicates, batch_size,
-      [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
-        return stats::MonteCarloZBlock(seed, n, begin, count);
+      [seed, score_engine](std::uint64_t begin, std::size_t count) {
+        return stats::MonteCarloCoefficientBlock(seed, *score_engine, begin,
+                                                 count);
       });
   RunBatches(
       "skat-o", request.replicates, batch_size,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
-        const std::vector<double> zblock = zblocks.Take(begin, count);
-        const auto block = pipeline.ComputeMonteCarloScoreBlock(zblock, count);
+        const std::vector<double> vblock = vblocks.Take(begin, count);
+        const auto block =
+            pipeline.ComputeGenotypeScoreBlock(vblock, count, zero_sum_columns);
         const auto pairs =
             FoldSkatBurdenScores(pipeline.sets(), block, weights, count);
         for (std::size_t r = 0; r < count; ++r) {
@@ -766,8 +814,11 @@ ResamplingRun RunResampling(SkatPipeline& pipeline,
                                         PermutationSource(pipeline, seed));
       break;
     case ResamplingMethod::kMonteCarlo:
-      run.scores = RunScoreBlocks(pipeline, request,
-                                  MonteCarloSource(pipeline, seed));
+      run.scores = RunScoreBlocks(
+          pipeline, request,
+          pipeline.config().paper_faithful_scores
+              ? CachedUSource(pipeline, seed)
+              : MonteCarloSource(pipeline, seed));
       break;
     case ResamplingMethod::kSkatO:
       if (IsAdaptive(request)) {

@@ -10,24 +10,30 @@
 //     permuted coefficient blocks; plain (non-adaptive) runs under
 //     `paper_faithful_scores` instead re-execute the full pipeline
 //     (steps 6-12) per replicate.
-//   * kMonteCarlo — Algorithm 3: replicates reuse the cached observed
-//     U RDD with fresh N(0,1) multipliers; only steps 8-12 re-execute.
+//   * kMonteCarlo — Algorithm 3: replicates weight the observed
+//     per-patient contributions with fresh N(0,1) multipliers z. Swapping
+//     the sums, Σ_i z_i U_ij = g_jᵀV(z) with SNP-invariant coefficients
+//     V(z), so replicates score the genotypes against V(z) blocks and U is
+//     never built; runs under `paper_faithful_scores` instead reuse the
+//     cached observed U RDD, re-executing only steps 8-12.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
-//     replicate pool.
+//     replicate pool, always from V(z) blocks.
 //
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
 // pass — an n×R block is broadcast and a blocked multiply-accumulate
 // kernel (stats::BatchedReplicateScores) computes every replicate's
-// per-SNP scores: Z multipliers against the cached U partitions for the
-// Monte Carlo methods, permuted coefficients against the cached genotype
-// partitions for permutation. The per-set folds then run driver-side in
-// the serial oracle's canonical accumulation order. Results are bitwise
-// invariant to the batch size, the thread count, packing and the
-// partitioning, and the Monte Carlo ResamplingResult is bitwise equal to
-// baseline::SerialMonteCarlo from the same seed. Paper-faithful
-// permutation re-executes the full pipeline per replicate (its cost
-// model is the point of Experiment A), so for it a batch is a
+// per-SNP scores: V(z) or permuted coefficients against the cached
+// genotype partitions, or (paper-faithful Monte Carlo) Z multipliers
+// against the cached U partitions. The per-set folds then run
+// driver-side in the serial oracle's canonical accumulation order.
+// Results are bitwise invariant to the batch size, the thread count,
+// packing and the partitioning. The Monte Carlo ResamplingResult is
+// bitwise equal to baseline::SerialMonteCarloFactored from the same seed;
+// Gaussian and Binomial runs are also bitwise equal to the literal
+// baseline::SerialMonteCarlo, which Cox runs match within rounding.
+// Paper-faithful permutation re-executes the full pipeline per replicate
+// (its cost model is the point of Experiment A), so for it a batch is a
 // scheduling/telemetry unit only.
 #pragma once
 

@@ -29,26 +29,29 @@ std::vector<double> CoxScoreContributions(
   return contributions;
 }
 
-std::vector<double> CoxScoreCoefficients(const SurvivalData& data,
-                                         const RiskSetIndex& index) {
-  const std::size_t n = data.n();
-  SS_CHECK(index.n() == n);
+std::vector<double> CoxScoreCoefficients(
+    const RiskSetIndex& index, const std::vector<double>& event_weights,
+    std::size_t count) {
+  const std::size_t n = index.n();
+  SS_CHECK(event_weights.size() == n * count);
   const std::vector<std::uint32_t>& order = index.order();
-  std::vector<double> coefficients(n);
+  std::vector<double> coefficients(n * count);
   // `order` is time-descending and a tie group [begin, end) shares
   // prefix_end == end == b, so walking it backwards is ascending time.
-  double hazard = 0.0;  // Σ Δ_i / b_i over the groups seen so far
+  std::vector<double> hazard(count, 0.0);  // Σ w_i / b_i, groups seen so far
   std::size_t end = n;
   while (end > 0) {
     std::size_t begin = end;
     while (begin > 0 && index.prefix_end(order[begin - 1]) == end) --begin;
     const double b = static_cast<double>(end);
     for (std::size_t k = begin; k < end; ++k) {
-      if (data.event[order[k]] != 0) hazard += 1.0 / b;
+      const double* w = &event_weights[order[k] * count];
+      for (std::size_t r = 0; r < count; ++r) hazard[r] += w[r] / b;
     }
     for (std::size_t k = begin; k < end; ++k) {
-      coefficients[order[k]] =
-          static_cast<double>(data.event[order[k]]) - hazard;
+      const double* w = &event_weights[order[k] * count];
+      double* v = &coefficients[order[k] * count];
+      for (std::size_t r = 0; r < count; ++r) v[r] = w[r] - hazard[r];
     }
     end = begin;
   }

@@ -27,17 +27,25 @@ std::vector<double> CoxScoreContributions(const SurvivalData& data,
                                           const RiskSetIndex& index,
                                           const std::vector<std::uint8_t>& genotypes);
 
-/// The SNP-invariant coefficients of the marginal score: U_j = Σ_l G_lj v_l
-/// for every genotype column, with
+/// The SNP-invariant coefficients of the marginal score, for per-patient
+/// event weights w (w = Δ for the observed score, w = z∘Δ for a Monte
+/// Carlo replicate with multipliers z): Σ_i w_i (G_ij − a_ij/b_i) =
+/// Σ_l G_lj V_l for every genotype column, with
 ///
-///     v_l = Δ_l − Σ_{i: Y_i <= Y_l} Δ_i / b_i
+///     V_l = w_l − Σ_{i: Y_i <= Y_l} w_i / b_i
 ///
-/// (swap the sums in Σ_i U_ij). One ascending-time pass over the index's
-/// sorted order; tied times enter the running sum together, since each
-/// is in the others' risk sets. A tie group's terms are all 1/b or 0, so
-/// the sum is the same for every order of the tied patients.
-std::vector<double> CoxScoreCoefficients(const SurvivalData& data,
-                                         const RiskSetIndex& index);
+/// (swap the sums). `event_weights` is a patient-major block of `count`
+/// weight columns, [l*count + r] = w_lr (0 for a censored patient), and
+/// so is the result. One ascending-time pass over the index's sorted
+/// order with one running sum per column; tied times enter the sums
+/// together, since each is in the others' risk sets. Every column is
+/// computed with the same operations whatever `count` is, so a column
+/// is bitwise independent of the block it sits in. Σ_l V_l = 0 for every
+/// w, as each w_i/b_i is subtracted once for each of the b_i patients at
+/// risk at Y_i.
+std::vector<double> CoxScoreCoefficients(
+    const RiskSetIndex& index, const std::vector<double>& event_weights,
+    std::size_t count);
 
 /// Same values computed directly from the definition in O(n^2); reference
 /// implementation for tests and the risk-set ablation bench.

@@ -69,6 +69,14 @@ std::vector<double> PermutedCoefficientBlock(std::uint64_t seed,
   return block;
 }
 
+std::vector<double> MonteCarloCoefficientBlock(std::uint64_t seed,
+                                               const ScoreEngine& engine,
+                                               std::uint64_t first,
+                                               std::size_t count) {
+  return engine.CoefficientBlock(
+      MonteCarloZBlock(seed, engine.n(), first, count), count);
+}
+
 void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             std::vector<double>* out) {

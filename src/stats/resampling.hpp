@@ -5,11 +5,14 @@
 //   * PermutationPlan: B random shufflings of the phenotype pairs
 //     (Algorithm 2 step 2).
 //   * MonteCarloWeights: B x n standard-normal multipliers Z_i (Lin 2005;
-//     Algorithm 3 step 3), applied as Ũ_j = Σ_i Z_i U_ij.
+//     Algorithm 3 step 3), applied as Ũ_j = Σ_i Z_i U_ij — or, with the
+//     sums swapped, as Ũ_j = g_jᵀV(Z) (MonteCarloCoefficientBlock).
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "stats/score_engine.hpp"
 
 namespace ss::stats {
 
@@ -74,6 +77,16 @@ std::vector<double> PermutedCoefficientBlock(std::uint64_t seed,
                                              const std::vector<double>& v,
                                              std::uint64_t first,
                                              std::size_t count);
+
+/// Algorithm 3's coefficient block: V(z) (ScoreEngine::CoefficientBlock)
+/// of MonteCarloZBlock(seed, engine.n(), first, count), same layout. The
+/// multipliers come from MonteCarloWeights' streams and every column is
+/// computed on its own, so the block is a pure function of (seed, first,
+/// count) and replicate b's column is bitwise the same in every batch.
+std::vector<double> MonteCarloCoefficientBlock(std::uint64_t seed,
+                                               const ScoreEngine& engine,
+                                               std::uint64_t first,
+                                               std::size_t count);
 
 /// The batched form of MonteCarloReplicateScore: one pass over the
 /// contributions computes Ũ_jb for all `count` replicates of a Z block

@@ -104,27 +104,40 @@ std::vector<double> ScoreEngine::Contributions(
 }
 
 std::vector<double> ScoreEngine::Coefficients() const {
+  return CoefficientBlock(std::vector<double>(n(), 1.0), 1);
+}
+
+std::vector<double> ScoreEngine::CoefficientBlock(
+    const std::vector<double>& zblock, std::size_t count) const {
+  SS_CHECK(zblock.size() == n() * count);
+  std::vector<double> block(n() * count);
   switch (phenotype_.model) {
-    case ScoreModel::kCox:
+    case ScoreModel::kCox: {
+      const std::vector<std::uint8_t>& event = phenotype_.survival.event;
+      for (std::size_t i = 0; i < n(); ++i) {
+        const double delta = static_cast<double>(event[i]);
+        for (std::size_t r = 0; r < count; ++r) {
+          block[i * count + r] = zblock[i * count + r] * delta;
+        }
+      }
       if (risk_index_ == nullptr) {  // paper-faithful engines skip the index
-        return CoxScoreCoefficients(phenotype_.survival,
-                                    RiskSetIndex(phenotype_.survival));
+        return CoxScoreCoefficients(RiskSetIndex(phenotype_.survival), block,
+                                    count);
       }
-      return CoxScoreCoefficients(phenotype_.survival, *risk_index_);
-    case ScoreModel::kGaussian: {
-      std::vector<double> v(n());
-      for (std::size_t i = 0; i < n(); ++i) {
-        v[i] = phenotype_.quantitative.value[i] - center_;
-      }
-      return v;
+      return CoxScoreCoefficients(*risk_index_, block, count);
     }
-    case ScoreModel::kBinomial: {
-      std::vector<double> v(n());
+    case ScoreModel::kGaussian:
+    case ScoreModel::kBinomial:
       for (std::size_t i = 0; i < n(); ++i) {
-        v[i] = static_cast<double>(phenotype_.binary.value[i]) - center_;
+        const double v = phenotype_.model == ScoreModel::kGaussian
+                             ? phenotype_.quantitative.value[i] - center_
+                             : static_cast<double>(phenotype_.binary.value[i]) -
+                                   center_;
+        for (std::size_t r = 0; r < count; ++r) {
+          block[i * count + r] = zblock[i * count + r] * v;
+        }
       }
-      return v;
-    }
+      return block;
   }
   return {};
 }

@@ -71,8 +71,31 @@ class ScoreEngine {
   /// y − p̄. Σ_l v_l = 0 for all three. A permutation replicate only
   /// permutes v — Coefficients() of Phenotype::Permuted(perm) is
   /// v[perm[i]] at patient i — so Algorithm 2 can score genotypes
-  /// against permuted copies of v instead of rebuilding U. O(n).
+  /// against permuted copies of v instead of rebuilding U. This is
+  /// CoefficientBlock with z ≡ 1. O(n).
   std::vector<double> Coefficients() const;
+
+  /// The coefficients V(z) of Monte Carlo multipliers z, for a
+  /// patient-major block of `count` multiplier columns (zblock[i*count+r],
+  /// stats::MonteCarloZBlock's layout; the result has the same layout):
+  /// for every genotype column G, Σ_i z_i Contributions(G)_i =
+  /// Σ_l G_l V_l(z). Cox: V_l(z) = z_lΔ_l − Σ_{i: Y_i <= Y_l} z_iΔ_i / b_i
+  /// (CoxScoreCoefficients with event weights z∘Δ), equal up to rounding,
+  /// and its columns sum to 0 for every z. Gaussian and Binomial:
+  /// V(z) = z∘v, bitwise equal — G ∈ {0,1,2} scales exactly — and its
+  /// columns do not sum to 0. So Algorithm 3 can score genotypes against
+  /// V(z) blocks instead of building U. Each column is bitwise
+  /// independent of `count`. O(n·count).
+  std::vector<double> CoefficientBlock(const std::vector<double>& zblock,
+                                       std::size_t count) const;
+
+  /// Whether every CoefficientBlock column sums to zero exactly, whatever
+  /// z is: true for Cox, whose constant genotype columns have U ≡ 0, false
+  /// for Gaussian and Binomial, where a constant column c scores
+  /// c·Σ z_i v_i. (Coefficients() itself sums to zero for every model.)
+  bool MultiplierColumnsSumToZero() const {
+    return phenotype_.model == ScoreModel::kCox;
+  }
 
  private:
   Phenotype phenotype_;

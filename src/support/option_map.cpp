@@ -60,9 +60,10 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"ld_block", OptionType::kU64, "1", "LD block size for the generator",
        "workload", {}},
       {"faithful", OptionType::kBool, "1",
-       "paper-faithful cost mode: per-patient Cox scores and a full "
-       "pipeline rebuild per permutation replicate (0 = O(n) risk-set "
-       "path, batched permutation)",
+       "paper-faithful cost mode: per-patient Cox scores, a full "
+       "pipeline rebuild per permutation replicate and Monte Carlo over "
+       "the cached U (0 = O(n) risk-set path; both resampling methods "
+       "score genotype x coefficient blocks)",
        "workload", {}},
       // -- engine: cluster topology + storage -------------------------------
       {"nodes", OptionType::kU64, "6", "simulated EMR cluster size", "engine",
@@ -105,6 +106,11 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        {}},
       {"method", OptionType::kChoice, "mc", "resampling method", "analysis",
        {"mc", "perm"}},
+      {"model", OptionType::kChoice, "cox",
+       "score model: Cox on the cohort's survival table, or a trait derived "
+       "from it (gaussian: log survival time, binomial: event indicator); "
+       "not with store=",
+       "analysis", {"cox", "gaussian", "binomial"}},
       {"top", OptionType::kU64, "10", "result rows to print", "analysis", {}},
       {"stages", OptionType::kBool, "0", "print the per-stage run report",
        "analysis", {}},
@@ -175,8 +181,10 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "bench_scale: fixed RSS slack (MiB) allowed above cache_budget "
        "for driver-side state", "bench", {}},
       {"cache_u", OptionType::kBool, "1",
-       "bench_scale: cache the observed U RDD (Algorithm 3); 0 recomputes "
-       "it from streamed store frames every pass", "bench", {}},
+       "bench_scale: cache the observed U RDD and the decoded store "
+       "partitions; U exists only with faithful=1 (paper-faithful Monte "
+       "Carlo), so without it this affects only the genotype partitions",
+       "bench", {}},
   };
   return kRegistry;
 }

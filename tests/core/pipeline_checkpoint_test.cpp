@@ -40,6 +40,8 @@ TEST(PipelineCheckpointTest, ResultsIdenticalWithAndWithoutCheckpoint) {
   Env env;
   PipelineConfig plain;
   plain.seed = 5;
+  // Paper-faithful Monte Carlo is the resampling path that builds U.
+  plain.paper_faithful_scores = true;
   PipelineConfig checkpointed = plain;
   checkpointed.checkpoint_contributions_path = "/ckpt/u";
 

@@ -286,11 +286,16 @@ TEST(ResamplingMethodsTest, MonteCarloBitwiseInvariantToThreadCount) {
 }
 
 TEST(ResamplingMethodsTest, BatchedMonteCarloBitwiseEqualsSerialBaseline) {
+  // Bitwise against the factored oracle, which scores genotypes against
+  // V(z) as the engine does; the literal U-path oracle agrees within
+  // rounding, with the same exceedance counts.
   const simdata::SyntheticDataset dataset = SmallDataset();
   const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
   baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
                               &dataset.sets};
-  const baseline::SkatAnalysis serial =
+  const baseline::SkatAnalysis factored =
+      baseline::SerialMonteCarloFactored(inputs, 77, 25);
+  const baseline::SkatAnalysis literal =
       baseline::SerialMonteCarlo(inputs, 77, 25);
 
   ResamplingRequest request;
@@ -299,9 +304,15 @@ TEST(ResamplingMethodsTest, BatchedMonteCarloBitwiseEqualsSerialBaseline) {
   const ResamplingResult distributed = RunWithRequest(dataset, request, 8, 4);
   for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
     const std::uint32_t id = dataset.sets[k].id;
-    EXPECT_TRUE(BitEqual(distributed.observed.at(id), serial.observed[k]))
+    EXPECT_TRUE(BitEqual(distributed.observed.at(id), factored.observed[k]))
         << "set " << k;
-    EXPECT_EQ(distributed.exceed.at(id), serial.exceed_count[k]) << "set " << k;
+    EXPECT_EQ(distributed.exceed.at(id), factored.exceed_count[k])
+        << "set " << k;
+    EXPECT_NEAR(factored.observed[k], literal.observed[k],
+                1e-12 * literal.observed[k])
+        << "set " << k;
+    EXPECT_EQ(factored.exceed_count[k], literal.exceed_count[k])
+        << "set " << k;
   }
 }
 
@@ -312,8 +323,8 @@ TEST(ResamplingMethodsTest, ReplicateScoreStreamMatchesSerialOracle) {
   const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
   baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
                               &dataset.sets};
-  const std::vector<std::vector<double>> serial =
-      baseline::SerialMonteCarloReplicateStatistics(inputs, 77, 11);
+  std::vector<std::vector<double>> serial;
+  baseline::SerialMonteCarloFactored(inputs, 77, 11, &serial);
 
   struct Recorder final : ProgressSink {
     std::vector<std::pair<std::uint64_t, SetScores>> stream;
@@ -337,6 +348,138 @@ TEST(ResamplingMethodsTest, ReplicateScoreStreamMatchesSerialOracle) {
           << "replicate " << b << " set " << k;
     }
   }
+}
+
+/// Algorithm 3 through the engine with an arbitrary phenotype model and
+/// a monomorphic SNP in its own set and in a mixed set; returns the
+/// result next to the inputs the serial oracles need.
+struct ModelMonteCarloRun {
+  simdata::SyntheticDataset dataset;
+  std::uint32_t monomorphic_set = 0;
+  ResamplingResult result;
+};
+
+ModelMonteCarloRun RunModelMonteCarlo(const stats::Phenotype& phenotype,
+                                      std::uint64_t seed,
+                                      std::uint64_t replicates,
+                                      bool paper_faithful = false) {
+  ModelMonteCarloRun run;
+  run.dataset = SmallDataset();
+  simdata::SyntheticDataset& dataset = run.dataset;
+  const std::uint32_t snp = 3;  // a member of the first set, too
+  dataset.genotypes.by_snp[snp].assign(dataset.survival.n(), 2);
+  for (const stats::SnpSet& set : dataset.sets) {
+    run.monomorphic_set = std::max(run.monomorphic_set, set.id + 1);
+  }
+  dataset.sets.push_back({run.monomorphic_set, {snp}});
+
+  std::vector<simdata::SnpRecord> records;
+  for (std::uint32_t j = 0; j < dataset.genotypes.num_snps(); ++j) {
+    records.push_back({j, dataset.genotypes.by_snp[j]});
+  }
+  engine::EngineContext ctx(LocalOptions());
+  PipelineConfig config;
+  config.seed = seed;
+  config.model = phenotype.model;
+  config.resampling_batch_size = 8;
+  config.paper_faithful_scores = paper_faithful;
+  SkatPipeline pipeline(ctx, config, engine::Parallelize(ctx, records, 4),
+                        phenotype, dataset.weights, dataset.sets);
+  run.result =
+      RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, replicates})
+          .scores;
+  return run;
+}
+
+/// Gaussian and Binomial Monte Carlo blocks z∘v do not sum to zero, so a
+/// constant column is scored like any other — c·Σ z_i v_i, as the U path
+/// scores it — and the whole result is bitwise the literal oracle's.
+void ExpectMonteCarloBitwiseLiteral(const stats::Phenotype& phenotype,
+                                    std::uint64_t seed) {
+  const std::uint64_t replicates = 30;
+  const ModelMonteCarloRun run =
+      RunModelMonteCarlo(phenotype, seed, replicates);
+  const simdata::SyntheticDataset& dataset = run.dataset;
+  baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
+                              &dataset.sets};
+  const baseline::SkatAnalysis literal =
+      baseline::SerialMonteCarlo(inputs, seed, replicates);
+  const baseline::SkatAnalysis factored =
+      baseline::SerialMonteCarloFactored(inputs, seed, replicates);
+  EXPECT_NE(literal.observed.back(), 0.0)
+      << "the monomorphic set should carry rounding noise, as on the U path";
+  for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+    const std::uint32_t id = dataset.sets[k].id;
+    EXPECT_TRUE(BitEqual(run.result.observed.at(id), literal.observed[k]))
+        << "set " << k;
+    EXPECT_EQ(run.result.exceed.at(id), literal.exceed_count[k]) << "set " << k;
+    EXPECT_TRUE(BitEqual(factored.observed[k], literal.observed[k]))
+        << "set " << k;
+    EXPECT_EQ(factored.exceed_count[k], literal.exceed_count[k]) << "set " << k;
+  }
+}
+
+TEST(ResamplingMethodsTest, GaussianMonteCarloBitwiseEqualsLiteralOracle) {
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  Rng rng(91);
+  stats::QuantitativeData expression;
+  for (std::size_t i = 0; i < dataset.survival.n(); ++i) {
+    expression.value.push_back(1.5 + SampleNormal(rng));
+  }
+  ExpectMonteCarloBitwiseLiteral(stats::Phenotype::Gaussian(expression), 92);
+}
+
+TEST(ResamplingMethodsTest, BinomialMonteCarloBitwiseEqualsLiteralOracle) {
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  Rng rng(93);
+  stats::BinaryData status;
+  for (std::size_t i = 0; i < dataset.survival.n(); ++i) {
+    status.value.push_back(rng.NextDouble() < 0.4 ? 1 : 0);
+  }
+  ExpectMonteCarloBitwiseLiteral(stats::Phenotype::Binomial(status), 94);
+}
+
+TEST(ResamplingMethodsTest, CoxMonteCarloMonomorphicSetScoresZero) {
+  // Cox V(z) columns sum to zero, and a constant column's U vector is
+  // exactly 0: observed and replicate scores are exactly 0, exceed = B.
+  const simdata::SyntheticDataset base = SmallDataset();
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(base.survival);
+  const std::uint64_t replicates = 30;
+  const ModelMonteCarloRun run = RunModelMonteCarlo(phenotype, 95, replicates);
+  baseline::SkatInputs inputs{&run.dataset.genotypes, &phenotype,
+                              &run.dataset.weights, &run.dataset.sets};
+  const baseline::SkatAnalysis literal =
+      baseline::SerialMonteCarlo(inputs, 95, replicates);
+  EXPECT_EQ(literal.observed.back(), 0.0);
+  EXPECT_EQ(literal.exceed_count.back(), replicates);
+  EXPECT_EQ(run.result.observed.at(run.monomorphic_set), 0.0);
+  EXPECT_EQ(run.result.exceed.at(run.monomorphic_set), replicates);
+}
+
+TEST(ResamplingMethodsTest, PaperFaithfulMonteCarloKeepsTheUPath) {
+  // Under paper_faithful_scores Monte Carlo scores the cached U: the
+  // result is bitwise the literal oracle's, not the factored one's.
+  const simdata::SyntheticDataset base = SmallDataset();
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(base.survival);
+  const ModelMonteCarloRun run =
+      RunModelMonteCarlo(phenotype, 96, 20, /*paper_faithful=*/true);
+  baseline::SkatInputs inputs{&run.dataset.genotypes, &phenotype,
+                              &run.dataset.weights, &run.dataset.sets};
+  const baseline::SkatAnalysis literal =
+      baseline::SerialMonteCarlo(inputs, 96, 20);
+  const baseline::SkatAnalysis factored =
+      baseline::SerialMonteCarloFactored(inputs, 96, 20);
+  bool any_differs_from_factored = false;
+  for (std::size_t k = 0; k < run.dataset.sets.size(); ++k) {
+    const std::uint32_t id = run.dataset.sets[k].id;
+    EXPECT_TRUE(BitEqual(run.result.observed.at(id), literal.observed[k]))
+        << "set " << k;
+    EXPECT_EQ(run.result.exceed.at(id), literal.exceed_count[k]) << "set " << k;
+    any_differs_from_factored =
+        any_differs_from_factored ||
+        !BitEqual(run.result.observed.at(id), factored.observed[k]);
+  }
+  EXPECT_TRUE(any_differs_from_factored);
 }
 
 TEST(ResamplingMethodsTest, AdaptiveSinkCarriesOnlyLiveSets) {

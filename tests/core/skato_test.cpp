@@ -47,55 +47,70 @@ std::pair<double, double> DirectPair(const simdata::SyntheticDataset& dataset,
 }
 
 TEST(SkatOPipelineTest, ObservedPairMatchesDirect) {
+  // The driver folds the observed pair from a count-1 genotype score
+  // block of the coefficients v, never from U.
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
-  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  const auto pairs = pipeline.ComputeObservedSkatBurden();
-  ASSERT_EQ(pairs.size(), dataset.sets.size());
+  PipelineConfig config;
+  config.num_partitions = 4;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  const SkatOResult result =
+      RunResampling(pipeline, {ResamplingMethod::kSkatO, 9}).skato;
+  ASSERT_EQ(result.by_set.size(), dataset.sets.size());
   for (const stats::SnpSet& set : dataset.sets) {
     const auto [skat, burden] = DirectPair(dataset, set);
-    EXPECT_NEAR(pairs.at(set.id).first, skat, 1e-9) << "set " << set.id;
-    EXPECT_NEAR(pairs.at(set.id).second, burden, 1e-9) << "set " << set.id;
+    EXPECT_NEAR(result.by_set.at(set.id).skat, skat, 1e-9) << "set " << set.id;
+    EXPECT_NEAR(result.by_set.at(set.id).burden, burden, 1e-9)
+        << "set " << set.id;
   }
+  // Only the packed genotype partitions were cached: no U was built.
+  EXPECT_EQ(ctx.cache().stats().insertions, config.num_partitions);
 }
 
 TEST(SkatOPipelineTest, SkatComponentMatchesComputeObserved) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
+  const SkatOResult result =
+      RunResampling(pipeline, {ResamplingMethod::kSkatO, 9}).skato;
   const SetScores skat_only = pipeline.ComputeObserved();
-  const auto pairs = pipeline.ComputeObservedSkatBurden();
   for (const auto& [set_id, score] : skat_only) {
-    EXPECT_NEAR(pairs.at(set_id).first, score, 1e-9);
+    EXPECT_NEAR(result.by_set.at(set_id).skat, score, 1e-9);
   }
 }
 
 TEST(SkatOPipelineTest, ReplicatePairMatchesDirect) {
+  // Replicate 0's V(z) block scored against the genotypes, as the SKAT-O
+  // driver scores its replicate pool, against Σ_i z_i U_ij per SNP.
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   PipelineConfig config;
   config.seed = 91;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  pipeline.ComputeObservedSkatBurden();
-
-  const stats::MonteCarloWeights weights(config.seed, dataset.survival.n(), 1);
-  const auto replicate =
-      pipeline.ComputeMonteCarloSkatBurdenReplicate(weights.Get(0));
 
   stats::ScoreEngine engine(stats::Phenotype::Cox(dataset.survival));
+  const auto block = pipeline.ComputeGenotypeScoreBlock(
+      stats::MonteCarloCoefficientBlock(config.seed, engine, 0, 1), 1,
+      engine.MultiplierColumnsSumToZero());
+  const stats::MonteCarloWeights weights(config.seed, dataset.survival.n(), 1);
   for (const stats::SnpSet& set : dataset.sets) {
     double skat = 0.0;
     double weighted_sum = 0.0;
+    double direct_skat = 0.0;
+    double direct_sum = 0.0;
     for (std::uint32_t snp : set.snps) {
-      const auto u = engine.Contributions(dataset.genotypes.by_snp[snp]);
-      const double score = stats::MonteCarloReplicateScore(u, weights.Get(0));
       const double w = dataset.weights[snp];
+      const double score = block.at(snp)[0];
       skat += w * w * score * score;
       weighted_sum += w * score;
+      const auto u = engine.Contributions(dataset.genotypes.by_snp[snp]);
+      const double direct = stats::MonteCarloReplicateScore(u, weights.Get(0));
+      direct_skat += w * w * direct * direct;
+      direct_sum += w * direct;
     }
-    EXPECT_NEAR(replicate.at(set.id).first, skat, 1e-9);
-    EXPECT_NEAR(replicate.at(set.id).second, weighted_sum * weighted_sum,
-                1e-9);
+    EXPECT_NEAR(skat, direct_skat, 1e-9) << "set " << set.id;
+    EXPECT_NEAR(weighted_sum * weighted_sum, direct_sum * direct_sum, 1e-9)
+        << "set " << set.id;
   }
 }
 

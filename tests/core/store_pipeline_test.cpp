@@ -104,8 +104,8 @@ TEST(StorePipelineTest, ObservedScoresBitwiseEqualInMemory) {
 TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
   // The differential matrix: {in-memory, spill-backed, store-backed} x
   // threads {1,4} x prefetch {0,2}, one hash per resampling method.
-  // Monte Carlo scores U partitions; permutation scores the genotype
-  // partitions themselves (packed frames off the mmap when store-backed).
+  // Both methods score the genotype partitions themselves (packed frames
+  // off the mmap when store-backed) against coefficient blocks.
   const std::string path = StageStore("ss_store_differential.ssg", 4);
   const simdata::GeneratorConfig generator = StudyConfig();
   for (ResamplingMethod method :

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/serial_skat.hpp"
 #include "cluster/fault_injector.hpp"
 #include "core/resampling_methods.hpp"
 #include "engine/context.hpp"
@@ -414,14 +415,14 @@ TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
 }
 
 // ---------------------------------------------------------------------
-// Permutation as score blocks: genotypes scored against permuted
-// coefficient blocks must hash the same across every scheduling and
-// storage knob — threads, batch size, packing and prefetch — both
-// exhaustive and early-stopped.
+// Resampling as genotype score blocks: genotypes scored against permuted
+// coefficient blocks (permutation) or V(z) blocks (Monte Carlo) must hash
+// the same across every scheduling and storage knob — threads, batch
+// size, packing and prefetch — both exhaustive and early-stopped.
 // ---------------------------------------------------------------------
 
-HashedRun RunPermutationHashed(std::size_t threads, std::uint64_t batch,
-                               bool pack, int prefetch,
+HashedRun RunScoreBlocksHashed(ResamplingMethod method, std::size_t threads,
+                               std::uint64_t batch, bool pack, int prefetch,
                                std::uint64_t early_stop,
                                const simdata::SyntheticDataset& dataset) {
   std::atomic<std::uint64_t>& hash_counter =
@@ -433,7 +434,7 @@ HashedRun RunPermutationHashed(std::size_t threads, std::uint64_t batch,
   config.resampling_batch_size = batch;
   config.pack_genotypes = pack;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  ResamplingRequest request(ResamplingMethod::kPermutation, 90);
+  ResamplingRequest request(method, 90);
   request.early_stop = early_stop;
   engine::ExecConfig exec;
   exec.prefetch_depth = prefetch;
@@ -444,17 +445,23 @@ HashedRun RunPermutationHashed(std::size_t threads, std::uint64_t batch,
   return run;
 }
 
-TEST(DeterminismTest, PermutationHashIdenticalAcrossSchedulingKnobs) {
-  const simdata::SyntheticDataset dataset = FixedDataset();
+/// Sweeps threads {1,4} × batch {1,8,64} × pack {0,1} × prefetch {0,2},
+/// plain and early_stop=5, against a single-thread per-replicate
+/// unpacked reference; returns the plain reference.
+HashedRun ExpectScoreBlockGridIdentical(
+    ResamplingMethod method, const simdata::SyntheticDataset& dataset) {
+  HashedRun plain;
   for (std::uint64_t early_stop : {0u, 5u}) {
     const HashedRun reference =
-        RunPermutationHashed(1, 1, false, 0, early_stop, dataset);
+        RunScoreBlocksHashed(method, 1, 1, false, 0, early_stop, dataset);
     if (early_stop != 0) {
       bool any_stopped = false;
       for (const auto& [set_id, info] : reference.result.inference) {
         any_stopped = any_stopped || info.early_stopped;
       }
       EXPECT_TRUE(any_stopped) << "the grid should cover a mid-run stop";
+    } else {
+      plain = reference;
     }
     for (std::size_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {1u, 8u, 64u}) {
@@ -465,8 +472,8 @@ TEST(DeterminismTest, PermutationHashIdenticalAcrossSchedulingKnobs) {
                          " batch=" + std::to_string(batch) +
                          " pack=" + std::to_string(pack) +
                          " prefetch=" + std::to_string(prefetch));
-            const HashedRun run = RunPermutationHashed(
-                threads, batch, pack, prefetch, early_stop, dataset);
+            const HashedRun run = RunScoreBlocksHashed(
+                method, threads, batch, pack, prefetch, early_stop, dataset);
             EXPECT_EQ(run.hash, reference.hash);
             ExpectAdaptiveIdentical(reference.result, run.result);
           }
@@ -474,23 +481,51 @@ TEST(DeterminismTest, PermutationHashIdenticalAcrossSchedulingKnobs) {
       }
     }
   }
+  return plain;
+}
+
+TEST(DeterminismTest, PermutationHashIdenticalAcrossSchedulingKnobs) {
+  ExpectScoreBlockGridIdentical(ResamplingMethod::kPermutation,
+                                FixedDataset());
+}
+
+TEST(DeterminismTest, MonteCarloHashIdenticalAcrossSchedulingKnobs) {
+  // Every cell equals the plain reference bit for bit, and the plain
+  // reference equals the factored serial oracle bit for bit.
+  const simdata::SyntheticDataset dataset = FixedDataset();
+  const HashedRun plain =
+      ExpectScoreBlockGridIdentical(ResamplingMethod::kMonteCarlo, dataset);
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
+  const baseline::SkatInputs inputs{&dataset.genotypes, &phenotype,
+                                    &dataset.weights, &dataset.sets};
+  const baseline::SkatAnalysis serial =
+      baseline::SerialMonteCarloFactored(inputs, kSeed, 90);
+  ASSERT_EQ(plain.result.observed.size(), dataset.sets.size());
+  for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+    const std::uint32_t id = dataset.sets[k].id;
+    EXPECT_TRUE(BitEqual(plain.result.observed.at(id), serial.observed[k]))
+        << "set " << id;
+    EXPECT_EQ(plain.result.exceed.at(id), serial.exceed_count[k])
+        << "set " << id;
+  }
 }
 
 TEST(DeterminismTest, PureResamplingHashesUnchanged) {
   // pmethod=resampling never runs the screen, and the live-SNP filter
   // changes which SNPs are scored, not their values: these hashes are
-  // pinned to the values the engine produced before either existed.
+  // pinned to the values of Cox Monte Carlo scored as genotype × V(z)
+  // blocks (they moved once, when that replaced scoring the cached U).
   EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 0, FixedDataset())
                 .hash,
-            0xc35d887c450dc88dULL);
+            0x4112d73875f24107ULL);
   EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 0,
                       LargeSetDataset())
                 .hash,
-            0x5be26fc1f655d12bULL);
+            0xffd20e281a19fd1aULL);
   EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kResampling, 5,
                       LargeSetDataset())
                 .hash,
-            0xcd848862324b848cULL);
+            0x03278aa2d999162dULL);
 }
 
 TEST(DeterminismTest, TaskRngIndependentOfAttemptNumber) {

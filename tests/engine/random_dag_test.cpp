@@ -152,6 +152,9 @@ TEST(RandomDagFaultSweep, ResultsUnchangedByInjectedFailures) {
 /// fingerprinted via the `resampling.result_hash` counter delta (the
 /// order-independent fold RunResampling always records). `budget` 0 is
 /// unlimited; 1 byte approximates "zero" (capacity 0 means unlimited).
+/// `faithful` selects the paper-faithful path, which caches (and so spills)
+/// U; the default path caches only the genotype partitions it scores
+/// V(z) blocks against.
 struct SoakCell {
   std::uint64_t budget = 0;
   bool spill = true;
@@ -160,6 +163,7 @@ struct SoakCell {
   bool corrupt_mid_run = false;
   bool drop_mid_run = false;
   bool pack = true;
+  bool faithful = false;
 };
 
 std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
@@ -175,8 +179,10 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   options.cache_capacity_bytes = cell.budget;
   options.cache_spill = cell.spill;
   EngineContext ctx(options, nullptr, &faults);
-  if (cell.corrupt_mid_run) faults.CorruptSpillAfterTasks(12);
-  if (cell.drop_mid_run) faults.DropSpillAfterTasks(12);
+  // A run is ~13 tasks; after 6 the first frames are spilled but not yet
+  // reloaded, so the injury lands on frames the run still needs.
+  if (cell.corrupt_mid_run) faults.CorruptSpillAfterTasks(6);
+  if (cell.drop_mid_run) faults.DropSpillAfterTasks(6);
 
   simdata::GeneratorConfig generator;
   generator.num_patients = 40;
@@ -189,6 +195,7 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   config.num_reducers = 4;
   config.resampling_batch_size = cell.batch;
   config.pack_genotypes = cell.pack;
+  config.paper_faithful_scores = cell.faithful;
   core::SkatPipeline pipeline = core::SkatPipeline::FromMemory(
       ctx, simdata::Generate(generator), config);
 
@@ -207,6 +214,7 @@ std::string SoakCellName(const SoakCell& cell) {
   if (cell.corrupt_mid_run) name += " corrupt_mid_run";
   if (cell.drop_mid_run) name += " drop_mid_run";
   if (!cell.pack) name += " pack=0";
+  if (cell.faithful) name += " faithful";
   return name;
 }
 
@@ -214,38 +222,50 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
   // ~6 KB holds roughly one U partition of this study (40 patients x 15
   // SNPs per partition), forcing constant eviction; 1 byte evicts all but
   // the most recent entry ("zero" budget — capacity 0 means unlimited).
+  // Both resampling paths run the whole matrix against their own unlimited
+  // reference (their hashes differ: G·V(z) and Σ z·U round differently).
   constexpr std::uint64_t kTight = 6000;
   constexpr std::uint64_t kBudgets[] = {0, kTight, 1};
   std::vector<std::uint64_t> failing_seeds;
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const std::uint64_t reference = RunSoakCell(seed, SoakCell{});
     bool seed_failed = false;
-    const auto check = [&](const SoakCell& cell) {
-      const std::uint64_t hash = RunSoakCell(seed, cell);
-      if (hash != reference) {
-        seed_failed = true;
-        ADD_FAILURE() << "seed " << seed << " diverged from the unlimited "
-                      << "reference in cell [" << SoakCellName(cell) << "]";
-      }
-    };
+    for (bool faithful : {false, true}) {
+      SoakCell base;
+      base.faithful = faithful;
+      const std::uint64_t reference = RunSoakCell(seed, base);
+      const auto check = [&](SoakCell cell) {
+        cell.faithful = faithful;
+        const std::uint64_t hash = RunSoakCell(seed, cell);
+        if (hash != reference) {
+          seed_failed = true;
+          ADD_FAILURE() << "seed " << seed << " diverged from the unlimited "
+                        << "reference in cell [" << SoakCellName(cell) << "]";
+        }
+      };
 
-    for (std::uint64_t budget : kBudgets) {
-      for (bool spill : {true, false}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{64}}) {
-            check(SoakCell{budget, spill, threads, batch, false, false});
+      for (std::uint64_t budget : kBudgets) {
+        for (bool spill : {true, false}) {
+          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            for (std::uint64_t batch :
+                 {std::uint64_t{1}, std::uint64_t{64}}) {
+              check(SoakCell{budget, spill, threads, batch, false, false});
+            }
           }
         }
-      }
-      // Packed-genotype ablation: the 2-bit representation must not leak
-      // into results under any budget (only cache/spill bytes change).
-      check(SoakCell{budget, true, 4, 64, false, false, /*pack=*/false});
-      if (budget != 0) {
-        // Sabotaged spill store mid-run: results must still match (the
-        // cache degrades corrupt frames to lineage recomputes).
-        check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true, false});
-        check(SoakCell{budget, true, 4, 64, false, /*drop_mid_run=*/true});
+        // Packed-genotype ablation: the 2-bit representation must not leak
+        // into results under any budget (only cache/spill bytes change).
+        check(SoakCell{budget, true, 4, 64, false, false, /*pack=*/false});
+        if (budget != 0) {
+          // Sabotaged spill store mid-run: results must still match (the
+          // cache degrades corrupt frames to lineage recomputes).
+          for (bool pack : {true, false}) {
+            check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true,
+                           false, pack});
+            check(SoakCell{budget, true, 4, 64, false,
+                           /*drop_mid_run=*/true, pack});
+          }
+        }
       }
     }
     if (seed_failed) failing_seeds.push_back(seed);
@@ -260,16 +280,55 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
   EXPECT_TRUE(failing_seeds.empty());
 }
 
-TEST(SpillSoakMatrix, TightBudgetActuallyExercisesTheSpillTier) {
-  // Guard against a miscalibrated budget making the matrix vacuous: the
-  // tight cell must spill and reload for real.
+/// Spill-tier traffic of one cell: spills, reloads and frames found
+/// corrupt or missing on reload.
+struct SpillTraffic {
+  std::uint64_t spills = 0;
+  std::uint64_t reloads = 0;
+  std::uint64_t corrupt = 0;
+};
+
+SpillTraffic RunSoakCellTraffic(std::uint64_t seed, const SoakCell& cell) {
   auto& spills = CounterRegistry::Global().Get("cache.spills");
   auto& reloads = CounterRegistry::Global().Get("cache.reloads");
-  const std::uint64_t spills_before = spills.load();
-  const std::uint64_t reloads_before = reloads.load();
-  RunSoakCell(7, SoakCell{/*budget=*/6000, true, 4, 64, false, false});
-  EXPECT_GT(spills.load(), spills_before);
-  EXPECT_GT(reloads.load(), reloads_before);
+  auto& corrupt = CounterRegistry::Global().Get("cache.spill_corrupt");
+  const SpillTraffic before{spills.load(), reloads.load(), corrupt.load()};
+  RunSoakCell(seed, cell);
+  return {spills.load() - before.spills, reloads.load() - before.reloads,
+          corrupt.load() - before.corrupt};
+}
+
+// The guards below keep the matrix from going vacuous: a miscalibrated
+// budget or a mistimed injury would leave its cells equal to the
+// reference without ever touching the spill tier.
+
+TEST(SpillSoakMatrix, TightBudgetActuallyExercisesTheSpillTier) {
+  // The tight budget makes the paper-faithful path spill and reload U.
+  SoakCell cell{/*budget=*/6000, true, 4, 64, false, false};
+  cell.faithful = true;
+  const SpillTraffic traffic = RunSoakCellTraffic(7, cell);
+  EXPECT_GT(traffic.spills, 0u);
+  EXPECT_GT(traffic.reloads, 0u);
+}
+
+TEST(SpillSoakMatrix, ZeroBudgetSpillsPackedGenotypesOnTheDefaultPath) {
+  // Without U, the default path's cached data is the packed genotype
+  // partitions; a 1-byte budget must spill and reload them.
+  const SpillTraffic traffic =
+      RunSoakCellTraffic(7, SoakCell{/*budget=*/1, true, 4, 64, false, false});
+  EXPECT_GT(traffic.spills, 0u);
+  EXPECT_GT(traffic.reloads, 0u);
+}
+
+TEST(SpillSoakMatrix, MidRunInjuryHitsFramesTheRunReloads) {
+  for (bool faithful : {false, true}) {
+    for (bool drop : {false, true}) {
+      SoakCell cell{/*budget=*/1, true, 4, 64, !drop, drop};
+      cell.faithful = faithful;
+      EXPECT_GT(RunSoakCellTraffic(7, cell).corrupt, 0u)
+          << SoakCellName(cell);
+    }
+  }
 }
 
 }  // namespace

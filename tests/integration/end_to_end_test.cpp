@@ -140,7 +140,9 @@ TEST(EndToEndTest, SkatOAndVariantScanSurviveNodeFailure) {
   }
   cluster::FaultInjector faults;
   engine::EngineContext ctx(LocalOptions(), &dfs, &faults);
-  faults.FailNodeAfterTasks(2, 30);
+  // 15 tasks: the weight collect, the observed score block and the one
+  // replicate batch, 5 partitions each; the node dies in the batch.
+  faults.FailNodeAfterTasks(2, 12);
   auto pipeline = core::SkatPipeline::Open(ctx, paths.value(), config);
   ASSERT_TRUE(pipeline.ok());
   const core::SkatOResult chaotic = core::RunResampling(pipeline.value(), {core::ResamplingMethod::kSkatO, 15}).skato;
@@ -198,16 +200,18 @@ TEST(EndToEndTest, ResultExportRoundTripsThroughDfs) {
 }
 
 TEST(EndToEndTest, MonteCarloReusesWorkAcrossReplicates) {
-  // The cached-U speedup (Fig 4/5): MC replicates must not recompute the
-  // genotype -> U lineage. Verified structurally via cache hit counts.
-  // With batching, each engine pass serves a whole batch, so the cached U
-  // is read once per batch (here 20 replicates / batch=4 = 5 batches)
-  // instead of once per replicate — strictly fewer reads, never a rebuild.
+  // The cached-U speedup (Fig 4/5): paper-faithful MC replicates must not
+  // recompute the genotype -> U lineage. Verified structurally via cache
+  // hit counts. With batching, each engine pass serves a whole batch, so
+  // the cached U is read once per batch (here 20 replicates / batch=4 = 5
+  // batches) instead of once per replicate — strictly fewer reads, never
+  // a rebuild.
   const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
   engine::EngineContext ctx(LocalOptions());
   core::PipelineConfig config;
   config.num_partitions = 4;
   config.resampling_batch_size = 4;
+  config.paper_faithful_scores = true;
   core::SkatPipeline pipeline =
       core::SkatPipeline::FromMemory(ctx, dataset, config);
   core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, 20}).scores;
@@ -216,6 +220,23 @@ TEST(EndToEndTest, MonteCarloReusesWorkAcrossReplicates) {
   // (both datasets are cached); >= 5 batches * partitions hits, and no
   // re-insertions (the lineage was never recomputed).
   EXPECT_EQ(stats.insertions, 8u);
+  EXPECT_GE(stats.hits, 20u);
+}
+
+TEST(EndToEndTest, MonteCarloWithoutUReusesCachedGenotypes) {
+  // The default Monte Carlo path never builds U: the observed pass and
+  // every batch score the cached packed genotype partitions, inserted
+  // once (4 partitions) and hit by each of the 5 batch passes.
+  const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
+  engine::EngineContext ctx(LocalOptions());
+  core::PipelineConfig config;
+  config.num_partitions = 4;
+  config.resampling_batch_size = 4;
+  core::SkatPipeline pipeline =
+      core::SkatPipeline::FromMemory(ctx, dataset, config);
+  core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, 20});
+  const auto stats = ctx.cache().stats();
+  EXPECT_EQ(stats.insertions, 4u);
   EXPECT_GE(stats.hits, 20u);
 }
 

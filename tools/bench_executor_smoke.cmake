@@ -24,7 +24,7 @@ set(trace "${OUT_DIR}/bench_executor_trace.json")
 execute_process(
   COMMAND "${BENCH}" "patients=60" "snps=200" "sets=20" "reps=1"
           "budget_iters=48" "batch=8" "prefetch=2" "io_threads=2"
-          "spill_async=1" "faithful=0" "trace=${trace}"
+          "spill_async=1" "faithful=1" "trace=${trace}"
           "metrics=${metrics}" "datapoint=${datapoint}"
   RESULT_VARIABLE run_result
   OUTPUT_QUIET

@@ -1,21 +1,30 @@
-# Driver for the perm_batch_smoke ctest: runs `sparkscore skat
-# method=perm` three times on the same small cohort — per-replicate
-# scheduling (batch=1), batched (batch=8), and batched over unpacked
-# genotypes (batch=8 pack=0) — each writing a run-metrics artifact, and
-# asserts with check_batch_equivalence.py that all three reached the same
-# `resampling.result_hash`: permutation score blocks are bitwise invariant
-# to the batch size and to the genotype storage format.
+# Driver for the perm_batch_smoke ctest: runs `sparkscore skat` on the
+# same small cohort for both genotype-scoring resampling methods — per-
+# replicate scheduling (batch=1), batched (batch=8), and batched over
+# unpacked genotypes (batch=8 pack=0) — for `method=perm` and
+# `method=mc`, plus `model=gaussian method=mc` at batch=1 and batch=8.
+# Each run writes a run-metrics artifact, and check_batch_equivalence.py
+# asserts that every batched run reached its batch=1 run's
+# `resampling.result_hash`: permutation and Monte Carlo score blocks are
+# bitwise invariant to the batch size and to the genotype storage format.
 # Invoked as:
 #   cmake -DSPARKSCORE=<sparkscore bin> -DPYTHON=<python3>
 #         -DCHECK=<check_batch_equivalence.py> -DOUT_DIR=<dir>
 #         -P perm_batch_smoke.cmake
 file(MAKE_DIRECTORY "${OUT_DIR}")
-set(study "method=perm" "patients=120" "snps=400" "sets=20" "reps=40")
+set(study "patients=120" "snps=400" "sets=20" "reps=40")
 
-set(runs "batch1" "batch8" "batch8_pack0")
-set(args_batch1 "batch=1")
-set(args_batch8 "batch=8")
-set(args_batch8_pack0 "batch=8" "pack=0")
+set(runs "perm_batch1" "perm_batch8" "perm_batch8_pack0"
+         "mc_batch1" "mc_batch8" "mc_batch8_pack0"
+         "gaussian_mc_batch1" "gaussian_mc_batch8")
+set(args_perm_batch1 "method=perm" "batch=1")
+set(args_perm_batch8 "method=perm" "batch=8")
+set(args_perm_batch8_pack0 "method=perm" "batch=8" "pack=0")
+set(args_mc_batch1 "method=mc" "batch=1")
+set(args_mc_batch8 "method=mc" "batch=8")
+set(args_mc_batch8_pack0 "method=mc" "batch=8" "pack=0")
+set(args_gaussian_mc_batch1 "model=gaussian" "method=mc" "batch=1")
+set(args_gaussian_mc_batch8 "model=gaussian" "method=mc" "batch=8")
 
 foreach(run ${runs})
   set(metrics_file "${OUT_DIR}/perm_batch_smoke.${run}.metrics.json")
@@ -30,15 +39,22 @@ foreach(run ${runs})
   endif()
 endforeach()
 
-foreach(run "batch8" "batch8_pack0")
+# Each batched run against the batch=1 run of the same method and model.
+set(pairs "perm_batch1:perm_batch8" "perm_batch1:perm_batch8_pack0"
+          "mc_batch1:mc_batch8" "mc_batch1:mc_batch8_pack0"
+          "gaussian_mc_batch1:gaussian_mc_batch8")
+foreach(pair ${pairs})
+  string(REPLACE ":" ";" pair_runs "${pair}")
+  list(GET pair_runs 0 reference)
+  list(GET pair_runs 1 run)
   execute_process(
     COMMAND "${PYTHON}" "${CHECK}"
-            "${OUT_DIR}/perm_batch_smoke.batch1.metrics.json"
+            "${OUT_DIR}/perm_batch_smoke.${reference}.metrics.json"
             "${OUT_DIR}/perm_batch_smoke.${run}.metrics.json"
     RESULT_VARIABLE check_result
   )
   if(NOT check_result EQUAL 0)
-    message(FATAL_ERROR
-            "permutation batch1 and ${run} runs disagree (exit ${check_result})")
+    message(FATAL_ERROR "${reference} and ${run} runs disagree "
+                        "(exit ${check_result})")
   endif()
 endforeach()

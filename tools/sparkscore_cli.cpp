@@ -10,7 +10,8 @@
 //   sparkscore selftest                  tiny end-to-end sanity run
 //
 // Common keys: patients, snps, sets, reps (B), seed, nodes, partitions,
-// method=mc|perm, model=cox|gaussian|binomial (scan/skat in-memory only),
+// method=mc|perm, model=cox|gaussian|binomial (gaussian: log survival
+// time, binomial: the event indicator; not with store=),
 // top (rows to print), stages=1 (print the per-stage run report),
 // export=<dfs path> (persist the result inside the run's DFS and echo it).
 //
@@ -34,6 +35,7 @@
 //                    stderr log verbosity (default error; the
 //                    SS_LOG_LEVEL environment variable also works)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -64,6 +66,29 @@ struct Study {
   std::unique_ptr<ss::core::SkatPipeline> pipeline;
   ss::simdata::SyntheticDataset dataset;
 };
+
+/// The phenotype model= stages: `cox` (the default) is the cohort's
+/// survival table; `gaussian` and `binomial` derive a trait from it — log
+/// survival time as a quantitative trait, the event indicator as a binary
+/// one — so every score model runs end to end on the same cohort.
+ss::stats::Phenotype StudyPhenotype(
+    const std::string& model, const ss::simdata::SyntheticDataset& dataset) {
+  const ss::stats::SurvivalData& survival = dataset.survival;
+  if (model == "cox") return ss::stats::Phenotype::Cox(survival);
+  if (model == "gaussian") {
+    ss::stats::QuantitativeData trait;
+    for (double time : survival.time) trait.value.push_back(std::log(time));
+    return ss::stats::Phenotype::Gaussian(std::move(trait));
+  }
+  if (model == "binomial") {
+    ss::stats::BinaryData trait;
+    trait.value = survival.event;
+    return ss::stats::Phenotype::Binomial(std::move(trait));
+  }
+  throw ss::StatusError(ss::Status(
+      ss::StatusCode::kInvalidArgument,
+      "model must be cox|gaussian|binomial, got '" + model + "'"));
+}
 
 Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   Study study;
@@ -116,6 +141,7 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   // bitwise identical either way; only cache/spill bytes change).
   config.pack_genotypes = args.GetU64("pack", 1) != 0;
 
+  const std::string model = args.GetStr("model", "cox");
   const std::string store_path = args.GetStr("store", "");
   if (!store_path.empty()) {
     // Out-of-core path: open (or stage once, then open) the mmap'd
@@ -127,6 +153,11 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
       throw ss::StatusError(
           ss::Status(ss::StatusCode::kInvalidArgument,
                      "store= is supported by skat/skato only"));
+    }
+    if (model != "cox") {
+      throw ss::StatusError(
+          ss::Status(ss::StatusCode::kInvalidArgument,
+                     "store= stages the Cox phenotype only; drop model="));
     }
     const std::uint64_t fingerprint = ss::simdata::StoreFingerprint(generator);
     auto pipeline = ss::core::SkatPipeline::OpenFromStore(
@@ -154,7 +185,12 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
 
   study.dataset = ss::simdata::Generate(generator);
   const auto paths = ss::simdata::StudyPaths::Under("/study");
-  ss::Status staged = ss::simdata::WriteStudy(*study.dfs, paths, study.dataset);
+  ss::Status staged =
+      model == "cox"
+          ? ss::simdata::WriteStudy(*study.dfs, paths, study.dataset)
+          : ss::simdata::WriteStudyWithPhenotype(
+                *study.dfs, paths, study.dataset,
+                StudyPhenotype(model, study.dataset));
   if (!staged.ok()) throw ss::StatusError(staged);
 
   auto pipeline = ss::core::SkatPipeline::Open(*study.ctx, paths, config);
@@ -317,7 +353,7 @@ int RunScan(const CliArgs& args) {
       ss::engine::Parallelize(
           *study.ctx, records,
           static_cast<std::uint32_t>(args.GetU64("partitions", 8))),
-      ss::stats::Phenotype::Cox(study.dataset.survival), config);
+      study.pipeline->phenotype(), config);
   std::printf("variant scan with B=%llu finished in %.2fs\n",
               static_cast<unsigned long long>(config.replicates),
               stopwatch.ElapsedSeconds());
