@@ -1,9 +1,14 @@
 // bench_kernels — microbenchmark for the runtime-dispatched SIMD kernels
 // (src/stats/kernels): batched Monte Carlo MAC, Cox score scan, SKAT
-// folds, and 2-bit genotype pack/unpack, timed at every dispatch level
-// this CPU can execute. Cross-level outputs are verified bitwise equal
-// while timing, so the speedup numbers are guaranteed to compare
-// identical computations.
+// folds, the sparse genotype MAC, and 2-bit genotype pack/unpack, timed
+// at every dispatch level this CPU can execute. Cross-level outputs are
+// verified bitwise equal while timing, so the speedup numbers are
+// guaranteed to compare identical computations; the sparse MAC is also
+// verified bitwise equal to the dense MAC on the widened dosages.
+//
+// The sparse row scores `snps` SNPs with generator-like density (per-SNP
+// allele frequency ~ U(0.05, 0.5), binomial dosages; ~46% non-zero)
+// against one coefficient block, once densely and once sparsely.
 //
 // Keys: patients= count= iters= snps= seed= out=<json path>
 // `out=` writes a BENCH_kernels.json datapoint consumed by
@@ -19,6 +24,7 @@
 #include "bench_common.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/kernels/packed_genotype.hpp"
+#include "support/distributions.hpp"
 
 namespace ss::bench {
 namespace {
@@ -44,6 +50,18 @@ struct LevelTiming {
   double mac_seconds = 0.0;
   double cox_seconds = 0.0;
   double fold_seconds = 0.0;
+  // Per SNP, over the generator-like genotypes.
+  double dense_snp_seconds = 0.0;
+  double sparse_snp_seconds = 0.0;
+};
+
+/// One SNP as both MAC inputs: the dosages widened to doubles (dense)
+/// and its non-zero runs (sparse).
+struct SparseSnp {
+  std::vector<double> widened;
+  std::vector<std::uint32_t> index;
+  std::vector<std::uint8_t> dosage;
+  std::size_t nnz = 0;
 };
 
 int Run(int argc, char** argv) {
@@ -81,11 +99,30 @@ int Run(int argc, char** argv) {
     prefix[i + 1] = prefix[i] + static_cast<double>(genotypes[i]);
   }
 
+  std::vector<SparseSnp> sparse_snps(num_snps);
+  std::uint64_t nonzero = 0;
+  for (SparseSnp& snp : sparse_snps) {
+    const double maf = 0.05 + 0.45 * rng.NextDouble();
+    std::vector<std::uint8_t> dosages(n);
+    for (auto& d : dosages) {
+      d = static_cast<std::uint8_t>(SampleBinomial(rng, 2, maf));
+    }
+    snp.widened.assign(dosages.begin(), dosages.end());
+    snp.nnz = stats::CompactNonZero(dosages, &snp.index, &snp.dosage);
+    nonzero += snp.nnz;
+  }
+  const double density =
+      num_snps * n == 0 ? 0.0
+                        : static_cast<double>(nonzero) /
+                              static_cast<double>(num_snps * n);
+
   const int best = static_cast<int>(stats::kernels::BestSupportedLevel());
   std::vector<LevelTiming> timings;
   std::vector<double> mac_reference;
   std::vector<double> cox_reference;
+  std::vector<double> sparse_reference;
   bool bitwise_ok = true;
+  bool sparse_bitwise_ok = true;
 
   for (int level = 0; level <= best; ++level) {
     const stats::kernels::KernelTable& table =
@@ -127,13 +164,55 @@ int Run(int argc, char** argv) {
         }) /
         iters;
 
+    // One pass over every SNP per sample; the per-SNP outputs of the last
+    // pass are kept for the bitwise checks. Dense and sparse samples
+    // alternate, so host drift during the row hits both sides alike.
+    std::vector<double> dense_out(num_snps * count);
+    std::vector<double> sparse_out(num_snps * count);
+    const auto dense_pass = [&]() {
+      for (std::size_t j = 0; j < num_snps; ++j) {
+        table.batched_mac(sparse_snps[j].widened.data(), n, zblock.data(),
+                          count, dense_out.data() + j * count);
+      }
+    };
+    const auto sparse_pass = [&]() {
+      for (std::size_t j = 0; j < num_snps; ++j) {
+        const SparseSnp& snp = sparse_snps[j];
+        table.sparse_mac(snp.index.data(), snp.dosage.data(), snp.nnz,
+                         zblock.data(), count, sparse_out.data() + j * count);
+      }
+    };
+    timing.dense_snp_seconds = TimeOnce(dense_pass);
+    timing.sparse_snp_seconds = TimeOnce(sparse_pass);
+    for (int sample = 1; sample < 7; ++sample) {
+      timing.dense_snp_seconds =
+          std::min(timing.dense_snp_seconds, TimeOnce(dense_pass));
+      timing.sparse_snp_seconds =
+          std::min(timing.sparse_snp_seconds, TimeOnce(sparse_pass));
+    }
+    if (num_snps > 0) {
+      timing.dense_snp_seconds /= static_cast<double>(num_snps);
+      timing.sparse_snp_seconds /= static_cast<double>(num_snps);
+    }
+    if (!BitEqual(sparse_out, dense_out)) {
+      sparse_bitwise_ok = false;
+      std::fprintf(stderr, "SPARSE/DENSE MISMATCH at level %s\n", timing.name);
+    }
+
     if (level == 0) {
       mac_reference = mac_out;
       cox_reference = cox_out;
-    } else if (!BitEqual(mac_out, mac_reference) ||
-               !BitEqual(cox_out, cox_reference)) {
-      bitwise_ok = false;
-      std::fprintf(stderr, "BITWISE MISMATCH at level %s\n", timing.name);
+      sparse_reference = sparse_out;
+    } else {
+      if (!BitEqual(mac_out, mac_reference) ||
+          !BitEqual(cox_out, cox_reference)) {
+        bitwise_ok = false;
+        std::fprintf(stderr, "BITWISE MISMATCH at level %s\n", timing.name);
+      }
+      if (!BitEqual(sparse_out, sparse_reference)) {
+        sparse_bitwise_ok = false;
+        std::fprintf(stderr, "SPARSE MISMATCH at level %s\n", timing.name);
+      }
     }
     timings.push_back(timing);
   }
@@ -163,6 +242,14 @@ int Run(int argc, char** argv) {
       allele_sink += scratch.back();
     }
   });
+  std::vector<std::uint32_t> run_index;
+  std::vector<std::uint8_t> run_dosage;
+  if (!blocks.empty()) blocks.front().NonZeroInto(&run_index, &run_dosage);
+  const double nonzero_seconds = TimeOnce([&]() {
+    for (const auto& block : blocks) {
+      allele_sink += block.NonZeroInto(&run_index, &run_dosage);
+    }
+  });
 
   Table table("Per-call kernel timings (seconds, lower is better)",
               {"level", "batched MAC", "Cox scan", "SKAT fold", "MAC speedup"});
@@ -173,16 +260,35 @@ int Run(int argc, char** argv) {
                   Table::Num(scalar_mac / t.mac_seconds, 2) + "x"});
   }
   table.Print();
+
+  char sparse_title[160];
+  std::snprintf(sparse_title, sizeof(sparse_title),
+                "Per-SNP genotype MAC, %.1f%% non-zero (seconds, lower is "
+                "better)",
+                100.0 * density);
+  Table sparse_table(sparse_title,
+                     {"level", "dense MAC", "sparse MAC", "sparse speedup"});
+  for (const LevelTiming& t : timings) {
+    sparse_table.AddRow({t.name, Table::Num(t.dense_snp_seconds, 7),
+                         Table::Num(t.sparse_snp_seconds, 7),
+                         Table::Num(t.dense_snp_seconds /
+                                        t.sparse_snp_seconds,
+                                    2) +
+                             "x"});
+  }
+  sparse_table.Print();
   std::printf("  genotype packing: %llu -> %llu bytes (%.2fx), pack %.4fs, "
-              "unpack %.4fs (allele sink %llu)\n",
+              "unpack %.4fs, non-zero decode %.4fs (allele sink %llu)\n",
               static_cast<unsigned long long>(unpacked_bytes),
               static_cast<unsigned long long>(packed_bytes),
               static_cast<double>(unpacked_bytes) /
                   static_cast<double>(packed_bytes),
-              pack_seconds, unpack_seconds,
+              pack_seconds, unpack_seconds, nonzero_seconds,
               static_cast<unsigned long long>(allele_sink));
   std::printf("  bitwise cross-level check: %s\n",
               bitwise_ok ? "identical" : "MISMATCH");
+  std::printf("  bitwise sparse-vs-dense check: %s\n",
+              sparse_bitwise_ok ? "identical" : "MISMATCH");
 
 #if defined(__OPTIMIZE__)
   const bool optimized = true;
@@ -207,33 +313,39 @@ int Run(int argc, char** argv) {
     std::fprintf(out,
                  "{\"bench\":\"bench_kernels\",\"patients\":%zu,\"count\":%zu,"
                  "\"iters\":%d,\"snps\":%zu,\"optimized\":%s,\"sanitized\":%s,"
-                 "\"bitwise_identical\":%s,\"best_level\":\"%s\",\"levels\":{",
+                 "\"bitwise_identical\":%s,\"sparse_bitwise_identical\":%s,"
+                 "\"sparse_density\":%.4f,\"best_level\":\"%s\",\"levels\":{",
                  n, count, iters, num_snps, optimized ? "true" : "false",
                  sanitized ? "true" : "false", bitwise_ok ? "true" : "false",
+                 sparse_bitwise_ok ? "true" : "false", density,
                  timings.back().name);
     for (std::size_t i = 0; i < timings.size(); ++i) {
       const LevelTiming& t = timings[i];
       std::fprintf(out,
                    "%s\"%s\":{\"mac_seconds\":%.9f,\"cox_seconds\":%.9f,"
-                   "\"fold_seconds\":%.9f,\"mac_speedup\":%.4f}",
+                   "\"fold_seconds\":%.9f,\"mac_speedup\":%.4f,"
+                   "\"dense_snp_seconds\":%.9f,\"sparse_snp_seconds\":%.9f,"
+                   "\"sparse_speedup\":%.4f}",
                    i == 0 ? "" : ",", t.name, t.mac_seconds, t.cox_seconds,
-                   t.fold_seconds, scalar_mac / t.mac_seconds);
+                   t.fold_seconds, scalar_mac / t.mac_seconds,
+                   t.dense_snp_seconds, t.sparse_snp_seconds,
+                   t.dense_snp_seconds / t.sparse_snp_seconds);
     }
     std::fprintf(out,
                  "},\"pack\":{\"unpacked_bytes\":%llu,\"packed_bytes\":%llu,"
-                 "\"ratio\":%.4f,\"pack_seconds\":%.6f,\"unpack_seconds\":%.6f}"
-                 "}\n",
+                 "\"ratio\":%.4f,\"pack_seconds\":%.6f,\"unpack_seconds\":%.6f,"
+                 "\"nonzero_seconds\":%.6f}}\n",
                  static_cast<unsigned long long>(unpacked_bytes),
                  static_cast<unsigned long long>(packed_bytes),
                  static_cast<double>(unpacked_bytes) /
                      static_cast<double>(packed_bytes),
-                 pack_seconds, unpack_seconds);
+                 pack_seconds, unpack_seconds, nonzero_seconds);
     std::fclose(out);
     std::printf("datapoint written to %s\n", out_path.c_str());
   }
 
   args.WarnUnknownKeys("bench_kernels");
-  return bitwise_ok ? 0 : 1;
+  return bitwise_ok && sparse_bitwise_ok ? 0 : 1;
 }
 
 }  // namespace

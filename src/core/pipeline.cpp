@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
 #include "core/store_source.hpp"
@@ -156,28 +155,33 @@ std::unordered_map<std::uint32_t, std::vector<double>> CollectScoreBlock(
 
 struct NoScratch {};
 
+/// One SNP's non-zero genotypes (NonZeroInto / CompactNonZero runs).
 struct GenotypeScratch {
-  std::vector<std::uint8_t> dosages;
-  std::vector<double> widened;
+  std::vector<std::uint32_t> index;
+  std::vector<std::uint8_t> dosage;
 };
 
-/// out[r] = Σ_i G_i · vblock[i*count + r]. When the block's columns sum to
-/// zero exactly (`zero_sum_columns`), a constant column scores exactly 0,
-/// its exact value: Σ_l c·V_l would instead leave rounding noise that
-/// decides its exceedances by coin flip. Otherwise it is scored like any
-/// other column, as the U path scores it.
-void GenotypeScores(const std::vector<std::uint8_t>& dosages,
-                    const double* vblock, std::size_t count,
-                    bool zero_sum_columns, std::vector<double>* widened,
-                    std::vector<double>* out) {
-  if (zero_sum_columns &&
-      std::adjacent_find(dosages.begin(), dosages.end(),
-                         std::not_equal_to<>()) == dosages.end()) {
+/// out[r] = Σ_i G_i · vblock[i*count + r], scored over the `nnz` non-zero
+/// genotypes in `runs` of a SNP with `n` patients. The sparse kernel is
+/// bitwise equal to the dense MAC over all n (docs/KERNELS.md). When the
+/// block's columns sum to zero exactly (`zero_sum_columns`), a constant
+/// column scores exactly 0, its exact value: Σ_l c·V_l would instead
+/// leave rounding noise that decides its exceedances by coin flip. An
+/// all-zero column (nnz = 0) scores +0 either way. Otherwise a column is
+/// scored like any other, as the U path scores it.
+void GenotypeScores(const GenotypeScratch& runs, std::size_t nnz,
+                    std::size_t n, const double* vblock, std::size_t count,
+                    bool zero_sum_columns, std::vector<double>* out) {
+  const std::uint8_t* d = runs.dosage.data();
+  if (zero_sum_columns && nnz == n &&
+      std::all_of(d, d + nnz, [d](std::uint8_t x) { return x == d[0]; })) {
     out->assign(count, 0.0);
     return;
   }
-  widened->assign(dosages.begin(), dosages.end());
-  stats::BatchedReplicateScores(*widened, vblock, count, out);
+  out->resize(count);
+  stats::kernels::ActiveKernels().sparse_mac(runs.index.data(),
+                                             runs.dosage.data(), nnz, vblock,
+                                             count, out->data());
 }
 
 }  // namespace
@@ -547,21 +551,23 @@ SkatPipeline::ComputeGenotypeScoreBlock(
                          "genotype score block",
                          {engine::Arg("replicates", count)});
   auto v = engine::MakeBroadcast(*ctx_, vblock);
+  // The non-zero decode is profiled as decode time (untraced like
+  // BuildU's unpack: one span per record would flood the trace).
   if (config_.pack_genotypes) {
     return CollectScoreBlock<GenotypeScratch>(
         fgm_packed_, std::move(live_snps),
         [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
                                      GenotypeScratch* scratch,
                                      std::vector<double>* scores) {
+          std::size_t nnz = 0;
           {
-            // Untraced like BuildU's unpack: one span per record would
-            // flood the trace.
             ss::engine::PhaseTimer decode_phase(
                 ss::engine::TaskPhase::kDecode, /*trace=*/false);
-            record.genotypes.UnpackInto(&scratch->dosages);
+            nnz = record.genotypes.NonZeroInto(&scratch->index,
+                                               &scratch->dosage);
           }
-          GenotypeScores(scratch->dosages, v->data(), count, zero_sum_columns,
-                         &scratch->widened, scores);
+          GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
+                         count, zero_sum_columns, scores);
         });
   }
   return CollectScoreBlock<GenotypeScratch>(
@@ -569,8 +575,15 @@ SkatPipeline::ComputeGenotypeScoreBlock(
       [v, count, zero_sum_columns](const SnpRecord& record,
                                    GenotypeScratch* scratch,
                                    std::vector<double>* scores) {
-        GenotypeScores(record.genotypes, v->data(), count, zero_sum_columns,
-                       &scratch->widened, scores);
+        std::size_t nnz = 0;
+        {
+          ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
+                                              /*trace=*/false);
+          nnz = stats::CompactNonZero(record.genotypes, &scratch->index,
+                                      &scratch->dosage);
+        }
+        GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
+                       count, zero_sum_columns, scores);
       });
 }
 

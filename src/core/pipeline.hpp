@@ -178,8 +178,10 @@ class SkatPipeline {
   /// (stats::PermutedCoefficientBlock) or Monte Carlo V(z) ones
   /// (stats::MonteCarloCoefficientBlock); count 1 with the unpermuted
   /// coefficients gives the observed scores. One engine pass over the
-  /// cached genotype partitions — packed ones are unpacked per SNP —
-  /// with the same blocked kernel, live-SNP filter and collect as
+  /// cached genotype partitions: each SNP is decoded into its non-zero
+  /// (patient, dosage) runs and scored by the sparse kernel
+  /// (kernels::KernelTable::sparse_mac), bitwise equal to the dense MAC
+  /// over all patients; live-SNP filter and collect as in
   /// ComputeMonteCarloScoreBlock. `zero_sum_columns` says every column
   /// of the block sums to zero exactly (permutation blocks, Cox V(z)
   /// blocks, the observed v); a constant genotype column then scores

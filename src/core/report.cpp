@@ -11,16 +11,21 @@ namespace ss::core {
 
 std::string FormatTopHits(const ResamplingResult& result, std::size_t top_k) {
   Table table("Top SNP-sets by empirical p-value",
-              {"rank", "set", "S_k (observed)", "exceed/B", "p-value"});
+              {"rank", "set", "S_k (observed)", "exceed/reps", "p-value"});
   const auto ranked = result.RankedPValues();
   const std::size_t rows = std::min(top_k, ranked.size());
   for (std::size_t r = 0; r < rows; ++r) {
     const auto [set_id, pvalue] = ranked[r];
     const std::uint64_t count =
         result.exceed.count(set_id) ? result.exceed.at(set_id) : 0;
+    // Adaptive sets count over the replicates they consumed, not B.
+    const auto info = result.inference.find(set_id);
+    const std::uint64_t used = info == result.inference.end()
+                                   ? result.replicates
+                                   : info->second.replicates_used;
     table.AddRow({std::to_string(r + 1), std::to_string(set_id),
                   Table::Num(result.observed.at(set_id), 4),
-                  std::to_string(count) + "/" + std::to_string(result.replicates),
+                  std::to_string(count) + "/" + std::to_string(used),
                   Table::Num(pvalue, 5)});
   }
   return table.ToString();

@@ -22,10 +22,11 @@
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
 // pass — an n×R block is broadcast and a blocked multiply-accumulate
-// kernel (stats::BatchedReplicateScores) computes every replicate's
-// per-SNP scores: V(z) or permuted coefficients against the cached
-// genotype partitions, or (paper-faithful Monte Carlo) Z multipliers
-// against the cached U partitions. The per-set folds then run
+// kernel computes every replicate's per-SNP scores: V(z) or permuted
+// coefficients against the non-zero genotypes of the cached genotype
+// partitions (kernels::KernelTable::sparse_mac), or (paper-faithful
+// Monte Carlo) Z multipliers against the cached U partitions
+// (stats::BatchedReplicateScores). The per-set folds then run
 // driver-side in the serial oracle's canonical accumulation order.
 // Results are bitwise invariant to the batch size, the thread count,
 // packing and the partitioning. The Monte Carlo ResamplingResult is

@@ -43,6 +43,41 @@ void BatchedMacScalar(const double* u, std::size_t n, const double* zblock,
   }
 }
 
+void SparseMacScalar(const std::uint32_t* index, const std::uint8_t* dosage,
+                     std::size_t nnz, const double* vblock, std::size_t count,
+                     double* out) {
+  // BatchedMacScalar's blocking, walking only the listed patients. The
+  // dosage is converted exactly and multiplied (not added d times), so
+  // any 8-bit dosage, not just 0..3, keeps the dense kernel's product.
+  std::size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      const double* z = vblock + std::size_t{index[k]} * count + r;
+      const double d = static_cast<double>(dosage[k]);
+      acc0 += z[0] * d;
+      acc1 += z[1] * d;
+      acc2 += z[2] * d;
+      acc3 += z[3] * d;
+    }
+    out[r + 0] = acc0;
+    out[r + 1] = acc1;
+    out[r + 2] = acc2;
+    out[r + 3] = acc3;
+  }
+  for (; r < count; ++r) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      acc += vblock[std::size_t{index[k]} * count + r] *
+             static_cast<double>(dosage[k]);
+    }
+    out[r] = acc;
+  }
+}
+
 void CoxScanScalar(const std::uint8_t* event, const std::uint8_t* genotypes,
                    const double* prefix, const std::uint32_t* prefix_end,
                    std::size_t n, double* out) {
@@ -76,10 +111,11 @@ void SkatBurdenFoldScalar(const double* scores, std::size_t count,
 }
 
 const KernelTable kScalarTable = {
-    &BatchedMacScalar,
-    &CoxScanScalar,
-    &SkatFoldScalar,
-    &SkatBurdenFoldScalar,
+    .batched_mac = &BatchedMacScalar,
+    .sparse_mac = &SparseMacScalar,
+    .cox_scan = &CoxScanScalar,
+    .skat_fold = &SkatFoldScalar,
+    .skat_burden_fold = &SkatBurdenFoldScalar,
 };
 
 }  // namespace internal

@@ -1,8 +1,9 @@
 // Runtime-dispatched compute kernels for the resampling hot paths.
 //
-// The three loops that dominate resampling wall-clock — the batched Monte
-// Carlo multiply-accumulate, the Cox score contribution scan, and the
-// per-set SKAT weighted folds — are routed through a function-pointer
+// The loops that dominate resampling wall-clock — the batched replicate
+// multiply-accumulate (dense over per-patient values, and sparse over
+// non-zero genotypes), the Cox score contribution scan, and the per-set
+// SKAT weighted folds — are routed through a function-pointer
 // table selected once per process from the best instruction set the CPU
 // supports (scalar / SSE2 / AVX2). Every SIMD variant preserves the
 // scalar kernel's per-element accumulation order bit for bit: lanes map
@@ -58,6 +59,18 @@ struct KernelTable {
   using BatchedMacFn = void (*)(const double* u, std::size_t n,
                                 const double* zblock, std::size_t count,
                                 double* out);
+  /// Sparse form of `batched_mac` for integer dosages:
+  ///   out[r] = sum_k dosage[k] * vblock[index[k]*count + r],
+  /// summed in ascending k per replicate, with `index` strictly
+  /// ascending. With `index`/`dosage` the non-zero entries of a dosage
+  /// vector g and finite `vblock`, the output is bitwise equal to
+  /// `batched_mac` on g widened to doubles: each accumulator starts at
+  /// +0 and adds products without fusing, so a skipped G=0 term (±0)
+  /// could never have moved it (docs/KERNELS.md).
+  using SparseMacFn = void (*)(const std::uint32_t* index,
+                               const std::uint8_t* dosage, std::size_t nnz,
+                               const double* vblock, std::size_t count,
+                               double* out);
   /// Cox score contribution scan: for each patient i (sorted-time order
   /// arrays as produced by RiskSetIndex),
   ///   out[i] = event[i] ? genotypes[i] - prefix[prefix_end[i]] /
@@ -79,6 +92,7 @@ struct KernelTable {
                                     double* skat, double* burden);
 
   BatchedMacFn batched_mac = nullptr;
+  SparseMacFn sparse_mac = nullptr;
   CoxScanFn cox_scan = nullptr;
   SkatFoldFn skat_fold = nullptr;
   SkatBurdenFoldFn skat_burden_fold = nullptr;

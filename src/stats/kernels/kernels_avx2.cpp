@@ -59,6 +59,46 @@ void BatchedMacAvx2(const double* u, std::size_t n, const double* zblock,
   }
 }
 
+void SparseMacAvx2(const std::uint32_t* index, const std::uint8_t* dosage,
+                   std::size_t nnz, const double* vblock, std::size_t count,
+                   double* out) {
+  // BatchedMacAvx2's 16/4-lane replicate blocks over the listed patients
+  // only: one broadcast of the exactly converted dosage, then contiguous
+  // loads of that patient's replicate lanes.
+  std::size_t r = 0;
+  for (; r + 16 <= count; r += 16) {
+    __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                      _mm256_setzero_pd(), _mm256_setzero_pd()};
+    for (std::size_t k = 0; k < nnz; ++k) {
+      const double* z = vblock + std::size_t{index[k]} * count + r;
+      const __m256d d = _mm256_set1_pd(static_cast<double>(dosage[k]));
+      for (int g = 0; g < 4; ++g) {
+        acc[g] = _mm256_add_pd(acc[g],
+                               _mm256_mul_pd(_mm256_loadu_pd(z + 4 * g), d));
+      }
+    }
+    for (int g = 0; g < 4; ++g) _mm256_storeu_pd(out + r + 4 * g, acc[g]);
+  }
+  for (; r + 4 <= count; r += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < nnz; ++k) {
+      const double* z = vblock + std::size_t{index[k]} * count + r;
+      acc = _mm256_add_pd(
+          acc, _mm256_mul_pd(_mm256_loadu_pd(z),
+                             _mm256_set1_pd(static_cast<double>(dosage[k]))));
+    }
+    _mm256_storeu_pd(out + r, acc);
+  }
+  for (; r < count; ++r) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      acc += vblock[std::size_t{index[k]} * count + r] *
+             static_cast<double>(dosage[k]);
+    }
+    out[r] = acc;
+  }
+}
+
 void CoxScanAvx2(const std::uint8_t* event, const std::uint8_t* genotypes,
                  const double* prefix, const std::uint32_t* prefix_end,
                  std::size_t n, double* out) {
@@ -129,10 +169,11 @@ void SkatBurdenFoldAvx2(const double* scores, std::size_t count, double weight,
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    &BatchedMacAvx2,
-    &CoxScanAvx2,
-    &SkatFoldAvx2,
-    &SkatBurdenFoldAvx2,
+    .batched_mac = &BatchedMacAvx2,
+    .sparse_mac = &SparseMacAvx2,
+    .cox_scan = &CoxScanAvx2,
+    .skat_fold = &SkatFoldAvx2,
+    .skat_burden_fold = &SkatBurdenFoldAvx2,
 };
 
 }  // namespace ss::stats::kernels::internal

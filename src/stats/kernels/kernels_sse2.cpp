@@ -107,11 +107,14 @@ void SkatBurdenFoldSse2(const double* scores, std::size_t count, double weight,
 
 }  // namespace
 
+// The SSE2 tier gets no sparse kernel of its own: the tier is slated for
+// removal, so it reuses the scalar reference.
 const KernelTable kSse2Table = {
-    &BatchedMacSse2,
-    &CoxScanSse2,
-    &SkatFoldSse2,
-    &SkatBurdenFoldSse2,
+    .batched_mac = &BatchedMacSse2,
+    .sparse_mac = &SparseMacScalar,
+    .cox_scan = &CoxScanSse2,
+    .skat_fold = &SkatFoldSse2,
+    .skat_burden_fold = &SkatBurdenFoldSse2,
 };
 
 }  // namespace ss::stats::kernels::internal

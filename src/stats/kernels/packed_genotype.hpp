@@ -39,6 +39,14 @@ class PackedGenotypeBlock {
   std::vector<std::uint8_t> Unpack() const;
   void UnpackInto(std::vector<std::uint8_t>* out) const;
 
+  /// Lists the non-zero dosages in ascending patient order: for
+  /// k < the returned count, patient (*index)[k] has dosage (*dosage)[k].
+  /// Packed blocks decode straight from the 2-bit crumbs through a LUT,
+  /// with no byte unpack. Both buffers are grown as needed and reused
+  /// across calls; entries past the returned count are scratch.
+  std::size_t NonZeroInto(std::vector<std::uint32_t>* index,
+                          std::vector<std::uint8_t>* dosage) const;
+
   /// Sum of all dosages. On packed blocks this is a popcount reduction
   /// over 64-bit words rather than a decode loop.
   std::uint64_t AlleleCount() const;
@@ -50,6 +58,11 @@ class PackedGenotypeBlock {
   bool packed_ = true;
   std::vector<std::uint8_t> payload_;
 };
+
+/// NonZeroInto for an unpacked dosage vector (branchless compaction).
+std::size_t CompactNonZero(const std::vector<std::uint8_t>& dosages,
+                           std::vector<std::uint32_t>* index,
+                           std::vector<std::uint8_t>* dosage);
 
 /// Packed counterpart of `simdata::SnpRecord`: the storage format for
 /// genotype partitions in the cache and spill tier.

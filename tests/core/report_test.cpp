@@ -24,6 +24,27 @@ TEST(ReportTest, TopHitsOrderedByPValue) {
   EXPECT_LT(pos2, pos0);
 }
 
+TEST(ReportTest, TopHitsCountAdaptiveSetsOverReplicatesUsed) {
+  // A hybrid run with B=500: set 0 was screened out (no replicates), set
+  // 1 stopped early after 40, set 2 was refined through all 500.
+  ResamplingResult result;
+  result.replicates = 500;
+  result.early_stop_h = 9;
+  result.observed = {{0, 1.5}, {1, 20.0}, {2, 80.0}};
+  result.exceed = {{0, 0}, {1, 9}, {2, 3}};
+  result.inference[0] = {.analytic_p = 0.91, .replicates_used = 0};
+  result.inference[1] = {.analytic_p = 0.05, .replicates_used = 40,
+                         .early_stopped = true, .refined = true};
+  result.inference[2] = {.analytic_p = 0.004, .replicates_used = 500,
+                         .refined = true};
+  const std::string table = FormatTopHits(result, 3);
+  EXPECT_NE(table.find(" 0/0 "), std::string::npos) << table;
+  EXPECT_NE(table.find(" 9/40 "), std::string::npos) << table;
+  EXPECT_NE(table.find(" 3/500 "), std::string::npos) << table;
+  EXPECT_EQ(table.find(" 0/500 "), std::string::npos) << table;
+  EXPECT_EQ(table.find(" 9/500 "), std::string::npos) << table;
+}
+
 TEST(ReportTest, SummaryNamesBestSet) {
   const std::string summary = SummarizeResult(SampleResult());
   EXPECT_NE(summary.find("best set 2"), std::string::npos);

@@ -62,18 +62,17 @@ ResamplingResult RunMonteCarlo(std::size_t threads, std::uint64_t replicates,
       .scores;
 }
 
-ResamplingResult RunMonteCarloConfigured(std::size_t threads,
-                                         std::uint64_t batch, bool pack,
-                                         std::uint64_t replicates,
-                                         const simdata::SyntheticDataset& dataset) {
+ResamplingResult RunConfigured(ResamplingMethod method, std::size_t threads,
+                               std::uint64_t batch, bool pack,
+                               std::uint64_t replicates,
+                               const simdata::SyntheticDataset& dataset) {
   engine::EngineContext ctx(OptionsWithThreads(threads));
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = batch;
   config.pack_genotypes = pack;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  return RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, replicates})
-      .scores;
+  return RunResampling(pipeline, {method, replicates}).scores;
 }
 
 ResamplingResult RunPermutation(std::size_t threads, std::uint64_t replicates,
@@ -136,7 +135,8 @@ TEST(DeterminismTest, PackedGenotypesIdenticalAcrossThreadsAndBatches) {
   // byte-identical to the unpacked single-thread per-replicate run.
   const simdata::SyntheticDataset dataset = FixedDataset();
   const ResamplingResult reference =
-      RunMonteCarloConfigured(1, 1, /*pack=*/false, 20, dataset);
+      RunConfigured(ResamplingMethod::kMonteCarlo, 1, 1, /*pack=*/false, 20,
+                    dataset);
   for (std::size_t threads : {1u, 4u}) {
     for (std::uint64_t batch : {1u, 64u}) {
       for (bool pack : {false, true}) {
@@ -144,7 +144,8 @@ TEST(DeterminismTest, PackedGenotypesIdenticalAcrossThreadsAndBatches) {
                      std::to_string(batch) + " pack=" + std::to_string(pack));
         ExpectByteIdentical(
             reference,
-            RunMonteCarloConfigured(threads, batch, pack, 20, dataset));
+            RunConfigured(ResamplingMethod::kMonteCarlo, threads, batch,
+                          pack, 20, dataset));
       }
     }
   }
@@ -153,19 +154,35 @@ TEST(DeterminismTest, PackedGenotypesIdenticalAcrossThreadsAndBatches) {
 TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
   // SIMD kernels keep the scalar lane/accumulation order, so forcing any
   // executable dispatch level must reproduce the scalar run bit-for-bit.
+  // Both methods and both genotype paths are covered; batch 4 runs the
+  // 4-lane replicate blocks, and batch 64 (one 20-replicate block) also
+  // runs the 16-lane block.
   const simdata::SyntheticDataset dataset = FixedDataset();
   const stats::kernels::DispatchLevel saved =
       stats::kernels::ActiveDispatchLevel();
-  stats::kernels::SetDispatchLevel(stats::kernels::DispatchLevel::kScalar);
-  const ResamplingResult scalar = RunMonteCarloConfigured(4, 4, true, 20, dataset);
   const int best = static_cast<int>(stats::kernels::BestSupportedLevel());
-  for (int level = 1; level <= best; ++level) {
-    stats::kernels::SetDispatchLevel(
-        static_cast<stats::kernels::DispatchLevel>(level));
-    SCOPED_TRACE(std::string("level=") + stats::kernels::DispatchLevelName(
-                     stats::kernels::ActiveDispatchLevel()));
-    ExpectByteIdentical(scalar,
-                        RunMonteCarloConfigured(4, 4, true, 20, dataset));
+  for (ResamplingMethod method :
+       {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
+    for (bool pack : {false, true}) {
+      for (std::uint64_t batch : {4u, 64u}) {
+        SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
+                     " pack=" + std::to_string(pack) +
+                     " batch=" + std::to_string(batch));
+        stats::kernels::SetDispatchLevel(
+            stats::kernels::DispatchLevel::kScalar);
+        const ResamplingResult scalar =
+            RunConfigured(method, 4, batch, pack, 20, dataset);
+        for (int level = 1; level <= best; ++level) {
+          stats::kernels::SetDispatchLevel(
+              static_cast<stats::kernels::DispatchLevel>(level));
+          SCOPED_TRACE(std::string("level=") +
+                       stats::kernels::DispatchLevelName(
+                           stats::kernels::ActiveDispatchLevel()));
+          ExpectByteIdentical(
+              scalar, RunConfigured(method, 4, batch, pack, 20, dataset));
+        }
+      }
+    }
   }
   stats::kernels::SetDispatchLevel(saved);
 }

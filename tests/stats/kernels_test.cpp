@@ -4,6 +4,7 @@
 // (vector-width multiples, remainders, tiny cases).
 #include "stats/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/cox_score.hpp"
+#include "stats/kernels/packed_genotype.hpp"
 #include "stats/resampling.hpp"
 #include "stats/survival.hpp"
 #include "support/rng.hpp"
@@ -102,6 +104,74 @@ TEST(KernelDifferentialTest, BatchedMacBitwiseEqualAcrossLevels) {
           ASSERT_EQ(Bits(got[r]), Bits(expected[r]))
               << "level=" << kernels::DispatchLevelName(level) << " n=" << n
               << " count=" << count << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+/// The z values the sparse kernel must carry through untouched: signed
+/// zeros, subnormals, huge magnitudes and ordinary values.
+std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
+  const double specials[] = {0.0,     -0.0,    4.9e-324, -4.9e-324,
+                             2.2e-308, 1e300,  -1e300,   1.0 / 3.0};
+  std::vector<double> values = RandomDoubles(rng, count);
+  for (double& v : values) {
+    if (rng.NextBounded(3) == 0) v = specials[rng.NextBounded(8)];
+  }
+  return values;
+}
+
+TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
+  // sparse_mac over a SNP's non-zero runs must reproduce, byte for byte,
+  // batched_mac over the same dosages widened to doubles — at every
+  // level, against that level's dense kernel and the scalar reference.
+  Rng rng(20160806);
+  for (std::size_t n : {0u, 1u, 3u, 5u, 7u, 13u, 66u, 101u}) {
+    for (std::size_t count : {1u, 3u, 4u, 5u, 8u, 15u, 16u, 17u, 33u, 64u}) {
+      for (int fill = 0; fill < 4; ++fill) {
+        // fill 0: all zero (nnz = 0); 1: none zero (nnz = n); 2: dosages
+        // 0..3; 3: with raw-fallback dosages 7 and 255.
+        std::vector<std::uint8_t> g(n);
+        for (std::uint8_t& d : g) {
+          const std::uint8_t raw[] = {0, 1, 2, 3, 7, 255};
+          d = fill == 0   ? 0
+              : fill == 1 ? static_cast<std::uint8_t>(1 + rng.NextBounded(3))
+              : fill == 2 ? static_cast<std::uint8_t>(rng.NextBounded(4))
+                          : raw[rng.NextBounded(6)];
+        }
+        const std::vector<double> widened(g.begin(), g.end());
+        std::vector<std::uint32_t> index;
+        std::vector<std::uint8_t> dosage;
+        const std::size_t nnz = CompactNonZero(g, &index, &dosage);
+        ASSERT_EQ(nnz, n - static_cast<std::size_t>(
+                               std::count(g.begin(), g.end(), 0)));
+        const std::vector<double> vblock = AwkwardDoubles(rng, n * count);
+        std::vector<double> reference(count);
+        kernels::KernelsFor(DispatchLevel::kScalar)
+            .batched_mac(widened.data(), n, vblock.data(), count,
+                         reference.data());
+        for (DispatchLevel level : ExecutableLevels()) {
+          const kernels::KernelTable& table = kernels::KernelsFor(level);
+          std::vector<double> dense(count, -1.0);
+          std::vector<double> sparse(count, -1.0);
+          table.batched_mac(widened.data(), n, vblock.data(), count,
+                            dense.data());
+          table.sparse_mac(index.data(), dosage.data(), nnz, vblock.data(),
+                           count, sparse.data());
+          ASSERT_EQ(std::memcmp(sparse.data(), dense.data(),
+                                count * sizeof(double)),
+                    0)
+              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
+              << " count=" << count << " fill=" << fill;
+          ASSERT_EQ(std::memcmp(sparse.data(), reference.data(),
+                                count * sizeof(double)),
+                    0)
+              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
+              << " count=" << count << " fill=" << fill;
+          if (nnz == 0) {
+            for (double value : sparse) ASSERT_EQ(Bits(value), Bits(0.0));
+          }
         }
       }
     }

@@ -1,7 +1,8 @@
 # Driver for the bench_kernels_smoke ctest: runs the kernel microbench at
 # reduced scale, writing a BENCH_kernels.json datapoint, then gates on it
-# with check_kernel_speedup.py (bitwise cross-level identity and the ~4x
-# packing ratio always; the >= 1.5x AVX2-vs-scalar MAC speedup only on an
+# with check_kernel_speedup.py (bitwise cross-level and sparse-vs-dense
+# identity and the ~4x packing ratio always; the >= 1.5x AVX2-vs-scalar
+# MAC speedup and the >= 1.4x AVX2 sparse-vs-dense speedup only on an
 # optimized, unsanitized, AVX2-capable host).
 # Invoked as:
 #   cmake -DBENCH=<bench_kernels bin> -DPYTHON=<python3>

@@ -3,12 +3,16 @@
 
 Always enforced:
   * cross-level outputs were bitwise identical while timing;
+  * the sparse genotype MAC was bitwise identical to the dense MAC on the
+    widened dosages, at every level;
   * 2-bit genotype packing shrank the payload by ~4x (>= 3.5x allows for
     the per-block ceil(n/4) rounding at small n).
 
 Enforced only on a meaningful host (optimized build, no sanitizers, AVX2
 present) — skipped cleanly otherwise:
-  * the AVX2 batched-MAC kernel is >= 1.5x faster than scalar.
+  * the AVX2 batched-MAC kernel is >= 1.5x faster than scalar;
+  * the AVX2 sparse genotype MAC is >= 1.4x faster than the AVX2 dense
+    MAC on the same generator-like genotypes.
 
 Usage: check_kernel_speedup.py <BENCH_kernels.json>
 """
@@ -16,6 +20,7 @@ import json
 import sys
 
 MIN_MAC_SPEEDUP = 1.5
+MIN_SPARSE_SPEEDUP = 1.4
 MIN_PACK_RATIO = 3.5
 
 
@@ -30,6 +35,8 @@ def main() -> int:
 
     if not data.get("bitwise_identical", False):
         failures.append("cross-level kernel outputs were not bitwise identical")
+    if not data.get("sparse_bitwise_identical", False):
+        failures.append("sparse MAC outputs were not bitwise identical to dense")
 
     ratio = data.get("pack", {}).get("ratio", 0.0)
     if ratio < MIN_PACK_RATIO:
@@ -59,6 +66,17 @@ def main() -> int:
             print(
                 f"[kernel-smoke] AVX2 MAC speedup {speedup:.2f}x >= "
                 f"{MIN_MAC_SPEEDUP}x"
+            )
+        sparse = levels["avx2"].get("sparse_speedup", 0.0)
+        if sparse < MIN_SPARSE_SPEEDUP:
+            failures.append(
+                f"AVX2 sparse-vs-dense MAC speedup {sparse:.2f}x < required "
+                f"{MIN_SPARSE_SPEEDUP}x"
+            )
+        else:
+            print(
+                f"[kernel-smoke] AVX2 sparse-vs-dense MAC speedup "
+                f"{sparse:.2f}x >= {MIN_SPARSE_SPEEDUP}x"
             )
 
     for failure in failures:
