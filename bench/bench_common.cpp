@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "engine/profile.hpp"
@@ -27,18 +28,18 @@ void ConfigureObservability(const Args& args) {
   // profile=0 ablates task-timeline collection (results are bitwise
   // identical; the metrics JSON's timeline section reports collected:false).
   engine::SetProfilingEnabled(args.GetBool("profile", true));
-  // kernel=scalar|sse2|avx2 forces the SIMD dispatch level process-wide
-  // (same as SS_KERNEL; unsupported requests clamp down with a warning).
+  // kernel=scalar|avx2 forces the SIMD dispatch level process-wide (same
+  // as SS_KERNEL; unsupported requests clamp down with a warning). An
+  // unknown level name exits 2, as in the CLI.
   const std::string kernel = args.GetStr("kernel", "");
   if (!kernel.empty()) {
     Result<stats::kernels::DispatchLevel> level =
         stats::kernels::ParseDispatchLevel(kernel);
-    if (level.ok()) {
-      stats::kernels::SetDispatchLevel(level.value());
-    } else {
-      std::fprintf(stderr, "%s; ignored\n",
-                   level.status().ToString().c_str());
+    if (!level.ok()) {
+      std::fprintf(stderr, "error: %s\n", level.status().ToString().c_str());
+      std::exit(2);
     }
+    stats::kernels::SetDispatchLevel(level.value());
   }
   // Registers the key for unknown-key diagnostics even in benches that
   // only write artifacts conditionally.

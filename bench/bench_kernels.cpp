@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,30 +117,43 @@ int Run(int argc, char** argv) {
                         : static_cast<double>(nonzero) /
                               static_cast<double>(num_snps * n);
 
-  const int best = static_cast<int>(stats::kernels::BestSupportedLevel());
-  std::vector<LevelTiming> timings;
+  const std::vector<DispatchLevel> levels = stats::kernels::ExecutableLevels();
+  std::vector<LevelTiming> timings(levels.size());
+  std::vector<std::vector<double>> mac_outs(levels.size(),
+                                            std::vector<double>(count));
   std::vector<double> mac_reference;
   std::vector<double> cox_reference;
   std::vector<double> sparse_reference;
   bool bitwise_ok = true;
   bool sparse_bitwise_ok = true;
 
-  for (int level = 0; level <= best; ++level) {
-    const stats::kernels::KernelTable& table =
-        stats::kernels::KernelsFor(static_cast<DispatchLevel>(level));
-    LevelTiming timing;
-    timing.name =
-        stats::kernels::DispatchLevelName(static_cast<DispatchLevel>(level));
+  // The batched-MAC row feeds the AVX2-vs-scalar speedup gate, so its
+  // samples alternate between levels (best of 7 each): host drift during
+  // the row then hits both sides of the ratio alike.
+  const auto mac_call = [&](std::size_t l) {
+    stats::kernels::KernelsFor(levels[l])
+        .batched_mac(u.data(), n, zblock.data(), count, mac_outs[l].data());
+  };
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    mac_call(l);  // warm-up
+    timings[l].mac_seconds = std::numeric_limits<double>::infinity();
+  }
+  for (int sample = 0; sample < 7; ++sample) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      timings[l].mac_seconds =
+          std::min(timings[l].mac_seconds, TimeOnce([&]() {
+                     for (int r = 0; r < iters; ++r) mac_call(l);
+                   }));
+    }
+  }
 
-    std::vector<double> mac_out(count);
-    table.batched_mac(u.data(), n, zblock.data(), count, mac_out.data());
-    timing.mac_seconds = BestOf(5, [&]() {
-                           for (int r = 0; r < iters; ++r) {
-                             table.batched_mac(u.data(), n, zblock.data(),
-                                               count, mac_out.data());
-                           }
-                         }) /
-                         iters;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const stats::kernels::KernelTable& table =
+        stats::kernels::KernelsFor(levels[l]);
+    LevelTiming& timing = timings[l];
+    timing.name = stats::kernels::DispatchLevelName(levels[l]);
+    timing.mac_seconds /= iters;
+    const std::vector<double>& mac_out = mac_outs[l];
 
     std::vector<double> cox_out(n);
     table.cox_scan(event.data(), genotypes.data(), prefix.data(),
@@ -199,7 +213,7 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "SPARSE/DENSE MISMATCH at level %s\n", timing.name);
     }
 
-    if (level == 0) {
+    if (l == 0) {
       mac_reference = mac_out;
       cox_reference = cox_out;
       sparse_reference = sparse_out;
@@ -214,7 +228,6 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "SPARSE MISMATCH at level %s\n", timing.name);
       }
     }
-    timings.push_back(timing);
   }
 
   // Pack/unpack throughput and the byte savings the partition cache sees.

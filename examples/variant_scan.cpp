@@ -1,22 +1,20 @@
 // Variant-by-variant GWAS scan — the paper introduction's first analysis
 // category — with Westfall-Young resampling-based multiplicity control
-// and a covariate-adjusted contrast.
+// (the scan's streaming max-T, core/variant_scan.hpp).
 //
 // Scenario: a case/control study where disease risk depends on one causal
 // SNP and on age; age also correlates with a second, non-causal SNP
-// (population-structure-style confounding). The unadjusted scan flags
-// both SNPs; the covariate-adjusted score keeps the causal one and drops
-// the confounded one.
+// (population-structure-style confounding), so an unadjusted scan can
+// flag that SNP too. The example fails unless the causal SNP ranks in the
+// top 2.
 //
 //   ./variant_scan
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
-#include "stats/covariates.hpp"
 #include "support/distributions.hpp"
 #include "support/table.hpp"
 
@@ -52,7 +50,7 @@ int main() {
               "age-confounded SNP %u, case rate %.2f\n",
               n, num_snps, causal_snp, confounded_snp, disease.CaseRate());
 
-  // ---- Unadjusted distributed scan -----------------------------------------
+  // ---- Distributed scan -----------------------------------------------------
   engine::EngineContext::Options options;
   options.topology = cluster::EmrCluster(6);
   engine::EngineContext ctx(options);
@@ -91,42 +89,5 @@ int main() {
               causal_found ? "yes" : "NO",
               confounded_flagged ? "yes" : "no");
 
-  // ---- Covariate-adjusted contrast ------------------------------------------
-  // Adjusting for age must keep the causal SNP significant and shrink the
-  // confounded SNP's z-score toward noise.
-  auto adjusted = stats::AdjustedScoreEngine::Binomial(disease, {age});
-  if (!adjusted.ok()) {
-    std::fprintf(stderr, "adjustment failed: %s\n",
-                 adjusted.status().ToString().c_str());
-    return 1;
-  }
-  auto z_of = [&](std::uint32_t snp, bool with_adjustment) {
-    std::vector<double> u =
-        with_adjustment
-            ? adjusted.value().Contributions(dataset.genotypes.by_snp[snp])
-            : stats::LogisticScoreContributions(disease, disease.CaseRate(),
-                                                dataset.genotypes.by_snp[snp]);
-    const double score = std::accumulate(u.begin(), u.end(), 0.0);
-    double variance = 0.0;
-    for (double v : u) variance += v * v;
-    return variance > 0 ? score / std::sqrt(variance) : 0.0;
-  };
-  Table contrast("Effect of adjusting for age (z-scores)",
-                 {"snp", "role", "unadjusted z", "adjusted z"});
-  contrast.AddRow({std::to_string(causal_snp), "causal",
-                   Table::Num(z_of(causal_snp, false), 2),
-                   Table::Num(z_of(causal_snp, true), 2)});
-  contrast.AddRow({std::to_string(confounded_snp), "age-confounded",
-                   Table::Num(z_of(confounded_snp, false), 2),
-                   Table::Num(z_of(confounded_snp, true), 2)});
-  contrast.Print();
-
-  const bool causal_survives = std::fabs(z_of(causal_snp, true)) > 3.0;
-  const bool confounder_drops = std::fabs(z_of(confounded_snp, true)) < 3.0 &&
-                                std::fabs(z_of(confounded_snp, false)) > 3.0;
-  std::printf("\nAdjustment keeps causal signal: %s; removes confounded "
-              "signal: %s\n",
-              causal_survives ? "yes" : "NO",
-              confounder_drops ? "yes" : "NO");
-  return (causal_found && causal_survives && confounder_drops) ? 0 : 1;
+  return causal_found ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
 #include "core/store_source.hpp"
 #include "dfs/genotype_store.hpp"
-#include "engine/dataset_ops.hpp"
+#include "engine/checkpoint.hpp"
 #include "simdata/store_codec.hpp"
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
@@ -443,8 +443,15 @@ Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
   });
 }
 
-SetScores SkatPipeline::SetScoresFromInnerSigma(
-    const Dataset<std::pair<std::uint32_t, double>>& inner_sigma) const {
+SetScores SkatPipeline::SetScoresFromU(
+    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
+  // Step 8: U_j² = (Σ_i U_ij)².
+  auto inner_sigma = u.Map(
+      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
+        double total = 0.0;
+        for (double contribution : record.second) total += contribution;
+        return std::pair<std::uint32_t, double>(record.first, total * total);
+      });
   // Step 9: join with squared weights. Step 10: per-SNP score.
   auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
   auto snp_scores =
@@ -477,18 +484,6 @@ SetScores SkatPipeline::SetScoresFromInnerSigma(
     observed.try_emplace(set.id, 0.0);
   }
   return observed;
-}
-
-SetScores SkatPipeline::SetScoresFromU(
-    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
-  // Step 8: U_j² = (Σ_i U_ij)².
-  auto inner_sigma = u.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
-  return SetScoresFromInnerSigma(inner_sigma);
 }
 
 void SkatPipeline::EnsureUBuilt() {
@@ -681,26 +676,6 @@ SkatPipeline::CollectSetGramMatrices() {
         }
       });
   return grams;
-}
-
-SetScores SkatPipeline::ComputeMonteCarloReplicate(
-    const std::vector<double>& multipliers) {
-  SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
-  SS_CHECK(multipliers.size() == n());
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "monte-carlo replicate");
-  auto z = engine::MakeBroadcast(*ctx_, multipliers);
-  // Algorithm 3's modification of step 8: Ũ_j = Σ_i Z_i U_ij, squared.
-  auto inner_sigma = u_observed_.Map(
-      [z](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        const std::vector<double>& multiplier = *z;
-        for (std::size_t i = 0; i < record.second.size(); ++i) {
-          total += multiplier[i] * record.second[i];
-        }
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
-  return SetScoresFromInnerSigma(inner_sigma);
 }
 
 SetScores SkatPipeline::ComputePermutationReplicate(

@@ -149,10 +149,6 @@ class SkatPipeline {
   /// materializes (and, if configured, caches) the U RDD.
   SetScores ComputeObserved();
 
-  /// Steps 8-12 reusing the (cached) observed U RDD with Monte Carlo
-  /// multipliers z (Algorithm 3's modified step 8): S̃_k per set.
-  SetScores ComputeMonteCarloReplicate(const std::vector<double>& multipliers);
-
   /// Algorithm 3's modified step 8 for a whole batch, as the paper runs
   /// it: per SNP, the signed replicate scores Ũ_jb = Σ_i Z_ib U_ij for all
   /// `count` replicates of a patient-major Z block (stats::MonteCarloZBlock
@@ -240,11 +236,6 @@ class SkatPipeline {
   /// Steps 8-12 from a U dataset: aggregate to per-set scores.
   SetScores SetScoresFromU(
       const engine::Dataset<std::pair<std::uint32_t, std::vector<double>>>& u)
-      const;
-
-  /// Steps 9-12 from per-SNP squared marginal scores.
-  SetScores SetScoresFromInnerSigma(
-      const engine::Dataset<std::pair<std::uint32_t, double>>& inner_sigma)
       const;
 
   /// Materializes the U RDD if needed (shared by all observed paths).

@@ -1,16 +1,15 @@
 // The public dataflow API of minispark: `Dataset<T>` (an RDD), its
 // transformations and actions, and the shuffle-backed pair operations.
 //
-// Narrow transformations (Map, Filter, FlatMap, MapPartitions, Union,
-// Sample) are pipelined: computing a partition walks the lineage chain in
-// one call stack, so a chain of maps costs one pass. Wide operations
-// (ReduceByKey, GroupByKey, Join) insert a ShuffleNode, whose map stage is
+// Narrow transformations (Map, Filter, FlatMap, MapPartitions) are
+// pipelined: computing a partition walks the lineage chain in one call
+// stack, so a chain of maps costs one pass. Wide operations
+// (ReduceByKey, Join) insert a ShuffleNode, whose map stage is
 // materialized by the driver before the downstream stage runs — the stage
 // boundary Spark's DAG scheduler would create.
 //
-// All closures must be free of side effects on shared state (use
-// Accumulator for counters); they may run concurrently and, after a
-// failure, more than once per element.
+// All closures must be free of side effects on shared state; they may
+// run concurrently and, after a failure, more than once per element.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include "engine/context.hpp"
 #include "engine/node.hpp"
 #include "engine/partitioner.hpp"
-#include "support/distributions.hpp"
 #include "support/ranked_mutex.hpp"
 #include "support/status.hpp"
 
@@ -172,61 +170,6 @@ class FlatMapNode final : public Node<U> {
   F fn_;
 };
 
-/// Concatenation of two datasets; partitions of `left` precede `right`'s.
-template <typename T>
-class UnionNode final : public Node<T> {
- public:
-  UnionNode(EngineContext* ctx, std::shared_ptr<Node<T>> left,
-            std::shared_ptr<Node<T>> right)
-      : Node<T>(ctx, "union",
-                left->num_partitions() + right->num_partitions(),
-                {left, right}),
-        left_(std::move(left)),
-        right_(std::move(right)) {}
-
-  std::vector<T> ComputePartition(std::uint32_t index,
-                                  TaskContext& task) override {
-    if (index < left_->num_partitions()) return *left_->Get(index, task);
-    return *right_->Get(index - left_->num_partitions(), task);
-  }
-
- private:
-  std::shared_ptr<Node<T>> left_;
-  std::shared_ptr<Node<T>> right_;
-};
-
-/// Bernoulli sampling with deterministic per-partition randomness.
-template <typename T>
-class SampleNode final : public Node<T> {
- public:
-  SampleNode(EngineContext* ctx, std::shared_ptr<Node<T>> parent,
-             double fraction, std::uint64_t salt)
-      : Node<T>(ctx, "sample", parent->num_partitions(), {parent}),
-        parent_(std::move(parent)),
-        fraction_(fraction),
-        salt_(salt) {}
-
-  std::vector<T> ComputePartition(std::uint32_t index,
-                                  TaskContext& task) override {
-    auto input = parent_->Get(index, task);
-    // Deterministic in (context seed, salt, partition) only — NOT the
-    // node or stage id — so the same Sample(fraction, salt) expression
-    // selects the same subset across datasets, actions, and retries
-    // (Spark's sample-with-seed semantics).
-    Rng rng = Rng(this->ctx_->seed()).Split(salt_ * 2654435761u + 1).Split(index + 1);
-    std::vector<T> out;
-    for (const T& item : *input) {
-      if (SampleBernoulli(rng, fraction_)) out.push_back(item);
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  double fraction_;
-  std::uint64_t salt_;
-};
-
 /// Repartitioning of pairs by key hash — the wide dependency. The map
 /// stage (run by the driver via EnsureReadySelf) computes every parent
 /// partition and scatters records into reduce buckets; reduce-side
@@ -237,19 +180,11 @@ template <typename K, typename V>
 class ShuffleNode final : public Node<std::pair<K, V>> {
  public:
   using Pair = std::pair<K, V>;
-  /// Maps (key, num_partitions) -> reduce partition. Hash by default;
-  /// SortBy installs a range partitioner.
-  using PartitionFn = std::function<std::uint32_t(const K&, std::uint32_t)>;
 
   ShuffleNode(EngineContext* ctx, std::shared_ptr<Node<Pair>> parent,
-              std::uint32_t num_partitions, PartitionFn partition_fn = {})
+              std::uint32_t num_partitions)
       : Node<Pair>(ctx, "shuffle", num_partitions, {parent}),
-        parent_(std::move(parent)),
-        partition_fn_(partition_fn
-                          ? std::move(partition_fn)
-                          : [](const K& key, std::uint32_t n) {
-                              return PartitionOf(key, n);
-                            }) {}
+        parent_(std::move(parent)) {}
 
   std::vector<Pair> ComputePartition(std::uint32_t index,
                                      TaskContext& task) override {
@@ -283,9 +218,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
           auto input = parent_->Get(task.partition(), task);
           std::vector<std::vector<Pair>> local(reducers);
           for (const Pair& record : *input) {
-            const std::uint32_t bucket = partition_fn_(record.first, reducers);
-            SS_CHECK(bucket < reducers);
-            local[bucket].push_back(record);
+            local[PartitionOf(record.first, reducers)].push_back(record);
           }
           std::uint64_t bytes = 0;
           for (const auto& bucket : local) {
@@ -313,7 +246,6 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
 
  private:
   std::shared_ptr<Node<Pair>> parent_;
-  PartitionFn partition_fn_;
   support::RankedMutex buckets_mutex_{support::lock_rank::kShuffleBuckets};
   std::vector<std::vector<Pair>> buckets_ SS_GUARDED_BY(buckets_mutex_);
 };
@@ -408,26 +340,6 @@ class Dataset {
                                 ctx_, node_, std::move(fn)));
   }
 
-  /// Pairs each element with fn(x) as key.
-  template <typename F, typename K = std::invoke_result_t<F, const T&>>
-  Dataset<std::pair<K, T>> KeyBy(F fn) const {
-    return Map([fn = std::move(fn)](const T& item) {
-      return std::pair<K, T>(fn(item), item);
-    });
-  }
-
-  /// Concatenates this dataset with `other`.
-  Dataset<T> Union(const Dataset<T>& other) const {
-    return Dataset<T>(ctx_, std::make_shared<nodes::UnionNode<T>>(
-                                ctx_, node_, other.node_));
-  }
-
-  /// Bernoulli sample keeping each element with probability `fraction`.
-  Dataset<T> Sample(double fraction, std::uint64_t salt = 0) const {
-    return Dataset<T>(ctx_, std::make_shared<nodes::SampleNode<T>>(
-                                ctx_, node_, fraction, salt));
-  }
-
   // -- Persistence ---------------------------------------------------------
 
   /// Marks this dataset persistent: computed partitions are kept in the
@@ -457,31 +369,6 @@ class Dataset {
       for (auto& item : partition) out.push_back(std::move(item));
     }
     return out;
-  }
-
-  /// Number of elements.
-  std::size_t Count(const std::string& label = "count") const {
-    std::vector<std::vector<std::size_t>> partitions =
-        RunStage(*Map([](const T&) { return std::size_t{1}; }).node(), label);
-    std::size_t total = 0;
-    for (const auto& partition : partitions) {
-      for (std::size_t ones : partition) total += ones;
-    }
-    return total;
-  }
-
-  /// Fold with a commutative, associative op; `identity` its neutral value.
-  template <typename F>
-  T Reduce(F fn, T identity, const std::string& label = "reduce") const {
-    auto reduced = MapPartitions(
-        [fn, identity](std::uint32_t, const std::vector<T>& records) {
-          T acc = identity;
-          for (const T& record : records) acc = fn(acc, record);
-          return std::vector<T>{acc};
-        });
-    T total = identity;
-    for (const T& partial : reduced.Collect(label)) total = fn(total, partial);
-    return total;
   }
 
   /// Lineage description (RDD.toDebugString).
@@ -530,17 +417,14 @@ inline Dataset<std::string> TextFile(EngineContext& ctx,
 // Pair (wide) operations.
 // ---------------------------------------------------------------------------
 
-/// Repartitions pairs by key hash (or a custom partitioner) into
-/// `num_partitions` buckets.
+/// Repartitions pairs by key hash into `num_partitions` buckets.
 template <typename K, typename V>
-Dataset<std::pair<K, V>> PartitionByKey(
-    const Dataset<std::pair<K, V>>& ds, std::uint32_t num_partitions,
-    typename nodes::ShuffleNode<K, V>::PartitionFn partition_fn = {}) {
+Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
+                                        std::uint32_t num_partitions) {
   SS_CHECK(num_partitions >= 1);
   return Dataset<std::pair<K, V>>(
-      ds.context(),
-      std::make_shared<nodes::ShuffleNode<K, V>>(
-          ds.context(), ds.node(), num_partitions, std::move(partition_fn)));
+      ds.context(), std::make_shared<nodes::ShuffleNode<K, V>>(
+                        ds.context(), ds.node(), num_partitions));
 }
 
 /// Merges all values of each key with `fn` (commutative + associative).
@@ -569,26 +453,6 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds, F fn,
           if (!inserted) it->second = fn(it->second, value);
         }
         return std::vector<std::pair<K, V>>(acc.begin(), acc.end());
-      });
-}
-
-/// Groups all values per key into a vector.
-template <typename K, typename V>
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& ds, std::uint32_t num_partitions) {
-  auto shuffled = PartitionByKey(ds, num_partitions);
-  return shuffled.MapPartitions(
-      [](std::uint32_t, const std::vector<std::pair<K, V>>& records) {
-        std::unordered_map<K, std::vector<V>> groups;
-        for (const auto& [key, value] : records) {
-          groups[key].push_back(value);
-        }
-        std::vector<std::pair<K, std::vector<V>>> out;
-        out.reserve(groups.size());
-        for (auto& [key, values] : groups) {
-          out.push_back({key, std::move(values)});
-        }
-        return out;
       });
 }
 

@@ -314,9 +314,9 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
     auto& registry = CounterRegistry::Global();
     const std::uint64_t dispatch =
         registry.Get("kernel.dispatch").load(std::memory_order_relaxed);
-    static constexpr const char* kDispatchNames[] = {"scalar", "sse2", "avx2"};
-    const char* dispatch_name =
-        dispatch < 3 ? kDispatchNames[dispatch] : "unknown";
+    const char* dispatch_name = dispatch == 0   ? "scalar"
+                                : dispatch == 2 ? "avx2"
+                                                : "unknown";
     out += ",\"kernel\":{\"dispatch\":" + std::to_string(dispatch);
     out += ",\"dispatch_name\":\"" + std::string(dispatch_name) + "\"";
     out += ",\"packed_bytes\":" +

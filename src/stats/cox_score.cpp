@@ -78,45 +78,6 @@ std::vector<double> CoxScoreContributionsNaive(
   return contributions;
 }
 
-std::vector<double> StratifiedCoxScoreContributions(
-    const SurvivalData& data, const std::vector<std::uint32_t>& strata,
-    const std::vector<std::uint8_t>& genotypes) {
-  const std::size_t n = data.n();
-  SS_CHECK(strata.size() == n);
-  SS_CHECK(genotypes.size() == n);
-
-  // Group patient indices by stratum.
-  std::uint32_t num_strata = 0;
-  for (std::uint32_t s : strata) num_strata = std::max(num_strata, s + 1);
-  std::vector<std::vector<std::uint32_t>> members(num_strata);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    members[strata[i]].push_back(i);
-  }
-
-  std::vector<double> contributions(n, 0.0);
-  for (const auto& stratum : members) {
-    if (stratum.empty()) continue;
-    // Per-stratum sub-problem, solved with the fast path.
-    SurvivalData sub;
-    std::vector<std::uint8_t> sub_genotypes;
-    sub.time.reserve(stratum.size());
-    sub.event.reserve(stratum.size());
-    sub_genotypes.reserve(stratum.size());
-    for (std::uint32_t i : stratum) {
-      sub.time.push_back(data.time[i]);
-      sub.event.push_back(data.event[i]);
-      sub_genotypes.push_back(genotypes[i]);
-    }
-    const RiskSetIndex sub_index(sub);
-    const std::vector<double> sub_contributions =
-        CoxScoreContributions(sub, sub_index, sub_genotypes);
-    for (std::size_t k = 0; k < stratum.size(); ++k) {
-      contributions[stratum[k]] = sub_contributions[k];
-    }
-  }
-  return contributions;
-}
-
 double CoxScoreStatistic(const std::vector<double>& contributions) {
   double total = 0.0;
   for (double u : contributions) total += u;

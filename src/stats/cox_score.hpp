@@ -52,17 +52,6 @@ std::vector<double> CoxScoreCoefficients(
 std::vector<double> CoxScoreContributionsNaive(
     const SurvivalData& data, const std::vector<std::uint8_t>& genotypes);
 
-/// Stratified Cox score: patients are divided into strata (e.g. by study
-/// site, sex, or a discretized baseline covariate) and risk sets are
-/// formed WITHIN each stratum; the contributions are the per-stratum Cox
-/// contributions placed back at the patients' positions. This is the
-/// classical way to adjust the Cox score for categorical baseline
-/// covariates without fitting them. `strata[i]` is patient i's stratum
-/// label (any small non-negative integers).
-std::vector<double> StratifiedCoxScoreContributions(
-    const SurvivalData& data, const std::vector<std::uint32_t>& strata,
-    const std::vector<std::uint8_t>& genotypes);
-
 /// Marginal score U_j = Σ_i U_ij.
 double CoxScoreStatistic(const std::vector<double>& contributions);
 

@@ -142,7 +142,7 @@ DispatchLevel InitialLevel() {
     if (parsed.ok()) return ClampToSupported(parsed.value(), "SS_KERNEL");
     SS_LOG(kWarn, "kernels")
         << "ignoring unrecognized SS_KERNEL value '" << env
-        << "' (expected scalar|sse2|avx2); using best supported level";
+        << "' (expected scalar|avx2); using best supported level";
   }
   return BestSupportedLevel();
 }
@@ -153,8 +153,6 @@ const char* DispatchLevelName(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return "scalar";
-    case DispatchLevel::kSse2:
-      return "sse2";
     case DispatchLevel::kAvx2:
       return "avx2";
   }
@@ -163,18 +161,24 @@ const char* DispatchLevelName(DispatchLevel level) {
 
 Result<DispatchLevel> ParseDispatchLevel(const std::string& name) {
   if (name == "scalar") return DispatchLevel::kScalar;
-  if (name == "sse2") return DispatchLevel::kSse2;
   if (name == "avx2") return DispatchLevel::kAvx2;
   return Status::InvalidArgument("unknown kernel dispatch level '" + name +
-                                 "' (expected scalar|sse2|avx2)");
+                                 "' (expected scalar|avx2)");
 }
 
 DispatchLevel BestSupportedLevel() {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return DispatchLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return DispatchLevel::kSse2;
 #endif
   return DispatchLevel::kScalar;
+}
+
+std::vector<DispatchLevel> ExecutableLevels() {
+  std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
+  if (BestSupportedLevel() == DispatchLevel::kAvx2) {
+    levels.push_back(DispatchLevel::kAvx2);
+  }
+  return levels;
 }
 
 DispatchLevel ActiveDispatchLevel() {
@@ -203,8 +207,6 @@ const KernelTable& KernelsFor(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return internal::kScalarTable;
-    case DispatchLevel::kSse2:
-      return internal::kSse2Table;
     case DispatchLevel::kAvx2:
       return internal::kAvx2Table;
   }

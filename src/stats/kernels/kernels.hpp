@@ -5,14 +5,14 @@
 // non-zero genotypes), the Cox score contribution scan, and the per-set
 // SKAT weighted folds — are routed through a function-pointer
 // table selected once per process from the best instruction set the CPU
-// supports (scalar / SSE2 / AVX2). Every SIMD variant preserves the
+// supports (scalar / AVX2). The AVX2 variants preserve the
 // scalar kernel's per-element accumulation order bit for bit: lanes map
 // to *replicates*, never to patients, so each replicate's accumulator
 // still sums patients in ascending order and `resampling.result_hash`
 // is invariant to the dispatch level (see docs/KERNELS.md).
 //
 // The level can be forced with the SS_KERNEL environment variable
-// (scalar|sse2|avx2) or programmatically via SetDispatchLevel (the CLI
+// (scalar|avx2) or programmatically via SetDispatchLevel (the CLI
 // and benches expose this as `kernel=`). Requests above what the CPU
 // supports clamp down with a warning rather than fault.
 #pragma once
@@ -20,16 +20,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "support/status.hpp"
 
 namespace ss::stats::kernels {
 
 /// Instruction-set tiers, ordered. Numeric values are stable: they are
-/// exported through the `kernel.dispatch` counter and run-metrics JSON.
-enum class DispatchLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// exported through the `kernel.dispatch` counter and run-metrics JSON
+/// (1 belonged to a retired SSE2 tier and is not reused).
+enum class DispatchLevel : int { kScalar = 0, kAvx2 = 2 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2").
+/// Stable lowercase name ("scalar", "avx2").
 const char* DispatchLevelName(DispatchLevel level);
 
 /// Parses a name as accepted by SS_KERNEL / `kernel=`.
@@ -37,6 +39,10 @@ Result<DispatchLevel> ParseDispatchLevel(const std::string& name);
 
 /// Best level this CPU can execute.
 DispatchLevel BestSupportedLevel();
+
+/// Every level this CPU can execute, ascending: scalar, then AVX2 where
+/// supported (differential tests and bench_kernels iterate these).
+std::vector<DispatchLevel> ExecutableLevels();
 
 /// The level in effect. Initialized lazily on first use: SS_KERNEL if
 /// set (clamped to supported), else BestSupportedLevel().

@@ -1,7 +1,7 @@
 // Shared between the per-ISA kernel translation units. The scalar
-// reference kernels live here so the SSE2/AVX2 TUs can fall back to
-// them (for loop remainders, and wholesale when built for a target
-// without the instruction set).
+// reference kernels live here so the AVX2 TU can fall back to them (for
+// loop remainders, and wholesale when built for a target without the
+// instruction set).
 #pragma once
 
 #include <cstddef>
@@ -27,11 +27,10 @@ void SkatBurdenFoldScalar(const double* scores, std::size_t count,
                           double weight, double weight_sq, double* skat,
                           double* burden);
 
-// Defined in kernels.cpp / kernels_sse2.cpp / kernels_avx2.cpp. The
-// SIMD tables degrade to scalar entries when their TU is compiled for a
-// target without the instruction set (non-x86 builds).
+// Defined in kernels.cpp / kernels_avx2.cpp. The AVX2 table degrades to
+// scalar entries when its TU is compiled for a target without the
+// instruction set (non-x86 builds).
 extern const KernelTable kScalarTable;
-extern const KernelTable kSse2Table;
 extern const KernelTable kAvx2Table;
 
 }  // namespace ss::stats::kernels::internal

@@ -6,155 +6,9 @@
 #include <functional>
 #include <limits>
 
+#include "support/status.hpp"
+
 namespace ss::stats {
-
-Matrix Matrix::Gram(const std::vector<double>* weights) const {
-  Matrix gram(cols_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double w = weights ? (*weights)[r] : 1.0;
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double xi = at(r, i) * w;
-      for (std::size_t j = i; j < cols_; ++j) {
-        gram.at(i, j) += xi * at(r, j);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < cols_; ++i) {
-    for (std::size_t j = 0; j < i; ++j) gram.at(i, j) = gram.at(j, i);
-  }
-  return gram;
-}
-
-std::vector<double> Matrix::TransposeTimes(
-    const std::vector<double>& v, const std::vector<double>* weights) const {
-  SS_CHECK(v.size() == rows_);
-  std::vector<double> out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double scaled = v[r] * (weights ? (*weights)[r] : 1.0);
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out[c] += at(r, c) * scaled;
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::Times(const std::vector<double>& x) const {
-  SS_CHECK(x.size() == cols_);
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += at(r, c) * x[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
-Result<Cholesky> Cholesky::Factor(const Matrix& spd) {
-  SS_CHECK(spd.rows() == spd.cols());
-  const std::size_t n = spd.rows();
-  Matrix lower(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double sum = spd.at(i, j);
-      for (std::size_t k = 0; k < j; ++k) {
-        sum -= lower.at(i, k) * lower.at(j, k);
-      }
-      if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return Status::FailedPrecondition(
-              "matrix not positive definite (collinear design?)");
-        }
-        lower.at(i, i) = std::sqrt(sum);
-      } else {
-        lower.at(i, j) = sum / lower.at(j, j);
-      }
-    }
-  }
-  return Cholesky(std::move(lower));
-}
-
-std::vector<double> Cholesky::Solve(const std::vector<double>& b) const {
-  const std::size_t n = dim();
-  SS_CHECK(b.size() == n);
-  // Forward substitution: L y = b.
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= lower_.at(i, k) * y[k];
-    y[i] = sum / lower_.at(i, i);
-  }
-  // Back substitution: L^T x = y.
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= lower_.at(k, i) * x[k];
-    x[i] = sum / lower_.at(i, i);
-  }
-  return x;
-}
-
-Result<std::vector<double>> OlsFit(const Matrix& x,
-                                   const std::vector<double>& y) {
-  Result<Cholesky> chol = Cholesky::Factor(x.Gram());
-  if (!chol.ok()) return chol.status();
-  return chol.value().Solve(x.TransposeTimes(y));
-}
-
-std::vector<double> Residuals(const Matrix& x, const std::vector<double>& y,
-                              const std::vector<double>& beta) {
-  std::vector<double> fitted = x.Times(beta);
-  std::vector<double> residuals(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) residuals[i] = y[i] - fitted[i];
-  return residuals;
-}
-
-Result<LogisticFit> LogisticRegression(const Matrix& x,
-                                       const std::vector<std::uint8_t>& y,
-                                       int max_iterations, double tolerance) {
-  SS_CHECK(y.size() == x.rows());
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  LogisticFit fit;
-  fit.beta.assign(p, 0.0);
-  std::vector<double> weights(n);
-  std::vector<double> working(n);
-
-  for (int iter = 1; iter <= max_iterations; ++iter) {
-    fit.iterations = iter;
-    // Current fitted probabilities and IRLS weights.
-    std::vector<double> eta = x.Times(fit.beta);
-    fit.fitted.resize(n);
-    double score_norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double mu = 1.0 / (1.0 + std::exp(-eta[i]));
-      fit.fitted[i] = mu;
-      weights[i] = std::max(mu * (1.0 - mu), 1e-10);
-      working[i] = static_cast<double>(y[i]) - mu;
-      score_norm += std::fabs(working[i]);
-    }
-    // Newton step: (X'WX) delta = X'(y - mu).
-    Result<Cholesky> chol = Cholesky::Factor(x.Gram(&weights));
-    if (!chol.ok()) return chol.status();
-    const std::vector<double> delta =
-        chol.value().Solve(x.TransposeTimes(working));
-    double step_norm = 0.0;
-    for (std::size_t c = 0; c < p; ++c) {
-      fit.beta[c] += delta[c];
-      step_norm += std::fabs(delta[c]);
-    }
-    if (step_norm < tolerance) {
-      fit.converged = true;
-      break;
-    }
-  }
-  // Final fitted values at the converged (or last) beta.
-  std::vector<double> eta = x.Times(fit.beta);
-  for (std::size_t i = 0; i < n; ++i) {
-    fit.fitted[i] = 1.0 / (1.0 + std::exp(-eta[i]));
-  }
-  return fit;
-}
 
 std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
   SS_CHECK(symmetric.rows() == symmetric.cols());
@@ -284,19 +138,6 @@ std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
   }
   std::sort(diag.begin(), diag.end(), std::greater<double>());
   return diag;
-}
-
-Matrix DesignMatrix(std::size_t n,
-                    const std::vector<std::vector<double>>& covariates) {
-  Matrix design(n, covariates.size() + 1);
-  for (std::size_t i = 0; i < n; ++i) design.at(i, 0) = 1.0;
-  for (std::size_t c = 0; c < covariates.size(); ++c) {
-    SS_CHECK(covariates[c].size() == n);
-    for (std::size_t i = 0; i < n; ++i) {
-      design.at(i, c + 1) = covariates[c][i];
-    }
-  }
-  return design;
 }
 
 }  // namespace ss::stats

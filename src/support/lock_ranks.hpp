@@ -51,8 +51,6 @@ inline constexpr LockRank kParallelForError{"support.parallel_for_error", 30};
 inline constexpr LockRank kShufflePerMap{"engine.shuffle.per_map", 32};
 /// Shuffle reduce buckets (driver concatenation, reduce-task reads).
 inline constexpr LockRank kShuffleBuckets{"engine.shuffle.buckets", 34};
-/// SaveAsTextFile first-error aggregation.
-inline constexpr LockRank kSaveStatus{"engine.save_status", 36};
 
 // -- Cluster services ------------------------------------------------------
 inline constexpr LockRank kResourceManager{"cluster.resource_manager", 40};
@@ -76,7 +74,6 @@ inline constexpr LockRank kBlockStore{"dfs.block_store", 62};
 
 // -- Driver-side bookkeeping ----------------------------------------------
 inline constexpr LockRank kMetrics{"engine.metrics", 70};
-inline constexpr LockRank kAccumulator{"engine.accumulator", 72};
 
 // -- Leaves: telemetry and logging (called from under most other locks) ----
 /// Tracer thread-log registry; nests directly into kTraceThreadLog.

@@ -85,7 +85,7 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        {}},
       {"kernel", OptionType::kChoice, "",
        "force SIMD dispatch level (also SS_KERNEL)", "engine",
-       {"scalar", "sse2", "avx2"}},
+       {"scalar", "avx2"}},
       {"store", OptionType::kString, "",
        "memory-mapped genotype store file: open it (staging the cohort "
        "there first if missing) instead of re-ingesting text",

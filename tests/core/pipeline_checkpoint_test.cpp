@@ -4,7 +4,6 @@
 
 #include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
-#include "engine/dataset_ops.hpp"
 #include "stats/resampling.hpp"
 
 namespace ss::core {
@@ -74,17 +73,10 @@ TEST(PipelineCheckpointTest, CheckpointSurvivesCacheAndNodeLoss) {
   // dies; the checkpoint's surviving replicas carry recovery.
   ctx.FailNode(1);
   env.dfs.KillNode(1);
-  const stats::MonteCarloWeights weights(config.seed, pipeline.value().n(), 1);
-  const SetScores replicate =
-      pipeline.value().ComputeMonteCarloReplicate(weights.Get(0));
-  EXPECT_EQ(replicate.size(), observed.size());
-
-  // Second context over the same DFS can reopen the checkpoint directly.
-  engine::EngineContext ctx2(LocalOptions(), &env.dfs);
-  auto reopened = engine::OpenCheckpoint<
-      std::pair<std::uint32_t, std::vector<double>>>(ctx2, "/ckpt/u");
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().Count(), 40u);  // one record per SNP
+  const auto replicate = pipeline.value().ComputeMonteCarloScoreBlock(
+      stats::MonteCarloZBlock(config.seed, pipeline.value().n(), 0, 1), 1);
+  EXPECT_EQ(replicate.size(), 40u);  // one record per SNP
+  EXPECT_EQ(observed.size(), 4u);
 }
 
 TEST(PipelineCheckpointTest, MissingDfsDegradesGracefully) {

@@ -122,16 +122,22 @@ TEST(SkatPipelineTest, MonteCarloReplicateMatchesSerial) {
   config.seed = seed;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
   const SetScores observed = pipeline.ComputeObserved();
-  const stats::MonteCarloWeights weights(seed, dataset.survival.n(), 7);
+  // One 7-replicate pass over the cached U: Ũ_jb = Σ_i Z_ib U_ij per SNP.
+  const auto block = pipeline.ComputeMonteCarloScoreBlock(
+      stats::MonteCarloZBlock(seed, dataset.survival.n(), 0, 7), 7);
+  const auto& weights = pipeline.DriverWeights();
   std::vector<std::uint64_t> exceed(dataset.sets.size(), 0);
   for (std::size_t b = 0; b < 7; ++b) {
-    const SetScores replicate =
-        pipeline.ComputeMonteCarloReplicate(weights.Get(b));
     for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
-      if (replicate.at(dataset.sets[k].id) >=
-          observed.at(dataset.sets[k].id)) {
-        ++exceed[k];
+      // S̃_k = Σ_j ω_j² Ũ_jb² over the set's scored SNPs.
+      double replicate = 0.0;
+      for (std::uint32_t snp : dataset.sets[k].snps) {
+        auto it = block.find(snp);
+        if (it == block.end()) continue;  // SNP filtered out
+        const double w = weights.at(snp);
+        replicate += w * w * (it->second[b] * it->second[b]);
       }
+      if (replicate >= observed.at(dataset.sets[k].id)) ++exceed[k];
     }
   }
   EXPECT_EQ(exceed, serial.exceed_count);
@@ -175,8 +181,8 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
     const auto before = ctx.cache().stats().hits;
-    pipeline.ComputeMonteCarloReplicate(
-        std::vector<double>(dataset.survival.n(), 1.0));
+    pipeline.ComputeMonteCarloScoreBlock(
+        std::vector<double>(dataset.survival.n(), 1.0), 1);
     EXPECT_GT(ctx.cache().stats().hits, before);  // replicate reused U
   }
   {
@@ -193,8 +199,8 @@ TEST(SkatPipelineTest, MonteCarloRequiresObservedFirst) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  EXPECT_DEATH(pipeline.ComputeMonteCarloReplicate(
-                   std::vector<double>(dataset.survival.n(), 1.0)),
+  EXPECT_DEATH(pipeline.ComputeMonteCarloScoreBlock(
+                   std::vector<double>(dataset.survival.n(), 1.0), 1),
                "u_built_");
 }
 

@@ -1,11 +1,11 @@
 // Codec round-trips and checkpoint semantics: persistence to the DFS,
-// lineage truncation, reopening, and recovery under node failure.
+// lineage truncation, and recovery under node failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 
-#include "engine/dataset_ops.hpp"
+#include "engine/checkpoint.hpp"
 
 namespace ss::engine {
 namespace {
@@ -87,26 +87,6 @@ TEST(CheckpointTest, TruncatesLineage) {
             std::string::npos);
 }
 
-TEST(CheckpointTest, ReopenInNewContext) {
-  dfs::MiniDfs store(ReplicatedDfs());
-  {
-    EngineContext ctx(LocalOptions(), &store);
-    auto ds = Parallelize(ctx, std::vector<std::string>{"a", "b", "c"}, 2);
-    ASSERT_TRUE(Checkpoint(ds, "/persisted").ok());
-  }
-  EngineContext ctx2(LocalOptions(), &store);
-  auto reopened = OpenCheckpoint<std::string>(ctx2, "/persisted");
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().Collect(),
-            (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(CheckpointTest, OpenMissingFails) {
-  dfs::MiniDfs store(ReplicatedDfs());
-  EngineContext ctx(LocalOptions(), &store);
-  EXPECT_FALSE(OpenCheckpoint<int>(ctx, "/nope").ok());
-}
-
 TEST(CheckpointTest, SurvivesDfsNodeLoss) {
   dfs::MiniDfs store(ReplicatedDfs());
   EngineContext ctx(LocalOptions(), &store);
@@ -132,11 +112,12 @@ TEST(CheckpointTest, DownstreamOpsCompose) {
   std::iota(data.begin(), data.end(), 0);
   auto checkpointed = Checkpoint(Parallelize(ctx, data, 4), "/ckpt");
   ASSERT_TRUE(checkpointed.ok());
-  const int evens =
-      static_cast<int>(checkpointed.value()
-                           .Filter([](const int& x) { return x % 2 == 0; })
-                           .Count());
-  EXPECT_EQ(evens, 20);
+  const std::size_t evens =
+      checkpointed.value()
+          .Filter([](const int& x) { return x % 2 == 0; })
+          .Collect()
+          .size();
+  EXPECT_EQ(evens, 20u);
 }
 
 TEST(DfsBinaryTest, WriteReadBlocks) {

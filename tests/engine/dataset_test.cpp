@@ -42,7 +42,6 @@ TEST(DatasetTest, ParallelizeEmpty) {
   EngineContext ctx(LocalOptions());
   auto ds = Parallelize(ctx, std::vector<int>{}, 4);
   EXPECT_TRUE(ds.Collect().empty());
-  EXPECT_EQ(ds.Count(), 0u);
 }
 
 TEST(DatasetTest, MapTransformsEveryElement) {
@@ -96,53 +95,6 @@ TEST(DatasetTest, MapPartitionsReceivesIndex) {
                        return std::vector<std::uint32_t>{idx};
                      });
   EXPECT_EQ(indices.Collect(), (std::vector<std::uint32_t>{0, 1, 2}));
-}
-
-TEST(DatasetTest, KeyByPairsElements) {
-  EngineContext ctx(LocalOptions());
-  auto keyed =
-      Parallelize(ctx, Ints(4), 2).KeyBy([](const int& x) { return x % 2; });
-  const auto got = keyed.Collect();
-  ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(got[1], (std::pair<int, int>{1, 1}));
-  EXPECT_EQ(got[2], (std::pair<int, int>{0, 2}));
-}
-
-TEST(DatasetTest, UnionConcatenates) {
-  EngineContext ctx(LocalOptions());
-  auto a = Parallelize(ctx, std::vector<int>{1, 2}, 1);
-  auto b = Parallelize(ctx, std::vector<int>{3, 4}, 2);
-  auto u = a.Union(b);
-  EXPECT_EQ(u.NumPartitions(), 3u);
-  EXPECT_EQ(u.Collect(), (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(DatasetTest, SampleFractionBounds) {
-  EngineContext ctx(LocalOptions());
-  auto ds = Parallelize(ctx, Ints(2000), 4);
-  EXPECT_TRUE(ds.Sample(0.0).Collect().empty());
-  EXPECT_EQ(ds.Sample(1.0).Collect().size(), 2000u);
-  const std::size_t half = ds.Sample(0.5).Collect().size();
-  EXPECT_NEAR(half, 1000.0, 120.0);
-}
-
-TEST(DatasetTest, SampleIsDeterministicPerSalt) {
-  EngineContext ctx(LocalOptions());
-  auto ds = Parallelize(ctx, Ints(100), 4);
-  EXPECT_EQ(ds.Sample(0.3, 1).Collect(), ds.Sample(0.3, 1).Collect());
-}
-
-TEST(DatasetTest, CountMatchesCollectSize) {
-  EngineContext ctx(LocalOptions());
-  auto ds = Parallelize(ctx, Ints(123), 9);
-  EXPECT_EQ(ds.Count(), 123u);
-}
-
-TEST(DatasetTest, ReduceSums) {
-  EngineContext ctx(LocalOptions());
-  auto ds = Parallelize(ctx, Ints(101), 8);
-  const int total = ds.Reduce([](int a, int b) { return a + b; }, 0);
-  EXPECT_EQ(total, 100 * 101 / 2);
 }
 
 TEST(DatasetTest, ChainedNarrowOps) {
@@ -199,6 +151,35 @@ TEST(DatasetTest, MetricsRecordStages) {
   EXPECT_EQ(stages[0].label, "my-stage");
   EXPECT_EQ(stages[0].task_seconds.size(), 2u);
   EXPECT_EQ(stages[0].records_out, 10u);
+}
+
+TEST(StageReportTest, ListsStagesWithMetrics) {
+  EngineContext ctx(LocalOptions());
+  auto ds = Parallelize(ctx, std::vector<int>{1, 2, 3, 4}, 2)
+                .Map([](const int& x) {
+                  return std::pair<int, int>(x % 2, x);
+                });
+  CollectAsMap(ReduceByKey(ds, [](int a, int b) { return a + b; }, 2));
+  const std::string report = FormatStageReport(ctx.metrics().stages());
+  EXPECT_NE(report.find("shuffle-map"), std::string::npos);
+  EXPECT_NE(report.find("collectAsMap"), std::string::npos);
+  EXPECT_NE(report.find("Stages"), std::string::npos);
+}
+
+TEST(DriverGuardTest, ActionInsideTaskAborts) {
+  // Everything lives inside the death statement: the forked child must
+  // create its own thread pool (worker threads do not survive fork).
+  auto nested_action = []() {
+    EngineContext ctx(LocalOptions());
+    auto inner = Parallelize(ctx, std::vector<int>{1, 2}, 1);
+    auto outer = Parallelize(ctx, std::vector<int>{10}, 1)
+                     .Map([inner](const int& x) {
+                       // Nested action from a task closure: forbidden.
+                       return x + inner.Collect().front();
+                     });
+    outer.Collect();
+  };
+  EXPECT_DEATH(nested_action(), "inside a task");
 }
 
 /// Sweep: collect order is stable for any partitioning.

@@ -160,7 +160,6 @@ TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
   const simdata::SyntheticDataset dataset = FixedDataset();
   const stats::kernels::DispatchLevel saved =
       stats::kernels::ActiveDispatchLevel();
-  const int best = static_cast<int>(stats::kernels::BestSupportedLevel());
   for (ResamplingMethod method :
        {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
     for (bool pack : {false, true}) {
@@ -172,9 +171,10 @@ TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
             stats::kernels::DispatchLevel::kScalar);
         const ResamplingResult scalar =
             RunConfigured(method, 4, batch, pack, 20, dataset);
-        for (int level = 1; level <= best; ++level) {
-          stats::kernels::SetDispatchLevel(
-              static_cast<stats::kernels::DispatchLevel>(level));
+        for (stats::kernels::DispatchLevel level :
+             stats::kernels::ExecutableLevels()) {
+          if (level == stats::kernels::DispatchLevel::kScalar) continue;
+          stats::kernels::SetDispatchLevel(level);
           SCOPED_TRACE(std::string("level=") +
                        stats::kernels::DispatchLevelName(
                            stats::kernels::ActiveDispatchLevel()));

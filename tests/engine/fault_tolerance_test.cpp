@@ -184,25 +184,5 @@ TEST(FaultToleranceTest, ShuffleSurvivesMapTaskRetries) {
   EXPECT_EQ(total, 39 * 40 / 2);
 }
 
-TEST(FaultToleranceTest, RetriedTaskReproducesSameRandomness) {
-  // Rng derived from TaskContext must not depend on the attempt number:
-  // a retried Sample task yields the same subset.
-  cluster::FaultInjector faults;
-  EngineContext ctx(LocalOptions(), nullptr, &faults);
-  std::vector<int> data(200);
-  std::iota(data.begin(), data.end(), 0);
-
-  auto sampled = Parallelize(ctx, data, 2).Sample(0.5, /*salt=*/9);
-  const auto clean = sampled.Collect();
-
-  cluster::FaultInjector faults2;
-  EngineContext ctx2(LocalOptions(), nullptr, &faults2);
-  auto sampled2 = Parallelize(ctx2, data, 2).Sample(0.5, /*salt=*/9);
-  faults2.FailTask(1, 0, 1);
-  faults2.FailTask(1, 1, 2);
-  const auto with_retries = sampled2.Collect();
-  EXPECT_EQ(clean, with_retries);
-}
-
 }  // namespace
 }  // namespace ss::engine

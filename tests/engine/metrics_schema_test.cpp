@@ -141,7 +141,7 @@ TEST(RunMetricsSchemaTest, TimelineCollectedReflectsProfilingSwitch) {
 
 TEST(RunMetricsSchemaTest, KernelKeySetAndOrder) {
   // The kernel section's keys are a contract with tools/check_trace.py.
-  // dispatch_name is host-dependent (scalar/sse2/avx2), so assert key
+  // dispatch_name is host-dependent (scalar/avx2), so assert key
   // order rather than a digit-stripped golden.
   ExpectOrderedKeys(
       SampleRunMetricsJson(),

@@ -1,4 +1,4 @@
-// Wide operations: PartitionByKey, ReduceByKey, GroupByKey, Join,
+// Wide operations: PartitionByKey, ReduceByKey, Join,
 // CollectAsMap — including partitioning invariants and stage accounting.
 #include <gtest/gtest.h>
 
@@ -107,20 +107,6 @@ TEST(ShuffleTest, ReduceByKeyEmptyInput) {
   auto reduced = ReduceByKey(Parallelize(ctx, std::vector<P>{}, 3),
                              [](int a, int b) { return a + b; }, 2);
   EXPECT_TRUE(reduced.Collect().empty());
-}
-
-TEST(ShuffleTest, GroupByKeyGathersAllValues) {
-  EngineContext ctx(LocalOptions());
-  auto grouped = GroupByKey(Parallelize(ctx, PairsModKeys(30, 3), 4), 2);
-  auto result = CollectAsMap(grouped);
-  ASSERT_EQ(result.size(), 3u);
-  for (int k = 0; k < 3; ++k) {
-    std::vector<int> values = result[k];
-    std::sort(values.begin(), values.end());
-    std::vector<int> expected;
-    for (int v = k; v < 30; v += 3) expected.push_back(v);
-    EXPECT_EQ(values, expected);
-  }
 }
 
 TEST(ShuffleTest, JoinMatchesKeys) {

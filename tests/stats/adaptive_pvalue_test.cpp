@@ -35,6 +35,19 @@ Matrix DiagonalMatrix(const std::vector<double>& diag) {
   return m;
 }
 
+/// XᵀX.
+Matrix Gram(const Matrix& x) {
+  Matrix gram(x.cols(), x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t i = 0; i < x.cols(); ++i) {
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        gram.at(i, j) += x.at(r, i) * x.at(r, j);
+      }
+    }
+  }
+  return gram;
+}
+
 // ---------------------------------------------------------------------
 // Eigensolver
 // ---------------------------------------------------------------------
@@ -69,7 +82,7 @@ TEST(SymmetricEigenvaluesTest, TraceAndFrobeniusInvariants) {
   for (std::size_t r = 0; r < 8; ++r) {
     for (std::size_t c = 0; c < 5; ++c) a.at(r, c) = SampleNormal(rng);
   }
-  const Matrix gram = a.Gram();
+  const Matrix gram = Gram(a);
   double trace = 0.0;
   double frob_sq = 0.0;
   for (std::size_t i = 0; i < 5; ++i) {
@@ -231,7 +244,7 @@ TEST(SymmetricEigenvaluesTest, RecoversRankDeficientGrams) {
     }
     std::vector<double> truth(2 * k, 0.0);
     for (std::size_t i = 0; i < k; ++i) truth[i] = 2.0 * sigma[i] * sigma[i];
-    ExpectSpectrumRecovered(x.Gram(), truth,
+    ExpectSpectrumRecovered(Gram(x), truth,
                             "duplicated columns k=" + std::to_string(k));
   }
   // More SNPs than patients: rank n, so d − n eigenvalues are zero.
@@ -242,7 +255,7 @@ TEST(SymmetricEigenvaluesTest, RecoversRankDeficientGrams) {
     const Matrix x = DataWithSingularValues(n, d, sigma, rng);
     std::vector<double> truth(d, 0.0);
     for (std::size_t i = 0; i < n; ++i) truth[i] = sigma[i] * sigma[i];
-    ExpectSpectrumRecovered(x.Gram(), truth,
+    ExpectSpectrumRecovered(Gram(x), truth,
                             "d=" + std::to_string(d) + " > n=" +
                                 std::to_string(n));
   }

@@ -43,15 +43,6 @@ class ScopedDispatchLevel {
   DispatchLevel saved_;
 };
 
-std::vector<DispatchLevel> ExecutableLevels() {
-  std::vector<DispatchLevel> levels;
-  const int best = static_cast<int>(kernels::BestSupportedLevel());
-  for (int level = 0; level <= best; ++level) {
-    levels.push_back(static_cast<DispatchLevel>(level));
-  }
-  return levels;
-}
-
 std::vector<double> RandomDoubles(Rng& rng, std::size_t count) {
   std::vector<double> values(count);
   for (double& v : values) v = rng.NextDouble() * 8.0 - 4.0;
@@ -59,13 +50,23 @@ std::vector<double> RandomDoubles(Rng& rng, std::size_t count) {
 }
 
 TEST(KernelDispatchTest, ParseAndNameRoundTrip) {
-  for (const char* name : {"scalar", "sse2", "avx2"}) {
+  for (const char* name : {"scalar", "avx2"}) {
     Result<DispatchLevel> level = kernels::ParseDispatchLevel(name);
     ASSERT_TRUE(level.ok()) << name;
     EXPECT_STREQ(kernels::DispatchLevelName(level.value()), name);
   }
-  EXPECT_FALSE(kernels::ParseDispatchLevel("avx512").ok());
-  EXPECT_FALSE(kernels::ParseDispatchLevel("").ok());
+  // The retired SSE2 tier's name fails closed like any unknown level.
+  for (const char* name : {"sse2", "avx512", ""}) {
+    Result<DispatchLevel> level = kernels::ParseDispatchLevel(name);
+    EXPECT_EQ(level.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
+TEST(KernelDispatchTest, ExecutableLevelsStartAtScalarAndEndAtBest) {
+  const std::vector<DispatchLevel> levels = kernels::ExecutableLevels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), DispatchLevel::kScalar);
+  EXPECT_EQ(levels.back(), kernels::BestSupportedLevel());
 }
 
 TEST(KernelDispatchTest, SetClampsToSupportedAndSticks) {
@@ -96,7 +97,7 @@ TEST(KernelDifferentialTest, BatchedMacBitwiseEqualAcrossLevels) {
       const std::vector<double> zblock = RandomDoubles(rng, n * count);
       std::vector<double> expected(count);
       scalar.batched_mac(u.data(), n, zblock.data(), count, expected.data());
-      for (DispatchLevel level : ExecutableLevels()) {
+      for (DispatchLevel level : kernels::ExecutableLevels()) {
         std::vector<double> got(count, -1.0);
         kernels::KernelsFor(level).batched_mac(u.data(), n, zblock.data(),
                                                count, got.data());
@@ -151,7 +152,7 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
         kernels::KernelsFor(DispatchLevel::kScalar)
             .batched_mac(widened.data(), n, vblock.data(), count,
                          reference.data());
-        for (DispatchLevel level : ExecutableLevels()) {
+        for (DispatchLevel level : kernels::ExecutableLevels()) {
           const kernels::KernelTable& table = kernels::KernelsFor(level);
           std::vector<double> dense(count, -1.0);
           std::vector<double> sparse(count, -1.0);
@@ -198,7 +199,7 @@ TEST(KernelDifferentialTest, CoxScanBitwiseEqualAcrossLevels) {
     std::vector<double> expected(n);
     scalar.cox_scan(event.data(), genotypes.data(), prefix.data(),
                     prefix_end.data(), n, expected.data());
-    for (DispatchLevel level : ExecutableLevels()) {
+    for (DispatchLevel level : kernels::ExecutableLevels()) {
       std::vector<double> got(n, -1.0);
       kernels::KernelsFor(level).cox_scan(event.data(), genotypes.data(),
                                           prefix.data(), prefix_end.data(), n,
@@ -226,7 +227,7 @@ TEST(KernelDifferentialTest, SkatFoldsBitwiseEqualAcrossLevels) {
     std::vector<double> expected_burden = seed_acc;
     scalar.skat_burden_fold(scores.data(), count, w, w * w,
                             expected_skat.data(), expected_burden.data());
-    for (DispatchLevel level : ExecutableLevels()) {
+    for (DispatchLevel level : kernels::ExecutableLevels()) {
       const kernels::KernelTable& table = kernels::KernelsFor(level);
       std::vector<double> acc = seed_acc;
       table.skat_fold(scores.data(), count, w * w, acc.data());
@@ -254,7 +255,7 @@ TEST(KernelDifferentialTest, RoutedBatchedScoresMatchPerReplicateOracle) {
   const std::size_t count = 23;
   const std::vector<double> contributions = RandomDoubles(rng, n);
   const std::vector<double> zblock = RandomDoubles(rng, n * count);
-  for (DispatchLevel level : ExecutableLevels()) {
+  for (DispatchLevel level : kernels::ExecutableLevels()) {
     ScopedDispatchLevel guard(level);
     std::vector<double> scores;
     BatchedReplicateScores(contributions, zblock.data(), count, &scores);
@@ -283,7 +284,7 @@ TEST(KernelDifferentialTest, CoxContributionsMatchNaiveUnderEveryLevel) {
   }
   const RiskSetIndex index(data);
   const std::vector<double> naive = CoxScoreContributionsNaive(data, genotypes);
-  for (DispatchLevel level : ExecutableLevels()) {
+  for (DispatchLevel level : kernels::ExecutableLevels()) {
     ScopedDispatchLevel guard(level);
     const std::vector<double> fast =
         CoxScoreContributions(data, index, genotypes);

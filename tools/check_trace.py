@@ -59,7 +59,7 @@ CACHE_KEYS = (
 # The kernel section: the SIMD dispatch level in effect (numeric + name)
 # and the 2-bit genotype packing byte counters.
 KERNEL_KEYS = ("dispatch", "dispatch_name", "packed_bytes", "unpacked_bytes")
-KERNEL_DISPATCH_NAMES = {"scalar", "sse2", "avx2", "unknown"}
+KERNEL_DISPATCH_NAMES = {"scalar", "avx2", "unknown"}
 
 # The adaptive p-value engine section: mirrors the pvalue.* counters
 # (all zeros for legacy pure-resampling runs).

@@ -439,7 +439,7 @@ int main(int argc, char** argv) {
     ss::engine::Tracer::Global().Enable();
   }
   ss::engine::SetProfilingEnabled(args.GetBool("profile", true));
-  // kernel=scalar|sse2|avx2 forces the SIMD dispatch level for the whole
+  // kernel=scalar|avx2 forces the SIMD dispatch level for the whole
   // process (same as the SS_KERNEL environment variable; requests above
   // what the CPU supports clamp down with a warning).
   const std::string kernel = args.GetStr("kernel", "");
