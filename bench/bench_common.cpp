@@ -50,6 +50,9 @@ void ConfigureObservability(const Args& args) {
 }
 
 void WriteRunArtifacts(const Args& args, engine::EngineContext& ctx) {
+  // An advisory prefetch job may outlive the stage that issued it; let it
+  // finish so the trace holds no unclosed span.
+  if (ctx.io() != nullptr) ctx.io()->Drain();
   const std::string trace_path = args.GetStr("trace", "");
   if (trace_path == "-") {
     // Stream to stderr so the metrics stream (stdout) stays parseable.

@@ -14,6 +14,15 @@
 #include "stats/resampling.hpp"
 #include "support/log.hpp"
 
+// Score partitions are never cached, but every Dataset element type needs
+// a byte estimate for the cache path.
+template <>
+struct ss::engine::internal::ApproxBytesImpl<ss::core::ScoreRows> {
+  static std::size_t Of(const ss::core::ScoreRows& rows) {
+    return ApproxBytesOf(rows.snps) + ApproxBytesOf(rows.scores);
+  }
+};
+
 namespace ss::core {
 namespace {
 
@@ -127,30 +136,40 @@ std::uint32_t SnpOf(const stats::PackedSnpRecord& record) { return record.snp; }
 std::uint32_t SnpOf(const SnpRecord& record) { return record.snp; }
 
 /// The score-block scaffold: one MapPartitions pass that scores every
-/// record whose SNP is live (all, when `live_snps` is null) and collects
-/// SNP -> replicate scores to the driver. `score(record, &scratch,
-/// &scores)` fills one SNP's scores; `Scratch` is per-partition working
-/// memory.
+/// record whose SNP is live (all, when `live_snps` is null) into its
+/// partition's flat `live records × count` buffer, then moves the
+/// buffers to the driver as one ScoreBlock. `score(record, &scratch,
+/// row)` writes one SNP's `count` scores to `row`; `Scratch` is
+/// per-partition working memory.
 template <typename Scratch, typename Record, typename Score>
-std::unordered_map<std::uint32_t, std::vector<double>> CollectScoreBlock(
-    const Dataset<Record>& records,
+ScoreBlock CollectScoreBlock(
+    const Dataset<Record>& records, std::size_t count,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps,
-    Score score) {
+    const char* label, Score score) {
   auto scored = records.MapPartitions(
-      [live_snps, score](std::uint32_t, const std::vector<Record>& partition) {
-        std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
-        out.reserve(partition.size());
-        Scratch scratch;
-        std::vector<double> scores;
+      [live_snps, count, score](std::uint32_t,
+                                const std::vector<Record>& partition) {
+        std::vector<const Record*> live;
+        live.reserve(partition.size());
         for (const Record& record : partition) {
-          const std::uint32_t snp = SnpOf(record);
-          if (live_snps != nullptr && live_snps->count(snp) == 0) continue;
-          score(record, &scratch, &scores);
-          out.push_back({snp, scores});
+          if (live_snps == nullptr || live_snps->count(SnpOf(record)) != 0) {
+            live.push_back(&record);
+          }
+        }
+        std::vector<ScoreRows> out(1);
+        ScoreRows& rows = out.front();
+        rows.snps.reserve(live.size());
+        rows.scores.resize(live.size() * count);
+        Scratch scratch;
+        double* row = rows.scores.data();
+        for (const Record* record : live) {
+          rows.snps.push_back(SnpOf(*record));
+          score(*record, &scratch, row);
+          row += count;
         }
         return out;
       });
-  return engine::CollectAsMap(scored, "collect-score-block");
+  return ScoreBlock(count, scored.Collect(label));
 }
 
 struct NoScratch {};
@@ -171,20 +190,35 @@ struct GenotypeScratch {
 /// scored like any other, as the U path scores it.
 void GenotypeScores(const GenotypeScratch& runs, std::size_t nnz,
                     std::size_t n, const double* vblock, std::size_t count,
-                    bool zero_sum_columns, std::vector<double>* out) {
+                    bool zero_sum_columns, double* out) {
   const std::uint8_t* d = runs.dosage.data();
   if (zero_sum_columns && nnz == n &&
       std::all_of(d, d + nnz, [d](std::uint8_t x) { return x == d[0]; })) {
-    out->assign(count, 0.0);
+    std::fill(out, out + count, 0.0);
     return;
   }
-  out->resize(count);
   stats::kernels::ActiveKernels().sparse_mac(runs.index.data(),
                                              runs.dosage.data(), nnz, vblock,
-                                             count, out->data());
+                                             count, out);
 }
 
 }  // namespace
+
+ScoreBlock::ScoreBlock(std::size_t count, std::vector<ScoreRows> partitions)
+    : count_(count), partitions_(std::move(partitions)) {
+  std::uint32_t end = 0;
+  for (const ScoreRows& rows : partitions_) {
+    for (std::uint32_t snp : rows.snps) end = std::max(end, snp + 1);
+  }
+  rows_.assign(end, nullptr);
+  for (const ScoreRows& rows : partitions_) {
+    for (std::size_t i = 0; i < rows.snps.size(); ++i) {
+      const double*& row = rows_[rows.snps[i]];
+      if (row == nullptr) ++size_;
+      row = rows.scores.data() + i * count_;
+    }
+  }
+}
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
                            const PipelineConfig& config,
@@ -195,6 +229,7 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
     : ctx_(&ctx), config_(config), phenotype_(std::move(phenotype)),
       sets_(std::move(sets)) {
   SS_CHECK(!sets_.empty());
+  SS_CHECK(stats::CheckDistinctSetIds(sets_).ok());
 
   if (config_.cache_budget_bytes != 0) {
     ctx.cache().SetCapacityBytes(config_.cache_budget_bytes);
@@ -284,6 +319,9 @@ Result<SkatPipeline> SkatPipeline::Open(engine::EngineContext& ctx,
     if (!set.ok()) return set.status();
     sets.push_back(std::move(set).value());
   }
+  if (Status distinct = stats::CheckDistinctSetIds(sets); !distinct.ok()) {
+    return distinct;
+  }
 
   // Weights: distributed parse (step 2). Note: unlike the in-memory
   // constructor we keep them as a dataset end-to-end.
@@ -347,6 +385,9 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
   if (sets.empty()) {
     return Status(StatusCode::kInvalidArgument,
                   "genotype store " + store_path + " has no SNP-sets");
+  }
+  if (Status distinct = stats::CheckDistinctSetIds(sets); !distinct.ok()) {
+    return distinct;
   }
 
   auto weight_bytes = store->ReadAuxFrame(dfs::StoreFrameKind::kWeights);
@@ -518,8 +559,7 @@ SetScores SkatPipeline::ComputeObserved() {
   return SetScoresFromU(u_observed_);
 }
 
-std::unordered_map<std::uint32_t, std::vector<double>>
-SkatPipeline::ComputeMonteCarloScoreBlock(
+ScoreBlock SkatPipeline::ComputeMonteCarloScoreBlock(
     const std::vector<double>& zblock, std::size_t count,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
   SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
@@ -529,15 +569,14 @@ SkatPipeline::ComputeMonteCarloScoreBlock(
                          {engine::Arg("replicates", count)});
   auto z = engine::MakeBroadcast(*ctx_, zblock);
   return CollectScoreBlock<NoScratch>(
-      u_observed_, std::move(live_snps),
+      u_observed_, count, std::move(live_snps), "collect-score-block",
       [z, count](const std::pair<std::uint32_t, std::vector<double>>& record,
-                 NoScratch*, std::vector<double>* scores) {
-        stats::BatchedReplicateScores(record.second, z->data(), count, scores);
+                 NoScratch*, double* row) {
+        stats::BatchedReplicateScores(record.second, z->data(), count, row);
       });
 }
 
-std::unordered_map<std::uint32_t, std::vector<double>>
-SkatPipeline::ComputeGenotypeScoreBlock(
+ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
     const std::vector<double>& vblock, std::size_t count,
     bool zero_sum_columns,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
@@ -550,10 +589,9 @@ SkatPipeline::ComputeGenotypeScoreBlock(
   // BuildU's unpack: one span per record would flood the trace).
   if (config_.pack_genotypes) {
     return CollectScoreBlock<GenotypeScratch>(
-        fgm_packed_, std::move(live_snps),
+        fgm_packed_, count, std::move(live_snps), "collect-score-block",
         [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
-                                     GenotypeScratch* scratch,
-                                     std::vector<double>* scores) {
+                                     GenotypeScratch* scratch, double* row) {
           std::size_t nnz = 0;
           {
             ss::engine::PhaseTimer decode_phase(
@@ -562,14 +600,13 @@ SkatPipeline::ComputeGenotypeScoreBlock(
                                                &scratch->dosage);
           }
           GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
-                         count, zero_sum_columns, scores);
+                         count, zero_sum_columns, row);
         });
   }
   return CollectScoreBlock<GenotypeScratch>(
-      fgm_, std::move(live_snps),
+      fgm_, count, std::move(live_snps), "collect-score-block",
       [v, count, zero_sum_columns](const SnpRecord& record,
-                                   GenotypeScratch* scratch,
-                                   std::vector<double>* scores) {
+                                   GenotypeScratch* scratch, double* row) {
         std::size_t nnz = 0;
         {
           ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
@@ -578,19 +615,20 @@ SkatPipeline::ComputeGenotypeScoreBlock(
                                       &scratch->dosage);
         }
         GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
-                       count, zero_sum_columns, scores);
+                       count, zero_sum_columns, row);
       });
 }
 
-std::unordered_map<std::uint32_t, double> SkatPipeline::CollectObservedScores() {
+ScoreBlock SkatPipeline::CollectObservedScores() {
   EnsureUBuilt();
-  auto scores = u_observed_.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
+  return CollectScoreBlock<NoScratch>(
+      u_observed_, 1, nullptr, "collect-observed-scores",
+      [](const std::pair<std::uint32_t, std::vector<double>>& record,
+         NoScratch*, double* row) {
         double total = 0.0;
         for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total);
+        *row = total;
       });
-  return engine::CollectAsMap(scores, "collect-observed-scores");
 }
 
 const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
@@ -634,9 +672,7 @@ SkatPipeline::CollectSetGramMatrices() {
       entry.w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
     }
     const std::size_t d = entry.u.size();
-    auto [it, inserted] = grams.emplace(set.id, stats::Matrix(d, d));
-    if (!inserted) continue;  // a repeated set id keeps its first Gram
-    entry.gram = &it->second;
+    entry.gram = &grams.emplace(set.id, stats::Matrix(d, d)).first->second;
     members.push_back(std::move(entry));
   }
 

@@ -48,6 +48,48 @@ namespace ss::core {
 /// Per-set observed statistics, keyed by set id (the paper's "HashMap").
 using SetScores = std::unordered_map<std::uint32_t, double>;
 
+/// One partition's share of a score pass: the SNPs it scored, in record
+/// order, and their scores in one row-major `snps.size() × count` buffer.
+struct ScoreRows {
+  std::vector<std::uint32_t> snps;
+  std::vector<double> scores;
+};
+
+/// The per-SNP scores of one engine pass (`count` per SNP), collected to
+/// the driver as the partitions wrote them: one contiguous buffer per
+/// partition, no per-SNP vector and no hash map. A row table indexed by
+/// SNP id, built once per pass, points each scored SNP at its row.
+class ScoreBlock {
+ public:
+  ScoreBlock() = default;
+  ScoreBlock(std::size_t count, std::vector<ScoreRows> partitions);
+
+  // Movable only: the row table points into the partition buffers.
+  ScoreBlock(ScoreBlock&&) noexcept = default;
+  ScoreBlock& operator=(ScoreBlock&&) noexcept = default;
+  ScoreBlock(const ScoreBlock&) = delete;
+  ScoreBlock& operator=(const ScoreBlock&) = delete;
+
+  /// Scores per SNP (the pass's replicate count; 1 for observed scores).
+  std::size_t count() const { return count_; }
+
+  /// Distinct SNPs scored.
+  std::size_t size() const { return size_; }
+
+  /// `snp`'s `count` scores, or nullptr when the pass did not score it
+  /// (filtered out of every set, or outside the pass's `live_snps`). A
+  /// SNP scored by two records keeps the later partition's row.
+  const double* row(std::uint32_t snp) const {
+    return snp < rows_.size() ? rows_[snp] : nullptr;
+  }
+
+ private:
+  std::size_t count_ = 0;
+  std::size_t size_ = 0;
+  std::vector<ScoreRows> partitions_;
+  std::vector<const double*> rows_;
+};
+
 struct PipelineConfig {
   stats::ScoreModel model = stats::ScoreModel::kCox;
 
@@ -139,7 +181,9 @@ class SkatPipeline {
                                  const PipelineConfig& config);
 
   /// Builds from parts: a genotype dataset plus driver-side phenotype,
-  /// weights and sets (the extension point for custom studies).
+  /// weights and sets (the extension point for custom studies). Set ids
+  /// must be distinct (checked; Open and OpenFromStore return
+  /// InvalidArgument instead).
   SkatPipeline(engine::EngineContext& ctx, const PipelineConfig& config,
                engine::Dataset<simdata::SnpRecord> genotypes,
                stats::Phenotype phenotype, std::vector<double> weights,
@@ -155,15 +199,15 @@ class SkatPipeline {
   /// layout), computed in ONE engine pass over the cached U partitions
   /// with the blocked stats::BatchedReplicateScores kernel. Only
   /// paper-faithful Monte Carlo (`paper_faithful_scores`) uses it; every
-  /// other run scores V(z) blocks with ComputeGenotypeScoreBlock. The
-  /// per-set folds (steps 9-12) happen driver-side in the resampling
-  /// driver, in the serial oracle's canonical accumulation order — see
-  /// core/resampling_methods.hpp. A non-null `live_snps` restricts the
-  /// pass to those SNPs (every other record is skipped and absent from
-  /// the result); each scored SNP's vector is bitwise the same as in an
-  /// unfiltered pass.
-  std::unordered_map<std::uint32_t, std::vector<double>>
-  ComputeMonteCarloScoreBlock(
+  /// other run scores V(z) blocks with ComputeGenotypeScoreBlock. Each
+  /// partition writes its rows straight into its own flat buffer, and the
+  /// buffers move to the driver as one ScoreBlock; the per-set folds
+  /// (steps 9-12) read it there in the serial oracle's canonical
+  /// accumulation order — see core/resampling_methods.hpp. A non-null
+  /// `live_snps` restricts the pass to those SNPs (every other record is
+  /// skipped and has no row); each scored SNP's row is bitwise the same as
+  /// in an unfiltered pass.
+  ScoreBlock ComputeMonteCarloScoreBlock(
       const std::vector<double>& zblock, std::size_t count,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
           nullptr);
@@ -176,25 +220,25 @@ class SkatPipeline {
   /// coefficients gives the observed scores. One engine pass over the
   /// cached genotype partitions: each SNP is decoded into its non-zero
   /// (patient, dosage) runs and scored by the sparse kernel
-  /// (kernels::KernelTable::sparse_mac), bitwise equal to the dense MAC
-  /// over all patients; live-SNP filter and collect as in
-  /// ComputeMonteCarloScoreBlock. `zero_sum_columns` says every column
-  /// of the block sums to zero exactly (permutation blocks, Cox V(z)
-  /// blocks, the observed v); a constant genotype column then scores
-  /// exactly 0, as its Cox U vector does. Gaussian and Binomial Monte
-  /// Carlo blocks (z∘v) do not sum to zero and pass false.
-  std::unordered_map<std::uint32_t, std::vector<double>>
-  ComputeGenotypeScoreBlock(
+  /// (kernels::KernelTable::sparse_mac) straight into its partition's
+  /// flat buffer, bitwise equal to the dense MAC over all patients;
+  /// live-SNP filter and collect as in ComputeMonteCarloScoreBlock.
+  /// `zero_sum_columns` says every column of the block sums to zero
+  /// exactly (permutation blocks, Cox V(z) blocks, the observed v); a
+  /// constant genotype column then writes exact zeros in place, as its Cox
+  /// U vector scores. Gaussian and Binomial Monte Carlo blocks (z∘v) do
+  /// not sum to zero and pass false.
+  ScoreBlock ComputeGenotypeScoreBlock(
       const std::vector<double>& vblock, std::size_t count,
       bool zero_sum_columns,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
           nullptr);
 
   /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
-  /// driver (one double per filtered SNP), for paper-faithful Monte
-  /// Carlo's canonical observed fold. Materializes the U RDD like
+  /// driver as a count-1 ScoreBlock, for paper-faithful Monte Carlo's
+  /// canonical observed fold. Materializes the U RDD like
   /// ComputeObserved.
-  std::unordered_map<std::uint32_t, double> CollectObservedScores();
+  ScoreBlock CollectObservedScores();
 
   /// Driver-resident unsquared weights ω_j, collected once and memoized.
   const std::unordered_map<std::uint32_t, double>& DriverWeights();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -150,89 +151,92 @@ void RunBatches(const char* algorithm, std::uint64_t replicates,
   }
 }
 
-/// Steps 9-12 on the driver: per-set SKAT fold of per-SNP marginal
-/// scores, in exactly stats::SkatStatistic's accumulation order (set
-/// members in declaration order, `w * w * squared` per SNP) — the serial
-/// oracle's order, independent of partitioning, shuffle order, thread
-/// count, and batch size.
-SetScores FoldObservedScores(
-    const std::vector<stats::SnpSet>& sets,
-    const std::unordered_map<std::uint32_t, double>& snp_scores,
-    const std::unordered_map<std::uint32_t, double>& weights) {
-  SetScores out;
-  out.reserve(sets.size());
-  for (const stats::SnpSet& set : sets) {
-    double statistic = 0.0;
-    for (std::uint32_t snp : set.snps) {
-      auto score_it = snp_scores.find(snp);
-      if (score_it == snp_scores.end()) continue;  // SNP filtered out
-      auto weight_it = weights.find(snp);
-      const double w = weight_it == weights.end() ? 1.0 : weight_it->second;
-      const double squared = score_it->second * score_it->second;
-      statistic += w * w * squared;
+/// Steps 9-12's per-set plan, built once per run: each set's members in
+/// declaration order with ω and ω² (ω = 1 for a SNP without a weight).
+/// Folds address sets by their position in the pipeline's set list, which
+/// relies on set ids being distinct (stats::CheckDistinctSetIds).
+class FoldPlan {
+ public:
+  struct Member {
+    std::uint32_t snp;
+    double weight;
+    double weight_sq;
+  };
+
+  FoldPlan(const std::vector<stats::SnpSet>& sets,
+           const std::unordered_map<std::uint32_t, double>& weights) {
+    offsets_.reserve(sets.size() + 1);
+    offsets_.push_back(0);
+    for (const stats::SnpSet& set : sets) {
+      for (std::uint32_t snp : set.snps) {
+        auto it = weights.find(snp);
+        const double w = it == weights.end() ? 1.0 : it->second;
+        members_.push_back({snp, w, w * w});
+      }
+      offsets_.push_back(members_.size());
     }
-    out[set.id] = statistic;
+  }
+
+  std::size_t num_sets() const { return offsets_.size() - 1; }
+
+  std::span<const Member> members(std::size_t position) const {
+    return {members_.data() + offsets_[position],
+            offsets_[position + 1] - offsets_[position]};
+  }
+
+ private:
+  std::vector<Member> members_;
+  std::vector<std::size_t> offsets_;
+};
+
+/// Steps 9-12 on the driver: the SKAT statistic of every column of a
+/// score block for each set at `positions`, set-major — out[i*count + r]
+/// is set positions[i]'s statistic in column r. Each accumulator starts
+/// at +0 and adds ω_j²·(s·s) over the set's scored members in declaration
+/// order, stats::SkatStatistic's order, so every value is independent of
+/// partitioning, thread count and batch size; a set with no scored
+/// member stays +0. The observed pass is the same fold of a count-1
+/// block.
+std::vector<double> FoldSetStatistics(const FoldPlan& plan,
+                                      const std::vector<std::size_t>& positions,
+                                      const ScoreBlock& block) {
+  const std::size_t count = block.count();
+  const auto fold = stats::kernels::ActiveKernels().skat_fold;
+  std::vector<double> out(positions.size() * count, 0.0);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    double* acc = out.data() + i * count;
+    for (const FoldPlan::Member& member : plan.members(positions[i])) {
+      const double* row = block.row(member.snp);
+      if (row == nullptr) continue;  // SNP filtered out
+      fold(row, count, member.weight_sq, acc);
+    }
   }
   return out;
 }
 
-/// The batched form of FoldObservedScores: folds all `count` replicates
-/// of a score block in one sweep over the sets. Each replicate's
-/// accumulator follows the same canonical order, so element r is bitwise
-/// equal to folding replicate r alone.
-std::vector<SetScores> FoldReplicateScores(
-    const std::vector<stats::SnpSet>& sets,
-    const std::unordered_map<std::uint32_t, std::vector<double>>& block,
-    const std::unordered_map<std::uint32_t, double>& weights,
-    std::size_t count) {
-  std::vector<SetScores> out(count);
-  std::vector<double> acc(count);
-  for (const stats::SnpSet& set : sets) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (std::uint32_t snp : set.snps) {
-      auto score_it = block.find(snp);
-      if (score_it == block.end()) continue;  // SNP filtered out
-      auto weight_it = weights.find(snp);
-      const double w = weight_it == weights.end() ? 1.0 : weight_it->second;
-      const std::vector<double>& scores = score_it->second;
-      // Routed kernel; w*w precomputed here evaluates exactly like the
-      // original `w * w * squared` left-to-right expression.
-      stats::kernels::ActiveKernels().skat_fold(scores.data(), count, w * w,
-                                                acc.data());
-    }
-    for (std::size_t r = 0; r < count; ++r) out[r][set.id] = acc[r];
-  }
-  return out;
-}
+/// Per-set SKAT and burden = (Σ_j ω_j Ũ_j)² statistics of every column of
+/// a score block, set-major over all sets, in FoldSetStatistics' order.
+struct SkatBurdenScores {
+  std::vector<double> skat;
+  std::vector<double> burden;
+};
 
-/// Per-set (SKAT, burden) pairs for all replicates of a score block, in
-/// the same canonical order; burden = (Σ_j ω_j Ũ_jb)² on the driver.
-std::vector<std::unordered_map<std::uint32_t, std::pair<double, double>>>
-FoldSkatBurdenScores(
-    const std::vector<stats::SnpSet>& sets,
-    const std::unordered_map<std::uint32_t, std::vector<double>>& block,
-    const std::unordered_map<std::uint32_t, double>& weights,
-    std::size_t count) {
-  std::vector<std::unordered_map<std::uint32_t, std::pair<double, double>>>
-      out(count);
-  std::vector<double> skat(count);
-  std::vector<double> burden_sum(count);
-  for (const stats::SnpSet& set : sets) {
-    std::fill(skat.begin(), skat.end(), 0.0);
-    std::fill(burden_sum.begin(), burden_sum.end(), 0.0);
-    for (std::uint32_t snp : set.snps) {
-      auto score_it = block.find(snp);
-      if (score_it == block.end()) continue;  // SNP filtered out
-      auto weight_it = weights.find(snp);
-      const double w = weight_it == weights.end() ? 1.0 : weight_it->second;
-      const std::vector<double>& scores = score_it->second;
-      stats::kernels::ActiveKernels().skat_burden_fold(
-          scores.data(), count, w, w * w, skat.data(), burden_sum.data());
-    }
-    for (std::size_t r = 0; r < count; ++r) {
-      out[r][set.id] = {skat[r], burden_sum[r] * burden_sum[r]};
+SkatBurdenScores FoldSkatBurdenScores(const FoldPlan& plan,
+                                      const ScoreBlock& block) {
+  const std::size_t count = block.count();
+  const auto fold = stats::kernels::ActiveKernels().skat_burden_fold;
+  SkatBurdenScores out;
+  out.skat.assign(plan.num_sets() * count, 0.0);
+  out.burden.assign(plan.num_sets() * count, 0.0);
+  for (std::size_t k = 0; k < plan.num_sets(); ++k) {
+    for (const FoldPlan::Member& member : plan.members(k)) {
+      const double* row = block.row(member.snp);
+      if (row == nullptr) continue;  // SNP filtered out
+      fold(row, count, member.weight, member.weight_sq,
+           out.skat.data() + k * count, out.burden.data() + k * count);
     }
   }
+  for (double& sum : out.burden) sum *= sum;
   return out;
 }
 
@@ -348,16 +352,26 @@ void AnalyticScreen(SkatPipeline& pipeline, PValueMethod method,
   screens.fetch_add(tasks.size(), std::memory_order_relaxed);
 }
 
-/// One Besag–Clifford stopper per set that will consume replicates:
-/// every set for pure resampling with early stopping, none for the pure
-/// analytic methods, and the screened-in (p < refine_threshold) sets for
-/// hybrid. Marks those sets refined in result->inference.
-std::unordered_map<std::uint32_t, stats::SequentialStopper> MakeStoppers(
-    const ResamplingRequest& request, ResamplingResult* result) {
+/// A set that consumes replicates: its position in the pipeline's sets
+/// and its Besag–Clifford stopper (h = 0, which never stops, in
+/// exhaustive runs).
+struct CountedSet {
+  std::size_t position;
+  stats::SequentialStopper stopper;
+};
+
+/// One stopper per set that will consume replicates, in declaration
+/// order: every set for pure resampling with early stopping, none for the
+/// pure analytic methods, and the screened-in (p < refine_threshold) sets
+/// for hybrid. Marks those sets refined in result->inference.
+std::vector<CountedSet> MakeStoppers(const ResamplingRequest& request,
+                                     const std::vector<stats::SnpSet>& sets,
+                                     ResamplingResult* result) {
   static std::atomic<std::uint64_t>& refined_sets =
       engine::CounterRegistry::Global().Get("pvalue.refined_sets");
-  std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers;
-  for (const auto& [set_id, observed] : result->observed) {
+  std::vector<CountedSet> refined;
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    const std::uint32_t set_id = sets[k].id;
     bool refine = false;
     switch (request.pvalue_method) {
       case PValueMethod::kResampling:
@@ -373,76 +387,47 @@ std::unordered_map<std::uint32_t, stats::SequentialStopper> MakeStoppers(
         break;
     }
     if (!refine) continue;
-    stoppers.emplace(set_id, stats::SequentialStopper(request.early_stop));
+    refined.push_back({k, stats::SequentialStopper(request.early_stop)});
     result->inference[set_id].refined = true;  // creates the entry for
                                                // kResampling + early stop
   }
-  refined_sets.fetch_add(stoppers.size(), std::memory_order_relaxed);
-  return stoppers;
+  refined_sets.fetch_add(refined.size(), std::memory_order_relaxed);
+  return refined;
 }
 
-/// The refinement's live work at the start of a batch: the sets whose
-/// stopper has not stopped, in canonical (declaration) order, and the
-/// SNPs they cover. Screened-out and stopped sets cost nothing further.
-struct LiveSets {
-  std::vector<stats::SnpSet> sets;
-  std::shared_ptr<const std::unordered_set<std::uint32_t>> snps;
-};
-
-LiveSets CollectLiveSets(
+/// The SNPs covered by the sets at `positions` (an adaptive batch's live
+/// sets); screened-out and stopped sets cost nothing further.
+std::shared_ptr<const std::unordered_set<std::uint32_t>> LiveSnps(
     const std::vector<stats::SnpSet>& sets,
-    const std::unordered_map<std::uint32_t, stats::SequentialStopper>&
-        stoppers) {
-  LiveSets live;
+    const std::vector<std::size_t>& positions) {
   auto snps = std::make_shared<std::unordered_set<std::uint32_t>>();
-  for (const stats::SnpSet& set : sets) {
-    auto it = stoppers.find(set.id);
-    if (it == stoppers.end() || it->second.stopped()) continue;
-    live.sets.push_back(set);
-    snps->insert(set.snps.begin(), set.snps.end());
+  for (std::size_t position : positions) {
+    snps->insert(sets[position].snps.begin(), sets[position].snps.end());
   }
-  live.snps = std::move(snps);
-  return live;
-}
-
-/// Offers replicate r's scores to every live stopper. Returns true while
-/// at least one set is still consuming replicates.
-bool OfferReplicate(
-    const SetScores& observed, const SetScores& replicate,
-    std::unordered_map<std::uint32_t, stats::SequentialStopper>* stoppers) {
-  bool any_active = false;
-  for (auto& [set_id, stopper] : *stoppers) {
-    auto it = replicate.find(set_id);
-    const double replicate_score = it == replicate.end() ? 0.0 : it->second;
-    stopper.Offer(replicate_score >= observed.at(set_id));
-    if (!stopper.stopped()) any_active = true;
-  }
-  return any_active;
+  return snps;
 }
 
 /// Moves the stopper tallies into the result and accounts the savings.
 /// pvalue.replicates_saved = Σ_sets (B − replicates_used) — a pure
 /// function of the per-set replicate-exact counts, so it is invariant to
 /// batch size / threads / prefetch even though the SCHEDULED replicate
-/// count is batch-granular.
-void FinalizeAdaptive(
-    const ResamplingRequest& request,
-    const std::unordered_map<std::uint32_t, stats::SequentialStopper>&
-        stoppers,
-    ResamplingResult* result) {
+/// count is batch-granular. A screened-out set's analytic tail stands in
+/// for all B replicates.
+void FinalizeAdaptive(const ResamplingRequest& request,
+                      const std::vector<stats::SnpSet>& sets,
+                      const std::vector<CountedSet>& refined,
+                      ResamplingResult* result) {
   static std::atomic<std::uint64_t>& early_stops =
       engine::CounterRegistry::Global().Get("pvalue.early_stops");
   static std::atomic<std::uint64_t>& replicates_saved =
       engine::CounterRegistry::Global().Get("pvalue.replicates_saved");
-  for (auto& [set_id, info] : result->inference) {
-    auto it = stoppers.find(set_id);
-    if (it == stoppers.end()) {
-      // Screened out: the analytic tail stands in for all B replicates.
-      replicates_saved.fetch_add(request.replicates,
-                                 std::memory_order_relaxed);
-      continue;
-    }
-    const stats::SequentialStopper& stopper = it->second;
+  replicates_saved.fetch_add(
+      request.replicates * (result->inference.size() - refined.size()),
+      std::memory_order_relaxed);
+  for (const CountedSet& set : refined) {
+    const std::uint32_t set_id = sets[set.position].id;
+    const stats::SequentialStopper& stopper = set.stopper;
+    SetInference& info = result->inference.at(set_id);
     result->exceed[set_id] = stopper.exceed();
     info.replicates_used = stopper.used();
     info.early_stopped = stopper.stopped();
@@ -455,21 +440,21 @@ void FinalizeAdaptive(
 }
 
 /// Where a score-block run's replicates come from. Every source scores
-/// per-SNP vectors against patient-major replicate blocks: permutation
-/// and Monte Carlo score the genotype partitions against permuted
-/// coefficient blocks (Algorithm 2, U_j^π = g_jᵀ(v∘π)) or V(z) blocks
-/// (Algorithm 3, Ũ_j = g_jᵀV(z)); paper-faithful Monte Carlo scores the
-/// cached U partitions against N(0,1) multiplier blocks.
+/// per-SNP rows against patient-major replicate blocks: permutation and
+/// Monte Carlo score the genotype partitions against permuted coefficient
+/// blocks (Algorithm 2, U_j^π = g_jᵀ(v∘π)) or V(z) blocks (Algorithm 3,
+/// Ũ_j = g_jᵀV(z)); paper-faithful Monte Carlo scores the cached U
+/// partitions against N(0,1) multiplier blocks.
 struct ScoreBlockSource {
   const char* algorithm;
-  /// Observed per-SNP marginal scores U_j.
-  std::function<std::unordered_map<std::uint32_t, double>()> observed;
+  /// Observed per-SNP marginal scores U_j, as a count-1 block.
+  std::function<ScoreBlock()> observed;
   /// The block for replicates [begin, begin+count); must be a pure
   /// function of its arguments (it may run on the I/O lane).
   BlockPrefetcher::MakeBlock make_block;
-  /// One engine pass over a block: SNP -> `count` replicate scores,
+  /// One engine pass over a block: `count` replicate scores per SNP,
   /// restricted to `live_snps` when non-null.
-  std::function<std::unordered_map<std::uint32_t, std::vector<double>>(
+  std::function<ScoreBlock(
       const std::vector<double>& block, std::size_t count,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps)>
       score;
@@ -487,12 +472,7 @@ ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
                                 BlockPrefetcher::MakeBlock make_block) {
   return {algorithm,
           [&pipeline, v, zero_sum_columns] {
-            std::unordered_map<std::uint32_t, double> scores;
-            for (const auto& [snp, block] :
-                 pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns)) {
-              scores[snp] = block[0];
-            }
-            return scores;
+            return pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns);
           },
           std::move(make_block),
           [&pipeline, zero_sum_columns](
@@ -555,24 +535,32 @@ ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
 /// only the counters — is bitwise equal to the serial oracle's analysis
 /// from the same seed (baseline::SerialMonteCarloFactored; for the cached
 /// U source, baseline::SerialMonteCarlo); every method's result is bitwise
-/// invariant to batch size, thread count and prefetch depth.
+/// invariant to batch size, thread count and prefetch depth. Exhaustive
+/// and adaptive runs share one counting path: every set that consumes
+/// replicates has a stopper (one that never stops when exhaustive), and
+/// each batch folds the sets still live into a flat set-major array that
+/// the stoppers read by position.
 ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
                                 const ResamplingRequest& request,
                                 const ScoreBlockSource& source) {
+  const std::vector<stats::SnpSet>& sets = pipeline.sets();
+  const FoldPlan plan(sets, pipeline.DriverWeights());
+  std::vector<std::size_t> all_sets(sets.size());
+  for (std::size_t k = 0; k < sets.size(); ++k) all_sets[k] = k;
+
   ResamplingResult result;
   result.replicates = request.replicates;
-  const std::unordered_map<std::uint32_t, double> observed_scores = [&] {
+  const std::vector<double> observed = [&] {
     engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-    return source.observed();
+    return FoldSetStatistics(plan, all_sets, source.observed());
   }();
-  const std::unordered_map<std::uint32_t, double>& weights =
-      pipeline.DriverWeights();
-  result.observed =
-      FoldObservedScores(pipeline.sets(), observed_scores, weights);
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    result.observed[sets[k].id] = observed[k];
+  }
   InitCounters(result.observed, &result.exceed);
 
   const bool adaptive = IsAdaptive(request);
-  std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers;
+  std::vector<CountedSet> counted;
   if (adaptive) {
     result.early_stop_h = request.early_stop;
     if (request.pvalue_method != PValueMethod::kResampling) {
@@ -580,10 +568,15 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
       // approximation, not exact as under the Monte Carlo null.
       AnalyticScreen(pipeline, request.pvalue_method, &result);
     }
-    stoppers = MakeStoppers(request, &result);
+    counted = MakeStoppers(request, sets, &result);
+  } else {
+    counted.reserve(sets.size());
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      counted.push_back({k, stats::SequentialStopper(0)});
+    }
   }
 
-  if (!adaptive || !stoppers.empty()) {
+  if (!counted.empty()) {
     const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
     BlockPrefetcher blocks(pipeline.context().io(), request.replicates,
                            batch_size, source.make_block);
@@ -595,35 +588,48 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
           // streams (bitwise invariant to batching), double-buffered on
           // the I/O lane when prefetch is enabled.
           const std::vector<double> block = blocks.Take(begin, count);
-          // Adaptive runs score and fold only the SNPs of still-live
-          // sets; a set that stops mid-batch stays live until the next
-          // batch.
-          LiveSets live;
-          const std::vector<stats::SnpSet>* sets = &pipeline.sets();
-          if (adaptive) {
-            live = CollectLiveSets(pipeline.sets(), stoppers);
-            sets = &live.sets;
+          // Only the sets whose stopper has not stopped are folded, and
+          // adaptive runs score only their SNPs; a set that stops
+          // mid-batch stays live until the next batch.
+          std::vector<CountedSet*> live;
+          std::vector<std::size_t> positions;
+          for (CountedSet& set : counted) {
+            if (set.stopper.stopped()) continue;
+            live.push_back(&set);
+            positions.push_back(set.position);
           }
-          const std::vector<SetScores> replicate_scores = FoldReplicateScores(
-              *sets, source.score(block, count, live.snps), weights, count);
-          bool any_active = true;
+          const std::vector<double> scores = FoldSetStatistics(
+              plan, positions,
+              source.score(block, count,
+                           adaptive ? LiveSnps(sets, positions) : nullptr));
+          SetScores replicate;  // filled only for the sink
+          bool any_active = false;
           for (std::size_t r = 0; r < count; ++r) {
-            if (adaptive) {
-              any_active = OfferReplicate(result.observed,
-                                          replicate_scores[r], &stoppers);
-            } else {
-              CountExceedances(result.observed, replicate_scores[r],
-                               &result.exceed);
+            any_active = false;
+            for (std::size_t i = 0; i < live.size(); ++i) {
+              CountedSet& set = *live[i];
+              const double score = scores[i * count + r];
+              set.stopper.Offer(score >= observed[set.position]);
+              any_active = any_active || !set.stopper.stopped();
+              if (request.sink != nullptr) {
+                replicate[sets[set.position].id] = score;
+              }
             }
             if (request.sink != nullptr) {
-              request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
+              request.sink->OnReplicateScores(begin + r, replicate);
               request.sink->OnReplicate(begin + r);
             }
           }
           return any_active;
         });
   }
-  if (adaptive) FinalizeAdaptive(request, stoppers, &result);
+  if (adaptive) {
+    FinalizeAdaptive(request, sets, counted, &result);
+  } else {
+    for (const CountedSet& set : counted) {
+      result.exceed[sets[set.position].id] = set.stopper.exceed();
+    }
+  }
   RecordResultHash(result);
   return result;
 }
@@ -674,37 +680,34 @@ ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
-  const std::unordered_map<std::uint32_t, double>& weights =
-      pipeline.DriverWeights();
+  const std::vector<stats::SnpSet>& sets = pipeline.sets();
+  const FoldPlan plan(sets, pipeline.DriverWeights());
   auto score_engine =
       std::make_shared<const stats::ScoreEngine>(pipeline.phenotype());
   const bool zero_sum_columns = score_engine->MultiplierColumnsSumToZero();
 
   // Observed (SKAT, burden) pair and grid per set.
-  const auto observed = [&] {
+  const SkatBurdenScores observed = [&] {
     engine::TraceSpan span(engine::Tracer::Global(), "algo",
                            "observed skat+burden");
     return FoldSkatBurdenScores(
-        pipeline.sets(),
-        pipeline.ComputeGenotypeScoreBlock(score_engine->Coefficients(), 1,
-                                           zero_sum_columns),
-        weights, 1)[0];
+        plan, pipeline.ComputeGenotypeScoreBlock(score_engine->Coefficients(),
+                                                 1, zero_sum_columns));
   }();
-  std::unordered_map<std::uint32_t, std::vector<double>> observed_grids;
+  std::vector<std::vector<double>> observed_grids(sets.size());
   SkatOResult result;
   result.replicates = request.replicates;
-  for (const auto& [set_id, pair] : observed) {
+  for (std::size_t k = 0; k < sets.size(); ++k) {
     SkatOResult::PerSet per_set;
-    per_set.skat = pair.first;
-    per_set.burden = pair.second;
-    result.by_set[set_id] = per_set;
-    observed_grids[set_id] =
-        stats::SkatOGridStatistics(pair.second, pair.first, rho_grid);
+    per_set.skat = observed.skat[k];
+    per_set.burden = observed.burden[k];
+    result.by_set[sets[k].id] = per_set;
+    observed_grids[k] =
+        stats::SkatOGridStatistics(per_set.burden, per_set.skat, rho_grid);
   }
 
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
-  std::unordered_map<std::uint32_t, std::vector<std::vector<double>>>
-      replicate_grids;
+  std::vector<std::vector<std::vector<double>>> replicate_grids(sets.size());
   const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
   BlockPrefetcher vblocks(
       pipeline.context().io(), request.replicates, batch_size,
@@ -717,14 +720,14 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
         const std::vector<double> vblock = vblocks.Take(begin, count);
-        const auto block =
-            pipeline.ComputeGenotypeScoreBlock(vblock, count, zero_sum_columns);
-        const auto pairs =
-            FoldSkatBurdenScores(pipeline.sets(), block, weights, count);
+        const SkatBurdenScores pairs = FoldSkatBurdenScores(
+            plan,
+            pipeline.ComputeGenotypeScoreBlock(vblock, count, zero_sum_columns));
         for (std::size_t r = 0; r < count; ++r) {
-          for (const auto& [set_id, pair] : pairs[r]) {
-            replicate_grids[set_id].push_back(
-                stats::SkatOGridStatistics(pair.second, pair.first, rho_grid));
+          for (std::size_t k = 0; k < sets.size(); ++k) {
+            replicate_grids[k].push_back(stats::SkatOGridStatistics(
+                pairs.burden[k * count + r], pairs.skat[k * count + r],
+                rho_grid));
           }
           if (request.sink != nullptr) request.sink->OnReplicate(begin + r);
         }
@@ -732,11 +735,10 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
       });
 
   // Min-p combination per set.
-  for (auto& [set_id, per_set] : result.by_set) {
-    auto grids_it = replicate_grids.find(set_id);
-    if (grids_it == replicate_grids.end()) continue;
-    per_set.pvalue =
-        stats::SkatOPValue(observed_grids.at(set_id), grids_it->second);
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    if (replicate_grids[k].empty()) continue;
+    result.by_set.at(sets[k].id).pvalue =
+        stats::SkatOPValue(observed_grids[k], replicate_grids[k]);
   }
   return result;
 }

@@ -26,8 +26,9 @@
 // coefficients against the non-zero genotypes of the cached genotype
 // partitions (kernels::KernelTable::sparse_mac), or (paper-faithful
 // Monte Carlo) Z multipliers against the cached U partitions
-// (stats::BatchedReplicateScores). The per-set folds then run
-// driver-side in the serial oracle's canonical accumulation order.
+// (stats::BatchedReplicateScores). Each pass collects one flat
+// ScoreBlock, and the per-set folds run driver-side over it in the
+// serial oracle's canonical accumulation order.
 // Results are bitwise invariant to the batch size, the thread count,
 // packing and the partitioning. The Monte Carlo ResamplingResult is
 // bitwise equal to baseline::SerialMonteCarloFactored from the same seed;

@@ -471,13 +471,14 @@ Dataset<std::pair<K, std::pair<A, B>>> Join(const Dataset<std::pair<K, A>>& left
 }
 
 /// Collects a pair dataset into a map on the driver (the "HashMap" outputs
-/// of Algorithms 1-3). Duplicate keys keep the last value seen.
+/// of Algorithms 1-3). Duplicate keys keep the last value seen. Values
+/// are moved out of the collected records, never copied.
 template <typename K, typename V>
 std::unordered_map<K, V> CollectAsMap(const Dataset<std::pair<K, V>>& ds,
                                       const std::string& label = "collectAsMap") {
   std::unordered_map<K, V> out;
   for (auto& [key, value] : ds.Collect(label)) {
-    out[key] = value;
+    out.insert_or_assign(key, std::move(value));
   }
   return out;
 }

@@ -179,6 +179,15 @@ class Node : public NodeBase {
     return std::make_shared<const std::vector<T>>(
         ComputePartition(index, task));
   }
+
+  /// Get for a consumer that keeps the partition (RunStage): a cached
+  /// partition is copied out of the cache, an uncached one is handed over
+  /// without a copy.
+  std::vector<T> Take(std::uint32_t index, TaskContext& task) {
+    if (cache_enabled()) return *Get(index, task);
+    SS_CHECK(index < num_partitions());
+    return ComputePartition(index, task);
+  }
 };
 
 /// The dataset whose partitions the I/O lane warms ahead of a stage over
@@ -216,10 +225,11 @@ std::vector<std::vector<T>> RunStage(Node<T>& node, const std::string& label) {
   std::vector<std::vector<T>> partitions(node.num_partitions());
   node.context()->RunTasks(label, node.num_partitions(),
                            [&](TaskContext& task) {
-                             auto part = node.Get(task.partition(), task);
-                             task.metrics().records_out = part->size();
+                             std::vector<T> part =
+                                 node.Take(task.partition(), task);
+                             task.metrics().records_out = part.size();
                              PhaseTimer handoff_phase(TaskPhase::kHandoff);
-                             partitions[task.partition()] = *part;
+                             partitions[task.partition()] = std::move(part);
                            },
                            PrefetchTargetChain(node));
   return partitions;

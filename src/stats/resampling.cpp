@@ -80,12 +80,18 @@ std::vector<double> MonteCarloCoefficientBlock(std::uint64_t seed,
 void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             std::vector<double>* out) {
-  const std::size_t n = contributions.size();
   out->resize(count);
+  BatchedReplicateScores(contributions, zblock, count, out->data());
+}
+
+void BatchedReplicateScores(const std::vector<double>& contributions,
+                            const double* zblock, std::size_t count,
+                            double* out) {
   // The blocked scalar MAC moved to kernels::internal::BatchedMacScalar;
   // the dispatch table selects it or a bitwise-identical SIMD variant.
-  kernels::ActiveKernels().batched_mac(contributions.data(), n, zblock, count,
-                                       out->data());
+  kernels::ActiveKernels().batched_mac(contributions.data(),
+                                       contributions.size(), zblock, count,
+                                       out);
 }
 
 }  // namespace ss::stats

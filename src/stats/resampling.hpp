@@ -99,4 +99,10 @@ void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             std::vector<double>* out);
 
+/// The same scores written to `out[0..count)` in place (a row of a flat
+/// score buffer).
+void BatchedReplicateScores(const std::vector<double>& contributions,
+                            const double* zblock, std::size_t count,
+                            double* out);
+
 }  // namespace ss::stats

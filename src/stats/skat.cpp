@@ -1,6 +1,7 @@
 #include "stats/skat.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace ss::stats {
 
@@ -18,6 +19,18 @@ Status ValidateSnpSets(const std::vector<SnpSet>& sets,
             "SNP-set " + std::to_string(set.id) + " references SNP " +
             std::to_string(snp) + " >= J=" + std::to_string(num_snps));
       }
+    }
+  }
+  return CheckDistinctSetIds(sets);
+}
+
+Status CheckDistinctSetIds(const std::vector<SnpSet>& sets) {
+  std::unordered_set<std::uint32_t> seen;
+  seen.reserve(sets.size());
+  for (const SnpSet& set : sets) {
+    if (!seen.insert(set.id).second) {
+      return Status::InvalidArgument("SNP-set id " + std::to_string(set.id) +
+                                     " is repeated");
     }
   }
   return Status::Ok();

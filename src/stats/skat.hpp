@@ -26,8 +26,13 @@ struct SnpSet {
 /// Validates that `sets` form a partition-like family over SNPs 0..J-1:
 /// each set non-empty, all member indices < J. (The paper's sets are a
 /// partition; the statistic itself tolerates overlap, so overlap is
-/// allowed but emptiness is not.)
+/// allowed but emptiness is not.) Set ids must be distinct
+/// (CheckDistinctSetIds).
 Status ValidateSnpSets(const std::vector<SnpSet>& sets, std::uint32_t num_snps);
+
+/// InvalidArgument naming the first repeated set id, if any. Results are
+/// keyed by set id, so two sets sharing one would overwrite each other.
+Status CheckDistinctSetIds(const std::vector<SnpSet>& sets);
 
 /// Union of all member SNP indices, deduplicated and sorted — Algorithm 1
 /// step 4 filters the genotype matrix to this set.

@@ -94,6 +94,39 @@ TEST(SkatPipelineTest, OpenMissingStudyFails) {
       SkatPipeline::Open(ctx, simdata::StudyPaths::Under("/none"), {}).ok());
 }
 
+TEST(SkatPipelineTest, OpenRejectsRepeatedSetId) {
+  // Results are keyed by set id: a repeated id would let one set's
+  // statistic overwrite the other's, so the study is refused up front.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  dfs::MiniDfs dfs({.num_nodes = 3, .replication = 2, .block_lines = 8});
+  simdata::StudyPaths paths = simdata::StudyPaths::Under("/s");
+  ASSERT_TRUE(simdata::WriteStudy(dfs, paths, dataset).ok());
+  std::vector<std::string> lines;
+  for (const stats::SnpSet& set : dataset.sets) {
+    lines.push_back(simdata::FormatSnpSet(set));
+  }
+  stats::SnpSet repeated = dataset.sets.back();
+  repeated.snps = {dataset.sets.front().snps.front()};
+  lines.push_back(simdata::FormatSnpSet(repeated));
+  paths.snp_sets = "/s/repeated_sets.txt";
+  ASSERT_TRUE(dfs.WriteTextFile(paths.snp_sets, lines).ok());
+  engine::EngineContext ctx(LocalOptions(), &dfs);
+  auto pipeline = SkatPipeline::Open(ctx, paths, {});
+  ASSERT_FALSE(pipeline.ok());
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pipeline.status().message().find(std::to_string(repeated.id)),
+            std::string::npos)
+      << pipeline.status().ToString();
+}
+
+TEST(SkatPipelineTest, ConstructorRejectsRepeatedSetId) {
+  simdata::SyntheticDataset dataset = SmallDataset();
+  dataset.sets.push_back(dataset.sets.front());
+  engine::EngineContext ctx(LocalOptions());
+  EXPECT_DEATH(SkatPipeline::FromMemory(ctx, dataset, {}),
+               "CheckDistinctSetIds");
+}
+
 TEST(SkatPipelineTest, CorruptGenotypeLineFailsJob) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   dfs::MiniDfs dfs({.num_nodes = 2, .replication = 1, .block_lines = 8});
@@ -132,10 +165,10 @@ TEST(SkatPipelineTest, MonteCarloReplicateMatchesSerial) {
       // S̃_k = Σ_j ω_j² Ũ_jb² over the set's scored SNPs.
       double replicate = 0.0;
       for (std::uint32_t snp : dataset.sets[k].snps) {
-        auto it = block.find(snp);
-        if (it == block.end()) continue;  // SNP filtered out
+        const double* row = block.row(snp);
+        if (row == nullptr) continue;  // SNP filtered out
         const double w = weights.at(snp);
-        replicate += w * w * (it->second[b] * it->second[b]);
+        replicate += w * w * (row[b] * row[b]);
       }
       if (replicate >= observed.at(dataset.sets[k].id)) ++exceed[k];
     }

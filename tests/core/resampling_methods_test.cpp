@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "baseline/serial_skat.hpp"
@@ -689,6 +690,71 @@ TEST(ResamplingMethodsTest, MoreReplicatesRefinePValueFloor) {
   const ResamplingResult result = RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, 49}).scores;
   for (const auto& [set_id, score] : result.observed) {
     EXPECT_GE(result.PValue(set_id), 1.0 / 50.0);
+  }
+}
+
+TEST(ResamplingMethodsTest, SetWithNoScoredSnpFoldsToPositiveZero) {
+  // A set none of whose SNPs is in the genotype matrix has no row in any
+  // score block: its observed statistic and every replicate's are +0, so
+  // every replicate meets the observed value.
+  simdata::SyntheticDataset dataset = SmallDataset();
+  const std::uint32_t absent = dataset.genotypes.num_snps();
+  dataset.sets.push_back({999, {absent, absent + 1}});
+  struct Recorder final : ProgressSink {
+    std::vector<double> scores;
+    void OnReplicateScores(std::uint64_t, const SetScores& set_scores) override {
+      scores.push_back(set_scores.at(999));
+    }
+  };
+  constexpr std::uint64_t kReplicates = 10;
+  for (const bool paper_faithful : {false, true}) {
+    for (const ResamplingMethod method :
+         {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
+      engine::EngineContext ctx(LocalOptions());
+      PipelineConfig config;
+      config.paper_faithful_scores = paper_faithful;
+      config.resampling_batch_size = 4;
+      SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+      Recorder recorder;
+      ResamplingRequest request(method, kReplicates);
+      request.sink = &recorder;
+      const ResamplingResult result = RunResampling(pipeline, request).scores;
+      EXPECT_TRUE(BitEqual(result.observed.at(999), 0.0));
+      ASSERT_EQ(recorder.scores.size(), kReplicates);
+      for (double score : recorder.scores) EXPECT_TRUE(BitEqual(score, 0.0));
+      EXPECT_EQ(result.exceed.at(999), kReplicates);
+    }
+  }
+}
+
+TEST(ResamplingMethodsTest, ProgressSinkLeavesResultHashUnchanged) {
+  // Per-set replicate maps are built only for an attached sink; building
+  // them must not change a single result bit.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  struct Recorder final : ProgressSink {
+    std::uint64_t scored = 0;
+    void OnReplicateScores(std::uint64_t, const SetScores& scores) override {
+      scored += scores.size();
+    }
+  };
+  std::atomic<std::uint64_t>& hash =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  ResamplingRequest exhaustive(ResamplingMethod::kMonteCarlo, 30);
+  ResamplingRequest permutation(ResamplingMethod::kPermutation, 30);
+  ResamplingRequest hybrid(ResamplingMethod::kMonteCarlo, 30);
+  hybrid.pvalue_method = PValueMethod::kHybrid;
+  hybrid.refine_threshold = 0.5;
+  hybrid.early_stop = 3;
+  for (ResamplingRequest request : {exhaustive, permutation, hybrid}) {
+    const std::uint64_t before = hash.load();
+    RunWithRequest(dataset, request, 8, 4);
+    const std::uint64_t without_sink = hash.load() - before;
+    Recorder recorder;
+    request.sink = &recorder;
+    const std::uint64_t middle = hash.load();
+    RunWithRequest(dataset, request, 8, 4);
+    EXPECT_EQ(hash.load() - middle, without_sink);
+    EXPECT_GT(recorder.scored, 0u);
   }
 }
 

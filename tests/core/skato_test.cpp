@@ -100,7 +100,8 @@ TEST(SkatOPipelineTest, ReplicatePairMatchesDirect) {
     double direct_sum = 0.0;
     for (std::uint32_t snp : set.snps) {
       const double w = dataset.weights[snp];
-      const double score = block.at(snp)[0];
+      ASSERT_NE(block.row(snp), nullptr) << "SNP " << snp;
+      const double score = block.row(snp)[0];
       skat += w * w * score * score;
       weighted_sum += w * score;
       const auto u = engine.Contributions(dataset.genotypes.by_snp[snp]);

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/resampling_methods.hpp"
@@ -21,6 +24,7 @@
 #include "engine/executor.hpp"
 #include "engine/trace.hpp"
 #include "simdata/store_codec.hpp"
+#include "stats/resampling.hpp"
 
 namespace ss::core {
 namespace {
@@ -99,6 +103,108 @@ TEST(StorePipelineTest, ObservedScoresBitwiseEqualInMemory) {
     ASSERT_TRUE(from_store.contains(set_id));
     EXPECT_EQ(from_store.at(set_id), score) << "set " << set_id;  // bitwise
   }
+}
+
+TEST(StorePipelineTest, ScoreBlockRowsBitwiseEqualInMemory) {
+  // The flat score block of a store-backed pass (one partition per frame)
+  // and of an in-memory pass over 8 partitions hold bitwise-equal rows
+  // for every SNP, with and without a live-SNP filter.
+  const std::string path = StageStore("ss_store_score_block.ssg", 4);
+  engine::EngineContext store_ctx(LocalOptions());
+  auto opened = SkatPipeline::OpenFromStore(store_ctx, path,
+                                            StudyPipelineConfig());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SkatPipeline& from_store = opened.value();
+
+  engine::EngineContext mem_ctx(LocalOptions());
+  PipelineConfig config = StudyPipelineConfig();
+  config.num_partitions = 8;
+  const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
+  SkatPipeline in_memory = SkatPipeline::FromMemory(mem_ctx, dataset, config);
+
+  const stats::ScoreEngine engine(in_memory.phenotype());
+  constexpr std::size_t kCount = 5;
+  const std::vector<double> vblock =
+      stats::MonteCarloCoefficientBlock(99, engine, 0, kCount);
+  auto live = std::make_shared<std::unordered_set<std::uint32_t>>(
+      dataset.sets.front().snps.begin(), dataset.sets.front().snps.end());
+  for (const bool filtered : {false, true}) {
+    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps;
+    if (filtered) live_snps = live;
+    const ScoreBlock store_block = from_store.ComputeGenotypeScoreBlock(
+        vblock, kCount, engine.MultiplierColumnsSumToZero(), live_snps);
+    const ScoreBlock memory_block = in_memory.ComputeGenotypeScoreBlock(
+        vblock, kCount, engine.MultiplierColumnsSumToZero(), live_snps);
+    ASSERT_EQ(store_block.count(), kCount);
+    ASSERT_EQ(memory_block.count(), kCount);
+    EXPECT_EQ(store_block.size(),
+              filtered ? live->size() : std::size_t{dataset.genotypes.num_snps()});
+    EXPECT_EQ(store_block.size(), memory_block.size());
+    for (std::uint32_t snp = 0; snp < dataset.genotypes.num_snps() + 2; ++snp) {
+      const double* store_row = store_block.row(snp);
+      const double* memory_row = memory_block.row(snp);
+      const bool scored = snp < dataset.genotypes.num_snps() &&
+                          (!filtered || live->count(snp) != 0);
+      ASSERT_EQ(store_row != nullptr, scored) << "SNP " << snp;
+      ASSERT_EQ(memory_row != nullptr, scored) << "SNP " << snp;
+      if (!scored) continue;
+      EXPECT_EQ(std::memcmp(store_row, memory_row, kCount * sizeof(double)), 0)
+          << "SNP " << snp << (filtered ? " (filtered)" : "");
+    }
+  }
+}
+
+TEST(StorePipelineTest, OpenRejectsRepeatedSetId) {
+  // A store whose SNP-set frame repeats an id is refused with the id named.
+  const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
+  const std::string path = StorePath("ss_store_repeated_sets.ssg");
+  dfs::GenotypeStoreMeta meta;
+  meta.num_partitions = 1;
+  meta.num_snps = dataset.genotypes.num_snps();
+  meta.num_patients = dataset.survival.n();
+  auto writer_or = dfs::GenotypeStoreWriter::Create(path, meta);
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  dfs::GenotypeStoreWriter& writer = *writer_or.value();
+  ASSERT_TRUE(writer
+                  .Append(dfs::StoreFrameKind::kPhenotype, 0,
+                          simdata::EncodeTextLines(simdata::FormatPhenotypeFile(
+                              stats::Phenotype::Cox(dataset.survival))))
+                  .ok());
+  std::vector<stats::PackedSnpRecord> records;
+  std::vector<std::string> weights;
+  for (std::uint32_t snp = 0; snp < dataset.genotypes.num_snps(); ++snp) {
+    records.push_back({snp, stats::PackedGenotypeBlock::Pack(
+                                dataset.genotypes.by_snp[snp])});
+    weights.push_back(simdata::FormatWeight({snp, dataset.weights[snp]}));
+  }
+  ASSERT_TRUE(writer
+                  .Append(dfs::StoreFrameKind::kGenotypes, 0,
+                          simdata::EncodeGenotypePartition(records))
+                  .ok());
+  ASSERT_TRUE(writer
+                  .Append(dfs::StoreFrameKind::kWeights, 0,
+                          simdata::EncodeTextLines(weights))
+                  .ok());
+  std::vector<std::string> sets;
+  for (const stats::SnpSet& set : dataset.sets) {
+    sets.push_back(simdata::FormatSnpSet(set));
+  }
+  sets.push_back(simdata::FormatSnpSet({dataset.sets[2].id, {0}}));
+  ASSERT_TRUE(writer
+                  .Append(dfs::StoreFrameKind::kSets, 0,
+                          simdata::EncodeTextLines(sets))
+                  .ok());
+  ASSERT_TRUE(writer.Append(dfs::StoreFrameKind::kDescription, 0, {'x'}).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+
+  engine::EngineContext ctx(LocalOptions());
+  auto opened = SkatPipeline::OpenFromStore(ctx, path, StudyPipelineConfig());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find(
+                "SNP-set id " + std::to_string(dataset.sets[2].id)),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {

@@ -12,6 +12,34 @@
 namespace ss::engine {
 namespace {
 
+/// A value type that counts its copies (CollectAsMapMovesValues).
+struct CopyCounted {
+  static inline int copies = 0;
+  std::vector<double> payload = std::vector<double>(16, 1.0);
+  CopyCounted() = default;
+  CopyCounted(const CopyCounted& other) : payload(other.payload) { ++copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& other) {
+    payload = other.payload;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+}  // namespace
+
+namespace internal {
+template <>
+struct ApproxBytesImpl<CopyCounted> {
+  static std::size_t Of(const CopyCounted& value) {
+    return ApproxBytesOf(value.payload);
+  }
+};
+}  // namespace internal
+
+namespace {
+
 EngineContext::Options LocalOptions() {
   EngineContext::Options options;
   options.topology = cluster::EmrCluster(2);
@@ -147,6 +175,21 @@ TEST(ShuffleTest, CollectAsMapLastWins) {
   auto map = CollectAsMap(Parallelize(ctx, pairs, 1));
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(map[1], 20);
+}
+
+TEST(ShuffleTest, CollectAsMapMovesValues) {
+  // Collecting an uncached dataset to a map moves every value from the
+  // task that made it to the map.
+  EngineContext ctx(LocalOptions());
+  std::vector<int> keys(40);
+  for (int i = 0; i < 40; ++i) keys[static_cast<std::size_t>(i)] = i % 30;
+  auto pairs = Parallelize(ctx, keys, 4).Map(
+      [](int key) { return std::pair<int, CopyCounted>(key, CopyCounted{}); });
+  CopyCounted::copies = 0;
+  const auto map = CollectAsMap(pairs);
+  EXPECT_EQ(CopyCounted::copies, 0);
+  EXPECT_EQ(map.size(), 30u);
+  EXPECT_EQ(map.at(7).payload.size(), 16u);
 }
 
 TEST(ShuffleTest, ShuffleRecordsMapAndReduceStages) {

@@ -85,6 +85,16 @@ TEST(SkatValidationTest, RejectsOutOfRangeSnp) {
   EXPECT_EQ(ValidateSnpSets(sets, 3).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(SkatValidationTest, RejectsRepeatedSetId) {
+  std::vector<SnpSet> sets = {{4, {0}}, {7, {1}}, {4, {2}}};
+  const Status status = ValidateSnpSets(sets, 3);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("SNP-set id 4"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(CheckDistinctSetIds(sets).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(CheckDistinctSetIds({{4, {0}}, {7, {1}}}).ok());
+}
+
 TEST(SkatValidationTest, AllowsOverlap) {
   std::vector<SnpSet> sets = {{0, {0, 1}}, {1, {1, 2}}};
   EXPECT_TRUE(ValidateSnpSets(sets, 3).ok());

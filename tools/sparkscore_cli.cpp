@@ -228,6 +228,9 @@ void MaybePrintStages(const CliArgs& args, ss::engine::EngineContext& ctx) {
 /// is process-global and accumulates across sub-runs (selftest), so each
 /// call rewrites the file with the cumulative trace.
 void WriteRunArtifacts(const CliArgs& args, ss::engine::EngineContext& ctx) {
+  // An advisory prefetch job may outlive the stage that issued it; let it
+  // finish so the trace holds no unclosed span.
+  if (ctx.io() != nullptr) ctx.io()->Drain();
   const std::string trace_path = args.GetStr("trace", "");
   if (trace_path == "-") {
     std::fputs(ss::engine::Tracer::Global().ChromeTraceJson().c_str(), stderr);
@@ -468,6 +471,10 @@ int main(int argc, char** argv) {
       args.WarnUnknownKeys("sparkscore");
       return code;
     }
+  } catch (const ss::StatusError& error) {
+    // Bad input (keys, model, SNP-sets) exits 2 like a usage error.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return error.status().code() == ss::StatusCode::kInvalidArgument ? 2 : 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
