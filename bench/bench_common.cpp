@@ -194,9 +194,6 @@ Workload DefaultWorkload(const Args& args, std::uint64_t snps_default,
   workload.engine.cache_capacity_bytes = args.GetU64("cache_budget", 0);
   workload.pipeline.cache_budget_bytes = workload.engine.cache_capacity_bytes;
   workload.engine.spill_dir = args.GetStr("spill_dir", "");
-  // pack=0 ablates 2-bit packed genotype storage (bitwise-identical
-  // results; only cache/spill bytes change).
-  workload.pipeline.pack_genotypes = args.GetU64("pack", 1) != 0;
   // Async executor (registry group "exec"): prefetch=0 ablates the whole
   // I/O lane; results are bitwise invariant to all three knobs.
   workload.engine.exec.prefetch_depth =

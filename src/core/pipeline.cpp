@@ -6,13 +6,11 @@
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
 #include "core/store_source.hpp"
 #include "dfs/genotype_store.hpp"
-#include "engine/checkpoint.hpp"
-#include "simdata/store_codec.hpp"
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
+#include "simdata/store_codec.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/resampling.hpp"
-#include "support/log.hpp"
 
 // Score partitions are never cached, but every Dataset element type needs
 // a byte estimate for the cache path.
@@ -39,22 +37,23 @@ SnpRecord ParseSnpRecordOrThrow(const std::string& line) {
   return std::move(record).value();
 }
 
-std::pair<std::uint32_t, double> ParseWeightSquaredOrThrow(
-    const std::string& line) {
-  Result<simdata::WeightRecord> record = simdata::ParseWeight(line);
-  if (!record.ok()) {
-    throw engine::TaskFailure(record.status().ToString());
-  }
-  // Step 2 emits (SNP j, ω_j²).
-  return {record.value().snp, record.value().weight * record.value().weight};
-}
-
 std::pair<std::uint32_t, double> ParseWeightOrThrow(const std::string& line) {
   Result<simdata::WeightRecord> record = simdata::ParseWeight(line);
   if (!record.ok()) {
     throw engine::TaskFailure(record.status().ToString());
   }
   return {record.value().snp, record.value().weight};
+}
+
+/// (j, ω_j) for driver-side weights indexed by SNP id.
+std::vector<std::pair<std::uint32_t, double>> IndexedWeights(
+    const std::vector<double>& weights) {
+  std::vector<std::pair<std::uint32_t, double>> pairs;
+  pairs.reserve(weights.size());
+  for (std::uint32_t j = 0; j < weights.size(); ++j) {
+    pairs.push_back({j, weights[j]});
+  }
+  return pairs;
 }
 
 /// snp -> list of containing set ids (step 11's aggregation map).
@@ -81,6 +80,37 @@ std::vector<std::uint8_t> BuildMembership(
     for (std::uint32_t snp : set.snps) member[snp] = 1;
   }
   return member;
+}
+
+/// Steps 3-4 for a genotype dataset: filter to the union of all SNP-sets
+/// (the membership bitmap is broadcast; it is tiny relative to genotypes)
+/// and pack each record to 2 bits per dosage, the form that lives in the
+/// cache and spills under a budget (4x fewer bytes). The byte counters
+/// track both representations so the run report can show the savings;
+/// lineage recomputation re-adds to both, preserving the ratio.
+Dataset<stats::PackedSnpRecord> FilterAndPack(
+    engine::EngineContext& ctx, const Dataset<SnpRecord>& genotypes,
+    const std::vector<stats::SnpSet>& sets) {
+  auto membership = engine::MakeBroadcast(ctx, BuildMembership(sets));
+  const Dataset<SnpRecord> fgm =
+      genotypes.Filter([membership](const SnpRecord& record) {
+        return record.snp < membership->size() &&
+               (*membership)[record.snp] != 0;
+      });
+  auto& registry = engine::CounterRegistry::Global();
+  std::atomic<std::uint64_t>* packed_bytes =
+      &registry.Get("genotype.packed_bytes");
+  std::atomic<std::uint64_t>* unpacked_bytes =
+      &registry.Get("genotype.unpacked_bytes");
+  return fgm.Map([packed_bytes, unpacked_bytes](const SnpRecord& record) {
+    stats::PackedSnpRecord packed{
+        record.snp, stats::PackedGenotypeBlock::Pack(record.genotypes)};
+    unpacked_bytes->fetch_add(record.genotypes.size(),
+                              std::memory_order_relaxed);
+    packed_bytes->fetch_add(packed.genotypes.payload().size(),
+                            std::memory_order_relaxed);
+    return packed;
+  });
 }
 
 /// Row a of a weighted Gram, entries (a, b≥a) and their mirrors:
@@ -133,7 +163,6 @@ std::uint32_t SnpOf(
   return record.first;
 }
 std::uint32_t SnpOf(const stats::PackedSnpRecord& record) { return record.snp; }
-std::uint32_t SnpOf(const SnpRecord& record) { return record.snp; }
 
 /// The score-block scaffold: one MapPartitions pass that scores every
 /// record whose SNP is live (all, when `live_snps` is null) into its
@@ -174,7 +203,7 @@ ScoreBlock CollectScoreBlock(
 
 struct NoScratch {};
 
-/// One SNP's non-zero genotypes (NonZeroInto / CompactNonZero runs).
+/// One SNP's non-zero genotypes (NonZeroInto runs).
 struct GenotypeScratch {
   std::vector<std::uint32_t> index;
   std::vector<std::uint8_t> dosage;
@@ -222,11 +251,11 @@ ScoreBlock::ScoreBlock(std::size_t count, std::vector<ScoreRows> partitions)
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
                            const PipelineConfig& config,
-                           Dataset<SnpRecord> genotypes,
-                           stats::Phenotype phenotype,
-                           std::vector<double> weights,
+                           Dataset<stats::PackedSnpRecord> genotypes,
+                           stats::Phenotype phenotype, WeightDataset weights,
                            std::vector<stats::SnpSet> sets)
-    : ctx_(&ctx), config_(config), phenotype_(std::move(phenotype)),
+    : ctx_(&ctx), config_(config), genotypes_(std::move(genotypes)),
+      weights_(std::move(weights)), phenotype_(std::move(phenotype)),
       sets_(std::move(sets)) {
   SS_CHECK(!sets_.empty());
   SS_CHECK(stats::CheckDistinctSetIds(sets_).ok());
@@ -242,57 +271,27 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
       .store(static_cast<std::uint64_t>(stats::kernels::ActiveDispatchLevel()),
              std::memory_order_relaxed);
 
-  // Step 4: filter the genotype matrix to the union of all SNP-sets. The
-  // membership bitmap is broadcast (it is tiny relative to genotypes).
-  auto membership = engine::MakeBroadcast(ctx, BuildMembership(sets_));
-  fgm_ = genotypes.Filter([membership](const SnpRecord& record) {
-    return record.snp < membership->size() && (*membership)[record.snp] != 0;
-  });
-
-  if (config_.pack_genotypes) {
-    // The genotype partitions that live in the cache (and spill under a
-    // budget) are the 2-bit packed form — 4x fewer bytes. The byte
-    // counters track both representations so the run report can show
-    // the savings; lineage recomputation re-adds to both, preserving
-    // the packed/unpacked ratio.
-    auto& registry = engine::CounterRegistry::Global();
-    std::atomic<std::uint64_t>* packed_bytes =
-        &registry.Get("genotype.packed_bytes");
-    std::atomic<std::uint64_t>* unpacked_bytes =
-        &registry.Get("genotype.unpacked_bytes");
-    fgm_packed_ = fgm_.Map(
-        [packed_bytes, unpacked_bytes](const SnpRecord& record) {
-          stats::PackedSnpRecord packed{
-              record.snp, stats::PackedGenotypeBlock::Pack(record.genotypes)};
-          unpacked_bytes->fetch_add(record.genotypes.size(),
-                                    std::memory_order_relaxed);
-          packed_bytes->fetch_add(packed.genotypes.payload().size(),
-                                  std::memory_order_relaxed);
-          return packed;
-        });
-    if (config_.cache_contributions) {
-      // Resampling batches score the genotypes every pass; caching the
-      // packed form keeps them off the parse chain at a quarter of the
-      // unpacked footprint.
-      fgm_packed_.Cache();
-    }
+  if (config_.cache_contributions) {
+    // Resampling batches score the genotypes every pass; caching the
+    // packed form keeps them off the parse chain at a quarter of the
+    // unpacked footprint.
+    genotypes_.Cache();
   }
-
-  // Step 2 result, from driver-side weights (in-memory construction path).
-  std::vector<std::pair<std::uint32_t, double>> weight_sq_pairs;
-  std::vector<std::pair<std::uint32_t, double>> weight_pairs;
-  weight_sq_pairs.reserve(weights.size());
-  weight_pairs.reserve(weights.size());
-  for (std::uint32_t j = 0; j < weights.size(); ++j) {
-    weight_sq_pairs.push_back({j, weights[j] * weights[j]});
-    weight_pairs.push_back({j, weights[j]});
-  }
-  weights_sq_ =
-      engine::Parallelize(ctx, weight_sq_pairs, config_.num_partitions);
-  weights_ = engine::Parallelize(ctx, weight_pairs, config_.num_partitions);
 
   snp_to_sets_ = engine::MakeBroadcast(ctx, BuildSnpToSets(sets_));
 }
+
+SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
+                           const PipelineConfig& config,
+                           Dataset<SnpRecord> genotypes,
+                           stats::Phenotype phenotype,
+                           std::vector<double> weights,
+                           std::vector<stats::SnpSet> sets)
+    : SkatPipeline(ctx, config, FilterAndPack(ctx, genotypes, sets),
+                   std::move(phenotype),
+                   engine::Parallelize(ctx, IndexedWeights(weights),
+                                       config.num_partitions),
+                   sets) {}
 
 Result<SkatPipeline> SkatPipeline::Open(engine::EngineContext& ctx,
                                         const simdata::StudyPaths& paths,
@@ -323,25 +322,19 @@ Result<SkatPipeline> SkatPipeline::Open(engine::EngineContext& ctx,
     return distinct;
   }
 
-  // Weights: distributed parse (step 2). Note: unlike the in-memory
-  // constructor we keep them as a dataset end-to-end.
-  Dataset<std::string> weight_lines = engine::TextFile(ctx, paths.weights);
-  Dataset<std::pair<std::uint32_t, double>> weights_sq =
-      weight_lines.Map(ParseWeightSquaredOrThrow);
-  Dataset<std::pair<std::uint32_t, double>> weights_unsquared =
-      weight_lines.Map(ParseWeightOrThrow);
-
-  // Genotype matrix: distributed parse (step 3), one partition per block.
+  // Weights and genotypes: distributed parses (steps 2 and 3), one
+  // partition per block.
+  WeightDataset weights =
+      engine::TextFile(ctx, paths.weights).Map(ParseWeightOrThrow);
   Dataset<SnpRecord> genotypes =
       engine::TextFile(ctx, paths.genotypes).Map(ParseSnpRecordOrThrow);
 
-  SkatPipeline pipeline(ctx, config, genotypes, std::move(phenotype).value(),
-                        /*weights=*/{}, sets);
-  pipeline.weights_sq_ = weights_sq;  // replace the (empty) in-memory weights
-  pipeline.weights_ = weights_unsquared;
-  // The staged file's model is authoritative.
-  pipeline.config_.model = pipeline.phenotype_.model;
-  return pipeline;
+  PipelineConfig opened = config;
+  opened.model = phenotype.value().model;  // the staged file's model rules
+  Dataset<stats::PackedSnpRecord> packed = FilterAndPack(ctx, genotypes, sets);
+  return SkatPipeline(ctx, opened, std::move(packed),
+                      std::move(phenotype).value(), std::move(weights),
+                      std::move(sets));
 }
 
 Result<SkatPipeline> SkatPipeline::OpenFromStore(
@@ -392,56 +385,32 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
 
   auto weight_bytes = store->ReadAuxFrame(dfs::StoreFrameKind::kWeights);
   if (!weight_bytes.ok()) return weight_bytes.status();
-  std::vector<std::pair<std::uint32_t, double>> weight_sq_pairs;
   std::vector<std::pair<std::uint32_t, double>> weight_pairs;
   for (const std::string& line :
        simdata::DecodeTextLines(weight_bytes.value())) {
     Result<simdata::WeightRecord> record = simdata::ParseWeight(line);
     if (!record.ok()) return record.status();
-    weight_sq_pairs.push_back(
-        {record.value().snp, record.value().weight * record.value().weight});
     weight_pairs.push_back({record.value().snp, record.value().weight});
   }
 
-  SkatPipeline pipeline;
-  pipeline.ctx_ = &ctx;
-  pipeline.config_ = config;
-  pipeline.config_.pack_genotypes = true;  // store frames ARE packed
-  pipeline.config_.model = phenotype.value().model;  // staged file rules
-  pipeline.phenotype_ = std::move(phenotype).value();
-  pipeline.sets_ = std::move(sets);
-
-  if (pipeline.config_.cache_budget_bytes != 0) {
-    ctx.cache().SetCapacityBytes(pipeline.config_.cache_budget_bytes);
-  }
-  engine::CounterRegistry::Global()
-      .Get("kernel.dispatch")
-      .store(static_cast<std::uint64_t>(stats::kernels::ActiveDispatchLevel()),
-             std::memory_order_relaxed);
-
   // Step 4's filter happens inside the store node (membership bitmap);
-  // steps 1 + 3 collapse into frame read + decode off the mmap.
+  // steps 1 + 3 collapse into frame read + decode off the mmap. Cached
+  // partitions are evicted by dropping: the store is this dataset's
+  // durable tier, so a spill copy would just double the I/O (see
+  // StoreGenotypeNode).
   auto membership = std::make_shared<const std::vector<std::uint8_t>>(
-      BuildMembership(pipeline.sets_));
+      BuildMembership(sets));
   auto node = std::make_shared<StoreGenotypeNode>(&ctx, std::move(store),
                                                   std::move(membership));
-  if (pipeline.config_.cache_contributions) {
-    // Cache decoded partitions under the budget, but evict by dropping:
-    // the store is this dataset's durable tier, so a spill copy would
-    // just double the I/O (see StoreGenotypeNode).
-    node->EnableCache();
-    node->DisableCacheSpill();
-  }
-  pipeline.fgm_packed_ =
-      engine::Dataset<stats::PackedSnpRecord>(&ctx, std::move(node));
+  node->DisableCacheSpill();
 
-  pipeline.weights_sq_ = engine::Parallelize(ctx, weight_sq_pairs,
-                                             pipeline.config_.num_partitions);
-  pipeline.weights_ =
-      engine::Parallelize(ctx, weight_pairs, pipeline.config_.num_partitions);
-  pipeline.snp_to_sets_ =
-      engine::MakeBroadcast(ctx, BuildSnpToSets(pipeline.sets_));
-  return pipeline;
+  PipelineConfig opened = config;
+  opened.model = phenotype.value().model;  // the staged file's model rules
+  return SkatPipeline(
+      ctx, opened, Dataset<stats::PackedSnpRecord>(&ctx, std::move(node)),
+      std::move(phenotype).value(),
+      engine::Parallelize(ctx, weight_pairs, config.num_partitions),
+      std::move(sets));
 }
 
 SkatPipeline SkatPipeline::FromMemory(engine::EngineContext& ctx,
@@ -461,26 +430,20 @@ SkatPipeline SkatPipeline::FromMemory(engine::EngineContext& ctx,
 
 Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
     const engine::Broadcast<stats::ScoreEngine>& engine) const {
-  // Steps 6-7: per-SNP contributions under the broadcast phenotype.
-  if (config_.pack_genotypes) {
-    // Decode the 2-bit block back to dosages at the point of use; the
-    // roundtrip is lossless so scores are bitwise unchanged. The unpack
-    // is profiled as decode time (untraced: one span per record would
-    // flood the Chrome trace; coalescing keeps the accounting exact).
-    return fgm_packed_.Map([engine](const stats::PackedSnpRecord& record) {
-      std::vector<std::uint8_t> dosages;
-      {
-        ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
-                                            /*trace=*/false);
-        record.genotypes.UnpackInto(&dosages);
-      }
-      return std::pair<std::uint32_t, std::vector<double>>(
-          record.snp, engine->Contributions(dosages));
-    });
-  }
-  return fgm_.Map([engine](const SnpRecord& record) {
+  // Steps 6-7: per-SNP contributions under the broadcast phenotype. The
+  // 2-bit block decodes back to dosages at the point of use; the roundtrip
+  // is lossless so scores are bitwise unchanged. The unpack is profiled as
+  // decode time (untraced: one span per record would flood the Chrome
+  // trace; coalescing keeps the accounting exact).
+  return genotypes_.Map([engine](const stats::PackedSnpRecord& record) {
+    std::vector<std::uint8_t> dosages;
+    {
+      ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
+                                          /*trace=*/false);
+      record.genotypes.UnpackInto(&dosages);
+    }
     return std::pair<std::uint32_t, std::vector<double>>(
-        record.snp, engine->Contributions(record.genotypes));
+        record.snp, engine->Contributions(dosages));
   });
 }
 
@@ -494,7 +457,12 @@ SetScores SkatPipeline::SetScoresFromU(
         return std::pair<std::uint32_t, double>(record.first, total * total);
       });
   // Step 9: join with squared weights. Step 10: per-SNP score.
-  auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
+  auto weights_sq =
+      weights_.Map([](const std::pair<std::uint32_t, double>& weight) {
+        return std::pair<std::uint32_t, double>(weight.first,
+                                                weight.second * weight.second);
+      });
+  auto joined = engine::Join(weights_sq, inner_sigma, config_.num_reducers);
   auto snp_scores =
       joined.Map([](const std::pair<std::uint32_t, std::pair<double, double>>&
                         record) {
@@ -532,23 +500,11 @@ void SkatPipeline::EnsureUBuilt() {
   auto engine_bcast = engine::MakeBroadcast(
       *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
   u_observed_ = BuildU(engine_bcast);
-  if (!config_.checkpoint_contributions_path.empty() &&
-      ctx_->dfs() != nullptr) {
-    // Persist U to the DFS and continue from the truncated-lineage
-    // dataset; a node failure now re-reads replicated blocks instead of
-    // recomputing scores from the genotype inputs.
-    auto checkpointed = engine::Checkpoint(
-        u_observed_, config_.checkpoint_contributions_path);
-    if (checkpointed.ok()) {
-      u_observed_ = std::move(checkpointed).value();
-    } else {
-      SS_LOG(kWarn, "sparkscore")
-          << "U checkpoint failed (" << checkpointed.status().ToString()
-          << "); continuing with lineage recovery";
-    }
-  }
-  if (config_.cache_contributions) {
-    u_observed_.Cache();  // Algorithm 3 step 2
+  if (config_.cache_contributions && config_.paper_faithful_scores) {
+    // Algorithm 3 step 2: paper-faithful Monte Carlo re-reads U every
+    // batch. The default path reads it at most once (the adaptive screen's
+    // Grams), where a cached copy would only double the driver's U bytes.
+    u_observed_.Cache();
   }
   u_built_ = true;
 }
@@ -587,32 +543,16 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
   auto v = engine::MakeBroadcast(*ctx_, vblock);
   // The non-zero decode is profiled as decode time (untraced like
   // BuildU's unpack: one span per record would flood the trace).
-  if (config_.pack_genotypes) {
-    return CollectScoreBlock<GenotypeScratch>(
-        fgm_packed_, count, std::move(live_snps), "collect-score-block",
-        [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
-                                     GenotypeScratch* scratch, double* row) {
-          std::size_t nnz = 0;
-          {
-            ss::engine::PhaseTimer decode_phase(
-                ss::engine::TaskPhase::kDecode, /*trace=*/false);
-            nnz = record.genotypes.NonZeroInto(&scratch->index,
-                                               &scratch->dosage);
-          }
-          GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
-                         count, zero_sum_columns, row);
-        });
-  }
   return CollectScoreBlock<GenotypeScratch>(
-      fgm_, count, std::move(live_snps), "collect-score-block",
-      [v, count, zero_sum_columns](const SnpRecord& record,
+      genotypes_, count, std::move(live_snps), "collect-score-block",
+      [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
                                    GenotypeScratch* scratch, double* row) {
         std::size_t nnz = 0;
         {
           ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
                                               /*trace=*/false);
-          nnz = stats::CompactNonZero(record.genotypes, &scratch->index,
-                                      &scratch->dosage);
+          nnz = record.genotypes.NonZeroInto(&scratch->index,
+                                             &scratch->dosage);
         }
         GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
                        count, zero_sum_columns, row);
@@ -723,10 +663,6 @@ SetScores SkatPipeline::ComputePermutationReplicate(
       *ctx_, stats::ScoreEngine(phenotype_.Permuted(perm),
                                 config_.paper_faithful_scores));
   return SetScoresFromU(BuildU(engine_bcast));
-}
-
-void SkatPipeline::UnpersistContributions() {
-  if (u_built_) u_observed_.Unpersist();
 }
 
 }  // namespace ss::core

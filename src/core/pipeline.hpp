@@ -2,9 +2,11 @@
 //
 // Pipeline stages, numbered as in the paper:
 //   1.  read input text files from the (mini-)DFS;
-//   2.  Weights RDD:   line -> (SNP j, ω_j²);
+//   2.  Weights RDD:   line -> (SNP j, ω_j), squared to ω_j² where step 9
+//       joins it;
 //   3.  GM RDD:        line -> (SNP j, [G_1j ... G_nj]);
-//   4.  FGM RDD:       filter GM to the union of all SNP-sets;
+//   4.  FGM RDD:       filter GM to the union of all SNP-sets, stored as
+//       2-bit packed genotype blocks (stats::PackedGenotypeBlock);
 //   5.  broadcast the phenotype pairs (wrapped in a ScoreEngine that also
 //       carries the SNP-invariant b_i risk counts) to all nodes;
 //   6-7. U RDD:        (SNP j, [U_1j ... U_nj]);
@@ -15,13 +17,18 @@
 //       HashMap (SNP-set -> S_k).
 //
 // The U RDD is exposed so paper-faithful Algorithm 3 can cache and reuse
-// it. Every other resampling run avoids it: U_j = Σ_l G_lj v_l with v the
-// phenotype's score coefficients, a permutation only permutes v, and Monte
-// Carlo multipliers z only change it to V(z) (Σ_i z_i U_ij = g_jᵀV(z)),
-// so replicates score the genotypes against coefficient blocks
+// it, and so the adaptive screen can read its Grams once. Every other
+// resampling run avoids it: U_j = Σ_l G_lj v_l with v the phenotype's
+// score coefficients, a permutation only permutes v, and Monte Carlo
+// multipliers z only change it to V(z) (Σ_i z_i U_ij = g_jᵀV(z)), so
+// replicates score the packed genotypes against coefficient blocks
 // (ComputeGenotypeScoreBlock). Re-executing steps 6-12 per replicate with
 // a permuted phenotype (ComputePermutationReplicate) is kept for the
 // paper-faithful cost regime.
+//
+// Every way in (Open, OpenFromStore, FromMemory and the parts constructor)
+// produces the packed FGM dataset, the ω dataset, the phenotype and the
+// sets, and hands them to one private constructor that does the rest.
 #pragma once
 
 #include <cstdint>
@@ -100,26 +107,20 @@ struct PipelineConfig {
   /// partition per block instead).
   std::uint32_t num_partitions = 8;
 
-  /// Cache the U RDD (the prerequisite of the paper's Algorithm 3;
-  /// Experiment B ablates it) and the packed genotype partitions. Caching
-  /// U now matters only to paper-faithful Monte Carlo, the one resampling
-  /// path that re-reads U every batch (the adaptive screen reads it once,
-  /// for its Grams); every other run re-reads the genotypes instead.
+  /// Cache the packed genotype partitions, which every resampling batch
+  /// re-reads, and, under `paper_faithful_scores`, the U RDD (the
+  /// prerequisite of the paper's Algorithm 3; Experiment B ablates it),
+  /// which paper-faithful Monte Carlo re-reads every batch. Outside that
+  /// mode U is built only for the adaptive screen, which reads it once for
+  /// its Grams, so it is not cached there.
   bool cache_contributions = true;
 
   /// Memory budget for the engine's partition cache, applied to the
   /// context when the pipeline is built; 0 keeps the context's own
-  /// setting. A budget small enough to force eviction makes cached U
+  /// setting. A budget small enough to force eviction makes cached
   /// partitions spill to the second tier (see engine/cache_manager.hpp);
   /// the constrained-memory benches set this.
   std::uint64_t cache_budget_bytes = 0;
-
-  /// Store filtered genotypes as 2-bit packed blocks
-  /// (stats::PackedGenotypeBlock): ~4x fewer bytes per cached/spilled
-  /// genotype partition under `cache_budget=`, decoded to dosages just
-  /// before scoring. Packing is lossless, so results are bitwise
-  /// identical either way; `pack=0` in the CLI/benches is the ablation.
-  bool pack_genotypes = true;
 
   /// Evaluate Cox contributions with the paper's per-patient formulation
   /// (O(n²) per SNP) instead of this library's O(n) risk-set path, run
@@ -131,13 +132,6 @@ struct PipelineConfig {
   /// scores genotype blocks either way. The timing benches set this; see
   /// stats/score_engine.hpp.
   bool paper_faithful_scores = false;
-
-  /// When non-empty (and the context has a DFS), the observed U RDD is
-  /// checkpointed to this DFS path after its first materialization,
-  /// truncating its lineage: replicates then read the replicated
-  /// checkpoint instead of recomputing from the genotype inputs after a
-  /// failure — the right trade for very long resampling chains.
-  std::string checkpoint_contributions_path;
 
   /// Seed for the resampling plans layered on top (Algorithms 2/3).
   std::uint64_t seed = 2016;
@@ -166,7 +160,8 @@ class SkatPipeline {
   /// (simdata::GenerateToStore) — no MiniDfs, no re-ingest: the phenotype,
   /// weights and SNP-sets decode from the store's aux frames and the
   /// genotype matrix becomes a StoreGenotypeNode streaming packed frames
-  /// off the mmap (pack_genotypes is implied). When `expected_fingerprint`
+  /// off the mmap, cached without spill (the store is the durable copy).
+  /// When `expected_fingerprint`
   /// is set and does not match the file's, refuses with InvalidArgument
   /// naming both fingerprints and the store's provenance description —
   /// a stale store never silently stands in for different parameters.
@@ -181,16 +176,18 @@ class SkatPipeline {
                                  const PipelineConfig& config);
 
   /// Builds from parts: a genotype dataset plus driver-side phenotype,
-  /// weights and sets (the extension point for custom studies). Set ids
-  /// must be distinct (checked; Open and OpenFromStore return
-  /// InvalidArgument instead).
+  /// weights (ω_j for SNP j = 0, 1, ...) and sets (the extension point for
+  /// custom studies). The genotypes are filtered to the sets' SNPs and
+  /// packed (steps 3-4). Set ids must be distinct (checked; Open and
+  /// OpenFromStore return InvalidArgument instead).
   SkatPipeline(engine::EngineContext& ctx, const PipelineConfig& config,
                engine::Dataset<simdata::SnpRecord> genotypes,
                stats::Phenotype phenotype, std::vector<double> weights,
                std::vector<stats::SnpSet> sets);
 
   /// Steps 6-12 with the observed phenotype: S_k⁰ per set. The first call
-  /// materializes (and, if configured, caches) the U RDD.
+  /// defines the U RDD (cached only in paper-faithful mode; see
+  /// PipelineConfig::cache_contributions).
   SetScores ComputeObserved();
 
   /// Algorithm 3's modified step 8 for a whole batch, as the paper runs
@@ -265,13 +262,17 @@ class SkatPipeline {
   /// Number of patients.
   std::size_t n() const { return phenotype_.n(); }
 
-  /// Drops the cached U RDD (between bench configurations).
-  void UnpersistContributions();
-
  private:
-  /// Empty shell for OpenFromStore, which assembles the members itself
-  /// (there is no SnpRecord dataset to hand the public constructor).
-  SkatPipeline() = default;
+  using WeightDataset = engine::Dataset<std::pair<std::uint32_t, double>>;
+
+  /// The one assembly path: takes the packed, filtered genotypes (step 4)
+  /// and the ω dataset (step 2), applies the cache budget, records the
+  /// kernel dispatch gauge, caches the genotypes when configured and
+  /// broadcasts the SNP -> sets map (step 11).
+  SkatPipeline(engine::EngineContext& ctx, const PipelineConfig& config,
+               engine::Dataset<stats::PackedSnpRecord> genotypes,
+               stats::Phenotype phenotype, WeightDataset weights,
+               std::vector<stats::SnpSet> sets);
 
   /// (SNP, per-patient contributions) under `engine` — steps 6-7.
   engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU(
@@ -288,14 +289,10 @@ class SkatPipeline {
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
 
-  engine::Dataset<simdata::SnpRecord> fgm_;  ///< Filtered genotype RDD (step 4).
-
-  /// 2-bit packed form of fgm_ (the cached/spilled genotype format when
-  /// `pack_genotypes` is set); all U builds and genotype score blocks
-  /// decode from this instead.
-  engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
-  engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.
-  engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω (SKAT-O path).
+  /// Filtered genotype RDD (step 4), 2-bit packed: the cached/spilled
+  /// genotype format. U builds and genotype score blocks decode from it.
+  engine::Dataset<stats::PackedSnpRecord> genotypes_;
+  WeightDataset weights_;  ///< ω (step 2); step 9 joins its square.
   stats::Phenotype phenotype_;
   std::vector<stats::SnpSet> sets_;
 

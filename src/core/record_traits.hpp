@@ -61,7 +61,7 @@ struct ApproxBytesImpl<ss::stats::ScoreEngine> {
 
 namespace ss::engine {
 
-/// Checkpoint serialization for genotype records.
+/// Spill serialization for genotype records.
 template <>
 struct Codec<ss::simdata::SnpRecord> {
   static void Encode(BinaryWriter& writer,
@@ -77,7 +77,7 @@ struct Codec<ss::simdata::SnpRecord> {
   }
 };
 
-/// Spill/checkpoint serialization for 2-bit packed genotype records.
+/// Spill serialization for 2-bit packed genotype records.
 template <>
 struct Codec<ss::stats::PackedSnpRecord> {
   static void Encode(BinaryWriter& writer,

@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "engine/executor.hpp"
 #include "engine/trace.hpp"
 #include "stats/adaptive_pvalue.hpp"
 #include "stats/burden.hpp"
@@ -801,9 +802,6 @@ std::vector<std::pair<std::uint32_t, double>> SkatOResult::RankedPValues()
 
 ResamplingRun RunResampling(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
-  if (request.exec.has_value()) {
-    pipeline.context().ApplyExecConfig(*request.exec);
-  }
   ResamplingRun run;
   run.method = request.method;
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);

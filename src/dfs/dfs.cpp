@@ -163,41 +163,6 @@ Result<std::vector<std::string>> MiniDfs::ReadTextFile(
   return lines;
 }
 
-Status MiniDfs::WriteBinaryFile(
-    const std::string& path,
-    const std::vector<std::vector<std::uint8_t>>& blocks) {
-  Result<std::uint64_t> file_id = name_node_->CreateFile(path);
-  if (!file_id.ok()) return file_id.status();
-  std::uint32_t block_index = 0;
-  for (const auto& payload : blocks) {
-    BlockMeta meta;
-    meta.id = BlockId{file_id.value(), block_index};
-    meta.checksum = Checksum(payload);
-    meta.size_bytes = payload.size();
-    meta.replica_nodes = name_node_->PlaceBlock();
-    if (meta.replica_nodes.empty()) {
-      return Status::ResourceExhausted("no live DataNodes for placement");
-    }
-    for (int node : meta.replica_nodes) {
-      stores_[static_cast<std::size_t>(node)]->Put(meta.id, payload);
-    }
-    RecordBlockWrite(meta);
-    SS_RETURN_IF_ERROR(name_node_->CommitBlock(file_id.value(), meta));
-    ++block_index;
-  }
-  return name_node_->SealFile(file_id.value(), blocks.size());
-}
-
-Result<std::vector<std::uint8_t>> MiniDfs::ReadBinaryBlock(
-    const std::string& path, std::uint32_t block_index) const {
-  Result<FileMeta> meta = name_node_->Lookup(path);
-  if (!meta.ok()) return meta.status();
-  if (block_index >= meta.value().blocks.size()) {
-    return Status::InvalidArgument("block index out of range");
-  }
-  return FetchBlockBytes(meta.value().blocks[block_index]);
-}
-
 Result<std::vector<std::string>> MiniDfs::ReadBlockLines(
     const std::string& path, std::uint32_t block_index) const {
   Result<FileMeta> meta = name_node_->Lookup(path);

@@ -44,16 +44,6 @@ class MiniDfs {
   Result<std::vector<std::string>> ReadBlockLines(const std::string& path,
                                                   std::uint32_t block_index) const;
 
-  /// Writes a binary file with caller-defined block boundaries (one block
-  /// per entry). Used by the engine's checkpointing: one block per
-  /// dataset partition, replicated like any other file.
-  Status WriteBinaryFile(const std::string& path,
-                         const std::vector<std::vector<std::uint8_t>>& blocks);
-
-  /// Reads one block of a binary file, failing over across replicas.
-  Result<std::vector<std::uint8_t>> ReadBinaryBlock(const std::string& path,
-                                                    std::uint32_t block_index) const;
-
   /// Number of blocks in `path` (NotFound if absent).
   Result<std::uint32_t> BlockCount(const std::string& path) const;
 

@@ -1,10 +1,9 @@
-// Record serialization for checkpointing datasets to the mini-DFS.
+// Record serialization for the cache's spill tier.
 //
-// Spark checkpointing persists an RDD's partitions to reliable storage and
-// truncates its lineage; long resampling jobs use it so a late failure
-// does not recompute from the original inputs. `Codec<T>` defines the
+// A cached partition evicted under a memory budget is written as one
+// frame (EncodePartition) and decoded on reload. `Codec<T>` defines the
 // byte format per record type; provide a specialization to make a custom
-// record type checkpointable.
+// record type spillable.
 #pragma once
 
 #include <string>

@@ -110,7 +110,8 @@ class EngineContext {
   /// an armed FaultInjector fires.
   void FailNode(int node);
 
-  /// Reconfigures the I/O lane (ResamplingRequest::exec lands here).
+  /// Reconfigures the I/O lane (prefetch depth, I/O threads, background
+  /// spill); bitwise-irrelevant to results.
   /// Sticky: the new config applies to every subsequent stage. Drains the
   /// current lane first, so it must be called between stages, never from
   /// inside a task.

@@ -38,8 +38,9 @@
 
 namespace ss::engine {
 
-/// Executor knobs; surfaced as ResamplingRequest::exec and the
-/// `prefetch=`/`io_threads=`/`spill_async=` CLI/bench keys.
+/// Executor knobs; set on EngineContext::Options::exec (or applied
+/// between stages with EngineContext::ApplyExecConfig) and surfaced as
+/// the `prefetch=`/`io_threads=`/`spill_async=` CLI/bench keys.
 struct ExecConfig {
   /// Partitions reloaded/decoded ahead of the stage's compute frontier.
   /// 0 ablates the whole async path: stages run the legacy synchronous

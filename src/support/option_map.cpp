@@ -80,9 +80,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"spill_dir", OptionType::kString, "",
        "directory for spill frames (empty = in-memory block store)", "engine",
        {}},
-      {"pack", OptionType::kBool, "1",
-       "2-bit packed genotype storage (bitwise-identical results)", "engine",
-       {}},
       {"kernel", OptionType::kChoice, "",
        "force SIMD dispatch level (also SS_KERNEL)", "engine",
        {"scalar", "avx2"}},

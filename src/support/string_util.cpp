@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace ss {
@@ -56,7 +57,11 @@ bool ParseDouble(std::string_view text, double* out) {
   errno = 0;
   char* end = nullptr;
   *out = std::strtod(owned.c_str(), &end);
-  return errno == 0 && end == owned.c_str() + owned.size();
+  if (end != owned.c_str() + owned.size()) return false;
+  // strtod also flags a subnormal result with ERANGE. Keep it: a printed
+  // subnormal (a deep-tail p-value) must re-read as itself. Overflow and
+  // underflow to zero stay out of range.
+  return errno == 0 || (std::isfinite(*out) && *out != 0.0);
 }
 
 }  // namespace ss

@@ -18,7 +18,8 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
-/// Strict parse helpers; return false on malformed/out-of-range input.
+/// Strict parse helpers; return false on malformed/out-of-range input
+/// (for doubles: overflow and underflow to zero; subnormals parse).
 bool ParseI64(std::string_view text, std::int64_t* out);
 bool ParseU32(std::string_view text, std::uint32_t* out);
 bool ParseDouble(std::string_view text, double* out);

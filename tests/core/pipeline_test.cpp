@@ -6,6 +6,7 @@
 
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
+#include "core/resampling_methods.hpp"
 #include "stats/resampling.hpp"
 
 namespace ss::core {
@@ -210,6 +211,7 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     engine::EngineContext ctx(LocalOptions());
     PipelineConfig config;
     config.cache_contributions = true;
+    config.paper_faithful_scores = true;  // the mode that caches U
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
@@ -226,6 +228,38 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     pipeline.ComputeObserved();
     EXPECT_EQ(ctx.cache().stats().insertions, 0u);
   }
+}
+
+/// Memory-tier cache entries left by one Monte Carlo run on 4 partitions.
+std::size_t CacheEntriesAfterRun(const simdata::SyntheticDataset& dataset,
+                                 bool faithful, PValueMethod pmethod) {
+  engine::EngineContext ctx(LocalOptions());
+  PipelineConfig config;
+  config.num_partitions = 4;
+  config.paper_faithful_scores = faithful;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  ResamplingRequest request(ResamplingMethod::kMonteCarlo, 20);
+  request.pvalue_method = pmethod;
+  request.refine_threshold = 0.5;
+  const ResamplingResult result = RunResampling(pipeline, request).scores;
+  if (pmethod == PValueMethod::kHybrid) {
+    EXPECT_EQ(result.inference.size(), dataset.sets.size())
+        << "the screen (the default path's one U reader) should have run";
+  }
+  return ctx.cache().entry_count();
+}
+
+TEST(SkatPipelineTest, CachesUOnlyWhereItIsReRead) {
+  // Every run caches the 4 packed genotype partitions. The default hybrid
+  // run builds U once for the screen's Grams and leaves it uncached, like
+  // a plain default run that never builds it; paper-faithful Monte Carlo
+  // re-reads U every batch and caches its 4 partitions as well.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  EXPECT_EQ(CacheEntriesAfterRun(dataset, false, PValueMethod::kResampling),
+            4u);
+  EXPECT_EQ(CacheEntriesAfterRun(dataset, false, PValueMethod::kHybrid), 4u);
+  EXPECT_EQ(CacheEntriesAfterRun(dataset, true, PValueMethod::kResampling),
+            8u);
 }
 
 TEST(SkatPipelineTest, MonteCarloRequiresObservedFirst) {

@@ -67,5 +67,13 @@ TEST(RecordTraitsTest, PackedSnpRecordCodecRoundTripsThroughPartition) {
   }
 }
 
+TEST(RecordTraitsTest, SnpRecordCodecRoundTrip) {
+  const ss::simdata::SnpRecord record{42, {0, 1, 2, 1, 0, 2}};
+  BinaryWriter writer;
+  Codec<ss::simdata::SnpRecord>::Encode(writer, record);
+  BinaryReader reader(writer.bytes());
+  EXPECT_EQ(Codec<ss::simdata::SnpRecord>::Decode(reader), record);
+}
+
 }  // namespace
 }  // namespace ss::engine

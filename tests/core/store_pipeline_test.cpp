@@ -76,12 +76,11 @@ std::uint64_t ResamplingHash(SkatPipeline& pipeline, int prefetch,
                              ResamplingMethod method =
                                  ResamplingMethod::kMonteCarlo) {
   const std::uint64_t before = Counter("resampling.result_hash");
-  ResamplingRequest request(method, 16);
   engine::ExecConfig exec;
   exec.prefetch_depth = prefetch;
   exec.io_threads = 1;
-  request.exec = exec;
-  RunResampling(pipeline, request);
+  pipeline.context().ApplyExecConfig(exec);
+  RunResampling(pipeline, {method, 16});
   return Counter("resampling.result_hash") - before;
 }
 
@@ -91,7 +90,6 @@ TEST(StorePipelineTest, ObservedScoresBitwiseEqualInMemory) {
   auto opened = SkatPipeline::OpenFromStore(store_ctx, path,
                                             StudyPipelineConfig());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE(opened.value().config().pack_genotypes);  // implied by store
   const SetScores from_store = opened.value().ComputeObserved();
 
   engine::EngineContext mem_ctx(LocalOptions());

@@ -63,14 +63,12 @@ ResamplingResult RunMonteCarlo(std::size_t threads, std::uint64_t replicates,
 }
 
 ResamplingResult RunConfigured(ResamplingMethod method, std::size_t threads,
-                               std::uint64_t batch, bool pack,
-                               std::uint64_t replicates,
+                               std::uint64_t batch, std::uint64_t replicates,
                                const simdata::SyntheticDataset& dataset) {
   engine::EngineContext ctx(OptionsWithThreads(threads));
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = batch;
-  config.pack_genotypes = pack;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
   return RunResampling(pipeline, {method, replicates}).scores;
 }
@@ -130,23 +128,19 @@ TEST(DeterminismTest, ThreadCountDoesNotLeakIntoPValues) {
 }
 
 TEST(DeterminismTest, PackedGenotypesIdenticalAcrossThreadsAndBatches) {
-  // The 2-bit packed genotype path is a pure storage change: every
-  // combination of packing x threads {1,4} x batch {1,64} must be
-  // byte-identical to the unpacked single-thread per-replicate run.
+  // Scoring the 2-bit packed genotypes: every combination of threads
+  // {1,4} x batch {1,64} must be byte-identical to the single-thread
+  // per-replicate run.
   const simdata::SyntheticDataset dataset = FixedDataset();
   const ResamplingResult reference =
-      RunConfigured(ResamplingMethod::kMonteCarlo, 1, 1, /*pack=*/false, 20,
-                    dataset);
+      RunConfigured(ResamplingMethod::kMonteCarlo, 1, 1, 20, dataset);
   for (std::size_t threads : {1u, 4u}) {
     for (std::uint64_t batch : {1u, 64u}) {
-      for (bool pack : {false, true}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " batch=" +
-                     std::to_string(batch) + " pack=" + std::to_string(pack));
-        ExpectByteIdentical(
-            reference,
-            RunConfigured(ResamplingMethod::kMonteCarlo, threads, batch,
-                          pack, 20, dataset));
-      }
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      ExpectByteIdentical(
+          reference, RunConfigured(ResamplingMethod::kMonteCarlo, threads,
+                                   batch, 20, dataset));
     }
   }
 }
@@ -154,33 +148,28 @@ TEST(DeterminismTest, PackedGenotypesIdenticalAcrossThreadsAndBatches) {
 TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
   // SIMD kernels keep the scalar lane/accumulation order, so forcing any
   // executable dispatch level must reproduce the scalar run bit-for-bit.
-  // Both methods and both genotype paths are covered; batch 4 runs the
-  // 4-lane replicate blocks, and batch 64 (one 20-replicate block) also
-  // runs the 16-lane block.
+  // Both methods are covered; batch 4 runs the 4-lane replicate blocks,
+  // and batch 64 (one 20-replicate block) also runs the 16-lane block.
   const simdata::SyntheticDataset dataset = FixedDataset();
   const stats::kernels::DispatchLevel saved =
       stats::kernels::ActiveDispatchLevel();
   for (ResamplingMethod method :
        {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
-    for (bool pack : {false, true}) {
-      for (std::uint64_t batch : {4u, 64u}) {
-        SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
-                     " pack=" + std::to_string(pack) +
-                     " batch=" + std::to_string(batch));
-        stats::kernels::SetDispatchLevel(
-            stats::kernels::DispatchLevel::kScalar);
-        const ResamplingResult scalar =
-            RunConfigured(method, 4, batch, pack, 20, dataset);
-        for (stats::kernels::DispatchLevel level :
-             stats::kernels::ExecutableLevels()) {
-          if (level == stats::kernels::DispatchLevel::kScalar) continue;
-          stats::kernels::SetDispatchLevel(level);
-          SCOPED_TRACE(std::string("level=") +
-                       stats::kernels::DispatchLevelName(
-                           stats::kernels::ActiveDispatchLevel()));
-          ExpectByteIdentical(
-              scalar, RunConfigured(method, 4, batch, pack, 20, dataset));
-        }
+    for (std::uint64_t batch : {4u, 64u}) {
+      SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
+                   " batch=" + std::to_string(batch));
+      stats::kernels::SetDispatchLevel(stats::kernels::DispatchLevel::kScalar);
+      const ResamplingResult scalar =
+          RunConfigured(method, 4, batch, 20, dataset);
+      for (stats::kernels::DispatchLevel level :
+           stats::kernels::ExecutableLevels()) {
+        if (level == stats::kernels::DispatchLevel::kScalar) continue;
+        stats::kernels::SetDispatchLevel(level);
+        SCOPED_TRACE(std::string("level=") +
+                     stats::kernels::DispatchLevelName(
+                         stats::kernels::ActiveDispatchLevel()));
+        ExpectByteIdentical(scalar,
+                            RunConfigured(method, 4, batch, 20, dataset));
       }
     }
   }
@@ -197,7 +186,9 @@ ResamplingResult RunAdaptive(std::size_t threads, std::uint64_t batch,
                              int prefetch, PValueMethod pmethod,
                              std::uint64_t early_stop,
                              const simdata::SyntheticDataset& dataset) {
-  engine::EngineContext ctx(OptionsWithThreads(threads));
+  engine::EngineContext::Options options = OptionsWithThreads(threads);
+  options.exec.prefetch_depth = prefetch;
+  engine::EngineContext ctx(options);
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = batch;
@@ -206,9 +197,6 @@ ResamplingResult RunAdaptive(std::size_t threads, std::uint64_t batch,
   request.pvalue_method = pmethod;
   request.refine_threshold = 0.5;  // refine several sets, not just one
   request.early_stop = early_stop;
-  engine::ExecConfig exec;
-  exec.prefetch_depth = prefetch;
-  request.exec = exec;
   return RunResampling(pipeline, request).scores;
 }
 
@@ -315,7 +303,9 @@ HashedRun RunHashed(std::size_t threads, std::uint64_t batch, int prefetch,
   std::atomic<std::uint64_t>& hash_counter =
       engine::CounterRegistry::Global().Get("resampling.result_hash");
   const std::uint64_t before = hash_counter.load();
-  engine::EngineContext ctx(OptionsWithThreads(threads), nullptr, faults);
+  engine::EngineContext::Options options = OptionsWithThreads(threads);
+  options.exec.prefetch_depth = prefetch;
+  engine::EngineContext ctx(options, nullptr, faults);
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = batch;
@@ -324,9 +314,6 @@ HashedRun RunHashed(std::size_t threads, std::uint64_t batch, int prefetch,
   request.pvalue_method = pmethod;
   request.refine_threshold = 0.5;
   request.early_stop = early_stop;
-  engine::ExecConfig exec;
-  exec.prefetch_depth = prefetch;
-  request.exec = exec;
   HashedRun run;
   run.result = RunResampling(pipeline, request).scores;
   run.hash = hash_counter.load() - before;
@@ -434,43 +421,41 @@ TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
 // ---------------------------------------------------------------------
 // Resampling as genotype score blocks: genotypes scored against permuted
 // coefficient blocks (permutation) or V(z) blocks (Monte Carlo) must hash
-// the same across every scheduling and storage knob — threads, batch
-// size, packing and prefetch — both exhaustive and early-stopped.
+// the same across every scheduling knob — threads, batch size and
+// prefetch — both exhaustive and early-stopped.
 // ---------------------------------------------------------------------
 
 HashedRun RunScoreBlocksHashed(ResamplingMethod method, std::size_t threads,
-                               std::uint64_t batch, bool pack, int prefetch,
+                               std::uint64_t batch, int prefetch,
                                std::uint64_t early_stop,
                                const simdata::SyntheticDataset& dataset) {
   std::atomic<std::uint64_t>& hash_counter =
       engine::CounterRegistry::Global().Get("resampling.result_hash");
   const std::uint64_t before = hash_counter.load();
-  engine::EngineContext ctx(OptionsWithThreads(threads));
+  engine::EngineContext::Options options = OptionsWithThreads(threads);
+  options.exec.prefetch_depth = prefetch;
+  engine::EngineContext ctx(options);
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = batch;
-  config.pack_genotypes = pack;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
   ResamplingRequest request(method, 90);
   request.early_stop = early_stop;
-  engine::ExecConfig exec;
-  exec.prefetch_depth = prefetch;
-  request.exec = exec;
   HashedRun run;
   run.result = RunResampling(pipeline, request).scores;
   run.hash = hash_counter.load() - before;
   return run;
 }
 
-/// Sweeps threads {1,4} × batch {1,8,64} × pack {0,1} × prefetch {0,2},
-/// plain and early_stop=5, against a single-thread per-replicate
-/// unpacked reference; returns the plain reference.
+/// Sweeps threads {1,4} × batch {1,8,64} × prefetch {0,2}, plain and
+/// early_stop=5, against a single-thread per-replicate reference; returns
+/// the plain reference.
 HashedRun ExpectScoreBlockGridIdentical(
     ResamplingMethod method, const simdata::SyntheticDataset& dataset) {
   HashedRun plain;
   for (std::uint64_t early_stop : {0u, 5u}) {
     const HashedRun reference =
-        RunScoreBlocksHashed(method, 1, 1, false, 0, early_stop, dataset);
+        RunScoreBlocksHashed(method, 1, 1, 0, early_stop, dataset);
     if (early_stop != 0) {
       bool any_stopped = false;
       for (const auto& [set_id, info] : reference.result.inference) {
@@ -482,18 +467,15 @@ HashedRun ExpectScoreBlockGridIdentical(
     }
     for (std::size_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {1u, 8u, 64u}) {
-        for (bool pack : {false, true}) {
-          for (int prefetch : {0, 2}) {
-            SCOPED_TRACE("early_stop=" + std::to_string(early_stop) +
-                         " threads=" + std::to_string(threads) +
-                         " batch=" + std::to_string(batch) +
-                         " pack=" + std::to_string(pack) +
-                         " prefetch=" + std::to_string(prefetch));
-            const HashedRun run = RunScoreBlocksHashed(
-                method, threads, batch, pack, prefetch, early_stop, dataset);
-            EXPECT_EQ(run.hash, reference.hash);
-            ExpectAdaptiveIdentical(reference.result, run.result);
-          }
+        for (int prefetch : {0, 2}) {
+          SCOPED_TRACE("early_stop=" + std::to_string(early_stop) +
+                       " threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch) +
+                       " prefetch=" + std::to_string(prefetch));
+          const HashedRun run = RunScoreBlocksHashed(
+              method, threads, batch, prefetch, early_stop, dataset);
+          EXPECT_EQ(run.hash, reference.hash);
+          ExpectAdaptiveIdentical(reference.result, run.result);
         }
       }
     }

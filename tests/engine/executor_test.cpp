@@ -76,15 +76,14 @@ std::uint64_t RunAndHash(const RunConfig& run,
   options.seed = kSeed;
   options.cache_capacity_bytes = run.cache_budget;
   options.spill_dir = run.spill_dir;
+  options.exec = run.exec;
   engine::EngineContext ctx(options);
   PipelineConfig config;
   config.seed = kSeed;
   config.resampling_batch_size = run.batch;
   config.cache_budget_bytes = run.cache_budget;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  ResamplingRequest request(ResamplingMethod::kMonteCarlo, kReplicates);
-  request.exec = run.exec;
-  RunResampling(pipeline, request);
+  RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, kReplicates});
   const std::uint64_t hash = Counter("resampling.result_hash");
   EXPECT_NE(hash, 0u);
   return hash;

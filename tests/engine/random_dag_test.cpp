@@ -150,7 +150,6 @@ struct SoakCell {
   std::uint64_t batch = 64;
   bool corrupt_mid_run = false;
   bool drop_mid_run = false;
-  bool pack = true;
   bool faithful = false;
 };
 
@@ -182,7 +181,6 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   config.num_partitions = 4;
   config.num_reducers = 4;
   config.resampling_batch_size = cell.batch;
-  config.pack_genotypes = cell.pack;
   config.paper_faithful_scores = cell.faithful;
   core::SkatPipeline pipeline = core::SkatPipeline::FromMemory(
       ctx, simdata::Generate(generator), config);
@@ -201,7 +199,6 @@ std::string SoakCellName(const SoakCell& cell) {
                      " batch=" + std::to_string(cell.batch);
   if (cell.corrupt_mid_run) name += " corrupt_mid_run";
   if (cell.drop_mid_run) name += " drop_mid_run";
-  if (!cell.pack) name += " pack=0";
   if (cell.faithful) name += " faithful";
   return name;
 }
@@ -241,18 +238,12 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
             }
           }
         }
-        // Packed-genotype ablation: the 2-bit representation must not leak
-        // into results under any budget (only cache/spill bytes change).
-        check(SoakCell{budget, true, 4, 64, false, false, /*pack=*/false});
         if (budget != 0) {
           // Sabotaged spill store mid-run: results must still match (the
           // cache degrades corrupt frames to lineage recomputes).
-          for (bool pack : {true, false}) {
-            check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true,
-                           false, pack});
-            check(SoakCell{budget, true, 4, 64, false,
-                           /*drop_mid_run=*/true, pack});
-          }
+          check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true,
+                         false});
+          check(SoakCell{budget, true, 4, 64, false, /*drop_mid_run=*/true});
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "support/binary_io.hpp"
@@ -174,6 +175,16 @@ TEST(ParseTest, Doubles) {
   EXPECT_FALSE(ParseDouble("abc", &d));
   EXPECT_FALSE(ParseDouble("1.5extra", &d));
   EXPECT_FALSE(ParseDouble("", &d));
+}
+
+TEST(ParseTest, DoublesKeepSubnormalsAndRefuseOverflow) {
+  double d = 0;
+  EXPECT_TRUE(ParseDouble("4.9406564584124654e-324", &d));
+  EXPECT_EQ(d, std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(ParseDouble("2.2250738585072009e-308", &d));  // largest subnormal
+  EXPECT_LT(d, std::numeric_limits<double>::min());
+  EXPECT_FALSE(ParseDouble("1e400", &d));
+  EXPECT_FALSE(ParseDouble("1e-400", &d));  // would silently read as 0
 }
 
 // -- Stopwatch -------------------------------------------------------------------

@@ -137,9 +137,6 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   config.resampling_batch_size = std::max<std::uint64_t>(
       1, args.GetU64("batch", config.resampling_batch_size));
   config.cache_budget_bytes = args.GetU64("cache_budget", 0);
-  // pack=0 ablates the 2-bit packed genotype storage (results are
-  // bitwise identical either way; only cache/spill bytes change).
-  config.pack_genotypes = args.GetU64("pack", 1) != 0;
 
   const std::string model = args.GetStr("model", "cox");
   const std::string store_path = args.GetStr("store", "");
