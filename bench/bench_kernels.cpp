@@ -1,10 +1,11 @@
 // bench_kernels — microbenchmark for the runtime-dispatched SIMD kernels
 // (src/stats/kernels): batched Monte Carlo MAC, Cox score scan, SKAT
-// folds, the sparse genotype MAC, and 2-bit genotype pack/unpack, timed
-// at every dispatch level this CPU can execute. Cross-level outputs are
-// verified bitwise equal while timing, so the speedup numbers are
-// guaranteed to compare identical computations; the sparse MAC is also
-// verified bitwise equal to the dense MAC on the widened dosages.
+// folds, the multiply-free sparse genotype MAC, and 2-bit genotype
+// pack/unpack, timed at every dispatch level this CPU can execute.
+// Cross-level outputs are verified bitwise equal while timing, so the
+// speedup numbers are guaranteed to compare identical computations; the
+// sparse MAC is also verified bitwise equal to the dense MAC on the
+// widened dosages.
 //
 // The sparse row scores `snps` SNPs with generator-like density (per-SNP
 // allele frequency ~ U(0.05, 0.5), binomial dosages; ~46% non-zero)
@@ -189,11 +190,20 @@ int Run(int argc, char** argv) {
                           count, dense_out.data() + j * count);
       }
     };
+    // The sparse pass pays for its block's [V; 2V; 3V] table build, as
+    // every pipeline score block does, and selects each SNP's rows.
+    std::vector<const double*> rows;
+    std::vector<double> scaled;
     const auto sparse_pass = [&]() {
+      const std::vector<double> scaled_table =
+          stats::kernels::DosageScaledTable(zblock);
       for (std::size_t j = 0; j < num_snps; ++j) {
         const SparseSnp& snp = sparse_snps[j];
-        table.sparse_mac(snp.index.data(), snp.dosage.data(), snp.nnz,
-                         zblock.data(), count, sparse_out.data() + j * count);
+        stats::kernels::SelectDosageRows(snp.index.data(), snp.dosage.data(),
+                                         snp.nnz, scaled_table.data(), n,
+                                         count, &rows, &scaled);
+        table.row_sum(rows.data(), snp.nnz, count,
+                      sparse_out.data() + j * count);
       }
     };
     timing.dense_snp_seconds = TimeOnce(dense_pass);

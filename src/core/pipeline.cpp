@@ -203,32 +203,36 @@ ScoreBlock CollectScoreBlock(
 
 struct NoScratch {};
 
-/// One SNP's non-zero genotypes (NonZeroInto runs).
+/// One SNP's non-zero genotypes (NonZeroInto runs) and the coefficient
+/// rows they select (kernels::SelectDosageRows).
 struct GenotypeScratch {
   std::vector<std::uint32_t> index;
   std::vector<std::uint8_t> dosage;
+  std::vector<const double*> rows;
+  std::vector<double> scaled;
 };
 
-/// out[r] = Σ_i G_i · vblock[i*count + r], scored over the `nnz` non-zero
-/// genotypes in `runs` of a SNP with `n` patients. The sparse kernel is
+/// out[r] = Σ_i G_i · V[i*count + r], scored over the `nnz` non-zero
+/// genotypes in `runs` of a SNP with `n` patients by summing their rows
+/// of `table` (kernels::DosageScaledTable over V). The sparse kernel is
 /// bitwise equal to the dense MAC over all n (docs/KERNELS.md). When the
 /// block's columns sum to zero exactly (`zero_sum_columns`), a constant
 /// column scores exactly 0, its exact value: Σ_l c·V_l would instead
 /// leave rounding noise that decides its exceedances by coin flip. An
 /// all-zero column (nnz = 0) scores +0 either way. Otherwise a column is
 /// scored like any other, as the U path scores it.
-void GenotypeScores(const GenotypeScratch& runs, std::size_t nnz,
-                    std::size_t n, const double* vblock, std::size_t count,
+void GenotypeScores(GenotypeScratch* runs, std::size_t nnz, std::size_t n,
+                    const double* table, std::size_t count,
                     bool zero_sum_columns, double* out) {
-  const std::uint8_t* d = runs.dosage.data();
+  const std::uint8_t* d = runs->dosage.data();
   if (zero_sum_columns && nnz == n &&
       std::all_of(d, d + nnz, [d](std::uint8_t x) { return x == d[0]; })) {
     std::fill(out, out + count, 0.0);
     return;
   }
-  stats::kernels::ActiveKernels().sparse_mac(runs.index.data(),
-                                             runs.dosage.data(), nnz, vblock,
-                                             count, out);
+  stats::kernels::SelectDosageRows(runs->index.data(), d, nnz, table, n,
+                                   count, &runs->rows, &runs->scaled);
+  stats::kernels::ActiveKernels().row_sum(runs->rows.data(), nnz, count, out);
 }
 
 }  // namespace
@@ -540,13 +544,16 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "genotype score block",
                          {engine::Arg("replicates", count)});
-  auto v = engine::MakeBroadcast(*ctx_, vblock);
+  // Workers read the pre-scaled [V; 2V; 3V] table, built once here, so
+  // the replicate kernel only adds.
+  auto table =
+      engine::MakeBroadcast(*ctx_, stats::kernels::DosageScaledTable(vblock));
   // The non-zero decode is profiled as decode time (untraced like
   // BuildU's unpack: one span per record would flood the trace).
   return CollectScoreBlock<GenotypeScratch>(
       genotypes_, count, std::move(live_snps), "collect-score-block",
-      [v, count, zero_sum_columns](const stats::PackedSnpRecord& record,
-                                   GenotypeScratch* scratch, double* row) {
+      [table, count, zero_sum_columns](const stats::PackedSnpRecord& record,
+                                       GenotypeScratch* scratch, double* row) {
         std::size_t nnz = 0;
         {
           ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
@@ -554,8 +561,8 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
           nnz = record.genotypes.NonZeroInto(&scratch->index,
                                              &scratch->dosage);
         }
-        GenotypeScores(*scratch, nnz, record.genotypes.size(), v->data(),
-                       count, zero_sum_columns, row);
+        GenotypeScores(scratch, nnz, record.genotypes.size(),
+                       table->data(), count, zero_sum_columns, row);
       });
 }
 

@@ -214,12 +214,15 @@ class SkatPipeline {
   /// block of score coefficients — permuted ones
   /// (stats::PermutedCoefficientBlock) or Monte Carlo V(z) ones
   /// (stats::MonteCarloCoefficientBlock); count 1 with the unpermuted
-  /// coefficients gives the observed scores. One engine pass over the
-  /// cached genotype partitions: each SNP is decoded into its non-zero
-  /// (patient, dosage) runs and scored by the sparse kernel
-  /// (kernels::KernelTable::sparse_mac) straight into its partition's
-  /// flat buffer, bitwise equal to the dense MAC over all patients;
-  /// live-SNP filter and collect as in ComputeMonteCarloScoreBlock.
+  /// coefficients gives the observed scores. The driver builds the
+  /// pre-scaled table [V; 2V; 3V] of the block once
+  /// (kernels::DosageScaledTable) and broadcasts it; then one engine pass
+  /// over the cached genotype partitions decodes each SNP into its
+  /// non-zero (patient, dosage) runs, and the multiply-free sparse kernel
+  /// (kernels::KernelTable::row_sum) adds the table rows they select
+  /// straight into its partition's flat buffer, bitwise equal to the
+  /// dense MAC over all patients; live-SNP filter and collect as in
+  /// ComputeMonteCarloScoreBlock.
   /// `zero_sum_columns` says every column of the block sums to zero
   /// exactly (permutation blocks, Cox V(z) blocks, the observed v); a
   /// constant genotype column then writes exact zeros in place, as its Cox

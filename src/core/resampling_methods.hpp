@@ -21,11 +21,12 @@
 //
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
-// pass — an n×R block is broadcast and a blocked multiply-accumulate
-// kernel computes every replicate's per-SNP scores: V(z) or permuted
-// coefficients against the non-zero genotypes of the cached genotype
-// partitions (kernels::KernelTable::sparse_mac), or (paper-faithful
-// Monte Carlo) Z multipliers against the cached U partitions
+// pass — an n×R block is broadcast and a blocked kernel computes every
+// replicate's per-SNP scores: for V(z) or permuted coefficients, the
+// rows of the block's pre-scaled [V; 2V; 3V] table that the non-zero
+// genotypes of the cached genotype partitions select are summed
+// (kernels::KernelTable::row_sum); paper-faithful Monte Carlo instead
+// multiply-accumulates Z multipliers against the cached U partitions
 // (stats::BatchedReplicateScores). Each pass collects one flat
 // ScoreBlock, and the per-set folds run driver-side over it in the
 // serial oracle's canonical accumulation order.

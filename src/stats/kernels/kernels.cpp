@@ -43,25 +43,22 @@ void BatchedMacScalar(const double* u, std::size_t n, const double* zblock,
   }
 }
 
-void SparseMacScalar(const std::uint32_t* index, const std::uint8_t* dosage,
-                     std::size_t nnz, const double* vblock, std::size_t count,
-                     double* out) {
-  // BatchedMacScalar's blocking, walking only the listed patients. The
-  // dosage is converted exactly and multiplied (not added d times), so
-  // any 8-bit dosage, not just 0..3, keeps the dense kernel's product.
+void RowSumScalar(const double* const* rows, std::size_t nrows,
+                  std::size_t count, double* out) {
+  // Four replicates per pass over the row list, then the tail; every
+  // lane sums rows in ascending k from +0, as the AVX2 blocks do.
   std::size_t r = 0;
   for (; r + 4 <= count; r += 4) {
     double acc0 = 0.0;
     double acc1 = 0.0;
     double acc2 = 0.0;
     double acc3 = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) {
-      const double* z = vblock + std::size_t{index[k]} * count + r;
-      const double d = static_cast<double>(dosage[k]);
-      acc0 += z[0] * d;
-      acc1 += z[1] * d;
-      acc2 += z[2] * d;
-      acc3 += z[3] * d;
+    for (std::size_t k = 0; k < nrows; ++k) {
+      const double* row = rows[k] + r;
+      acc0 += row[0];
+      acc1 += row[1];
+      acc2 += row[2];
+      acc3 += row[3];
     }
     out[r + 0] = acc0;
     out[r + 1] = acc1;
@@ -70,10 +67,7 @@ void SparseMacScalar(const std::uint32_t* index, const std::uint8_t* dosage,
   }
   for (; r < count; ++r) {
     double acc = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) {
-      acc += vblock[std::size_t{index[k]} * count + r] *
-             static_cast<double>(dosage[k]);
-    }
+    for (std::size_t k = 0; k < nrows; ++k) acc += rows[k][r];
     out[r] = acc;
   }
 }
@@ -112,7 +106,7 @@ void SkatBurdenFoldScalar(const double* scores, std::size_t count,
 
 const KernelTable kScalarTable = {
     .batched_mac = &BatchedMacScalar,
-    .sparse_mac = &SparseMacScalar,
+    .row_sum = &RowSumScalar,
     .cox_scan = &CoxScanScalar,
     .skat_fold = &SkatFoldScalar,
     .skat_burden_fold = &SkatBurdenFoldScalar,
@@ -199,6 +193,49 @@ DispatchLevel SetDispatchLevel(DispatchLevel level) {
   const DispatchLevel actual = ClampToSupported(level, "SetDispatchLevel");
   g_level.store(static_cast<int>(actual), std::memory_order_release);
   return actual;
+}
+
+std::vector<double> DosageScaledTable(const std::vector<double>& vblock) {
+  // Each entry is the product the dense kernel rounds for that dosage
+  // (z · d, with fl(1 · z) = z), so summing table rows reproduces it.
+  const std::size_t size = vblock.size();
+  std::vector<double> table(3 * size);
+  for (std::size_t j = 0; j < size; ++j) {
+    table[j] = vblock[j];
+    table[size + j] = vblock[j] * 2.0;
+    table[2 * size + j] = vblock[j] * 3.0;
+  }
+  return table;
+}
+
+void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
+                      std::size_t nnz, const double* table, std::size_t n,
+                      std::size_t count, std::vector<const double*>* rows,
+                      std::vector<double>* scaled) {
+  if (rows->size() < nnz) rows->resize(nnz);
+  const double** out = rows->data();
+  std::size_t raw = 0;
+  for (std::size_t k = 0; k < nnz; ++k) {
+    const std::size_t d = dosage[k];
+    if (d > 3) {
+      ++raw;
+      continue;
+    }
+    out[k] = table + ((d - 1) * n + index[k]) * count;
+  }
+  if (raw == 0) return;
+  // Raw-fallback blocks only: materialise fl(d · V_i) rows, multiplied
+  // as the dense kernel multiplies, once the scratch is sized for all.
+  if (scaled->size() < raw * count) scaled->resize(raw * count);
+  double* row = scaled->data();
+  for (std::size_t k = 0; k < nnz; ++k) {
+    if (dosage[k] <= 3) continue;
+    const double d = static_cast<double>(dosage[k]);
+    const double* v = table + std::size_t{index[k]} * count;
+    for (std::size_t r = 0; r < count; ++r) row[r] = v[r] * d;
+    out[k] = row;
+    row += count;
+  }
 }
 
 const KernelTable& ActiveKernels() { return KernelsFor(ActiveDispatchLevel()); }

@@ -1,8 +1,9 @@
 // Runtime-dispatched compute kernels for the resampling hot paths.
 //
 // The loops that dominate resampling wall-clock — the batched replicate
-// multiply-accumulate (dense over per-patient values, and sparse over
-// non-zero genotypes), the Cox score contribution scan, and the per-set
+// multiply-accumulate (dense over per-patient values, and its
+// multiply-free sparse form summing pre-scaled rows for non-zero
+// genotypes), the Cox score contribution scan, and the per-set
 // SKAT weighted folds — are routed through a function-pointer
 // table selected once per process from the best instruction set the CPU
 // supports (scalar / AVX2). The AVX2 variants preserve the
@@ -65,18 +66,19 @@ struct KernelTable {
   using BatchedMacFn = void (*)(const double* u, std::size_t n,
                                 const double* zblock, std::size_t count,
                                 double* out);
-  /// Sparse form of `batched_mac` for integer dosages:
-  ///   out[r] = sum_k dosage[k] * vblock[index[k]*count + r],
-  /// summed in ascending k per replicate, with `index` strictly
-  /// ascending. With `index`/`dosage` the non-zero entries of a dosage
-  /// vector g and finite `vblock`, the output is bitwise equal to
-  /// `batched_mac` on g widened to doubles: each accumulator starts at
-  /// +0 and adds products without fusing, so a skipped G=0 term (±0)
-  /// could never have moved it (docs/KERNELS.md).
-  using SparseMacFn = void (*)(const std::uint32_t* index,
-                               const std::uint8_t* dosage, std::size_t nnz,
-                               const double* vblock, std::size_t count,
-                               double* out);
+  /// Multiply-free sparse form of `batched_mac`:
+  ///   out[r] = sum_k rows[k][r],
+  /// summed in ascending k per replicate starting from +0, where each
+  /// rows[k] points at `count` contiguous doubles. With rows[k] the
+  /// pre-scaled coefficient row fl(d_k * V_{i_k}) of a SNP's k-th
+  /// non-zero genotype (SelectDosageRows over a DosageScaledTable), in
+  /// ascending patient order, and finite V, the output is bitwise equal
+  /// to `batched_mac` on the dosages widened to doubles: every summand
+  /// is the product the dense kernel rounds, the adds run in the same
+  /// order, and a skipped G=0 term (±0) could never have moved the
+  /// accumulator (docs/KERNELS.md).
+  using RowSumFn = void (*)(const double* const* rows, std::size_t nrows,
+                            std::size_t count, double* out);
   /// Cox score contribution scan: for each patient i (sorted-time order
   /// arrays as produced by RiskSetIndex),
   ///   out[i] = event[i] ? genotypes[i] - prefix[prefix_end[i]] /
@@ -98,11 +100,29 @@ struct KernelTable {
                                     double* skat, double* burden);
 
   BatchedMacFn batched_mac = nullptr;
-  SparseMacFn sparse_mac = nullptr;
+  RowSumFn row_sum = nullptr;
   CoxScanFn cox_scan = nullptr;
   SkatFoldFn skat_fold = nullptr;
   SkatBurdenFoldFn skat_burden_fold = nullptr;
 };
+
+/// The pre-scaled coefficient table `row_sum` reads for 2-bit dosages:
+/// for a patient-major n × count block V (`vblock`, n·count doubles),
+/// [V ; fl(2·V) ; fl(3·V)], 3·n·count doubles. Patient i's row for
+/// dosage d ∈ {1, 2, 3} starts at ((d − 1)·n + i)·count; V is the
+/// table's first third.
+std::vector<double> DosageScaledTable(const std::vector<double>& vblock);
+
+/// Points rows[k] (k < nnz) at the row fl(dosage[k] · V_index[k]) for a
+/// SNP's non-zero runs (PackedGenotypeBlock::NonZeroInto order), so
+/// `row_sum` scores the SNP. Dosages 1..3 select a row of `table` (a
+/// DosageScaledTable over n patients); a raw-fallback dosage above 3
+/// gets its row materialised in `scaled`. Both buffers grow as needed
+/// and are reused across calls; rows stay valid until the next call.
+void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
+                      std::size_t nnz, const double* table, std::size_t n,
+                      std::size_t count, std::vector<const double*>* rows,
+                      std::vector<double>* scaled);
 
 /// The table for the active dispatch level.
 const KernelTable& ActiveKernels();

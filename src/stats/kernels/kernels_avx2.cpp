@@ -59,42 +59,60 @@ void BatchedMacAvx2(const double* u, std::size_t n, const double* zblock,
   }
 }
 
-void SparseMacAvx2(const std::uint32_t* index, const std::uint8_t* dosage,
-                   std::size_t nnz, const double* vblock, std::size_t count,
-                   double* out) {
-  // BatchedMacAvx2's 16/4-lane replicate blocks over the listed patients
-  // only: one broadcast of the exactly converted dosage, then contiguous
-  // loads of that patient's replicate lanes.
-  std::size_t r = 0;
-  for (; r + 16 <= count; r += 16) {
-    __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                      _mm256_setzero_pd(), _mm256_setzero_pd()};
-    for (std::size_t k = 0; k < nnz; ++k) {
-      const double* z = vblock + std::size_t{index[k]} * count + r;
-      const __m256d d = _mm256_set1_pd(static_cast<double>(dosage[k]));
-      for (int g = 0; g < 4; ++g) {
-        acc[g] = _mm256_add_pd(acc[g],
-                               _mm256_mul_pd(_mm256_loadu_pd(z + 4 * g), d));
-      }
+/// Replicates [r, r + 4·kVecs) of RowSumAvx2: one walk of the row list
+/// with kVecs 4-lane accumulators. The loops must unroll fully so the
+/// accumulators live in registers and each row adds straight from
+/// memory; left rolled, GCC keeps `acc` on the stack at -O2, and that
+/// kernel is no faster than a multiply-add one.
+template <int kVecs>
+inline void RowSumBlock(const double* const* rows, std::size_t nrows,
+                        std::size_t r, double* out) {
+  __m256d acc[kVecs];
+#pragma GCC unroll 16
+  for (int g = 0; g < kVecs; ++g) acc[g] = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < nrows; ++k) {
+    const double* row = rows[k] + r;
+    // Pins `row` as the one base register, so each add takes a
+    // base + constant-displacement operand. Left alone, GCC keeps a
+    // separate 8·r + 32·g index per lane group and spills some of them
+    // to the stack inside the loop.
+    __asm__("" : "+r"(row));
+#pragma GCC unroll 16
+    for (int g = 0; g < kVecs; ++g) {
+      acc[g] = _mm256_add_pd(acc[g], _mm256_loadu_pd(row + 4 * g));
     }
-    for (int g = 0; g < 4; ++g) _mm256_storeu_pd(out + r + 4 * g, acc[g]);
   }
-  for (; r + 4 <= count; r += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t k = 0; k < nnz; ++k) {
-      const double* z = vblock + std::size_t{index[k]} * count + r;
-      acc = _mm256_add_pd(
-          acc, _mm256_mul_pd(_mm256_loadu_pd(z),
-                             _mm256_set1_pd(static_cast<double>(dosage[k]))));
-    }
-    _mm256_storeu_pd(out + r, acc);
+#pragma GCC unroll 16
+  for (int g = 0; g < kVecs; ++g) _mm256_storeu_pd(out + r + 4 * g, acc[g]);
+}
+
+void RowSumAvx2(const double* const* rows, std::size_t nrows,
+                std::size_t count, double* out) {
+  // 64 replicates per walk (16 accumulators: every ymm register), then
+  // one 32/16/8/4-lane block each as the remainder needs, then the
+  // scalar tail. Each lane adds rows in ascending k, as the scalar
+  // reference does.
+  std::size_t r = 0;
+  for (; r + 64 <= count; r += 64) RowSumBlock<16>(rows, nrows, r, out);
+  if (r + 32 <= count) {
+    RowSumBlock<8>(rows, nrows, r, out);
+    r += 32;
+  }
+  if (r + 16 <= count) {
+    RowSumBlock<4>(rows, nrows, r, out);
+    r += 16;
+  }
+  if (r + 8 <= count) {
+    RowSumBlock<2>(rows, nrows, r, out);
+    r += 8;
+  }
+  if (r + 4 <= count) {
+    RowSumBlock<1>(rows, nrows, r, out);
+    r += 4;
   }
   for (; r < count; ++r) {
     double acc = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) {
-      acc += vblock[std::size_t{index[k]} * count + r] *
-             static_cast<double>(dosage[k]);
-    }
+    for (std::size_t k = 0; k < nrows; ++k) acc += rows[k][r];
     out[r] = acc;
   }
 }
@@ -170,7 +188,7 @@ void SkatBurdenFoldAvx2(const double* scores, std::size_t count, double weight,
 
 const KernelTable kAvx2Table = {
     .batched_mac = &BatchedMacAvx2,
-    .sparse_mac = &SparseMacAvx2,
+    .row_sum = &RowSumAvx2,
     .cox_scan = &CoxScanAvx2,
     .skat_fold = &SkatFoldAvx2,
     .skat_burden_fold = &SkatBurdenFoldAvx2,

@@ -15,9 +15,8 @@ namespace ss::stats::kernels::internal {
 // SIMD variant must reproduce exactly.
 void BatchedMacScalar(const double* u, std::size_t n, const double* zblock,
                       std::size_t count, double* out);
-void SparseMacScalar(const std::uint32_t* index, const std::uint8_t* dosage,
-                     std::size_t nnz, const double* vblock, std::size_t count,
-                     double* out);
+void RowSumScalar(const double* const* rows, std::size_t nrows,
+                  std::size_t count, double* out);
 void CoxScanScalar(const std::uint8_t* event, const std::uint8_t* genotypes,
                    const double* prefix, const std::uint32_t* prefix_end,
                    std::size_t n, double* out);

@@ -310,8 +310,8 @@ std::vector<std::string> OptionMap::UnknownKeys() const {
   return unknown;
 }
 
-std::size_t OptionMap::WarnUnknownKeys(const std::string& program) const {
-  std::size_t diagnostics = 0;
+std::vector<std::string> OptionMap::Problems() const {
+  std::vector<std::string> problems;
   for (const std::string& key : UnknownKeys()) {
     std::string suggestion;
     std::size_t best = key.size();  // only suggest meaningfully close keys
@@ -322,36 +322,63 @@ std::size_t OptionMap::WarnUnknownKeys(const std::string& program) const {
         suggestion = candidate;
       }
     }
-    std::string hint;
-    if (!suggestion.empty()) hint = " (did you mean '" + suggestion + "'?)";
-    std::fprintf(stderr, "%s: unknown key '%s' ignored%s\n", program.c_str(),
-                 key.c_str(), hint.c_str());
-    ++diagnostics;
+    std::string problem = "unknown key '" + key + "'";
+    if (!suggestion.empty()) problem += " (did you mean '" + suggestion + "'?)";
+    problems.push_back(std::move(problem));
   }
-  for (const auto& [key, problem] : malformed_) {
-    std::fprintf(stderr, "%s: malformed value for '%s': %s (fallback used)\n",
-                 program.c_str(), key.c_str(), problem.c_str());
-    ++diagnostics;
-  }
-  // Registry validation for enumerated keys: a present choice-typed value
-  // outside its registered choices gets one diagnostic (the tool itself
-  // decides whether to also reject it).
+  // Values a getter failed to parse, and present values of registered
+  // keys that do not fit the key's type or choices (found without any
+  // getter having run, so a tool can check before it starts work).
+  std::map<std::string, std::string> malformed = malformed_;
   for (const auto& [key, value] : values_) {
     const OptionKeyDef* def = FindOptionKey(key);
-    if (def == nullptr || def->type != OptionType::kChoice) continue;
-    bool legal = false;
-    for (const char* choice : def->choices) legal = legal || value == choice;
-    if (legal) continue;
-    std::string choices;
-    for (const char* choice : def->choices) {
-      if (!choices.empty()) choices += "|";
-      choices += choice;
+    if (def == nullptr || malformed.count(key) != 0) continue;
+    std::int64_t integer = 0;
+    double real = 0.0;
+    switch (def->type) {
+      case OptionType::kU64:
+        if (!ParseI64(value, &integer) || integer < 0) {
+          malformed[key] = "'" + value + "' is not a non-negative integer";
+        }
+        break;
+      case OptionType::kDouble:
+        if (!ParseDouble(value, &real)) {
+          malformed[key] = "'" + value + "' is not a number";
+        }
+        break;
+      case OptionType::kBool:
+        if (value != "0" && value != "1") {
+          malformed[key] = "'" + value + "' is not 0 or 1";
+        }
+        break;
+      case OptionType::kString:
+        break;
+      case OptionType::kChoice: {
+        bool legal = false;
+        std::string choices;
+        for (const char* choice : def->choices) {
+          legal = legal || value == choice;
+          if (!choices.empty()) choices += "|";
+          choices += choice;
+        }
+        if (!legal) malformed[key] = "'" + value + "' is not one of " + choices;
+        break;
+      }
     }
-    std::fprintf(stderr, "%s: '%s' is not a valid value for '%s' (one of %s)\n",
-                 program.c_str(), value.c_str(), key.c_str(), choices.c_str());
-    ++diagnostics;
   }
-  return diagnostics;
+  for (const auto& [key, problem] : malformed) {
+    problems.push_back("malformed value for '" + key + "': " + problem);
+  }
+  return problems;
+}
+
+std::size_t OptionMap::WarnUnknownKeys(const std::string& program) const {
+  const std::vector<std::string> problems = Problems();
+  for (const std::string& problem : problems) {
+    std::fprintf(stderr, "%s: warning: %s\n", program.c_str(),
+                 problem.c_str());
+  }
+  return problems.size();
 }
 
 }  // namespace ss::support

@@ -5,10 +5,12 @@
 // Tokens containing '=' become options; everything else is collected as a
 // positional token for the caller. Typed getters return a fallback on a
 // missing key; a present-but-malformed value also falls back, but is
-// remembered and reported by WarnUnknownKeys. Every getter registers its
-// key as known, so after a tool has read its configuration,
-// WarnUnknownKeys can diagnose unrecognized keys (usually typos like
-// `snsp=100`, which key=value interfaces otherwise ignore silently).
+// remembered and reported by Problems. Every getter registers its key as
+// known, so after a tool has read its configuration (or declared its
+// registry groups up front), Problems diagnoses unrecognized keys
+// (usually typos like `snsp=100`, which key=value interfaces otherwise
+// ignore silently). The CLI refuses such a command line before any work;
+// the benches warn after their run (WarnUnknownKeys).
 //
 // The key REGISTRY (OptionKeyRegistry) defines each key exactly once —
 // name, type, default, one-line help, group, enumerated choices — so a
@@ -85,10 +87,16 @@ class OptionMap {
   /// up. Meaningful only after the caller finished reading its options.
   std::vector<std::string> UnknownKeys() const;
 
-  /// Prints one stderr diagnostic per unknown key (with a nearest-known
-  /// suggestion when one is close), per malformed value, and per value
-  /// outside a registered key's enumerated choices; returns the number of
-  /// diagnostics. Call after all getters ran.
+  /// One message per unknown key (with a nearest-known suggestion when
+  /// one is close), per value a getter could not parse, and per present
+  /// value of a registered key that does not fit its type (kU64, kDouble,
+  /// kBool as 0|1) or enumerated choices. Type and choice checks need no
+  /// getter to have run: after DeclareKeys, a tool can call this before
+  /// it starts work and refuse the command line (the CLI exits 2).
+  std::vector<std::string> Problems() const;
+
+  /// Prints each of Problems() to stderr as a warning and returns how
+  /// many there were (the benches call it after their run).
   std::size_t WarnUnknownKeys(const std::string& program) const;
 
  private:

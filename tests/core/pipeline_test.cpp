@@ -123,9 +123,14 @@ TEST(SkatPipelineTest, OpenRejectsRepeatedSetId) {
 TEST(SkatPipelineTest, ConstructorRejectsRepeatedSetId) {
   simdata::SyntheticDataset dataset = SmallDataset();
   dataset.sets.push_back(dataset.sets.front());
-  engine::EngineContext ctx(LocalOptions());
-  EXPECT_DEATH(SkatPipeline::FromMemory(ctx, dataset, {}),
-               "CheckDistinctSetIds");
+  // The context lives inside the death statement: the forked child must
+  // create its own threads (workers do not survive fork, and a lock one
+  // of them held at the fork would hang the child).
+  auto construct = [&dataset]() {
+    engine::EngineContext ctx(LocalOptions());
+    SkatPipeline::FromMemory(ctx, dataset, {});
+  };
+  EXPECT_DEATH(construct(), "CheckDistinctSetIds");
 }
 
 TEST(SkatPipelineTest, CorruptGenotypeLineFailsJob) {

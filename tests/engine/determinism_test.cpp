@@ -150,17 +150,27 @@ TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
   // executable dispatch level must reproduce the scalar run bit-for-bit.
   // Both methods are covered; batch 4 runs the 4-lane replicate blocks,
   // and batch 64 (one 20-replicate block) also runs the 16-lane block.
+  // Batch 8 runs the 8-lane block; batch 33 over 99 replicates the
+  // 32-lane block and a 1-lane tail; batch 65 over 159 replicates the
+  // 64-lane block, then a 29-replicate batch (16 + 8 + 4 lanes + tail).
   const simdata::SyntheticDataset dataset = FixedDataset();
   const stats::kernels::DispatchLevel saved =
       stats::kernels::ActiveDispatchLevel();
+  struct Cell {
+    std::uint64_t batch;
+    std::uint64_t replicates;
+  };
   for (ResamplingMethod method :
        {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
-    for (std::uint64_t batch : {4u, 64u}) {
+    for (const auto& [batch, replicates] :
+         {Cell{4, 20}, Cell{64, 20}, Cell{8, 20}, Cell{33, 99},
+          Cell{65, 159}}) {
       SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
-                   " batch=" + std::to_string(batch));
+                   " batch=" + std::to_string(batch) +
+                   " replicates=" + std::to_string(replicates));
       stats::kernels::SetDispatchLevel(stats::kernels::DispatchLevel::kScalar);
       const ResamplingResult scalar =
-          RunConfigured(method, 4, batch, 20, dataset);
+          RunConfigured(method, 4, batch, replicates, dataset);
       for (stats::kernels::DispatchLevel level :
            stats::kernels::ExecutableLevels()) {
         if (level == stats::kernels::DispatchLevel::kScalar) continue;
@@ -168,8 +178,8 @@ TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
         SCOPED_TRACE(std::string("level=") +
                      stats::kernels::DispatchLevelName(
                          stats::kernels::ActiveDispatchLevel()));
-        ExpectByteIdentical(scalar,
-                            RunConfigured(method, 4, batch, 20, dataset));
+        ExpectByteIdentical(
+            scalar, RunConfigured(method, 4, batch, replicates, dataset));
       }
     }
   }

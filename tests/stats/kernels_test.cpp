@@ -124,12 +124,19 @@ std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
 }
 
 TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
-  // sparse_mac over a SNP's non-zero runs must reproduce, byte for byte,
-  // batched_mac over the same dosages widened to doubles — at every
-  // level, against that level's dense kernel and the scalar reference.
+  // The sparse MAC — row_sum over the rows a SNP's non-zero runs select
+  // from the pre-scaled [V; 2V; 3V] table (raw dosages from materialised
+  // rows) — must reproduce, byte for byte, batched_mac over the same
+  // dosages widened to doubles: at every level, against that level's
+  // dense kernel and the scalar reference. The counts sit on every edge
+  // of the AVX2 64/32/16/8/4-lane blocks and the scalar tail.
   Rng rng(20160806);
+  // One scratch pair across every case, as a partition reuses it.
+  std::vector<const double*> rows;
+  std::vector<double> scaled;
   for (std::size_t n : {0u, 1u, 3u, 5u, 7u, 13u, 66u, 101u}) {
-    for (std::size_t count : {1u, 3u, 4u, 5u, 8u, 15u, 16u, 17u, 33u, 64u}) {
+    for (std::size_t count : {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
+                              32u, 33u, 63u, 64u, 65u, 128u, 129u}) {
       for (int fill = 0; fill < 4; ++fill) {
         // fill 0: all zero (nnz = 0); 1: none zero (nnz = n); 2: dosages
         // 0..3; 3: with raw-fallback dosages 7 and 255.
@@ -148,18 +155,24 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
         ASSERT_EQ(nnz, n - static_cast<std::size_t>(
                                std::count(g.begin(), g.end(), 0)));
         const std::vector<double> vblock = AwkwardDoubles(rng, n * count);
+        const std::vector<double> table = kernels::DosageScaledTable(vblock);
+        ASSERT_EQ(table.size(), 3 * vblock.size());
+        ASSERT_TRUE(std::equal(
+            vblock.begin(), vblock.end(), table.begin(),
+            [](double a, double b) { return Bits(a) == Bits(b); }));
+        kernels::SelectDosageRows(index.data(), dosage.data(), nnz,
+                                  table.data(), n, count, &rows, &scaled);
         std::vector<double> reference(count);
         kernels::KernelsFor(DispatchLevel::kScalar)
             .batched_mac(widened.data(), n, vblock.data(), count,
                          reference.data());
         for (DispatchLevel level : kernels::ExecutableLevels()) {
-          const kernels::KernelTable& table = kernels::KernelsFor(level);
+          const kernels::KernelTable& at = kernels::KernelsFor(level);
           std::vector<double> dense(count, -1.0);
           std::vector<double> sparse(count, -1.0);
-          table.batched_mac(widened.data(), n, vblock.data(), count,
-                            dense.data());
-          table.sparse_mac(index.data(), dosage.data(), nnz, vblock.data(),
-                           count, sparse.data());
+          at.batched_mac(widened.data(), n, vblock.data(), count,
+                         dense.data());
+          at.row_sum(rows.data(), nnz, count, sparse.data());
           ASSERT_EQ(std::memcmp(sparse.data(), dense.data(),
                                 count * sizeof(double)),
                     0)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace ss::support {
@@ -58,6 +59,31 @@ TEST(OptionMapTest, UnknownKeysAreOnlyUnreadOnes) {
   EXPECT_EQ(unknown[0], "snsp");
   // One diagnostic, with a nearest-key suggestion (exercised for output).
   EXPECT_EQ(args.WarnUnknownKeys("test"), 1u);
+}
+
+TEST(OptionMapTest, ProblemsCheckDeclaredKeysBeforeAnyGetter) {
+  // A tool that declares its registry groups can refuse a command line
+  // before it reads a single option: unknown keys, values that do not
+  // fit a registered key's type, and values outside its choices.
+  const OptionMap args =
+      Parse({"rep=5", "reps=abc", "snps=-1", "refine_threshold=x",
+             "stages=2", "method=exact", "seed=7", "spill_dir=/tmp/s"});
+  args.DeclareKeys({"workload", "engine", "analysis"});
+  const std::vector<std::string> problems = args.Problems();
+  EXPECT_EQ(problems,
+            (std::vector<std::string>{
+                "unknown key 'rep' (did you mean 'reps'?)",
+                "malformed value for 'method': 'exact' is not one of "
+                "mc|perm",
+                "malformed value for 'refine_threshold': 'x' is not a number",
+                "malformed value for 'reps': 'abc' is not a non-negative "
+                "integer",
+                "malformed value for 'snps': '-1' is not a non-negative "
+                "integer",
+                "malformed value for 'stages': '2' is not 0 or 1"}));
+  const OptionMap clean = Parse({"reps=5", "stages=1", "method=perm"});
+  clean.DeclareKeys();
+  EXPECT_TRUE(clean.Problems().empty());
 }
 
 TEST(OptionMapTest, SetInsertsAndOverwrites) {

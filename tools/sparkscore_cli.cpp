@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
@@ -57,7 +58,7 @@ using ss::Result;
 using ss::Status;
 
 /// Shared key=value option parsing (same class the benches use), with
-/// typed getters and unknown-key diagnostics printed after each command.
+/// typed getters; main refuses unknown keys and malformed values first.
 using CliArgs = ss::support::OptionMap;
 
 struct Study {
@@ -419,9 +420,19 @@ int main(int argc, char** argv) {
   }
   CliArgs args(argc, argv, /*begin=*/2);
   // The CLI accepts every registry key in these groups; unknown-key
-  // suggestions draw from the same vocabulary PrintUsage prints.
+  // suggestions draw from the same vocabulary PrintUsage prints. A key
+  // outside them, or a value that does not fit its key's type or choices,
+  // fails closed here, before any work: a typo must not silently run the
+  // analysis with a default.
   args.DeclareKeys({"workload", "engine", "exec", "analysis",
                     "observability"});
+  const std::vector<std::string> problems = args.Problems();
+  if (!problems.empty()) {
+    for (const std::string& problem : problems) {
+      std::fprintf(stderr, "error: %s\n", problem.c_str());
+    }
+    return 2;
+  }
   const std::string loglevel = args.GetStr("loglevel", "");
   if (!loglevel.empty()) {
     if (std::optional<ss::LogLevel> level = ss::ParseLogLevel(loglevel)) {
@@ -464,10 +475,7 @@ int main(int argc, char** argv) {
     } else if (command == "selftest") {
       code = RunSelfTest(args);
     }
-    if (code >= 0) {
-      args.WarnUnknownKeys("sparkscore");
-      return code;
-    }
+    if (code >= 0) return code;
   } catch (const ss::StatusError& error) {
     // Bad input (keys, model, SNP-sets) exits 2 like a usage error.
     std::fprintf(stderr, "error: %s\n", error.what());
