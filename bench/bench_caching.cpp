@@ -70,15 +70,13 @@ void RunSweep(const char* figure, const Workload& base,
 }
 
 /// Constrained-budget mode: a cache budget small enough to force eviction
-/// of the cached U partitions, run three ways at the same iteration count:
-///   unlimited     — every U partition stays resident (reference);
-///   tight+spill   — evicted partitions move to the spill tier, misses
-///                   reload + decode them;
-///   tight w/o spill — evictions discard, misses replay the lineage.
+/// of the cached U partitions, run two ways at the same iteration count:
+///   unlimited — every U partition stays resident (reference);
+///   tight     — evictions drop partitions, and misses replay the lineage.
 /// In the paper-faithful cost regime a U partition costs O(n²) per SNP to
-/// recompute but only O(bytes) to reload, so the spill tier must win; the
-/// shape check (and tools/check_spill_benefit.py in the smoke suite)
-/// asserts exactly that. `datapoint=<file>` records the result as JSON.
+/// recompute, so the tight run pays for every evicted partition it reads
+/// again; the printed ratio is that cost. `datapoint=<file>` records the
+/// result as JSON.
 void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   // Default budget: ~a quarter of the U RDD footprint (one row of n
   // doubles per SNP), forcing evictions while keeping some partitions.
@@ -94,8 +92,6 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   Workload tight = unlimited;
   tight.engine.cache_capacity_bytes = budget;
   tight.pipeline.cache_budget_bytes = budget;
-  Workload no_spill = tight;
-  no_spill.engine.cache_spill = false;
 
   const auto mc = [iters](core::SkatPipeline& pipeline) {
     core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
@@ -106,32 +102,29 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
     return Quantile(seconds, 0.5);
   };
   const double t_unlimited = median(TimeAnalysisRuns(unlimited, reps, mc));
-  const double t_recompute = median(TimeAnalysisRuns(no_spill, reps, mc));
-  auto& spills_counter = engine::CounterRegistry::Global().Get("cache.spills");
-  auto& reloads_counter =
-      engine::CounterRegistry::Global().Get("cache.reloads");
-  const std::uint64_t spills_before = spills_counter.load();
-  const std::uint64_t reloads_before = reloads_counter.load();
   // Runs last with args so metrics=/trace= artifacts capture a run whose
-  // cache stats include nonzero spills and reloads.
-  const double t_spill = median(TimeAnalysisRuns(tight, reps, mc, &args));
-  const std::uint64_t spills = spills_counter.load() - spills_before;
-  const std::uint64_t reloads = reloads_counter.load() - reloads_before;
+  // cache stats include nonzero evictions. Workload::Build zeroes the
+  // counter registry, so the counters read after it describe exactly the
+  // last timed repetition.
+  const double t_tight = median(TimeAnalysisRuns(tight, reps, mc, &args));
+  auto& registry = engine::CounterRegistry::Global();
+  const std::uint64_t evictions = registry.Get("cache.evictions").load();
+  const std::uint64_t computes = registry.Get("cache.computes").load();
 
   Table table("Constrained budget — MC @ " + std::to_string(iters) +
                   " iters, budget=" + std::to_string(budget) + " bytes",
               {"configuration", "seconds"});
   table.AddRow({"unlimited memory", Table::Num(t_unlimited, 3)});
-  table.AddRow({"tight + spill tier", Table::Num(t_spill, 3)});
-  table.AddRow({"tight, lineage recompute", Table::Num(t_recompute, 3)});
+  table.AddRow({"tight, lineage recompute", Table::Num(t_tight, 3)});
   table.Print();
-  std::printf("  spill traffic: %llu spills, %llu reloads\n",
-              static_cast<unsigned long long>(spills),
-              static_cast<unsigned long long>(reloads));
-  std::printf("  shape check: reload-from-spill (%.3fs) %s lineage "
-              "recompute (%.3fs) under budget=%llu\n\n",
-              t_spill, t_spill < t_recompute ? "BEATS" : "does NOT beat",
-              t_recompute, static_cast<unsigned long long>(budget));
+  std::printf("  cache traffic (last run): %llu evictions, %llu partition "
+              "computes\n",
+              static_cast<unsigned long long>(evictions),
+              static_cast<unsigned long long>(computes));
+  std::printf("  budget cost: tight (%.3fs) takes %.2fx unlimited (%.3fs) "
+              "under budget=%llu\n\n",
+              t_tight, t_unlimited > 0.0 ? t_tight / t_unlimited : 0.0,
+              t_unlimited, static_cast<unsigned long long>(budget));
 
   const std::string datapoint_path = args.GetStr("datapoint", "");
   if (!datapoint_path.empty()) {
@@ -142,16 +135,14 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
           "{\"bench\":\"bench_caching\",\"mode\":\"constrained_budget\","
           "\"patients\":%u,\"snps\":%u,\"iters\":%llu,\"budget_bytes\":%llu,"
           "\"faithful\":%s,"
-          "\"seconds\":{\"unlimited\":%.6f,\"tight_spill\":%.6f,"
-          "\"tight_recompute\":%.6f},"
-          "\"spills\":%llu,\"reloads\":%llu}\n",
+          "\"seconds\":{\"unlimited\":%.6f,\"tight_recompute\":%.6f},"
+          "\"evictions\":%llu,\"computes\":%llu}\n",
           base.generator.num_patients, base.generator.num_snps,
           static_cast<unsigned long long>(iters),
           static_cast<unsigned long long>(budget),
           base.pipeline.paper_faithful_scores ? "true" : "false",
-          t_unlimited, t_spill, t_recompute,
-          static_cast<unsigned long long>(spills),
-          static_cast<unsigned long long>(reloads));
+          t_unlimited, t_tight, static_cast<unsigned long long>(evictions),
+          static_cast<unsigned long long>(computes));
       std::fclose(out);
       std::printf("datapoint written to %s\n", datapoint_path.c_str());
     } else {
@@ -188,7 +179,7 @@ int Run(int argc, char** argv) {
 
   small.engine.topology = cluster::EmrCluster(18);
   // `mode=budget` skips the figure sweeps and runs only the constrained-
-  // budget comparison (used by the bench_smoke spill-benefit check).
+  // budget comparison.
   const bool sweeps = args.GetStr("mode", "all") != "budget";
   if (sweeps) {
     // Fig 4's x-axis (10, 100, ..., 10000) scaled down by ~10.
@@ -204,8 +195,8 @@ int Run(int argc, char** argv) {
              {0, 10, 50, 100}, /*uncached_max=*/10, reps, &args);
   }
 
-  // Beyond the paper: what a budget too small for the U RDD costs, with
-  // and without the spill tier (budget= budget_iters= datapoint= keys).
+  // Beyond the paper: what a budget too small for the U RDD costs
+  // (budget= budget_iters= datapoint= keys).
   RunConstrainedBudget(small, reps, args);
 
   // Per-replicate cost, amortized over every batch the sweeps ran — the

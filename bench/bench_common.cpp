@@ -190,17 +190,15 @@ Workload DefaultWorkload(const Args& args, std::uint64_t snps_default,
   workload.engine.physical_threads = args.GetU64("threads", 4);
   workload.engine.seed = workload.generator.seed;
   // Constrained-memory runs: cache_budget= caps the partition cache (bytes,
-  // 0 = unlimited) and spill_dir= redirects spill frames to real files.
+  // 0 = unlimited); evicted partitions are recomputed on their next use.
   workload.engine.cache_capacity_bytes = args.GetU64("cache_budget", 0);
   workload.pipeline.cache_budget_bytes = workload.engine.cache_capacity_bytes;
-  workload.engine.spill_dir = args.GetStr("spill_dir", "");
   // Async executor (registry group "exec"): prefetch=0 ablates the whole
-  // I/O lane; results are bitwise invariant to all three knobs.
+  // I/O lane; results are bitwise invariant to both knobs.
   workload.engine.exec.prefetch_depth =
       static_cast<int>(args.GetU64("prefetch", 1));
   workload.engine.exec.io_threads = static_cast<int>(
       std::max<std::uint64_t>(1, args.GetU64("io_threads", 1)));
-  workload.engine.exec.spill_async = args.GetBool("spill_async", false);
   return workload;
 }
 

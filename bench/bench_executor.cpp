@@ -1,23 +1,21 @@
 // Beyond the paper: what the async executor buys on a budget-constrained
-// Monte Carlo run — the configuration where compute must share the
-// critical path with spill writes, spill reloads, and per-batch Z-block
-// generation, i.e. exactly the I/O the lane exists to overlap.
+// Monte Carlo run — the configuration where compute shares the critical
+// path with lineage recomputes of evicted partitions and per-batch
+// Z-block generation.
 //
 // Two runs of the same workload:
-//   synchronous — prefetch=0 spill_async=0: the legacy loop; every
-//                 reload, decode, frame write, and Z-block runs inline
-//                 on the stage workers;
-//   overlapped  — prefetch=N spill_async=1: reload+decode runs ahead of
-//                 the compute frontier on the I/O lane, frame writes move
-//                 off the evicting task, the next batch's Z-block is
-//                 staged while the current one scores.
+//   synchronous — prefetch=0: the legacy loop; every Z-block runs inline
+//                 on the driver between stages;
+//   overlapped  — prefetch=N: the next batch's Z-block is staged on the
+//                 I/O lane while the current one scores, and the lane
+//                 warms resident or store-backed partitions ahead of the
+//                 compute frontier.
 //
 // The hard gate (bench_executor_smoke) is bitwise identity:
 // `resampling.result_hash` must not move between the two runs — the lane
 // changes scheduling, never results. Timing is reported (and recorded in
 // the datapoint) but only the structural overlap evidence is gated:
-// exec.io_jobs > 0, staged Z-blocks when batching, async frame writes
-// when spilling.
+// exec.io_jobs > 0 and staged Z-blocks when batching.
 #include <cstdio>
 #include <string>
 
@@ -35,14 +33,11 @@ struct ConfigResult {
   double seconds = 0.0;
   std::uint64_t result_hash = 0;
   std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_reloads = 0;
   std::uint64_t io_jobs = 0;
   std::uint64_t zblock_prefetches = 0;
-  std::uint64_t spill_async_writes = 0;
-  std::uint64_t spill_async_failures = 0;
   std::uint64_t backpressure_waits = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t reloads = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t computes = 0;
 };
 
 /// Times `reps` runs of the workload and snapshots the executor/cache
@@ -60,14 +55,11 @@ ConfigResult RunConfig(const Workload& workload, std::uint64_t iters,
       args));
   out.result_hash = Counter("resampling.result_hash");
   out.prefetches = Counter("exec.prefetches");
-  out.prefetch_reloads = Counter("exec.prefetch_reloads");
   out.io_jobs = Counter("exec.io_jobs");
   out.zblock_prefetches = Counter("exec.zblock_prefetches");
-  out.spill_async_writes = Counter("exec.spill_async_writes");
-  out.spill_async_failures = Counter("exec.spill_async_failures");
   out.backpressure_waits = Counter("exec.backpressure_waits");
-  out.spills = Counter("cache.spills");
-  out.reloads = Counter("cache.reloads");
+  out.evictions = Counter("cache.evictions");
+  out.computes = Counter("cache.computes");
   return out;
 }
 
@@ -81,7 +73,7 @@ int Run(int argc, char** argv) {
                                   /*sets_default=*/40);
   base.pipeline.cache_contributions = true;
   // Budget small enough to force eviction of cached U partitions, so the
-  // run actually has spill/reload traffic to overlap (same default shape
+  // run recomputes evicted partitions between batches (same default shape
   // as bench_caching's constrained-budget mode).
   const std::uint64_t u_bytes =
       static_cast<std::uint64_t>(base.generator.num_snps) *
@@ -109,7 +101,6 @@ int Run(int argc, char** argv) {
 
   Workload sync = base;
   sync.engine.exec.prefetch_depth = 0;
-  sync.engine.exec.spill_async = false;
   const ConfigResult sync_result = RunConfig(sync, iters, reps, nullptr);
 
   Workload overlap = base;
@@ -120,24 +111,23 @@ int Run(int argc, char** argv) {
   }
   overlap.engine.exec.io_threads =
       static_cast<int>(std::max<std::uint64_t>(1, args.GetU64("io_threads", 2)));
-  overlap.engine.exec.spill_async = args.GetBool("spill_async", true);
   // Runs last with args so metrics=/trace= artifacts capture the
   // overlapped configuration (prefetch spans, exec.* counters).
   const ConfigResult overlap_result = RunConfig(overlap, iters, reps, &args);
 
   Table table("Budget-constrained MC @ " + std::to_string(iters) +
                   " iters, budget=" + std::to_string(budget) + " bytes",
-              {"configuration", "seconds", "spills", "reloads", "io jobs"});
+              {"configuration", "seconds", "evictions", "computes",
+               "io jobs"});
   table.AddRow({"synchronous (prefetch=0)", Table::Num(sync_result.seconds, 3),
-                std::to_string(sync_result.spills),
-                std::to_string(sync_result.reloads),
+                std::to_string(sync_result.evictions),
+                std::to_string(sync_result.computes),
                 std::to_string(sync_result.io_jobs)});
   table.AddRow({"overlapped (prefetch=" +
-                    std::to_string(overlap.engine.exec.prefetch_depth) +
-                    ", async spill)",
+                    std::to_string(overlap.engine.exec.prefetch_depth) + ")",
                 Table::Num(overlap_result.seconds, 3),
-                std::to_string(overlap_result.spills),
-                std::to_string(overlap_result.reloads),
+                std::to_string(overlap_result.evictions),
+                std::to_string(overlap_result.computes),
                 std::to_string(overlap_result.io_jobs)});
   table.Print();
 
@@ -146,15 +136,10 @@ int Run(int argc, char** argv) {
               identical ? "IDENTICAL" : "DIFFER",
               static_cast<unsigned long long>(sync_result.result_hash),
               static_cast<unsigned long long>(overlap_result.result_hash));
-  std::printf("  overlap traffic: %llu prefetches (%llu hit spill frames), "
-              "%llu z-blocks staged, %llu async frame writes "
-              "(%llu failed), %llu backpressure waits\n",
+  std::printf("  overlap traffic: %llu prefetches, %llu z-blocks staged, "
+              "%llu backpressure waits\n",
               static_cast<unsigned long long>(overlap_result.prefetches),
-              static_cast<unsigned long long>(overlap_result.prefetch_reloads),
               static_cast<unsigned long long>(overlap_result.zblock_prefetches),
-              static_cast<unsigned long long>(overlap_result.spill_async_writes),
-              static_cast<unsigned long long>(
-                  overlap_result.spill_async_failures),
               static_cast<unsigned long long>(
                   overlap_result.backpressure_waits));
   std::printf("  shape check: overlapped (%.3fs) %s synchronous (%.3fs)\n\n",
@@ -172,41 +157,35 @@ int Run(int argc, char** argv) {
           "{\"bench\":\"bench_executor\",\"mode\":\"budget\","
           "\"patients\":%u,\"snps\":%u,\"sets\":%u,\"iters\":%llu,"
           "\"budget_bytes\":%llu,\"batch\":%llu,"
-          "\"prefetch\":%d,\"io_threads\":%d,\"spill_async\":%s,"
+          "\"prefetch\":%d,\"io_threads\":%d,"
           "\"faithful\":%s,"
           "\"hashes_identical\":%s,"
           "\"result_hash\":{\"sync\":\"%016llx\",\"overlap\":\"%016llx\"},"
           "\"seconds\":{\"sync\":%.6f,\"overlap\":%.6f},"
-          "\"exec\":{\"prefetches\":%llu,\"prefetch_reloads\":%llu,"
+          "\"exec\":{\"prefetches\":%llu,"
           "\"io_jobs\":%llu,\"zblock_prefetches\":%llu,"
-          "\"spill_async_writes\":%llu,\"spill_async_failures\":%llu,"
           "\"backpressure_waits\":%llu},"
-          "\"spills\":{\"sync\":%llu,\"overlap\":%llu},"
-          "\"reloads\":{\"sync\":%llu,\"overlap\":%llu}}\n",
+          "\"evictions\":{\"sync\":%llu,\"overlap\":%llu},"
+          "\"computes\":{\"sync\":%llu,\"overlap\":%llu}}\n",
           base.generator.num_patients, base.generator.num_snps,
           base.generator.num_sets, static_cast<unsigned long long>(iters),
           static_cast<unsigned long long>(budget),
           static_cast<unsigned long long>(
               base.pipeline.resampling_batch_size),
           overlap.engine.exec.prefetch_depth, overlap.engine.exec.io_threads,
-          overlap.engine.exec.spill_async ? "true" : "false",
           base.pipeline.paper_faithful_scores ? "true" : "false",
           identical ? "true" : "false",
           static_cast<unsigned long long>(sync_result.result_hash),
           static_cast<unsigned long long>(overlap_result.result_hash),
           sync_result.seconds, overlap_result.seconds,
           static_cast<unsigned long long>(overlap_result.prefetches),
-          static_cast<unsigned long long>(overlap_result.prefetch_reloads),
           static_cast<unsigned long long>(overlap_result.io_jobs),
           static_cast<unsigned long long>(overlap_result.zblock_prefetches),
-          static_cast<unsigned long long>(overlap_result.spill_async_writes),
-          static_cast<unsigned long long>(
-              overlap_result.spill_async_failures),
           static_cast<unsigned long long>(overlap_result.backpressure_waits),
-          static_cast<unsigned long long>(sync_result.spills),
-          static_cast<unsigned long long>(overlap_result.spills),
-          static_cast<unsigned long long>(sync_result.reloads),
-          static_cast<unsigned long long>(overlap_result.reloads));
+          static_cast<unsigned long long>(sync_result.evictions),
+          static_cast<unsigned long long>(overlap_result.evictions),
+          static_cast<unsigned long long>(sync_result.computes),
+          static_cast<unsigned long long>(overlap_result.computes));
       std::fclose(out);
       std::printf("datapoint written to %s\n", datapoint_path.c_str());
     } else {

@@ -119,8 +119,8 @@ struct ScaleRun {
   std::uint64_t result_hash = 0;
   std::uint64_t baseline_rss = 0;
   std::uint64_t peak_rss = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t reloads = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t computes = 0;
   std::uint64_t store_opens = 0;
   std::uint64_t frame_reads = 0;
   std::uint64_t read_bytes = 0;
@@ -170,8 +170,8 @@ std::optional<ScaleRun> RunBudget(const Workload& base,
                 static_cast<double>(iters) / run.seconds
           : 0.0;
   run.result_hash = Counter("resampling.result_hash");
-  run.spills = Counter("cache.spills");
-  run.reloads = Counter("cache.reloads");
+  run.evictions = Counter("cache.evictions");
+  run.computes = Counter("cache.computes");
   run.store_opens = Counter("store.opens");
   run.frame_reads = Counter("store.frame_reads");
   run.read_bytes = Counter("store.read_bytes");
@@ -237,26 +237,19 @@ int Run(int argc, char** argv) {
       std::max<std::uint64_t>(1, args.GetU64("batch", 32));
   // Cache the decoded genotype partitions (dropped and re-read off the
   // mmap under a tight budget) and, with faithful=1 only, the observed U
-  // RDD that paper-faithful Monte Carlo reuses (spilled to real files
-  // under a tight budget). The default Monte Carlo path scores genotype
-  // × V(z) blocks and never builds U. cache_u=0 ablates both to
-  // recompute-per-pass.
+  // RDD that paper-faithful Monte Carlo reuses (recomputed through its
+  // lineage when a tight budget evicts it). The default Monte Carlo path
+  // scores genotype × V(z) blocks and never builds U. cache_u=0 ablates
+  // both to recompute-per-pass.
   base.pipeline.cache_contributions = args.GetBool("cache_u", true);
   // The async I/O lane is the default here: streaming off the store is
-  // exactly the workload prefetch + background spill exist to overlap.
+  // exactly the workload prefetch exists to overlap.
   base.engine.exec.prefetch_depth =
       static_cast<int>(args.GetU64("prefetch", 2));
   base.engine.exec.io_threads = static_cast<int>(
       std::max<std::uint64_t>(1, args.GetU64("io_threads", 2)));
-  base.engine.exec.spill_async = args.GetBool("spill_async", true);
 
   const std::filesystem::path tmp = std::filesystem::temp_directory_path();
-  if (base.engine.spill_dir.empty()) {
-    // Spilled U frames must hit real files: an in-memory spill tier would
-    // count against the very RSS this bench asserts on.
-    base.engine.spill_dir = (tmp / "ss_bench_scale_spill").string();
-  }
-  std::filesystem::create_directories(base.engine.spill_dir);
 
   // Resampling depth amortizes the streaming I/O: each MC replicate reuses
   // the same U partitions, so out-of-core overhead shrinks as B grows —
@@ -337,14 +330,15 @@ int Run(int argc, char** argv) {
   Table table("Streaming MC @ " + std::to_string(iters) + " iters, store=" +
                   std::to_string(store_bytes) + " bytes",
               {"budget (bytes)", "seconds", "Mscores/s", "peak RSS MiB",
-               "dRSS MiB", "spills", "reloads", "frame reads", "prefetched"});
+               "dRSS MiB", "evictions", "computes", "frame reads",
+               "prefetched"});
   for (const ScaleRun& run : runs) {
     table.AddRow(
         {run.budget == 0 ? "unlimited" : std::to_string(run.budget),
          Table::Num(run.seconds, 3), Table::Num(run.scores_per_sec / 1e6, 3),
          Table::Num(static_cast<double>(run.peak_rss) / (1024.0 * 1024.0), 1),
          Table::Num(static_cast<double>(run.RssDelta()) / (1024.0 * 1024.0), 1),
-         std::to_string(run.spills), std::to_string(run.reloads),
+         std::to_string(run.evictions), std::to_string(run.computes),
          std::to_string(run.frame_reads), std::to_string(run.prefetch_frames)});
   }
   table.Print();
@@ -395,7 +389,7 @@ int Run(int argc, char** argv) {
           out,
           "{\"bench\":\"bench_scale\",\"patients\":%u,\"snps\":%u,"
           "\"sets\":%u,\"partitions\":%u,\"iters\":%llu,\"batch\":%llu,"
-          "\"prefetch\":%d,\"io_threads\":%d,\"spill_async\":%s,"
+          "\"prefetch\":%d,\"io_threads\":%d,"
           "\"cache_u\":%s,\"faithful\":%s,\"store_bytes\":%llu,"
           "\"stage_seconds\":%.3f,\"rss_slack_mb\":%llu,"
           "\"hashes_identical\":%s,\"rss_within_budget\":%s,\"runs\":[",
@@ -404,7 +398,6 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(iters),
           static_cast<unsigned long long>(base.pipeline.resampling_batch_size),
           base.engine.exec.prefetch_depth, base.engine.exec.io_threads,
-          base.engine.exec.spill_async ? "true" : "false",
           base.pipeline.cache_contributions ? "true" : "false",
           base.pipeline.paper_faithful_scores ? "true" : "false",
           static_cast<unsigned long long>(store_bytes), stage_seconds,
@@ -417,7 +410,7 @@ int Run(int argc, char** argv) {
             "%s{\"budget_bytes\":%llu,\"seconds\":%.6f,"
             "\"scores_per_sec\":%.1f,\"result_hash\":\"%016llx\","
             "\"baseline_rss_bytes\":%llu,\"peak_rss_bytes\":%llu,"
-            "\"rss_delta_bytes\":%llu,\"spills\":%llu,\"reloads\":%llu,"
+            "\"rss_delta_bytes\":%llu,\"evictions\":%llu,\"computes\":%llu,"
             "\"store_opens\":%llu,\"frame_reads\":%llu,\"read_bytes\":%llu,"
             "\"prefetch_frames\":%llu,\"corrupt\":%llu}",
             i == 0 ? "" : ",",
@@ -427,8 +420,8 @@ int Run(int argc, char** argv) {
             static_cast<unsigned long long>(run.baseline_rss),
             static_cast<unsigned long long>(run.peak_rss),
             static_cast<unsigned long long>(run.RssDelta()),
-            static_cast<unsigned long long>(run.spills),
-            static_cast<unsigned long long>(run.reloads),
+            static_cast<unsigned long long>(run.evictions),
+            static_cast<unsigned long long>(run.computes),
             static_cast<unsigned long long>(run.store_opens),
             static_cast<unsigned long long>(run.frame_reads),
             static_cast<unsigned long long>(run.read_bytes),

@@ -17,29 +17,13 @@ void FaultInjector::FailTask(std::uint64_t stage_id, std::uint32_t partition,
   task_failures_.push_back({stage_id, partition, times});
 }
 
-void FaultInjector::CorruptSpillAfterTasks(std::uint64_t task_completions) {
-  support::MutexLock lock(mutex_);
-  spill_faults_.push_back({/*drop=*/false, task_completions, false});
-}
-
-void FaultInjector::DropSpillAfterTasks(std::uint64_t task_completions) {
-  support::MutexLock lock(mutex_);
-  spill_faults_.push_back({/*drop=*/true, task_completions, false});
-}
-
 void FaultInjector::SetOnNodeFailure(std::function<void(int)> callback) {
   support::MutexLock lock(mutex_);
   on_node_failure_ = std::move(callback);
 }
 
-void FaultInjector::SetOnSpillFault(std::function<void(bool)> callback) {
-  support::MutexLock lock(mutex_);
-  on_spill_fault_ = std::move(callback);
-}
-
 void FaultInjector::OnTaskCompleted() {
   std::vector<int> to_fire;
-  std::vector<bool> spill_to_fire;
   {
     support::MutexLock lock(mutex_);
     for (auto& failure : node_failures_) {
@@ -48,14 +32,6 @@ void FaultInjector::OnTaskCompleted() {
       if (failure.remaining == 0) {
         failure.fired = true;
         to_fire.push_back(failure.node);
-      }
-    }
-    for (auto& fault : spill_faults_) {
-      if (fault.fired) continue;
-      if (fault.remaining > 0) --fault.remaining;
-      if (fault.remaining == 0) {
-        fault.fired = true;
-        spill_to_fire.push_back(fault.drop);
       }
     }
   }
@@ -71,20 +47,6 @@ void FaultInjector::OnTaskCompleted() {
       callback = on_node_failure_;
     }
     if (callback) callback(node);
-  }
-  for (bool drop : spill_to_fire) {
-    engine::CounterRegistry::Global().Add("fault.spill_injuries", 1);
-    engine::Tracer::Global().Instant(
-        "fault", drop ? "injected spill loss" : "injected spill corruption",
-        {});
-    SS_LOG(kInfo, "fault") << "injected spill "
-                           << (drop ? "loss" : "corruption");
-    std::function<void(bool)> callback;
-    {
-      support::MutexLock lock(mutex_);
-      callback = on_spill_fault_;
-    }
-    if (callback) callback(drop);
   }
 }
 
@@ -117,9 +79,7 @@ void FaultInjector::Reset() {
   support::MutexLock lock(mutex_);
   node_failures_.clear();
   task_failures_.clear();
-  spill_faults_.clear();
   on_node_failure_ = nullptr;
-  on_spill_fault_ = nullptr;
 }
 
 }  // namespace ss::cluster

@@ -24,18 +24,8 @@ class FaultInjector {
   /// matches will report failure `times` times before succeeding.
   void FailTask(std::uint64_t stage_id, std::uint32_t partition, int times);
 
-  /// Arms spill-store sabotage that fires after `task_completions` more
-  /// tasks complete: every spill frame is corrupted (checksum will trip)
-  /// or deleted outright. The cache must degrade to lineage recompute.
-  void CorruptSpillAfterTasks(std::uint64_t task_completions);
-  void DropSpillAfterTasks(std::uint64_t task_completions);
-
   /// Callback invoked when an armed node failure fires.
   void SetOnNodeFailure(std::function<void(int node)> callback);
-
-  /// Callback invoked when an armed spill fault fires (`drop` false =
-  /// corrupt frames in place, true = delete them).
-  void SetOnSpillFault(std::function<void(bool drop)> callback);
 
   /// Engine hook: called after every task completion.
   void OnTaskCompleted();
@@ -60,18 +50,11 @@ class FaultInjector {
     std::uint32_t partition;
     int remaining;
   };
-  struct PendingSpillFault {
-    bool drop;
-    std::uint64_t remaining;
-    bool fired = false;
-  };
 
   mutable support::RankedMutex mutex_{support::lock_rank::kFaultInjector};
   std::vector<PendingNodeFailure> node_failures_ SS_GUARDED_BY(mutex_);
   std::vector<PendingTaskFailure> task_failures_ SS_GUARDED_BY(mutex_);
-  std::vector<PendingSpillFault> spill_faults_ SS_GUARDED_BY(mutex_);
   std::function<void(int)> on_node_failure_ SS_GUARDED_BY(mutex_);
-  std::function<void(bool)> on_spill_fault_ SS_GUARDED_BY(mutex_);
 };
 
 }  // namespace ss::cluster

@@ -85,7 +85,7 @@ std::vector<std::uint8_t> BuildMembership(
 /// Steps 3-4 for a genotype dataset: filter to the union of all SNP-sets
 /// (the membership bitmap is broadcast; it is tiny relative to genotypes)
 /// and pack each record to 2 bits per dosage, the form that lives in the
-/// cache and spills under a budget (4x fewer bytes). The byte counters
+/// cache (4x fewer bytes). The byte counters
 /// track both representations so the run report can show the savings;
 /// lineage recomputation re-adds to both, preserving the ratio.
 Dataset<stats::PackedSnpRecord> FilterAndPack(
@@ -398,15 +398,12 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
   }
 
   // Step 4's filter happens inside the store node (membership bitmap);
-  // steps 1 + 3 collapse into frame read + decode off the mmap. Cached
-  // partitions are evicted by dropping: the store is this dataset's
-  // durable tier, so a spill copy would just double the I/O (see
-  // StoreGenotypeNode).
+  // steps 1 + 3 collapse into frame read + decode off the mmap. An
+  // evicted partition is re-read from its frame (see StoreGenotypeNode).
   auto membership = std::make_shared<const std::vector<std::uint8_t>>(
       BuildMembership(sets));
   auto node = std::make_shared<StoreGenotypeNode>(&ctx, std::move(store),
                                                   std::move(membership));
-  node->DisableCacheSpill();
 
   PipelineConfig opened = config;
   opened.model = phenotype.value().model;  // the staged file's model rules

@@ -117,9 +117,9 @@ struct PipelineConfig {
 
   /// Memory budget for the engine's partition cache, applied to the
   /// context when the pipeline is built; 0 keeps the context's own
-  /// setting. A budget small enough to force eviction makes cached
-  /// partitions spill to the second tier (see engine/cache_manager.hpp);
-  /// the constrained-memory benches set this.
+  /// setting. A budget small enough to force eviction drops cached
+  /// partitions, which later misses recompute through lineage (see
+  /// engine/cache_manager.hpp); the constrained-memory benches set this.
   std::uint64_t cache_budget_bytes = 0;
 
   /// Evaluate Cox contributions with the paper's per-patient formulation
@@ -128,7 +128,7 @@ struct PipelineConfig {
   /// Monte Carlo over the cached U RDD — instead of genotype score blocks
   /// for both. Reproduces the paper's cost regime; outside it, Monte Carlo
   /// never builds U (only the adaptive screen does), so this is the only
-  /// setting under which Monte Carlo caches, spills or reloads U. SKAT-O
+  /// setting under which Monte Carlo caches or recomputes U. SKAT-O
   /// scores genotype blocks either way. The timing benches set this; see
   /// stats/score_engine.hpp.
   bool paper_faithful_scores = false;
@@ -160,7 +160,7 @@ class SkatPipeline {
   /// (simdata::GenerateToStore) — no MiniDfs, no re-ingest: the phenotype,
   /// weights and SNP-sets decode from the store's aux frames and the
   /// genotype matrix becomes a StoreGenotypeNode streaming packed frames
-  /// off the mmap, cached without spill (the store is the durable copy).
+  /// off the mmap (an evicted partition is re-read from its frame).
   /// When `expected_fingerprint`
   /// is set and does not match the file's, refuses with InvalidArgument
   /// naming both fingerprints and the store's provenance description —
@@ -292,8 +292,8 @@ class SkatPipeline {
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
 
-  /// Filtered genotype RDD (step 4), 2-bit packed: the cached/spilled
-  /// genotype format. U builds and genotype score blocks decode from it.
+  /// Filtered genotype RDD (step 4), 2-bit packed: the cached genotype
+  /// format. U builds and genotype score blocks decode from it.
   engine::Dataset<stats::PackedSnpRecord> genotypes_;
   WeightDataset weights_;  ///< ω (step 2); step 9 joins its square.
   stats::Phenotype phenotype_;

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "engine/approx_bytes.hpp"
-#include "engine/codec.hpp"
 #include "simdata/text_format.hpp"
 #include "stats/kernels/packed_genotype.hpp"
 #include "stats/score_engine.hpp"
@@ -58,52 +57,3 @@ struct ApproxBytesImpl<ss::stats::ScoreEngine> {
 };
 
 }  // namespace ss::engine::internal
-
-namespace ss::engine {
-
-/// Spill serialization for genotype records.
-template <>
-struct Codec<ss::simdata::SnpRecord> {
-  static void Encode(BinaryWriter& writer,
-                     const ss::simdata::SnpRecord& record) {
-    writer.WriteU32(record.snp);
-    writer.WritePodVector(record.genotypes);
-  }
-  static ss::simdata::SnpRecord Decode(BinaryReader& reader) {
-    ss::simdata::SnpRecord record;
-    record.snp = reader.ReadU32();
-    record.genotypes = reader.ReadPodVector<std::uint8_t>();
-    return record;
-  }
-};
-
-/// Spill serialization for 2-bit packed genotype records.
-template <>
-struct Codec<ss::stats::PackedSnpRecord> {
-  static void Encode(BinaryWriter& writer,
-                     const ss::stats::PackedSnpRecord& record) {
-    writer.WriteU32(record.snp);
-    writer.WriteU8(record.genotypes.packed() ? 1 : 0);
-    writer.WriteU32(static_cast<std::uint32_t>(record.genotypes.size()));
-    writer.WritePodVector(record.genotypes.payload());
-  }
-  static ss::stats::PackedSnpRecord Decode(BinaryReader& reader) {
-    ss::stats::PackedSnpRecord record;
-    record.snp = reader.ReadU32();
-    const bool packed = reader.ReadU8() != 0;
-    const std::uint32_t size = reader.ReadU32();
-    record.genotypes = ss::stats::PackedGenotypeBlock::FromPayload(
-        size, packed, reader.ReadPodVector<std::uint8_t>());
-    return record;
-  }
-};
-
-// Genotype partitions (both representations) may cross the cache's
-// spill tier: the Codecs above round-trip them exactly.
-template <>
-inline constexpr bool kSpillable<ss::simdata::SnpRecord> = true;
-
-template <>
-inline constexpr bool kSpillable<ss::stats::PackedSnpRecord> = true;
-
-}  // namespace ss::engine

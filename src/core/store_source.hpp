@@ -7,12 +7,11 @@
 // textFile -> parse -> filter -> pack prefix of Algorithm 1 for cohorts
 // that were staged once with simdata::GenerateToStore.
 //
-// The store IS the spill tier for this dataset: cached partitions are
-// admitted without a spill codec (DisableCacheSpill), so eviction under
-// `cache_budget=` is a plain drop and a later miss re-reads the frame —
-// never a redundant second on-disk copy. The node also registers a
-// cache fetcher so the async executor's prefetch lane streams frames
-// `prefetch=` ahead of the compute wave directly off the mmap.
+// The store is this dataset's durable tier: eviction under
+// `cache_budget=` is a plain drop and a later miss re-reads the frame.
+// The node also registers a cache fetcher so the async executor's
+// prefetch lane streams frames `prefetch=` ahead of the compute wave
+// directly off the mmap.
 #pragma once
 
 #include <memory>

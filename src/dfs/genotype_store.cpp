@@ -18,9 +18,7 @@ namespace ss::dfs {
 
 namespace {
 
-// "SSGSTOR1" / "SSGFRM01" read as little-endian u64s. Distinct from the
-// spill tier's "SSPILL01" so a spill frame can never masquerade as a
-// store file (or vice versa).
+// "SSGSTOR1" / "SSGFRM01" read as little-endian u64s.
 constexpr std::uint64_t kStoreMagic = 0x3152'4F54'5347'5353ULL;
 constexpr std::uint64_t kFrameMagic = 0x3130'4D52'4647'5353ULL;
 constexpr std::uint32_t kStoreVersion = 1;

@@ -1,7 +1,7 @@
 // Persistent, memory-mapped packed-genotype store.
 //
-// Promotes the spill tier's checksummed frame format (magic | FNV-1a
-// checksum | payload size | payload) into a reopenable on-disk layout so
+// Stores checksummed frames (magic | FNV-1a checksum | payload size |
+// payload) in a reopenable on-disk layout so
 // paper-scale cohorts are staged ONCE and every later run maps the file
 // instead of re-ingesting text. One file holds everything a pipeline
 // needs: per-partition 2-bit packed genotype frames plus small aux

@@ -1,5 +1,5 @@
-// Key type shared by the partition cache's two tiers (cache_manager.hpp,
-// spill_tier.hpp): one cached partition is (dataset node id, partition).
+// Key type of the partition cache (cache_manager.hpp): one cached
+// partition is (dataset node id, partition).
 #pragma once
 
 #include <cstdint>

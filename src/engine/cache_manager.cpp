@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "engine/executor.hpp"
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
 #include "support/log.hpp"
@@ -20,81 +19,62 @@ std::atomic<std::uint64_t>& CacheCounter(const char* name) {
 }  // namespace
 
 std::shared_ptr<void> CacheManager::Lookup(const CacheKey& key) {
-  return LookupOrReload(key, /*prefetch=*/false);
+  return LookupOrFetch(key, /*prefetch=*/false);
 }
 
 bool CacheManager::Prefetch(const CacheKey& key) {
   bool handled = false;
-  LookupOrReload(key, /*prefetch=*/true, &handled);
+  LookupOrFetch(key, /*prefetch=*/true, &handled);
   return handled;
 }
 
-std::shared_ptr<void> CacheManager::LookupOrReload(const CacheKey& key,
-                                                   bool prefetch,
-                                                   bool* handled) {
-  for (;;) {
-    Step step = Step::kReturn;
-    std::shared_ptr<void> result;
-    SpillCodec codec;
-    PartitionFetcher fetcher;
-    std::vector<SpillJob> jobs;
-    AsyncExecutor* io = nullptr;
-    {
-      support::UniqueLock lock(mutex_);
-      step = ResolveLocked(key, prefetch, lock, &result, &codec, &fetcher,
-                           &jobs, handled);
-      io = io_;
-    }
-    FlushSpillJobs(std::move(jobs), io);
-    switch (step) {
-      case Step::kReturn:
-        return result;
-      case Step::kRetry:
-        continue;
-      case Step::kReload:
-        return FinishReload(key, prefetch, codec);
-      case Step::kFetch:
-        return FinishFetch(key, fetcher);
+std::shared_ptr<void> CacheManager::LookupOrFetch(const CacheKey& key,
+                                                  bool prefetch,
+                                                  bool* handled) {
+  std::shared_ptr<void> result;
+  PartitionFetcher fetcher;
+  {
+    support::UniqueLock lock(mutex_);
+    if (!ResolveLocked(key, prefetch, lock, &result, &fetcher, handled)) {
+      return result;
     }
   }
+  return FinishFetch(key, fetcher);
 }
 
-CacheManager::Step CacheManager::ResolveLocked(
-    const CacheKey& key, bool prefetch, support::UniqueLock& lock,
-    std::shared_ptr<void>* result, SpillCodec* codec,
-    PartitionFetcher* fetcher, std::vector<SpillJob>* jobs, bool* handled) {
+bool CacheManager::ResolveLocked(const CacheKey& key, bool prefetch,
+                                 support::UniqueLock& lock,
+                                 std::shared_ptr<void>* result,
+                                 PartitionFetcher* fetcher, bool* handled) {
   // Every resolution counts as "handled" for a prefetch except the
-  // explicit no-op fall-through below (nothing cached, spilled, or
-  // fetchable) — that one is the chain's cue to try a coarser target.
+  // explicit no-op fall-through below (not resident, nothing fetchable)
+  // — that one is the chain's cue to try a coarser target.
   if (handled != nullptr) *handled = true;
   static std::atomic<std::uint64_t>& hits = CacheCounter("cache.hits");
   static std::atomic<std::uint64_t>& misses = CacheCounter("cache.misses");
-  static std::atomic<std::uint64_t>& reloads = CacheCounter("cache.reloads");
-  static std::atomic<std::uint64_t>& prefetch_reloads =
-      CacheCounter("exec.prefetch_reloads");
   static std::atomic<std::uint64_t>& prefetch_declined =
       CacheCounter("exec.prefetch_declined");
   static std::atomic<std::uint64_t>& io_wait_nanos =
       CacheCounter("exec.io_wait_nanos");
 
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    *result = it->second.value;
-    if (prefetch) return Step::kReturn;  // already warm; leave LRU alone
-    ++stats_.hits;
-    hits.fetch_add(1, std::memory_order_relaxed);
-    Tracer::Global().Instant("cache", "hit",
-                             {Arg("dataset", key.node_id),
-                              Arg("partition", key.partition)});
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
-    return Step::kReturn;
-  }
-
-  if (InflightLocked(key)) {
-    // Another thread (usually the I/O lane) is already reloading this
-    // key. A prefetch has nothing to add; a lookup waits for the value —
-    // that wait IS the overlap win when the lane started early enough.
-    if (prefetch) return Step::kReturn;
+  for (;;) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      *result = it->second.value;
+      if (prefetch) return false;  // already warm; leave LRU alone
+      ++stats_.hits;
+      hits.fetch_add(1, std::memory_order_relaxed);
+      Tracer::Global().Instant("cache", "hit",
+                               {Arg("dataset", key.node_id),
+                                Arg("partition", key.partition)});
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
+      return false;
+    }
+    if (!InflightLocked(key)) break;
+    // The I/O lane is already fetching this key. A prefetch has nothing to
+    // add; a lookup waits for the value — that wait IS the overlap win
+    // when the lane started early enough — and then looks again.
+    if (prefetch) return false;
     PhaseTimer io_wait_phase(TaskPhase::kIoWait);
     Stopwatch wait_watch;
     inflight_cv_.wait(lock, [this, &key]() SS_REQUIRES(mutex_) {
@@ -104,205 +84,37 @@ CacheManager::Step CacheManager::ResolveLocked(
         static_cast<std::uint64_t>(
             std::max<std::int64_t>(0, wait_watch.ElapsedNanos())),
         std::memory_order_relaxed);
-    return Step::kRetry;
   }
 
-  auto sit = spilled_.find(key);
-  if (sit == spilled_.end()) {
-    if (prefetch) {
-      // Not cached, not spilled — but a dataset with a registered
-      // fetcher can be materialized straight from its backing store, so
-      // the prefetch lane streams the frame in ahead of the compute
-      // wave. Demand lookups never take this path: their miss recomputes
-      // through the node, which reads the store itself.
-      auto fit = fetchers_.find(key.node_id);
-      if (fit != fetchers_.end()) {
-        // The frame's decoded size is unknown until fetched; size the
-        // admission by the mean resident partition instead.
-        const std::uint64_t hint =
-            entries_.empty() ? 0 : stats_.bytes_cached / entries_.size();
-        if (PrefetchWouldEvictLocked(hint)) {
-          prefetch_declined.fetch_add(1, std::memory_order_relaxed);
-          return Step::kReturn;
-        }
-        inflight_.push_back(key);
-        *fetcher = fit->second;
-        return Step::kFetch;
-      }
-      if (handled != nullptr) *handled = false;
-    } else {
-      ++stats_.misses;
-      misses.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().Instant("cache", "miss",
-                               {Arg("dataset", key.node_id),
-                                Arg("partition", key.partition)});
-    }
-    *result = nullptr;
-    return Step::kReturn;
-  }
-
-  if (prefetch && PrefetchWouldEvictLocked(sit->second.bytes)) {
-    // Spilled, but re-admitting would evict someone else — a prefetch
-    // never trades resident partitions for speculative ones.
-    prefetch_declined.fetch_add(1, std::memory_order_relaxed);
-    *result = nullptr;
-    return Step::kReturn;
-  }
-
-  if (sit->second.pending_value != nullptr) {
-    // The background frame write hasn't landed yet, so the decoded value
-    // is still at hand: re-admit it with no frame I/O at all. spill_valid
-    // stays false — the in-flight job sees it was superseded and erases
-    // whatever frame it wrote.
-    std::shared_ptr<void> value = sit->second.pending_value;
-    SpilledEntry spilled = std::move(sit->second);
-    spilled_.erase(sit);
-    lru_.push_front(key);
-    entries_[key] = Entry{value,
-                          spilled.bytes,
-                          spilled.node,
-                          spilled.compute_seconds,
-                          std::move(spilled.codec),
-                          /*spill_valid=*/false,
-                          lru_.begin()};
-    stats_.bytes_cached += spilled.bytes;
-    ++stats_.reloads;
-    reloads.fetch_add(1, std::memory_order_relaxed);
-    if (prefetch) {
-      prefetch_reloads.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++stats_.hits;
-      hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    Tracer::Global().Instant("spill", "reload (pending write)",
+  if (!prefetch) {
+    ++stats_.misses;
+    misses.fetch_add(1, std::memory_order_relaxed);
+    Tracer::Global().Instant("cache", "miss",
                              {Arg("dataset", key.node_id),
                               Arg("partition", key.partition)});
-    EvictIfNeededLocked(jobs);
-    *result = value;
-    return Step::kReturn;
+    return false;
   }
-
-  // Claim the reload; the frame read + decode happens with the lock
-  // released so hits on other keys (and other reloads) proceed.
+  // Not cached — but a dataset with a registered fetcher can be
+  // materialized straight from its backing store, so the prefetch lane
+  // streams the frame in ahead of the compute wave. Demand lookups never
+  // take this path: their miss recomputes through the node, which reads
+  // the store itself.
+  auto fit = fetchers_.find(key.node_id);
+  if (fit == fetchers_.end()) {
+    if (handled != nullptr) *handled = false;
+    return false;
+  }
+  // The frame's decoded size is unknown until fetched; size the admission
+  // by the mean resident partition instead.
+  const std::uint64_t hint =
+      entries_.empty() ? 0 : stats_.bytes_cached / entries_.size();
+  if (PrefetchWouldEvictLocked(hint)) {
+    prefetch_declined.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   inflight_.push_back(key);
-  *codec = sit->second.codec;
-  return Step::kReload;
-}
-
-std::shared_ptr<void> CacheManager::FinishReload(const CacheKey& key,
-                                                 bool prefetch,
-                                                 const SpillCodec& codec) {
-  static std::atomic<std::uint64_t>& hits = CacheCounter("cache.hits");
-  static std::atomic<std::uint64_t>& misses = CacheCounter("cache.misses");
-  static std::atomic<std::uint64_t>& reloads = CacheCounter("cache.reloads");
-  static std::atomic<std::uint64_t>& reload_nanos =
-      CacheCounter("cache.reload_nanos");
-  static std::atomic<std::uint64_t>& corrupt =
-      CacheCounter("cache.spill_corrupt");
-  static std::atomic<std::uint64_t>& prefetch_reloads =
-      CacheCounter("exec.prefetch_reloads");
-
-  // The reload (frame read + checksum + decode) is decode time on the
-  // task that triggered the miss; on the I/O lane the timer is inert and
-  // the surrounding `prefetch` trace span carries the cost instead.
-  std::shared_ptr<void> value;
-  Status failure = Status::Ok();
-  std::uint64_t nanos = 0;
-  {
-    PhaseTimer decode_phase(TaskPhase::kDecode);
-    Stopwatch stopwatch;
-    Result<std::vector<std::uint8_t>> payload = spill_.Get(key);
-    if (payload.ok()) {
-      value = codec.decode(payload.value());
-    } else {
-      failure = payload.status();
-    }
-    nanos = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, stopwatch.ElapsedNanos()));
-  }
-
-  std::shared_ptr<void> result;
-  std::vector<SpillJob> jobs;
-  AsyncExecutor* io = nullptr;
-  {
-    support::MutexLock lock(mutex_);
-    io = io_;
-    inflight_.erase(std::find(inflight_.begin(), inflight_.end(), key));
-    auto entry_it = entries_.find(key);
-    auto sit = spilled_.find(key);
-    if (entry_it != entries_.end()) {
-      // A concurrent Insert refreshed the key while we were decoding; its
-      // value supersedes ours (and already dropped the stale frame).
-      result = entry_it->second.value;
-      if (!prefetch) {
-        ++stats_.hits;
-        hits.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (value == nullptr) {
-      // Corrupt or missing frame: degrade to a plain miss so the caller
-      // recomputes from lineage. Results never depend on the spill tier.
-      ++stats_.spill_corrupt;
-      corrupt.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().Instant("spill", "corrupt",
-                               {Arg("dataset", key.node_id),
-                                Arg("partition", key.partition),
-                                Arg("error", failure.ToString())});
-      SS_LOG(kWarn, "spill")
-          << "spill reload failed, falling back to lineage: "
-          << failure.ToString();
-      if (sit != spilled_.end()) spilled_.erase(sit);
-      if (!prefetch) {
-        ++stats_.misses;
-        misses.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (sit == spilled_.end()) {
-      // Dropped (Unpersist/Clear) while the reload was in flight; the
-      // decoded bytes are orphaned and the caller recomputes.
-      if (!prefetch) {
-        ++stats_.misses;
-        misses.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      // Re-admit to the memory tier as MRU; the frame stays valid so a
-      // re-eviction skips the encode + write.
-      SpilledEntry spilled = std::move(sit->second);
-      spilled_.erase(sit);
-      lru_.push_front(key);
-      entries_[key] = Entry{value,
-                            spilled.bytes,
-                            spilled.node,
-                            spilled.compute_seconds,
-                            std::move(spilled.codec),
-                            /*spill_valid=*/true,
-                            lru_.begin()};
-      stats_.bytes_cached += spilled.bytes;
-      ++stats_.reloads;
-      stats_.reload_nanos += nanos;
-      reloads.fetch_add(1, std::memory_order_relaxed);
-      reload_nanos.fetch_add(nanos, std::memory_order_relaxed);
-      const double per_byte =
-          (static_cast<double>(nanos) / 1e9) /
-          static_cast<double>(std::max<std::uint64_t>(1, spilled.bytes));
-      reload_seconds_per_byte_ =
-          0.7 * reload_seconds_per_byte_ + 0.3 * per_byte;
-      if (prefetch) {
-        prefetch_reloads.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++stats_.hits;
-        hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      Tracer::Global().Instant("spill", "reload",
-                               {Arg("dataset", key.node_id),
-                                Arg("partition", key.partition),
-                                Arg("bytes", stats_.bytes_cached),
-                                Arg("nanos", nanos)});
-      EvictIfNeededLocked(&jobs);  // re-admission may go over budget
-      result = value;
-    }
-  }
-  inflight_cv_.notify_all();
-  FlushSpillJobs(std::move(jobs), io);
-  return result;
+  *fetcher = fit->second;
+  return true;
 }
 
 std::shared_ptr<void> CacheManager::FinishFetch(
@@ -320,42 +132,34 @@ std::shared_ptr<void> CacheManager::FinishFetch(
   }
 
   std::shared_ptr<void> result;
-  std::vector<SpillJob> jobs;
-  AsyncExecutor* io = nullptr;
   {
     support::MutexLock lock(mutex_);
-    io = io_;
     inflight_.erase(std::find(inflight_.begin(), inflight_.end(), key));
     auto entry_it = entries_.find(key);
     if (entry_it != entries_.end()) {
       // A concurrent insert (the demand compute finished first) already
       // holds the authoritative value.
       result = entry_it->second.value;
-    } else if (fetched.value != nullptr && !spilled_.count(key)) {
-      // Admit as MRU with an EMPTY codec: evicting a store-backed
-      // partition is a plain drop — the store is its spill tier, and
-      // writing a second spill copy would double the I/O for nothing.
-      // `node` 0 = the fetch ran on no simulated node; a node-failure
-      // drop of node 0's partitions just re-fetches.
+    } else if (fetched.value != nullptr) {
+      // Admit as MRU, priced at the fetch time: evicting it again costs
+      // one more store read. `node` 0 = the fetch ran on no simulated
+      // node; a node-failure drop of node 0's partitions just re-fetches.
       lru_.push_front(key);
-      entries_[key] = Entry{fetched.value,        fetched.bytes,
-                            /*node=*/0,           fetched.fetch_seconds,
-                            SpillCodec{},         /*spill_valid=*/false,
-                            lru_.begin()};
+      entries_[key] = Entry{fetched.value, fetched.bytes, /*node=*/0,
+                            fetched.fetch_seconds, lru_.begin()};
       stats_.bytes_cached += fetched.bytes;
       prefetch_frames.fetch_add(1, std::memory_order_relaxed);
       Tracer::Global().Instant("store", "prefetch admit",
                                {Arg("dataset", key.node_id),
                                 Arg("partition", key.partition),
                                 Arg("bytes", fetched.bytes)});
-      EvictIfNeededLocked(&jobs);
+      EvictIfNeededLocked();
       result = fetched.value;
     }
     // Fetch failed (null value): admit nothing. The demand lookup will
     // miss, recompute through the node, and surface the store error.
   }
   inflight_cv_.notify_all();
-  FlushSpillJobs(std::move(jobs), io);
   return result;
 }
 
@@ -380,31 +184,22 @@ void CacheManager::UnregisterFetcher(std::uint64_t node_id) {
 
 void CacheManager::Insert(const CacheKey& key, std::shared_ptr<void> value,
                           std::uint64_t bytes, int node,
-                          double compute_seconds, SpillCodec codec) {
+                          double compute_seconds) {
   static std::atomic<std::uint64_t>& insertions =
       CacheCounter("cache.insertions");
-  std::vector<SpillJob> jobs;
-  AsyncExecutor* io = nullptr;
-  {
-    support::MutexLock lock(mutex_);
-    io = io_;
-    EraseLocked(key);        // refresh semantics...
-    DropSpilledLocked(key);  // ...including any stale spill copy
-    lru_.push_front(key);
-    entries_[key] = Entry{std::move(value),  bytes,
-                          node,              compute_seconds,
-                          std::move(codec),  /*spill_valid=*/false,
-                          lru_.begin()};
-    stats_.bytes_cached += bytes;
-    ++stats_.insertions;
-    insertions.fetch_add(1, std::memory_order_relaxed);
-    Tracer::Global().Instant("cache", "put",
-                             {Arg("dataset", key.node_id),
-                              Arg("partition", key.partition),
-                              Arg("bytes", bytes), Arg("node", node)});
-    EvictIfNeededLocked(&jobs);
-  }
-  FlushSpillJobs(std::move(jobs), io);
+  support::MutexLock lock(mutex_);
+  EraseLocked(key);  // refresh semantics
+  lru_.push_front(key);
+  entries_[key] =
+      Entry{std::move(value), bytes, node, compute_seconds, lru_.begin()};
+  stats_.bytes_cached += bytes;
+  ++stats_.insertions;
+  insertions.fetch_add(1, std::memory_order_relaxed);
+  Tracer::Global().Instant("cache", "put",
+                           {Arg("dataset", key.node_id),
+                            Arg("partition", key.partition),
+                            Arg("bytes", bytes), Arg("node", node)});
+  EvictIfNeededLocked();
 }
 
 bool CacheManager::PrefetchWouldEvictLocked(std::uint64_t bytes_hint) const {
@@ -413,41 +208,29 @@ bool CacheManager::PrefetchWouldEvictLocked(std::uint64_t bytes_hint) const {
          stats_.bytes_cached + bytes_hint > capacity_bytes_;
 }
 
-double CacheManager::RestoreCostPerByteLocked(const Entry& entry) const {
-  SS_ASSERT_HELD(mutex_);
-  // If the entry can live in the spill tier, evicting it costs a reload;
-  // otherwise the only way back is a lineage recompute.
-  const double restore_seconds =
-      spill_enabled() && entry.codec.usable()
-          ? reload_seconds_per_byte_ * static_cast<double>(entry.bytes)
-          : entry.compute_seconds;
-  return restore_seconds /
-         static_cast<double>(std::max<std::uint64_t>(1, entry.bytes));
-}
-
-void CacheManager::EvictIfNeededLocked(std::vector<SpillJob>* jobs) {
+void CacheManager::EvictIfNeededLocked() {
   SS_ASSERT_HELD(mutex_);
   if (capacity_bytes_ == 0) return;
   while (stats_.bytes_cached > capacity_bytes_ && lru_.size() > 1) {
-    EvictOneLocked(jobs);
+    EvictOneLocked();
   }
 }
 
-void CacheManager::EvictOneLocked(std::vector<SpillJob>* jobs) {
+void CacheManager::EvictOneLocked() {
   SS_ASSERT_HELD(mutex_);
   static std::atomic<std::uint64_t>& evictions =
       CacheCounter("cache.evictions");
-  static std::atomic<std::uint64_t>& spills = CacheCounter("cache.spills");
-  static std::atomic<std::uint64_t>& spill_bytes =
-      CacheCounter("cache.spill_bytes");
 
-  // Victim = cheapest restore cost per byte; ties fall to the least
-  // recently used. The MRU front entry (just inserted or reloaded) is
-  // exempt, preserving the old "never evict the only entry" guarantee.
+  // Victim = cheapest recompute per byte; ties fall to the least recently
+  // used. The MRU front entry (just inserted or fetched) is exempt, so
+  // the cache never evicts its only entry.
   auto victim_it = lru_.end();
   double victim_cost = 0.0;
   for (auto it = std::next(lru_.begin()); it != lru_.end(); ++it) {
-    const double cost = RestoreCostPerByteLocked(entries_.at(*it));
+    const Entry& entry = entries_.at(*it);
+    const double cost =
+        entry.compute_seconds /
+        static_cast<double>(std::max<std::uint64_t>(1, entry.bytes));
     if (victim_it == lru_.end() || cost <= victim_cost) {
       victim_it = it;
       victim_cost = cost;
@@ -455,64 +238,6 @@ void CacheManager::EvictOneLocked(std::vector<SpillJob>* jobs) {
   }
   SS_CHECK(victim_it != lru_.end());
   const CacheKey victim = *victim_it;
-  Entry& entry = entries_.at(victim);
-
-  if (spill_enabled() && entry.codec.usable()) {
-    if (entry.spill_valid) {
-      // The spill tier already holds a current frame: move tiers free.
-      Tracer::Global().Instant("spill", "spill",
-                               {Arg("dataset", victim.node_id),
-                                Arg("partition", victim.partition),
-                                Arg("bytes", 0)});
-      spilled_[victim] = SpilledEntry{entry.bytes, entry.node,
-                                      entry.compute_seconds,
-                                      std::move(entry.codec),
-                                      /*pending_value=*/nullptr};
-    } else if (spill_async_ && io_ != nullptr && jobs != nullptr) {
-      // Defer the encode + write to the I/O lane; the value rides along
-      // in pending_value so lookups before the write lands stay cheap.
-      // Counted (cache.spills / exec.spill_async_writes) on completion.
-      SpillCodec codec = entry.codec;
-      spilled_[victim] = SpilledEntry{entry.bytes, entry.node,
-                                      entry.compute_seconds,
-                                      std::move(entry.codec), entry.value};
-      jobs->push_back(SpillJob{victim, entry.value, std::move(codec)});
-      Tracer::Global().Instant("spill", "spill scheduled",
-                               {Arg("dataset", victim.node_id),
-                                Arg("partition", victim.partition)});
-    } else {
-      // Encode + frame write is spill-write time on the task whose
-      // insert/reload forced this eviction.
-      bool frame_ok = false;
-      std::uint64_t payload_bytes = 0;
-      {
-        PhaseTimer spill_phase(TaskPhase::kSpillWrite);
-        const std::vector<std::uint8_t> payload =
-            entry.codec.encode(entry.value);
-        payload_bytes = payload.size();
-        const Status put = spill_.Put(victim, payload);
-        frame_ok = put.ok();
-        if (!frame_ok) {
-          SS_LOG(kWarn, "spill") << "spill write failed, discarding instead: "
-                                 << put.ToString();
-        }
-      }
-      if (frame_ok) {
-        ++stats_.spills;
-        stats_.spill_bytes += payload_bytes;
-        spills.fetch_add(1, std::memory_order_relaxed);
-        spill_bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
-        Tracer::Global().Instant("spill", "spill",
-                                 {Arg("dataset", victim.node_id),
-                                  Arg("partition", victim.partition),
-                                  Arg("bytes", payload_bytes)});
-        spilled_[victim] = SpilledEntry{entry.bytes, entry.node,
-                                        entry.compute_seconds,
-                                        std::move(entry.codec),
-                                        /*pending_value=*/nullptr};
-      }
-    }
-  }
   Tracer::Global().Instant("cache", "evict",
                            {Arg("dataset", victim.node_id),
                             Arg("partition", victim.partition)});
@@ -521,105 +246,10 @@ void CacheManager::EvictOneLocked(std::vector<SpillJob>* jobs) {
   evictions.fetch_add(1, std::memory_order_relaxed);
 }
 
-void CacheManager::FlushSpillJobs(std::vector<SpillJob> jobs,
-                                  AsyncExecutor* io) {
-  for (SpillJob& job : jobs) {
-    bool queued = false;
-    // On a lane worker (a prefetch evicted entries), Enqueue would block
-    // on the very queue this thread is supposed to drain — run inline.
-    if (io != nullptr && !AsyncExecutor::OnLaneThread()) {
-      SpillJob copy = job;
-      queued = io->Enqueue(
-          [this, moved = std::move(copy)]() { BackgroundSpillWrite(moved); });
-    }
-    // Lane gone (shutdown mid-flush) or running on the lane itself: the
-    // frame still must exist — the spilled_ entry promises it — so write
-    // it right here.
-    if (!queued) BackgroundSpillWrite(job);
-  }
-}
-
-void CacheManager::BackgroundSpillWrite(const SpillJob& job) {
-  static std::atomic<std::uint64_t>& spills = CacheCounter("cache.spills");
-  static std::atomic<std::uint64_t>& spill_bytes =
-      CacheCounter("cache.spill_bytes");
-  static std::atomic<std::uint64_t>& async_writes =
-      CacheCounter("exec.spill_async_writes");
-  static std::atomic<std::uint64_t>& async_failures =
-      CacheCounter("exec.spill_async_failures");
-
-  {
-    // A key can be evicted, re-admitted from its pending value, and
-    // evicted again before this job runs — each eviction queues a job for
-    // the SAME value, and an earlier duplicate may already have written
-    // the frame and cleared pending_value. Only the job the entry still
-    // names (pending_value == our value) may write; everyone else must
-    // leave the tier alone, or they would erase a frame the entry
-    // promises (the reload then NotFounds and miscounts spill_corrupt).
-    support::MutexLock lock(mutex_);
-    auto it = spilled_.find(job.key);
-    if (it == spilled_.end() ||
-        it->second.pending_value.get() != job.value.get()) {
-      return;
-    }
-  }
-
-  const std::vector<std::uint8_t> payload = job.codec.encode(job.value);
-  const Status put = spill_.Put(job.key, payload);
-
-  support::MutexLock lock(mutex_);
-  auto it = spilled_.find(job.key);
-  const bool current = it != spilled_.end() &&
-                       it->second.pending_value.get() == job.value.get();
-  if (put.ok()) {
-    if (current) {
-      it->second.pending_value.reset();  // the frame is authoritative now
-      ++stats_.spills;
-      stats_.spill_bytes += payload.size();
-      spills.fetch_add(1, std::memory_order_relaxed);
-      spill_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
-      async_writes.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().Instant("spill", "spill",
-                               {Arg("dataset", job.key.node_id),
-                                Arg("partition", job.key.partition),
-                                Arg("bytes", payload.size())});
-    } else if (it != spilled_.end()) {
-      // Another write finalized (pending cleared: identical bytes — keys
-      // decode deterministically) or superseded it (that job overwrites
-      // next). Either way the entry still promises a frame: keep it.
-    } else {
-      // The spilled entry vanished while we wrote. If the key was
-      // re-admitted to memory off its frame (spill_valid), the frame is
-      // still promised; otherwise our write is an orphan — remove it.
-      auto mem = entries_.find(job.key);
-      const bool promised =
-          mem != entries_.end() && mem->second.spill_valid;
-      if (!promised) spill_.Erase(job.key);
-    }
-  } else {
-    // Counted exactly once per lost frame; the entry is erased so the
-    // next access degrades to a lineage recompute, never to wrong data.
-    async_failures.fetch_add(1, std::memory_order_relaxed);
-    Tracer::Global().Instant("spill", "async write failed",
-                             {Arg("dataset", job.key.node_id),
-                              Arg("partition", job.key.partition),
-                              Arg("error", put.ToString())});
-    SS_LOG(kWarn, "spill") << "async spill write failed, entry degrades to "
-                           << "lineage recompute: " << put.ToString();
-    if (current) spilled_.erase(it);
-  }
-}
-
 bool CacheManager::InflightLocked(const CacheKey& key) const {
   SS_ASSERT_HELD(mutex_);
   return std::find(inflight_.begin(), inflight_.end(), key) !=
          inflight_.end();
-}
-
-void CacheManager::SetIoExecutor(AsyncExecutor* io, bool spill_async) {
-  support::MutexLock lock(mutex_);
-  io_ = io;
-  spill_async_ = spill_async && io != nullptr;
 }
 
 void CacheManager::EraseLocked(const CacheKey& key) {
@@ -631,14 +261,6 @@ void CacheManager::EraseLocked(const CacheKey& key) {
   entries_.erase(it);
 }
 
-void CacheManager::DropSpilledLocked(const CacheKey& key) {
-  SS_ASSERT_HELD(mutex_);
-  auto it = spilled_.find(key);
-  if (it == spilled_.end()) return;
-  spilled_.erase(it);
-  spill_.Erase(key);
-}
-
 void CacheManager::DropDataset(std::uint64_t node_id) {
   support::MutexLock lock(mutex_);
   std::vector<CacheKey> victims;
@@ -646,11 +268,6 @@ void CacheManager::DropDataset(std::uint64_t node_id) {
     if (key.node_id == node_id) victims.push_back(key);
   }
   for (const CacheKey& key : victims) EraseLocked(key);
-  victims.clear();
-  for (const auto& [key, entry] : spilled_) {
-    if (key.node_id == node_id) victims.push_back(key);
-  }
-  for (const CacheKey& key : victims) DropSpilledLocked(key);
 }
 
 int CacheManager::DropNode(int node) {
@@ -661,19 +278,7 @@ int CacheManager::DropNode(int node) {
   for (const auto& [key, entry] : entries_) {
     if (entry.node == node) victims.push_back(key);
   }
-  for (const CacheKey& key : victims) {
-    // The memory copy dies with the node, but a valid spill frame models
-    // reliable storage and survives: the next miss reloads instead of
-    // recomputing, exactly like Spark disk blocks outliving an executor.
-    Entry& entry = entries_.at(key);
-    if (spill_enabled() && entry.spill_valid && entry.codec.usable()) {
-      spilled_[key] = SpilledEntry{entry.bytes, entry.node,
-                                   entry.compute_seconds,
-                                   std::move(entry.codec),
-                                   /*pending_value=*/nullptr};
-    }
-    EraseLocked(key);
-  }
+  for (const CacheKey& key : victims) EraseLocked(key);
   stats_.dropped_by_failure += victims.size();
   dropped.fetch_add(victims.size(), std::memory_order_relaxed);
   if (!victims.empty()) {
@@ -687,60 +292,23 @@ void CacheManager::Clear() {
   support::MutexLock lock(mutex_);
   entries_.clear();
   lru_.clear();
-  spilled_.clear();
-  spill_.Clear();
   stats_.bytes_cached = 0;
 }
 
 void CacheManager::SetCapacityBytes(std::uint64_t capacity_bytes) {
-  std::vector<SpillJob> jobs;
-  AsyncExecutor* io = nullptr;
-  {
-    support::MutexLock lock(mutex_);
-    io = io_;
-    capacity_bytes_ = capacity_bytes;
-    EvictIfNeededLocked(&jobs);
-  }
-  FlushSpillJobs(std::move(jobs), io);
-}
-
-int CacheManager::InjureSpill(bool drop) {
-  // Let in-flight background writes land first so the injury hits every
-  // frame the run believes it has (and no write resurrects one after).
-  AsyncExecutor* io = nullptr;
-  {
-    support::MutexLock lock(mutex_);
-    io = io_;
-  }
-  if (io != nullptr) io->Drain();
   support::MutexLock lock(mutex_);
-  const int injured = drop ? spill_.DropAll() : spill_.CorruptAll();
-  // Frames belonging to memory-resident entries are garbage now; force a
-  // fresh encode + write if those entries are evicted again.
-  for (auto& [key, entry] : entries_) entry.spill_valid = false;
-  Tracer::Global().Instant("spill", drop ? "injected loss" : "injected corruption",
-                           {Arg("frames", injured)});
-  SS_LOG(kInfo, "spill") << "injected spill "
-                         << (drop ? "loss" : "corruption") << " of "
-                         << injured << " frames";
-  return injured;
+  capacity_bytes_ = capacity_bytes;
+  EvictIfNeededLocked();
 }
 
 CacheStats CacheManager::stats() const {
   support::MutexLock lock(mutex_);
-  CacheStats stats = stats_;
-  stats.bytes_spilled = spill_.bytes_stored();
-  return stats;
+  return stats_;
 }
 
 std::size_t CacheManager::entry_count() const {
   support::MutexLock lock(mutex_);
   return entries_.size();
-}
-
-std::size_t CacheManager::spilled_count() const {
-  support::MutexLock lock(mutex_);
-  return spilled_.size();
 }
 
 }  // namespace ss::engine

@@ -1,25 +1,22 @@
-// Tiered partition cache — the engine's equivalent of Spark's BlockManager
-// MEMORY_AND_DISK storage level.
+// Partition cache — the engine's equivalent of Spark's BlockManager at
+// the MEMORY_ONLY storage level.
 //
-// Tier 1 is memory: type-erased entries (`shared_ptr<void>` owning a
-// `vector<T>`; the typed layer in node.hpp does the casts). Tier 2 is the
-// spill store (spill_tier.hpp): when the memory budget forces an eviction
-// and the entry carries a SpillCodec, its encoded bytes move to the spill
-// tier instead of being discarded, and a later miss reloads + decodes them
-// — far cheaper than replaying the lineage for expensive partitions (the
-// cached U RDD of SparkScore's Algorithm 3 pays the score computation B
-// times without it). A corrupt or missing spill frame simply degrades the
-// miss to a lineage recompute, so results never depend on the spill tier.
+// Entries are type-erased (`shared_ptr<void>` owning a `vector<T>`; the
+// typed layer in node.hpp does the casts) and charged against an optional
+// byte budget. When the budget forces an eviction the victim is simply
+// dropped: a later miss recomputes it through lineage, which for a
+// store-backed dataset is a re-read of its store frame. A run that needs
+// cheap restores under a tight budget should read its genotypes from a
+// store (`store=`): those frames are the durable tier.
 //
-// Eviction is cost-based rather than pure LRU: each resident entry knows
-// what it would cost to bring back — its decode/reload estimate when a
-// valid spill copy exists or it can be spilled, else its recorded compute
-// time — and the victim is the entry with the cheapest restore cost per
-// byte (ties fall to least-recently-used). Each entry also records the
-// simulated node where the computing task ran so that an injected node
-// failure drops exactly that node's memory-resident partitions (spill
-// frames model reliable storage and survive), forcing lineage
-// recomputation — the fault-tolerance property the RDD paper centres on.
+// Eviction is cost-based rather than pure LRU: each entry records what
+// its recompute cost (the task stopwatch around ComputePartition, or the
+// store fetch time), and the victim is the entry with the cheapest
+// recompute per byte (ties fall to least-recently-used). Each entry also
+// records the simulated node where the computing task ran so that an
+// injected node failure drops exactly that node's partitions, forcing
+// lineage recomputation — the fault-tolerance property the RDD paper
+// centres on.
 #pragma once
 
 #include <condition_variable>
@@ -27,18 +24,14 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/cache_key.hpp"
-#include "engine/spill_tier.hpp"
 #include "support/check.hpp"
 #include "support/ranked_mutex.hpp"
 
 namespace ss::engine {
-
-class AsyncExecutor;
 
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -46,28 +39,7 @@ struct CacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::uint64_t dropped_by_failure = 0;
-  std::uint64_t bytes_cached = 0;  ///< Current memory-tier occupancy.
-  // Spill tier (see docs/OBSERVABILITY.md):
-  std::uint64_t spills = 0;         ///< Frames written on eviction.
-  std::uint64_t spill_bytes = 0;    ///< Cumulative framed bytes written.
-  std::uint64_t reloads = 0;        ///< Misses served from spill.
-  std::uint64_t reload_nanos = 0;   ///< Wall time inside reload+decode.
-  std::uint64_t spill_corrupt = 0;  ///< Corrupt/missing frames detected.
-  std::uint64_t bytes_spilled = 0;  ///< Current spill-tier occupancy.
-};
-
-/// Serialize/deserialize hooks a typed caller attaches at Insert time so
-/// the type-erased manager can move the entry across tiers. Both must be
-/// thread-safe and must round-trip bitwise (Codec<T> is; see codec.hpp).
-/// Default-constructed (empty) means the entry is not spillable and is
-/// discarded on eviction exactly as the memory-only cache did.
-struct SpillCodec {
-  std::function<std::vector<std::uint8_t>(const std::shared_ptr<void>&)>
-      encode;
-  std::function<std::shared_ptr<void>(const std::vector<std::uint8_t>&)>
-      decode;
-
-  bool usable() const { return encode != nullptr && decode != nullptr; }
+  std::uint64_t bytes_cached = 0;  ///< Current occupancy.
 };
 
 /// One partition materialized from an external backing store (the
@@ -85,68 +57,41 @@ struct FetchedPartition {
 /// not call back into the cache.
 using PartitionFetcher = std::function<FetchedPartition(std::uint32_t)>;
 
-/// Cache construction knobs (EngineContext::Options mirrors these).
-struct CacheOptions {
-  /// Memory-tier budget in bytes; 0 means unlimited (nothing ever spills).
-  std::uint64_t capacity_bytes = 0;
-
-  /// Master switch for the spill tier; off restores the memory-only
-  /// evict-means-discard behaviour (the differential-test baseline).
-  bool spill_enabled = true;
-
-  /// Where spill frames live: empty keeps them in an in-memory
-  /// dfs::BlockStore, a path writes real files under that directory.
-  std::string spill_dir;
-};
-
 class CacheManager {
  public:
-  explicit CacheManager(CacheOptions options)
-      : options_(std::move(options)), spill_(options_.spill_dir) {}
-
-  /// `capacity_bytes` caps the memory tier; 0 means unlimited.
+  /// `capacity_bytes` caps the cache; 0 means unlimited.
   explicit CacheManager(std::uint64_t capacity_bytes = 0)
-      : CacheManager(CacheOptions{capacity_bytes, true, std::string()}) {}
+      : capacity_bytes_(capacity_bytes) {}
 
-  /// Returns the cached partition or nullptr (counting a hit/miss). A
-  /// memory miss consults the spill tier first: a valid frame is decoded,
-  /// re-admitted to memory, and returned (a "reload"); a corrupt or
-  /// missing frame counts `spill_corrupt` and falls through to nullptr so
-  /// the caller recomputes from lineage.
-  ///
-  /// The frame read + decode runs OUTSIDE the cache lock: concurrent
-  /// lookups of other keys proceed, and a second lookup of the same key
-  /// waits for the in-flight reload (task-side that wait is the `io_wait`
-  /// phase + `exec.io_wait_nanos`) instead of duplicating it.
+  /// Returns the cached partition or nullptr (counting a hit/miss); on
+  /// nullptr the caller recomputes from lineage. A lookup of a key whose
+  /// store fetch is in flight on the I/O lane waits for it (task-side
+  /// that wait is the `io_wait` phase + `exec.io_wait_nanos`) instead of
+  /// duplicating the read.
   std::shared_ptr<void> Lookup(const CacheKey& key);
 
-  /// Advisory warm-up from the I/O lane: if `key`'s only copy is a spill
-  /// frame, reload + decode + re-admit it exactly as a Lookup miss would —
-  /// but without touching hit/miss accounting, so observable cache stats
-  /// stay comparable across prefetch depths. No-op when the key is memory-
-  /// resident, already being reloaded, or unknown. Counts
-  /// `exec.prefetch_reloads` when a frame was actually moved.
+  /// Advisory warm-up from the I/O lane, without touching hit/miss
+  /// accounting so observable cache stats stay comparable across prefetch
+  /// depths. A resident key is left alone; a key of a dataset with a
+  /// registered fetcher is fetched from its backing store and admitted.
   ///
   /// A prefetch only fills SPARE capacity: when admitting the partition
-  /// would push the memory tier over budget — forcing an eviction — the
-  /// lane declines (counting `exec.prefetch_declined`) instead. An
-  /// eviction forced from the prefetch lane displaces exactly the
-  /// partitions the compute frontier is about to consume, so at tight
-  /// budgets an eager lane turns each spilled partition into ~1.5
-  /// reloads; declining keeps the demand path's working set intact.
+  /// would push the cache over budget — forcing an eviction — the lane
+  /// declines (counting `exec.prefetch_declined`) instead. An eviction
+  /// forced from the prefetch lane displaces exactly the partitions the
+  /// compute frontier is about to consume; declining keeps the demand
+  /// path's working set intact.
   ///
-  /// Returns true when the key is now (or already was) memory-resident —
-  /// a hit, a completed reload, or a completed fetch — or when the
-  /// cache deliberately declined as above. False means the cache has
-  /// nothing to offer for this key (never computed, no spill copy, no
-  /// fetcher): the caller may fall through to a coarser target, e.g.
-  /// the store-backed ancestor of an uncomputed derived partition.
+  /// Returns true when the key is now (or already was) resident, is being
+  /// fetched, or the cache deliberately declined as above. False means
+  /// the cache has nothing to offer for this key (not resident, no
+  /// fetcher): the caller may fall through to a coarser target, e.g. the
+  /// store-backed ancestor of an uncomputed derived partition.
   bool Prefetch(const CacheKey& key);
 
   /// Declares that dataset `node_id`'s partitions can be materialized
   /// from a backing store (the mmap'd genotype store). A Prefetch of a
-  /// key that is neither cached nor spilled then FETCHES it instead of
-  /// no-opping — the store IS the spill tier for such datasets, so the
+  /// key that is not cached then FETCHES it instead of no-opping, so the
   /// prefetch lane streams frames ahead of the compute wave. Demand
   /// lookups are unaffected (the miss recomputes, which reads the store
   /// through the node's own ComputePartition). Admitted fetches count
@@ -158,55 +103,34 @@ class CacheManager {
   /// use. Must be called before the backing dataset dies.
   void UnregisterFetcher(std::uint64_t node_id);
 
-  /// Wires (or clears, io == nullptr) the I/O lane used for background
-  /// spill writes. With `spill_async` set, evictions move the frame
-  /// encode+write onto the lane: the evicted value stays readable from the
-  /// pending-write entry (a lookup re-admits it without any decode), and a
-  /// failed background write erases the spill copy and counts
-  /// `exec.spill_async_failures` once — the next access degrades to a
-  /// lineage recompute, never to wrong data.
-  void SetIoExecutor(AsyncExecutor* io, bool spill_async);
-
   /// Inserts (or refreshes) an entry, rebalancing against the budget.
   /// Oversized single entries (larger than the whole budget) are admitted
   /// and the cache simply holds only them; matching Spark, the computation
   /// must still succeed even if caching is ineffective.
   ///
   /// `compute_seconds` is the lineage cost of this partition (what a
-  /// recompute would pay, from the task stopwatch) and `codec` the
-  /// optional cross-tier serializer; both feed the eviction policy.
+  /// recompute would pay, from the task stopwatch); it ranks the entry
+  /// for eviction.
   void Insert(const CacheKey& key, std::shared_ptr<void> value,
-              std::uint64_t bytes, int node, double compute_seconds = 0.0,
-              SpillCodec codec = {});
+              std::uint64_t bytes, int node, double compute_seconds = 0.0);
 
-  /// Removes all partitions of a dataset from both tiers
-  /// (Dataset::Unpersist).
+  /// Removes all partitions of a dataset (Dataset::Unpersist).
   void DropDataset(std::uint64_t node_id);
 
-  /// Removes everything cached in memory on a simulated node (node
-  /// failure). Spill frames survive — they model reliable local storage,
-  /// like Spark blocks persisted to disk surviving an executor OOM.
+  /// Removes everything cached on a simulated node (node failure).
   /// Returns the number of partitions dropped.
   int DropNode(int node);
 
-  /// Drops everything in both tiers.
+  /// Drops everything.
   void Clear();
 
-  /// Re-applies the memory budget (0 = unlimited), spilling/evicting down
-  /// to the new value. Lets PipelineConfig::cache_budget_bytes constrain a
-  /// context after construction.
+  /// Re-applies the budget (0 = unlimited), evicting down to the new
+  /// value. Lets PipelineConfig::cache_budget_bytes constrain a context
+  /// after construction.
   void SetCapacityBytes(std::uint64_t capacity_bytes);
 
-  /// Fault-injection hook: corrupts (`drop` false) or deletes (`drop`
-  /// true) every spill frame. Subsequent reload attempts detect the loss,
-  /// count `spill_corrupt`, and fall back to lineage recompute. Returns
-  /// the number of frames injured.
-  int InjureSpill(bool drop);
-
   CacheStats stats() const;
-  std::size_t entry_count() const;        ///< Memory-tier entries.
-  std::size_t spilled_count() const;      ///< Spill-tier-only entries.
-  const CacheOptions& options() const { return options_; }
+  std::size_t entry_count() const;
 
  private:
   struct Entry {
@@ -214,108 +138,49 @@ class CacheManager {
     std::uint64_t bytes = 0;
     int node = 0;
     double compute_seconds = 0.0;  ///< Lineage cost (recompute estimate).
-    SpillCodec codec;
-    /// True while the spill tier holds a current frame for this entry
-    /// (set on reload); re-evicting it skips the encode + write.
-    bool spill_valid = false;
     std::list<CacheKey>::iterator lru_it;
-  };
-
-  /// An entry whose only copy lives in the spill tier (or, while a
-  /// background write is in flight, in `pending_value`).
-  struct SpilledEntry {
-    std::uint64_t bytes = 0;  ///< Decoded (memory) size, for re-admission.
-    int node = 0;
-    double compute_seconds = 0.0;
-    SpillCodec codec;
-    /// Non-null while an async spill write is in flight: the decoded
-    /// value, kept so a lookup can re-admit without any frame I/O and so
-    /// the write job can tell whether it is still current.
-    std::shared_ptr<void> pending_value;
-  };
-
-  /// One deferred background frame write, collected under the lock by an
-  /// eviction and handed to the I/O lane only after the lock is released
-  /// (blocking on the bounded queue while holding kCache could deadlock
-  /// against a completion that needs it).
-  struct SpillJob {
-    CacheKey key;
-    std::shared_ptr<void> value;
-    SpillCodec codec;
-  };
-
-  bool spill_enabled() const { return options_.spill_enabled; }
-  /// True when admitting `bytes_hint` more bytes would force an eviction
-  /// (the prefetch lane declines in that case; see Prefetch).
-  bool PrefetchWouldEvictLocked(std::uint64_t bytes_hint) const
-      SS_REQUIRES(mutex_);
-  /// Restore-cost-per-byte the eviction policy minimizes.
-  double RestoreCostPerByteLocked(const Entry& entry) const
-      SS_REQUIRES(mutex_);
-  void EvictIfNeededLocked(std::vector<SpillJob>* jobs) SS_REQUIRES(mutex_);
-  void EvictOneLocked(std::vector<SpillJob>* jobs) SS_REQUIRES(mutex_);
-  void EraseLocked(const CacheKey& key) SS_REQUIRES(mutex_);
-  void DropSpilledLocked(const CacheKey& key) SS_REQUIRES(mutex_);
-  /// What the locked phase of a lookup decided.
-  enum class Step {
-    kReturn,  ///< Resolved (hit, pending re-admit, or plain miss).
-    kRetry,   ///< Waited out an in-flight reload; re-evaluate from the top.
-    kReload,  ///< This thread claimed the reload; run it outside the lock.
-    kFetch,   ///< Claimed a backing-store fetch (prefetch only).
   };
 
   /// Shared Lookup/Prefetch body; `prefetch` suppresses hit/miss counting.
   /// `handled` (prefetch only, may be null) reports whether the cache did
-  /// or had anything for the key — false only on the no-op path (never
-  /// computed, no spill copy, no fetcher).
-  std::shared_ptr<void> LookupOrReload(const CacheKey& key, bool prefetch,
-                                       bool* handled = nullptr);
-  Step ResolveLocked(const CacheKey& key, bool prefetch,
+  /// or had anything for the key — false only on the no-op path (not
+  /// resident, no fetcher).
+  std::shared_ptr<void> LookupOrFetch(const CacheKey& key, bool prefetch,
+                                      bool* handled = nullptr);
+  /// The locked phase of a lookup: sets `result` (null on a miss) and
+  /// returns false, or — prefetch only — claims a backing-store fetch,
+  /// sets `fetcher` and returns true.
+  bool ResolveLocked(const CacheKey& key, bool prefetch,
                      support::UniqueLock& lock, std::shared_ptr<void>* result,
-                     SpillCodec* codec, PartitionFetcher* fetcher,
-                     std::vector<SpillJob>* jobs, bool* handled)
+                     PartitionFetcher* fetcher, bool* handled)
       SS_REQUIRES(mutex_);
-  /// The claimed reload: frame read + decode with the lock RELEASED, then
-  /// re-lock to publish (or to degrade: corrupt frame, superseding insert,
-  /// concurrent drop). Always un-claims and wakes waiters.
-  std::shared_ptr<void> FinishReload(const CacheKey& key, bool prefetch,
-                                     const SpillCodec& codec);
   /// The claimed backing-store fetch: run `fetcher` with the lock
-  /// RELEASED, then re-lock to admit (unless a concurrent insert/reload
+  /// RELEASED, then re-lock to admit (unless a concurrent insert
   /// superseded it, or the fetch failed). Always un-claims and wakes
   /// waiters, including an UnregisterFetcher blocked on this key.
   std::shared_ptr<void> FinishFetch(const CacheKey& key,
                                     const PartitionFetcher& fetcher);
+  /// True when admitting `bytes_hint` more bytes would force an eviction
+  /// (the prefetch lane declines in that case; see Prefetch).
+  bool PrefetchWouldEvictLocked(std::uint64_t bytes_hint) const
+      SS_REQUIRES(mutex_);
+  void EvictIfNeededLocked() SS_REQUIRES(mutex_);
+  void EvictOneLocked() SS_REQUIRES(mutex_);
+  void EraseLocked(const CacheKey& key) SS_REQUIRES(mutex_);
   bool InflightLocked(const CacheKey& key) const SS_REQUIRES(mutex_);
-  /// Hands collected write jobs to `io` (inline fallback on shutdown).
-  void FlushSpillJobs(std::vector<SpillJob> jobs, AsyncExecutor* io);
-  void BackgroundSpillWrite(const SpillJob& job);
 
-  const CacheOptions options_;
-  SpillTier spill_;
   mutable support::RankedMutex mutex_{support::lock_rank::kCache};
-  std::uint64_t capacity_bytes_ SS_GUARDED_BY(mutex_) =
-      options_.capacity_bytes;
-  /// Mean observed reload cost per byte, EWMA over completed reloads;
-  /// prices the restore cost of spillable entries before any reload has
-  /// been measured (seeded at ~1 GB/s).
-  double reload_seconds_per_byte_ SS_GUARDED_BY(mutex_) = 1e-9;
+  std::uint64_t capacity_bytes_ SS_GUARDED_BY(mutex_);
   std::unordered_map<CacheKey, Entry, CacheKeyHash> entries_
-      SS_GUARDED_BY(mutex_);
-  std::unordered_map<CacheKey, SpilledEntry, CacheKeyHash> spilled_
       SS_GUARDED_BY(mutex_);
   std::list<CacheKey> lru_ SS_GUARDED_BY(mutex_);  ///< Front = MRU.
   CacheStats stats_ SS_GUARDED_BY(mutex_);
-  /// Keys whose reload (frame read + decode) or backing-store fetch is
-  /// running outside the lock.
+  /// Keys whose backing-store fetch is running outside the lock.
   std::vector<CacheKey> inflight_ SS_GUARDED_BY(mutex_);
   /// Backing-store fetchers by dataset id (RegisterFetcher).
   std::unordered_map<std::uint64_t, PartitionFetcher> fetchers_
       SS_GUARDED_BY(mutex_);
   std::condition_variable_any inflight_cv_;
-  /// The I/O lane; null = no lane (prefetch ablated), background spill off.
-  AsyncExecutor* io_ SS_GUARDED_BY(mutex_) = nullptr;
-  bool spill_async_ SS_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace ss::engine

@@ -25,21 +25,18 @@ struct InsideTaskScope {
   ~InsideTaskScope() { t_inside_task = false; }
 };
 
-/// SS_PREFETCH / SS_SPILL_ASYNC environment overrides (the CI ablation
-/// matrix runs tier-1 under prefetch 0 and 2 without touching callers).
+/// SS_PREFETCH environment override (the CI ablation matrix runs tier-1
+/// under prefetch 0 and 2 without touching callers).
 ExecConfig WithEnvOverrides(ExecConfig exec) {
   if (const char* env = std::getenv("SS_PREFETCH")) {
     exec.prefetch_depth = std::max(0, std::atoi(env));
-  }
-  if (const char* env = std::getenv("SS_SPILL_ASYNC")) {
-    exec.spill_async = std::atoi(env) != 0;
   }
   return exec;
 }
 
 bool SameExecConfig(const ExecConfig& a, const ExecConfig& b) {
   return a.prefetch_depth == b.prefetch_depth && a.io_threads == b.io_threads &&
-         a.spill_async == b.spill_async && a.queue_bound == b.queue_bound;
+         a.queue_bound == b.queue_bound;
 }
 
 }  // namespace
@@ -49,8 +46,7 @@ EngineContext::EngineContext(Options options, dfs::MiniDfs* dfs,
     : options_(std::move(options)),
       dfs_(dfs),
       faults_(faults),
-      cache_(CacheOptions{options_.cache_capacity_bytes,
-                          options_.cache_spill, options_.spill_dir}) {
+      cache_(options_.cache_capacity_bytes) {
   std::size_t threads = options_.physical_threads;
   if (threads == 0) {
     threads = std::max(2u, std::thread::hardware_concurrency());
@@ -60,17 +56,13 @@ EngineContext::EngineContext(Options options, dfs::MiniDfs* dfs,
   RebuildIoLane();
   if (faults_ != nullptr) {
     faults_->SetOnNodeFailure([this](int node) { FailNode(node); });
-    faults_->SetOnSpillFault([this](bool drop) { cache_.InjureSpill(drop); });
   }
   SS_LOG(kInfo, "engine") << "context up: " << options_.topology.ToString()
                           << ", " << threads << " physical threads";
 }
 
 EngineContext::~EngineContext() {
-  if (faults_ != nullptr) {
-    faults_->SetOnNodeFailure(nullptr);
-    faults_->SetOnSpillFault(nullptr);
-  }
+  if (faults_ != nullptr) faults_->SetOnNodeFailure(nullptr);
 }
 
 std::uint64_t EngineContext::RunTasks(
@@ -139,7 +131,7 @@ void EngineContext::RunTasksChannel(
 
   // The prefetch window: the first `runners` partitions are claimed
   // immediately, so seed the lane with the `depth` partitions after them,
-  // then keep the window one reload ahead per retiring task.
+  // then keep the window one fetch ahead per retiring task.
   std::atomic<std::uint32_t> next_prefetch{static_cast<std::uint32_t>(
       std::min<std::uint64_t>(num_tasks, runners + static_cast<std::uint64_t>(depth)))};
   if (prefetching) {
@@ -200,9 +192,8 @@ void EngineContext::IssuePrefetch(const std::vector<std::uint64_t>& chain,
   // start before its consumer would only add lock traffic. The job is
   // self-contained (keys + cache only), so it may harmlessly outlive the
   // stage that issued it. The chain walk stops at the first dataset the
-  // cache can serve: a warm or spilled derived partition short-circuits,
-  // and only never-computed data falls through to a store-backed
-  // ancestor's fetcher.
+  // cache can serve: a warm derived partition short-circuits, and only
+  // non-resident data falls through to a store-backed ancestor's fetcher.
   const bool queued = io_->TryEnqueue([this, chain, partition]() {
     TraceSpan span(Tracer::Global(), "prefetch",
                    "prefetch p" + std::to_string(partition),
@@ -219,7 +210,6 @@ void EngineContext::RebuildIoLane() {
   if (options_.exec.enabled()) {
     io_ = std::make_unique<AsyncExecutor>(options_.exec);
   }
-  cache_.SetIoExecutor(io_.get(), options_.exec.spill_async);
 }
 
 void EngineContext::ApplyExecConfig(const ExecConfig& exec) {
@@ -234,8 +224,7 @@ void EngineContext::ApplyExecConfig(const ExecConfig& exec) {
   RebuildIoLane();
   SS_LOG(kDebug, "engine") << "exec config applied: prefetch "
                            << effective.prefetch_depth << ", io threads "
-                           << effective.io_threads << ", spill_async "
-                           << (effective.spill_async ? "on" : "off");
+                           << effective.io_threads;
 }
 
 void EngineContext::RunOneTask(

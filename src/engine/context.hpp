@@ -46,12 +46,7 @@ class EngineContext {
     /// Cache budget in bytes; 0 = unlimited.
     std::uint64_t cache_capacity_bytes = 0;
 
-    /// Spill tier switch: when true (default), evicted spillable
-    /// partitions move to the spill store instead of being discarded.
-    bool cache_spill = true;
-
-    /// Spill frame location: empty = in-memory block store, else a
-    /// directory real spill files are written under.
+    /// Unused (the cache has no spill tier); kept only so perfbench/ compiles.
     std::string spill_dir;
 
     /// Attempts per task before the job fails (Spark's spark.task.maxFailures
@@ -65,10 +60,10 @@ class EngineContext {
     /// Overhead model used when replaying metrics onto the topology.
     cluster::CostModel cost_model;
 
-    /// Async-executor knobs (I/O lane, prefetch depth, background spill).
-    /// `prefetch_depth == 0` disables the lane entirely — stages run the
-    /// legacy synchronous loop. Overridable via the SS_PREFETCH /
-    /// SS_SPILL_ASYNC environment variables (the CI ablation matrix).
+    /// Async-executor knobs (I/O lane, prefetch depth). `prefetch_depth
+    /// == 0` disables the lane entirely — stages run the legacy
+    /// synchronous loop. Overridable via the SS_PREFETCH environment
+    /// variable (the CI ablation matrix).
     ExecConfig exec;
   };
 
@@ -90,8 +85,8 @@ class EngineContext {
   /// dispatched through a per-stage channel, and a non-empty
   /// `prefetch_chain` names the cached datasets (nearest first — RunStage
   /// derives the chain from the lineage) whose partitions the lane
-  /// reloads/decodes/fetches ahead of the compute frontier; per partition
-  /// the lane stops at the first chain level the cache can serve.
+  /// fetches ahead of the compute frontier; per partition the lane stops
+  /// at the first chain level the cache can serve.
   /// Scheduling changes; per-partition results and all driver-side fold
   /// orders do not.
   std::uint64_t RunTasks(const std::string& label, std::uint32_t num_tasks,
@@ -110,8 +105,8 @@ class EngineContext {
   /// an armed FaultInjector fires.
   void FailNode(int node);
 
-  /// Reconfigures the I/O lane (prefetch depth, I/O threads, background
-  /// spill); bitwise-irrelevant to results.
+  /// Reconfigures the I/O lane (prefetch depth, I/O threads);
+  /// bitwise-irrelevant to results.
   /// Sticky: the new config applies to every subsequent stage. Drains the
   /// current lane first, so it must be called between stages, never from
   /// inside a task.
@@ -135,7 +130,7 @@ class EngineContext {
   /// Machine-readable summary of everything this context has recorded so
   /// far: stage stats, cache hit/miss, broadcast and shuffle volumes, the
   /// task-timeline profile, and the global counter registry (schema
-  /// "sparkscore-run-metrics-v2").
+  /// "sparkscore-run-metrics-v3").
   std::string RunMetricsJson() const;
 
  private:
@@ -157,7 +152,7 @@ class EngineContext {
 
   /// Queues an advisory warm-up of `partition` on the I/O lane: the job
   /// walks `chain` and stops at the first dataset the cache can serve
-  /// (hit / spill reload / backing-store fetch).
+  /// (hit or backing-store fetch).
   void IssuePrefetch(const std::vector<std::uint64_t>& chain,
                      std::uint32_t partition);
 

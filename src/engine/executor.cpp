@@ -13,11 +13,7 @@ std::atomic<std::uint64_t>& ExecCounter(const char* name) {
   return CounterRegistry::Global().Get(name);
 }
 
-thread_local bool t_on_io_lane = false;
-
 }  // namespace
-
-bool AsyncExecutor::OnLaneThread() { return t_on_io_lane; }
 
 AsyncExecutor::AsyncExecutor(ExecConfig config)
     : config_(config),
@@ -36,7 +32,7 @@ AsyncExecutor::AsyncExecutor(ExecConfig config)
 AsyncExecutor::~AsyncExecutor() {
   queue_.Close();
   // Workers drain the residue (Pop returns queued jobs after Close) before
-  // exiting, so accepted spill writes always reach the spill tier.
+  // exiting, so every accepted job runs.
   for (std::thread& worker : io_workers_) worker.join();
 }
 
@@ -85,7 +81,6 @@ std::uint64_t AsyncExecutor::pending() const {
 void AsyncExecutor::IoLoop(int worker_index) {
   static std::atomic<std::uint64_t>& io_jobs = ExecCounter("exec.io_jobs");
   (void)worker_index;
-  t_on_io_lane = true;
   while (std::optional<std::function<void()>> job = queue_.Pop()) {
     (*job)();
     io_jobs.fetch_add(1, std::memory_order_relaxed);

@@ -1,26 +1,26 @@
 // The engine's I/O lane: a small dedicated thread group that overlaps
-// spill/prefetch I/O with kernel execution.
+// I/O with kernel execution.
 //
 // Stage workers (the ThreadPool) own compute; the AsyncExecutor owns the
-// work that used to serialize against it — reloading + decoding spilled
-// partitions ahead of the task that will need them (prefetch), writing
-// evicted frames in the background (async spill), and generating the next
-// batch's Monte Carlo Z-block while the current one scores. Jobs flow
-// through a bounded support::Channel, so a producer that outruns the lane
-// blocks (backpressure) instead of queueing unbounded memory.
+// work that used to serialize against it — fetching store-backed
+// partitions ahead of the task that will need them (prefetch), and
+// generating the next batch's Monte Carlo Z-block while the current one
+// scores. Jobs flow through a bounded support::Channel, so a producer that
+// outruns the lane blocks (backpressure) instead of queueing unbounded
+// memory.
 //
 // Two enqueue disciplines, matching the two kinds of work:
-//   * Enqueue  — must-run jobs (spill writes): blocks when the queue is
-//     full; false only if the executor is shut down, in which case the
+//   * Enqueue  — must-run jobs (Submit's Z-blocks): blocks when the queue
+//     is full; false only if the executor is shut down, in which case the
 //     caller owns running the job inline.
 //   * TryEnqueue — advisory jobs (prefetch): dropped when the queue is
 //     full, because a prefetch that cannot start before its consumer is
 //     pure overhead. Results never depend on a prefetch happening.
 //
 // Determinism: the lane only *moves* work off the critical path — every
-// job either duplicates a pure computation (Z-block), performs a reload
-// the consumer would otherwise do itself, or persists bytes whose content
-// is already fixed. Scheduling changes, fold order never does.
+// job either duplicates a pure computation (Z-block) or performs a read
+// the consumer would otherwise do itself. Scheduling changes, fold order
+// never does.
 #pragma once
 
 #include <cstddef>
@@ -40,20 +40,15 @@ namespace ss::engine {
 
 /// Executor knobs; set on EngineContext::Options::exec (or applied
 /// between stages with EngineContext::ApplyExecConfig) and surfaced as
-/// the `prefetch=`/`io_threads=`/`spill_async=` CLI/bench keys.
+/// the `prefetch=`/`io_threads=` CLI/bench keys.
 struct ExecConfig {
-  /// Partitions reloaded/decoded ahead of the stage's compute frontier.
+  /// Partitions fetched ahead of the stage's compute frontier.
   /// 0 ablates the whole async path: stages run the legacy synchronous
   /// ParallelFor loop and nothing is enqueued on the I/O lane.
   int prefetch_depth = 1;
 
   /// Threads servicing the I/O lane (min 1 when the lane is active).
   int io_threads = 1;
-
-  /// Move spill-frame encode+write off the evicting task onto the lane.
-  /// Off by default: fault-injection tests that corrupt frames right
-  /// after an eviction assume the write already happened.
-  bool spill_async = false;
 
   /// Bound of the job queue; producers block (Enqueue) or drop
   /// (TryEnqueue) beyond it.
@@ -66,8 +61,8 @@ class AsyncExecutor {
  public:
   explicit AsyncExecutor(ExecConfig config);
 
-  /// Closes the queue, runs every already-accepted job to completion
-  /// (spill writes are never lost), then joins. Must not race Enqueue.
+  /// Closes the queue, runs every already-accepted job to completion,
+  /// then joins. Must not race Enqueue.
   ~AsyncExecutor();
 
   AsyncExecutor(const AsyncExecutor&) = delete;
@@ -96,20 +91,13 @@ class AsyncExecutor {
     return future;
   }
 
-  /// Blocks until every accepted job has finished. Used at fault-injection
-  /// boundaries (InjureSpill must not race in-flight frame writes) and by
-  /// tests; NOT needed at stage boundaries — jobs are self-contained.
+  /// Blocks until every accepted job has finished. Used before writing
+  /// run artifacts (no prefetch span left open) and by tests; NOT needed
+  /// at stage boundaries — jobs are self-contained.
   void Drain();
 
   /// Jobs accepted but not yet finished.
   std::uint64_t pending() const;
-
-  /// True on an I/O-lane worker thread (any executor's). Producers that
-  /// can run on the lane itself (a prefetch whose eviction schedules a
-  /// spill write) must not block on Enqueue there: with every worker busy
-  /// producing, nobody drains the queue and Push deadlocks against its
-  /// own backpressure. Such callers run the job inline instead.
-  static bool OnLaneThread();
 
  private:
   void IoLoop(int worker_index);

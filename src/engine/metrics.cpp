@@ -170,15 +170,6 @@ std::string FormatRunReport(const std::vector<StageMetrics>& stages,
                 static_cast<unsigned long long>(cache.bytes_cached));
   out += line;
   std::snprintf(line, sizeof(line),
-                "spill: %llu spills (%llu bytes written), %llu reloads, "
-                "%llu corrupt frames, %llu bytes spilled\n",
-                static_cast<unsigned long long>(cache.spills),
-                static_cast<unsigned long long>(cache.spill_bytes),
-                static_cast<unsigned long long>(cache.reloads),
-                static_cast<unsigned long long>(cache.spill_corrupt),
-                static_cast<unsigned long long>(cache.bytes_spilled));
-  out += line;
-  std::snprintf(line, sizeof(line),
                 "traffic: %llu broadcast bytes, %llu/%llu shuffle R/W bytes\n",
                 static_cast<unsigned long long>(broadcast_bytes),
                 static_cast<unsigned long long>(shuffle_read),
@@ -278,7 +269,7 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
     for (double seconds : stage.task_seconds) total_task_seconds += seconds;
   }
 
-  std::string out = "{\"schema\":\"sparkscore-run-metrics-v2\"";
+  std::string out = "{\"schema\":\"sparkscore-run-metrics-v3\"";
   out += ",\"tasks_completed\":" + std::to_string(tasks_completed);
   out += ",\"totals\":{\"stages\":" + std::to_string(stages.size());
   out += ",\"tasks\":" + std::to_string(total_tasks);
@@ -299,13 +290,7 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
   out += ",\"insertions\":" + std::to_string(cache.insertions);
   out += ",\"evictions\":" + std::to_string(cache.evictions);
   out += ",\"dropped_by_failure\":" + std::to_string(cache.dropped_by_failure);
-  out += ",\"bytes_cached\":" + std::to_string(cache.bytes_cached);
-  out += ",\"spills\":" + std::to_string(cache.spills);
-  out += ",\"spill_bytes\":" + std::to_string(cache.spill_bytes);
-  out += ",\"reloads\":" + std::to_string(cache.reloads);
-  out += ",\"reload_nanos\":" + std::to_string(cache.reload_nanos);
-  out += ",\"spill_corrupt\":" + std::to_string(cache.spill_corrupt);
-  out += ",\"bytes_spilled\":" + std::to_string(cache.bytes_spilled) + "}";
+  out += ",\"bytes_cached\":" + std::to_string(cache.bytes_cached) + "}";
   out += ",\"broadcast_bytes\":" + std::to_string(broadcast_bytes);
   // Kernel gauge section, read from the process-global registry. The
   // numeric level is stamped by the stats kernel layer; the name map is

@@ -16,7 +16,6 @@
 
 #include "engine/approx_bytes.hpp"
 #include "engine/cache_manager.hpp"
-#include "engine/codec.hpp"
 #include "engine/context.hpp"
 #include "engine/profile.hpp"
 #include "engine/task.hpp"
@@ -26,24 +25,6 @@
 #include "support/stopwatch.hpp"
 
 namespace ss::engine {
-
-/// Cross-tier serializer for a `vector<T>` partition, built on Codec<T>.
-/// Empty (entry not spillable) when T has no codec.
-template <typename T>
-SpillCodec MakeSpillCodec() {
-  if constexpr (kSpillable<T>) {
-    return SpillCodec{
-        [](const std::shared_ptr<void>& value) {
-          return EncodePartition<T>(
-              *std::static_pointer_cast<const std::vector<T>>(value));
-        },
-        [](const std::vector<std::uint8_t>& bytes) -> std::shared_ptr<void> {
-          return std::make_shared<std::vector<T>>(DecodePartition<T>(bytes));
-        }};
-  } else {
-    return {};
-  }
-}
 
 /// Untyped base: identity, arity, lineage edges, persistence flag.
 class NodeBase {
@@ -72,13 +53,6 @@ class NodeBase {
   /// Marks the node persistent: computed partitions go to the cache.
   void EnableCache() { cache_enabled_ = true; }
   bool cache_enabled() const { return cache_enabled_; }
-
-  /// Cached partitions of this node are admitted WITHOUT a spill codec:
-  /// eviction discards instead of writing a spill frame. For store-backed
-  /// datasets the on-disk store already is the durable copy — recompute
-  /// (= a store read) is cheaper than a redundant second spill copy.
-  void DisableCacheSpill() { cache_spill_disabled_ = true; }
-  bool cache_spill_disabled() const { return cache_spill_disabled_; }
 
   /// Drops this node's partitions from the cache.
   void Unpersist() { ctx_->cache().DropDataset(id_); }
@@ -126,7 +100,6 @@ class NodeBase {
   const std::uint32_t num_partitions_;
   std::vector<std::shared_ptr<NodeBase>> parents_;
   bool cache_enabled_ = false;
-  bool cache_spill_disabled_ = false;
   // One instance per node, all sharing kNodeReady: EnsureReady readies
   // every parent BEFORE locking its own mutex, so two ready locks are
   // never held together (EnsureReadySelf never re-enters EnsureReady).
@@ -171,9 +144,7 @@ class Node : public NodeBase {
           static_cast<std::uint64_t>(compute_seconds * 1e9),
           std::memory_order_relaxed);
       ctx_->cache().Insert(key, computed, ApproxBytesOfPartition(*computed),
-                           task.node(), compute_seconds,
-                           cache_spill_disabled() ? SpillCodec{}
-                                                  : MakeSpillCodec<T>());
+                           task.node(), compute_seconds);
       return computed;
     }
     return std::make_shared<const std::vector<T>>(
@@ -206,10 +177,10 @@ inline void AppendPrefetchTargets(const NodeBase& node,
 
 /// Every cache-enabled dataset along `node`'s same-partitioning lineage,
 /// nearest first. The I/O lane tries the chain in order and stops at the
-/// first level the cache can serve (CacheManager::Prefetch): a warm or
-/// spilled derived partition wins, and only when the derived data has
-/// never been computed does the lane fall through to a store-backed
-/// ancestor and stream its frame off the mmap ahead of the compute wave.
+/// first level the cache can serve (CacheManager::Prefetch): a warm
+/// derived partition wins, and only when the derived data is not resident
+/// does the lane fall through to a store-backed ancestor and stream its
+/// frame off the mmap ahead of the compute wave.
 inline std::vector<std::uint64_t> PrefetchTargetChain(const NodeBase& node) {
   std::vector<std::uint64_t> chain;
   AppendPrefetchTargets(node, &chain);

@@ -2,7 +2,7 @@
 //
 // Collection side: EngineContext binds the executing attempt's
 // TaskTimeline to a thread-local slot (TaskTimelineScope); instrumented
-// layers — the cache manager's spill reload/write, the DFS/shuffle input
+// layers — the cache manager's store fetch and wait, the DFS/shuffle input
 // readers, the packed-genotype decode in the pipeline — open a PhaseTimer
 // around the work. When profiling is off (SetProfilingEnabled(false)) or
 // no task is bound, a PhaseTimer is a single thread-local load; results
@@ -18,7 +18,7 @@
 // per-stage skew stats (p50/p95/max, records per partition, stragglers
 // at a configurable MAD threshold). FormatProfileReport renders it for
 // humans; AppendTimelineJson emits the `timeline` section of the
-// sparkscore-run-metrics-v2 document (validated by tools/check_trace.py
+// sparkscore-run-metrics-v3 document (validated by tools/check_trace.py
 // and reconciled offline by tools/ss_prof.py).
 #pragma once
 
@@ -165,8 +165,8 @@ RunProfile BuildRunProfile(const std::vector<StageMetrics>& stages,
 /// per-worker utilization and idle inventory.
 std::string FormatProfileReport(const RunProfile& profile);
 
-/// Appends `"timeline":{...}` (no surrounding comma) to `out` — the v2
-/// metrics-JSON section. Emitted even when profile.collected is false so
+/// Appends `"timeline":{...}` (no surrounding comma) to `out` — the
+/// metrics-JSON section added in v2. Emitted even when profile.collected is false so
 /// consumers can key on `collected`.
 void AppendTimelineJson(std::string* out, const RunProfile& profile);
 

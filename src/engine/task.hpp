@@ -23,12 +23,12 @@ namespace ss::engine {
 enum class TaskPhase : std::uint8_t {
   kQueueWait = 0,   ///< Stage submitted -> attempt starts on a worker.
   kFetch = 1,       ///< Input fetch: DFS block read, shuffle bucket read.
-  kDecode = 2,      ///< Spill-frame reload/decode, packed-genotype unpack.
+  kDecode = 2,      ///< Packed-genotype unpack.
   kCompute = 3,     ///< Kernel/closure execution (the unattributed rest).
-  kSpillWrite = 4,  ///< Spill-frame encode + write forced by this task.
+  kSpillWrite = 4,  ///< Unused (no spill tier); kept only so perfbench/ compiles.
   kHandoff = 5,     ///< Result copy-out to the driver's stage buffer.
   kPrefetch = 6,    ///< Issuing prefetch jobs to the I/O lane.
-  kIoWait = 7,      ///< Blocked on an in-flight I/O-lane reload.
+  kIoWait = 7,      ///< Blocked on an in-flight I/O-lane store fetch.
 };
 
 inline constexpr std::size_t kNumTaskPhases = 8;

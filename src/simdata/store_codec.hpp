@@ -7,9 +7,7 @@
 // what goes INSIDE those frames:
 //
 //   * genotype frames — a binary partition of 2-bit packed SNP records
-//     (count-prefixed, each record snp | packed flag | size | payload),
-//     byte-identical to the engine spill codec's layout for
-//     PackedSnpRecord so the formats stay mutually auditable;
+//     (count-prefixed, each record snp | packed flag | size | payload);
 //   * aux frames — the exact text-file lines of simdata/text_format.hpp
 //     joined with '\n' (phenotype / weights / SNP-sets), so a store
 //     round-trips through the same battle-tested parsers as the DFS

@@ -1,5 +1,5 @@
 // 2-bit packed genotype storage, PLINK-.bed style: four dosages per
-// byte, so a cached/spilled genotype partition costs ~4x fewer bytes
+// byte, so a cached genotype partition costs ~4x fewer bytes
 // under `cache_budget=`. Dosage codes 0..3 are stored directly in two
 // bits (our simulated dosages are 0/1/2); a block containing any dosage
 // above 3 falls back to raw byte storage so packing is always lossless.
@@ -19,8 +19,8 @@ class PackedGenotypeBlock {
   /// fit in two bits switch the whole block to raw byte storage.
   static PackedGenotypeBlock Pack(const std::vector<std::uint8_t>& dosages);
 
-  /// Reassembles a block from its codec fields (see
-  /// `core::Codec<PackedSnpRecord>`). `payload` must be the right size
+  /// Reassembles a block from its stored fields (see
+  /// simdata/store_codec.hpp). `payload` must be the right size
   /// for (`size`, `packed`); violations surface in the codec's checks.
   static PackedGenotypeBlock FromPayload(std::uint32_t size, bool packed,
                                          std::vector<std::uint8_t> payload);
@@ -65,7 +65,7 @@ std::size_t CompactNonZero(const std::vector<std::uint8_t>& dosages,
                            std::vector<std::uint8_t>* dosage);
 
 /// Packed counterpart of `simdata::SnpRecord`: the storage format for
-/// genotype partitions in the cache and spill tier.
+/// genotype partitions in the cache and the genotype store.
 struct PackedSnpRecord {
   std::uint32_t snp = 0;
   PackedGenotypeBlock genotypes;

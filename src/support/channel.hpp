@@ -112,8 +112,8 @@ class Channel {
     return queue_.size();
   }
 
-  /// Times a Push blocked on a full channel (the backpressure the spill
-  /// queue's bound exists to create; mirrored into exec.* counters by the
+  /// Times a Push blocked on a full channel (the backpressure the I/O
+  /// lane queue's bound exists to create; mirrored into exec.* counters by the
   /// executor).
   std::uint64_t backpressure_waits() const {
     MutexLock lock(mutex_);

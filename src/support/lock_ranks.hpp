@@ -57,19 +57,16 @@ inline constexpr LockRank kResourceManager{"cluster.resource_manager", 40};
 /// Holds its lock only over arming/polling; callbacks fire unlocked.
 inline constexpr LockRank kFaultInjector{"cluster.fault_injector", 42};
 
-// -- Storage: cache above spill above the block store ----------------------
-/// CacheManager — calls the spill tier, tracer, and log while locked.
+// -- Storage: cache above the block store ---------------------------------
+/// CacheManager — calls the tracer and log while locked; store fetches
+/// run with it released.
 inline constexpr LockRank kCache{"engine.cache", 50};
-/// SpillTier — calls its backing BlockStore and the log while locked.
-inline constexpr LockRank kSpill{"engine.spill", 52};
 /// The I/O lane's bounded job queue (engine/executor.hpp). Ranked above
-/// kCache/kSpill defensively: producers enqueue spill-write jobs only
-/// AFTER releasing the cache lock (blocking on the bound while holding
-/// kCache could deadlock against a completion that needs it), but a
-/// future push-under-cache-lock must still be rank-legal.
+/// kCache defensively: nothing pushes a job while holding the cache lock
+/// today, but a future push-under-cache-lock must still be rank-legal.
 inline constexpr LockRank kExecQueue{"engine.exec.queue", 54};
 inline constexpr LockRank kNameNode{"dfs.namenode", 60};
-/// One per simulated DataNode and one backing each SpillTier.
+/// One per simulated DataNode.
 inline constexpr LockRank kBlockStore{"dfs.block_store", 62};
 
 // -- Driver-side bookkeeping ----------------------------------------------

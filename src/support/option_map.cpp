@@ -59,12 +59,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"seed", OptionType::kU64, "2016", "master RNG seed", "workload", {}},
       {"ld_block", OptionType::kU64, "1", "LD block size for the generator",
        "workload", {}},
-      {"faithful", OptionType::kBool, "1",
-       "paper-faithful cost mode: per-patient Cox scores, a full "
-       "pipeline rebuild per permutation replicate and Monte Carlo over "
-       "the cached U (0 = O(n) risk-set path; both resampling methods "
-       "score genotype x coefficient blocks)",
-       "workload", {}},
       // -- engine: cluster topology + storage -------------------------------
       {"nodes", OptionType::kU64, "6", "simulated EMR cluster size", "engine",
        {}},
@@ -77,9 +71,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        {}},
       {"cache_budget", OptionType::kU64, "0",
        "partition-cache budget in bytes (0 = unlimited)", "engine", {}},
-      {"spill_dir", OptionType::kString, "",
-       "directory for spill frames (empty = in-memory block store)", "engine",
-       {}},
       {"kernel", OptionType::kChoice, "",
        "force SIMD dispatch level (also SS_KERNEL)", "engine",
        {"scalar", "avx2"}},
@@ -94,10 +85,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "exec", {}},
       {"io_threads", OptionType::kU64, "1", "threads on the I/O lane", "exec",
        {}},
-      {"spill_async", OptionType::kBool, "0",
-       "move spill writes off the critical path onto the I/O lane (also "
-       "SS_SPILL_ASYNC)",
-       "exec", {}},
       // -- analysis: what is computed and reported --------------------------
       {"reps", OptionType::kU64, "", "resampling replicates B", "analysis",
        {}},
@@ -181,6 +168,12 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "bench_scale: cache the observed U RDD and the decoded store "
        "partitions; U exists only with faithful=1 (paper-faithful Monte "
        "Carlo), so without it this affects only the genotype partitions",
+       "bench", {}},
+      {"faithful", OptionType::kBool, "1",
+       "paper-faithful cost mode: per-patient Cox scores, a full "
+       "pipeline rebuild per permutation replicate and Monte Carlo over "
+       "the cached U (0 = O(n) risk-set path; both resampling methods "
+       "score genotype x coefficient blocks)",
        "bench", {}},
   };
   return kRegistry;

@@ -1,5 +1,5 @@
 // Profiler invariants over the real pipeline, across a scheduling matrix
-// (threads {1,4} x resampling batch {1,64} x spill tier on/off):
+// (threads {1,4} x resampling batch {1,64} x cache budget tight/unlimited):
 //   * the analyzer's critical path never exceeds the measured wall-clock
 //     (stages are driver-sequential, so the stage-binding chain is a
 //     lower bound on the run span);
@@ -23,13 +23,13 @@ namespace {
 struct Cell {
   std::size_t threads = 4;
   std::uint64_t batch = 64;
-  bool spill = false;  ///< Tight cache budget + spill tier vs unlimited.
+  bool tight = false;  ///< Tight cache budget vs unlimited.
 };
 
 std::string CellName(const Cell& cell) {
   return "threads=" + std::to_string(cell.threads) +
          " batch=" + std::to_string(cell.batch) +
-         " spill=" + std::to_string(cell.spill);
+         " tight=" + std::to_string(cell.tight);
 }
 
 struct CellRun {
@@ -47,11 +47,10 @@ CellRun RunCell(const Cell& cell, bool profile) {
   options.topology = cluster::EmrCluster(3);
   options.physical_threads = cell.threads;
   options.seed = 99;
-  if (cell.spill) {
+  if (cell.tight) {
     // ~6 KB holds roughly one U partition of this study, forcing constant
-    // eviction through the spill tier (same sizing as the soak matrix).
+    // eviction and recompute (same sizing as the soak matrix).
     options.cache_capacity_bytes = 6000;
-    options.cache_spill = true;
   }
   engine::EngineContext ctx(options);
 
@@ -120,8 +119,8 @@ void CheckProfileInvariants(const Cell& cell, const CellRun& run) {
 TEST(ProfileInvariantTest, MatrixHoldsInvariantsAndBitwiseIdentity) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{64}}) {
-      for (bool spill : {false, true}) {
-        const Cell cell{threads, batch, spill};
+      for (bool tight : {false, true}) {
+        const Cell cell{threads, batch, tight};
         const CellRun with_profile = RunCell(cell, /*profile=*/true);
         CheckProfileInvariants(cell, with_profile);
 

@@ -1,8 +1,9 @@
 // Store-backed pipeline semantics: OpenFromStore must be a drop-in,
-// bitwise-equal replacement for the in-memory (and spill-backed) paths —
-// pinned via the order-independent `resampling.result_hash` across
-// threads {1,4} x prefetch {0,2} — and the store file must behave as the
-// genotype dataset's spill tier: reopened without re-staging, refused on
+// bitwise-equal replacement for the in-memory (unlimited and
+// budget-constrained) paths — pinned via the order-independent
+// `resampling.result_hash` across threads {1,4} x prefetch {0,2} — and the
+// store file must behave as the genotype dataset's durable tier:
+// reopened without re-staging, refused on
 // fingerprint mismatch, re-read (not recomputed from text) after an
 // eviction drop, and streamed ahead of the compute wave by the prefetch
 // lane's registered fetcher.
@@ -206,7 +207,7 @@ TEST(StorePipelineTest, OpenRejectsRepeatedSetId) {
 }
 
 TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
-  // The differential matrix: {in-memory, spill-backed, store-backed} x
+  // The differential matrix: {in-memory, tight-budget, store-backed} x
   // threads {1,4} x prefetch {0,2}, one hash per resampling method.
   // Both methods score the genotype partitions themselves (packed frames
   // off the mmap when store-backed) against coefficient blocks.
@@ -231,10 +232,9 @@ TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
               ctx, simdata::Generate(generator), StudyPipelineConfig());
           hashes.push_back(ResamplingHash(pipeline, prefetch, method));
         }
-        {  // Spill-backed: budget small enough to churn the spill tier.
+        {  // In-memory under a budget small enough to churn the cache.
           engine::EngineContext::Options options = LocalOptions(threads);
           options.cache_capacity_bytes = 6000;
-          options.cache_spill = true;
           engine::EngineContext ctx(options);
           SkatPipeline pipeline = SkatPipeline::FromMemory(
               ctx, simdata::Generate(generator), StudyPipelineConfig());
@@ -323,7 +323,7 @@ TEST(StorePipelineTest, FingerprintMismatchRefusedWithDiagnostic) {
 }
 
 TEST(StorePipelineTest, EvictionDropsToStoreAndRereadsFrames) {
-  // The store is the dataset's spill tier: under an unlimited budget a
+  // The store is the dataset's durable tier: under an unlimited budget a
   // second pass over the genotypes is pure cache hits (no new frame
   // reads); under a tight budget evicted partitions are DROPPED (no
   // second on-disk copy) and the next pass re-reads their frames.
@@ -354,7 +354,7 @@ TEST(StorePipelineTest, EvictionDropsToStoreAndRereadsFrames) {
     opened.value().ComputeObserved();
     const std::uint64_t after_observed = Counter("store.frame_reads");
     opened.value().ComputePermutationReplicate(identity);
-    // Dropped partitions came back from the mmap, not from a spill copy.
+    // Dropped partitions came back from the mmap.
     EXPECT_GT(Counter("store.frame_reads"), after_observed);
   }
 }

@@ -1,11 +1,10 @@
 // CacheManager unit tests plus Dataset::Cache() integration: hit counting,
-// cost-based eviction, the spill tier (evict -> reload, corruption
-// fallback), node-tagged drops, and the guarantee that eviction never
-// changes results (lineage recomputes).
+// cost-based eviction, prefetch admission of store-backed partitions,
+// node-tagged drops, and the guarantee that eviction never changes
+// results (lineage recomputes).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <numeric>
 
 #include "engine/cache_manager.hpp"
@@ -19,7 +18,7 @@ std::shared_ptr<void> Payload(int v) {
   return std::make_shared<int>(v);
 }
 
-/// A spillable payload: the vector<int> partitions Node<T> caches.
+/// A vector<int> partition, the shape Node<T> caches.
 std::shared_ptr<void> VecPayload(std::vector<int> v) {
   return std::make_shared<std::vector<int>>(std::move(v));
 }
@@ -109,67 +108,123 @@ TEST(CacheManagerTest, ClearResetsOccupancy) {
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
 }
 
-// -- Spill tier --------------------------------------------------------------
+// -- Budget: cost-based eviction, drop-on-evict, prefetch admission -------
 
-TEST(CacheSpillTest, EvictionSpillsAndMissReloads) {
+TEST(CacheBudgetTest, EvictsCheapestRecomputePerByte) {
   CacheManager cache(/*capacity=*/250);
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_NE(cache.Lookup({1, 0}), nullptr);  // make {1,1} the victim
-  cache.Insert({1, 2}, VecPayload({4, 5}), 100, 0, 0.0, MakeSpillCodec<int>());
+  // {1,0} is least recently used, but {1,1} is ten times cheaper to
+  // recompute, so it is the rational victim.
+  cache.Insert({1, 0}, Payload(0), 100, 0, /*compute_seconds=*/10.0);
+  cache.Insert({1, 1}, Payload(1), 100, 0, /*compute_seconds=*/1.0);
+  cache.Insert({1, 2}, Payload(2), 100, 0, /*compute_seconds=*/10.0);
+  EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 0}), nullptr);  // the LRU entry survived
+  EXPECT_EQ(cache.stats().evictions, 1u);
 
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(cache.spilled_count(), 1u);
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.spills, 1u);
-  EXPECT_GT(stats.spill_bytes, 0u);
-  EXPECT_GT(stats.bytes_spilled, 0u);
+  // The cost is per byte: the same recompute time over twice the bytes
+  // is the cheaper eviction. Equal costs fall to the LRU entry.
+  CacheManager per_byte(/*capacity=*/350);
+  per_byte.Insert({2, 0}, Payload(0), 100, 0, /*compute_seconds=*/1.0);
+  per_byte.Insert({2, 1}, Payload(1), 200, 0, /*compute_seconds=*/1.0);
+  per_byte.Insert({2, 2}, Payload(2), 100, 0, /*compute_seconds=*/1.0);
+  EXPECT_EQ(per_byte.Lookup({2, 1}), nullptr);
+  EXPECT_NE(per_byte.Lookup({2, 0}), nullptr);
 
-  auto reloaded = cache.Lookup({1, 1});
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(VecOf(reloaded), (std::vector<int>{2, 3}));
-  stats = cache.stats();
-  EXPECT_EQ(stats.reloads, 1u);
-  EXPECT_EQ(stats.spill_corrupt, 0u);
+  CacheManager tie(/*capacity=*/250);
+  tie.Insert({3, 0}, Payload(0), 100, 0, /*compute_seconds=*/1.0);
+  tie.Insert({3, 1}, Payload(1), 100, 0, /*compute_seconds=*/1.0);
+  tie.Insert({3, 2}, Payload(2), 100, 0, /*compute_seconds=*/1.0);
+  EXPECT_EQ(tie.Lookup({3, 0}), nullptr);
+  EXPECT_NE(tie.Lookup({3, 1}), nullptr);
 }
 
-TEST(CacheSpillTest, PrefetchFillsSpareCapacityOnly) {
-  CacheManager cache(/*capacity=*/150);
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_EQ(cache.entry_count(), 1u);  // {1,0} evicted to the spill tier
-  ASSERT_EQ(cache.spilled_count(), 1u);
+TEST(CacheBudgetTest, EvictionDropsAndMissRecomputes) {
+  EngineContext::Options options;
+  options.topology = cluster::EmrCluster(2);
+  options.physical_threads = 4;
+  options.cache_capacity_bytes = 64;  // holds about one partition
+  EngineContext ctx(options);
+  std::atomic<int> compute_calls{0};
+  std::vector<int> data(64);
+  std::iota(data.begin(), data.end(), 0);
+  auto ds = Parallelize(ctx, data, 8).Map([&compute_calls](const int& x) {
+    compute_calls.fetch_add(1);
+    return x * 3;
+  });
+  ds.Cache();
+  const auto first = ds.Collect();
+  ASSERT_EQ(compute_calls.load(), 64);
+  const auto second = ds.Collect();
+  // The evicted partitions are gone, not parked anywhere: the second pass
+  // recomputes them through lineage, with the same result.
+  EXPECT_GT(compute_calls.load(), 64);
+  EXPECT_EQ(first, second);
+  const CacheStats stats = ctx.cache().stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.misses, 8u);
+}
 
-  // Re-admitting {1,0} would evict the resident partition the compute
-  // path is about to use: the prefetch declines — still "handled", so a
-  // chained caller does not fall through — and both tiers stay put.
-  EXPECT_TRUE(cache.Prefetch({1, 0}));
+TEST(CacheBudgetTest, SetCapacityBytesEvictsDown) {
+  CacheManager cache;  // unlimited
+  cache.Insert({1, 0}, Payload(0), 100, 0);
+  cache.Insert({1, 1}, Payload(1), 100, 0);
+  cache.Insert({1, 2}, Payload(2), 100, 0);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.SetCapacityBytes(100);
   EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(cache.spilled_count(), 1u);
-  EXPECT_EQ(cache.stats().reloads, 0u);
-  EXPECT_NE(cache.Lookup({1, 1}), nullptr);  // resident partition intact
-
-  // With spare capacity the same prefetch moves the frame back in.
-  cache.SetCapacityBytes(300);
-  EXPECT_TRUE(cache.Prefetch({1, 0}));
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(cache.spilled_count(), 0u);
-  EXPECT_EQ(cache.stats().reloads, 1u);
-  EXPECT_EQ(VecOf(cache.Lookup({1, 0})), (std::vector<int>{0, 1}));
+  EXPECT_EQ(cache.stats().bytes_cached, 100u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_NE(cache.Lookup({1, 2}), nullptr);  // the MRU entry stays
+  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
 }
 
-TEST(CacheSpillTest, PrefetchFetchDeclinedWhenBudgetFull) {
-  CacheManager cache(/*capacity=*/150);
-  cache.RegisterFetcher(7, [](std::uint32_t) {
+/// A backing-store fetcher for dataset 7 that serves {9, 9, 9} at a
+/// 100-byte charge and counts its calls.
+PartitionFetcher CountingFetcher(std::atomic<int>* calls) {
+  return [calls](std::uint32_t) {
+    calls->fetch_add(1);
     return FetchedPartition{std::make_shared<std::vector<int>>(3, 9), 100,
                             0.0};
-  });
-  cache.Insert({7, 0}, VecPayload({1}), 140, 0, 0.0, MakeSpillCodec<int>());
-  // The tier is effectively full; the fetch admission (sized by the mean
-  // resident partition, 140 bytes) would force an eviction — declined.
+  };
+}
+
+TEST(CacheBudgetTest, PrefetchRefetchesEvictedPartitionIntoSpareCapacityOnly) {
+  std::atomic<int> fetches{0};
+  CacheManager cache(/*capacity=*/150);
+  cache.RegisterFetcher(7, CountingFetcher(&fetches));
+  cache.Insert({7, 0}, VecPayload({0, 1}), 100, 0);
+  cache.Insert({7, 1}, VecPayload({2, 3}), 100, 0);
+  ASSERT_EQ(cache.entry_count(), 1u);  // {7,0} evicted (dropped)
+
+  // Re-admitting {7,0} would evict the resident partition the compute
+  // path is about to use: the prefetch declines — still "handled", so a
+  // chained caller does not fall through — and reads nothing.
+  EXPECT_TRUE(cache.Prefetch({7, 0}));
+  EXPECT_EQ(fetches.load(), 0);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_NE(cache.Lookup({7, 1}), nullptr);  // resident partition intact
+
+  // With spare capacity the same prefetch re-reads it from the store.
+  cache.SetCapacityBytes(300);
+  EXPECT_TRUE(cache.Prefetch({7, 0}));
+  EXPECT_EQ(fetches.load(), 1);
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(VecOf(cache.Lookup({7, 0})), (std::vector<int>{9, 9, 9}));
+  cache.UnregisterFetcher(7);
+}
+
+TEST(CacheBudgetTest, PrefetchFetchDeclinedWhenBudgetFull) {
+  std::atomic<int> fetches{0};
+  CacheManager cache(/*capacity=*/150);
+  cache.RegisterFetcher(7, CountingFetcher(&fetches));
+  cache.Insert({7, 0}, VecPayload({1}), 140, 0);
+  // The cache is effectively full; the fetch admission (sized by the
+  // mean resident partition, 140 bytes) would force an eviction —
+  // declined.
   EXPECT_TRUE(cache.Prefetch({7, 1}));
   EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(fetches.load(), 0);
   // Raising the budget lets the same prefetch stream the frame in.
   cache.SetCapacityBytes(400);
   EXPECT_TRUE(cache.Prefetch({7, 1}));
@@ -177,126 +232,23 @@ TEST(CacheSpillTest, PrefetchFetchDeclinedWhenBudgetFull) {
   cache.UnregisterFetcher(7);
 }
 
-TEST(CacheSpillTest, CostBasedEvictionPrefersSpillableEntry) {
-  CacheManager cache(/*capacity=*/250);
-  // Both entries record an expensive lineage recompute, but only {1,1}
-  // carries a codec: its restore is a cheap reload, so it is the rational
-  // victim even though {1,0} is least recently used.
-  cache.Insert({1, 0}, Payload(0), 100, 0, /*compute_seconds=*/10.0);
-  cache.Insert({1, 1}, VecPayload({1, 2, 3}), 100, 0, /*compute_seconds=*/10.0,
-               MakeSpillCodec<int>());
-  cache.Insert({1, 2}, Payload(2), 100, 0, /*compute_seconds=*/10.0);
+TEST(CacheBudgetTest, NodeFailureLeavesStoreBackedPartitionsFetchable) {
+  std::atomic<int> fetches{0};
+  CacheManager cache;
+  cache.RegisterFetcher(7, CountingFetcher(&fetches));
+  cache.Insert({7, 0}, VecPayload({0, 1}), 100, /*node=*/0);
+  // Without a fetcher, a dataset has nothing to offer once its resident
+  // copy is gone.
+  cache.Insert({8, 0}, VecPayload({2, 3}), 100, /*node=*/0);
 
-  EXPECT_EQ(cache.spilled_count(), 1u);
-  EXPECT_EQ(cache.stats().spills, 1u);
-  EXPECT_NE(cache.Lookup({1, 0}), nullptr);  // the LRU entry survived
-  auto reloaded = cache.Lookup({1, 1});
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(VecOf(reloaded), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(cache.stats().reloads, 1u);
-}
-
-TEST(CacheSpillTest, CorruptFrameFallsBackToMiss) {
-  CacheManager cache(/*capacity=*/150);
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_EQ(cache.spilled_count(), 1u);
-
-  EXPECT_EQ(cache.InjureSpill(/*drop=*/false), 1);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);  // checksum trips -> miss
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.spill_corrupt, 1u);
-  EXPECT_EQ(stats.reloads, 0u);
-  EXPECT_EQ(cache.spilled_count(), 0u);  // loss is detected exactly once
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
-  EXPECT_EQ(cache.stats().spill_corrupt, 1u);
-}
-
-TEST(CacheSpillTest, DroppedFramesFallBackToMiss) {
-  CacheManager cache(/*capacity=*/150);
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_EQ(cache.spilled_count(), 1u);
-
-  EXPECT_EQ(cache.InjureSpill(/*drop=*/true), 1);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
-  EXPECT_EQ(cache.stats().spill_corrupt, 1u);
-}
-
-TEST(CacheSpillTest, SpillDisabledDiscardsOnEviction) {
-  CacheManager cache(CacheOptions{/*capacity_bytes=*/150,
-                                  /*spill_enabled=*/false, ""});
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0, 0.0, MakeSpillCodec<int>());
-  EXPECT_EQ(cache.spilled_count(), 0u);
-  EXPECT_EQ(cache.stats().spills, 0u);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);  // discarded, not spilled
-}
-
-TEST(CacheSpillTest, SpillDirWritesRealFiles) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "ss_spill_dir_test")
-          .string();
-  std::filesystem::remove_all(dir);
-  CacheManager cache(CacheOptions{/*capacity_bytes=*/150,
-                                  /*spill_enabled=*/true, dir});
-  cache.Insert({1, 0}, VecPayload({7, 8}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({9}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_EQ(cache.spilled_count(), 1u);
-  EXPECT_TRUE(
-      std::filesystem::exists(std::filesystem::path(dir) / "spill-1-0.bin"));
-
-  auto reloaded = cache.Lookup({1, 0});
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(VecOf(reloaded), (std::vector<int>{7, 8}));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CacheSpillTest, DropDatasetClearsBothTiers) {
-  CacheManager cache(/*capacity=*/150);
-  cache.Insert({1, 0}, VecPayload({0}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  ASSERT_EQ(cache.spilled_count(), 1u);
-  cache.DropDataset(1);
+  EXPECT_EQ(cache.DropNode(0), 2);
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.spilled_count(), 0u);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
-  EXPECT_EQ(cache.stats().spill_corrupt, 0u);  // a drop, not a loss
-}
-
-TEST(CacheSpillTest, SetCapacityBytesSpillsDown) {
-  CacheManager cache;  // unlimited
-  cache.Insert({1, 0}, VecPayload({0}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({1}), 100, 0, 0.0, MakeSpillCodec<int>());
-  cache.Insert({1, 2}, VecPayload({2}), 100, 0, 0.0, MakeSpillCodec<int>());
-  EXPECT_EQ(cache.spilled_count(), 0u);
-  cache.SetCapacityBytes(100);
-  EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(cache.spilled_count(), 2u);
-  EXPECT_EQ(cache.stats().bytes_cached, 100u);
-  // Everything is still reachable, just via the spill tier.
-  for (std::uint32_t p = 0; p < 3; ++p) {
-    ASSERT_NE(cache.Lookup({1, p}), nullptr) << "partition " << p;
-  }
-}
-
-TEST(CacheSpillTest, NodeFailureKeepsSpillFrames) {
-  CacheManager cache(/*capacity=*/150);
-  cache.Insert({1, 0}, VecPayload({0, 1}), 100, /*node=*/0, 0.0,
-               MakeSpillCodec<int>());
-  cache.Insert({1, 1}, VecPayload({2, 3}), 100, /*node=*/0, 0.0,
-               MakeSpillCodec<int>());
-  ASSERT_EQ(cache.spilled_count(), 1u);  // {1,0} spilled
-  // Reload {1,0}: it is memory-resident again with a still-valid frame.
-  ASSERT_NE(cache.Lookup({1, 0}), nullptr);
-
-  cache.DropNode(0);
-  EXPECT_EQ(cache.entry_count(), 0u);
-  // The reloaded entry's frame models reliable storage: it survives the
-  // node failure and serves the next miss without a recompute.
-  auto survivor = cache.Lookup({1, 0});
-  ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(VecOf(survivor), (std::vector<int>{0, 1}));
+  EXPECT_FALSE(cache.Prefetch({8, 0}));
+  // The store frame is the durable copy: the lane re-reads it.
+  EXPECT_TRUE(cache.Prefetch({7, 0}));
+  EXPECT_EQ(fetches.load(), 1);
+  EXPECT_EQ(VecOf(cache.Lookup({7, 0})), (std::vector<int>{9, 9, 9}));
+  cache.UnregisterFetcher(7);
 }
 
 // -- Dataset::Cache() integration -------------------------------------------

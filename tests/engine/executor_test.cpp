@@ -1,19 +1,16 @@
 // Async executor regression battery.
 //
-// The contract under test: the I/O lane (prefetch + async spill) changes
-// *scheduling only* — `resampling.result_hash` is bitwise invariant
-// across every prefetch depth, thread count, batch size, and spill
-// configuration; prefetch_depth=0 fully ablates the lane; a failed
-// background spill write degrades to lineage recompute without
-// corrupting results; and tearing an engine down while prefetches are in
-// flight is safe.
+// The contract under test: the I/O lane (prefetch + Z-block staging)
+// changes *scheduling only* — `resampling.result_hash` is bitwise
+// invariant across every prefetch depth, thread count, batch size, and
+// cache budget; prefetch_depth=0 fully ablates the lane; and tearing an
+// engine down while prefetches are in flight is safe.
 #include "engine/executor.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,14 +27,13 @@ namespace {
 constexpr std::uint64_t kSeed = 20160808;
 constexpr std::uint64_t kReplicates = 12;
 
-// The CI executor-matrix job forces SS_PREFETCH / SS_SPILL_ASYNC across
-// the whole tier-1 suite. This binary tests *explicit* exec configs — the
+// The CI executor-matrix job forces SS_PREFETCH across the whole tier-1
+// suite. This binary tests *explicit* exec configs — the
 // override would rewrite every ablation assertion — so drop it up front.
 class ExecEnvGuard : public ::testing::Environment {
  public:
   void SetUp() override {
     ::unsetenv("SS_PREFETCH");
-    ::unsetenv("SS_SPILL_ASYNC");
   }
 };
 const ::testing::Environment* const kExecEnvGuard =
@@ -60,8 +56,7 @@ struct RunConfig {
   engine::ExecConfig exec;
   std::size_t threads = 4;
   std::uint64_t batch = 1;
-  std::uint64_t cache_budget = 0;  ///< 0 = unlimited (no spill traffic).
-  std::string spill_dir;
+  std::uint64_t cache_budget = 0;  ///< 0 = unlimited (no evictions).
 };
 
 /// One full Monte Carlo run from zeroed counters; returns the
@@ -75,7 +70,6 @@ std::uint64_t RunAndHash(const RunConfig& run,
   options.physical_threads = run.threads;
   options.seed = kSeed;
   options.cache_capacity_bytes = run.cache_budget;
-  options.spill_dir = run.spill_dir;
   options.exec = run.exec;
   engine::EngineContext ctx(options);
   PipelineConfig config;
@@ -90,7 +84,7 @@ std::uint64_t RunAndHash(const RunConfig& run,
 }
 
 TEST(ExecutorDeterminismTest, ResultHashInvariantAcrossTheMatrix) {
-  // prefetch {0,1,2} x threads {1,4} x batch {1,64} x spill {off,on}:
+  // prefetch {0,1,2} x threads {1,4} x batch {1,64} x budget {off,on}:
   // every cell must reproduce the ablated single-thread hash bit for bit.
   const simdata::SyntheticDataset dataset = FixedDataset();
   RunConfig reference;
@@ -105,7 +99,6 @@ TEST(ExecutorDeterminismTest, ResultHashInvariantAcrossTheMatrix) {
           RunConfig run;
           run.exec.prefetch_depth = prefetch;
           run.exec.io_threads = 2;
-          run.exec.spill_async = budget != 0;  // exercised only with spill
           run.threads = threads;
           run.batch = batch;
           run.cache_budget = budget;
@@ -153,31 +146,6 @@ TEST(ExecutorDeterminismTest, ZBlockDoubleBufferRunsOnTheLane) {
   EXPECT_EQ(RunAndHash(ablated, dataset), overlapped);
 }
 
-TEST(ExecutorFaultTest, AsyncSpillWriteFailureDegradesToRecompute) {
-  // A spill directory that cannot be created makes every background
-  // frame write fail. The failure must be counted, the entry dropped,
-  // and the run must still produce the reference results (the next
-  // access recomputes from lineage instead of reloading).
-  const simdata::SyntheticDataset dataset = FixedDataset();
-  RunConfig clean;
-  clean.exec.prefetch_depth = 1;
-  const std::uint64_t expected = RunAndHash(clean, dataset);
-
-  // A regular file where the spill directory should go blocks
-  // create_directories (even for root) and every frame write below it.
-  const std::string blocker = ::testing::TempDir() + "ss_executor_notadir";
-  { std::ofstream out(blocker); out << "x"; }
-  RunConfig failing;
-  failing.exec.prefetch_depth = 1;
-  failing.exec.spill_async = true;
-  failing.cache_budget = 1024;  // force evictions -> spill attempts
-  failing.spill_dir = blocker + "/frames";
-  EXPECT_EQ(RunAndHash(failing, dataset), expected);
-  EXPECT_GE(Counter("exec.spill_async_failures"), 1u);
-  EXPECT_EQ(Counter("cache.spills"), 0u)
-      << "failed async writes must not be double-counted as spills";
-}
-
 TEST(ExecutorShutdownTest, DestructorRunsEveryAcceptedJob) {
   std::atomic<int> ran{0};
   {
@@ -204,7 +172,7 @@ TEST(ExecutorShutdownTest, TeardownWhilePrefetchingIsSafe) {
     RunConfig run;
     run.exec.prefetch_depth = 2;
     run.exec.io_threads = 2;
-    run.cache_budget = 4096;  // keep reload/prefetch traffic flowing
+    run.cache_budget = 4096;  // keep eviction/prefetch traffic flowing
     RunAndHash(run, dataset);
   }  // context destroyed with the lane potentially mid-prefetch
 }

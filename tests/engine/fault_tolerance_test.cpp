@@ -1,7 +1,5 @@
 // Failure-injection tests: task retry, retry exhaustion, cache loss on
-// node failure with lineage recomputation, spill-store sabotage (corrupt
-// and deleted frames must degrade to lineage recompute, bitwise equal to
-// the serial oracle), and DFS failover inside tasks.
+// node failure with lineage recomputation, and DFS failover inside tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,56 +92,6 @@ TEST(FaultToleranceTest, ExplicitFailNodeDropsOnlyThatNode) {
   EXPECT_LT(after, before);
   EXPECT_GT(after, 0u);  // other nodes' partitions survive
   EXPECT_EQ(ds.Collect(), ds.Collect());
-}
-
-/// Shared harness for the spill-sabotage tests: a cached dataset under a
-/// budget tight enough that most partitions live in the spill tier, a
-/// serial std:: oracle, and a mid-run injected spill fault. Single
-/// physical thread so the fault deterministically fires after the first
-/// task of the second pass — every later lookup sees the injured store.
-void RunSpillSabotage(bool drop) {
-  cluster::FaultInjector faults;
-  EngineContext::Options options = LocalOptions();
-  options.physical_threads = 1;
-  options.cache_capacity_bytes = 256;  // ~1 partition resident at a time
-  EngineContext ctx(options, nullptr, &faults);
-
-  std::vector<int> data(240);
-  std::iota(data.begin(), data.end(), 0);
-  auto ds = Parallelize(ctx, data, 8).Map([](const int& x) {
-    return x * 3 + 1;
-  });
-  ds.Cache();
-
-  std::vector<int> oracle;  // serial reference
-  oracle.reserve(data.size());
-  for (int x : data) oracle.push_back(x * 3 + 1);
-
-  EXPECT_EQ(ds.Collect(), oracle);
-  ASSERT_GT(ctx.cache().stats().spills, 0u)
-      << "budget did not force any spill; the test is vacuous";
-
-  if (drop) {
-    faults.DropSpillAfterTasks(1);
-  } else {
-    faults.CorruptSpillAfterTasks(1);
-  }
-  const std::uint64_t corrupt_before = ctx.cache().stats().spill_corrupt;
-  EXPECT_EQ(ds.Collect(), oracle);  // bitwise equal despite the sabotage
-  EXPECT_GT(ctx.cache().stats().spill_corrupt, corrupt_before);
-  EXPECT_GE(CounterRegistry::Global().Get("fault.spill_injuries").load(), 1u);
-
-  // The tier recovers: re-evictions rewrite fresh frames and a third pass
-  // still matches.
-  EXPECT_EQ(ds.Collect(), oracle);
-}
-
-TEST(FaultToleranceTest, CorruptedSpillFramesFallBackToLineage) {
-  RunSpillSabotage(/*drop=*/false);
-}
-
-TEST(FaultToleranceTest, DeletedSpillFramesFallBackToLineage) {
-  RunSpillSabotage(/*drop=*/true);
 }
 
 TEST(FaultToleranceTest, DfsNodeLossRecoveredByTaskRetry) {

@@ -1,11 +1,12 @@
 // Golden-file regression test for the run-metrics JSON (schema
-// "sparkscore-run-metrics-v2"): the key set, key order, and value shapes
+// "sparkscore-run-metrics-v3"): the key set, key order, and value shapes
 // below are a compatibility contract for external consumers
 // (tools/check_trace.py, tools/ss_prof.py, scripts parsing metrics=
 // artifacts). New telemetry must EXTEND the document — appending keys
 // updates this snapshot; renaming or removing keys breaks consumers and
-// this test. v2 added the `timeline` section (between `kernel` and
-// `counters`); every v1 key kept its name, shape, and relative order.
+// this test, and bumps the schema id. v2 added the `timeline` section
+// (between `kernel` and `counters`); v3 removed the spill keys from the
+// `cache` object along with the spill tier.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,13 +17,13 @@
 namespace ss::engine {
 namespace {
 
-/// A context with one completed stage, some cache traffic, and spill
-/// activity, so every section of the document is populated.
+/// A context with one completed stage, some cache traffic, and
+/// evictions, so every section of the document is populated.
 std::string SampleRunMetricsJson() {
   EngineContext::Options options;
   options.topology = cluster::EmrCluster(2);
   options.physical_threads = 2;
-  options.cache_capacity_bytes = 64;  // forces eviction -> spill
+  options.cache_capacity_bytes = 64;  // forces eviction
   EngineContext ctx(options);
   std::vector<int> data(100);
   auto ds = Parallelize(ctx, data, 4).Map([](const int& x) { return x + 1; });
@@ -49,7 +50,7 @@ void ExpectOrderedKeys(const std::string& json,
 
 TEST(RunMetricsSchemaTest, SchemaTagIsFirst) {
   const std::string json = SampleRunMetricsJson();
-  EXPECT_EQ(json.rfind("{\"schema\":\"sparkscore-run-metrics-v2\"", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema\":\"sparkscore-run-metrics-v3\"", 0), 0u)
       << json;
 }
 
@@ -158,16 +159,13 @@ TEST(RunMetricsSchemaTest, TotalsKeySetAndOrder) {
                     "totals");
 }
 
-TEST(RunMetricsSchemaTest, CacheKeySetAndOrderIncludingSpillTier) {
+TEST(RunMetricsSchemaTest, CacheKeySetAndOrder) {
   const std::string json = SampleRunMetricsJson();
-  // The golden cache snapshot: the memory-tier keys shipped in v1 plus the
-  // spill-tier extension. Order matters (the emitter concatenates by hand
-  // and consumers may rely on it).
+  // The golden cache snapshot: the keys shipped in v1. Order matters (the
+  // emitter concatenates by hand and consumers may rely on it).
   const std::string cache_golden =
       "\"cache\":{\"hits\":,\"misses\":,\"insertions\":,\"evictions\":,"
-      "\"dropped_by_failure\":,\"bytes_cached\":,\"spills\":,"
-      "\"spill_bytes\":,\"reloads\":,\"reload_nanos\":,\"spill_corrupt\":,"
-      "\"bytes_spilled\":}";
+      "\"dropped_by_failure\":,\"bytes_cached\":}";
   // Rebuild the same shape from the document: strip digits inside the
   // cache object, then compare against the golden skeleton.
   const std::size_t begin = json.find("\"cache\":{");
@@ -198,11 +196,11 @@ TEST(RunMetricsSchemaTest, CacheValuesAreUnsignedIntegers) {
   }
 }
 
-TEST(RunMetricsSchemaTest, SpillCountersAppearInCounterRegistry) {
+TEST(RunMetricsSchemaTest, EvictionCountersAppearInCounterRegistry) {
   const std::string json = SampleRunMetricsJson();
-  // Spill activity in the sample run must surface the new counters in the
-  // global registry section too (they are always-on counters).
-  for (const char* counter : {"cache.spills", "cache.reloads"}) {
+  // Evictions and the recomputes they cause in the sample run must surface
+  // in the global registry section too (they are always-on counters).
+  for (const char* counter : {"cache.evictions", "cache.computes"}) {
     EXPECT_NE(json.find(std::string("\"") + counter + "\":"),
               std::string::npos)
         << "counter " << counter << " missing in " << json;

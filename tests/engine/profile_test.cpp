@@ -36,7 +36,6 @@ TEST(PhaseSecondsTest, ExplicitSpansPlusDerivedQueueAndCompute) {
   EXPECT_DOUBLE_EQ(seconds[static_cast<int>(TaskPhase::kDecode)], 1000e-9);
   // Compute is derived: task total (10000ns) minus the explicit spans.
   EXPECT_NEAR(seconds[static_cast<int>(TaskPhase::kCompute)], 7000e-9, 1e-15);
-  EXPECT_DOUBLE_EQ(seconds[static_cast<int>(TaskPhase::kSpillWrite)], 0.0);
   EXPECT_DOUBLE_EQ(seconds[static_cast<int>(TaskPhase::kHandoff)], 0.0);
 
   // The accounting invariant: entries sum to queue-wait + task wall time.

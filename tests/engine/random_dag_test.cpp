@@ -1,10 +1,10 @@
 // Property test: randomly composed dataflow pipelines must agree with a
 // straightforward std:: reference computation, across seeds, partition
 // counts, caching decisions, and injected task failures. Also hosts the
-// spill-tier differential soak matrix (ctest label `soak`): Monte Carlo
-// resampling across (cache budget) x (threads) x (batch) cells must be
-// bitwise identical to the unlimited-memory reference, with and without
-// the spill tier and under injected spill corruption.
+// cache-budget differential soak matrix (ctest label `soak`): Monte Carlo
+// resampling across (cache budget) x (threads) x (batch) x (faithful)
+// cells, and under a mid-run node failure, must be bitwise identical to
+// the unlimited-memory reference.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -134,29 +134,40 @@ TEST(RandomDagFaultSweep, ResultsUnchangedByInjectedFailures) {
   }
 }
 
-// -- Spill-tier differential soak matrix -------------------------------------
+// -- Cache-budget differential soak matrix ----------------------------------
 
 /// One matrix cell: Monte Carlo resampling of a small synthetic study,
 /// fingerprinted via the `resampling.result_hash` counter delta (the
 /// order-independent fold RunResampling always records). `budget` 0 is
 /// unlimited; 1 byte approximates "zero" (capacity 0 means unlimited).
-/// `faithful` selects the paper-faithful path, which caches (and so spills)
-/// U; the default path caches only the genotype partitions it scores
-/// V(z) blocks against.
+/// `faithful` selects the paper-faithful path, which caches (and so
+/// evicts and recomputes) U; the default path caches only the genotype
+/// partitions it scores V(z) blocks against.
 struct SoakCell {
   std::uint64_t budget = 0;
-  bool spill = true;
   std::size_t threads = 4;
   std::uint64_t batch = 64;
-  bool corrupt_mid_run = false;
-  bool drop_mid_run = false;
+  bool fail_node_mid_run = false;
   bool faithful = false;
 };
 
-std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
-  auto& hash_counter =
-      CounterRegistry::Global().Get("resampling.result_hash");
-  const std::uint64_t before = hash_counter.load();
+/// What one cell did to the cache, as counter deltas.
+struct SoakTraffic {
+  std::uint64_t hash = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t computes = 0;
+  std::uint64_t dropped_by_failure = 0;
+};
+
+SoakTraffic RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
+  auto& registry = CounterRegistry::Global();
+  const auto snapshot = [&registry]() {
+    return SoakTraffic{registry.Get("resampling.result_hash").load(),
+                       registry.Get("cache.evictions").load(),
+                       registry.Get("cache.computes").load(),
+                       registry.Get("cache.dropped_by_failure").load()};
+  };
+  const SoakTraffic before = snapshot();
 
   cluster::FaultInjector faults;
   EngineContext::Options options;
@@ -164,12 +175,12 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   options.physical_threads = cell.threads;
   options.seed = seed;
   options.cache_capacity_bytes = cell.budget;
-  options.cache_spill = cell.spill;
   EngineContext ctx(options, nullptr, &faults);
-  // A run is ~13 tasks; after 6 the first frames are spilled but not yet
-  // reloaded, so the injury lands on frames the run still needs.
-  if (cell.corrupt_mid_run) faults.CorruptSpillAfterTasks(6);
-  if (cell.drop_mid_run) faults.DropSpillAfterTasks(6);
+  // With batch=1 a run is ~100 tasks, 4 per resampling pass. After 30
+  // every cached partition exists and later passes still read them, so
+  // losing node 0's copies forces recomputes the run actually reads,
+  // whatever the thread interleaving.
+  if (cell.fail_node_mid_run) faults.FailNodeAfterTasks(0, 30);
 
   simdata::GeneratorConfig generator;
   generator.num_patients = 40;
@@ -189,27 +200,29 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   request.method = core::ResamplingMethod::kMonteCarlo;
   request.replicates = 24;
   core::RunResampling(pipeline, request);
-  return hash_counter.load() - before;
+  const SoakTraffic after = snapshot();
+  return {after.hash - before.hash, after.evictions - before.evictions,
+          after.computes - before.computes,
+          after.dropped_by_failure - before.dropped_by_failure};
 }
 
 std::string SoakCellName(const SoakCell& cell) {
   std::string name = "budget=" + std::to_string(cell.budget) +
-                     " spill=" + std::to_string(cell.spill) +
                      " threads=" + std::to_string(cell.threads) +
                      " batch=" + std::to_string(cell.batch);
-  if (cell.corrupt_mid_run) name += " corrupt_mid_run";
-  if (cell.drop_mid_run) name += " drop_mid_run";
+  if (cell.fail_node_mid_run) name += " fail_node_mid_run";
   if (cell.faithful) name += " faithful";
   return name;
 }
 
-TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
-  // ~6 KB holds roughly one U partition of this study (40 patients x 15
-  // SNPs per partition), forcing constant eviction; 1 byte evicts all but
-  // the most recent entry ("zero" budget — capacity 0 means unlimited).
+// ~6 KB holds roughly one U partition of this study (40 patients x 15
+// SNPs per partition), forcing constant eviction; 1 byte evicts all but
+// the most recent entry ("zero" budget — capacity 0 means unlimited).
+constexpr std::uint64_t kTight = 6000;
+
+TEST(BudgetSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
   // Both resampling paths run the whole matrix against their own unlimited
   // reference (their hashes differ: G·V(z) and Σ z·U round differently).
-  constexpr std::uint64_t kTight = 6000;
   constexpr std::uint64_t kBudgets[] = {0, kTight, 1};
   std::vector<std::uint64_t> failing_seeds;
 
@@ -218,10 +231,10 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
     for (bool faithful : {false, true}) {
       SoakCell base;
       base.faithful = faithful;
-      const std::uint64_t reference = RunSoakCell(seed, base);
+      const std::uint64_t reference = RunSoakCell(seed, base).hash;
       const auto check = [&](SoakCell cell) {
         cell.faithful = faithful;
-        const std::uint64_t hash = RunSoakCell(seed, cell);
+        const std::uint64_t hash = RunSoakCell(seed, cell).hash;
         if (hash != reference) {
           seed_failed = true;
           ADD_FAILURE() << "seed " << seed << " diverged from the unlimited "
@@ -230,21 +243,14 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
       };
 
       for (std::uint64_t budget : kBudgets) {
-        for (bool spill : {true, false}) {
-          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            for (std::uint64_t batch :
-                 {std::uint64_t{1}, std::uint64_t{64}}) {
-              check(SoakCell{budget, spill, threads, batch, false, false});
-            }
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{64}}) {
+            check(SoakCell{budget, threads, batch, false});
           }
         }
-        if (budget != 0) {
-          // Sabotaged spill store mid-run: results must still match (the
-          // cache degrades corrupt frames to lineage recomputes).
-          check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true,
-                         false});
-          check(SoakCell{budget, true, 4, 64, false, /*drop_mid_run=*/true});
-        }
+        // A node failure mid-run drops node 0's cached partitions; the
+        // run recomputes them through lineage and must still match.
+        check(SoakCell{budget, 4, 1, /*fail_node_mid_run=*/true});
       }
     }
     if (seed_failed) failing_seeds.push_back(seed);
@@ -252,61 +258,51 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
 
   for (std::uint64_t seed : failing_seeds) {
     std::fprintf(stderr,
-                 "[spill-soak] replay failing seed with: "
-                 "--gtest_filter=SpillSoakMatrix.* (seed %llu)\n",
+                 "[budget-soak] replay failing seed with: "
+                 "--gtest_filter=BudgetSoakMatrix.* (seed %llu)\n",
                  static_cast<unsigned long long>(seed));
   }
   EXPECT_TRUE(failing_seeds.empty());
 }
 
-/// Spill-tier traffic of one cell: spills, reloads and frames found
-/// corrupt or missing on reload.
-struct SpillTraffic {
-  std::uint64_t spills = 0;
-  std::uint64_t reloads = 0;
-  std::uint64_t corrupt = 0;
-};
-
-SpillTraffic RunSoakCellTraffic(std::uint64_t seed, const SoakCell& cell) {
-  auto& spills = CounterRegistry::Global().Get("cache.spills");
-  auto& reloads = CounterRegistry::Global().Get("cache.reloads");
-  auto& corrupt = CounterRegistry::Global().Get("cache.spill_corrupt");
-  const SpillTraffic before{spills.load(), reloads.load(), corrupt.load()};
-  RunSoakCell(seed, cell);
-  return {spills.load() - before.spills, reloads.load() - before.reloads,
-          corrupt.load() - before.corrupt};
-}
-
 // The guards below keep the matrix from going vacuous: a miscalibrated
-// budget or a mistimed injury would leave its cells equal to the
-// reference without ever touching the spill tier.
+// budget or a mistimed node failure would leave its cells equal to the
+// reference without ever evicting or recomputing anything. The unlimited
+// run computes each cached partition once, so a cell that recomputes
+// evicted or dropped partitions computes more.
 
-TEST(SpillSoakMatrix, TightBudgetActuallyExercisesTheSpillTier) {
-  // The tight budget makes the paper-faithful path spill and reload U.
-  SoakCell cell{/*budget=*/6000, true, 4, 64, false, false};
-  cell.faithful = true;
-  const SpillTraffic traffic = RunSoakCellTraffic(7, cell);
-  EXPECT_GT(traffic.spills, 0u);
-  EXPECT_GT(traffic.reloads, 0u);
+TEST(BudgetSoakMatrix, TightBudgetEvictsAndRecomputesU) {
+  SoakCell unlimited;
+  unlimited.faithful = true;
+  SoakCell tight{kTight, 4, 64, false};
+  tight.faithful = true;
+  const SoakTraffic reference = RunSoakCell(7, unlimited);
+  const SoakTraffic traffic = RunSoakCell(7, tight);
+  EXPECT_EQ(reference.evictions, 0u);
+  EXPECT_GT(traffic.evictions, 0u);
+  EXPECT_GT(traffic.computes, reference.computes);
 }
 
-TEST(SpillSoakMatrix, ZeroBudgetSpillsPackedGenotypesOnTheDefaultPath) {
+TEST(BudgetSoakMatrix, ZeroBudgetRecomputesPackedGenotypesOnTheDefaultPath) {
   // Without U, the default path's cached data is the packed genotype
-  // partitions; a 1-byte budget must spill and reload them.
-  const SpillTraffic traffic =
-      RunSoakCellTraffic(7, SoakCell{/*budget=*/1, true, 4, 64, false, false});
-  EXPECT_GT(traffic.spills, 0u);
-  EXPECT_GT(traffic.reloads, 0u);
+  // partitions; a 1-byte budget must evict and recompute them.
+  const SoakTraffic reference = RunSoakCell(7, SoakCell{});
+  const SoakTraffic traffic =
+      RunSoakCell(7, SoakCell{/*budget=*/1, 4, 64, false});
+  EXPECT_GT(traffic.evictions, 0u);
+  EXPECT_GT(traffic.computes, reference.computes);
 }
 
-TEST(SpillSoakMatrix, MidRunInjuryHitsFramesTheRunReloads) {
+TEST(BudgetSoakMatrix, MidRunNodeFailureDropsPartitionsTheRunRecomputes) {
   for (bool faithful : {false, true}) {
-    for (bool drop : {false, true}) {
-      SoakCell cell{/*budget=*/1, true, 4, 64, !drop, drop};
-      cell.faithful = faithful;
-      EXPECT_GT(RunSoakCellTraffic(7, cell).corrupt, 0u)
-          << SoakCellName(cell);
-    }
+    SoakCell unlimited{/*budget=*/0, 4, 1, false};
+    unlimited.faithful = faithful;
+    SoakCell failing{/*budget=*/0, 4, 1, /*fail_node_mid_run=*/true};
+    failing.faithful = faithful;
+    const SoakTraffic reference = RunSoakCell(7, unlimited);
+    const SoakTraffic traffic = RunSoakCell(7, failing);
+    EXPECT_GT(traffic.dropped_by_failure, 0u) << SoakCellName(failing);
+    EXPECT_GT(traffic.computes, reference.computes) << SoakCellName(failing);
   }
 }
 

@@ -76,16 +76,10 @@ TEST(ReportGoldenTest, FormatRunReport) {
   cache.insertions = 4;
   cache.evictions = 2;
   cache.bytes_cached = 1024;
-  cache.spills = 2;
-  cache.spill_bytes = 512;
-  cache.reloads = 1;
-  cache.bytes_spilled = 256;
   const std::string expected =
       std::string(kStageReport) +
       "cache: 3 hits / 1 misses (75.0% hit rate), 4 insertions, "
       "2 evictions, 0 dropped by failure, 1024 bytes resident\n"
-      "spill: 2 spills (512 bytes written), 1 reloads, 0 corrupt frames, "
-      "256 bytes spilled\n"
       "traffic: 2048 broadcast bytes, 4096/4096 shuffle R/W bytes\n";
   EXPECT_EQ(FormatRunReport(Fixture(), cache, 2048), expected);
 }

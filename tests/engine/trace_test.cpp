@@ -193,7 +193,7 @@ TEST(MetricsReportTest, RunMetricsJsonIsWellFormed) {
   ds.Collect();
   const std::string json = ctx.RunMetricsJson();
   EXPECT_TRUE(LooksLikeJson(json)) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"sparkscore-run-metrics-v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"sparkscore-run-metrics-v3\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"task_seconds_hist\""), std::string::npos);
   EXPECT_NE(json.find("\"timeline\""), std::string::npos);

@@ -1,6 +1,6 @@
 // Unit tests for the 2-bit packed genotype block: lossless roundtrip,
 // raw-byte fallback for out-of-range dosages, popcount allele counts, and
-// the payload-size contract the cache/spill byte accounting relies on.
+// the payload-size contract the cache byte accounting relies on.
 #include "stats/kernels/packed_genotype.hpp"
 
 #include <cstdint>

@@ -67,7 +67,7 @@ TEST(OptionMapTest, ProblemsCheckDeclaredKeysBeforeAnyGetter) {
   // fit a registered key's type, and values outside its choices.
   const OptionMap args =
       Parse({"rep=5", "reps=abc", "snps=-1", "refine_threshold=x",
-             "stages=2", "method=exact", "seed=7", "spill_dir=/tmp/s"});
+             "stages=2", "method=exact", "seed=7", "store=/tmp/s"});
   args.DeclareKeys({"workload", "engine", "analysis"});
   const std::vector<std::string> problems = args.Problems();
   EXPECT_EQ(problems,

@@ -9,9 +9,9 @@ Checks, stdlib only:
     event family without registering it here and in docs/OBSERVABILITY.md;
   * B/E spans balance per thread and nest (LIFO) with matching names;
   * timestamps are non-decreasing (events are driver-sorted);
-  * the metrics JSON (if given) matches schema sparkscore-run-metrics-v2,
+  * the metrics JSON (if given) matches schema sparkscore-run-metrics-v3,
     its per-stage histogram counts sum to the stage's task count, its
-    cache object carries the full two-tier key set (memory + spill), its
+    cache object carries exactly the cache key set (no spill keys), its
     kernel object names a known SIMD dispatch level and carries the
     genotype packing byte counters, its store object carries the
     genotype-store counter set (opens/frame I/O/prefetch/corrupt), and
@@ -31,15 +31,13 @@ import sys
 
 KNOWN_PHASES = {"B", "E", "i"}
 
-# Every event family the engine emits; see docs/OBSERVABILITY.md. `spill`
-# covers the cache's second tier (spill/reload/corrupt instants); `phase`
+# Every event family the engine emits; see docs/OBSERVABILITY.md. `phase`
 # is the timeline profiler's nested per-task phase spans (fetch/decode/
-# spill_write/handoff); `prefetch` is the async executor's I/O-lane spans
-# (cache prefetches and Monte Carlo Z-block staging).
+# handoff); `prefetch` is the async executor's I/O-lane spans (cache
+# prefetches and Monte Carlo Z-block staging).
 KNOWN_CATEGORIES = {
     "stage", "task", "algo", "batch", "replicate",
-    "cache", "dfs", "broadcast", "fault", "spill", "phase", "prefetch",
-    "store",
+    "cache", "dfs", "broadcast", "fault", "phase", "prefetch", "store",
 }
 
 # The timeline profiler's phase vocabulary, in TaskPhase enum order.
@@ -48,12 +46,12 @@ TIMELINE_PHASES = (
     "prefetch", "io_wait",
 )
 
-# The cache section (unchanged since v1): memory-tier keys plus
-# the spill-tier extension. Consumers key on these names.
+# The cache section: the v1 keys. v3 removed the spill-tier keys (spills,
+# spill_bytes, reloads, reload_nanos, spill_corrupt, bytes_spilled).
+# Consumers key on these names.
 CACHE_KEYS = (
     "hits", "misses", "insertions", "evictions", "dropped_by_failure",
-    "bytes_cached", "spills", "spill_bytes", "reloads", "reload_nanos",
-    "spill_corrupt", "bytes_spilled",
+    "bytes_cached",
 )
 
 # The kernel section: the SIMD dispatch level in effect (numeric + name)
@@ -220,7 +218,7 @@ def check_timeline(path, doc):
 
 def check_metrics(path):
     doc = load_json(path)
-    if doc.get("schema") != "sparkscore-run-metrics-v2":
+    if doc.get("schema") != "sparkscore-run-metrics-v3":
         fail(f"{path} schema is {doc.get('schema')!r}")
     for key in ("totals", "stages", "cache", "broadcast_bytes", "kernel",
                 "pvalue", "store", "timeline", "counters"):
@@ -229,6 +227,9 @@ def check_metrics(path):
     for key in CACHE_KEYS:
         if key not in doc["cache"]:
             fail(f"{path} cache section is missing '{key}'")
+    for key in doc["cache"]:
+        if key not in CACHE_KEYS:
+            fail(f"{path} cache section has unknown key '{key}'")
     for key in KERNEL_KEYS:
         if key not in doc["kernel"]:
             fail(f"{path} kernel section is missing '{key}'")

@@ -21,7 +21,7 @@
 //                    https://ui.perfetto.dev); trace=- streams the
 //                    JSON to stderr for piping
 //   metrics=<file>   write the machine-readable run summary
-//                    (schema "sparkscore-run-metrics-v2"); metrics=-
+//                    (schema "sparkscore-run-metrics-v3"); metrics=-
 //                    streams it to stdout for piping into
 //                    tools/ss_prof.py or tools/check_trace.py
 //   profile=0|1      task-timeline collection (default 1; profile=0
@@ -114,17 +114,15 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   options.topology = ss::cluster::EmrCluster(nodes);
   options.seed = generator.seed;
   // Constrained-memory runs: cache_budget= caps the partition cache
-  // (bytes, 0 = unlimited; evicted partitions spill to the second tier)
-  // and spill_dir= redirects spill frames to real files.
+  // (bytes, 0 = unlimited); an evicted partition is dropped and its next
+  // use recomputes it, or re-reads its frame under store=.
   options.cache_capacity_bytes = args.GetU64("cache_budget", 0);
-  options.spill_dir = args.GetStr("spill_dir", "");
   options.straggler_mad_k = args.GetDouble("straggler_mad_k", 3.0);
   // Async executor (registry group "exec"): prefetch=0 ablates the I/O
-  // lane; all three knobs are bitwise-irrelevant to the results.
+  // lane; both knobs are bitwise-irrelevant to the results.
   options.exec.prefetch_depth = static_cast<int>(args.GetU64("prefetch", 1));
   options.exec.io_threads = static_cast<int>(
       std::max<std::uint64_t>(1, args.GetU64("io_threads", 1)));
-  options.exec.spill_async = args.GetBool("spill_async", false);
   study.ctx = std::make_unique<ss::engine::EngineContext>(options,
                                                           study.dfs.get());
 

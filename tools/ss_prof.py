@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Offline profile analysis for SparkScore run artifacts (stdlib only).
 
-Works from the `timeline` section of a sparkscore-run-metrics-v2 document
-(produced with `metrics=<file>`; `-` reads stdin, pairing with the
-producers' `metrics=-` streaming mode).
+Works from the `timeline` section of a sparkscore-run-metrics-v2 or -v3
+document (the section is the same in both; produced with
+`metrics=<file>`; `-` reads stdin, pairing with the producers'
+`metrics=-` streaming mode).
 
 Modes:
   ss_prof.py <metrics.json>
@@ -73,8 +74,8 @@ def load_json(path):
 def load_timeline(path):
     doc = load_json(path)
     schema = doc.get("schema")
-    if schema != "sparkscore-run-metrics-v2":
-        die(f"{path}: schema {schema!r} (need sparkscore-run-metrics-v2)")
+    if schema not in ("sparkscore-run-metrics-v2", "sparkscore-run-metrics-v3"):
+        die(f"{path}: schema {schema!r} (need sparkscore-run-metrics-v2 or -v3)")
     timeline = doc.get("timeline")
     if timeline is None:
         die(f"{path}: no timeline section")

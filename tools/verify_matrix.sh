@@ -6,10 +6,11 @@
 # With no arguments, runs the full matrix: plain RelWithDebInfo, then
 # address+undefined combined, then thread. Each configuration builds into
 # its own build-verify-<name> directory so the matrix is incremental across
-# invocations. The suite includes the spill-tier tests (CacheSpillTest,
-# SpillSoakMatrix, the spill-sabotage fault tests), so frame encode/decode,
-# concurrent evict/reload, and the corrupt-frame fallback path all run
-# under ASan/UBSan and TSan here. Any unsuppressed sanitizer report fails the corresponding
+# invocations. The suite includes the cache-budget tests (CacheBudgetTest,
+# BudgetSoakMatrix, the node-failure fault tests), so concurrent
+# evict/recompute, the prefetch lane's store fetches and node-failure drops
+# all run under ASan/UBSan and TSan here. Any unsuppressed sanitizer
+# report fails the corresponding
 # ctest run (UBSan is built with -fno-sanitize-recover=all; ASan and TSan
 # are fail-by-default). Suppressions live in tools/sanitizers/ — see
 # docs/STATIC_ANALYSIS.md before adding one.
