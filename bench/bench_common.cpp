@@ -46,13 +46,10 @@ void ConfigureObservability(const Args& args) {
   args.GetStr("metrics", "");
   // Seed the unknown-key suggestion vocabulary with every registry key a
   // bench can honor, whether or not this bench's code paths read them.
-  args.DeclareKeys({"workload", "engine", "exec", "observability", "bench"});
+  args.DeclareKeys({"workload", "engine", "observability", "bench"});
 }
 
 void WriteRunArtifacts(const Args& args, engine::EngineContext& ctx) {
-  // An advisory prefetch job may outlive the stage that issued it; let it
-  // finish so the trace holds no unclosed span.
-  if (ctx.io() != nullptr) ctx.io()->Drain();
   const std::string trace_path = args.GetStr("trace", "");
   if (trace_path == "-") {
     // Stream to stderr so the metrics stream (stdout) stays parseable.
@@ -193,12 +190,6 @@ Workload DefaultWorkload(const Args& args, std::uint64_t snps_default,
   // 0 = unlimited); evicted partitions are recomputed on their next use.
   workload.engine.cache_capacity_bytes = args.GetU64("cache_budget", 0);
   workload.pipeline.cache_budget_bytes = workload.engine.cache_capacity_bytes;
-  // Async executor (registry group "exec"): prefetch=0 ablates the whole
-  // I/O lane; results are bitwise invariant to both knobs.
-  workload.engine.exec.prefetch_depth =
-      static_cast<int>(args.GetU64("prefetch", 1));
-  workload.engine.exec.io_threads = static_cast<int>(
-      std::max<std::uint64_t>(1, args.GetU64("io_threads", 1)));
   return workload;
 }
 

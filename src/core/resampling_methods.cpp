@@ -4,13 +4,11 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_set>
 
-#include "engine/executor.hpp"
 #include "engine/trace.hpp"
 #include "stats/adaptive_pvalue.hpp"
 #include "stats/burden.hpp"
@@ -46,71 +44,12 @@ std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
   return std::max<std::uint64_t>(1, batch);
 }
 
-/// Double-buffers replicate-block generation on the I/O lane: while batch
-/// k's score block computes and folds, batch k+1's patient-major block (a
-/// coefficient block, or a Z block for cached-U Monte Carlo) is generated
-/// concurrently. `make_block` is a pure function of (begin, count) —
-/// per-replicate splittable RNG streams — so WHERE it runs cannot change
-/// a single bit of it; the lane only moves the generation off the
-/// critical path. With the lane ablated (prefetch=0 → context.io() ==
-/// nullptr) every block is generated inline, byte-for-byte the old
-/// schedule.
-class BlockPrefetcher {
- public:
-  using MakeBlock = std::function<std::vector<double>(std::uint64_t begin,
-                                                      std::size_t count)>;
-
-  BlockPrefetcher(engine::AsyncExecutor* io, std::uint64_t replicates,
-                  std::uint64_t batch_size, MakeBlock make_block)
-      : io_(io),
-        replicates_(replicates),
-        batch_size_(batch_size),
-        make_block_(std::move(make_block)) {}
-
-  /// The block for [begin, begin+count): the in-flight one when the lane
-  /// was generating exactly that range, else generated inline; then the
-  /// NEXT batch's generation is queued. The driver-side wait for an
-  /// in-flight block shows up as a `prefetch`-category trace span.
-  std::vector<double> Take(std::uint64_t begin, std::size_t count) {
-    static std::atomic<std::uint64_t>& zblock_prefetches =
-        engine::CounterRegistry::Global().Get("exec.zblock_prefetches");
-    std::vector<double> block;
-    if (next_.valid() && next_begin_ == begin && next_count_ == count) {
-      engine::TraceSpan span(engine::Tracer::Global(), "prefetch",
-                             "zblock wait",
-                             {engine::Arg("b_begin", begin),
-                              engine::Arg("count", count)});
-      block = next_.get();
-      zblock_prefetches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (next_.valid()) next_.get();  // stale; discard the bytes
-      block = make_block_(begin, count);
-    }
-    Schedule(begin + count);
-    return block;
-  }
-
- private:
-  void Schedule(std::uint64_t begin) {
-    if (io_ == nullptr || begin >= replicates_) return;
-    const std::size_t count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(batch_size_, replicates_ - begin));
-    next_begin_ = begin;
-    next_count_ = count;
-    // The job owns a copy of the generator, so a run that stops early
-    // may return while it is still in flight.
-    next_ = io_->Submit(
-        [make = make_block_, begin, count]() { return make(begin, count); });
-  }
-
-  engine::AsyncExecutor* const io_;
-  const std::uint64_t replicates_;
-  const std::uint64_t batch_size_;
-  const MakeBlock make_block_;
-  std::future<std::vector<double>> next_;
-  std::uint64_t next_begin_ = 0;
-  std::size_t next_count_ = 0;
-};
+/// Generates the patient-major replicate block for replicates
+/// [begin, begin+count): a coefficient block, or a Z block for cached-U
+/// Monte Carlo. A pure function of its arguments — per-replicate
+/// splittable RNG streams — so the block is bitwise invariant to batching.
+using MakeBlock =
+    std::function<std::vector<double>(std::uint64_t begin, std::size_t count)>;
 
 /// The shared driver loop: splits 0..B into [begin, end) ranges of at
 /// most `batch_size` replicates and hands each to `body`, wrapped in the
@@ -411,7 +350,7 @@ std::shared_ptr<const std::unordered_set<std::uint32_t>> LiveSnps(
 /// Moves the stopper tallies into the result and accounts the savings.
 /// pvalue.replicates_saved = Σ_sets (B − replicates_used) — a pure
 /// function of the per-set replicate-exact counts, so it is invariant to
-/// batch size / threads / prefetch even though the SCHEDULED replicate
+/// batch size and threads even though the SCHEDULED replicate
 /// count is batch-granular. A screened-out set's analytic tail stands in
 /// for all B replicates.
 void FinalizeAdaptive(const ResamplingRequest& request,
@@ -450,9 +389,8 @@ struct ScoreBlockSource {
   const char* algorithm;
   /// Observed per-SNP marginal scores U_j, as a count-1 block.
   std::function<ScoreBlock()> observed;
-  /// The block for replicates [begin, begin+count); must be a pure
-  /// function of its arguments (it may run on the I/O lane).
-  BlockPrefetcher::MakeBlock make_block;
+  /// The block for replicates [begin, begin+count).
+  MakeBlock make_block;
   /// One engine pass over a block: `count` replicate scores per SNP,
   /// restricted to `live_snps` when non-null.
   std::function<ScoreBlock(
@@ -470,7 +408,7 @@ struct ScoreBlockSource {
 ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
                                 const std::vector<double>& v,
                                 bool zero_sum_columns,
-                                BlockPrefetcher::MakeBlock make_block) {
+                                MakeBlock make_block) {
   return {algorithm,
           [&pipeline, v, zero_sum_columns] {
             return pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns);
@@ -536,7 +474,7 @@ ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
 /// only the counters — is bitwise equal to the serial oracle's analysis
 /// from the same seed (baseline::SerialMonteCarloFactored; for the cached
 /// U source, baseline::SerialMonteCarlo); every method's result is bitwise
-/// invariant to batch size, thread count and prefetch depth. Exhaustive
+/// invariant to batch size and thread count. Exhaustive
 /// and adaptive runs share one counting path: every set that consumes
 /// replicates has a stopper (one that never stops when exhaustive), and
 /// each batch folds the sets still live into a flat set-major array that
@@ -579,16 +517,13 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
 
   if (!counted.empty()) {
     const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-    BlockPrefetcher blocks(pipeline.context().io(), request.replicates,
-                           batch_size, source.make_block);
     RunBatches(
         source.algorithm, request.replicates, batch_size, request.sink,
         [&](std::uint64_t begin, std::uint64_t end) {
           const std::size_t count = end - begin;
           // Per batch: `count` × n block entries from the per-replicate
-          // streams (bitwise invariant to batching), double-buffered on
-          // the I/O lane when prefetch is enabled.
-          const std::vector<double> block = blocks.Take(begin, count);
+          // streams (bitwise invariant to batching).
+          const std::vector<double> block = source.make_block(begin, count);
           // Only the sets whose stopper has not stopped are folded, and
           // adaptive runs score only their SNPs; a set that stops
           // mid-batch stays live until the next batch.
@@ -683,16 +618,15 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
   const std::vector<stats::SnpSet>& sets = pipeline.sets();
   const FoldPlan plan(sets, pipeline.DriverWeights());
-  auto score_engine =
-      std::make_shared<const stats::ScoreEngine>(pipeline.phenotype());
-  const bool zero_sum_columns = score_engine->MultiplierColumnsSumToZero();
+  const stats::ScoreEngine score_engine(pipeline.phenotype());
+  const bool zero_sum_columns = score_engine.MultiplierColumnsSumToZero();
 
   // Observed (SKAT, burden) pair and grid per set.
   const SkatBurdenScores observed = [&] {
     engine::TraceSpan span(engine::Tracer::Global(), "algo",
                            "observed skat+burden");
     return FoldSkatBurdenScores(
-        plan, pipeline.ComputeGenotypeScoreBlock(score_engine->Coefficients(),
+        plan, pipeline.ComputeGenotypeScoreBlock(score_engine.Coefficients(),
                                                  1, zero_sum_columns));
   }();
   std::vector<std::vector<double>> observed_grids(sets.size());
@@ -710,17 +644,12 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   std::vector<std::vector<std::vector<double>>> replicate_grids(sets.size());
   const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-  BlockPrefetcher vblocks(
-      pipeline.context().io(), request.replicates, batch_size,
-      [seed, score_engine](std::uint64_t begin, std::size_t count) {
-        return stats::MonteCarloCoefficientBlock(seed, *score_engine, begin,
-                                                 count);
-      });
   RunBatches(
       "skat-o", request.replicates, batch_size,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
-        const std::vector<double> vblock = vblocks.Take(begin, count);
+        const std::vector<double> vblock = stats::MonteCarloCoefficientBlock(
+            seed, score_engine, begin, count);
         const SkatBurdenScores pairs = FoldSkatBurdenScores(
             plan,
             pipeline.ComputeGenotypeScoreBlock(vblock, count, zero_sum_columns));

@@ -200,7 +200,7 @@ struct ResamplingRequest {
   /// the estimate p̂ = h/L (conservatively biased up by ≈ p/h).
   /// 0 disables (exhaustive counting).
   /// Stopping decisions are made per-replicate in the canonical order, so
-  /// results are bitwise invariant to batch size / threads / prefetch.
+  /// results are bitwise invariant to batch size and threads.
   std::uint64_t early_stop = 0;
 
   /// Optional progress observer; not owned, may be null.

@@ -4,10 +4,9 @@
 #include <utility>
 
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytes for PackedSnpRecord)
-#include "engine/approx_bytes.hpp"
 #include "engine/profile.hpp"
 #include "simdata/store_codec.hpp"
-#include "support/stopwatch.hpp"
+#include "support/status.hpp"
 
 namespace ss::core {
 
@@ -18,56 +17,31 @@ StoreGenotypeNode::StoreGenotypeNode(
           ctx, "genotypeStore(" + store->path() + ")",
           store->num_partitions(), {}),
       store_(std::move(store)),
-      membership_(std::move(membership)) {
-  // The prefetch lane materializes partitions of this node straight from
-  // the mmap. The fetcher may outlive any single stage but not the node:
-  // ~StoreGenotypeNode unregisters and drains before `this` dies.
-  ctx_->cache().RegisterFetcher(
-      id(), [this](std::uint32_t partition) -> engine::FetchedPartition {
-        Stopwatch stopwatch;
-        Result<std::vector<stats::PackedSnpRecord>> records =
-            Materialize(partition);
-        if (!records.ok()) return {};  // demand path surfaces the error
-        auto value = std::make_shared<std::vector<stats::PackedSnpRecord>>(
-            std::move(records).value());
-        const std::uint64_t bytes = engine::ApproxBytesOfPartition(*value);
-        return {std::move(value), bytes, stopwatch.ElapsedSeconds()};
-      });
-}
-
-StoreGenotypeNode::~StoreGenotypeNode() {
-  ctx_->cache().UnregisterFetcher(id());
-}
+      membership_(std::move(membership)) {}
 
 std::vector<stats::PackedSnpRecord> StoreGenotypeNode::ComputePartition(
     std::uint32_t index, engine::TaskContext&) {
-  Result<std::vector<stats::PackedSnpRecord>> records = Materialize(index);
-  if (!records.ok()) {
-    // Retryable like a DFS read: the scheduler's attempts surface a
-    // corrupt store as a job failure with the store diagnostic.
-    throw engine::TaskFailure("genotype store read failed: " +
-                              records.status().ToString());
-  }
-  return std::move(records).value();
-}
-
-Result<std::vector<stats::PackedSnpRecord>> StoreGenotypeNode::Materialize(
-    std::uint32_t index) const {
   static std::atomic<std::uint64_t>& packed_bytes =
       engine::CounterRegistry::Global().Get("genotype.packed_bytes");
   static std::atomic<std::uint64_t>& unpacked_bytes =
       engine::CounterRegistry::Global().Get("genotype.unpacked_bytes");
 
+  // A store defect is retryable like a DFS read: the scheduler's attempts
+  // surface a corrupt store as a job failure with the store diagnostic.
+  const auto fail = [](const Status& status) {
+    return engine::TaskFailure("genotype store read failed: " +
+                               status.ToString());
+  };
   Result<std::vector<std::uint8_t>> payload = [&] {
     engine::PhaseTimer fetch_phase(engine::TaskPhase::kFetch);
     return store_->ReadGenotypeFrame(index);
   }();
-  if (!payload.ok()) return payload.status();
+  if (!payload.ok()) throw fail(payload.status());
 
   engine::PhaseTimer decode_phase(engine::TaskPhase::kDecode);
   Result<std::vector<stats::PackedSnpRecord>> decoded =
       simdata::DecodeGenotypePartition(payload.value());
-  if (!decoded.ok()) return decoded.status();
+  if (!decoded.ok()) throw fail(decoded.status());
 
   const std::vector<std::uint8_t>& member = *membership_;
   std::vector<stats::PackedSnpRecord> records;

@@ -256,7 +256,7 @@ Result<std::shared_ptr<GenotypeStore>> GenotypeStore::Open(
                                ": " + std::strerror(errno));
   }
   // The dominant access pattern is one forward pass per budget-bounded
-  // run; sequential readahead keeps the prefetch lane fed from disk.
+  // run; sequential readahead keeps the frame reads fed from disk.
   (void)::madvise(mapped, size, MADV_SEQUENTIAL);
 
   auto store = std::shared_ptr<GenotypeStore>(

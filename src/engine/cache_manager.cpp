@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "engine/profile.hpp"
 #include "engine/trace.hpp"
 #include "support/log.hpp"
-#include "support/stopwatch.hpp"
+#include "support/status.hpp"
 
 namespace ss::engine {
 
@@ -19,167 +18,25 @@ std::atomic<std::uint64_t>& CacheCounter(const char* name) {
 }  // namespace
 
 std::shared_ptr<void> CacheManager::Lookup(const CacheKey& key) {
-  return LookupOrFetch(key, /*prefetch=*/false);
-}
-
-bool CacheManager::Prefetch(const CacheKey& key) {
-  bool handled = false;
-  LookupOrFetch(key, /*prefetch=*/true, &handled);
-  return handled;
-}
-
-std::shared_ptr<void> CacheManager::LookupOrFetch(const CacheKey& key,
-                                                  bool prefetch,
-                                                  bool* handled) {
-  std::shared_ptr<void> result;
-  PartitionFetcher fetcher;
-  {
-    support::UniqueLock lock(mutex_);
-    if (!ResolveLocked(key, prefetch, lock, &result, &fetcher, handled)) {
-      return result;
-    }
-  }
-  return FinishFetch(key, fetcher);
-}
-
-bool CacheManager::ResolveLocked(const CacheKey& key, bool prefetch,
-                                 support::UniqueLock& lock,
-                                 std::shared_ptr<void>* result,
-                                 PartitionFetcher* fetcher, bool* handled) {
-  // Every resolution counts as "handled" for a prefetch except the
-  // explicit no-op fall-through below (not resident, nothing fetchable)
-  // — that one is the chain's cue to try a coarser target.
-  if (handled != nullptr) *handled = true;
   static std::atomic<std::uint64_t>& hits = CacheCounter("cache.hits");
   static std::atomic<std::uint64_t>& misses = CacheCounter("cache.misses");
-  static std::atomic<std::uint64_t>& prefetch_declined =
-      CacheCounter("exec.prefetch_declined");
-  static std::atomic<std::uint64_t>& io_wait_nanos =
-      CacheCounter("exec.io_wait_nanos");
-
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      *result = it->second.value;
-      if (prefetch) return false;  // already warm; leave LRU alone
-      ++stats_.hits;
-      hits.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().Instant("cache", "hit",
-                               {Arg("dataset", key.node_id),
-                                Arg("partition", key.partition)});
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
-      return false;
-    }
-    if (!InflightLocked(key)) break;
-    // The I/O lane is already fetching this key. A prefetch has nothing to
-    // add; a lookup waits for the value — that wait IS the overlap win
-    // when the lane started early enough — and then looks again.
-    if (prefetch) return false;
-    PhaseTimer io_wait_phase(TaskPhase::kIoWait);
-    Stopwatch wait_watch;
-    inflight_cv_.wait(lock, [this, &key]() SS_REQUIRES(mutex_) {
-      return !InflightLocked(key);
-    });
-    io_wait_nanos.fetch_add(
-        static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, wait_watch.ElapsedNanos())),
-        std::memory_order_relaxed);
-  }
-
-  if (!prefetch) {
+  support::MutexLock lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
     ++stats_.misses;
     misses.fetch_add(1, std::memory_order_relaxed);
     Tracer::Global().Instant("cache", "miss",
                              {Arg("dataset", key.node_id),
                               Arg("partition", key.partition)});
-    return false;
+    return nullptr;
   }
-  // Not cached — but a dataset with a registered fetcher can be
-  // materialized straight from its backing store, so the prefetch lane
-  // streams the frame in ahead of the compute wave. Demand lookups never
-  // take this path: their miss recomputes through the node, which reads
-  // the store itself.
-  auto fit = fetchers_.find(key.node_id);
-  if (fit == fetchers_.end()) {
-    if (handled != nullptr) *handled = false;
-    return false;
-  }
-  // The frame's decoded size is unknown until fetched; size the admission
-  // by the mean resident partition instead.
-  const std::uint64_t hint =
-      entries_.empty() ? 0 : stats_.bytes_cached / entries_.size();
-  if (PrefetchWouldEvictLocked(hint)) {
-    prefetch_declined.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  inflight_.push_back(key);
-  *fetcher = fit->second;
-  return true;
-}
-
-std::shared_ptr<void> CacheManager::FinishFetch(
-    const CacheKey& key, const PartitionFetcher& fetcher) {
-  static std::atomic<std::uint64_t>& prefetch_frames =
-      CacheCounter("store.prefetch_frames");
-
-  // The store read + decode runs with the lock released; concurrent
-  // lookups of other keys (and a demand lookup of THIS key, which waits
-  // on the in-flight claim) proceed.
-  FetchedPartition fetched;
-  {
-    PhaseTimer fetch_phase(TaskPhase::kFetch);
-    fetched = fetcher(key.partition);
-  }
-
-  std::shared_ptr<void> result;
-  {
-    support::MutexLock lock(mutex_);
-    inflight_.erase(std::find(inflight_.begin(), inflight_.end(), key));
-    auto entry_it = entries_.find(key);
-    if (entry_it != entries_.end()) {
-      // A concurrent insert (the demand compute finished first) already
-      // holds the authoritative value.
-      result = entry_it->second.value;
-    } else if (fetched.value != nullptr) {
-      // Admit as MRU, priced at the fetch time: evicting it again costs
-      // one more store read. `node` 0 = the fetch ran on no simulated
-      // node; a node-failure drop of node 0's partitions just re-fetches.
-      lru_.push_front(key);
-      entries_[key] = Entry{fetched.value, fetched.bytes, /*node=*/0,
-                            fetched.fetch_seconds, lru_.begin()};
-      stats_.bytes_cached += fetched.bytes;
-      prefetch_frames.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().Instant("store", "prefetch admit",
-                               {Arg("dataset", key.node_id),
-                                Arg("partition", key.partition),
-                                Arg("bytes", fetched.bytes)});
-      EvictIfNeededLocked();
-      result = fetched.value;
-    }
-    // Fetch failed (null value): admit nothing. The demand lookup will
-    // miss, recompute through the node, and surface the store error.
-  }
-  inflight_cv_.notify_all();
-  return result;
-}
-
-void CacheManager::RegisterFetcher(std::uint64_t node_id,
-                                   PartitionFetcher fetcher) {
-  SS_CHECK(fetcher != nullptr);
-  support::MutexLock lock(mutex_);
-  fetchers_[node_id] = std::move(fetcher);
-}
-
-void CacheManager::UnregisterFetcher(std::uint64_t node_id) {
-  support::UniqueLock lock(mutex_);
-  fetchers_.erase(node_id);
-  // Wait out in-flight fetches of this dataset so the fetcher's captures
-  // (the mmap'd store) are provably unused when the caller tears down.
-  inflight_cv_.wait(lock, [this, node_id]() SS_REQUIRES(mutex_) {
-    return std::none_of(
-        inflight_.begin(), inflight_.end(),
-        [node_id](const CacheKey& key) { return key.node_id == node_id; });
-  });
+  ++stats_.hits;
+  hits.fetch_add(1, std::memory_order_relaxed);
+  Tracer::Global().Instant("cache", "hit",
+                           {Arg("dataset", key.node_id),
+                            Arg("partition", key.partition)});
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
+  return it->second.value;
 }
 
 void CacheManager::Insert(const CacheKey& key, std::shared_ptr<void> value,
@@ -202,12 +59,6 @@ void CacheManager::Insert(const CacheKey& key, std::shared_ptr<void> value,
   EvictIfNeededLocked();
 }
 
-bool CacheManager::PrefetchWouldEvictLocked(std::uint64_t bytes_hint) const {
-  SS_ASSERT_HELD(mutex_);
-  return capacity_bytes_ != 0 &&
-         stats_.bytes_cached + bytes_hint > capacity_bytes_;
-}
-
 void CacheManager::EvictIfNeededLocked() {
   SS_ASSERT_HELD(mutex_);
   if (capacity_bytes_ == 0) return;
@@ -222,7 +73,7 @@ void CacheManager::EvictOneLocked() {
       CacheCounter("cache.evictions");
 
   // Victim = cheapest recompute per byte; ties fall to the least recently
-  // used. The MRU front entry (just inserted or fetched) is exempt, so
+  // used. The MRU front entry (just inserted) is exempt, so
   // the cache never evicts its only entry.
   auto victim_it = lru_.end();
   double victim_cost = 0.0;
@@ -244,12 +95,6 @@ void CacheManager::EvictOneLocked() {
   EraseLocked(victim);
   ++stats_.evictions;
   evictions.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool CacheManager::InflightLocked(const CacheKey& key) const {
-  SS_ASSERT_HELD(mutex_);
-  return std::find(inflight_.begin(), inflight_.end(), key) !=
-         inflight_.end();
 }
 
 void CacheManager::EraseLocked(const CacheKey& key) {

@@ -1,12 +1,10 @@
 #include "engine/context.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
-#include "support/channel.hpp"
 #include "support/log.hpp"
 #include "support/ranked_mutex.hpp"
 #include "support/stopwatch.hpp"
@@ -25,20 +23,6 @@ struct InsideTaskScope {
   ~InsideTaskScope() { t_inside_task = false; }
 };
 
-/// SS_PREFETCH environment override (the CI ablation matrix runs tier-1
-/// under prefetch 0 and 2 without touching callers).
-ExecConfig WithEnvOverrides(ExecConfig exec) {
-  if (const char* env = std::getenv("SS_PREFETCH")) {
-    exec.prefetch_depth = std::max(0, std::atoi(env));
-  }
-  return exec;
-}
-
-bool SameExecConfig(const ExecConfig& a, const ExecConfig& b) {
-  return a.prefetch_depth == b.prefetch_depth && a.io_threads == b.io_threads &&
-         a.queue_bound == b.queue_bound;
-}
-
 }  // namespace
 
 EngineContext::EngineContext(Options options, dfs::MiniDfs* dfs,
@@ -52,8 +36,6 @@ EngineContext::EngineContext(Options options, dfs::MiniDfs* dfs,
     threads = std::max(2u, std::thread::hardware_concurrency());
   }
   pool_ = std::make_unique<ThreadPool>(threads);
-  options_.exec = WithEnvOverrides(options_.exec);
-  RebuildIoLane();
   if (faults_ != nullptr) {
     faults_->SetOnNodeFailure([this](int node) { FailNode(node); });
   }
@@ -67,8 +49,7 @@ EngineContext::~EngineContext() {
 
 std::uint64_t EngineContext::RunTasks(
     const std::string& label, std::uint32_t num_tasks,
-    const std::function<void(TaskContext&)>& task_fn,
-    std::vector<std::uint64_t> prefetch_chain) {
+    const std::function<void(TaskContext&)>& task_fn) {
   SS_CHECK(!t_inside_task &&
            "actions must run on the driver, not inside a task closure");
   const std::uint64_t stage_id = metrics_.BeginStage(label, num_tasks);
@@ -80,17 +61,10 @@ std::uint64_t EngineContext::RunTasks(
                   Arg("tasks", num_tasks)});
   pool_->ResetQueuePeak();
   const std::int64_t enqueue_ns = ProfileNowNs();
-  if (io_ != nullptr) {
-    RunTasksChannel(stage_id, num_tasks, enqueue_ns, label, task_fn,
-                    prefetch_chain);
-  } else {
-    // Ablation path (prefetch=0): the original synchronous loop, with no
-    // channel, lane, or prefetch anywhere near the stage.
-    pool_->ParallelFor(0, num_tasks, [&](std::size_t index) {
-      RunOneTask(stage_id, static_cast<std::uint32_t>(index), enqueue_ns,
-                 label, task_fn);
-    });
-  }
+  pool_->ParallelFor(0, num_tasks, [&](std::size_t index) {
+    RunOneTask(stage_id, static_cast<std::uint32_t>(index), enqueue_ns, label,
+               task_fn);
+  });
   metrics_.EndStage(stage_id, pool_->queue_peak());
   // Mirror the pool's saturation stats into the process-global registry
   // (the pool lives in ss_support and cannot depend on the engine's
@@ -107,131 +81,10 @@ std::uint64_t EngineContext::RunTasks(
   return stage_id;
 }
 
-void EngineContext::RunTasksChannel(
-    std::uint64_t stage_id, std::uint32_t num_tasks, std::int64_t enqueue_ns,
-    const std::string& label, const std::function<void(TaskContext&)>& task_fn,
-    const std::vector<std::uint64_t>& prefetch_chain) {
-  static std::atomic<std::uint64_t>& channel_stages =
-      CounterRegistry::Global().Get("exec.channel_stages");
-  channel_stages.fetch_add(1, std::memory_order_relaxed);
-
-  // All indices are queued up front and the channel closed, so runners
-  // claim them in the same ascending order ParallelFor's cursor produced
-  // and exit exactly when the stage is drained.
-  support::Channel<std::uint32_t> channel(support::lock_rank::kExecChannel);
-  for (std::uint32_t index = 0; index < num_tasks; ++index) {
-    channel.Push(index);
-  }
-  channel.Close();
-
-  const std::size_t runners =
-      std::min<std::size_t>(pool_->size(), std::max<std::uint32_t>(1, num_tasks));
-  const int depth = options_.exec.prefetch_depth;
-  const bool prefetching = !prefetch_chain.empty() && depth > 0;
-
-  // The prefetch window: the first `runners` partitions are claimed
-  // immediately, so seed the lane with the `depth` partitions after them,
-  // then keep the window one fetch ahead per retiring task.
-  std::atomic<std::uint32_t> next_prefetch{static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(num_tasks, runners + static_cast<std::uint64_t>(depth)))};
-  if (prefetching) {
-    for (std::uint32_t p = static_cast<std::uint32_t>(
-             std::min<std::uint64_t>(num_tasks, runners));
-         p < next_prefetch.load(std::memory_order_relaxed); ++p) {
-      IssuePrefetch(prefetch_chain, p);
-    }
-  }
-
-  // ParallelFor's error contract, replicated: every index still runs, and
-  // the first failure in claim order is rethrown on the driver. Lives on
-  // this stack frame, which outlives the runners (the driver blocks on
-  // every future below).
-  struct ErrorState {
-    support::RankedMutex mutex{support::lock_rank::kParallelForError};
-    std::exception_ptr first SS_GUARDED_BY(mutex);
-    std::uint32_t first_index SS_GUARDED_BY(mutex) = 0;
-  };
-  ErrorState error;
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(runners);
-  for (std::size_t r = 0; r < runners; ++r) {
-    futures.push_back(pool_->Submit([&]() {
-      while (std::optional<std::uint32_t> index = channel.Pop()) {
-        std::function<void()> after_task;
-        if (prefetching) {
-          after_task = [&]() {
-            const std::uint32_t p =
-                next_prefetch.fetch_add(1, std::memory_order_relaxed);
-            if (p < num_tasks) IssuePrefetch(prefetch_chain, p);
-          };
-        }
-        try {
-          RunOneTask(stage_id, *index, enqueue_ns, label, task_fn, after_task);
-        } catch (...) {
-          support::MutexLock lock(error.mutex);
-          if (error.first == nullptr || *index < error.first_index) {
-            error.first = std::current_exception();
-            error.first_index = *index;
-          }
-        }
-      }
-    }));
-  }
-  for (std::future<void>& future : futures) future.get();
-  support::MutexLock lock(error.mutex);
-  if (error.first != nullptr) std::rethrow_exception(error.first);
-}
-
-void EngineContext::IssuePrefetch(const std::vector<std::uint64_t>& chain,
-                                  std::uint32_t partition) {
-  static std::atomic<std::uint64_t>& prefetches =
-      CounterRegistry::Global().Get("exec.prefetches");
-  if (io_ == nullptr || chain.empty()) return;
-  // Advisory: a full lane drops the request — a prefetch that cannot
-  // start before its consumer would only add lock traffic. The job is
-  // self-contained (keys + cache only), so it may harmlessly outlive the
-  // stage that issued it. The chain walk stops at the first dataset the
-  // cache can serve: a warm derived partition short-circuits, and only
-  // non-resident data falls through to a store-backed ancestor's fetcher.
-  const bool queued = io_->TryEnqueue([this, chain, partition]() {
-    TraceSpan span(Tracer::Global(), "prefetch",
-                   "prefetch p" + std::to_string(partition),
-                   {Arg("dataset", chain.front()), Arg("partition", partition)});
-    for (std::uint64_t node_id : chain) {
-      if (cache_.Prefetch(CacheKey{node_id, partition})) break;
-    }
-  });
-  if (queued) prefetches.fetch_add(1, std::memory_order_relaxed);
-}
-
-void EngineContext::RebuildIoLane() {
-  io_.reset();
-  if (options_.exec.enabled()) {
-    io_ = std::make_unique<AsyncExecutor>(options_.exec);
-  }
-}
-
-void EngineContext::ApplyExecConfig(const ExecConfig& exec) {
-  SS_CHECK(!t_inside_task &&
-           "ApplyExecConfig must run on the driver, between stages");
-  const ExecConfig effective = WithEnvOverrides(exec);
-  if (SameExecConfig(effective, options_.exec) &&
-      (io_ != nullptr) == effective.enabled()) {
-    return;
-  }
-  options_.exec = effective;
-  RebuildIoLane();
-  SS_LOG(kDebug, "engine") << "exec config applied: prefetch "
-                           << effective.prefetch_depth << ", io threads "
-                           << effective.io_threads;
-}
-
 void EngineContext::RunOneTask(
     std::uint64_t stage_id, std::uint32_t index, std::int64_t enqueue_ns,
     const std::string& label,
-    const std::function<void(TaskContext&)>& task_fn,
-    const std::function<void()>& after_task) {
+    const std::function<void(TaskContext&)>& task_fn) {
   const int executors = std::max(1, options_.topology.TotalExecutors());
   const int executor = static_cast<int>(index) % executors;
   const int node = executor % std::max(1, options_.topology.num_nodes);
@@ -278,12 +131,6 @@ void EngineContext::RunOneTask(
     }
     task.metrics().compute_seconds = stopwatch.ElapsedSeconds();
     task.metrics().attempt = attempt;
-    if (after_task != nullptr) {
-      // Issue the next prefetch from inside the attempt's timeline so the
-      // (tiny) cost of keeping the window full is visible as `prefetch`.
-      PhaseTimer prefetch_phase(TaskPhase::kPrefetch);
-      after_task();
-    }
     if (profiling) {
       timeline.end_ns = ProfileNowNs();
       timeline.records_out = task.metrics().records_out;

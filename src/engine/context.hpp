@@ -21,12 +21,17 @@
 #include "cluster/virtual_scheduler.hpp"
 #include "dfs/dfs.hpp"
 #include "engine/cache_manager.hpp"
-#include "engine/executor.hpp"
 #include "engine/metrics.hpp"
 #include "engine/task.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ss::engine {
+
+/// Unused (the engine has no I/O lane); kept only so perfbench/ compiles.
+struct ExecConfig {
+  int prefetch_depth = 0;
+  int io_threads = 0;
+};
 
 class EngineContext {
  public:
@@ -60,10 +65,7 @@ class EngineContext {
     /// Overhead model used when replaying metrics onto the topology.
     cluster::CostModel cost_model;
 
-    /// Async-executor knobs (I/O lane, prefetch depth). `prefetch_depth
-    /// == 0` disables the lane entirely — stages run the legacy
-    /// synchronous loop. Overridable via the SS_PREFETCH environment
-    /// variable (the CI ablation matrix).
+    /// Unused (the engine has no I/O lane); kept only so perfbench/ compiles.
     ExecConfig exec;
   };
 
@@ -80,18 +82,8 @@ class EngineContext {
   /// succeed; each failed attempt is retried up to max_task_attempts.
   /// Returns the stage id under which metrics were recorded. Must be called
   /// from the driver thread (never from inside a task).
-  ///
-  /// With the I/O lane active (exec.prefetch_depth > 0) tasks are
-  /// dispatched through a per-stage channel, and a non-empty
-  /// `prefetch_chain` names the cached datasets (nearest first — RunStage
-  /// derives the chain from the lineage) whose partitions the lane
-  /// fetches ahead of the compute frontier; per partition the lane stops
-  /// at the first chain level the cache can serve.
-  /// Scheduling changes; per-partition results and all driver-side fold
-  /// orders do not.
   std::uint64_t RunTasks(const std::string& label, std::uint32_t num_tasks,
-                         const std::function<void(TaskContext&)>& task_fn,
-                         std::vector<std::uint64_t> prefetch_chain = {});
+                         const std::function<void(TaskContext&)>& task_fn);
 
   /// Unique id for a new dataset node.
   std::uint64_t NewNodeId() { return next_node_id_.fetch_add(1); }
@@ -104,17 +96,6 @@ class EngineContext {
   /// will recompute them on next access). Also invoked automatically when
   /// an armed FaultInjector fires.
   void FailNode(int node);
-
-  /// Reconfigures the I/O lane (prefetch depth, I/O threads);
-  /// bitwise-irrelevant to results.
-  /// Sticky: the new config applies to every subsequent stage. Drains the
-  /// current lane first, so it must be called between stages, never from
-  /// inside a task.
-  void ApplyExecConfig(const ExecConfig& exec);
-
-  /// The I/O lane, or nullptr when ablated (prefetch_depth == 0).
-  AsyncExecutor* io() { return io_.get(); }
-  const ExecConfig& exec_config() const { return options_.exec; }
 
   CacheManager& cache() { return cache_; }
   MetricsRecorder& metrics() { return metrics_; }
@@ -130,33 +111,13 @@ class EngineContext {
   /// Machine-readable summary of everything this context has recorded so
   /// far: stage stats, cache hit/miss, broadcast and shuffle volumes, the
   /// task-timeline profile, and the global counter registry (schema
-  /// "sparkscore-run-metrics-v3").
+  /// "sparkscore-run-metrics-v4").
   std::string RunMetricsJson() const;
 
  private:
-  /// `after_task` (may be empty) runs on the worker inside the successful
-  /// attempt's timeline, under the `prefetch` phase — the channel path's
-  /// hook for issuing the next prefetch as each task retires.
   void RunOneTask(std::uint64_t stage_id, std::uint32_t index,
                   std::int64_t enqueue_ns, const std::string& label,
-                  const std::function<void(TaskContext&)>& task_fn,
-                  const std::function<void()>& after_task = nullptr);
-
-  /// Channel-based dispatch (exec.prefetch_depth > 0): partition indices
-  /// flow through a closed channel to min(pool, tasks) runners; the I/O
-  /// lane warms `prefetch_chain`'s partitions ahead of the frontier.
-  void RunTasksChannel(std::uint64_t stage_id, std::uint32_t num_tasks,
-                       std::int64_t enqueue_ns, const std::string& label,
-                       const std::function<void(TaskContext&)>& task_fn,
-                       const std::vector<std::uint64_t>& prefetch_chain);
-
-  /// Queues an advisory warm-up of `partition` on the I/O lane: the job
-  /// walks `chain` and stops at the first dataset the cache can serve
-  /// (hit or backing-store fetch).
-  void IssuePrefetch(const std::vector<std::uint64_t>& chain,
-                     std::uint32_t partition);
-
-  void RebuildIoLane();
+                  const std::function<void(TaskContext&)>& task_fn);
 
   Options options_;
   dfs::MiniDfs* dfs_;
@@ -166,9 +127,6 @@ class EngineContext {
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<std::uint64_t> next_node_id_{1};
   std::atomic<std::uint64_t> tasks_completed_{0};
-  /// Declared last: destroyed first, while the cache its jobs touch (and
-  /// the pool whose workers may be mid-Enqueue) are still alive.
-  std::unique_ptr<AsyncExecutor> io_;
 };
 
 }  // namespace ss::engine

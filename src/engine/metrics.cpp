@@ -269,7 +269,7 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
     for (double seconds : stage.task_seconds) total_task_seconds += seconds;
   }
 
-  std::string out = "{\"schema\":\"sparkscore-run-metrics-v3\"";
+  std::string out = "{\"schema\":\"sparkscore-run-metrics-v4\"";
   out += ",\"tasks_completed\":" + std::to_string(tasks_completed);
   out += ",\"totals\":{\"stages\":" + std::to_string(stages.size());
   out += ",\"tasks\":" + std::to_string(total_tasks);
@@ -338,7 +338,6 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
     out += ",\"read_bytes\":" + counter("store.read_bytes");
     out += ",\"frame_writes\":" + counter("store.frame_writes");
     out += ",\"write_bytes\":" + counter("store.write_bytes");
-    out += ",\"prefetch_frames\":" + counter("store.prefetch_frames");
     out += ",\"corrupt\":" + counter("store.corrupt") + "}";
   }
   out += ",";

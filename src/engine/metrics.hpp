@@ -89,14 +89,15 @@ std::string FormatRunReport(const std::vector<StageMetrics>& stages,
                             const CacheStats& cache,
                             std::uint64_t broadcast_bytes);
 
-/// Machine-readable run summary (schema "sparkscore-run-metrics-v3"):
+/// Machine-readable run summary (schema "sparkscore-run-metrics-v4"):
 /// per-stage task-time stats and log-bucket histograms, shuffle volumes,
 /// retry counts, cache hit/miss, broadcast bytes, the task-timeline
 /// profile (critical path, per-stage phase breakdown, worker utilization,
 /// skew/straggler stats — see profile.hpp), and a dump of the
 /// process-global CounterRegistry. v2 added the `timeline` section; v3
 /// dropped the spill keys of the `cache` section along with the spill
-/// tier. `straggler_mad_k` is the MAD multiple above the
+/// tier; v4 dropped `store.prefetch_frames` along with the I/O lane.
+/// `straggler_mad_k` is the MAD multiple above the
 /// median task time at which a task is flagged as a straggler. Field
 /// reference in docs/OBSERVABILITY.md; validated by tools/check_trace.py.
 std::string RunMetricsJson(const std::vector<StageMetrics>& stages,

@@ -161,32 +161,6 @@ class Node : public NodeBase {
   }
 };
 
-/// The dataset whose partitions the I/O lane warms ahead of a stage over
-/// `node`: the node itself when persistent, else the nearest persistent
-/// ancestor with the same partition count (narrow lineage — a task for
-/// partition k pulls exactly partition k of such an ancestor). 0 when the
-/// stage has nothing cached to prefetch.
-inline void AppendPrefetchTargets(const NodeBase& node,
-                                  std::vector<std::uint64_t>* out) {
-  if (node.cache_enabled()) out->push_back(node.id());
-  for (const auto& parent : node.parents()) {
-    if (parent->num_partitions() != node.num_partitions()) continue;
-    AppendPrefetchTargets(*parent, out);
-  }
-}
-
-/// Every cache-enabled dataset along `node`'s same-partitioning lineage,
-/// nearest first. The I/O lane tries the chain in order and stops at the
-/// first level the cache can serve (CacheManager::Prefetch): a warm
-/// derived partition wins, and only when the derived data is not resident
-/// does the lane fall through to a store-backed ancestor and stream its
-/// frame off the mmap ahead of the compute wave.
-inline std::vector<std::uint64_t> PrefetchTargetChain(const NodeBase& node) {
-  std::vector<std::uint64_t> chain;
-  AppendPrefetchTargets(node, &chain);
-  return chain;
-}
-
 /// Runs one full pass over `node`'s partitions as a stage, returning all
 /// partitions in order. The building block for actions (collect/count/...)
 /// and shuffle map stages. Driver-side only.
@@ -201,8 +175,7 @@ std::vector<std::vector<T>> RunStage(Node<T>& node, const std::string& label) {
                              task.metrics().records_out = part.size();
                              PhaseTimer handoff_phase(TaskPhase::kHandoff);
                              partitions[task.partition()] = std::move(part);
-                           },
-                           PrefetchTargetChain(node));
+                           });
   return partitions;
 }
 

@@ -18,7 +18,7 @@
 // per-stage skew stats (p50/p95/max, records per partition, stragglers
 // at a configurable MAD threshold). FormatProfileReport renders it for
 // humans; AppendTimelineJson emits the `timeline` section of the
-// sparkscore-run-metrics-v3 document (validated by tools/check_trace.py
+// sparkscore-run-metrics-v4 document (validated by tools/check_trace.py
 // and reconciled offline by tools/ss_prof.py).
 #pragma once
 

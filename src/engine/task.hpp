@@ -27,8 +27,8 @@ enum class TaskPhase : std::uint8_t {
   kCompute = 3,     ///< Kernel/closure execution (the unattributed rest).
   kSpillWrite = 4,  ///< Unused (no spill tier); kept only so perfbench/ compiles.
   kHandoff = 5,     ///< Result copy-out to the driver's stage buffer.
-  kPrefetch = 6,    ///< Issuing prefetch jobs to the I/O lane.
-  kIoWait = 7,      ///< Blocked on an in-flight I/O-lane store fetch.
+  kPrefetch = 6,    ///< Unused (no I/O lane); reads 0 in every timeline.
+  kIoWait = 7,      ///< Unused (no I/O lane); kept only so perfbench/ compiles.
 };
 
 inline constexpr std::size_t kNumTaskPhases = 8;

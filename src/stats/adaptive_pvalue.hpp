@@ -23,8 +23,8 @@
 // biased up by ≈ p/h, never anti-conservative). The
 // stopping decision is a pure function of the ordered replicate
 // indicator sequence, so the driver can evaluate it per-replicate in the
-// canonical fold order and stay bitwise invariant to batch size, thread
-// count, and prefetch depth.
+// canonical fold order and stay bitwise invariant to batch size and
+// thread count.
 //
 // Driver integration (method selection, hybrid screen→refine, per-set
 // budgets) lives in core/resampling_methods.*; this header is pure math.

@@ -38,13 +38,6 @@ namespace lock_rank {
 inline constexpr LockRank kNodeReady{"engine.node.ready", 10};
 /// ThreadPool queue+shutdown state; Submit runs under kNodeReady.
 inline constexpr LockRank kThreadPool{"support.thread_pool", 20};
-/// Stage task channel (channel-based RunTasks dispatch): the driver
-/// pushes partition indices — possibly under kNodeReady for a shuffle
-/// map stage — and pool workers pop with no other lock held.
-inline constexpr LockRank kExecChannel{"engine.exec.channel", 22};
-/// Async-executor stage coordination (completion counts, prefetch pump
-/// hand-off); nests inside kExecChannel pops never (pop releases first).
-inline constexpr LockRank kExecState{"engine.exec.state", 24};
 /// ParallelFor first-error aggregation (taken in a worker catch block).
 inline constexpr LockRank kParallelForError{"support.parallel_for_error", 30};
 /// Shuffle map-side staging (worker tasks publish their buckets).
@@ -58,13 +51,8 @@ inline constexpr LockRank kResourceManager{"cluster.resource_manager", 40};
 inline constexpr LockRank kFaultInjector{"cluster.fault_injector", 42};
 
 // -- Storage: cache above the block store ---------------------------------
-/// CacheManager — calls the tracer and log while locked; store fetches
-/// run with it released.
+/// CacheManager — calls the tracer and log while locked.
 inline constexpr LockRank kCache{"engine.cache", 50};
-/// The I/O lane's bounded job queue (engine/executor.hpp). Ranked above
-/// kCache defensively: nothing pushes a job while holding the cache lock
-/// today, but a future push-under-cache-lock must still be rank-legal.
-inline constexpr LockRank kExecQueue{"engine.exec.queue", 54};
 inline constexpr LockRank kNameNode{"dfs.namenode", 60};
 /// One per simulated DataNode.
 inline constexpr LockRank kBlockStore{"dfs.block_store", 62};

@@ -78,13 +78,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "memory-mapped genotype store file: open it (staging the cohort "
        "there first if missing) instead of re-ingesting text",
        "engine", {}},
-      // -- exec: the async executor / I/O lane ------------------------------
-      {"prefetch", OptionType::kU64, "1",
-       "partitions prefetched ahead of compute (0 ablates the async "
-       "executor; also SS_PREFETCH)",
-       "exec", {}},
-      {"io_threads", OptionType::kU64, "1", "threads on the I/O lane", "exec",
-       {}},
       // -- analysis: what is computed and reported --------------------------
       {"reps", OptionType::kU64, "", "resampling replicates B", "analysis",
        {}},

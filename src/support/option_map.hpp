@@ -38,7 +38,7 @@ struct OptionKeyDef {
   OptionType type;
   const char* default_value;  ///< As shown in help; "" = no default.
   const char* help;           ///< One-line description.
-  const char* group;  ///< "workload" | "engine" | "exec" | "analysis" |
+  const char* group;  ///< "workload" | "engine" | "analysis" |
                       ///< "observability" | "bench".
   std::vector<const char*> choices;  ///< For kChoice; empty otherwise.
 };

@@ -1,12 +1,10 @@
 // Store-backed pipeline semantics: OpenFromStore must be a drop-in,
 // bitwise-equal replacement for the in-memory (unlimited and
 // budget-constrained) paths — pinned via the order-independent
-// `resampling.result_hash` across threads {1,4} x prefetch {0,2} — and the
-// store file must behave as the genotype dataset's durable tier:
-// reopened without re-staging, refused on
-// fingerprint mismatch, re-read (not recomputed from text) after an
-// eviction drop, and streamed ahead of the compute wave by the prefetch
-// lane's registered fetcher.
+// `resampling.result_hash` across threads {1,4} — and the store file must
+// behave as the genotype dataset's durable tier: reopened without
+// re-staging, refused on fingerprint mismatch, and re-read (not
+// recomputed from text) after an eviction drop.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -20,9 +18,7 @@
 #include <vector>
 
 #include "core/resampling_methods.hpp"
-#include "core/store_source.hpp"
 #include "dfs/genotype_store.hpp"
-#include "engine/executor.hpp"
 #include "engine/trace.hpp"
 #include "simdata/store_codec.hpp"
 #include "stats/resampling.hpp"
@@ -71,16 +67,9 @@ std::uint64_t Counter(const char* name) {
   return engine::CounterRegistry::Global().Get(name).load();
 }
 
-/// Resampling under the given prefetch depth; returns the run's
-/// `resampling.result_hash` contribution.
-std::uint64_t ResamplingHash(SkatPipeline& pipeline, int prefetch,
-                             ResamplingMethod method =
-                                 ResamplingMethod::kMonteCarlo) {
+/// One resampling run; returns its `resampling.result_hash` contribution.
+std::uint64_t ResamplingHash(SkatPipeline& pipeline, ResamplingMethod method) {
   const std::uint64_t before = Counter("resampling.result_hash");
-  engine::ExecConfig exec;
-  exec.prefetch_depth = prefetch;
-  exec.io_threads = 1;
-  pipeline.context().ApplyExecConfig(exec);
   RunResampling(pipeline, {method, 16});
   return Counter("resampling.result_hash") - before;
 }
@@ -206,9 +195,9 @@ TEST(StorePipelineTest, OpenRejectsRepeatedSetId) {
       << opened.status().ToString();
 }
 
-TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
+TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsAndThreads) {
   // The differential matrix: {in-memory, tight-budget, store-backed} x
-  // threads {1,4} x prefetch {0,2}, one hash per resampling method.
+  // threads {1,4}, one hash per resampling method.
   // Both methods score the genotype partitions themselves (packed frames
   // off the mmap when store-backed) against coefficient blocks.
   const std::string path = StageStore("ss_store_differential.ssg", 4);
@@ -218,46 +207,43 @@ TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
     std::uint64_t golden = 0;
     bool have_golden = false;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (int prefetch : {0, 2}) {
-        const std::string cell =
-            std::string(method == ResamplingMethod::kMonteCarlo ? "mc"
-                                                                : "perm") +
-            " threads=" + std::to_string(threads) +
-            " prefetch=" + std::to_string(prefetch);
-        std::vector<std::uint64_t> hashes;
+      const std::string cell =
+          std::string(method == ResamplingMethod::kMonteCarlo ? "mc"
+                                                              : "perm") +
+          " threads=" + std::to_string(threads);
+      std::vector<std::uint64_t> hashes;
 
-        {  // In-memory, unlimited budget.
-          engine::EngineContext ctx(LocalOptions(threads));
-          SkatPipeline pipeline = SkatPipeline::FromMemory(
-              ctx, simdata::Generate(generator), StudyPipelineConfig());
-          hashes.push_back(ResamplingHash(pipeline, prefetch, method));
-        }
-        {  // In-memory under a budget small enough to churn the cache.
-          engine::EngineContext::Options options = LocalOptions(threads);
-          options.cache_capacity_bytes = 6000;
-          engine::EngineContext ctx(options);
-          SkatPipeline pipeline = SkatPipeline::FromMemory(
-              ctx, simdata::Generate(generator), StudyPipelineConfig());
-          hashes.push_back(ResamplingHash(pipeline, prefetch, method));
-        }
-        {  // Store-backed under the same tight budget (drop-on-evict path).
-          engine::EngineContext ctx(LocalOptions(threads));
-          PipelineConfig config = StudyPipelineConfig();
-          config.cache_budget_bytes = 6000;
-          auto opened = SkatPipeline::OpenFromStore(
-              ctx, path, config, simdata::StoreFingerprint(generator));
-          ASSERT_TRUE(opened.ok())
-              << cell << ": " << opened.status().ToString();
-          hashes.push_back(ResamplingHash(opened.value(), prefetch, method));
-        }
+      {  // In-memory, unlimited budget.
+        engine::EngineContext ctx(LocalOptions(threads));
+        SkatPipeline pipeline = SkatPipeline::FromMemory(
+            ctx, simdata::Generate(generator), StudyPipelineConfig());
+        hashes.push_back(ResamplingHash(pipeline, method));
+      }
+      {  // In-memory under a budget small enough to churn the cache.
+        engine::EngineContext::Options options = LocalOptions(threads);
+        options.cache_capacity_bytes = 6000;
+        engine::EngineContext ctx(options);
+        SkatPipeline pipeline = SkatPipeline::FromMemory(
+            ctx, simdata::Generate(generator), StudyPipelineConfig());
+        hashes.push_back(ResamplingHash(pipeline, method));
+      }
+      {  // Store-backed under the same tight budget (drop-on-evict path).
+        engine::EngineContext ctx(LocalOptions(threads));
+        PipelineConfig config = StudyPipelineConfig();
+        config.cache_budget_bytes = 6000;
+        auto opened = SkatPipeline::OpenFromStore(
+            ctx, path, config, simdata::StoreFingerprint(generator));
+        ASSERT_TRUE(opened.ok())
+            << cell << ": " << opened.status().ToString();
+        hashes.push_back(ResamplingHash(opened.value(), method));
+      }
 
-        for (std::uint64_t hash : hashes) {
-          if (!have_golden) {
-            golden = hash;
-            have_golden = true;
-          }
-          EXPECT_EQ(hash, golden) << cell;
+      for (std::uint64_t hash : hashes) {
+        if (!have_golden) {
+          golden = hash;
+          have_golden = true;
         }
+        EXPECT_EQ(hash, golden) << cell;
       }
     }
   }
@@ -357,49 +343,6 @@ TEST(StorePipelineTest, EvictionDropsToStoreAndRereadsFrames) {
     // Dropped partitions came back from the mmap.
     EXPECT_GT(Counter("store.frame_reads"), after_observed);
   }
-}
-
-TEST(StorePipelineTest, PrefetchLaneFetchesFramesViaRegisteredFetcher) {
-  // Cache-level contract of the fetcher StoreGenotypeNode registers: a
-  // Prefetch of an uncached store partition fetches + admits it (counted
-  // as `store.prefetch_frames`, not as cache traffic), and after the node
-  // unregisters, the same call is a no-op again.
-  const std::string path = StageStore("ss_store_prefetch.ssg", 4);
-  auto store = dfs::GenotypeStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  engine::EngineContext ctx(LocalOptions());
-  auto membership = std::make_shared<const std::vector<std::uint8_t>>(
-      StudyConfig().num_snps, std::uint8_t{1});
-  auto node = std::make_shared<StoreGenotypeNode>(&ctx, store.value(),
-                                                  membership);
-  const engine::CacheKey key{node->id(), 1};
-
-  const std::uint64_t fetched_before = Counter("store.prefetch_frames");
-  const std::uint64_t insertions_before = ctx.cache().stats().insertions;
-  ctx.cache().Prefetch(key);
-  EXPECT_EQ(Counter("store.prefetch_frames"), fetched_before + 1);
-  EXPECT_EQ(ctx.cache().stats().insertions, insertions_before);
-
-  // The admitted value is the decoded partition, served as a plain hit.
-  auto value = ctx.cache().Lookup(key);
-  ASSERT_NE(value, nullptr);
-  const auto& records =
-      *std::static_pointer_cast<std::vector<stats::PackedSnpRecord>>(value);
-  EXPECT_EQ(records.size(), 15u);  // 60 SNPs / 4 partitions
-  EXPECT_EQ(records.front().snp, 15u);  // partition 1 starts at row 15
-
-  // A second prefetch of the now-resident key is a no-op.
-  ctx.cache().Prefetch(key);
-  EXPECT_EQ(Counter("store.prefetch_frames"), fetched_before + 1);
-
-  // Destroying the node unregisters the fetcher; prefetching an uncached
-  // partition no-ops instead of touching a dead store handle.
-  node.reset();
-  const engine::CacheKey other{key.node_id, 2};
-  ctx.cache().Prefetch(other);
-  EXPECT_EQ(Counter("store.prefetch_frames"), fetched_before + 1);
-  EXPECT_EQ(ctx.cache().Lookup(other), nullptr);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // CacheManager unit tests plus Dataset::Cache() integration: hit counting,
-// cost-based eviction, prefetch admission of store-backed partitions,
-// node-tagged drops, and the guarantee that eviction never changes
-// results (lineage recomputes).
+// cost-based eviction, node-tagged drops, and the guarantee that eviction
+// never changes results (lineage recomputes).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,15 +15,6 @@ namespace {
 
 std::shared_ptr<void> Payload(int v) {
   return std::make_shared<int>(v);
-}
-
-/// A vector<int> partition, the shape Node<T> caches.
-std::shared_ptr<void> VecPayload(std::vector<int> v) {
-  return std::make_shared<std::vector<int>>(std::move(v));
-}
-
-const std::vector<int>& VecOf(const std::shared_ptr<void>& value) {
-  return *std::static_pointer_cast<std::vector<int>>(value);
 }
 
 TEST(CacheManagerTest, LookupMissThenHit) {
@@ -108,7 +98,7 @@ TEST(CacheManagerTest, ClearResetsOccupancy) {
   EXPECT_EQ(cache.stats().bytes_cached, 0u);
 }
 
-// -- Budget: cost-based eviction, drop-on-evict, prefetch admission -------
+// -- Budget: cost-based eviction, drop-on-evict ------------------------------
 
 TEST(CacheBudgetTest, EvictsCheapestRecomputePerByte) {
   CacheManager cache(/*capacity=*/250);
@@ -177,78 +167,6 @@ TEST(CacheBudgetTest, SetCapacityBytesEvictsDown) {
   EXPECT_NE(cache.Lookup({1, 2}), nullptr);  // the MRU entry stays
   EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
   EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
-}
-
-/// A backing-store fetcher for dataset 7 that serves {9, 9, 9} at a
-/// 100-byte charge and counts its calls.
-PartitionFetcher CountingFetcher(std::atomic<int>* calls) {
-  return [calls](std::uint32_t) {
-    calls->fetch_add(1);
-    return FetchedPartition{std::make_shared<std::vector<int>>(3, 9), 100,
-                            0.0};
-  };
-}
-
-TEST(CacheBudgetTest, PrefetchRefetchesEvictedPartitionIntoSpareCapacityOnly) {
-  std::atomic<int> fetches{0};
-  CacheManager cache(/*capacity=*/150);
-  cache.RegisterFetcher(7, CountingFetcher(&fetches));
-  cache.Insert({7, 0}, VecPayload({0, 1}), 100, 0);
-  cache.Insert({7, 1}, VecPayload({2, 3}), 100, 0);
-  ASSERT_EQ(cache.entry_count(), 1u);  // {7,0} evicted (dropped)
-
-  // Re-admitting {7,0} would evict the resident partition the compute
-  // path is about to use: the prefetch declines — still "handled", so a
-  // chained caller does not fall through — and reads nothing.
-  EXPECT_TRUE(cache.Prefetch({7, 0}));
-  EXPECT_EQ(fetches.load(), 0);
-  EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_NE(cache.Lookup({7, 1}), nullptr);  // resident partition intact
-
-  // With spare capacity the same prefetch re-reads it from the store.
-  cache.SetCapacityBytes(300);
-  EXPECT_TRUE(cache.Prefetch({7, 0}));
-  EXPECT_EQ(fetches.load(), 1);
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(VecOf(cache.Lookup({7, 0})), (std::vector<int>{9, 9, 9}));
-  cache.UnregisterFetcher(7);
-}
-
-TEST(CacheBudgetTest, PrefetchFetchDeclinedWhenBudgetFull) {
-  std::atomic<int> fetches{0};
-  CacheManager cache(/*capacity=*/150);
-  cache.RegisterFetcher(7, CountingFetcher(&fetches));
-  cache.Insert({7, 0}, VecPayload({1}), 140, 0);
-  // The cache is effectively full; the fetch admission (sized by the
-  // mean resident partition, 140 bytes) would force an eviction —
-  // declined.
-  EXPECT_TRUE(cache.Prefetch({7, 1}));
-  EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(fetches.load(), 0);
-  // Raising the budget lets the same prefetch stream the frame in.
-  cache.SetCapacityBytes(400);
-  EXPECT_TRUE(cache.Prefetch({7, 1}));
-  EXPECT_EQ(VecOf(cache.Lookup({7, 1})), (std::vector<int>{9, 9, 9}));
-  cache.UnregisterFetcher(7);
-}
-
-TEST(CacheBudgetTest, NodeFailureLeavesStoreBackedPartitionsFetchable) {
-  std::atomic<int> fetches{0};
-  CacheManager cache;
-  cache.RegisterFetcher(7, CountingFetcher(&fetches));
-  cache.Insert({7, 0}, VecPayload({0, 1}), 100, /*node=*/0);
-  // Without a fetcher, a dataset has nothing to offer once its resident
-  // copy is gone.
-  cache.Insert({8, 0}, VecPayload({2, 3}), 100, /*node=*/0);
-
-  EXPECT_EQ(cache.DropNode(0), 2);
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_FALSE(cache.Prefetch({8, 0}));
-  // The store frame is the durable copy: the lane re-reads it.
-  EXPECT_TRUE(cache.Prefetch({7, 0}));
-  EXPECT_EQ(fetches.load(), 1);
-  EXPECT_EQ(VecOf(cache.Lookup({7, 0})), (std::vector<int>{9, 9, 9}));
-  cache.UnregisterFetcher(7);
 }
 
 // -- Dataset::Cache() integration -------------------------------------------

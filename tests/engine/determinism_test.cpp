@@ -52,6 +52,11 @@ engine::EngineContext::Options OptionsWithThreads(std::size_t threads) {
   return options;
 }
 
+/// Cache budget of the scheduling grids' constrained cells, in bytes:
+/// every cached partition but the most recent is evicted and recomputed
+/// (a budget of 0 is unlimited).
+constexpr std::uint64_t kTinyBudget = 2;
+
 ResamplingResult RunMonteCarlo(std::size_t threads, std::uint64_t replicates,
                                const simdata::SyntheticDataset& dataset) {
   engine::EngineContext ctx(OptionsWithThreads(threads));
@@ -189,15 +194,15 @@ TEST(DeterminismTest, DispatchLevelsProduceIdenticalResults) {
 // ---------------------------------------------------------------------
 // Adaptive p-value engine: early stopping decides per-replicate in the
 // canonical fold order, so a stopped run must be byte-identical across
-// every scheduling knob — threads, batch size, and prefetch depth.
+// every scheduling knob — threads, batch size, and cache budget.
 // ---------------------------------------------------------------------
 
 ResamplingResult RunAdaptive(std::size_t threads, std::uint64_t batch,
-                             int prefetch, PValueMethod pmethod,
+                             std::uint64_t budget, PValueMethod pmethod,
                              std::uint64_t early_stop,
                              const simdata::SyntheticDataset& dataset) {
   engine::EngineContext::Options options = OptionsWithThreads(threads);
-  options.exec.prefetch_depth = prefetch;
+  options.cache_capacity_bytes = budget;
   engine::EngineContext ctx(options);
   PipelineConfig config;
   config.seed = kSeed;
@@ -234,19 +239,19 @@ void ExpectAdaptiveIdentical(const ResamplingResult& a,
 TEST(DeterminismTest, EarlyStoppedRunsIdenticalAcrossSchedulingKnobs) {
   // Early stopping interacts with batching (a stop mid-batch must not
   // depend on where the batch boundary fell) — sweep the full grid
-  // threads {1,4} x batch {1,64} x prefetch {0,2} against a serial
-  // per-replicate reference.
+  // threads {1,4} x batch {1,64} x budget {unlimited, tiny} against a
+  // serial per-replicate reference.
   const simdata::SyntheticDataset dataset = FixedDataset();
   const ResamplingResult reference = RunAdaptive(
       1, 1, 0, PValueMethod::kResampling, /*early_stop=*/5, dataset);
   for (std::size_t threads : {1u, 4u}) {
     for (std::uint64_t batch : {1u, 64u}) {
-      for (int prefetch : {0, 2}) {
+      for (std::uint64_t budget : {std::uint64_t{0}, kTinyBudget}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " batch=" +
-                     std::to_string(batch) + " prefetch=" +
-                     std::to_string(prefetch));
+                     std::to_string(batch) + " budget=" +
+                     std::to_string(budget));
         ExpectAdaptiveIdentical(
-            reference, RunAdaptive(threads, batch, prefetch,
+            reference, RunAdaptive(threads, batch, budget,
                                    PValueMethod::kResampling, 5, dataset));
       }
     }
@@ -262,12 +267,12 @@ TEST(DeterminismTest, HybridRunsIdenticalAcrossSchedulingKnobs) {
       RunAdaptive(1, 1, 0, PValueMethod::kHybrid, /*early_stop=*/5, dataset);
   for (std::size_t threads : {1u, 4u}) {
     for (std::uint64_t batch : {1u, 64u}) {
-      for (int prefetch : {0, 2}) {
+      for (std::uint64_t budget : {std::uint64_t{0}, kTinyBudget}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " batch=" +
-                     std::to_string(batch) + " prefetch=" +
-                     std::to_string(prefetch));
+                     std::to_string(batch) + " budget=" +
+                     std::to_string(budget));
         ExpectAdaptiveIdentical(
-            reference, RunAdaptive(threads, batch, prefetch,
+            reference, RunAdaptive(threads, batch, budget,
                                    PValueMethod::kHybrid, 5, dataset));
       }
     }
@@ -306,15 +311,16 @@ struct HashedRun {
   std::vector<engine::StageMetrics> stages;
 };
 
-HashedRun RunHashed(std::size_t threads, std::uint64_t batch, int prefetch,
-                    PValueMethod pmethod, std::uint64_t early_stop,
+HashedRun RunHashed(std::size_t threads, std::uint64_t batch,
+                    std::uint64_t budget, PValueMethod pmethod,
+                    std::uint64_t early_stop,
                     const simdata::SyntheticDataset& dataset,
                     cluster::FaultInjector* faults = nullptr) {
   std::atomic<std::uint64_t>& hash_counter =
       engine::CounterRegistry::Global().Get("resampling.result_hash");
   const std::uint64_t before = hash_counter.load();
   engine::EngineContext::Options options = OptionsWithThreads(threads);
-  options.exec.prefetch_depth = prefetch;
+  options.cache_capacity_bytes = budget;
   engine::EngineContext ctx(options, nullptr, faults);
   PipelineConfig config;
   config.seed = kSeed;
@@ -389,13 +395,13 @@ TEST(DeterminismTest, ScreenStagesIdenticalAcrossSchedulingKnobs) {
     }
     for (std::size_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {1u, 64u}) {
-        for (int prefetch : {0, 2}) {
+        for (std::uint64_t budget : {std::uint64_t{0}, kTinyBudget}) {
           SCOPED_TRACE(std::string(name) + " threads=" +
                        std::to_string(threads) + " batch=" +
                        std::to_string(batch) +
-                       " prefetch=" + std::to_string(prefetch));
+                       " budget=" + std::to_string(budget));
           const HashedRun run =
-              RunHashed(threads, batch, prefetch, pmethod, 5, dataset);
+              RunHashed(threads, batch, budget, pmethod, 5, dataset);
           EXPECT_EQ(run.hash, reference.hash);
           ExpectAdaptiveIdentical(reference.result, run.result);
         }
@@ -406,7 +412,8 @@ TEST(DeterminismTest, ScreenStagesIdenticalAcrossSchedulingKnobs) {
 
 TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
   const simdata::SyntheticDataset dataset = LargeSetDataset();
-  const HashedRun clean = RunHashed(4, 64, 2, PValueMethod::kHybrid, 5, dataset);
+  const HashedRun clean =
+      RunHashed(4, 64, kTinyBudget, PValueMethod::kHybrid, 5, dataset);
   // Stage ids are assigned in driver order, so a second identical run
   // reaches the screen stages under the same ids.
   cluster::FaultInjector faults;
@@ -418,7 +425,7 @@ TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
     faults.FailTask(stage->stage_id, last, 2);
   }
   const HashedRun retried =
-      RunHashed(4, 64, 2, PValueMethod::kHybrid, 5, dataset, &faults);
+      RunHashed(4, 64, kTinyBudget, PValueMethod::kHybrid, 5, dataset, &faults);
   for (const char* label : {"set-gram", "analytic-screen"}) {
     const engine::StageMetrics* stage = FindStage(retried, label);
     ASSERT_NE(stage, nullptr) << label;
@@ -431,19 +438,19 @@ TEST(DeterminismTest, RetriedScreenTasksLeaveResultHashUnchanged) {
 // ---------------------------------------------------------------------
 // Resampling as genotype score blocks: genotypes scored against permuted
 // coefficient blocks (permutation) or V(z) blocks (Monte Carlo) must hash
-// the same across every scheduling knob — threads, batch size and
-// prefetch — both exhaustive and early-stopped.
+// the same across every scheduling knob — threads, batch size and cache
+// budget — both exhaustive and early-stopped.
 // ---------------------------------------------------------------------
 
 HashedRun RunScoreBlocksHashed(ResamplingMethod method, std::size_t threads,
-                               std::uint64_t batch, int prefetch,
+                               std::uint64_t batch, std::uint64_t budget,
                                std::uint64_t early_stop,
                                const simdata::SyntheticDataset& dataset) {
   std::atomic<std::uint64_t>& hash_counter =
       engine::CounterRegistry::Global().Get("resampling.result_hash");
   const std::uint64_t before = hash_counter.load();
   engine::EngineContext::Options options = OptionsWithThreads(threads);
-  options.exec.prefetch_depth = prefetch;
+  options.cache_capacity_bytes = budget;
   engine::EngineContext ctx(options);
   PipelineConfig config;
   config.seed = kSeed;
@@ -457,9 +464,9 @@ HashedRun RunScoreBlocksHashed(ResamplingMethod method, std::size_t threads,
   return run;
 }
 
-/// Sweeps threads {1,4} × batch {1,8,64} × prefetch {0,2}, plain and
-/// early_stop=5, against a single-thread per-replicate reference; returns
-/// the plain reference.
+/// Sweeps threads {1,4} × batch {1,8,64} × budget {unlimited, tiny},
+/// plain and early_stop=5, against a single-thread per-replicate
+/// reference; returns the plain reference.
 HashedRun ExpectScoreBlockGridIdentical(
     ResamplingMethod method, const simdata::SyntheticDataset& dataset) {
   HashedRun plain;
@@ -477,13 +484,13 @@ HashedRun ExpectScoreBlockGridIdentical(
     }
     for (std::size_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {1u, 8u, 64u}) {
-        for (int prefetch : {0, 2}) {
+        for (std::uint64_t budget : {std::uint64_t{0}, kTinyBudget}) {
           SCOPED_TRACE("early_stop=" + std::to_string(early_stop) +
                        " threads=" + std::to_string(threads) +
                        " batch=" + std::to_string(batch) +
-                       " prefetch=" + std::to_string(prefetch));
+                       " budget=" + std::to_string(budget));
           const HashedRun run = RunScoreBlocksHashed(
-              method, threads, batch, prefetch, early_stop, dataset);
+              method, threads, batch, budget, early_stop, dataset);
           EXPECT_EQ(run.hash, reference.hash);
           ExpectAdaptiveIdentical(reference.result, run.result);
         }

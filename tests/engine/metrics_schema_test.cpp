@@ -1,12 +1,13 @@
 // Golden-file regression test for the run-metrics JSON (schema
-// "sparkscore-run-metrics-v3"): the key set, key order, and value shapes
+// "sparkscore-run-metrics-v4"): the key set, key order, and value shapes
 // below are a compatibility contract for external consumers
 // (tools/check_trace.py, tools/ss_prof.py, scripts parsing metrics=
 // artifacts). New telemetry must EXTEND the document — appending keys
 // updates this snapshot; renaming or removing keys breaks consumers and
 // this test, and bumps the schema id. v2 added the `timeline` section
 // (between `kernel` and `counters`); v3 removed the spill keys from the
-// `cache` object along with the spill tier.
+// `cache` object along with the spill tier; v4 removed `prefetch_frames`
+// from the `store` object along with the I/O lane.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -50,7 +51,7 @@ void ExpectOrderedKeys(const std::string& json,
 
 TEST(RunMetricsSchemaTest, SchemaTagIsFirst) {
   const std::string json = SampleRunMetricsJson();
-  EXPECT_EQ(json.rfind("{\"schema\":\"sparkscore-run-metrics-v3\"", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema\":\"sparkscore-run-metrics-v4\"", 0), 0u)
       << json;
 }
 
@@ -82,13 +83,12 @@ TEST(RunMetricsSchemaTest, PValueKeySetAndOrder) {
 }
 
 TEST(RunMetricsSchemaTest, StoreKeySetAndOrder) {
-  // The genotype-store section mirrors the seven store.* counters
+  // The genotype-store section mirrors the six store.* counters
   // (docs/OBSERVABILITY.md); always present, zeros on storeless runs.
   const std::string json = SampleRunMetricsJson();
   ExpectOrderedKeys(json,
                     {"store", "opens", "frame_reads", "read_bytes",
-                     "frame_writes", "write_bytes", "prefetch_frames",
-                     "corrupt"},
+                     "frame_writes", "write_bytes", "corrupt"},
                     "store");
   // This sample run never touches a store file, so the section is the
   // zero golden (store.* are process-global counters, but nothing in

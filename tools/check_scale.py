@@ -116,8 +116,7 @@ def main(argv):
             f"check_scale: {len(runs)} runs, tightest budget "
             f"{tightest['budget_bytes']} bytes: "
             f"dRSS {tightest.get('rss_delta_bytes', 0) / 2**20:.1f} MiB, "
-            f"{tightest.get('frame_reads', 0)} frame reads, "
-            f"{tightest.get('prefetch_frames', 0)} prefetched"
+            f"{tightest.get('frame_reads', 0)} frame reads"
             + (f", {ratio:.2f}x unlimited throughput" if ratio is not None
                else "")
         )

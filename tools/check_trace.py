@@ -9,12 +9,12 @@ Checks, stdlib only:
     event family without registering it here and in docs/OBSERVABILITY.md;
   * B/E spans balance per thread and nest (LIFO) with matching names;
   * timestamps are non-decreasing (events are driver-sorted);
-  * the metrics JSON (if given) matches schema sparkscore-run-metrics-v3,
+  * the metrics JSON (if given) matches schema sparkscore-run-metrics-v4,
     its per-stage histogram counts sum to the stage's task count, its
     cache object carries exactly the cache key set (no spill keys), its
     kernel object names a known SIMD dispatch level and carries the
     genotype packing byte counters, its store object carries the
-    genotype-store counter set (opens/frame I/O/prefetch/corrupt), and
+    genotype-store counter set (opens/frame I/O/corrupt), and
     its timeline section (v2) is
     internally consistent: known phase names, per-stage phase_seconds
     arrays of the right arity, stage task counts matching the v1 stage
@@ -33,14 +33,14 @@ KNOWN_PHASES = {"B", "E", "i"}
 
 # Every event family the engine emits; see docs/OBSERVABILITY.md. `phase`
 # is the timeline profiler's nested per-task phase spans (fetch/decode/
-# handoff); `prefetch` is the async executor's I/O-lane spans (cache
-# prefetches and Monte Carlo Z-block staging).
+# handoff).
 KNOWN_CATEGORIES = {
     "stage", "task", "algo", "batch", "replicate",
-    "cache", "dfs", "broadcast", "fault", "phase", "prefetch", "store",
+    "cache", "dfs", "broadcast", "fault", "phase", "store",
 }
 
-# The timeline profiler's phase vocabulary, in TaskPhase enum order.
+# The timeline profiler's phase vocabulary, in TaskPhase enum order
+# (spill_write, prefetch and io_wait always read 0).
 TIMELINE_PHASES = (
     "queue_wait", "fetch", "decode", "compute", "spill_write", "handoff",
     "prefetch", "io_wait",
@@ -66,10 +66,11 @@ PVALUE_KEYS = (
 )
 
 # The memory-mapped genotype store section: mirrors the store.* counters
-# (all zeros for runs that never open or stage a store file).
+# (all zeros for runs that never open or stage a store file). v4 removed
+# prefetch_frames along with the I/O lane.
 STORE_KEYS = (
     "opens", "frame_reads", "read_bytes", "frame_writes", "write_bytes",
-    "prefetch_frames", "corrupt",
+    "corrupt",
 )
 
 
@@ -218,7 +219,7 @@ def check_timeline(path, doc):
 
 def check_metrics(path):
     doc = load_json(path)
-    if doc.get("schema") != "sparkscore-run-metrics-v3":
+    if doc.get("schema") != "sparkscore-run-metrics-v4":
         fail(f"{path} schema is {doc.get('schema')!r}")
     for key in ("totals", "stages", "cache", "broadcast_bytes", "kernel",
                 "pvalue", "store", "timeline", "counters"):

@@ -1,7 +1,7 @@
 # Driver for the profile_smoke ctest: exercises the task-timeline profiler
 # end to end.
 #   1. A baseline `skat` run with trace=/metrics= artifacts; both are
-#      validated by check_trace.py (v3 schema, timeline invariants).
+#      validated by check_trace.py (v4 schema, timeline invariants).
 #   2. ss_prof.py --check reconciles the analyzer's critical path against
 #      a recomputation from the raw trace and the measured wall-clock.
 #   3. A deliberately heavier run (20x the SNPs, 4x the replicates; its
@@ -9,7 +9,7 @@
 #      --compare's regression gate (nonzero exit) against the fastest of
 #      three light runs interleaved with it, while comparing the baseline
 #      against itself must pass.
-#   4. profile=0 must still produce a valid v3 document (timeline section
+#   4. profile=0 must still produce a valid v4 document (timeline section
 #      present with collected:false).
 # Invoked as:
 #   cmake -DSPARKSCORE=<bin> -DPYTHON=<python3> -DCHECK=<check_trace.py>
@@ -105,7 +105,7 @@ if(NOT self_result EQUAL 0)
     "ss_prof.py --compare flagged a run against itself (exit ${self_result})")
 endif()
 
-# profile=0 ablation: the metrics document must still be valid v3, with
+# profile=0 ablation: the metrics document must still be valid v4, with
 # the timeline marked as not collected.
 execute_process(
   COMMAND "${SPARKSCORE}" skat patients=60 snps=400 sets=16 reps=25

@@ -118,11 +118,6 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   // use recomputes it, or re-reads its frame under store=.
   options.cache_capacity_bytes = args.GetU64("cache_budget", 0);
   options.straggler_mad_k = args.GetDouble("straggler_mad_k", 3.0);
-  // Async executor (registry group "exec"): prefetch=0 ablates the I/O
-  // lane; both knobs are bitwise-irrelevant to the results.
-  options.exec.prefetch_depth = static_cast<int>(args.GetU64("prefetch", 1));
-  options.exec.io_threads = static_cast<int>(
-      std::max<std::uint64_t>(1, args.GetU64("io_threads", 1)));
   study.ctx = std::make_unique<ss::engine::EngineContext>(options,
                                                           study.dfs.get());
 
@@ -224,9 +219,6 @@ void MaybePrintStages(const CliArgs& args, ss::engine::EngineContext& ctx) {
 /// is process-global and accumulates across sub-runs (selftest), so each
 /// call rewrites the file with the cumulative trace.
 void WriteRunArtifacts(const CliArgs& args, ss::engine::EngineContext& ctx) {
-  // An advisory prefetch job may outlive the stage that issued it; let it
-  // finish so the trace holds no unclosed span.
-  if (ctx.io() != nullptr) ctx.io()->Drain();
   const std::string trace_path = args.GetStr("trace", "");
   if (trace_path == "-") {
     std::fputs(ss::engine::Tracer::Global().ChromeTraceJson().c_str(), stderr);
@@ -403,8 +395,8 @@ void PrintUsage() {
   // appears here without touching this file.
   std::fputs("usage: sparkscore <skat|skato|scan|selftest> [key=value ...]\n",
              stderr);
-  std::fputs(ss::support::FormatKeyHelp({"workload", "engine", "exec",
-                                         "analysis", "observability"})
+  std::fputs(ss::support::FormatKeyHelp({"workload", "engine", "analysis",
+                                         "observability"})
                  .c_str(),
              stderr);
 }
@@ -422,8 +414,7 @@ int main(int argc, char** argv) {
   // outside them, or a value that does not fit its key's type or choices,
   // fails closed here, before any work: a typo must not silently run the
   // analysis with a default.
-  args.DeclareKeys({"workload", "engine", "exec", "analysis",
-                    "observability"});
+  args.DeclareKeys({"workload", "engine", "analysis", "observability"});
   const std::vector<std::string> problems = args.Problems();
   if (!problems.empty()) {
     for (const std::string& problem : problems) {

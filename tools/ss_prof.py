@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Offline profile analysis for SparkScore run artifacts (stdlib only).
 
-Works from the `timeline` section of a sparkscore-run-metrics-v2 or -v3
-document (the section is the same in both; produced with
+Works from the `timeline` section of a sparkscore-run-metrics-v2, -v3 or
+-v4 document (the section is the same in all three; produced with
 `metrics=<file>`; `-` reads stdin, pairing with the producers'
 `metrics=-` streaming mode).
 
@@ -74,8 +74,9 @@ def load_json(path):
 def load_timeline(path):
     doc = load_json(path)
     schema = doc.get("schema")
-    if schema not in ("sparkscore-run-metrics-v2", "sparkscore-run-metrics-v3"):
-        die(f"{path}: schema {schema!r} (need sparkscore-run-metrics-v2 or -v3)")
+    if schema not in ("sparkscore-run-metrics-v2", "sparkscore-run-metrics-v3",
+                      "sparkscore-run-metrics-v4"):
+        die(f"{path}: schema {schema!r} (need sparkscore-run-metrics-v2 to -v4)")
     timeline = doc.get("timeline")
     if timeline is None:
         die(f"{path}: no timeline section")

@@ -8,8 +8,8 @@
 # its own build-verify-<name> directory so the matrix is incremental across
 # invocations. The suite includes the cache-budget tests (CacheBudgetTest,
 # BudgetSoakMatrix, the node-failure fault tests), so concurrent
-# evict/recompute, the prefetch lane's store fetches and node-failure drops
-# all run under ASan/UBSan and TSan here. Any unsuppressed sanitizer
+# evict/recompute, store frame re-reads and node-failure drops all run
+# under ASan/UBSan and TSan here. Any unsuppressed sanitizer
 # report fails the corresponding
 # ctest run (UBSan is built with -fno-sanitize-recover=all; ASan and TSan
 # are fail-by-default). Suppressions live in tools/sanitizers/ — see
