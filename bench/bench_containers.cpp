@@ -34,7 +34,7 @@ int Run(int argc, char** argv) {
               "Figure 7 + Tables VII & VIII (container auto-tuning on YARN)",
               scale);
 
-  // Table VIII rows, validated against the YARN-like ResourceManager.
+  // Table VIII rows, with the YARN placement check (core::IsPlaceable).
   const std::vector<cluster::ClusterTopology> configs =
       core::ContainerSweepCandidates();
   Table table8("Table VIII — container configurations (36 nodes)",

@@ -1,15 +1,17 @@
 // bench_kernels — microbenchmark for the runtime-dispatched SIMD kernels
-// (src/stats/kernels): batched Monte Carlo MAC, Cox score scan, SKAT
-// folds, the multiply-free sparse genotype MAC, and 2-bit genotype
-// pack/unpack, timed at every dispatch level this CPU can execute.
-// Cross-level outputs are verified bitwise equal while timing, so the
-// speedup numbers are guaranteed to compare identical computations; the
-// sparse MAC is also verified bitwise equal to the dense MAC on the
-// widened dosages.
+// (src/stats/kernels): the multiply-free sparse replicate kernel
+// (`row_sum`) and the per-set SKAT fold, timed at every dispatch level
+// this CPU can execute, plus the scalar dense MAC the sparse kernel
+// replaces and 2-bit genotype pack/unpack. Cross-level outputs are
+// verified bitwise equal while timing, so the speedup numbers compare
+// identical computations; the sparse kernel is also verified bitwise
+// equal to the dense MAC (stats::BatchedReplicateScores) on the widened
+// dosages.
 //
-// The sparse row scores `snps` SNPs with generator-like density (per-SNP
-// allele frequency ~ U(0.05, 0.5), binomial dosages; ~46% non-zero)
-// against one coefficient block, once densely and once sparsely.
+// The per-SNP rows score `snps` SNPs with generator-like density
+// (per-SNP allele frequency ~ U(0.05, 0.5), binomial dosages; ~46%
+// non-zero) against one coefficient block, densely once and sparsely at
+// every level.
 //
 // Keys: patients= count= iters= snps= seed= out=<json path>
 // `out=` writes a BENCH_kernels.json datapoint consumed by
@@ -26,6 +28,7 @@
 #include "bench_common.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/kernels/packed_genotype.hpp"
+#include "stats/resampling.hpp"
 #include "support/distributions.hpp"
 
 namespace ss::bench {
@@ -49,12 +52,9 @@ double BestOf(int samples, const std::function<void()>& fn) {
 
 struct LevelTiming {
   const char* name = nullptr;
-  double mac_seconds = 0.0;
-  double cox_seconds = 0.0;
   double fold_seconds = 0.0;
   // Per SNP, over the generator-like genotypes.
-  double dense_snp_seconds = 0.0;
-  double sparse_snp_seconds = 0.0;
+  double sparse_snp_seconds = std::numeric_limits<double>::infinity();
 };
 
 /// One SNP as both MAC inputs: the dosages widened to doubles (dense)
@@ -80,26 +80,15 @@ int Run(int argc, char** argv) {
                 "patients=%zu count=%zu iters=%d snps=%zu", n, count, iters,
                 num_snps);
   PrintBanner("bench_kernels",
-              "SIMD kernel dispatch (MAC / Cox scan / SKAT folds / 2-bit "
-              "genotype packing)",
+              "SIMD kernel dispatch (sparse replicate kernel / SKAT fold / "
+              "2-bit genotype packing)",
               scale);
 
   Rng rng(seed);
-  std::vector<double> u(n);
   std::vector<double> zblock(n * count);
-  for (double& v : u) v = rng.NextDouble() * 2.0 - 1.0;
   for (double& v : zblock) v = rng.NextDouble() * 2.0 - 1.0;
-
-  std::vector<std::uint8_t> event(n);
-  std::vector<std::uint8_t> genotypes(n);
-  std::vector<std::uint32_t> prefix_end(n);
-  std::vector<double> prefix(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    event[i] = static_cast<std::uint8_t>(rng.NextBounded(2));
-    genotypes[i] = static_cast<std::uint8_t>(rng.NextBounded(3));
-    prefix_end[i] = static_cast<std::uint32_t>(1 + rng.NextBounded(n));
-    prefix[i + 1] = prefix[i] + static_cast<double>(genotypes[i]);
-  }
+  std::vector<double> fold_scores(count);
+  for (double& v : fold_scores) v = rng.NextDouble() * 2.0 - 1.0;
 
   std::vector<SparseSnp> sparse_snps(num_snps);
   std::uint64_t nonzero = 0;
@@ -120,120 +109,91 @@ int Run(int argc, char** argv) {
 
   const std::vector<DispatchLevel> levels = stats::kernels::ExecutableLevels();
   std::vector<LevelTiming> timings(levels.size());
-  std::vector<std::vector<double>> mac_outs(levels.size(),
-                                            std::vector<double>(count));
-  std::vector<double> mac_reference;
-  std::vector<double> cox_reference;
-  std::vector<double> sparse_reference;
-  bool bitwise_ok = true;
-  bool sparse_bitwise_ok = true;
 
-  // The batched-MAC row feeds the AVX2-vs-scalar speedup gate, so its
-  // samples alternate between levels (best of 7 each): host drift during
-  // the row then hits both sides of the ratio alike.
-  const auto mac_call = [&](std::size_t l) {
-    stats::kernels::KernelsFor(levels[l])
-        .batched_mac(u.data(), n, zblock.data(), count, mac_outs[l].data());
+  // One pass over every SNP per sample; the per-SNP outputs of the last
+  // pass are kept for the bitwise checks. The dense pass is the scalar
+  // MAC the sparse kernel must reproduce. The sparse pass pays for its
+  // block's [V; 2V; 3V] table build, as every pipeline score block does,
+  // and selects each SNP's rows.
+  std::vector<double> dense_out(num_snps * count);
+  std::vector<std::vector<double>> sparse_outs(
+      levels.size(), std::vector<double>(num_snps * count));
+  const auto dense_pass = [&]() {
+    for (std::size_t j = 0; j < num_snps; ++j) {
+      stats::BatchedReplicateScores(sparse_snps[j].widened, zblock.data(),
+                                    count, dense_out.data() + j * count);
+    }
   };
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    mac_call(l);  // warm-up
-    timings[l].mac_seconds = std::numeric_limits<double>::infinity();
-  }
+  std::vector<const double*> rows;
+  std::vector<double> scaled;
+  const auto sparse_pass = [&](std::size_t l) {
+    const stats::kernels::KernelTable& table =
+        stats::kernels::KernelsFor(levels[l]);
+    const std::vector<double> scaled_table =
+        stats::kernels::DosageScaledTable(zblock);
+    for (std::size_t j = 0; j < num_snps; ++j) {
+      const SparseSnp& snp = sparse_snps[j];
+      stats::kernels::SelectDosageRows(snp.index.data(), snp.dosage.data(),
+                                       snp.nnz, scaled_table.data(), n, count,
+                                       &rows, &scaled);
+      table.row_sum(rows.data(), snp.nnz, count,
+                    sparse_outs[l].data() + j * count);
+    }
+  };
+  // Both gates read this row (every level's sparse pass against the
+  // scalar one, and the scalar sparse pass against the dense one), so its
+  // samples alternate between the dense pass and every level (best of 7
+  // each): host drift during the row then hits both sides of each ratio
+  // alike.
+  double dense_snp_seconds = std::numeric_limits<double>::infinity();
   for (int sample = 0; sample < 7; ++sample) {
+    dense_snp_seconds = std::min(dense_snp_seconds, TimeOnce(dense_pass));
     for (std::size_t l = 0; l < levels.size(); ++l) {
-      timings[l].mac_seconds =
-          std::min(timings[l].mac_seconds, TimeOnce([&]() {
-                     for (int r = 0; r < iters; ++r) mac_call(l);
-                   }));
+      timings[l].sparse_snp_seconds = std::min(
+          timings[l].sparse_snp_seconds, TimeOnce([&]() { sparse_pass(l); }));
+    }
+  }
+  if (num_snps > 0) {
+    dense_snp_seconds /= static_cast<double>(num_snps);
+    for (LevelTiming& timing : timings) {
+      timing.sparse_snp_seconds /= static_cast<double>(num_snps);
     }
   }
 
+  bool bitwise_ok = true;
+  bool sparse_bitwise_ok = true;
+  std::vector<double> fold_reference;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     const stats::kernels::KernelTable& table =
         stats::kernels::KernelsFor(levels[l]);
     LevelTiming& timing = timings[l];
     timing.name = stats::kernels::DispatchLevelName(levels[l]);
-    timing.mac_seconds /= iters;
-    const std::vector<double>& mac_out = mac_outs[l];
 
-    std::vector<double> cox_out(n);
-    table.cox_scan(event.data(), genotypes.data(), prefix.data(),
-                   prefix_end.data(), n, cox_out.data());
-    timing.cox_seconds = BestOf(5, [&]() {
-                           for (int r = 0; r < iters; ++r) {
-                             table.cox_scan(event.data(), genotypes.data(),
-                                            prefix.data(), prefix_end.data(),
-                                            n, cox_out.data());
-                           }
-                         }) /
-                         iters;
+    std::vector<double> acc(count, 0.0);
+    table.skat_fold(fold_scores.data(), count, 0.25, acc.data());
+    timing.fold_seconds = BestOf(5, [&]() {
+                            for (int r = 0; r < iters; ++r) {
+                              table.skat_fold(fold_scores.data(), count, 0.25,
+                                              acc.data());
+                            }
+                          }) /
+                          iters;
+    // One fold from +0 for the cross-level check.
+    std::vector<double> fold_out(count, 0.0);
+    table.skat_fold(fold_scores.data(), count, 0.25, fold_out.data());
 
-    std::vector<double> skat(count, 0.0);
-    std::vector<double> burden(count, 0.0);
-    timing.fold_seconds =
-        BestOf(5, [&]() {
-          for (int r = 0; r < iters; ++r) {
-            table.skat_burden_fold(mac_out.data(), count, 0.5, 0.25,
-                                   skat.data(), burden.data());
-          }
-        }) /
-        iters;
-
-    // One pass over every SNP per sample; the per-SNP outputs of the last
-    // pass are kept for the bitwise checks. Dense and sparse samples
-    // alternate, so host drift during the row hits both sides alike.
-    std::vector<double> dense_out(num_snps * count);
-    std::vector<double> sparse_out(num_snps * count);
-    const auto dense_pass = [&]() {
-      for (std::size_t j = 0; j < num_snps; ++j) {
-        table.batched_mac(sparse_snps[j].widened.data(), n, zblock.data(),
-                          count, dense_out.data() + j * count);
-      }
-    };
-    // The sparse pass pays for its block's [V; 2V; 3V] table build, as
-    // every pipeline score block does, and selects each SNP's rows.
-    std::vector<const double*> rows;
-    std::vector<double> scaled;
-    const auto sparse_pass = [&]() {
-      const std::vector<double> scaled_table =
-          stats::kernels::DosageScaledTable(zblock);
-      for (std::size_t j = 0; j < num_snps; ++j) {
-        const SparseSnp& snp = sparse_snps[j];
-        stats::kernels::SelectDosageRows(snp.index.data(), snp.dosage.data(),
-                                         snp.nnz, scaled_table.data(), n,
-                                         count, &rows, &scaled);
-        table.row_sum(rows.data(), snp.nnz, count,
-                      sparse_out.data() + j * count);
-      }
-    };
-    timing.dense_snp_seconds = TimeOnce(dense_pass);
-    timing.sparse_snp_seconds = TimeOnce(sparse_pass);
-    for (int sample = 1; sample < 7; ++sample) {
-      timing.dense_snp_seconds =
-          std::min(timing.dense_snp_seconds, TimeOnce(dense_pass));
-      timing.sparse_snp_seconds =
-          std::min(timing.sparse_snp_seconds, TimeOnce(sparse_pass));
-    }
-    if (num_snps > 0) {
-      timing.dense_snp_seconds /= static_cast<double>(num_snps);
-      timing.sparse_snp_seconds /= static_cast<double>(num_snps);
-    }
-    if (!BitEqual(sparse_out, dense_out)) {
+    if (!BitEqual(sparse_outs[l], dense_out)) {
       sparse_bitwise_ok = false;
       std::fprintf(stderr, "SPARSE/DENSE MISMATCH at level %s\n", timing.name);
     }
-
     if (l == 0) {
-      mac_reference = mac_out;
-      cox_reference = cox_out;
-      sparse_reference = sparse_out;
+      fold_reference = fold_out;
     } else {
-      if (!BitEqual(mac_out, mac_reference) ||
-          !BitEqual(cox_out, cox_reference)) {
+      if (!BitEqual(fold_out, fold_reference)) {
         bitwise_ok = false;
         std::fprintf(stderr, "BITWISE MISMATCH at level %s\n", timing.name);
       }
-      if (!BitEqual(sparse_out, sparse_reference)) {
+      if (!BitEqual(sparse_outs[l], sparse_outs.front())) {
         sparse_bitwise_ok = false;
         std::fprintf(stderr, "SPARSE MISMATCH at level %s\n", timing.name);
       }
@@ -274,32 +234,22 @@ int Run(int argc, char** argv) {
     }
   });
 
-  Table table("Per-call kernel timings (seconds, lower is better)",
-              {"level", "batched MAC", "Cox scan", "SKAT fold", "MAC speedup"});
-  const double scalar_mac = timings.front().mac_seconds;
-  for (const LevelTiming& t : timings) {
-    table.AddRow({t.name, Table::Num(t.mac_seconds, 6),
-                  Table::Num(t.cox_seconds, 6), Table::Num(t.fold_seconds, 6),
-                  Table::Num(scalar_mac / t.mac_seconds, 2) + "x"});
-  }
-  table.Print();
-
+  const double scalar_sparse = timings.front().sparse_snp_seconds;
   char sparse_title[160];
   std::snprintf(sparse_title, sizeof(sparse_title),
-                "Per-SNP genotype MAC, %.1f%% non-zero (seconds, lower is "
-                "better)",
-                100.0 * density);
-  Table sparse_table(sparse_title,
-                     {"level", "dense MAC", "sparse MAC", "sparse speedup"});
+                "Per-SNP replicate scores, %.1f%% non-zero (seconds, lower is "
+                "better; scalar dense MAC %.7f s)",
+                100.0 * density, dense_snp_seconds);
+  Table table(sparse_title, {"level", "sparse row_sum", "SKAT fold",
+                             "row_sum speedup", "sparse vs dense"});
   for (const LevelTiming& t : timings) {
-    sparse_table.AddRow({t.name, Table::Num(t.dense_snp_seconds, 7),
-                         Table::Num(t.sparse_snp_seconds, 7),
-                         Table::Num(t.dense_snp_seconds /
-                                        t.sparse_snp_seconds,
-                                    2) +
-                             "x"});
+    table.AddRow({t.name, Table::Num(t.sparse_snp_seconds, 7),
+                  Table::Num(t.fold_seconds, 8),
+                  Table::Num(scalar_sparse / t.sparse_snp_seconds, 2) + "x",
+                  Table::Num(dense_snp_seconds / t.sparse_snp_seconds, 2) +
+                      "x"});
   }
-  sparse_table.Print();
+  table.Print();
   std::printf("  genotype packing: %llu -> %llu bytes (%.2fx), pack %.4fs, "
               "unpack %.4fs, non-zero decode %.4fs (allele sink %llu)\n",
               static_cast<unsigned long long>(unpacked_bytes),
@@ -337,22 +287,21 @@ int Run(int argc, char** argv) {
                  "{\"bench\":\"bench_kernels\",\"patients\":%zu,\"count\":%zu,"
                  "\"iters\":%d,\"snps\":%zu,\"optimized\":%s,\"sanitized\":%s,"
                  "\"bitwise_identical\":%s,\"sparse_bitwise_identical\":%s,"
-                 "\"sparse_density\":%.4f,\"best_level\":\"%s\",\"levels\":{",
+                 "\"sparse_density\":%.4f,\"dense_snp_seconds\":%.9f,"
+                 "\"best_level\":\"%s\",\"levels\":{",
                  n, count, iters, num_snps, optimized ? "true" : "false",
                  sanitized ? "true" : "false", bitwise_ok ? "true" : "false",
                  sparse_bitwise_ok ? "true" : "false", density,
-                 timings.back().name);
+                 dense_snp_seconds, timings.back().name);
     for (std::size_t i = 0; i < timings.size(); ++i) {
       const LevelTiming& t = timings[i];
       std::fprintf(out,
-                   "%s\"%s\":{\"mac_seconds\":%.9f,\"cox_seconds\":%.9f,"
-                   "\"fold_seconds\":%.9f,\"mac_speedup\":%.4f,"
-                   "\"dense_snp_seconds\":%.9f,\"sparse_snp_seconds\":%.9f,"
+                   "%s\"%s\":{\"sparse_snp_seconds\":%.9f,"
+                   "\"fold_seconds\":%.9f,\"row_sum_speedup\":%.4f,"
                    "\"sparse_speedup\":%.4f}",
-                   i == 0 ? "" : ",", t.name, t.mac_seconds, t.cox_seconds,
-                   t.fold_seconds, scalar_mac / t.mac_seconds,
-                   t.dense_snp_seconds, t.sparse_snp_seconds,
-                   t.dense_snp_seconds / t.sparse_snp_seconds);
+                   i == 0 ? "" : ",", t.name, t.sparse_snp_seconds,
+                   t.fold_seconds, scalar_sparse / t.sparse_snp_seconds,
+                   dense_snp_seconds / t.sparse_snp_seconds);
     }
     std::fprintf(out,
                  "},\"pack\":{\"unpacked_bytes\":%llu,\"packed_bytes\":%llu,"

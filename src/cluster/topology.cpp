@@ -1,7 +1,7 @@
 #include "cluster/topology.hpp"
 
+#include <algorithm>
 #include <sstream>
-#include <thread>
 
 namespace ss::cluster {
 
@@ -10,14 +10,6 @@ InstanceType M3_2xlarge() {
                       .vcpus = 8,
                       .memory_gib = 30.0,
                       .storage_gb = 160.0};
-}
-
-InstanceType LocalMachine() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return InstanceType{.name = "local",
-                      .vcpus = static_cast<int>(hw),
-                      .memory_gib = 4.0,
-                      .storage_gb = 64.0};
 }
 
 Status ClusterTopology::Validate() const {

@@ -25,9 +25,6 @@ struct InstanceType {
 /// 8 vCPU, 30 GiB, 2×80 GB SSD.
 InstanceType M3_2xlarge();
 
-/// A single-node "local" machine sized from the host (for tests/examples).
-InstanceType LocalMachine();
-
 /// Full cluster layout. The product nodes × executors_per_node is the
 /// container count; slots = containers × cores_per_executor.
 struct ClusterTopology {

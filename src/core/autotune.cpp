@@ -1,31 +1,8 @@
 #include "core/autotune.hpp"
 
 #include <algorithm>
-#include <sstream>
-
-#include "cluster/resource_manager.hpp"
 
 namespace ss::core {
-namespace {
-
-std::string NameOf(const cluster::ClusterTopology& topology) {
-  std::ostringstream name;
-  name << topology.num_nodes << "n x " << topology.executors_per_node
-       << "e x " << topology.cores_per_executor << "c";
-  return name.str();
-}
-
-}  // namespace
-
-std::vector<cluster::ClusterTopology> StrongScalingCandidates(
-    const std::vector<int>& node_counts) {
-  std::vector<cluster::ClusterTopology> candidates;
-  candidates.reserve(node_counts.size());
-  for (int nodes : node_counts) {
-    candidates.push_back(cluster::EmrCluster(nodes));
-  }
-  return candidates;
-}
 
 std::vector<cluster::ClusterTopology> ContainerSweepCandidates() {
   // Table VII: 36 nodes, 1M SNPs. Table VIII rows:
@@ -37,41 +14,23 @@ std::vector<cluster::ClusterTopology> ContainerSweepCandidates() {
 }
 
 bool IsPlaceable(const cluster::ClusterTopology& topology) {
-  cluster::ResourceManager rm(topology.instance, topology.num_nodes,
-                              cluster::ResourceCalculator::kMemoryOnly);
-  const cluster::ContainerRequest request{topology.memory_per_executor_gib,
-                                          topology.cores_per_executor};
-  return rm.AllocateMany(request, topology.TotalExecutors()).ok();
-}
-
-std::vector<TuningPoint> TuneAcross(
-    const engine::EngineContext& ctx,
-    const std::vector<cluster::ClusterTopology>& candidates) {
-  std::vector<TuningPoint> points;
-  points.reserve(candidates.size());
-  for (const cluster::ClusterTopology& topology : candidates) {
-    if (!IsPlaceable(topology)) continue;
-    TuningPoint point;
-    point.name = NameOf(topology);
-    point.topology = topology;
-    point.report = ctx.ReplayOn(topology);
-    points.push_back(std::move(point));
+  constexpr double kReservedMemoryGib = 6.0;
+  const double memory = topology.memory_per_executor_gib;
+  if (topology.num_nodes < 1 || !(memory > 0.0) ||
+      topology.cores_per_executor < 1) {
+    return false;
   }
-  std::sort(points.begin(), points.end(),
-            [](const TuningPoint& a, const TuningPoint& b) {
-              return a.report.total_s < b.report.total_s;
-            });
-  return points;
-}
-
-Result<TuningPoint> PickBest(
-    const engine::EngineContext& ctx,
-    const std::vector<cluster::ClusterTopology>& candidates) {
-  std::vector<TuningPoint> points = TuneAcross(ctx, candidates);
-  if (points.empty()) {
-    return Status::InvalidArgument("no placeable candidate topology");
+  // Subtract as a node's free memory shrinks per grant, so the count
+  // rounds exactly as successive grants would; stop once every container
+  // has a place, so a tiny container cannot spin the loop.
+  const long long count = topology.TotalExecutors();
+  double free = std::max(0.0, topology.instance.memory_gib - kReservedMemoryGib);
+  long long per_node = 0;
+  while (free >= memory && topology.num_nodes * per_node < count) {
+    free -= memory;
+    ++per_node;
   }
-  return points.front();
+  return count <= topology.num_nodes * per_node;
 }
 
 }  // namespace ss::core

@@ -1,35 +1,13 @@
-// Auto-tuning support (paper Experiment C / Fig 6-7 / Tables VI-VIII).
-//
-// The tuner replays a recorded job profile across candidate topologies via
-// the VirtualScheduler and reports the predicted makespans — the
-// "investigate Spark parameter options for tuning" direction the paper's
-// conclusion names. Candidate generators mirror the paper's two sweeps:
-// strong scaling over node counts, and container-shape sweeps at a fixed
-// node count (validated against the YARN-like ResourceManager so only
-// placeable configurations are considered).
+// Container-shape support for the paper's Experiment C (Fig 7 / Tables
+// VII-VIII): the Table VIII candidate shapes, and the YARN placement check
+// that decides which shapes a cluster can actually grant.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cluster/topology.hpp"
-#include "cluster/virtual_scheduler.hpp"
-#include "engine/context.hpp"
-#include "support/status.hpp"
 
 namespace ss::core {
-
-/// One candidate configuration and its predicted runtime.
-struct TuningPoint {
-  std::string name;
-  cluster::ClusterTopology topology;
-  cluster::MakespanReport report;
-};
-
-/// Table VI: EMR clusters of the given node counts (1 executor/node,
-/// 8 cores each — the strong-scaling sweep).
-std::vector<cluster::ClusterTopology> StrongScalingCandidates(
-    const std::vector<int>& node_counts);
 
 /// Table VIII: the three container shapes on 36 nodes — 42x(10 GiB, 6
 /// cores), 84x(5 GiB, 3 cores), 126x(3 GiB, 2 cores). (The paper's table
@@ -37,19 +15,13 @@ std::vector<cluster::ClusterTopology> StrongScalingCandidates(
 /// same 36-node memory budget, which is the YARN constraint that matters.)
 std::vector<cluster::ClusterTopology> ContainerSweepCandidates();
 
-/// True if `topology`'s executors can actually be granted on its nodes by
-/// a YARN-like RM using the memory-only calculator.
+/// True if `topology`'s executors can all be granted on its nodes by a
+/// YARN-like resource manager with the memory-only (Default) calculator:
+/// each node offers its instance memory less 6 GiB reserved for the OS and
+/// daemons, and fits k containers, k being how many times the container
+/// memory can be taken from that; the shape (nodes, memory, cores) must be
+/// positive and the container count at most nodes · k. This is the verdict
+/// of least-loaded, all-or-nothing placement on identical nodes.
 bool IsPlaceable(const cluster::ClusterTopology& topology);
-
-/// Replays the context's recorded metrics across candidates; results are
-/// sorted by predicted makespan (fastest first). Unplaceable candidates
-/// are skipped.
-std::vector<TuningPoint> TuneAcross(
-    const engine::EngineContext& ctx,
-    const std::vector<cluster::ClusterTopology>& candidates);
-
-/// Convenience: fastest candidate, or InvalidArgument if none placeable.
-Result<TuningPoint> PickBest(const engine::EngineContext& ctx,
-                             const std::vector<cluster::ClusterTopology>& candidates);
 
 }  // namespace ss::core

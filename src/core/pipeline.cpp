@@ -3,23 +3,15 @@
 #include <algorithm>
 #include <atomic>
 
+#include "core/paper_faithful.hpp"
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
+#include "core/score_block.hpp"
 #include "core/store_source.hpp"
 #include "dfs/genotype_store.hpp"
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
 #include "simdata/store_codec.hpp"
 #include "stats/kernels/kernels.hpp"
-#include "stats/resampling.hpp"
-
-// Score partitions are never cached, but every Dataset element type needs
-// a byte estimate for the cache path.
-template <>
-struct ss::engine::internal::ApproxBytesImpl<ss::core::ScoreRows> {
-  static std::size_t Of(const ss::core::ScoreRows& rows) {
-    return ApproxBytesOf(rows.snps) + ApproxBytesOf(rows.scores);
-  }
-};
 
 namespace ss::core {
 namespace {
@@ -54,18 +46,6 @@ std::vector<std::pair<std::uint32_t, double>> IndexedWeights(
     pairs.push_back({j, weights[j]});
   }
   return pairs;
-}
-
-/// snp -> list of containing set ids (step 11's aggregation map).
-std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> BuildSnpToSets(
-    const std::vector<stats::SnpSet>& sets) {
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> map;
-  for (const stats::SnpSet& set : sets) {
-    for (std::uint32_t snp : set.snps) {
-      map[snp].push_back(set.id);
-    }
-  }
-  return map;
 }
 
 /// Membership bitmap over 0..max_snp for the step-4 filter.
@@ -113,16 +93,16 @@ Dataset<stats::PackedSnpRecord> FilterAndPack(
   });
 }
 
-/// Row a of a weighted Gram, entries (a, b≥a) and their mirrors:
-/// M_ab = w_a w_b Σ_i u_a[i] u_b[i]. Four columns share each pass over
-/// u_a, but every dot is still its own ascending-i accumulator chain, so
-/// each entry is bitwise the plain one-column loop's.
-void FillGramRow(const std::vector<const std::vector<double>*>& u,
-                 const std::vector<double>& w, std::size_t a,
+/// Row a of a weighted Gram over d contribution rows of length n, entries
+/// (a, b≥a) and their mirrors: M_ab = w_a w_b Σ_i u_a[i] u_b[i]. Four
+/// columns share each pass over u_a, but every dot is still its own
+/// ascending-i accumulator chain, so each entry is bitwise the plain
+/// one-column loop's.
+void FillGramRow(const std::vector<const double*>& u,
+                 const std::vector<double>& w, std::size_t n, std::size_t a,
                  stats::Matrix* gram) {
   const std::size_t d = u.size();
-  const std::vector<double>& ua = *u[a];
-  const std::size_t n = ua.size();
+  const double* ua = u[a];
   const auto store = [&](std::size_t b, double dot) {
     const double m = w[a] * w[b] * dot;
     gram->at(a, b) = m;
@@ -130,10 +110,10 @@ void FillGramRow(const std::vector<const std::vector<double>*>& u,
   };
   std::size_t b = a;
   for (; b + 4 <= d; b += 4) {
-    const double* u0 = u[b]->data();
-    const double* u1 = u[b + 1]->data();
-    const double* u2 = u[b + 2]->data();
-    const double* u3 = u[b + 3]->data();
+    const double* u0 = u[b];
+    const double* u1 = u[b + 1];
+    const double* u2 = u[b + 2];
+    const double* u3 = u[b + 3];
     double dot0 = 0.0;
     double dot1 = 0.0;
     double dot2 = 0.0;
@@ -151,57 +131,12 @@ void FillGramRow(const std::vector<const std::vector<double>*>& u,
     store(b + 3, dot3);
   }
   for (; b < d; ++b) {
-    const std::vector<double>& ub = *u[b];
+    const double* ub = u[b];
     double dot = 0.0;
     for (std::size_t i = 0; i < n; ++i) dot += ua[i] * ub[i];
     store(b, dot);
   }
 }
-
-std::uint32_t SnpOf(
-    const std::pair<std::uint32_t, std::vector<double>>& record) {
-  return record.first;
-}
-std::uint32_t SnpOf(const stats::PackedSnpRecord& record) { return record.snp; }
-
-/// The score-block scaffold: one MapPartitions pass that scores every
-/// record whose SNP is live (all, when `live_snps` is null) into its
-/// partition's flat `live records × count` buffer, then moves the
-/// buffers to the driver as one ScoreBlock. `score(record, &scratch,
-/// row)` writes one SNP's `count` scores to `row`; `Scratch` is
-/// per-partition working memory.
-template <typename Scratch, typename Record, typename Score>
-ScoreBlock CollectScoreBlock(
-    const Dataset<Record>& records, std::size_t count,
-    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps,
-    const char* label, Score score) {
-  auto scored = records.MapPartitions(
-      [live_snps, count, score](std::uint32_t,
-                                const std::vector<Record>& partition) {
-        std::vector<const Record*> live;
-        live.reserve(partition.size());
-        for (const Record& record : partition) {
-          if (live_snps == nullptr || live_snps->count(SnpOf(record)) != 0) {
-            live.push_back(&record);
-          }
-        }
-        std::vector<ScoreRows> out(1);
-        ScoreRows& rows = out.front();
-        rows.snps.reserve(live.size());
-        rows.scores.resize(live.size() * count);
-        Scratch scratch;
-        double* row = rows.scores.data();
-        for (const Record* record : live) {
-          rows.snps.push_back(SnpOf(*record));
-          score(*record, &scratch, row);
-          row += count;
-        }
-        return out;
-      });
-  return ScoreBlock(count, scored.Collect(label));
-}
-
-struct NoScratch {};
 
 /// One SNP's non-zero genotypes (NonZeroInto runs) and the coefficient
 /// rows they select (kernels::SelectDosageRows).
@@ -281,8 +216,6 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
     // unpacked footprint.
     genotypes_.Cache();
   }
-
-  snp_to_sets_ = engine::MakeBroadcast(ctx, BuildSnpToSets(sets_));
 }
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
@@ -429,108 +362,36 @@ SkatPipeline SkatPipeline::FromMemory(engine::EngineContext& ctx,
                       dataset.weights, dataset.sets);
 }
 
-Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
-    const engine::Broadcast<stats::ScoreEngine>& engine) const {
-  // Steps 6-7: per-SNP contributions under the broadcast phenotype. The
-  // 2-bit block decodes back to dosages at the point of use; the roundtrip
-  // is lossless so scores are bitwise unchanged. The unpack is profiled as
-  // decode time (untraced: one span per record would flood the Chrome
-  // trace; coalescing keeps the accounting exact).
-  return genotypes_.Map([engine](const stats::PackedSnpRecord& record) {
-    std::vector<std::uint8_t> dosages;
-    {
-      ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
-                                          /*trace=*/false);
-      record.genotypes.UnpackInto(&dosages);
-    }
-    return std::pair<std::uint32_t, std::vector<double>>(
-        record.snp, engine->Contributions(dosages));
-  });
-}
+SkatPipeline::SkatPipeline(SkatPipeline&&) noexcept = default;
+SkatPipeline& SkatPipeline::operator=(SkatPipeline&&) noexcept = default;
+SkatPipeline::~SkatPipeline() = default;
 
-SetScores SkatPipeline::SetScoresFromU(
-    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
-  // Step 8: U_j² = (Σ_i U_ij)².
-  auto inner_sigma = u.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
-  // Step 9: join with squared weights. Step 10: per-SNP score.
-  auto weights_sq =
-      weights_.Map([](const std::pair<std::uint32_t, double>& weight) {
-        return std::pair<std::uint32_t, double>(weight.first,
-                                                weight.second * weight.second);
-      });
-  auto joined = engine::Join(weights_sq, inner_sigma, config_.num_reducers);
-  auto snp_scores =
-      joined.Map([](const std::pair<std::uint32_t, std::pair<double, double>>&
-                        record) {
-        return std::pair<std::uint32_t, double>(
-            record.first, record.second.first * record.second.second);
-      });
-
-  // Steps 11-12: scatter each SNP's score to its containing sets and sum.
-  auto map = snp_to_sets_;
-  auto set_contributions = snp_scores.FlatMap(
-      [map](const std::pair<std::uint32_t, double>& record) {
-        std::vector<std::pair<std::uint32_t, double>> out;
-        auto it = map->find(record.first);
-        if (it != map->end()) {
-          out.reserve(it->second.size());
-          for (std::uint32_t set_id : it->second) {
-            out.push_back({set_id, record.second});
-          }
-        }
-        return out;
-      });
-  auto set_scores = engine::ReduceByKey(
-      set_contributions, [](double a, double b) { return a + b; },
-      config_.num_reducers);
-  SetScores observed = engine::CollectAsMap(set_scores, "collect-set-scores");
-  // Sets none of whose SNPs survived filtering score 0.
-  for (const stats::SnpSet& set : sets_) {
-    observed.try_emplace(set.id, 0.0);
+PaperFaithful& SkatPipeline::Faithful() {
+  if (faithful_ == nullptr) {
+    faithful_ = std::make_unique<PaperFaithful>(*ctx_, config_, genotypes_,
+                                                weights_, phenotype_, sets_);
   }
-  return observed;
-}
-
-void SkatPipeline::EnsureUBuilt() {
-  if (u_built_) return;
-  auto engine_bcast = engine::MakeBroadcast(
-      *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
-  u_observed_ = BuildU(engine_bcast);
-  if (config_.cache_contributions && config_.paper_faithful_scores) {
-    // Algorithm 3 step 2: paper-faithful Monte Carlo re-reads U every
-    // batch. The default path reads it at most once (the adaptive screen's
-    // Grams), where a cached copy would only double the driver's U bytes.
-    u_observed_.Cache();
-  }
-  u_built_ = true;
+  return *faithful_;
 }
 
 SetScores SkatPipeline::ComputeObserved() {
-  engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-  EnsureUBuilt();
-  return SetScoresFromU(u_observed_);
+  return Faithful().ComputeObserved();
 }
 
 ScoreBlock SkatPipeline::ComputeMonteCarloScoreBlock(
     const std::vector<double>& zblock, std::size_t count,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
-  SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
-  SS_CHECK(zblock.size() == count * n());
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "monte-carlo score block",
-                         {engine::Arg("replicates", count)});
-  auto z = engine::MakeBroadcast(*ctx_, zblock);
-  return CollectScoreBlock<NoScratch>(
-      u_observed_, count, std::move(live_snps), "collect-score-block",
-      [z, count](const std::pair<std::uint32_t, std::vector<double>>& record,
-                 NoScratch*, double* row) {
-        stats::BatchedReplicateScores(record.second, z->data(), count, row);
-      });
+  return Faithful().ComputeMonteCarloScoreBlock(zblock, count,
+                                                std::move(live_snps));
+}
+
+ScoreBlock SkatPipeline::CollectObservedScores() {
+  return Faithful().CollectObservedScores();
+}
+
+SetScores SkatPipeline::ComputePermutationReplicate(
+    const std::vector<std::uint32_t>& perm) {
+  return Faithful().ComputePermutationReplicate(perm);
 }
 
 ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
@@ -545,8 +406,8 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
   // the replicate kernel only adds.
   auto table =
       engine::MakeBroadcast(*ctx_, stats::kernels::DosageScaledTable(vblock));
-  // The non-zero decode is profiled as decode time (untraced like
-  // BuildU's unpack: one span per record would flood the trace).
+  // The non-zero decode is profiled as decode time (untraced: one span
+  // per record would flood the trace).
   return CollectScoreBlock<GenotypeScratch>(
       genotypes_, count, std::move(live_snps), "collect-score-block",
       [table, count, zero_sum_columns](const stats::PackedSnpRecord& record,
@@ -563,18 +424,6 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
       });
 }
 
-ScoreBlock SkatPipeline::CollectObservedScores() {
-  EnsureUBuilt();
-  return CollectScoreBlock<NoScratch>(
-      u_observed_, 1, nullptr, "collect-observed-scores",
-      [](const std::pair<std::uint32_t, std::vector<double>>& record,
-         NoScratch*, double* row) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        *row = total;
-      });
-}
-
 const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
   if (!driver_weights_built_) {
     driver_weights_ = engine::CollectAsMap(weights_, "collect-weights");
@@ -585,21 +434,38 @@ const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
 
 std::unordered_map<std::uint32_t, stats::Matrix>
 SkatPipeline::CollectSetGramMatrices() {
-  EnsureUBuilt();
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "collect set gram matrices");
-  // Driver-side copy of the per-SNP contribution vectors — the same bytes
-  // the score-block collect moves. Sets reach hundreds of members (a
-  // generated cohort's last set takes every leftover SNP), so the d²/2
-  // length-n dots are real work: they run as one engine stage below.
-  const auto u_by_snp = engine::CollectAsMap(u_observed_, "collect-u-vectors");
+  // Each filtered SNP's observed contributions u_j (steps 6-7), built in
+  // one pass over the packed genotypes into a transient count-n block —
+  // the bytes a U collect would move, with nothing cached. Sets reach
+  // hundreds of members (a generated cohort's last set takes every
+  // leftover SNP), so the d²/2 length-n dots are real work: they run as
+  // one engine stage below. The unpack is profiled as decode time.
+  const std::size_t n = phenotype_.n();
+  auto score_engine = engine::MakeBroadcast(
+      *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
+  const ScoreBlock u = CollectScoreBlock<std::vector<std::uint8_t>>(
+      genotypes_, n, nullptr, "collect-u-rows",
+      [score_engine, n](const stats::PackedSnpRecord& record,
+                        std::vector<std::uint8_t>* dosages, double* row) {
+        {
+          ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
+                                              /*trace=*/false);
+          record.genotypes.UnpackInto(dosages);
+        }
+        const std::vector<double> contributions =
+            score_engine->Contributions(*dosages);
+        SS_CHECK(contributions.size() == n);
+        std::copy(contributions.begin(), contributions.end(), row);
+      });
   const std::unordered_map<std::uint32_t, double>& weights = DriverWeights();
 
-  // One preallocated Gram per set, and its members with live (unfiltered)
-  // U vectors in declaration order.
+  // One preallocated Gram per set, and its members' contribution rows
+  // (unfiltered SNPs only) in declaration order.
   struct SetMembers {
     stats::Matrix* gram = nullptr;
-    std::vector<const std::vector<double>*> u;
+    std::vector<const double*> u;
     std::vector<double> w;
   };
   std::unordered_map<std::uint32_t, stats::Matrix> grams;
@@ -609,10 +475,10 @@ SkatPipeline::CollectSetGramMatrices() {
   for (const stats::SnpSet& set : sets_) {
     SetMembers entry;
     for (std::uint32_t snp : set.snps) {
-      auto u_it = u_by_snp.find(snp);
-      if (u_it == u_by_snp.end()) continue;  // SNP filtered out
+      const double* row = u.row(snp);
+      if (row == nullptr) continue;  // SNP filtered out
       auto w_it = weights.find(snp);
-      entry.u.push_back(&u_it->second);
+      entry.u.push_back(row);
       entry.w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
     }
     const std::size_t d = entry.u.size();
@@ -649,24 +515,13 @@ SkatPipeline::CollectSetGramMatrices() {
   if (blocks.empty()) return grams;
   ctx_->RunTasks(
       "set-gram", static_cast<std::uint32_t>(blocks.size()),
-      [&blocks](engine::TaskContext& task) {
+      [&blocks, n](engine::TaskContext& task) {
         const RowBlock& block = blocks[task.partition()];
         for (std::size_t a = block.a_begin; a < block.a_end; ++a) {
-          FillGramRow(block.set->u, block.set->w, a, block.set->gram);
+          FillGramRow(block.set->u, block.set->w, n, a, block.set->gram);
         }
       });
   return grams;
-}
-
-SetScores SkatPipeline::ComputePermutationReplicate(
-    const std::vector<std::uint32_t>& perm) {
-  // Algorithm 2: rebroadcast a permuted phenotype and rerun steps 6-12.
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "permutation replicate");
-  auto engine_bcast = engine::MakeBroadcast(
-      *ctx_, stats::ScoreEngine(phenotype_.Permuted(perm),
-                                config_.paper_faithful_scores));
-  return SetScoresFromU(BuildU(engine_bcast));
 }
 
 }  // namespace ss::core

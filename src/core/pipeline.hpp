@@ -16,15 +16,18 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// The U RDD is exposed so paper-faithful Algorithm 3 can cache and reuse
-// it, and so the adaptive screen can read its Grams once. Every other
-// resampling run avoids it: U_j = Σ_l G_lj v_l with v the phenotype's
-// score coefficients, a permutation only permutes v, and Monte Carlo
-// multipliers z only change it to V(z) (Σ_i z_i U_ij = g_jᵀV(z)), so
-// replicates score the packed genotypes against coefficient blocks
-// (ComputeGenotypeScoreBlock). Re-executing steps 6-12 per replicate with
-// a permuted phenotype (ComputePermutationReplicate) is kept for the
-// paper-faithful cost regime.
+// The default system never materializes steps 6-7's U RDD. U_j =
+// Σ_l G_lj v_l with v the phenotype's score coefficients, a permutation
+// only permutes v, and Monte Carlo multipliers z only change it to V(z)
+// (Σ_i z_i U_ij = g_jᵀV(z)), so observed scores and replicates score the
+// packed genotypes against coefficient blocks (ComputeGenotypeScoreBlock),
+// and the adaptive screen builds each SNP's contribution row transiently
+// in one pass for its Grams (CollectSetGramMatrices). The U RDD, its cache
+// and steps 8-12 over it live in the paper-faithful unit
+// (core/paper_faithful.hpp), which ComputeObserved, CollectObservedScores,
+// ComputeMonteCarloScoreBlock and ComputePermutationReplicate reach: the
+// paper's Algorithm 3 over the cached U, and its Algorithm 2 re-executing
+// steps 6-12 per replicate under a permuted phenotype.
 //
 // Every way in (Open, OpenFromStore, FromMemory and the parts constructor)
 // produces the packed FGM dataset, the ω dataset, the phenotype and the
@@ -39,7 +42,7 @@
 #include <vector>
 
 #include "core/record_traits.hpp"  // IWYU pragma: keep (codec/byte-size traits)
-#include "engine/broadcast.hpp"
+#include "core/score_block.hpp"
 #include "engine/dataset.hpp"
 #include "simdata/dfs_writer.hpp"
 #include "simdata/generator.hpp"
@@ -55,48 +58,6 @@ namespace ss::core {
 /// Per-set observed statistics, keyed by set id (the paper's "HashMap").
 using SetScores = std::unordered_map<std::uint32_t, double>;
 
-/// One partition's share of a score pass: the SNPs it scored, in record
-/// order, and their scores in one row-major `snps.size() × count` buffer.
-struct ScoreRows {
-  std::vector<std::uint32_t> snps;
-  std::vector<double> scores;
-};
-
-/// The per-SNP scores of one engine pass (`count` per SNP), collected to
-/// the driver as the partitions wrote them: one contiguous buffer per
-/// partition, no per-SNP vector and no hash map. A row table indexed by
-/// SNP id, built once per pass, points each scored SNP at its row.
-class ScoreBlock {
- public:
-  ScoreBlock() = default;
-  ScoreBlock(std::size_t count, std::vector<ScoreRows> partitions);
-
-  // Movable only: the row table points into the partition buffers.
-  ScoreBlock(ScoreBlock&&) noexcept = default;
-  ScoreBlock& operator=(ScoreBlock&&) noexcept = default;
-  ScoreBlock(const ScoreBlock&) = delete;
-  ScoreBlock& operator=(const ScoreBlock&) = delete;
-
-  /// Scores per SNP (the pass's replicate count; 1 for observed scores).
-  std::size_t count() const { return count_; }
-
-  /// Distinct SNPs scored.
-  std::size_t size() const { return size_; }
-
-  /// `snp`'s `count` scores, or nullptr when the pass did not score it
-  /// (filtered out of every set, or outside the pass's `live_snps`). A
-  /// SNP scored by two records keeps the later partition's row.
-  const double* row(std::uint32_t snp) const {
-    return snp < rows_.size() ? rows_[snp] : nullptr;
-  }
-
- private:
-  std::size_t count_ = 0;
-  std::size_t size_ = 0;
-  std::vector<ScoreRows> partitions_;
-  std::vector<const double*> rows_;
-};
-
 struct PipelineConfig {
   stats::ScoreModel model = stats::ScoreModel::kCox;
 
@@ -111,8 +72,7 @@ struct PipelineConfig {
   /// re-reads, and, under `paper_faithful_scores`, the U RDD (the
   /// prerequisite of the paper's Algorithm 3; Experiment B ablates it),
   /// which paper-faithful Monte Carlo re-reads every batch. Outside that
-  /// mode U is built only for the adaptive screen, which reads it once for
-  /// its Grams, so it is not cached there.
+  /// mode no run builds the U RDD.
   bool cache_contributions = true;
 
   /// Memory budget for the engine's partition cache, applied to the
@@ -126,9 +86,9 @@ struct PipelineConfig {
   /// (O(n²) per SNP) instead of this library's O(n) risk-set path, run
   /// plain permutation as a full pipeline rebuild per replicate, and run
   /// Monte Carlo over the cached U RDD — instead of genotype score blocks
-  /// for both. Reproduces the paper's cost regime; outside it, Monte Carlo
-  /// never builds U (only the adaptive screen does), so this is the only
-  /// setting under which Monte Carlo caches or recomputes U. SKAT-O
+  /// for both. Reproduces the paper's cost regime (core/paper_faithful.hpp);
+  /// outside it no run builds the U RDD, so this is the only setting under
+  /// which Monte Carlo caches or recomputes U. SKAT-O
   /// scores genotype blocks either way. The timing benches set this; see
   /// stats/score_engine.hpp.
   bool paper_faithful_scores = false;
@@ -145,6 +105,8 @@ struct PipelineConfig {
   /// (the ablation baseline). 0 is treated as 1.
   std::uint64_t resampling_batch_size = 64;
 };
+
+class PaperFaithful;
 
 class SkatPipeline {
  public:
@@ -185,9 +147,13 @@ class SkatPipeline {
                stats::Phenotype phenotype, std::vector<double> weights,
                std::vector<stats::SnpSet> sets);
 
-  /// Steps 6-12 with the observed phenotype: S_k⁰ per set. The first call
-  /// defines the U RDD (cached only in paper-faithful mode; see
-  /// PipelineConfig::cache_contributions).
+  SkatPipeline(SkatPipeline&&) noexcept;
+  SkatPipeline& operator=(SkatPipeline&&) noexcept;
+  ~SkatPipeline();
+
+  /// Steps 6-12 with the observed phenotype: S_k⁰ per set, through the
+  /// paper-faithful unit. The first call defines the U RDD (cached only in
+  /// paper-faithful mode; see PipelineConfig::cache_contributions).
   SetScores ComputeObserved();
 
   /// Algorithm 3's modified step 8 for a whole batch, as the paper runs
@@ -243,18 +209,20 @@ class SkatPipeline {
   /// Driver-resident unsquared weights ω_j, collected once and memoized.
   const std::unordered_map<std::uint32_t, double>& DriverWeights();
 
-  /// Per-set weighted Gram matrix M_ab = ω_a ω_b Σ_i U_ia U_ib over the
-  /// observed U RDD (set members in declaration order; filtered-out SNPs
-  /// contribute zero rows/columns and are skipped). Under the Monte Carlo
-  /// null the replicate statistic is exactly Σ_m λ_m χ²₁ with λ_m the
-  /// eigenvalues of this matrix — the input to the analytic tail methods
-  /// (stats/adaptive_pvalue.hpp). Materializes the U RDD like
-  /// ComputeObserved.
+  /// Per-set weighted Gram matrix M_ab = ω_a ω_b Σ_i U_ia U_ib of the
+  /// observed contributions (set members in declaration order;
+  /// filtered-out SNPs contribute zero rows/columns and are skipped).
+  /// Under the Monte Carlo null the replicate statistic is exactly
+  /// Σ_m λ_m χ²₁ with λ_m the eigenvalues of this matrix — the input to
+  /// the analytic tail methods (stats/adaptive_pvalue.hpp). The
+  /// contribution rows come from one pass over the packed genotypes into a
+  /// transient count-n ScoreBlock; nothing is cached.
   std::unordered_map<std::uint32_t, stats::Matrix> CollectSetGramMatrices();
 
-  /// Steps 6-12 from scratch under a permuted phenotype: Algorithm 2 as
-  /// the paper runs it, which RunResampling uses for plain (non-adaptive)
-  /// permutation under `paper_faithful_scores`.
+  /// Steps 6-12 from scratch under a permuted phenotype, through the
+  /// paper-faithful unit: Algorithm 2 as the paper runs it, which
+  /// RunResampling uses for plain (non-adaptive) permutation under
+  /// `paper_faithful_scores`.
   SetScores ComputePermutationReplicate(const std::vector<std::uint32_t>& perm);
 
   const PipelineConfig& config() const { return config_; }
@@ -270,42 +238,27 @@ class SkatPipeline {
 
   /// The one assembly path: takes the packed, filtered genotypes (step 4)
   /// and the ω dataset (step 2), applies the cache budget, records the
-  /// kernel dispatch gauge, caches the genotypes when configured and
-  /// broadcasts the SNP -> sets map (step 11).
+  /// kernel dispatch gauge and caches the genotypes when configured.
   SkatPipeline(engine::EngineContext& ctx, const PipelineConfig& config,
                engine::Dataset<stats::PackedSnpRecord> genotypes,
                stats::Phenotype phenotype, WeightDataset weights,
                std::vector<stats::SnpSet> sets);
 
-  /// (SNP, per-patient contributions) under `engine` — steps 6-7.
-  engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU(
-      const engine::Broadcast<stats::ScoreEngine>& engine) const;
-
-  /// Steps 8-12 from a U dataset: aggregate to per-set scores.
-  SetScores SetScoresFromU(
-      const engine::Dataset<std::pair<std::uint32_t, std::vector<double>>>& u)
-      const;
-
-  /// Materializes the U RDD if needed (shared by all observed paths).
-  void EnsureUBuilt();
+  /// The paper-faithful unit, created on the first call that needs it.
+  PaperFaithful& Faithful();
 
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
 
   /// Filtered genotype RDD (step 4), 2-bit packed: the cached genotype
-  /// format. U builds and genotype score blocks decode from it.
+  /// format. Genotype score blocks, the screen's contribution rows and the
+  /// paper-faithful U decode from it.
   engine::Dataset<stats::PackedSnpRecord> genotypes_;
   WeightDataset weights_;  ///< ω (step 2); step 9 joins its square.
   stats::Phenotype phenotype_;
   std::vector<stats::SnpSet> sets_;
 
-  /// snp -> ids of sets containing it (broadcast for step 11).
-  engine::Broadcast<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
-      snp_to_sets_;
-
-  /// Observed-phenotype U RDD, kept so Algorithm 3 reuses it.
-  engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> u_observed_;
-  bool u_built_ = false;
+  std::unique_ptr<PaperFaithful> faithful_;
 
   /// Memoized DriverWeights() result.
   std::unordered_map<std::uint32_t, double> driver_weights_;

@@ -164,16 +164,19 @@ struct SkatBurdenScores {
 SkatBurdenScores FoldSkatBurdenScores(const FoldPlan& plan,
                                       const ScoreBlock& block) {
   const std::size_t count = block.count();
-  const auto fold = stats::kernels::ActiveKernels().skat_burden_fold;
   SkatBurdenScores out;
   out.skat.assign(plan.num_sets() * count, 0.0);
   out.burden.assign(plan.num_sets() * count, 0.0);
   for (std::size_t k = 0; k < plan.num_sets(); ++k) {
+    double* skat = out.skat.data() + k * count;
+    double* burden = out.burden.data() + k * count;
     for (const FoldPlan::Member& member : plan.members(k)) {
       const double* row = block.row(member.snp);
       if (row == nullptr) continue;  // SNP filtered out
-      fold(row, count, member.weight, member.weight_sq,
-           out.skat.data() + k * count, out.burden.data() + k * count);
+      for (std::size_t r = 0; r < count; ++r) {
+        skat[r] += member.weight_sq * (row[r] * row[r]);
+        burden[r] += member.weight * row[r];
+      }
     }
   }
   for (double& sum : out.burden) sum *= sum;

@@ -15,7 +15,8 @@
 //     the sums, Σ_i z_i U_ij = g_jᵀV(z) with SNP-invariant coefficients
 //     V(z), so replicates score the genotypes against V(z) blocks and U is
 //     never built; runs under `paper_faithful_scores` instead reuse the
-//     cached observed U RDD, re-executing only steps 8-12.
+//     cached observed U RDD (core/paper_faithful.hpp), re-executing only
+//     steps 8-12.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
 //     replicate pool, always from V(z) blocks.
 //

@@ -1,6 +1,5 @@
 #include "stats/cox_score.hpp"
 
-#include "stats/kernels/kernels.hpp"
 #include "support/status.hpp"
 
 namespace ss::stats {
@@ -20,12 +19,18 @@ std::vector<double> CoxScoreContributions(
     prefix[k + 1] = prefix[k] + static_cast<double>(genotypes[order[k]]);
   }
 
-  // The per-patient scan is a routed kernel (risk_count(i) ==
-  // prefix_end(i), so the kernel derives b from the prefix-end array).
+  // risk_count(i) == prefix_end(i), so b comes from the prefix-end array.
+  const std::vector<std::uint32_t>& prefix_end = index.prefix_ends();
   std::vector<double> contributions(n);
-  kernels::ActiveKernels().cox_scan(data.event.data(), genotypes.data(),
-                                    prefix.data(), index.prefix_ends().data(),
-                                    n, contributions.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (data.event[i] == 0) {
+      contributions[i] = 0.0;  // censored patients contribute 0
+      continue;
+    }
+    const double a = prefix[prefix_end[i]];
+    const double b = static_cast<double>(prefix_end[i]);
+    contributions[i] = static_cast<double>(genotypes[i]) - a / b;
+  }
   return contributions;
 }
 

@@ -9,40 +9,6 @@
 namespace ss::stats::kernels {
 namespace internal {
 
-void BatchedMacScalar(const double* u, std::size_t n, const double* zblock,
-                      std::size_t count, double* out) {
-  std::size_t r = 0;
-  // Four replicates per pass: each contribution is loaded once and feeds
-  // four independent accumulators, which also hides the FP add latency
-  // the single-accumulator dot product serializes on. The patient-major
-  // Z layout puts the four replicates' multipliers for patient i in the
-  // four adjacent slots at zblock[i*count + r].
-  for (; r + 4 <= count; r += 4) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    double acc3 = 0.0;
-    const double* z = zblock + r;
-    for (std::size_t i = 0; i < n; ++i, z += count) {
-      const double ui = u[i];
-      acc0 += z[0] * ui;
-      acc1 += z[1] * ui;
-      acc2 += z[2] * ui;
-      acc3 += z[3] * ui;
-    }
-    out[r + 0] = acc0;
-    out[r + 1] = acc1;
-    out[r + 2] = acc2;
-    out[r + 3] = acc3;
-  }
-  for (; r < count; ++r) {
-    const double* z = zblock + r;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i, z += count) acc += z[0] * u[i];
-    out[r] = acc;
-  }
-}
-
 void RowSumScalar(const double* const* rows, std::size_t nrows,
                   std::size_t count, double* out) {
   // Four replicates per pass over the row list, then the tail; every
@@ -72,20 +38,6 @@ void RowSumScalar(const double* const* rows, std::size_t nrows,
   }
 }
 
-void CoxScanScalar(const std::uint8_t* event, const std::uint8_t* genotypes,
-                   const double* prefix, const std::uint32_t* prefix_end,
-                   std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (event[i] == 0) {
-      out[i] = 0.0;  // censored patients contribute 0
-      continue;
-    }
-    const double a = prefix[prefix_end[i]];
-    const double b = static_cast<double>(prefix_end[i]);
-    out[i] = static_cast<double>(genotypes[i]) - a / b;
-  }
-}
-
 void SkatFoldScalar(const double* scores, std::size_t count, double weight_sq,
                     double* acc) {
   for (std::size_t r = 0; r < count; ++r) {
@@ -94,22 +46,9 @@ void SkatFoldScalar(const double* scores, std::size_t count, double weight_sq,
   }
 }
 
-void SkatBurdenFoldScalar(const double* scores, std::size_t count,
-                          double weight, double weight_sq, double* skat,
-                          double* burden) {
-  for (std::size_t r = 0; r < count; ++r) {
-    const double s = scores[r];
-    skat[r] += weight_sq * (s * s);
-    burden[r] += weight * s;
-  }
-}
-
 const KernelTable kScalarTable = {
-    .batched_mac = &BatchedMacScalar,
     .row_sum = &RowSumScalar,
-    .cox_scan = &CoxScanScalar,
     .skat_fold = &SkatFoldScalar,
-    .skat_burden_fold = &SkatBurdenFoldScalar,
 };
 
 }  // namespace internal

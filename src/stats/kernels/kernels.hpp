@@ -1,16 +1,18 @@
-// Runtime-dispatched compute kernels for the resampling hot paths.
+// Runtime-dispatched compute kernels for the default resampling path.
 //
-// The loops that dominate resampling wall-clock — the batched replicate
-// multiply-accumulate (dense over per-patient values, and its
-// multiply-free sparse form summing pre-scaled rows for non-zero
-// genotypes), the Cox score contribution scan, and the per-set
-// SKAT weighted folds — are routed through a function-pointer
+// The two loops every default Monte Carlo and permutation batch spends
+// its time in — the multiply-free sparse replicate kernel (summing
+// pre-scaled coefficient rows for a SNP's non-zero genotypes) and the
+// driver's per-set SKAT fold — are routed through a function-pointer
 // table selected once per process from the best instruction set the CPU
-// supports (scalar / AVX2). The AVX2 variants preserve the
-// scalar kernel's per-element accumulation order bit for bit: lanes map
-// to *replicates*, never to patients, so each replicate's accumulator
-// still sums patients in ascending order and `resampling.result_hash`
-// is invariant to the dispatch level (see docs/KERNELS.md).
+// supports (scalar / AVX2). The AVX2 variants preserve the scalar
+// kernel's per-element accumulation order bit for bit: lanes map to
+// *replicates*, never to patients, so each replicate's accumulator still
+// sums in ascending order and `resampling.result_hash` is invariant to
+// the dispatch level (see docs/KERNELS.md). Loops off the default path
+// (the dense U × Z MAC of paper-faithful Monte Carlo, the Cox
+// contribution scan, the SKAT-O fold) are plain scalar functions at
+// their call sites.
 //
 // The level can be forced with the SS_KERNEL environment variable
 // (scalar|avx2) or programmatically via SetDispatchLevel (the CLI
@@ -58,52 +60,25 @@ DispatchLevel SetDispatchLevel(DispatchLevel level);
 /// One entry per routed hot loop. All variants of a kernel are bitwise
 /// equivalent; only their instruction mix differs.
 struct KernelTable {
-  /// out[r] = sum_i u[i] * zblock[i*count + r], summed in ascending i per
-  /// replicate. `zblock` is patient-major (MonteCarloZBlock layout):
-  /// patient i's `count` replicate multipliers are contiguous, so vector
-  /// variants load replicate lanes directly — no transpose, no strided
-  /// or gathered reads on the hot path.
-  using BatchedMacFn = void (*)(const double* u, std::size_t n,
-                                const double* zblock, std::size_t count,
-                                double* out);
-  /// Multiply-free sparse form of `batched_mac`:
+  /// Multiply-free sparse replicate kernel:
   ///   out[r] = sum_k rows[k][r],
   /// summed in ascending k per replicate starting from +0, where each
   /// rows[k] points at `count` contiguous doubles. With rows[k] the
   /// pre-scaled coefficient row fl(d_k * V_{i_k}) of a SNP's k-th
   /// non-zero genotype (SelectDosageRows over a DosageScaledTable), in
   /// ascending patient order, and finite V, the output is bitwise equal
-  /// to `batched_mac` on the dosages widened to doubles: every summand
-  /// is the product the dense kernel rounds, the adds run in the same
-  /// order, and a skipped G=0 term (±0) could never have moved the
-  /// accumulator (docs/KERNELS.md).
+  /// to the dense MAC stats::BatchedReplicateScores on the dosages
+  /// widened to doubles: every summand is the product the dense MAC
+  /// rounds, the adds run in the same order, and a skipped G=0 term (±0)
+  /// could never have moved the accumulator (docs/KERNELS.md).
   using RowSumFn = void (*)(const double* const* rows, std::size_t nrows,
                             std::size_t count, double* out);
-  /// Cox score contribution scan: for each patient i (sorted-time order
-  /// arrays as produced by RiskSetIndex),
-  ///   out[i] = event[i] ? genotypes[i] - prefix[prefix_end[i]] /
-  ///                       double(prefix_end[i])
-  ///          : +0.0
-  /// `prefix` has n + 1 entries; prefix_end[i] >= 1 for every i.
-  using CoxScanFn = void (*)(const std::uint8_t* event,
-                             const std::uint8_t* genotypes,
-                             const double* prefix,
-                             const std::uint32_t* prefix_end, std::size_t n,
-                             double* out);
   /// acc[r] += weight_sq * (scores[r] * scores[r]).
   using SkatFoldFn = void (*)(const double* scores, std::size_t count,
                               double weight_sq, double* acc);
-  /// skat[r] += weight_sq * (scores[r] * scores[r]);
-  /// burden[r] += weight * scores[r].
-  using SkatBurdenFoldFn = void (*)(const double* scores, std::size_t count,
-                                    double weight, double weight_sq,
-                                    double* skat, double* burden);
 
-  BatchedMacFn batched_mac = nullptr;
   RowSumFn row_sum = nullptr;
-  CoxScanFn cox_scan = nullptr;
   SkatFoldFn skat_fold = nullptr;
-  SkatBurdenFoldFn skat_burden_fold = nullptr;
 };
 
 /// The pre-scaled coefficient table `row_sum` reads for 2-bit dosages:

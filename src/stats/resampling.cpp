@@ -1,6 +1,5 @@
 #include "stats/resampling.hpp"
 
-#include "stats/kernels/kernels.hpp"
 #include "support/distributions.hpp"
 #include "support/status.hpp"
 
@@ -43,13 +42,12 @@ std::vector<double> MonteCarloZBlock(std::uint64_t seed, std::size_t n,
   std::vector<double> block(n * count);
   Rng root(seed);
   for (std::size_t r = 0; r < count; ++r) {
-    // Replicate r's draws come from the same splittable stream as the
-    // per-replicate path; only the storage is transposed to patient-major
-    // so the MAC kernels read each patient's `count` multipliers as one
-    // contiguous vector (no transpose or strided loads on the hot path).
+    // Replicate r's draws come from the same splittable stream, in the
+    // same order, as the per-replicate path; each lands straight in its
+    // patient-major slot so the kernels read each patient's `count`
+    // multipliers as one contiguous vector.
     Rng rng = root.Split(first + r + 1);
-    const std::vector<double> row = SampleNormalVector(rng, n);
-    for (std::size_t i = 0; i < n; ++i) block[i * count + r] = row[i];
+    for (std::size_t i = 0; i < n; ++i) block[i * count + r] = SampleNormal(rng);
   }
   return block;
 }
@@ -87,11 +85,38 @@ void BatchedReplicateScores(const std::vector<double>& contributions,
 void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             double* out) {
-  // The blocked scalar MAC moved to kernels::internal::BatchedMacScalar;
-  // the dispatch table selects it or a bitwise-identical SIMD variant.
-  kernels::ActiveKernels().batched_mac(contributions.data(),
-                                       contributions.size(), zblock, count,
-                                       out);
+  const double* u = contributions.data();
+  const std::size_t n = contributions.size();
+  std::size_t r = 0;
+  // Four replicates per pass: each contribution is loaded once and feeds
+  // four independent accumulators, which also hides the FP add latency
+  // the single-accumulator dot product serializes on. The patient-major
+  // Z layout puts the four replicates' multipliers for patient i in the
+  // four adjacent slots at zblock[i*count + r].
+  for (; r + 4 <= count; r += 4) {
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    const double* z = zblock + r;
+    for (std::size_t i = 0; i < n; ++i, z += count) {
+      const double ui = u[i];
+      acc0 += z[0] * ui;
+      acc1 += z[1] * ui;
+      acc2 += z[2] * ui;
+      acc3 += z[3] * ui;
+    }
+    out[r + 0] = acc0;
+    out[r + 1] = acc1;
+    out[r + 2] = acc2;
+    out[r + 3] = acc3;
+  }
+  for (; r < count; ++r) {
+    const double* z = zblock + r;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i, z += count) acc += z[0] * u[i];
+    out[r] = acc;
+  }
 }
 
 }  // namespace ss::stats

@@ -58,9 +58,9 @@ double MonteCarloReplicateScore(const std::vector<double>& contributions,
 /// Contiguous patient-major block of standard-normal multipliers for
 /// replicates [first, first+count): replicate r's multiplier for patient
 /// i sits at [i*count + r], i.e. each patient's `count` multipliers are
-/// adjacent. That layout is what lets the batched MAC kernels load a
-/// vector of replicate lanes with one contiguous read instead of a
-/// transpose. Each replicate is drawn from the same splittable stream as
+/// adjacent. That layout, kept by the coefficient blocks built from it,
+/// is what lets the replicate kernels load a vector of replicate lanes
+/// with one contiguous read instead of a transpose. Each replicate is drawn from the same splittable stream as
 /// MonteCarloWeights — Rng(seed).Split(b+1) — so replicate b's
 /// multipliers are bitwise identical for every partitioning of the
 /// replicate range into batches.

@@ -46,7 +46,6 @@ inline constexpr LockRank kShufflePerMap{"engine.shuffle.per_map", 32};
 inline constexpr LockRank kShuffleBuckets{"engine.shuffle.buckets", 34};
 
 // -- Cluster services ------------------------------------------------------
-inline constexpr LockRank kResourceManager{"cluster.resource_manager", 40};
 /// Holds its lock only over arming/polling; callbacks fire unlocked.
 inline constexpr LockRank kFaultInjector{"cluster.fault_injector", 42};
 

@@ -1,7 +1,12 @@
 #include "core/autotune.hpp"
 
+#include <algorithm>
+#include <initializer_list>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "engine/context.hpp"
 #include "engine/dataset.hpp"
 
 namespace ss::core {
@@ -28,13 +33,6 @@ void RunSampleJob(engine::EngineContext& ctx) {
       .Collect();
 }
 
-TEST(AutotuneTest, StrongScalingCandidatesShape) {
-  const auto candidates = StrongScalingCandidates({6, 12, 18});
-  ASSERT_EQ(candidates.size(), 3u);
-  EXPECT_EQ(candidates[0].num_nodes, 6);
-  EXPECT_EQ(candidates[2].TotalSlots(), 18 * 8);
-}
-
 TEST(AutotuneTest, ContainerSweepMatchesTableVIII) {
   const auto candidates = ContainerSweepCandidates();
   ASSERT_EQ(candidates.size(), 3u);
@@ -50,8 +48,9 @@ TEST(AutotuneTest, AllPaperConfigsPlaceable) {
   for (const auto& topology : ContainerSweepCandidates()) {
     EXPECT_TRUE(IsPlaceable(topology)) << topology.ToString();
   }
-  for (const auto& topology : StrongScalingCandidates({6, 12, 18, 36})) {
-    EXPECT_TRUE(IsPlaceable(topology)) << topology.ToString();
+  for (int nodes : {6, 12, 18, 36}) {  // Table VI's strong-scaling clusters
+    EXPECT_TRUE(IsPlaceable(cluster::EmrCluster(nodes)))
+        << cluster::EmrCluster(nodes).ToString();
   }
 }
 
@@ -60,32 +59,44 @@ TEST(AutotuneTest, OversizedContainersNotPlaceable) {
   EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(4, 4, 100.0, 1)));
 }
 
-TEST(AutotuneTest, TuneAcrossSortsByPredictedMakespan) {
-  engine::EngineContext ctx(LocalOptions());
-  RunSampleJob(ctx);
-  const auto points = TuneAcross(ctx, StrongScalingCandidates({6, 12, 18}));
-  ASSERT_EQ(points.size(), 3u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_LE(points[i - 1].report.total_s, points[i].report.total_s);
+// The placement verdicts a YARN resource manager gives an application's
+// container request, checked through IsPlaceable (24 GiB usable per node).
+
+TEST(ResourceManagerTest, RejectsInvalidShape) {
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(1, 1, 0.0, 1)));
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(1, 1, 1.0, 0)));
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(0, 1, 1.0, 1)));
+}
+
+TEST(ResourceManagerTest, MemoryOnlyCalculatorIgnoresVcores) {
+  // Memory alone decides (the Default calculator): 3 × 6 vcores = 18 > 8
+  // vCPUs, but 18 GiB < 24 GiB, so all three place.
+  EXPECT_TRUE(IsPlaceable(cluster::ContainerConfig(1, 3, 6.0, 6)));
+  // 8 containers of 3 GiB × 2 cores fill the node's 24 GiB though they
+  // ask 16 of its 8 vCPUs; a ninth does not fit.
+  EXPECT_TRUE(IsPlaceable(cluster::ContainerConfig(1, 8, 3.0, 2)));
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(1, 9, 3.0, 2)));
+}
+
+TEST(ResourceManagerTest, AllocateManyIsAllOrNothing) {
+  // Two 10 GiB containers fit per node: 4 on 2 nodes place, 5 do not.
+  EXPECT_TRUE(IsPlaceable(cluster::ContainerConfig(2, 4, 10.0, 1)));
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(2, 5, 10.0, 1)));
+  // Likewise 72 on 36 nodes place, 73 do not.
+  EXPECT_TRUE(IsPlaceable(cluster::ContainerConfig(36, 72, 10.0, 6)));
+  EXPECT_FALSE(IsPlaceable(cluster::ContainerConfig(36, 73, 10.0, 6)));
+}
+
+TEST(ResourceManagerTest, PaperTableVIIIConfigsPlaceable) {
+  // All three Table VIII configurations fit on 36 nodes under the
+  // memory-only calculator.
+  struct Config { int containers; double mem; int cores; };
+  for (const Config& config : std::initializer_list<Config>{
+           {42, 10.0, 6}, {84, 5.0, 3}, {126, 3.0, 2}}) {
+    EXPECT_TRUE(IsPlaceable(cluster::ContainerConfig(
+        36, config.containers, config.mem, config.cores)))
+        << config.containers << " containers";
   }
-  // Strong scaling: more nodes first.
-  EXPECT_EQ(points[0].topology.num_nodes, 18);
-}
-
-TEST(AutotuneTest, PickBestReturnsFastest) {
-  engine::EngineContext ctx(LocalOptions());
-  RunSampleJob(ctx);
-  const auto best = PickBest(ctx, StrongScalingCandidates({6, 18}));
-  ASSERT_TRUE(best.ok());
-  EXPECT_EQ(best.value().topology.num_nodes, 18);
-}
-
-TEST(AutotuneTest, PickBestFailsWithNoPlaceableCandidate) {
-  engine::EngineContext ctx(LocalOptions());
-  RunSampleJob(ctx);
-  const auto best =
-      PickBest(ctx, {cluster::ContainerConfig(2, 2, 100.0, 1)});
-  EXPECT_FALSE(best.ok());
 }
 
 TEST(AutotuneTest, ContainerSplitNearlyNegligible) {
@@ -93,11 +104,13 @@ TEST(AutotuneTest, ContainerSplitNearlyNegligible) {
   // hardly matters (slots ≈ constant). Predicted makespans within 25%.
   engine::EngineContext ctx(LocalOptions());
   RunSampleJob(ctx);
-  const auto points = TuneAcross(ctx, ContainerSweepCandidates());
-  ASSERT_EQ(points.size(), 3u);
-  const double fastest = points.front().report.total_s;
-  const double slowest = points.back().report.total_s;
-  EXPECT_LT(slowest / fastest, 1.25);
+  std::vector<double> makespans;
+  for (const auto& topology : ContainerSweepCandidates()) {
+    makespans.push_back(ctx.ReplayOn(topology).total_s);
+  }
+  const auto [fastest, slowest] =
+      std::minmax_element(makespans.begin(), makespans.end());
+  EXPECT_LT(*slowest / *fastest, 1.25);
 }
 
 }  // namespace

@@ -249,16 +249,16 @@ std::size_t CacheEntriesAfterRun(const simdata::SyntheticDataset& dataset,
   const ResamplingResult result = RunResampling(pipeline, request).scores;
   if (pmethod == PValueMethod::kHybrid) {
     EXPECT_EQ(result.inference.size(), dataset.sets.size())
-        << "the screen (the default path's one U reader) should have run";
+        << "the screen should have run";
   }
   return ctx.cache().entry_count();
 }
 
 TEST(SkatPipelineTest, CachesUOnlyWhereItIsReRead) {
   // Every run caches the 4 packed genotype partitions. The default hybrid
-  // run builds U once for the screen's Grams and leaves it uncached, like
-  // a plain default run that never builds it; paper-faithful Monte Carlo
-  // re-reads U every batch and caches its 4 partitions as well.
+  // run's screen builds its contribution rows in one transient pass and
+  // caches nothing more, like a plain default run; paper-faithful Monte
+  // Carlo re-reads U every batch and caches its 4 partitions as well.
   const simdata::SyntheticDataset dataset = SmallDataset();
   EXPECT_EQ(CacheEntriesAfterRun(dataset, false, PValueMethod::kResampling),
             4u);

@@ -544,6 +544,19 @@ TEST(DeterminismTest, PureResamplingHashesUnchanged) {
             0x03278aa2d999162dULL);
 }
 
+TEST(DeterminismTest, ScreenHashesUnchanged) {
+  // The adaptive methods' hashes mix each set's analytic p bits, so these
+  // pin the screen's Grams, spectra and tails bit for bit across changes
+  // to how the Grams are gathered.
+  const simdata::SyntheticDataset dataset = LargeSetDataset();
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kHybrid, 5, dataset).hash,
+            0xb2fc22755a4e57a3ULL);
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kSaddlepoint, 5, dataset).hash,
+            0x3b113d693eeee31fULL);
+  EXPECT_EQ(RunHashed(4, 64, 2, PValueMethod::kAnalytic, 5, dataset).hash,
+            0x3646e349495aa2cfULL);
+}
+
 TEST(DeterminismTest, TaskRngIndependentOfAttemptNumber) {
   // A retried task must reproduce the same randomness as its first
   // attempt, or fault injection would silently change the statistics.

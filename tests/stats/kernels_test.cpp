@@ -1,7 +1,8 @@
 // Differential battery for the runtime-dispatched SIMD kernels: every
 // dispatch level this CPU can execute must produce output bitwise equal
 // to the scalar reference kernel, on random inputs across awkward sizes
-// (vector-width multiples, remainders, tiny cases).
+// (vector-width multiples, remainders, tiny cases). The sparse kernel is
+// also held bitwise to the dense scalar MAC it replaces.
 #include "stats/kernels/kernels.hpp"
 
 #include <algorithm>
@@ -87,30 +88,6 @@ TEST(KernelDispatchTest, ActiveLevelDefaultsToSupported) {
             static_cast<int>(kernels::BestSupportedLevel()));
 }
 
-TEST(KernelDifferentialTest, BatchedMacBitwiseEqualAcrossLevels) {
-  const kernels::KernelTable& scalar =
-      kernels::KernelsFor(DispatchLevel::kScalar);
-  Rng rng(20160801);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 16u, 33u, 67u}) {
-    for (std::size_t count : {1u, 2u, 3u, 4u, 5u, 8u, 15u, 16u, 17u, 37u}) {
-      const std::vector<double> u = RandomDoubles(rng, n);
-      const std::vector<double> zblock = RandomDoubles(rng, n * count);
-      std::vector<double> expected(count);
-      scalar.batched_mac(u.data(), n, zblock.data(), count, expected.data());
-      for (DispatchLevel level : kernels::ExecutableLevels()) {
-        std::vector<double> got(count, -1.0);
-        kernels::KernelsFor(level).batched_mac(u.data(), n, zblock.data(),
-                                               count, got.data());
-        for (std::size_t r = 0; r < count; ++r) {
-          ASSERT_EQ(Bits(got[r]), Bits(expected[r]))
-              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
-              << " count=" << count << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
 /// The z values the sparse kernel must carry through untouched: signed
 /// zeros, subnormals, huge magnitudes and ordinary values.
 std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
@@ -126,10 +103,10 @@ std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
 TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
   // The sparse MAC — row_sum over the rows a SNP's non-zero runs select
   // from the pre-scaled [V; 2V; 3V] table (raw dosages from materialised
-  // rows) — must reproduce, byte for byte, batched_mac over the same
-  // dosages widened to doubles: at every level, against that level's
-  // dense kernel and the scalar reference. The counts sit on every edge
-  // of the AVX2 64/32/16/8/4-lane blocks and the scalar tail.
+  // rows) — must reproduce, byte for byte, the dense scalar MAC
+  // (BatchedReplicateScores) over the same dosages widened to doubles, at
+  // every level. The counts sit on every edge of the AVX2
+  // 64/32/16/8/4-lane blocks and the scalar tail.
   Rng rng(20160806);
   // One scratch pair across every case, as a partition reuses it.
   std::vector<const double*> rows;
@@ -163,21 +140,12 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
         kernels::SelectDosageRows(index.data(), dosage.data(), nnz,
                                   table.data(), n, count, &rows, &scaled);
         std::vector<double> reference(count);
-        kernels::KernelsFor(DispatchLevel::kScalar)
-            .batched_mac(widened.data(), n, vblock.data(), count,
-                         reference.data());
+        BatchedReplicateScores(widened, vblock.data(), count,
+                               reference.data());
         for (DispatchLevel level : kernels::ExecutableLevels()) {
-          const kernels::KernelTable& at = kernels::KernelsFor(level);
-          std::vector<double> dense(count, -1.0);
           std::vector<double> sparse(count, -1.0);
-          at.batched_mac(widened.data(), n, vblock.data(), count,
-                         dense.data());
-          at.row_sum(rows.data(), nnz, count, sparse.data());
-          ASSERT_EQ(std::memcmp(sparse.data(), dense.data(),
-                                count * sizeof(double)),
-                    0)
-              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
-              << " count=" << count << " fill=" << fill;
+          kernels::KernelsFor(level).row_sum(rows.data(), nnz, count,
+                                             sparse.data());
           ASSERT_EQ(std::memcmp(sparse.data(), reference.data(),
                                 count * sizeof(double)),
                     0)
@@ -192,40 +160,6 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
   }
 }
 
-TEST(KernelDifferentialTest, CoxScanBitwiseEqualAcrossLevels) {
-  const kernels::KernelTable& scalar =
-      kernels::KernelsFor(DispatchLevel::kScalar);
-  Rng rng(20160802);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u, 31u, 64u, 129u}) {
-    std::vector<std::uint8_t> event(n);
-    std::vector<std::uint8_t> genotypes(n);
-    std::vector<std::uint32_t> prefix_end(n);
-    std::vector<double> prefix(n + 1, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      event[i] = static_cast<std::uint8_t>(rng.NextBounded(2));
-      genotypes[i] = static_cast<std::uint8_t>(rng.NextBounded(3));
-      prefix_end[i] = static_cast<std::uint32_t>(1 + rng.NextBounded(n));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      prefix[k + 1] = prefix[k] + static_cast<double>(rng.NextBounded(3));
-    }
-    std::vector<double> expected(n);
-    scalar.cox_scan(event.data(), genotypes.data(), prefix.data(),
-                    prefix_end.data(), n, expected.data());
-    for (DispatchLevel level : kernels::ExecutableLevels()) {
-      std::vector<double> got(n, -1.0);
-      kernels::KernelsFor(level).cox_scan(event.data(), genotypes.data(),
-                                          prefix.data(), prefix_end.data(), n,
-                                          got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(Bits(got[i]), Bits(expected[i]))
-            << "level=" << kernels::DispatchLevelName(level) << " n=" << n
-            << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelDifferentialTest, SkatFoldsBitwiseEqualAcrossLevels) {
   const kernels::KernelTable& scalar =
       kernels::KernelsFor(DispatchLevel::kScalar);
@@ -234,26 +168,14 @@ TEST(KernelDifferentialTest, SkatFoldsBitwiseEqualAcrossLevels) {
     const std::vector<double> scores = RandomDoubles(rng, count);
     const std::vector<double> seed_acc = RandomDoubles(rng, count);
     const double w = 0.25 + rng.NextDouble();
-    std::vector<double> expected_acc = seed_acc;
-    scalar.skat_fold(scores.data(), count, w * w, expected_acc.data());
-    std::vector<double> expected_skat = seed_acc;
-    std::vector<double> expected_burden = seed_acc;
-    scalar.skat_burden_fold(scores.data(), count, w, w * w,
-                            expected_skat.data(), expected_burden.data());
+    std::vector<double> expected = seed_acc;
+    scalar.skat_fold(scores.data(), count, w * w, expected.data());
     for (DispatchLevel level : kernels::ExecutableLevels()) {
-      const kernels::KernelTable& table = kernels::KernelsFor(level);
       std::vector<double> acc = seed_acc;
-      table.skat_fold(scores.data(), count, w * w, acc.data());
-      std::vector<double> skat = seed_acc;
-      std::vector<double> burden = seed_acc;
-      table.skat_burden_fold(scores.data(), count, w, w * w, skat.data(),
-                             burden.data());
+      kernels::KernelsFor(level).skat_fold(scores.data(), count, w * w,
+                                           acc.data());
       for (std::size_t r = 0; r < count; ++r) {
-        ASSERT_EQ(Bits(acc[r]), Bits(expected_acc[r]))
-            << "level=" << kernels::DispatchLevelName(level) << " r=" << r;
-        ASSERT_EQ(Bits(skat[r]), Bits(expected_skat[r]))
-            << "level=" << kernels::DispatchLevelName(level) << " r=" << r;
-        ASSERT_EQ(Bits(burden[r]), Bits(expected_burden[r]))
+        ASSERT_EQ(Bits(acc[r]), Bits(expected[r]))
             << "level=" << kernels::DispatchLevelName(level) << " r=" << r;
       }
     }
@@ -261,31 +183,29 @@ TEST(KernelDifferentialTest, SkatFoldsBitwiseEqualAcrossLevels) {
 }
 
 TEST(KernelDifferentialTest, RoutedBatchedScoresMatchPerReplicateOracle) {
-  // The public entry point, under every level: each batched score must be
+  // The dense MAC's public entry point: each batched score must be
   // bitwise equal to the serial one-replicate MAC.
   Rng rng(20160804);
   const std::size_t n = 61;
   const std::size_t count = 23;
   const std::vector<double> contributions = RandomDoubles(rng, n);
   const std::vector<double> zblock = RandomDoubles(rng, n * count);
-  for (DispatchLevel level : kernels::ExecutableLevels()) {
-    ScopedDispatchLevel guard(level);
-    std::vector<double> scores;
-    BatchedReplicateScores(contributions, zblock.data(), count, &scores);
-    ASSERT_EQ(scores.size(), count);
-    for (std::size_t r = 0; r < count; ++r) {
-      // Patient-major extraction of replicate r's multipliers.
-      std::vector<double> row(n);
-      for (std::size_t i = 0; i < n; ++i) row[i] = zblock[i * count + r];
-      ASSERT_EQ(Bits(scores[r]), Bits(MonteCarloReplicateScore(contributions, row)))
-          << "level=" << kernels::DispatchLevelName(level) << " r=" << r;
-    }
+  std::vector<double> scores;
+  BatchedReplicateScores(contributions, zblock.data(), count, &scores);
+  ASSERT_EQ(scores.size(), count);
+  for (std::size_t r = 0; r < count; ++r) {
+    // Patient-major extraction of replicate r's multipliers.
+    std::vector<double> row(n);
+    for (std::size_t i = 0; i < n; ++i) row[i] = zblock[i * count + r];
+    ASSERT_EQ(Bits(scores[r]),
+              Bits(MonteCarloReplicateScore(contributions, row)))
+        << "r=" << r;
   }
 }
 
 TEST(KernelDifferentialTest, CoxContributionsMatchNaiveUnderEveryLevel) {
-  // End-to-end through the real survival API: the routed scan must agree
-  // with the O(n²) oracle at every dispatch level.
+  // End-to-end through the real survival API: the O(n) scan must agree
+  // with the O(n²) oracle whatever dispatch level is in effect.
   Rng rng(20160805);
   const std::size_t n = 83;
   SurvivalData data;

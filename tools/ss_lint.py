@@ -34,6 +34,12 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and examples):
                    else reads store files through dfs::GenotypeStore so
                    mapping lifetimes, page-cache advice, and corruption
                    handling stay in one audited translation unit.
+  faithful-confine the paper-faithful U RDD state and its builders —
+                   `u_observed_`, `BuildU`, `SetScoresFromU`,
+                   `EnsureUBuilt`, `snp_to_sets_` — are confined to
+                   src/core/paper_faithful.*. The default path scores
+                   packed genotypes and never names them, so U cannot
+                   creep back into a default run unnoticed.
   naked-mutex      raw `std::mutex` (and lock_guard/unique_lock/plain
                    condition_variable) is confined to src/support/; the
                    rest of src/ locks through support::RankedMutex and
@@ -373,6 +379,30 @@ def check_mmap_confine(root):
                         "go through dfs::GenotypeStore", raw)
 
 
+# --- rule: faithful-confine ------------------------------------------------
+
+FAITHFUL_RE = re.compile(
+    r"\b(u_observed_|BuildU|SetScoresFromU|EnsureUBuilt|snp_to_sets_)\b")
+
+
+def check_faithful_confine(root):
+    unit = os.path.join("src", "core", "paper_faithful.")
+    for path in iter_files(root, SRC_DIRS, {".cpp", ".hpp", ".cc", ".h"}):
+        rpath = rel(root, path)
+        if rpath.startswith(unit):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            raw_lines = handle.read().splitlines()
+        stripped = strip_comments_and_strings("\n".join(raw_lines)).splitlines()
+        for no, (line, raw) in enumerate(zip(stripped, raw_lines), 1):
+            match = FAITHFUL_RE.search(line)
+            if match:
+                finding(rpath, no, "faithful-confine",
+                        f"`{match.group(1)}` outside src/core/paper_faithful.* "
+                        "— the U RDD belongs to the paper-faithful unit; the "
+                        "default path scores packed genotypes", raw)
+
+
 # --- rule: naked-mutex -----------------------------------------------------
 
 NAKED_MUTEX_RE = re.compile(
@@ -537,6 +567,7 @@ RULES = {
     "iwyu-project": check_iwyu,
     "simd-dispatch": check_simd_dispatch,
     "mmap-confine": check_mmap_confine,
+    "faithful-confine": check_faithful_confine,
     "naked-mutex": check_naked_mutex,
     "guarded-by-coverage": check_guarded_by_coverage,
     "lock-rank-registry": check_lock_rank_registry,
