@@ -99,7 +99,8 @@ int Run(int argc, char** argv) {
       d = static_cast<std::uint8_t>(SampleBinomial(rng, 2, maf));
     }
     snp.widened.assign(dosages.begin(), dosages.end());
-    snp.nnz = stats::CompactNonZero(dosages, &snp.index, &snp.dosage);
+    snp.nnz = stats::PackedGenotypeBlock::Pack(dosages).NonZeroInto(
+        &snp.index, &snp.dosage);
     nonzero += snp.nnz;
   }
   const double density =
@@ -125,7 +126,6 @@ int Run(int argc, char** argv) {
     }
   };
   std::vector<const double*> rows;
-  std::vector<double> scaled;
   const auto sparse_pass = [&](std::size_t l) {
     const stats::kernels::KernelTable& table =
         stats::kernels::KernelsFor(levels[l]);
@@ -135,7 +135,7 @@ int Run(int argc, char** argv) {
       const SparseSnp& snp = sparse_snps[j];
       stats::kernels::SelectDosageRows(snp.index.data(), snp.dosage.data(),
                                        snp.nnz, scaled_table.data(), n, count,
-                                       &rows, &scaled);
+                                       &rows);
       table.row_sum(rows.data(), snp.nnz, count,
                     sparse_outs[l].data() + j * count);
     }

@@ -65,9 +65,10 @@ std::vector<std::uint8_t> BuildMembership(
 /// Steps 3-4 for a genotype dataset: filter to the union of all SNP-sets
 /// (the membership bitmap is broadcast; it is tiny relative to genotypes)
 /// and pack each record to 2 bits per dosage, the form that lives in the
-/// cache (4x fewer bytes). The byte counters
-/// track both representations so the run report can show the savings;
-/// lineage recomputation re-adds to both, preserving the ratio.
+/// cache (4x fewer bytes). A dosage above 3 has no 2-bit code: it fails
+/// the task, naming the SNP, as a malformed genotype line does. The byte
+/// counters track both representations so the run report can show the
+/// savings; lineage recomputation re-adds to both, preserving the ratio.
 Dataset<stats::PackedSnpRecord> FilterAndPack(
     engine::EngineContext& ctx, const Dataset<SnpRecord>& genotypes,
     const std::vector<stats::SnpSet>& sets) {
@@ -83,6 +84,14 @@ Dataset<stats::PackedSnpRecord> FilterAndPack(
   std::atomic<std::uint64_t>* unpacked_bytes =
       &registry.Get("genotype.unpacked_bytes");
   return fgm.Map([packed_bytes, unpacked_bytes](const SnpRecord& record) {
+    const auto big = std::find_if(record.genotypes.begin(),
+                                  record.genotypes.end(),
+                                  [](std::uint8_t d) { return d > 3; });
+    if (big != record.genotypes.end()) {
+      throw engine::TaskFailure("dosage " + std::to_string(*big) +
+                                " for SNP " + std::to_string(record.snp) +
+                                " does not fit in 2 bits");
+    }
     stats::PackedSnpRecord packed{
         record.snp, stats::PackedGenotypeBlock::Pack(record.genotypes)};
     unpacked_bytes->fetch_add(record.genotypes.size(),
@@ -144,7 +153,6 @@ struct GenotypeScratch {
   std::vector<std::uint32_t> index;
   std::vector<std::uint8_t> dosage;
   std::vector<const double*> rows;
-  std::vector<double> scaled;
 };
 
 /// out[r] = Σ_i G_i · V[i*count + r], scored over the `nnz` non-zero
@@ -166,7 +174,7 @@ void GenotypeScores(GenotypeScratch* runs, std::size_t nnz, std::size_t n,
     return;
   }
   stats::kernels::SelectDosageRows(runs->index.data(), d, nnz, table, n,
-                                   count, &runs->rows, &runs->scaled);
+                                   count, &runs->rows);
   stats::kernels::ActiveKernels().row_sum(runs->rows.data(), nnz, count, out);
 }
 

@@ -52,17 +52,23 @@ std::vector<std::uint8_t> MiniDfs::EncodeBlock(
 
 Result<std::vector<std::string>> MiniDfs::DecodeBlock(
     const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) {
-    return Status::DataLoss("block truncated");
-  }
   BinaryReader reader(bytes);
-  if (reader.ReadU32() != kBlockMagic) {
-    return Status::DataLoss("bad block magic");
-  }
-  const std::uint64_t count = reader.ReadU64();
+  std::uint32_t magic = 0;
+  if (!reader.ReadU32(&magic)) return Status::DataLoss("block truncated");
+  if (magic != kBlockMagic) return Status::DataLoss("bad block magic");
+  std::uint64_t count = 0;
+  if (!reader.ReadU64(&count)) return Status::DataLoss("block truncated");
   std::vector<std::string> lines;
-  lines.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) lines.push_back(reader.ReadString());
+  // Every line costs at least its 8-byte length, so a corrupted count
+  // cannot reserve more than the block could hold.
+  lines.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, bytes.size() / 8)));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string line;
+    if (!reader.ReadString(&line)) return Status::DataLoss("block truncated");
+    lines.push_back(std::move(line));
+  }
+  if (!reader.AtEnd()) return Status::DataLoss("trailing bytes after block");
   return lines;
 }
 

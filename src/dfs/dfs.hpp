@@ -70,13 +70,15 @@ class MiniDfs {
   /// Total bytes stored across all live nodes (for reporting).
   std::uint64_t TotalBytesStored() const;
 
- private:
   /// Serializes block lines with a magic header; returns payload bytes.
   static std::vector<std::uint8_t> EncodeBlock(
       const std::vector<std::string>& lines);
+  /// Inverse of EncodeBlock. A short block, a bad magic or trailing
+  /// bytes are DataLoss, never an abort.
   static Result<std::vector<std::string>> DecodeBlock(
       const std::vector<std::uint8_t>& bytes);
 
+ private:
   /// Fetches one block's validated raw bytes given its metadata.
   Result<std::vector<std::uint8_t>> FetchBlockBytes(const BlockMeta& meta) const;
 

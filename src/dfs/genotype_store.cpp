@@ -21,7 +21,9 @@ namespace {
 // "SSGSTOR1" / "SSGFRM01" read as little-endian u64s.
 constexpr std::uint64_t kStoreMagic = 0x3152'4F54'5347'5353ULL;
 constexpr std::uint64_t kFrameMagic = 0x3130'4D52'4647'5353ULL;
-constexpr std::uint32_t kStoreVersion = 1;
+// Bumped on every header, index or frame payload layout change: a store
+// staged at any other version is refused as skew and must be restaged.
+constexpr std::uint32_t kStoreVersion = 2;
 
 // magic + (version|partitions) + num_snps + num_patients + fingerprint +
 // index_offset + index_entries + data_end, then the FNV-1a over them.

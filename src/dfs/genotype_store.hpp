@@ -118,8 +118,8 @@ class GenotypeStoreWriter {
 };
 
 /// Read side: maps the whole file and serves checksum-verified payload
-/// copies. Immutable after Open — safe to share across task threads and
-/// the I/O lane with no locking.
+/// copies. Immutable after Open — safe to share across task threads
+/// with no locking.
 class GenotypeStore {
  public:
   /// Maps + validates `path`. A missing file is NotFound (the caller may

@@ -85,13 +85,6 @@ class NodeBase {
  protected:
   virtual void EnsureReadySelf() {}
 
-  /// Invalidates readiness (used by shuffle nodes when inputs change —
-  /// not currently needed by any transformation, but kept for symmetry).
-  void MarkNotReady() {
-    support::MutexLock lock(ready_mutex_);
-    ready_ = false;
-  }
-
   EngineContext* ctx_;
 
  private:

@@ -3,49 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "support/binary_io.hpp"
 
 namespace ss::simdata {
-namespace {
-
-/// Bounds-checked cursor over an untrusted frame payload. The store has
-/// already checksum-verified the bytes, so a failure here means the
-/// writer and reader disagree about the layout (version skew) — report
-/// it as a Status instead of SS_CHECK-aborting like BinaryReader does.
-class SafeReader {
- public:
-  explicit SafeReader(const std::vector<std::uint8_t>& bytes)
-      : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU32(std::uint32_t* out) { return ReadRaw(out, sizeof(*out)); }
-  bool ReadU64(std::uint64_t* out) { return ReadRaw(out, sizeof(*out)); }
-
-  bool ReadBytes(std::uint64_t count, std::vector<std::uint8_t>* out) {
-    if (count > bytes_.size() - pos_) return false;
-    out->assign(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + count));
-    pos_ += count;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  bool ReadRaw(void* out, std::size_t size) {
-    if (size > bytes_.size() - pos_) return false;
-    std::memcpy(out, bytes_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 std::vector<std::uint8_t> EncodeGenotypePartition(
     const std::vector<stats::PackedSnpRecord>& records) {
@@ -53,7 +14,6 @@ std::vector<std::uint8_t> EncodeGenotypePartition(
   writer.WriteU64(records.size());
   for (const auto& record : records) {
     writer.WriteU32(record.snp);
-    writer.WriteU8(record.genotypes.packed() ? 1 : 0);
     writer.WriteU32(static_cast<std::uint32_t>(record.genotypes.size()));
     writer.WritePodVector(record.genotypes.payload());
   }
@@ -66,30 +26,28 @@ Result<std::vector<stats::PackedSnpRecord>> DecodeGenotypePartition(
     return Status(StatusCode::kInvalidArgument,
                   "malformed genotype frame payload (store version skew?)");
   };
-  SafeReader reader(bytes);
+  BinaryReader reader(bytes);
   std::uint64_t count = 0;
   if (!reader.ReadU64(&count)) return malformed();
   std::vector<stats::PackedSnpRecord> records;
-  // Cap the reserve at what the payload could plausibly hold so a
-  // corrupted count cannot trigger a huge allocation.
+  // Cap the reserve at what the payload could plausibly hold (a record
+  // is at least 16 bytes) so a corrupted count cannot trigger a huge
+  // allocation.
   records.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 9 + 1)));
+      std::min<std::uint64_t>(count, bytes.size() / 16 + 1)));
   for (std::uint64_t r = 0; r < count; ++r) {
     std::uint32_t snp = 0;
-    std::uint8_t packed = 0;
     std::uint32_t size = 0;
     std::uint64_t payload_size = 0;
     std::vector<std::uint8_t> payload;
-    if (!reader.ReadU32(&snp) || !reader.ReadU8(&packed) ||
-        !reader.ReadU32(&size) || !reader.ReadU64(&payload_size) ||
+    if (!reader.ReadU32(&snp) || !reader.ReadU32(&size) ||
+        !reader.ReadU64(&payload_size) ||
+        payload_size != (std::uint64_t{size} + 3) / 4 ||
         !reader.ReadBytes(payload_size, &payload)) {
       return malformed();
     }
-    const std::uint64_t expect = packed ? (size + 3u) / 4u : size;
-    if (payload_size != expect) return malformed();
     records.push_back(stats::PackedSnpRecord{
-        snp, stats::PackedGenotypeBlock::FromPayload(size, packed != 0,
-                                                     std::move(payload))});
+        snp, stats::PackedGenotypeBlock::FromPayload(size, std::move(payload))});
   }
   if (!reader.AtEnd()) return malformed();
   return records;

@@ -7,7 +7,8 @@
 // what goes INSIDE those frames:
 //
 //   * genotype frames — a binary partition of 2-bit packed SNP records
-//     (count-prefixed, each record snp | packed flag | size | payload);
+//     (count-prefixed, each record snp | size | payload byte count |
+//     ceil(size/4) crumb bytes);
 //   * aux frames — the exact text-file lines of simdata/text_format.hpp
 //     joined with '\n' (phenotype / weights / SNP-sets), so a store
 //     round-trips through the same battle-tested parsers as the DFS

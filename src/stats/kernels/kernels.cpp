@@ -149,31 +149,11 @@ std::vector<double> DosageScaledTable(const std::vector<double>& vblock) {
 
 void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
                       std::size_t nnz, const double* table, std::size_t n,
-                      std::size_t count, std::vector<const double*>* rows,
-                      std::vector<double>* scaled) {
+                      std::size_t count, std::vector<const double*>* rows) {
   if (rows->size() < nnz) rows->resize(nnz);
   const double** out = rows->data();
-  std::size_t raw = 0;
   for (std::size_t k = 0; k < nnz; ++k) {
-    const std::size_t d = dosage[k];
-    if (d > 3) {
-      ++raw;
-      continue;
-    }
-    out[k] = table + ((d - 1) * n + index[k]) * count;
-  }
-  if (raw == 0) return;
-  // Raw-fallback blocks only: materialise fl(d · V_i) rows, multiplied
-  // as the dense kernel multiplies, once the scratch is sized for all.
-  if (scaled->size() < raw * count) scaled->resize(raw * count);
-  double* row = scaled->data();
-  for (std::size_t k = 0; k < nnz; ++k) {
-    if (dosage[k] <= 3) continue;
-    const double d = static_cast<double>(dosage[k]);
-    const double* v = table + std::size_t{index[k]} * count;
-    for (std::size_t r = 0; r < count; ++r) row[r] = v[r] * d;
-    out[k] = row;
-    row += count;
+    out[k] = table + ((std::size_t{dosage[k]} - 1) * n + index[k]) * count;
   }
 }
 

@@ -88,16 +88,14 @@ struct KernelTable {
 /// table's first third.
 std::vector<double> DosageScaledTable(const std::vector<double>& vblock);
 
-/// Points rows[k] (k < nnz) at the row fl(dosage[k] · V_index[k]) for a
-/// SNP's non-zero runs (PackedGenotypeBlock::NonZeroInto order), so
-/// `row_sum` scores the SNP. Dosages 1..3 select a row of `table` (a
-/// DosageScaledTable over n patients); a raw-fallback dosage above 3
-/// gets its row materialised in `scaled`. Both buffers grow as needed
-/// and are reused across calls; rows stay valid until the next call.
+/// Points rows[k] (k < nnz) at the row fl(dosage[k] · V_index[k]) of
+/// `table` (a DosageScaledTable over n patients) for a SNP's non-zero
+/// runs (PackedGenotypeBlock::NonZeroInto order, dosages 1..3), so
+/// `row_sum` scores the SNP. `rows` grows as needed and is reused across
+/// calls.
 void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
                       std::size_t nnz, const double* table, std::size_t n,
-                      std::size_t count, std::vector<const double*>* rows,
-                      std::vector<double>* scaled);
+                      std::size_t count, std::vector<const double*>* rows);
 
 /// The table for the active dispatch level.
 const KernelTable& ActiveKernels();

@@ -1,24 +1,22 @@
-// Byte-oriented serialization used by the mini-DFS block format and the
-// engine's shuffle spill format. Little-endian, no alignment requirements.
+// Byte-oriented serialization used by the mini-DFS block format, the
+// genotype store's header and index, and its genotype frame payloads.
+// Little-endian, no alignment requirements.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
-
-#include "support/status.hpp"
 
 namespace ss {
 
 /// Appends primitive values to a growing byte buffer.
 class BinaryWriter {
  public:
-  void WriteU8(std::uint8_t v) { bytes_.push_back(v); }
   void WriteU32(std::uint32_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteU64(std::uint64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteI64(std::int64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteDouble(double v) { WriteRaw(&v, sizeof(v)); }
 
   void WriteString(const std::string& s) {
     WriteU64(s.size());
@@ -45,46 +43,52 @@ class BinaryWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
-/// Sequentially reads values written by BinaryWriter. Out-of-bounds reads
-/// trigger SS_CHECK (corrupt blocks indicate a bug or injected data loss
-/// that the DFS layer should have caught via checksums).
+/// Sequentially reads values written by BinaryWriter. The bytes are
+/// untrusted: a read past the end returns false (and the caller stops
+/// reading), so a truncated or version-skewed payload fails closed as
+/// its caller's Status instead of aborting.
 class BinaryReader {
  public:
   explicit BinaryReader(const std::vector<std::uint8_t>& bytes)
       : bytes_(bytes) {}
 
-  std::uint8_t ReadU8() { std::uint8_t v; ReadRaw(&v, sizeof(v)); return v; }
-  std::uint32_t ReadU32() { std::uint32_t v; ReadRaw(&v, sizeof(v)); return v; }
-  std::uint64_t ReadU64() { std::uint64_t v; ReadRaw(&v, sizeof(v)); return v; }
-  std::int64_t ReadI64() { std::int64_t v; ReadRaw(&v, sizeof(v)); return v; }
-  double ReadDouble() { double v; ReadRaw(&v, sizeof(v)); return v; }
-
-  std::string ReadString() {
-    const std::uint64_t size = ReadU64();
-    SS_CHECK(pos_ + size <= bytes_.size());
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), size);
-    pos_ += size;
-    return s;
+  [[nodiscard]] bool ReadU32(std::uint32_t* out) {
+    return ReadRaw(out, sizeof(*out));
+  }
+  [[nodiscard]] bool ReadU64(std::uint64_t* out) {
+    return ReadRaw(out, sizeof(*out));
   }
 
-  template <typename T>
-  std::vector<T> ReadPodVector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t count = ReadU64();
-    std::vector<T> v(count);
-    ReadRaw(v.data(), count * sizeof(T));
-    return v;
+  /// A WriteString value: u64 length, then the characters.
+  [[nodiscard]] bool ReadString(std::string* out) {
+    std::uint64_t size = 0;
+    if (!ReadU64(&size) || size > Remaining()) return false;
+    out->assign(reinterpret_cast<const char*>(bytes_.data() + pos_), size);
+    pos_ += size;
+    return true;
+  }
+
+  /// The next `count` bytes (a WritePodVector<std::uint8_t> body, after
+  /// its u64 count).
+  [[nodiscard]] bool ReadBytes(std::uint64_t count,
+                               std::vector<std::uint8_t>* out) {
+    if (count > Remaining()) return false;
+    const auto* first = bytes_.data() + pos_;
+    out->assign(first, first + count);
+    pos_ += count;
+    return true;
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
-  std::size_t position() const { return pos_; }
 
  private:
-  void ReadRaw(void* out, std::size_t size) {
-    SS_CHECK(pos_ + size <= bytes_.size());
-    if (size == 0) return;  // `out` may be an empty vector's null data()
+  std::size_t Remaining() const { return bytes_.size() - pos_; }
+
+  bool ReadRaw(void* out, std::size_t size) {
+    if (size > Remaining()) return false;
     std::memcpy(out, bytes_.data() + pos_, size);
     pos_ += size;
+    return true;
   }
 
   const std::vector<std::uint8_t>& bytes_;

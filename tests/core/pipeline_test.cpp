@@ -147,6 +147,33 @@ TEST(SkatPipelineTest, CorruptGenotypeLineFailsJob) {
   EXPECT_THROW(pipeline.value().ComputeObserved(), engine::TaskFailure);
 }
 
+TEST(SkatPipelineTest, DosageAboveTwoBitsFailsJobNamingSnp) {
+  // Records handed to the parts constructor skip the text parser's range
+  // check. A dosage with no 2-bit code must fail the task that packs it,
+  // naming the SNP, not switch the block to another encoding.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  const std::uint32_t bad_snp = dataset.sets.front().snps.front();
+  std::vector<simdata::SnpRecord> records;
+  for (std::uint32_t j = 0; j < dataset.genotypes.num_snps(); ++j) {
+    records.push_back({j, dataset.genotypes.by_snp[j]});
+  }
+  records[bad_snp].genotypes[1] = 4;
+  engine::EngineContext ctx(LocalOptions());
+  SkatPipeline pipeline(ctx, {},
+                        engine::Parallelize(ctx, records, /*partitions=*/4),
+                        stats::Phenotype::Cox(dataset.survival),
+                        dataset.weights, dataset.sets);
+  try {
+    RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, 20});
+    FAIL() << "a dosage of 4 was accepted";
+  } catch (const engine::TaskFailure& failure) {
+    EXPECT_NE(std::string(failure.what())
+                  .find("dosage 4 for SNP " + std::to_string(bad_snp)),
+              std::string::npos)
+        << failure.what();
+  }
+}
+
 TEST(SkatPipelineTest, MonteCarloReplicateMatchesSerial) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);

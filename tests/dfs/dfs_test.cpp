@@ -142,6 +142,26 @@ TEST(MiniDfsTest, TotalBytesReflectReplication) {
   EXPECT_EQ(dfs2.TotalBytesStored(), 2 * dfs1.TotalBytesStored());
 }
 
+TEST(MiniDfsTest, TruncatedBlockIsDataLoss) {
+  // The decoder reads untrusted bytes: every proper prefix of a block
+  // (cut in the magic, the line count, a length or a line) is DataLoss,
+  // never an abort, and so are trailing bytes.
+  const std::vector<std::uint8_t> bytes =
+      MiniDfs::EncodeBlock({"alpha", "", "gamma delta"});
+  ASSERT_EQ(MiniDfs::DecodeBlock(bytes).value(),
+            (std::vector<std::string>{"alpha", "", "gamma delta"}));
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
+    auto decoded = MiniDfs::DecodeBlock(prefix);
+    ASSERT_FALSE(decoded.ok()) << "cut " << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << "cut " << cut;
+  }
+  std::vector<std::uint8_t> padded = bytes;
+  padded.push_back(0);
+  EXPECT_EQ(MiniDfs::DecodeBlock(padded).status().code(),
+            StatusCode::kDataLoss);
+}
+
 /// Property sweep: round trip across block sizes and line counts.
 class DfsRoundTripSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/trace.hpp"
+#include "support/binary_io.hpp"
 
 namespace ss::dfs {
 namespace {
@@ -170,6 +171,37 @@ TEST(GenotypeStoreTest, CorruptHeaderFailsClosed) {
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(store.status().ToString().find("header checksum"),
+            std::string::npos)
+      << store.status().ToString();
+  EXPECT_EQ(CorruptCount(), before + 1);
+}
+
+TEST(GenotypeStoreTest, OlderVersionIsRefusedAsSkew) {
+  // A version-1 store (its genotype records carried a packed flag) with a
+  // valid header checksum: Open must refuse it as version skew rather
+  // than misread its frames.
+  const std::string path = WriteSampleStore("ss_store_v1.ssg");
+  std::vector<std::uint8_t> header(64);
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.read(reinterpret_cast<char*>(header.data()), 64);
+    ASSERT_TRUE(in.good());
+  }
+  ASSERT_EQ(header[8], 2);  // the version field, little-endian u32
+  header[8] = 1;
+  const std::uint64_t checksum = Checksum(header);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.write(reinterpret_cast<const char*>(header.data()), 64);
+    file.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    ASSERT_TRUE(file.good());
+  }
+  const std::uint64_t before = CorruptCount();
+  auto store = GenotypeStore::Open(path);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(store.status().ToString().find(
+                "unsupported store version 1 (expected 2)"),
             std::string::npos)
       << store.status().ToString();
   EXPECT_EQ(CorruptCount(), before + 1);

@@ -99,6 +99,22 @@ TEST(StoreCodecTest, MalformedPayloadFailsClosed) {
   EXPECT_FALSE(DecodeGenotypePartition(huge).ok());
 }
 
+TEST(StoreCodecTest, PayloadMustHoldOneCrumbPerDosage) {
+  // A record's payload is exactly ceil(size/4) crumb bytes: the frame
+  // has no other encoding, so any other length is refused.
+  const std::vector<std::uint8_t> good = EncodeGenotypePartition(
+      {{3, stats::PackedGenotypeBlock::Pack({0, 1, 2, 1, 0})}});
+  ASSERT_TRUE(DecodeGenotypePartition(good).ok());
+  // Record layout after the u64 count: snp u32 | size u32 | payload u64.
+  std::vector<std::uint8_t> bytes = good;
+  bytes[12] = 8;  // size 5 -> 8 dosages, still 2 payload bytes
+  EXPECT_TRUE(DecodeGenotypePartition(bytes).ok());
+  bytes[12] = 9;  // 9 dosages need 3 bytes, the payload holds 2
+  auto decoded = DecodeGenotypePartition(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(StoreCodecTest, TextLinesRoundTrip) {
   const std::vector<std::string> lines{"#model cox", "12.5 1", "3.25 0"};
   EXPECT_EQ(DecodeTextLines(EncodeTextLines(lines)), lines);

@@ -101,34 +101,33 @@ std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
 }
 
 TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
-  // The sparse MAC — row_sum over the rows a SNP's non-zero runs select
-  // from the pre-scaled [V; 2V; 3V] table (raw dosages from materialised
-  // rows) — must reproduce, byte for byte, the dense scalar MAC
+  // The sparse MAC — row_sum over the rows a SNP's packed non-zero runs
+  // select from the pre-scaled [V; 2V; 3V] table — must reproduce, byte
+  // for byte, the dense scalar MAC
   // (BatchedReplicateScores) over the same dosages widened to doubles, at
   // every level. The counts sit on every edge of the AVX2
   // 64/32/16/8/4-lane blocks and the scalar tail.
   Rng rng(20160806);
-  // One scratch pair across every case, as a partition reuses it.
+  // One set of scratch buffers across every case, as a partition reuses
+  // them.
   std::vector<const double*> rows;
-  std::vector<double> scaled;
+  std::vector<std::uint32_t> index;
+  std::vector<std::uint8_t> dosage;
   for (std::size_t n : {0u, 1u, 3u, 5u, 7u, 13u, 66u, 101u}) {
     for (std::size_t count : {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
                               32u, 33u, 63u, 64u, 65u, 128u, 129u}) {
-      for (int fill = 0; fill < 4; ++fill) {
+      for (int fill = 0; fill < 3; ++fill) {
         // fill 0: all zero (nnz = 0); 1: none zero (nnz = n); 2: dosages
-        // 0..3; 3: with raw-fallback dosages 7 and 255.
+        // 0..3.
         std::vector<std::uint8_t> g(n);
         for (std::uint8_t& d : g) {
-          const std::uint8_t raw[] = {0, 1, 2, 3, 7, 255};
           d = fill == 0   ? 0
               : fill == 1 ? static_cast<std::uint8_t>(1 + rng.NextBounded(3))
-              : fill == 2 ? static_cast<std::uint8_t>(rng.NextBounded(4))
-                          : raw[rng.NextBounded(6)];
+                          : static_cast<std::uint8_t>(rng.NextBounded(4));
         }
         const std::vector<double> widened(g.begin(), g.end());
-        std::vector<std::uint32_t> index;
-        std::vector<std::uint8_t> dosage;
-        const std::size_t nnz = CompactNonZero(g, &index, &dosage);
+        const std::size_t nnz =
+            PackedGenotypeBlock::Pack(g).NonZeroInto(&index, &dosage);
         ASSERT_EQ(nnz, n - static_cast<std::size_t>(
                                std::count(g.begin(), g.end(), 0)));
         const std::vector<double> vblock = AwkwardDoubles(rng, n * count);
@@ -138,7 +137,7 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
             vblock.begin(), vblock.end(), table.begin(),
             [](double a, double b) { return Bits(a) == Bits(b); }));
         kernels::SelectDosageRows(index.data(), dosage.data(), nnz,
-                                  table.data(), n, count, &rows, &scaled);
+                                  table.data(), n, count, &rows);
         std::vector<double> reference(count);
         BatchedReplicateScores(widened, vblock.data(), count,
                                reference.data());

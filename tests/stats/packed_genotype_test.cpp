@@ -1,10 +1,9 @@
 // Unit tests for the 2-bit packed genotype block: lossless roundtrip,
-// raw-byte fallback for out-of-range dosages, popcount allele counts, and
-// the payload-size contract the cache byte accounting relies on.
+// the non-zero run decode, and the payload-size contract the cache byte
+// accounting relies on.
 #include "stats/kernels/packed_genotype.hpp"
 
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -27,19 +26,16 @@ TEST(PackedGenotypeTest, RoundTripsSmallDosagesPacked) {
   for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 64u, 70u}) {
     const std::vector<std::uint8_t> dosages = RandomDosages(rng, n, 4);
     const PackedGenotypeBlock block = PackedGenotypeBlock::Pack(dosages);
-    EXPECT_TRUE(block.packed()) << "n=" << n;
     EXPECT_EQ(block.size(), n);
     EXPECT_EQ(block.payload().size(), (n + 3) / 4) << "n=" << n;
     EXPECT_EQ(block.Unpack(), dosages) << "n=" << n;
   }
 }
 
-TEST(PackedGenotypeTest, FallsBackToRawBytesForLargeDosages) {
-  std::vector<std::uint8_t> dosages = {0, 1, 2, 200, 3, 0};
-  const PackedGenotypeBlock block = PackedGenotypeBlock::Pack(dosages);
-  EXPECT_FALSE(block.packed());
-  EXPECT_EQ(block.payload().size(), dosages.size());
-  EXPECT_EQ(block.Unpack(), dosages);
+TEST(PackedGenotypeTest, PackRefusesDosageAboveThree) {
+  // Two bits are the only encoding: a dosage with no 2-bit code is a
+  // broken precondition, not a second format.
+  EXPECT_DEATH(PackedGenotypeBlock::Pack({0, 1, 4, 2}), "seen <= 3");
 }
 
 TEST(PackedGenotypeTest, UnpackIntoReusesBuffer) {
@@ -69,16 +65,6 @@ void ExpectRunsMatchUnpack(const PackedGenotypeBlock& block,
             want_index);
   EXPECT_EQ(std::vector<std::uint8_t>(dosage->begin(), dosage->begin() + nnz),
             want_dosage);
-  // The unpacked-vector compaction lists the same runs.
-  std::vector<std::uint32_t> raw_index;
-  std::vector<std::uint8_t> raw_dosage;
-  ASSERT_EQ(CompactNonZero(dosages, &raw_index, &raw_dosage), nnz);
-  EXPECT_EQ(std::vector<std::uint32_t>(raw_index.begin(),
-                                       raw_index.begin() + nnz),
-            want_index);
-  EXPECT_EQ(std::vector<std::uint8_t>(raw_dosage.begin(),
-                                      raw_dosage.begin() + nnz),
-            want_dosage);
 }
 
 TEST(PackedGenotypeTest, NonZeroDecodeMatchesUnpack) {
@@ -91,7 +77,7 @@ TEST(PackedGenotypeTest, NonZeroDecodeMatchesUnpack) {
   for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
   for (std::size_t n : sizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    // Packed: random 0..3, all zero, all non-zero.
+    // Random 0..3, all zero, all non-zero.
     const PackedGenotypeBlock packed =
         PackedGenotypeBlock::Pack(RandomDosages(rng, n, 4));
     ExpectRunsMatchUnpack(packed, &index, &dosage);
@@ -103,7 +89,7 @@ TEST(PackedGenotypeTest, NonZeroDecodeMatchesUnpack) {
           payload.back() | (0xff << (2 * (n % 4))));
       ExpectRunsMatchUnpack(
           PackedGenotypeBlock::FromPayload(static_cast<std::uint32_t>(n),
-                                           true, payload),
+                                           payload),
           &index, &dosage);
     }
     ExpectRunsMatchUnpack(
@@ -112,34 +98,14 @@ TEST(PackedGenotypeTest, NonZeroDecodeMatchesUnpack) {
     ExpectRunsMatchUnpack(
         PackedGenotypeBlock::Pack(std::vector<std::uint8_t>(n, 3)), &index,
         &dosage);
-    // Raw fallback: a dosage above 3 anywhere switches the block.
-    std::vector<std::uint8_t> raw = RandomDosages(rng, n, 4);
-    if (n > 0) raw[rng.NextBounded(static_cast<std::uint32_t>(n))] = 255;
-    const PackedGenotypeBlock raw_block = PackedGenotypeBlock::Pack(raw);
-    EXPECT_EQ(raw_block.packed(), n == 0);
-    ExpectRunsMatchUnpack(raw_block, &index, &dosage);
   }
-}
-
-TEST(PackedGenotypeTest, AlleleCountMatchesDirectSum) {
-  Rng rng(77002);
-  for (std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 31u, 32u, 33u, 129u}) {
-    const std::vector<std::uint8_t> dosages = RandomDosages(rng, n, 4);
-    const PackedGenotypeBlock block = PackedGenotypeBlock::Pack(dosages);
-    const std::uint64_t expected =
-        std::accumulate(dosages.begin(), dosages.end(), std::uint64_t{0});
-    EXPECT_EQ(block.AlleleCount(), expected) << "n=" << n;
-  }
-  // Fallback path sums raw bytes.
-  const std::vector<std::uint8_t> raw = {200, 1, 0, 5};
-  EXPECT_EQ(PackedGenotypeBlock::Pack(raw).AlleleCount(), 206u);
 }
 
 TEST(PackedGenotypeTest, FromPayloadReconstructsEqualBlock) {
   const std::vector<std::uint8_t> dosages = {1, 2, 0, 3, 2, 2, 1, 0, 3};
   const PackedGenotypeBlock block = PackedGenotypeBlock::Pack(dosages);
   const PackedGenotypeBlock rebuilt = PackedGenotypeBlock::FromPayload(
-      block.size(), block.packed(), block.payload());
+      static_cast<std::uint32_t>(block.size()), block.payload());
   EXPECT_EQ(rebuilt, block);
   EXPECT_EQ(rebuilt.Unpack(), dosages);
 }

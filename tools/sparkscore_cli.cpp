@@ -21,7 +21,7 @@
 //                    https://ui.perfetto.dev); trace=- streams the
 //                    JSON to stderr for piping
 //   metrics=<file>   write the machine-readable run summary
-//                    (schema "sparkscore-run-metrics-v3"); metrics=-
+//                    (schema "sparkscore-run-metrics-v4"); metrics=-
 //                    streams it to stdout for piping into
 //                    tools/ss_prof.py or tools/check_trace.py
 //   profile=0|1      task-timeline collection (default 1; profile=0
