@@ -147,35 +147,29 @@ void FillGramRow(const std::vector<const double*>& u,
   }
 }
 
-/// One SNP's non-zero genotypes (NonZeroInto runs) and the coefficient
-/// rows they select (kernels::SelectDosageRows).
-struct GenotypeScratch {
-  std::vector<std::uint32_t> index;
-  std::vector<std::uint8_t> dosage;
-  std::vector<const double*> rows;
-};
-
-/// out[r] = Σ_i G_i · V[i*count + r], scored over the `nnz` non-zero
-/// genotypes in `runs` of a SNP with `n` patients by summing their rows
-/// of `table` (kernels::DosageScaledTable over V). The sparse kernel is
-/// bitwise equal to the dense MAC over all n (docs/KERNELS.md). When the
-/// block's columns sum to zero exactly (`zero_sum_columns`), a constant
-/// column scores exactly 0, its exact value: Σ_l c·V_l would instead
-/// leave rounding noise that decides its exceedances by coin flip. An
-/// all-zero column (nnz = 0) scores +0 either way. Otherwise a column is
-/// scored like any other, as the U path scores it.
-void GenotypeScores(GenotypeScratch* runs, std::size_t nnz, std::size_t n,
-                    const double* table, std::size_t count,
-                    bool zero_sum_columns, double* out) {
-  const std::uint8_t* d = runs->dosage.data();
-  if (zero_sum_columns && nnz == n &&
-      std::all_of(d, d + nnz, [d](std::uint8_t x) { return x == d[0]; })) {
-    std::fill(out, out + count, 0.0);
-    return;
+/// out[r] = Σ_i G_i · V[i*count + r] for a SNP with `n` patients, from
+/// the `nnz` rows of kernels::DosageScaledTable over V that
+/// PackedGenotypeBlock::DosageRowsInto listed for its non-zero genotypes.
+/// The sparse kernel is bitwise equal to the dense MAC over all n
+/// (docs/KERNELS.md). When the block's columns sum to zero exactly
+/// (`zero_sum_columns`), a constant column scores exactly 0, its exact
+/// value: Σ_l c·V_l would instead leave rounding noise that decides its
+/// exceedances by coin flip. A column is constant non-zero when every
+/// patient has a row (nnz = n) and every row has one dosage, which the
+/// ascending row list shows as rows[k] == rows[0] + k·count. An all-zero
+/// column (nnz = 0) scores +0 either way. Otherwise a column is scored
+/// like any other, as the U path scores it.
+void GenotypeScores(const double* const* rows, std::size_t nnz, std::size_t n,
+                    std::size_t count, bool zero_sum_columns, double* out) {
+  if (zero_sum_columns && nnz == n) {
+    std::size_t k = 1;
+    while (k < nnz && rows[k] == rows[0] + k * count) ++k;
+    if (k >= nnz) {
+      std::fill(out, out + count, 0.0);
+      return;
+    }
   }
-  stats::kernels::SelectDosageRows(runs->index.data(), d, nnz, table, n,
-                                   count, &runs->rows);
-  stats::kernels::ActiveKernels().row_sum(runs->rows.data(), nnz, count, out);
+  stats::kernels::ActiveKernels().row_sum(rows, nnz, count, out);
 }
 
 }  // namespace
@@ -411,24 +405,28 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
                          "genotype score block",
                          {engine::Arg("replicates", count)});
   // Workers read the pre-scaled [V; 2V; 3V] table, built once here, so
-  // the replicate kernel only adds.
-  auto table =
-      engine::MakeBroadcast(*ctx_, stats::kernels::DosageScaledTable(vblock));
-  // The non-zero decode is profiled as decode time (untraced: one span
-  // per record would flood the trace).
-  return CollectScoreBlock<GenotypeScratch>(
+  // the replicate kernel only adds, and the pass's row-offset LUT, so a
+  // SNP's row list comes from one walk of its packed bytes.
+  std::vector<double> scaled;
+  stats::kernels::DosageScaledTable(vblock, &scaled);
+  auto table = engine::MakeBroadcast(*ctx_, std::move(scaled));
+  auto offsets =
+      engine::MakeBroadcast(*ctx_, stats::DosageRowOffsets(n(), count));
+  // The row-list walk is profiled as decode time (untraced: one span per
+  // record would flood the trace).
+  return CollectScoreBlock<std::vector<const double*>>(
       genotypes_, count, std::move(live_snps), "collect-score-block",
-      [table, count, zero_sum_columns](const stats::PackedSnpRecord& record,
-                                       GenotypeScratch* scratch, double* row) {
+      [table, offsets, count, zero_sum_columns](
+          const stats::PackedSnpRecord& record,
+          std::vector<const double*>* rows, double* row) {
         std::size_t nnz = 0;
         {
           ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
                                               /*trace=*/false);
-          nnz = record.genotypes.NonZeroInto(&scratch->index,
-                                             &scratch->dosage);
+          nnz = record.genotypes.DosageRowsInto(*offsets, table->data(), rows);
         }
-        GenotypeScores(scratch, nnz, record.genotypes.size(),
-                       table->data(), count, zero_sum_columns, row);
+        GenotypeScores(rows->data(), nnz, record.genotypes.size(), count,
+                       zero_sum_columns, row);
       });
 }
 

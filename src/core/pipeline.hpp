@@ -179,14 +179,17 @@ class SkatPipeline {
   /// replicate scores Σ_i G_ij · vblock[i*count + r] for a patient-major
   /// block of score coefficients — permuted ones
   /// (stats::PermutedCoefficientBlock) or Monte Carlo V(z) ones
-  /// (stats::MonteCarloCoefficientBlock); count 1 with the unpermuted
-  /// coefficients gives the observed scores. The driver builds the
-  /// pre-scaled table [V; 2V; 3V] of the block once
-  /// (kernels::DosageScaledTable) and broadcasts it; then one engine pass
-  /// over the cached genotype partitions decodes each SNP into its
-  /// non-zero (patient, dosage) runs, and the multiply-free sparse kernel
-  /// (kernels::KernelTable::row_sum) adds the table rows they select
-  /// straight into its partition's flat buffer, bitwise equal to the
+  /// (stats::MonteCarloCoefficientBlock); a column of the unpermuted
+  /// coefficients v gives the observed scores (the resampling driver puts
+  /// it first in an exhaustive run's first block, or scores it as a
+  /// count-1 block). The driver builds the pre-scaled table [V; 2V; 3V]
+  /// of the block (kernels::DosageScaledTable) and the pass's 256 × 4
+  /// row-offset LUT (stats::DosageRowOffsets) once and broadcasts both;
+  /// then one engine pass over the cached genotype partitions walks each
+  /// SNP's packed bytes once into the list of table rows its non-zero
+  /// genotypes select (PackedGenotypeBlock::DosageRowsInto), and the
+  /// multiply-free sparse kernel (kernels::KernelTable::row_sum) adds
+  /// them straight into its partition's flat buffer, bitwise equal to the
   /// dense MAC over all patients; live-SNP filter and collect as in
   /// ComputeMonteCarloScoreBlock.
   /// `zero_sum_columns` says every column of the block sums to zero

@@ -51,6 +51,22 @@ std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
 using MakeBlock =
     std::function<std::vector<double>(std::uint64_t begin, std::size_t count)>;
 
+/// [v | block]: the patient-major n × (count + 1) block whose column 0 is
+/// the observed coefficients v and whose columns 1..count are `block`'s
+/// (n × count). Every column of a score pass is its own accumulator
+/// chain, so column 0 scores bitwise as a count-1 pass of v would.
+std::vector<double> WithObservedColumn(const std::vector<double>& v,
+                                       const std::vector<double>& block,
+                                       std::size_t count) {
+  const std::size_t width = count + 1;
+  std::vector<double> out(v.size() * width);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i * width] = v[i];
+    std::copy_n(block.data() + i * count, count, out.data() + i * width + 1);
+  }
+  return out;
+}
+
 /// The shared driver loop: splits 0..B into [begin, end) ranges of at
 /// most `batch_size` replicates and hands each to `body`, wrapped in the
 /// batch-level telemetry (trace span, counters, accumulated wall time)
@@ -135,8 +151,8 @@ class FoldPlan {
 /// at +0 and adds ω_j²·(s·s) over the set's scored members in declaration
 /// order, stats::SkatStatistic's order, so every value is independent of
 /// partitioning, thread count and batch size; a set with no scored
-/// member stays +0. The observed pass is the same fold of a count-1
-/// block.
+/// member stays +0. The observed statistics are the same fold of column 0
+/// of the first batch's block, or of a count-1 block.
 std::vector<double> FoldSetStatistics(const FoldPlan& plan,
                                       const std::vector<std::size_t>& positions,
                                       const ScoreBlock& block) {
@@ -392,6 +408,11 @@ struct ScoreBlockSource {
   const char* algorithm;
   /// Observed per-SNP marginal scores U_j, as a count-1 block.
   std::function<ScoreBlock()> observed;
+  /// The coefficients v when the observed scores are the score pass of v
+  /// itself (the genotype sources): an exhaustive run then scores v as
+  /// column 0 of its first batch instead of calling `observed`. Empty for
+  /// the cached-U source.
+  std::vector<double> observed_column;
   /// The block for replicates [begin, begin+count).
   MakeBlock make_block;
   /// One engine pass over a block: `count` replicate scores per SNP,
@@ -402,12 +423,13 @@ struct ScoreBlockSource {
       score;
 };
 
-/// A source that never builds U: observed scores U_j = g_jᵀv from a
-/// count-1 block of the coefficients v, replicates from `make_block`'s
-/// coefficient blocks. `zero_sum_columns` must hold for every generated
-/// block; v is scored under the same rule, so a constant column's
-/// observed score is exactly 0 where its replicate scores are, and is the
-/// U path's value where they are.
+/// A source that never builds U: observed scores U_j = g_jᵀv from the
+/// coefficients v — column 0 of the first batch in exhaustive runs, a
+/// count-1 block of v in adaptive ones — and replicates from
+/// `make_block`'s coefficient blocks. `zero_sum_columns` must hold for
+/// every generated block; v is scored under the same rule, so a constant
+/// column's observed score is exactly 0 where its replicate scores are,
+/// and is the U path's value where they are.
 ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
                                 const std::vector<double>& v,
                                 bool zero_sum_columns,
@@ -416,6 +438,7 @@ ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
           [&pipeline, v, zero_sum_columns] {
             return pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns);
           },
+          v,
           std::move(make_block),
           [&pipeline, zero_sum_columns](
               const std::vector<double>& block, std::size_t count,
@@ -460,6 +483,7 @@ ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
 ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
   return {"monte-carlo",
           [&pipeline] { return pipeline.CollectObservedScores(); },
+          {},
           [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
             return stats::MonteCarloZBlock(seed, n, begin, count);
           },
@@ -477,11 +501,15 @@ ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
 /// only the counters — is bitwise equal to the serial oracle's analysis
 /// from the same seed (baseline::SerialMonteCarloFactored; for the cached
 /// U source, baseline::SerialMonteCarlo); every method's result is bitwise
-/// invariant to batch size and thread count. Exhaustive
-/// and adaptive runs share one counting path: every set that consumes
-/// replicates has a stopper (one that never stops when exhaustive), and
-/// each batch folds the sets still live into a flat set-major array that
-/// the stoppers read by position.
+/// invariant to batch size and thread count. An exhaustive run over a
+/// genotype source scores the observed v as column 0 of its first batch,
+/// so it makes one engine pass per batch and no other; an adaptive run
+/// (whose screen reads the observed statistics before it can name the
+/// first batch's live SNPs), the cached-U source and B = 0 take a count-1
+/// observed pass first. Exhaustive and adaptive runs share one counting
+/// path: every set that consumes replicates has a stopper (one that never
+/// stops when exhaustive), and each batch folds the sets still live into
+/// a flat set-major array that the stoppers read by position.
 ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
                                 const ResamplingRequest& request,
                                 const ScoreBlockSource& source) {
@@ -492,16 +520,26 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
 
   ResamplingResult result;
   result.replicates = request.replicates;
-  const std::vector<double> observed = [&] {
-    engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-    return FoldSetStatistics(plan, all_sets, source.observed());
-  }();
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    result.observed[sets[k].id] = observed[k];
-  }
-  InitCounters(result.observed, &result.exceed);
-
   const bool adaptive = IsAdaptive(request);
+  const bool observed_in_first_batch = !adaptive &&
+                                       !source.observed_column.empty() &&
+                                       request.replicates != 0;
+  std::vector<double> observed;
+  const auto record_observed = [&] {
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      result.observed[sets[k].id] = observed[k];
+    }
+    InitCounters(result.observed, &result.exceed);
+  };
+  if (!observed_in_first_batch) {
+    observed = [&] {
+      engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                             "observed skat");
+      return FoldSetStatistics(plan, all_sets, source.observed());
+    }();
+    record_observed();
+  }
+
   std::vector<CountedSet> counted;
   if (adaptive) {
     result.early_stop_h = request.early_stop;
@@ -525,8 +563,15 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
         [&](std::uint64_t begin, std::uint64_t end) {
           const std::size_t count = end - begin;
           // Per batch: `count` × n block entries from the per-replicate
-          // streams (bitwise invariant to batching).
-          const std::vector<double> block = source.make_block(begin, count);
+          // streams (bitwise invariant to batching), led by the observed
+          // column in the first batch when it carries one.
+          std::vector<double> block = source.make_block(begin, count);
+          const std::size_t lead =
+              observed_in_first_batch && begin == 0 ? 1 : 0;
+          if (lead != 0) {
+            block = WithObservedColumn(source.observed_column, block, count);
+          }
+          const std::size_t width = lead + count;
           // Only the sets whose stopper has not stopped are folded, and
           // adaptive runs score only their SNPs; a set that stops
           // mid-batch stays live until the next batch.
@@ -539,15 +584,23 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
           }
           const std::vector<double> scores = FoldSetStatistics(
               plan, positions,
-              source.score(block, count,
+              source.score(block, width,
                            adaptive ? LiveSnps(sets, positions) : nullptr));
+          if (lead != 0) {
+            // Exhaustive: every set is live in the first batch, in order.
+            observed.resize(sets.size());
+            for (std::size_t i = 0; i < positions.size(); ++i) {
+              observed[positions[i]] = scores[i * width];
+            }
+            record_observed();
+          }
           SetScores replicate;  // filled only for the sink
           bool any_active = false;
           for (std::size_t r = 0; r < count; ++r) {
             any_active = false;
             for (std::size_t i = 0; i < live.size(); ++i) {
               CountedSet& set = *live[i];
-              const double score = scores[i * count + r];
+              const double score = scores[i * width + lead + r];
               set.stopper.Offer(score >= observed[set.position]);
               any_active = any_active || !set.stopper.stopped();
               if (request.sink != nullptr) {
@@ -615,7 +668,8 @@ ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
 /// SKAT-O over the batched Monte Carlo replicate pool: each batch scores
 /// the same V(z) genotype blocks as plain Monte Carlo, so U is never
 /// built, and folds per-set (SKAT, burden) pairs canonically on the
-/// driver. The observed pair folds a count-1 block of v the same way.
+/// driver. The observed pair folds v the same way, as column 0 of the
+/// first batch (a count-1 block of v when B = 0).
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
@@ -623,25 +677,31 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   const FoldPlan plan(sets, pipeline.DriverWeights());
   const stats::ScoreEngine score_engine(pipeline.phenotype());
   const bool zero_sum_columns = score_engine.MultiplierColumnsSumToZero();
+  const std::vector<double> v = score_engine.Coefficients();
 
-  // Observed (SKAT, burden) pair and grid per set.
-  const SkatBurdenScores observed = [&] {
-    engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                           "observed skat+burden");
-    return FoldSkatBurdenScores(
-        plan, pipeline.ComputeGenotypeScoreBlock(score_engine.Coefficients(),
-                                                 1, zero_sum_columns));
-  }();
-  std::vector<std::vector<double>> observed_grids(sets.size());
+  // Observed (SKAT, burden) pair and grid per set, from column 0 of a
+  // `width`-column fold.
   SkatOResult result;
   result.replicates = request.replicates;
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    SkatOResult::PerSet per_set;
-    per_set.skat = observed.skat[k];
-    per_set.burden = observed.burden[k];
-    result.by_set[sets[k].id] = per_set;
-    observed_grids[k] =
-        stats::SkatOGridStatistics(per_set.burden, per_set.skat, rho_grid);
+  std::vector<std::vector<double>> observed_grids(sets.size());
+  const auto record_observed = [&](const SkatBurdenScores& pairs,
+                                   std::size_t width) {
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      SkatOResult::PerSet per_set;
+      per_set.skat = pairs.skat[k * width];
+      per_set.burden = pairs.burden[k * width];
+      result.by_set[sets[k].id] = per_set;
+      observed_grids[k] =
+          stats::SkatOGridStatistics(per_set.burden, per_set.skat, rho_grid);
+    }
+  };
+  if (request.replicates == 0) {
+    engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                           "observed skat+burden");
+    record_observed(
+        FoldSkatBurdenScores(plan, pipeline.ComputeGenotypeScoreBlock(
+                                       v, 1, zero_sum_columns)),
+        1);
   }
 
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
@@ -651,16 +711,20 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
       "skat-o", request.replicates, batch_size,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
-        const std::vector<double> vblock = stats::MonteCarloCoefficientBlock(
+        std::vector<double> vblock = stats::MonteCarloCoefficientBlock(
             seed, score_engine, begin, count);
+        const std::size_t lead = begin == 0 ? 1 : 0;
+        if (lead != 0) vblock = WithObservedColumn(v, vblock, count);
+        const std::size_t width = lead + count;
         const SkatBurdenScores pairs = FoldSkatBurdenScores(
             plan,
-            pipeline.ComputeGenotypeScoreBlock(vblock, count, zero_sum_columns));
+            pipeline.ComputeGenotypeScoreBlock(vblock, width, zero_sum_columns));
+        if (lead != 0) record_observed(pairs, width);
         for (std::size_t r = 0; r < count; ++r) {
           for (std::size_t k = 0; k < sets.size(); ++k) {
+            const std::size_t at = k * width + lead + r;
             replicate_grids[k].push_back(stats::SkatOGridStatistics(
-                pairs.burden[k * count + r], pairs.skat[k * count + r],
-                rho_grid));
+                pairs.burden[at], pairs.skat[at], rho_grid));
           }
           if (request.sink != nullptr) request.sink->OnReplicate(begin + r);
         }

@@ -30,7 +30,9 @@
 // multiply-accumulates Z multipliers against the cached U partitions
 // (stats::BatchedReplicateScores). Each pass collects one flat
 // ScoreBlock, and the per-set folds run driver-side over it in the
-// serial oracle's canonical accumulation order.
+// serial oracle's canonical accumulation order. Exhaustive runs over
+// coefficient blocks score the observed v as column 0 of the first
+// batch, so they make one engine pass per batch and no other.
 // Results are bitwise invariant to the batch size, the thread count,
 // packing and the partitioning. The Monte Carlo ResamplingResult is
 // bitwise equal to baseline::SerialMonteCarloFactored from the same seed;

@@ -134,26 +134,17 @@ DispatchLevel SetDispatchLevel(DispatchLevel level) {
   return actual;
 }
 
-std::vector<double> DosageScaledTable(const std::vector<double>& vblock) {
+void DosageScaledTable(const std::vector<double>& vblock,
+                       std::vector<double>* table) {
   // Each entry is the product the dense kernel rounds for that dosage
   // (z · d, with fl(1 · z) = z), so summing table rows reproduces it.
   const std::size_t size = vblock.size();
-  std::vector<double> table(3 * size);
+  table->resize(3 * size);
+  double* out = table->data();
   for (std::size_t j = 0; j < size; ++j) {
-    table[j] = vblock[j];
-    table[size + j] = vblock[j] * 2.0;
-    table[2 * size + j] = vblock[j] * 3.0;
-  }
-  return table;
-}
-
-void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
-                      std::size_t nnz, const double* table, std::size_t n,
-                      std::size_t count, std::vector<const double*>* rows) {
-  if (rows->size() < nnz) rows->resize(nnz);
-  const double** out = rows->data();
-  for (std::size_t k = 0; k < nnz; ++k) {
-    out[k] = table + ((std::size_t{dosage[k]} - 1) * n + index[k]) * count;
+    out[j] = vblock[j];
+    out[size + j] = vblock[j] * 2.0;
+    out[2 * size + j] = vblock[j] * 3.0;
   }
 }
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -65,8 +64,9 @@ struct KernelTable {
   /// summed in ascending k per replicate starting from +0, where each
   /// rows[k] points at `count` contiguous doubles. With rows[k] the
   /// pre-scaled coefficient row fl(d_k * V_{i_k}) of a SNP's k-th
-  /// non-zero genotype (SelectDosageRows over a DosageScaledTable), in
-  /// ascending patient order, and finite V, the output is bitwise equal
+  /// non-zero genotype (PackedGenotypeBlock::DosageRowsInto over a
+  /// DosageScaledTable), in ascending patient order, and finite V, the
+  /// output is bitwise equal
   /// to the dense MAC stats::BatchedReplicateScores on the dosages
   /// widened to doubles: every summand is the product the dense MAC
   /// rounds, the adds run in the same order, and a skipped G=0 term (±0)
@@ -83,19 +83,12 @@ struct KernelTable {
 
 /// The pre-scaled coefficient table `row_sum` reads for 2-bit dosages:
 /// for a patient-major n × count block V (`vblock`, n·count doubles),
-/// [V ; fl(2·V) ; fl(3·V)], 3·n·count doubles. Patient i's row for
-/// dosage d ∈ {1, 2, 3} starts at ((d − 1)·n + i)·count; V is the
-/// table's first third.
-std::vector<double> DosageScaledTable(const std::vector<double>& vblock);
-
-/// Points rows[k] (k < nnz) at the row fl(dosage[k] · V_index[k]) of
-/// `table` (a DosageScaledTable over n patients) for a SNP's non-zero
-/// runs (PackedGenotypeBlock::NonZeroInto order, dosages 1..3), so
-/// `row_sum` scores the SNP. `rows` grows as needed and is reused across
-/// calls.
-void SelectDosageRows(const std::uint32_t* index, const std::uint8_t* dosage,
-                      std::size_t nnz, const double* table, std::size_t n,
-                      std::size_t count, std::vector<const double*>* rows);
+/// [V ; fl(2·V) ; fl(3·V)], 3·n·count doubles, written to `*table`
+/// (resized; its buffer is reused when large enough). Patient i's row for
+/// dosage d ∈ {1, 2, 3} starts at ((d − 1)·n + i)·count; V is the table's
+/// first third. PackedGenotypeBlock::DosageRowsInto lists a SNP's rows.
+void DosageScaledTable(const std::vector<double>& vblock,
+                       std::vector<double>* table);
 
 /// The table for the active dispatch level.
 const KernelTable& ActiveKernels();

@@ -25,8 +25,8 @@ constexpr DecodeTable BuildDecodeTable() {
 constexpr DecodeTable kDecode = BuildDecodeTable();
 
 // kNonZero.v[byte] lists the byte's non-zero crumbs, low crumb first:
-// `count` of them, at crumb `offset[k]` with dosage `dosage[k]`. Slots
-// past `count` are zero-filled so a decoder can store all four.
+// `count` of them, at crumb `offset[k]` with dosage `dosage[k]`. This is
+// the order DosageRowOffsets lays its slots out in.
 struct NonZeroEntry {
   std::uint8_t count;
   std::uint8_t offset[4];
@@ -97,38 +97,50 @@ void PackedGenotypeBlock::UnpackInto(std::vector<std::uint8_t>* out) const {
   }
 }
 
-std::size_t PackedGenotypeBlock::NonZeroInto(
-    std::vector<std::uint32_t>* index,
-    std::vector<std::uint8_t>* dosage) const {
-  // Each byte stores all four LUT slots at the next free position and
-  // advances by its count, so the buffers need room for a whole last
-  // byte: 4 * payload bytes, which is size rounded up to a multiple of 4.
-  // They grow but never shrink.
-  const std::size_t slots = 4 * payload_.size();
-  if (index->size() < slots) index->resize(slots);
-  if (dosage->size() < slots) dosage->resize(slots);
-  std::uint32_t* idx = index->data();
-  std::uint8_t* dos = dosage->data();
-  std::size_t nnz = 0;
-  const std::size_t full_bytes = size_ / 4;
-  const auto emit = [&](std::uint8_t byte, std::uint32_t base) {
+DosageRowOffsets::DosageRowOffsets(std::size_t n, std::size_t count)
+    : n_(n), count_(count), offset_{} {
+  for (int byte = 0; byte < 256; ++byte) {
     const NonZeroEntry& entry = kNonZero.v[byte];
-    for (int k = 0; k < 4; ++k) idx[nnz + k] = base + entry.offset[k];
-    std::memcpy(dos + nnz, entry.dosage, 4);
-    nnz += entry.count;
-  };
-  for (std::size_t b = 0; b < full_bytes; ++b) {
-    emit(payload_[b], static_cast<std::uint32_t>(4 * b));
+    for (int k = 0; k < entry.count; ++k) {
+      offset_[byte][k] =
+          ((std::size_t{entry.dosage[k]} - 1) * n + entry.offset[k]) * count;
+    }
   }
+}
+
+std::size_t PackedGenotypeBlock::DosageRowsInto(
+    const DosageRowOffsets& offsets, const double* table,
+    std::vector<const double*>* rows) const {
+  SS_CHECK(offsets.n() == size_);
+  // Each byte stores all four slots at the next free position and
+  // advances by its count, so the list needs room for a whole last byte:
+  // 4 slots per payload byte. It grows but never shrinks.
+  const std::size_t slots = 4 * payload_.size();
+  if (rows->size() < slots) rows->resize(slots);
+  const double** const first = rows->data();
+  const double** out = first;
+  // `at` is the byte's first patient's row, in doubles from `table`.
+  const std::size_t stride = 4 * offsets.count();
+  std::size_t at = 0;
+  const auto emit = [&](std::uint8_t byte) {
+    const std::size_t* slot = offsets.slots(byte);
+    out[0] = table + (at + slot[0]);
+    out[1] = table + (at + slot[1]);
+    out[2] = table + (at + slot[2]);
+    out[3] = table + (at + slot[3]);
+    out += kNonZero.v[byte].count;
+    at += stride;
+  };
+  const std::size_t full_bytes = size_ / 4;
+  for (std::size_t b = 0; b < full_bytes; ++b) emit(payload_[b]);
   if (full_bytes < payload_.size()) {
-    // Crumbs past `size_` are zero by construction; mask them anyway so
-    // a last byte can never list a patient that does not exist.
+    // Crumbs past `size_` are zero when packed here; mask them anyway so
+    // a last byte can never name a patient that does not exist.
     const unsigned live_bits = 2 * (size_ % 4);
     emit(static_cast<std::uint8_t>(payload_[full_bytes] &
-                                   ((1u << live_bits) - 1)),
-         static_cast<std::uint32_t>(4 * full_bytes));
+                                   ((1u << live_bits) - 1)));
   }
-  return nnz;
+  return static_cast<std::size_t>(out - first);
 }
 
 }  // namespace ss::stats

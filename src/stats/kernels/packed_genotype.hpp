@@ -13,6 +13,8 @@
 
 namespace ss::stats {
 
+class DosageRowOffsets;
+
 class PackedGenotypeBlock {
  public:
   PackedGenotypeBlock() = default;
@@ -38,19 +40,50 @@ class PackedGenotypeBlock {
   std::vector<std::uint8_t> Unpack() const;
   void UnpackInto(std::vector<std::uint8_t>* out) const;
 
-  /// Lists the non-zero dosages in ascending patient order: for
-  /// k < the returned count, patient (*index)[k] has dosage (*dosage)[k],
-  /// a code in 1..3. It decodes straight from the 2-bit crumbs through a
-  /// LUT, with no byte unpack. Both buffers are grown as needed and
-  /// reused across calls; entries past the returned count are scratch.
-  std::size_t NonZeroInto(std::vector<std::uint32_t>* index,
-                          std::vector<std::uint8_t>* dosage) const;
+  /// Points rows[k], for k < the returned count, at the coefficient row
+  /// of this SNP's k-th non-zero genotype in `table`, a
+  /// kernels::DosageScaledTable over size() patients and
+  /// `offsets.count()` columns: patient i with dosage d gets row
+  /// (d − 1)·n + i, in ascending patient order — the row list
+  /// kernels::KernelTable::row_sum scores the SNP from. One walk of the
+  /// payload: each byte stores the four slots of its `offsets` entry at
+  /// the next free position and advances by its non-zero count, so there
+  /// is no byte unpack and no index or dosage list. Crumbs of the last
+  /// byte past size() are masked. `rows` is grown as needed (to 4 slots
+  /// per payload byte) and reused across calls; entries past the
+  /// returned count are scratch.
+  std::size_t DosageRowsInto(const DosageRowOffsets& offsets,
+                             const double* table,
+                             std::vector<const double*>* rows) const;
 
   bool operator==(const PackedGenotypeBlock&) const = default;
 
  private:
   std::uint32_t size_ = 0;
   std::vector<std::uint8_t> payload_;
+};
+
+/// The 256 × 4 offset table PackedGenotypeBlock::DosageRowsInto reads,
+/// for one score pass's n patients and `count` columns. For the k-th
+/// non-zero crumb c of byte value b, with dosage d, entry [b][k] is
+/// ((d − 1)·n + c)·count: that genotype's row in a DosageScaledTable,
+/// counted in doubles from the row of the byte's first patient. Slots
+/// past the byte's non-zero count are 0. Built once per pass, next to the
+/// table.
+class DosageRowOffsets {
+ public:
+  DosageRowOffsets(std::size_t n, std::size_t count);
+
+  std::size_t n() const { return n_; }
+  std::size_t count() const { return count_; }
+
+  /// The four slots of byte value `byte`.
+  const std::size_t* slots(std::uint8_t byte) const { return offset_[byte]; }
+
+ private:
+  std::size_t n_;
+  std::size_t count_;
+  std::size_t offset_[256][4];
 };
 
 /// Packed counterpart of `simdata::SnpRecord`: the storage format for

@@ -1,13 +1,6 @@
 #include "support/rng.hpp"
 
 namespace ss {
-namespace {
-
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t SplitMix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -19,39 +12,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);
-}
-
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 Rng Rng::Split(std::uint64_t stream_id) const {

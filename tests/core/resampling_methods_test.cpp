@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
+#include <string>
 
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
@@ -755,6 +757,145 @@ TEST(ResamplingMethodsTest, ProgressSinkLeavesResultHashUnchanged) {
     RunWithRequest(dataset, request, 8, 4);
     EXPECT_EQ(hash.load() - middle, without_sink);
     EXPECT_GT(recorder.scored, 0u);
+  }
+}
+
+/// Engine stages labelled `label` that `ctx` ran.
+std::size_t StagesNamed(engine::EngineContext& ctx, const std::string& label) {
+  std::size_t stages = 0;
+  for (const engine::StageMetrics& stage : ctx.metrics().stages()) {
+    if (stage.label == label) ++stages;
+  }
+  return stages;
+}
+
+/// One run of `request` with its own context, the result hash it
+/// recorded and the score passes it made.
+struct ColumnZeroRun {
+  ResamplingRun run;
+  std::uint64_t hash = 0;
+  std::size_t score_passes = 0;
+};
+
+ColumnZeroRun RunCountingPasses(const simdata::SyntheticDataset& dataset,
+                                const ResamplingRequest& request,
+                                std::uint64_t batch_size,
+                                std::uint64_t threads) {
+  std::atomic<std::uint64_t>& hash =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  engine::EngineContext::Options options = LocalOptions();
+  options.physical_threads = threads;
+  engine::EngineContext ctx(options);
+  PipelineConfig config;
+  config.seed = 77;
+  config.resampling_batch_size = batch_size;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  const std::uint64_t before = hash.load();
+  ColumnZeroRun out;
+  out.run = RunResampling(pipeline, request);
+  out.hash = hash.load() - before;
+  out.score_passes = StagesNamed(ctx, "collect-score-block");
+  return out;
+}
+
+TEST(ResamplingMethodsTest, ObservedScoresAreColumnZeroOfTheFirstBatch) {
+  // Exhaustive Monte Carlo, permutation and SKAT-O score the observed
+  // coefficients v as column 0 of their first batch: at batch 63 and 64
+  // that pass is 64 and 65 columns wide, on both sides of the kernel's
+  // 64-lane block. The result must equal the serial oracle's (and the
+  // count-1 observed pass's) bit for bit, the run must make exactly
+  // ⌈B/batch⌉ score passes, and an adaptive run, whose screen needs the
+  // observed statistics first, exactly one more.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
+  const baseline::SkatInputs inputs{&dataset.genotypes, &phenotype,
+                                    &dataset.weights, &dataset.sets};
+  constexpr std::uint64_t kReplicates = 100;
+  const baseline::SkatAnalysis monte_carlo =
+      baseline::SerialMonteCarloFactored(inputs, 77, kReplicates);
+  const baseline::SkatAnalysis permutation =
+      baseline::SerialPermutation(inputs, 77, kReplicates);
+
+  for (const ResamplingMethod method :
+       {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
+    std::optional<std::uint64_t> first_hash;
+    for (std::uint64_t threads : {1u, 4u}) {
+      for (std::uint64_t batch : {63u, 64u}) {
+        SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
+                     " threads=" + std::to_string(threads) +
+                     " batch=" + std::to_string(batch));
+        const std::size_t batches = (kReplicates + batch - 1) / batch;
+        const ColumnZeroRun exhaustive = RunCountingPasses(
+            dataset, ResamplingRequest(method, kReplicates), batch, threads);
+        EXPECT_EQ(exhaustive.score_passes, batches);
+        if (!first_hash) first_hash = exhaustive.hash;
+        EXPECT_EQ(exhaustive.hash, *first_hash);
+
+        // Never stops (h > B), so it counts every replicate like the
+        // exhaustive run, but it is adaptive: its observed statistics come
+        // from a count-1 pass before the first batch.
+        ResamplingRequest adaptive_request(method, kReplicates);
+        adaptive_request.early_stop = kReplicates + 1;
+        const ColumnZeroRun adaptive =
+            RunCountingPasses(dataset, adaptive_request, batch, threads);
+        EXPECT_EQ(adaptive.score_passes, batches + 1);
+
+        const ResamplingResult& fused = exhaustive.run.scores;
+        const ResamplingResult& separate = adaptive.run.scores;
+        const baseline::SkatAnalysis& serial =
+            method == ResamplingMethod::kMonteCarlo ? monte_carlo
+                                                    : permutation;
+        ASSERT_EQ(fused.observed.size(), dataset.sets.size());
+        for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+          const std::uint32_t id = dataset.sets[k].id;
+          EXPECT_TRUE(BitEqual(fused.observed.at(id), separate.observed.at(id)))
+              << "set " << k;
+          if (method == ResamplingMethod::kMonteCarlo) {
+            EXPECT_TRUE(BitEqual(fused.observed.at(id), serial.observed[k]))
+                << "set " << k;
+          } else {
+            // The literal Algorithm 2 scores through U, which rounds
+            // differently from g_jᵀ(v∘π).
+            EXPECT_NEAR(fused.observed.at(id), serial.observed[k],
+                        1e-12 * serial.observed[k])
+                << "set " << k;
+          }
+          EXPECT_EQ(fused.exceed.at(id), serial.exceed_count[k])
+              << "set " << k;
+          EXPECT_EQ(separate.exceed.at(id), serial.exceed_count[k])
+              << "set " << k;
+        }
+      }
+    }
+  }
+
+  // SKAT-O: the observed (SKAT, burden) pair from column 0 equals the
+  // count-1 pass a B = 0 run makes, and the p-values do not depend on
+  // where column 0 falls.
+  const ColumnZeroRun observed_only = RunCountingPasses(
+      dataset, ResamplingRequest(ResamplingMethod::kSkatO, 0), 64, 4);
+  EXPECT_EQ(observed_only.score_passes, 1u);
+  std::optional<SkatOResult> first;
+  for (std::uint64_t threads : {1u, 4u}) {
+    for (std::uint64_t batch : {63u, 64u}) {
+      SCOPED_TRACE("skat-o threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      const ColumnZeroRun run = RunCountingPasses(
+          dataset, ResamplingRequest(ResamplingMethod::kSkatO, kReplicates),
+          batch, threads);
+      EXPECT_EQ(run.score_passes, (kReplicates + batch - 1) / batch);
+      const SkatOResult& skato = run.run.skato;
+      if (!first) first = skato;
+      ASSERT_EQ(skato.by_set.size(), dataset.sets.size());
+      for (const auto& [set_id, per_set] : skato.by_set) {
+        const auto& direct = observed_only.run.skato.by_set.at(set_id);
+        EXPECT_TRUE(BitEqual(per_set.skat, direct.skat)) << "set " << set_id;
+        EXPECT_TRUE(BitEqual(per_set.burden, direct.burden))
+            << "set " << set_id;
+        EXPECT_TRUE(BitEqual(per_set.pvalue, first->by_set.at(set_id).pvalue))
+            << "set " << set_id;
+      }
+    }
   }
 }
 

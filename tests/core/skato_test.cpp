@@ -47,8 +47,8 @@ std::pair<double, double> DirectPair(const simdata::SyntheticDataset& dataset,
 }
 
 TEST(SkatOPipelineTest, ObservedPairMatchesDirect) {
-  // The driver folds the observed pair from a count-1 genotype score
-  // block of the coefficients v, never from U.
+  // The driver folds the observed pair from column 0 of the first
+  // batch's genotype score block, the coefficients v, never from U.
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   PipelineConfig config;

@@ -285,10 +285,12 @@ TEST(BudgetSoakMatrix, TightBudgetEvictsAndRecomputesU) {
 
 TEST(BudgetSoakMatrix, ZeroBudgetRecomputesPackedGenotypesOnTheDefaultPath) {
   // Without U, the default path's cached data is the packed genotype
-  // partitions; a 1-byte budget must evict and recompute them.
-  const SoakTraffic reference = RunSoakCell(7, SoakCell{});
+  // partitions; a 1-byte budget must evict and recompute them. Batches of
+  // 8 make three genotype passes (the observed scores ride in the first),
+  // so later passes re-read what earlier ones cached.
+  const SoakTraffic reference = RunSoakCell(7, SoakCell{0, 4, 8, false});
   const SoakTraffic traffic =
-      RunSoakCell(7, SoakCell{/*budget=*/1, 4, 64, false});
+      RunSoakCell(7, SoakCell{/*budget=*/1, 4, 8, false});
   EXPECT_GT(traffic.evictions, 0u);
   EXPECT_GT(traffic.computes, reference.computes);
 }

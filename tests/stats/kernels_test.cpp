@@ -101,21 +101,23 @@ std::vector<double> AwkwardDoubles(Rng& rng, std::size_t count) {
 }
 
 TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
-  // The sparse MAC — row_sum over the rows a SNP's packed non-zero runs
-  // select from the pre-scaled [V; 2V; 3V] table — must reproduce, byte
-  // for byte, the dense scalar MAC
+  // The pipeline's per-SNP path — packed bytes to row list
+  // (PackedGenotypeBlock::DosageRowsInto over the pass's
+  // DosageRowOffsets) to row_sum over the pre-scaled [V; 2V; 3V] table —
+  // must reproduce, byte for byte, the dense scalar MAC
   // (BatchedReplicateScores) over the same dosages widened to doubles, at
-  // every level. The counts sit on every edge of the AVX2
-  // 64/32/16/8/4-lane blocks and the scalar tail.
+  // every level. The patient counts cover every size() % 4 tail, and the
+  // counts sit on every edge of the AVX2 64/32/16/8/4-lane blocks and the
+  // scalar tail.
   Rng rng(20160806);
-  // One set of scratch buffers across every case, as a partition reuses
-  // them.
+  // One row list and one table buffer across every case, as a partition
+  // and a pass reuse them.
   std::vector<const double*> rows;
-  std::vector<std::uint32_t> index;
-  std::vector<std::uint8_t> dosage;
+  std::vector<double> table;
   for (std::size_t n : {0u, 1u, 3u, 5u, 7u, 13u, 66u, 101u}) {
     for (std::size_t count : {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
                               32u, 33u, 63u, 64u, 65u, 128u, 129u}) {
+      const DosageRowOffsets offsets(n, count);
       for (int fill = 0; fill < 3; ++fill) {
         // fill 0: all zero (nnz = 0); 1: none zero (nnz = n); 2: dosages
         // 0..3.
@@ -126,32 +128,44 @@ TEST(KernelDifferentialTest, SparseMacBitwiseEqualsBatchedMac) {
                           : static_cast<std::uint8_t>(rng.NextBounded(4));
         }
         const std::vector<double> widened(g.begin(), g.end());
-        const std::size_t nnz =
-            PackedGenotypeBlock::Pack(g).NonZeroInto(&index, &dosage);
-        ASSERT_EQ(nnz, n - static_cast<std::size_t>(
-                               std::count(g.begin(), g.end(), 0)));
+        const std::size_t want_nnz =
+            n - static_cast<std::size_t>(std::count(g.begin(), g.end(), 0));
         const std::vector<double> vblock = AwkwardDoubles(rng, n * count);
-        const std::vector<double> table = kernels::DosageScaledTable(vblock);
+        kernels::DosageScaledTable(vblock, &table);
         ASSERT_EQ(table.size(), 3 * vblock.size());
         ASSERT_TRUE(std::equal(
             vblock.begin(), vblock.end(), table.begin(),
             [](double a, double b) { return Bits(a) == Bits(b); }));
-        kernels::SelectDosageRows(index.data(), dosage.data(), nnz,
-                                  table.data(), n, count, &rows);
         std::vector<double> reference(count);
         BatchedReplicateScores(widened, vblock.data(), count,
                                reference.data());
-        for (DispatchLevel level : kernels::ExecutableLevels()) {
-          std::vector<double> sparse(count, -1.0);
-          kernels::KernelsFor(level).row_sum(rows.data(), nnz, count,
-                                             sparse.data());
-          ASSERT_EQ(std::memcmp(sparse.data(), reference.data(),
-                                count * sizeof(double)),
-                    0)
-              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
-              << " count=" << count << " fill=" << fill;
-          if (nnz == 0) {
-            for (double value : sparse) ASSERT_EQ(Bits(value), Bits(0.0));
+        // The packed block, and the same dosages from a payload whose last
+        // byte sets every crumb past size(): those crumbs must be masked.
+        std::vector<PackedGenotypeBlock> blocks = {
+            PackedGenotypeBlock::Pack(g)};
+        if (n % 4 != 0) {
+          std::vector<std::uint8_t> payload = blocks.front().payload();
+          payload.back() = static_cast<std::uint8_t>(
+              payload.back() | (0xff << (2 * (n % 4))));
+          blocks.push_back(PackedGenotypeBlock::FromPayload(
+              static_cast<std::uint32_t>(n), std::move(payload)));
+        }
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          for (DispatchLevel level : kernels::ExecutableLevels()) {
+            const std::size_t nnz =
+                blocks[b].DosageRowsInto(offsets, table.data(), &rows);
+            ASSERT_EQ(nnz, want_nnz) << "n=" << n << " block=" << b;
+            std::vector<double> sparse(count, -1.0);
+            kernels::KernelsFor(level).row_sum(rows.data(), nnz, count,
+                                               sparse.data());
+            ASSERT_EQ(std::memcmp(sparse.data(), reference.data(),
+                                  count * sizeof(double)),
+                      0)
+                << "level=" << kernels::DispatchLevelName(level) << " n=" << n
+                << " count=" << count << " fill=" << fill << " block=" << b;
+            if (nnz == 0) {
+              for (double value : sparse) ASSERT_EQ(Bits(value), Bits(0.0));
+            }
           }
         }
       }

@@ -1,6 +1,6 @@
 // Unit tests for the 2-bit packed genotype block: lossless roundtrip,
-// the non-zero run decode, and the payload-size contract the cache byte
-// accounting relies on.
+// the decode from packed bytes to a row list, and the payload-size
+// contract the cache byte accounting relies on.
 #include "stats/kernels/packed_genotype.hpp"
 
 #include <cstdint>
@@ -46,58 +46,60 @@ TEST(PackedGenotypeTest, UnpackIntoReusesBuffer) {
   EXPECT_EQ(out, dosages);
 }
 
-/// The (index, dosage) runs NonZeroInto must produce, from the byte
-/// unpack.
-void ExpectRunsMatchUnpack(const PackedGenotypeBlock& block,
-                           std::vector<std::uint32_t>* index,
-                           std::vector<std::uint8_t>* dosage) {
+/// The row list DosageRowsInto must produce over a table of `count`
+/// columns, from the byte unpack: patient i with dosage d ≠ 0 → row
+/// (d − 1)·n + i, in ascending patient order.
+void ExpectRowsMatchUnpack(const PackedGenotypeBlock& block,
+                           std::size_t count,
+                           std::vector<const double*>* rows) {
   const std::vector<std::uint8_t> dosages = block.Unpack();
-  std::vector<std::uint32_t> want_index;
-  std::vector<std::uint8_t> want_dosage;
-  for (std::size_t i = 0; i < dosages.size(); ++i) {
+  const std::size_t n = dosages.size();
+  const std::vector<double> table(3 * n * count);
+  std::vector<const double*> want;
+  for (std::size_t i = 0; i < n; ++i) {
     if (dosages[i] == 0) continue;
-    want_index.push_back(static_cast<std::uint32_t>(i));
-    want_dosage.push_back(dosages[i]);
+    want.push_back(table.data() + ((dosages[i] - 1) * n + i) * count);
   }
-  const std::size_t nnz = block.NonZeroInto(index, dosage);
-  ASSERT_EQ(nnz, want_index.size());
-  EXPECT_EQ(std::vector<std::uint32_t>(index->begin(), index->begin() + nnz),
-            want_index);
-  EXPECT_EQ(std::vector<std::uint8_t>(dosage->begin(), dosage->begin() + nnz),
-            want_dosage);
+  const std::size_t nnz =
+      block.DosageRowsInto(DosageRowOffsets(n, count), table.data(), rows);
+  ASSERT_EQ(nnz, want.size());
+  EXPECT_EQ(std::vector<const double*>(rows->begin(), rows->begin() + nnz),
+            want);
 }
 
-TEST(PackedGenotypeTest, NonZeroDecodeMatchesUnpack) {
+TEST(PackedGenotypeTest, DosageRowsMatchUnpack) {
   Rng rng(77004);
-  // One pair of buffers across every call: a large block first, then
-  // smaller ones, so stale entries from earlier calls are present.
-  std::vector<std::uint32_t> index;
-  std::vector<std::uint8_t> dosage;
+  // One row list across every call: a large block first, then smaller
+  // ones, so stale entries from earlier calls are present.
+  std::vector<const double*> rows;
   std::vector<std::size_t> sizes = {1000};
   for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
   for (std::size_t n : sizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    // Random 0..3, all zero, all non-zero.
-    const PackedGenotypeBlock packed =
-        PackedGenotypeBlock::Pack(RandomDosages(rng, n, 4));
-    ExpectRunsMatchUnpack(packed, &index, &dosage);
-    if (n % 4 != 0) {
-      // Crumbs past size() never name a patient, even when a payload
-      // that did not come from Pack leaves them set.
-      std::vector<std::uint8_t> payload = packed.payload();
-      payload.back() = static_cast<std::uint8_t>(
-          payload.back() | (0xff << (2 * (n % 4))));
-      ExpectRunsMatchUnpack(
-          PackedGenotypeBlock::FromPayload(static_cast<std::uint32_t>(n),
-                                           payload),
-          &index, &dosage);
+    for (std::size_t count : {1u, 5u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " count=" + std::to_string(count));
+      // Random 0..3, all zero, all non-zero.
+      const PackedGenotypeBlock packed =
+          PackedGenotypeBlock::Pack(RandomDosages(rng, n, 4));
+      ExpectRowsMatchUnpack(packed, count, &rows);
+      if (n % 4 != 0) {
+        // Crumbs past size() never name a patient, even when a payload
+        // that did not come from Pack leaves them set.
+        std::vector<std::uint8_t> payload = packed.payload();
+        payload.back() = static_cast<std::uint8_t>(
+            payload.back() | (0xff << (2 * (n % 4))));
+        ExpectRowsMatchUnpack(
+            PackedGenotypeBlock::FromPayload(static_cast<std::uint32_t>(n),
+                                             payload),
+            count, &rows);
+      }
+      ExpectRowsMatchUnpack(
+          PackedGenotypeBlock::Pack(std::vector<std::uint8_t>(n, 0)), count,
+          &rows);
+      ExpectRowsMatchUnpack(
+          PackedGenotypeBlock::Pack(std::vector<std::uint8_t>(n, 3)), count,
+          &rows);
     }
-    ExpectRunsMatchUnpack(
-        PackedGenotypeBlock::Pack(std::vector<std::uint8_t>(n, 0)), &index,
-        &dosage);
-    ExpectRunsMatchUnpack(
-        PackedGenotypeBlock::Pack(std::vector<std::uint8_t>(n, 3)), &index,
-        &dosage);
   }
 }
 

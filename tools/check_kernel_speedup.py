@@ -15,6 +15,9 @@ sanitizers) — skipped cleanly otherwise:
   * where AVX2 is present, the AVX2 `row_sum` is >= 1.5x faster than the
     scalar `row_sum`.
 
+Reported, never gated: each level's per-SNP decode time (packed bytes to
+`row_sum`'s row list, `decode_snp_seconds`) next to its whole sparse pass.
+
 Usage: check_kernel_speedup.py <BENCH_kernels.json>
 """
 import json
@@ -48,6 +51,14 @@ def main() -> int:
         print(f"[kernel-smoke] packing ratio {ratio:.2f}x >= {MIN_PACK_RATIO}x")
 
     levels = data.get("levels", {})
+    for name, level in levels.items():
+        if "decode_snp_seconds" in level:
+            decode_s = level["decode_snp_seconds"]
+            sparse_s = level.get("sparse_snp_seconds", 0.0)
+            print(
+                f"[kernel-smoke] {name}: decode {decode_s:.3g} s of sparse "
+                f"{sparse_s:.3g} s per SNP (information only)"
+            )
     optimized = data.get("optimized", False)
     sanitized = data.get("sanitized", False)
     if not optimized or sanitized:
