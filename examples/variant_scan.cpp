@@ -1,6 +1,7 @@
 // Variant-by-variant GWAS scan — the paper introduction's first analysis
 // category — with Westfall-Young resampling-based multiplicity control
-// (the scan's streaming max-T, core/variant_scan.hpp).
+// (the scan's maxT, core::VariantScanResult), run as RunResampling's
+// kVariantScan over a pipeline built from parts with a Binomial phenotype.
 //
 // Scenario: a case/control study where disease risk depends on one causal
 // SNP and on age; age also correlates with a second, non-causal SNP
@@ -58,32 +59,40 @@ int main() {
   for (std::uint32_t j = 0; j < num_snps; ++j) {
     records.push_back({j, dataset.genotypes.by_snp[j]});
   }
-  core::VariantScanConfig scan_config;
-  scan_config.replicates = 199;
-  scan_config.seed = 31;
-  const core::VariantScanResult scan = core::RunVariantScan(
-      ctx, engine::Parallelize(ctx, records, 8),
-      stats::Phenotype::Binomial(disease), scan_config);
+  core::PipelineConfig pipeline_config;
+  pipeline_config.model = stats::ScoreModel::kBinomial;
+  pipeline_config.seed = 31;
+  core::SkatPipeline pipeline(ctx, pipeline_config,
+                              engine::Parallelize(ctx, records, 8),
+                              stats::Phenotype::Binomial(disease),
+                              dataset.weights, dataset.sets);
+  const core::VariantScanResult scan =
+      core::RunResampling(pipeline,
+                          {core::ResamplingMethod::kVariantScan, 199})
+          .scan;
 
   Table top("Unadjusted scan — top SNPs",
             {"rank", "snp", "score", "asymptotic p", "empirical p",
              "maxT adj. p"});
   const auto ranked = scan.RankedByAsymptoticP();
+  std::vector<std::uint32_t> ranked_snps;
   for (std::size_t r = 0; r < 5; ++r) {
-    const std::uint32_t snp = ranked[r];
-    const core::VariantStats& s = scan.by_snp.at(snp);
-    top.AddRow({std::to_string(r + 1), std::to_string(snp),
+    const std::size_t i = ranked[r];
+    const core::VariantStats& s = scan.stats[i];
+    ranked_snps.push_back(scan.snps[i]);
+    top.AddRow({std::to_string(r + 1), std::to_string(scan.snps[i]),
                 Table::Num(s.score, 2),
                 Table::Num(s.asymptotic_p, 6),
-                Table::Num(scan.EmpiricalP(snp), 4),
-                Table::Num(scan.MaxTAdjustedP(snp), 4)});
+                Table::Num(scan.EmpiricalP(i), 4),
+                Table::Num(scan.MaxTAdjustedP(i), 4)});
   }
   top.Print();
 
-  const bool causal_found = ranked[0] == causal_snp || ranked[1] == causal_snp;
+  const bool causal_found =
+      ranked_snps[0] == causal_snp || ranked_snps[1] == causal_snp;
   const bool confounded_flagged =
-      std::find(ranked.begin(), ranked.begin() + 5, confounded_snp) !=
-      ranked.begin() + 5;
+      std::find(ranked_snps.begin(), ranked_snps.end(), confounded_snp) !=
+      ranked_snps.end();
   std::printf("\nCausal SNP in top 2: %s; confounded SNP in top 5 "
               "(spuriously): %s\n",
               causal_found ? "yes" : "NO",

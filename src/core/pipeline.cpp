@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "core/paper_faithful.hpp"
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
@@ -170,6 +171,32 @@ void GenotypeScores(const double* const* rows, std::size_t nnz, std::size_t n,
     }
   }
   stats::kernels::ActiveKernels().row_sum(rows, nnz, count, out);
+}
+
+/// One pass over the packed genotypes that builds each SNP's observed
+/// contributions u_j (steps 6-7) transiently and hands them, with the
+/// SNP's dosages, to `fill(dosages, u, row)`, which writes the SNP's
+/// `count` values. The unpack is profiled as decode time; nothing is
+/// cached.
+template <typename Fill>
+ScoreBlock CollectContributionRows(
+    engine::EngineContext& ctx,
+    const Dataset<stats::PackedSnpRecord>& genotypes,
+    const stats::Phenotype& phenotype, bool paper_faithful, std::size_t count,
+    const char* label, Fill fill) {
+  auto score_engine = engine::MakeBroadcast(
+      ctx, stats::ScoreEngine(phenotype, paper_faithful));
+  return CollectScoreBlock<std::vector<std::uint8_t>>(
+      genotypes, count, nullptr, label,
+      [score_engine, fill](const stats::PackedSnpRecord& record,
+                           std::vector<std::uint8_t>* dosages, double* row) {
+        {
+          ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
+                                              /*trace=*/false);
+          record.genotypes.UnpackInto(dosages);
+        }
+        fill(*dosages, score_engine->Contributions(*dosages), row);
+      });
 }
 
 }  // namespace
@@ -430,6 +457,26 @@ ScoreBlock SkatPipeline::ComputeGenotypeScoreBlock(
       });
 }
 
+ScoreBlock SkatPipeline::CollectVariantMoments() {
+  return CollectContributionRows(
+      *ctx_, genotypes_, phenotype_, config_.paper_faithful_scores, 2,
+      "collect-variant-moments",
+      [](const std::vector<std::uint8_t>& dosages,
+         const std::vector<double>& contributions, double* row) {
+        double score = 0.0;
+        double variance = 0.0;
+        for (double contribution : contributions) {
+          score += contribution;
+          variance += contribution * contribution;
+        }
+        const bool constant =
+            std::adjacent_find(dosages.begin(), dosages.end(),
+                               std::not_equal_to<>()) == dosages.end();
+        row[0] = constant ? 0.0 : score;
+        row[1] = variance;
+      });
+}
+
 const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
   if (!driver_weights_built_) {
     driver_weights_ = engine::CollectAsMap(weights_, "collect-weights");
@@ -447,22 +494,13 @@ SkatPipeline::CollectSetGramMatrices() {
   // the bytes a U collect would move, with nothing cached. Sets reach
   // hundreds of members (a generated cohort's last set takes every
   // leftover SNP), so the d²/2 length-n dots are real work: they run as
-  // one engine stage below. The unpack is profiled as decode time.
+  // one engine stage below.
   const std::size_t n = phenotype_.n();
-  auto score_engine = engine::MakeBroadcast(
-      *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
-  const ScoreBlock u = CollectScoreBlock<std::vector<std::uint8_t>>(
-      genotypes_, n, nullptr, "collect-u-rows",
-      [score_engine, n](const stats::PackedSnpRecord& record,
-                        std::vector<std::uint8_t>* dosages, double* row) {
-        {
-          ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
-                                              /*trace=*/false);
-          record.genotypes.UnpackInto(dosages);
-        }
-        const std::vector<double> contributions =
-            score_engine->Contributions(*dosages);
-        SS_CHECK(contributions.size() == n);
+  const ScoreBlock u = CollectContributionRows(
+      *ctx_, genotypes_, phenotype_, config_.paper_faithful_scores, n,
+      "collect-u-rows",
+      [](const std::vector<std::uint8_t>&,
+         const std::vector<double>& contributions, double* row) {
         std::copy(contributions.begin(), contributions.end(), row);
       });
   const std::unordered_map<std::uint32_t, double>& weights = DriverWeights();

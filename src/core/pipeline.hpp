@@ -21,8 +21,9 @@
 // only permutes v, and Monte Carlo multipliers z only change it to V(z)
 // (Σ_i z_i U_ij = g_jᵀV(z)), so observed scores and replicates score the
 // packed genotypes against coefficient blocks (ComputeGenotypeScoreBlock),
-// and the adaptive screen builds each SNP's contribution row transiently
-// in one pass for its Grams (CollectSetGramMatrices). The U RDD, its cache
+// and the adaptive screen's Gram rows and the single-SNP scan's [U_j, V_j]
+// come from one transient pass each over the packed contributions
+// (CollectSetGramMatrices, CollectVariantMoments). The U RDD, its cache
 // and steps 8-12 over it live in the paper-faithful unit
 // (core/paper_faithful.hpp), which ComputeObserved, CollectObservedScores,
 // ComputeMonteCarloScoreBlock and ComputePermutationReplicate reach: the
@@ -221,6 +222,14 @@ class SkatPipeline {
   /// contribution rows come from one pass over the packed genotypes into a
   /// transient count-n ScoreBlock; nothing is cached.
   std::unordered_map<std::uint32_t, stats::Matrix> CollectSetGramMatrices();
+
+  /// The single-SNP scan's observed pass: per SNP, the count-2 row
+  /// [U_j = Σ_i U_ij, V_j = Σ_i U_ij²] (sums over i ascending) from one
+  /// transient pass over the contributions, as CollectSetGramMatrices
+  /// builds its rows; V_j is quadratic in g_j, so no coefficient block
+  /// yields it. A SNP whose genotypes do not vary has U_j = 0 exactly
+  /// (Σ_l c·v_l = 0 for every model) rather than rounding noise.
+  ScoreBlock CollectVariantMoments();
 
   /// Steps 6-12 from scratch under a permuted phenotype, through the
   /// paper-faithful unit: Algorithm 2 as the paper runs it, which

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -12,6 +13,7 @@
 #include "engine/trace.hpp"
 #include "stats/adaptive_pvalue.hpp"
 #include "stats/burden.hpp"
+#include "stats/distributions_math.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/pvalue.hpp"
 #include "stats/resampling.hpp"
@@ -740,6 +742,57 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   return result;
 }
 
+/// The single-SNP scan over the Monte Carlo replicate pool: one count-2
+/// pass gives the observed [U_j, V_j] (SkatPipeline::CollectVariantMoments),
+/// then each batch scores the same V(z) genotype blocks as Monte Carlo and
+/// folds T̃_jb = Ũ_jb²/V_j (0 when V_j = 0) on the driver, in ascending SNP
+/// order, into per-SNP exceedance counts and per-replicate maxima. Neither
+/// depends on the order it is folded in, so the result is bitwise
+/// invariant to batch size, threads and partitioning.
+VariantScanResult RunBatchedVariantScan(SkatPipeline& pipeline,
+                                        const ResamplingRequest& request,
+                                        std::uint64_t seed) {
+  VariantScanResult result;
+  result.replicates = request.replicates;
+  const ScoreBlock moments = pipeline.CollectVariantMoments();
+  for (std::uint32_t snp = 0; snp < moments.snp_end(); ++snp) {
+    const double* uv = moments.row(snp);
+    if (uv == nullptr) continue;  // SNP filtered out
+    result.snps.push_back(snp);
+    result.stats.push_back({uv[0], uv[1],
+                            uv[1] > 0.0 ? uv[0] * uv[0] / uv[1] : 0.0,
+                            stats::ScoreTestPValue(uv[0], uv[1])});
+  }
+  result.exceed.assign(result.snps.size(), 0);
+  result.replicate_max.assign(request.replicates, 0.0);
+
+  const ScoreBlockSource source = MonteCarloSource(pipeline, seed);
+  RunBatches(
+      "variant-scan", request.replicates, EffectiveBatchSize(pipeline, request),
+      request.sink, [&](std::uint64_t begin, std::uint64_t end) {
+        const std::size_t count = end - begin;
+        const ScoreBlock block =
+            source.score(source.make_block(begin, count), count, nullptr);
+        double* replicate_max = result.replicate_max.data() + begin;
+        for (std::size_t i = 0; i < result.snps.size(); ++i) {
+          const double* row = block.row(result.snps[i]);
+          const VariantStats& observed = result.stats[i];
+          for (std::size_t r = 0; r < count; ++r) {
+            const double statistic = observed.variance > 0.0
+                                         ? row[r] * row[r] / observed.variance
+                                         : 0.0;
+            if (statistic >= observed.statistic) ++result.exceed[i];
+            replicate_max[r] = std::max(replicate_max[r], statistic);
+          }
+        }
+        for (std::uint64_t b = begin; request.sink != nullptr && b < end; ++b) {
+          request.sink->OnReplicate(b);
+        }
+        return true;
+      });
+  return result;
+}
+
 }  // namespace
 
 Result<PValueMethod> ParsePValueMethod(const std::string& token) {
@@ -796,11 +849,42 @@ std::vector<std::pair<std::uint32_t, double>> SkatOResult::RankedPValues()
   return ranked;
 }
 
+double VariantScanResult::EmpiricalP(std::size_t i) const {
+  return stats::EmpiricalPValue(exceed[i], replicates);
+}
+
+double VariantScanResult::MaxTAdjustedP(std::size_t i) const {
+  const double statistic = stats[i].statistic;
+  const auto count = std::count_if(
+      replicate_max.begin(), replicate_max.end(),
+      [statistic](double max_stat) { return max_stat >= statistic; });
+  return static_cast<double>(count + 1) /
+         static_cast<double>(replicate_max.size() + 1);
+}
+
+std::vector<std::size_t> VariantScanResult::RankedByAsymptoticP() const {
+  std::vector<std::size_t> ranked(snps.size());
+  std::iota(ranked.begin(), ranked.end(), std::size_t{0});
+  // Entries are in ascending SNP order, so a stable sort breaks ties by SNP.
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return stats[a].asymptotic_p < stats[b].asymptotic_p;
+                   });
+  return ranked;
+}
+
 ResamplingRun RunResampling(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
   ResamplingRun run;
   run.method = request.method;
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
+  const bool full_pool = request.method == ResamplingMethod::kSkatO ||
+                         request.method == ResamplingMethod::kVariantScan;
+  if (full_pool && IsAdaptive(request)) {
+    SS_LOG(kWarn, "sparkscore")
+        << "adaptive p-value options (pmethod/early_stop) are ignored for "
+           "SKAT-O and the variant scan: both need the full replicate pool";
+  }
   switch (request.method) {
     case ResamplingMethod::kPermutation:
       run.scores = pipeline.config().paper_faithful_scores &&
@@ -817,13 +901,10 @@ ResamplingRun RunResampling(SkatPipeline& pipeline,
               : MonteCarloSource(pipeline, seed));
       break;
     case ResamplingMethod::kSkatO:
-      if (IsAdaptive(request)) {
-        SS_LOG(kWarn, "sparkscore")
-            << "adaptive p-value options (pmethod/early_stop) are ignored "
-               "for SKAT-O: its min-p combination needs the full replicate "
-               "pool";
-      }
       run.skato = RunBatchedSkatO(pipeline, request);
+      break;
+    case ResamplingMethod::kVariantScan:
+      run.scan = RunBatchedVariantScan(pipeline, request, seed);
       break;
   }
   return run;

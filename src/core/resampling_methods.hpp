@@ -19,6 +19,8 @@
 //     steps 8-12.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
 //     replicate pool, always from V(z) blocks.
+//   * kVariantScan — the single-SNP scan (VariantScanResult) over the
+//     same V(z) blocks, with maxT over the per-replicate maxima.
 //
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
@@ -124,6 +126,40 @@ struct SkatOResult {
   std::vector<std::pair<std::uint32_t, double>> RankedPValues() const;
 };
 
+/// One SNP's observed quantities in the variant scan.
+struct VariantStats {
+  double score = 0.0;       ///< U_j (0 for a SNP whose genotypes do not vary).
+  double variance = 0.0;    ///< V_j = Σ_i U_ij².
+  double statistic = 0.0;   ///< T_j = U_j²/V_j (0 when V_j = 0).
+  double asymptotic_p = 1.0;  ///< P(χ²(1) >= T_j).
+};
+
+/// Variant-by-variant analysis, the first GWAS category of the paper's
+/// introduction ("studying the effect of single variants with respect to
+/// a phenotype"): per SNP, the score test with its asymptotic p-value, the
+/// Monte Carlo empirical p-value over B replicates T̃_jb = (g_jᵀV(z_b))²/V_j,
+/// and the Westfall-Young single-step maxT family-wise adjusted p-value
+/// from the per-replicate maxima. Flat vectors in ascending SNP order:
+/// entry i of `stats` and `exceed` is SNP `snps[i]`. The scan covers the
+/// pipeline's SNPs, those in the union of its SNP-sets (step 4's filter),
+/// which is every SNP of a generated cohort.
+struct VariantScanResult {
+  std::vector<std::uint32_t> snps;
+  std::vector<VariantStats> stats;
+  std::vector<std::uint64_t> exceed;  ///< #{b : T̃_jb >= T_j}.
+  std::vector<double> replicate_max;  ///< max_j T̃_jb per replicate b.
+  std::uint64_t replicates = 0;
+
+  /// Entry i's Monte Carlo empirical p-value, (c+1)/(B+1).
+  double EmpiricalP(std::size_t i) const;
+
+  /// Entry i's maxT adjusted p-value (1 when B = 0).
+  double MaxTAdjustedP(std::size_t i) const;
+
+  /// Entry indices by ascending asymptotic p-value (ties by SNP).
+  std::vector<std::size_t> RankedByAsymptoticP() const;
+};
+
 /// Observer of a resampling run. Batching breaks the old assumption that
 /// one replicate is one engine pass, so progress is reported at both
 /// granularities: batch boundaries delimit engine work, replicate events
@@ -140,12 +176,12 @@ class ProgressSink {
 
   /// Replicate b's per-set statistics S_k^b, emitted just before
   /// OnReplicate(b). Permutation and Monte Carlo only (SKAT-O replicates
-  /// carry ρ-grids, not a single statistic per set). In adaptive runs
-  /// (pvalue_method != kResampling or early_stop != 0) only the sets
-  /// still live at the start of b's batch are scored, so
-  /// `scores` holds exactly those: refined sets whose stopper had not yet
-  /// stopped. Each entry is bitwise the set's S_k^b in an exhaustive run
-  /// from the same seed.
+  /// carry ρ-grids and the scan's are per SNP, not one statistic per
+  /// set). In adaptive runs (pvalue_method != kResampling or
+  /// early_stop != 0) only the sets still live at the start of b's batch
+  /// are scored, so `scores` holds exactly those: refined sets whose
+  /// stopper had not yet stopped. Each entry is bitwise the set's S_k^b
+  /// in an exhaustive run from the same seed.
   virtual void OnReplicateScores(std::uint64_t /*b*/,
                                  const SetScores& /*scores*/) {}
 
@@ -160,6 +196,7 @@ enum class ResamplingMethod {
   kPermutation,  ///< Algorithm 2.
   kMonteCarlo,   ///< Algorithm 3 (Lin 2005).
   kSkatO,        ///< SKAT-O over the Monte Carlo replicate pool.
+  kVariantScan,  ///< Single-SNP scan with maxT over the same pool.
 };
 
 /// One resampling run, fully specified. This is the engine's ONLY public
@@ -186,8 +223,9 @@ struct ResamplingRequest {
   std::optional<std::uint64_t> seed;
 
   /// P-value engine for kPermutation/kMonteCarlo (ignored with a warning
-  /// by kSkatO). kResampling is the legacy pure-counting path and leaves
-  /// results byte-identical to before this knob existed. The analytic
+  /// by kSkatO and kVariantScan, as is `early_stop`). kResampling is the
+  /// legacy pure-counting path and leaves results byte-identical to
+  /// before this knob existed. The analytic
   /// tails are EXACT for the Monte Carlo null (the replicate statistic is
   /// exactly Σ λ_m χ²₁ there) and the standard asymptotic approximation
   /// for the permutation null.
@@ -211,11 +249,12 @@ struct ResamplingRequest {
 };
 
 /// Outcome of RunResampling: `scores` is populated for kPermutation and
-/// kMonteCarlo, `skato` for kSkatO.
+/// kMonteCarlo, `skato` for kSkatO, `scan` for kVariantScan.
 struct ResamplingRun {
   ResamplingMethod method = ResamplingMethod::kMonteCarlo;
   ResamplingResult scores;
   SkatOResult skato;
+  VariantScanResult scan;
 };
 
 /// Unified entry point for all resampling methods. Note the SKAT-O min-p

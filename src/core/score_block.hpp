@@ -57,6 +57,9 @@ class ScoreBlock {
   /// Distinct SNPs scored.
   std::size_t size() const { return size_; }
 
+  /// One past the largest SNP id scored.
+  std::size_t snp_end() const { return rows_.size(); }
+
   /// `snp`'s `count` scores, or nullptr when the pass did not score it
   /// (filtered out of every set, or outside the pass's `live_snps`). A
   /// SNP scored by two records keeps the later partition's row.

@@ -16,4 +16,3 @@
 #include "core/pipeline.hpp"      // IWYU pragma: export
 #include "core/report.hpp"        // IWYU pragma: export
 #include "core/resampling_methods.hpp"  // IWYU pragma: export
-#include "core/variant_scan.hpp"  // IWYU pragma: export

@@ -142,6 +142,38 @@ TEST(StorePipelineTest, ScoreBlockRowsBitwiseEqualInMemory) {
   }
 }
 
+TEST(StorePipelineTest, VariantScanBitwiseEqualInMemory) {
+  // The single-SNP scan over the store's packed frames equals the scan
+  // over the same generated cohort in memory, bit for bit.
+  const std::string path = StageStore("ss_store_variant_scan.ssg", 4);
+  const auto scan = [](SkatPipeline& pipeline) {
+    return RunResampling(pipeline, {ResamplingMethod::kVariantScan, 16}).scan;
+  };
+  engine::EngineContext store_ctx(LocalOptions());
+  auto opened = SkatPipeline::OpenFromStore(
+      store_ctx, path, StudyPipelineConfig(),
+      simdata::StoreFingerprint(StudyConfig()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const VariantScanResult from_store = scan(opened.value());
+
+  engine::EngineContext mem_ctx(LocalOptions());
+  SkatPipeline in_memory = SkatPipeline::FromMemory(
+      mem_ctx, simdata::Generate(StudyConfig()), StudyPipelineConfig());
+  const VariantScanResult expected = scan(in_memory);
+
+  ASSERT_EQ(expected.snps.size(), StudyConfig().num_snps);
+  ASSERT_EQ(from_store.snps, expected.snps);
+  ASSERT_EQ(from_store.stats.size(), expected.stats.size());
+  EXPECT_EQ(std::memcmp(from_store.stats.data(), expected.stats.data(),
+                        expected.stats.size() * sizeof(VariantStats)),
+            0);
+  EXPECT_EQ(from_store.exceed, expected.exceed);
+  ASSERT_EQ(from_store.replicate_max.size(), 16u);
+  EXPECT_EQ(std::memcmp(from_store.replicate_max.data(),
+                        expected.replicate_max.data(), 16 * sizeof(double)),
+            0);
+}
+
 TEST(StorePipelineTest, OpenRejectsRepeatedSetId) {
   // A store whose SNP-set frame repeats an id is refused with the id named.
   const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());

@@ -3,6 +3,8 @@
 // virtual-cluster replay, cross-checked against the serial baseline.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baseline/serial_skat.hpp"
 #include "core/sparkscore.hpp"
 
@@ -130,52 +132,78 @@ TEST(EndToEndTest, SkatOAndVariantScanSurviveNodeFailure) {
 
   core::PipelineConfig config;
   config.seed = 909;
-  core::SkatOResult clean_skato;
-  {
-    engine::EngineContext ctx(LocalOptions(), &dfs);
+  const auto run = [&](core::ResamplingMethod method,
+                       cluster::FaultInjector* faults) {
+    engine::EngineContext ctx(LocalOptions(), &dfs, faults);
     auto pipeline = core::SkatPipeline::Open(ctx, paths.value(), config);
-    ASSERT_TRUE(pipeline.ok());
-    clean_skato = core::RunResampling(pipeline.value(), {core::ResamplingMethod::kSkatO, 15}).skato;
-  }
-  cluster::FaultInjector faults;
-  engine::EngineContext ctx(LocalOptions(), &dfs, &faults);
-  // 10 tasks: the weight collect and the one replicate batch (whose
-  // column 0 is the observed pair), 5 partitions each; the node dies in
-  // the batch.
-  faults.FailNodeAfterTasks(2, 7);
-  auto pipeline = core::SkatPipeline::Open(ctx, paths.value(), config);
-  ASSERT_TRUE(pipeline.ok());
-  const core::SkatOResult chaotic = core::RunResampling(pipeline.value(), {core::ResamplingMethod::kSkatO, 15}).skato;
-  ASSERT_TRUE(faults.HasFired(2));
+    EXPECT_TRUE(pipeline.ok());
+    return core::RunResampling(pipeline.value(), {method, 15});
+  };
+
+  // 10 tasks each, 5 partitions per pass: SKAT-O collects the weights and
+  // runs the one replicate batch (whose column 0 is the observed pair);
+  // the scan runs its observed [U, V] pass and the one replicate batch.
+  // The node dies in the batch.
+  const core::SkatOResult clean_skato =
+      run(core::ResamplingMethod::kSkatO, nullptr).skato;
+  cluster::FaultInjector skato_faults;
+  skato_faults.FailNodeAfterTasks(2, 7);
+  const core::SkatOResult chaotic_skato =
+      run(core::ResamplingMethod::kSkatO, &skato_faults).skato;
+  ASSERT_TRUE(skato_faults.HasFired(2));
   for (const auto& [set_id, per_set] : clean_skato.by_set) {
-    EXPECT_DOUBLE_EQ(chaotic.by_set.at(set_id).pvalue, per_set.pvalue)
+    EXPECT_DOUBLE_EQ(chaotic_skato.by_set.at(set_id).pvalue, per_set.pvalue)
         << "set " << set_id;
   }
+
+  const core::VariantScanResult clean_scan =
+      run(core::ResamplingMethod::kVariantScan, nullptr).scan;
+  cluster::FaultInjector scan_faults;
+  scan_faults.FailNodeAfterTasks(2, 7);
+  const core::VariantScanResult chaotic_scan =
+      run(core::ResamplingMethod::kVariantScan, &scan_faults).scan;
+  ASSERT_TRUE(scan_faults.HasFired(2));
+  ASSERT_EQ(clean_scan.snps.size(), StudyConfig().num_snps);
+  EXPECT_EQ(chaotic_scan.snps, clean_scan.snps);
+  EXPECT_EQ(chaotic_scan.exceed, clean_scan.exceed);
+  ASSERT_EQ(chaotic_scan.replicate_max.size(), 15u);
+  EXPECT_EQ(std::memcmp(chaotic_scan.replicate_max.data(),
+                        clean_scan.replicate_max.data(),
+                        15 * sizeof(double)),
+            0);
 }
 
 TEST(EndToEndTest, VariantScanDeterministicUnderTaskFailures) {
   const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
-  std::vector<simdata::SnpRecord> records;
-  for (std::uint32_t j = 0; j < dataset.genotypes.num_snps(); ++j) {
-    records.push_back({j, dataset.genotypes.by_snp[j]});
-  }
-  core::VariantScanConfig config;
-  config.replicates = 12;
+  core::PipelineConfig config;
+  config.num_partitions = 6;
+  config.resampling_batch_size = 5;
+  // Stage 1 is the observed pass; stages 2-4 are the batches of 5, 5 and
+  // 2 replicates, 6 tasks each.
   auto run = [&](cluster::FaultInjector* faults) {
     engine::EngineContext ctx(LocalOptions(), nullptr, faults);
-    return core::RunVariantScan(ctx,
-                                engine::Parallelize(ctx, records, 6),
-                                stats::Phenotype::Cox(dataset.survival),
-                                config);
+    core::SkatPipeline pipeline =
+        core::SkatPipeline::FromMemory(ctx, dataset, config);
+    core::VariantScanResult scan =
+        core::RunResampling(pipeline,
+                            {core::ResamplingMethod::kVariantScan, 12})
+            .scan;
+    int batch_failures = 0;
+    for (const engine::StageMetrics& stage : ctx.metrics().stages()) {
+      if (stage.stage_id >= 2) batch_failures += stage.failed_attempts;
+    }
+    return std::make_pair(std::move(scan), batch_failures);
   };
-  const core::VariantScanResult clean = run(nullptr);
+  const auto [clean, clean_failures] = run(nullptr);
+  EXPECT_EQ(clean_failures, 0);
   cluster::FaultInjector faults;
-  faults.FailTask(1, 2, 2);
-  faults.FailNodeAfterTasks(1, 10);
-  const core::VariantScanResult chaotic = run(&faults);
-  for (const auto& [snp, count] : clean.exceed) {
-    EXPECT_EQ(chaotic.exceed.at(snp), count) << "snp " << snp;
-  }
+  faults.FailTask(2, 2, 2);          // the first batch, partition 2, twice
+  faults.FailNodeAfterTasks(1, 14);  // inside the second batch
+  const auto [chaotic, chaotic_failures] = run(&faults);
+  ASSERT_TRUE(faults.HasFired(1));
+  EXPECT_GE(chaotic_failures, 2);
+  EXPECT_EQ(chaotic.snps, clean.snps);
+  EXPECT_EQ(chaotic.exceed, clean.exceed);
   EXPECT_EQ(chaotic.replicate_max, clean.replicate_max);
 }
 

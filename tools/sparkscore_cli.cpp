@@ -11,7 +11,8 @@
 //
 // Common keys: patients, snps, sets, reps (B), seed, nodes, partitions,
 // method=mc|perm, model=cox|gaussian|binomial (gaussian: log survival
-// time, binomial: the event indicator; not with store=),
+// time, binomial: the event indicator; Cox only with store=),
+// store=<file> (any subcommand: stage a genotype store once, then reopen),
 // top (rows to print), stages=1 (print the per-stage run report),
 // export=<dfs path> (persist the result inside the run's DFS and echo it).
 //
@@ -42,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
 #include "simdata/store_codec.hpp"
 #include "engine/profile.hpp"
@@ -65,7 +65,6 @@ struct Study {
   std::unique_ptr<ss::dfs::MiniDfs> dfs;
   std::unique_ptr<ss::engine::EngineContext> ctx;
   std::unique_ptr<ss::core::SkatPipeline> pipeline;
-  ss::simdata::SyntheticDataset dataset;
 };
 
 /// The phenotype model= stages: `cox` (the default) is the cohort's
@@ -91,7 +90,7 @@ ss::stats::Phenotype StudyPhenotype(
       "model must be cox|gaussian|binomial, got '" + model + "'"));
 }
 
-Study OpenStudy(const CliArgs& args, bool allow_store = true) {
+Study OpenStudy(const CliArgs& args) {
   Study study;
   ss::simdata::GeneratorConfig generator;
   generator.num_patients =
@@ -140,11 +139,6 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
     // The generator keys pin the expected fingerprint, so a store file
     // holding a DIFFERENT cohort is refused rather than silently reused;
     // corruption likewise refuses instead of re-ingesting.
-    if (!allow_store) {
-      throw ss::StatusError(
-          ss::Status(ss::StatusCode::kInvalidArgument,
-                     "store= is supported by skat/skato only"));
-    }
     if (model != "cox") {
       throw ss::StatusError(
           ss::Status(ss::StatusCode::kInvalidArgument,
@@ -174,14 +168,14 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
     return study;
   }
 
-  study.dataset = ss::simdata::Generate(generator);
+  const ss::simdata::SyntheticDataset dataset =
+      ss::simdata::Generate(generator);
   const auto paths = ss::simdata::StudyPaths::Under("/study");
   ss::Status staged =
       model == "cox"
-          ? ss::simdata::WriteStudy(*study.dfs, paths, study.dataset)
+          ? ss::simdata::WriteStudy(*study.dfs, paths, dataset)
           : ss::simdata::WriteStudyWithPhenotype(
-                *study.dfs, paths, study.dataset,
-                StudyPhenotype(model, study.dataset));
+                *study.dfs, paths, dataset, StudyPhenotype(model, dataset));
   if (!staged.ok()) throw ss::StatusError(staged);
 
   auto pipeline = ss::core::SkatPipeline::Open(*study.ctx, paths, config);
@@ -330,23 +324,15 @@ int RunSkat(const CliArgs& args, bool skato) {
 }
 
 int RunScan(const CliArgs& args) {
-  Study study = OpenStudy(args, /*allow_store=*/false);
-  ss::core::VariantScanConfig config;
-  config.replicates = args.GetU64("reps", 199);
-  config.seed = args.GetU64("seed", 2016);
-  std::vector<ss::simdata::SnpRecord> records;
-  for (std::uint32_t j = 0; j < study.dataset.genotypes.num_snps(); ++j) {
-    records.push_back({j, study.dataset.genotypes.by_snp[j]});
-  }
+  Study study = OpenStudy(args);
+  const std::uint64_t reps = args.GetU64("reps", 199);
   ss::Stopwatch stopwatch;
-  const ss::core::VariantScanResult result = ss::core::RunVariantScan(
-      *study.ctx,
-      ss::engine::Parallelize(
-          *study.ctx, records,
-          static_cast<std::uint32_t>(args.GetU64("partitions", 8))),
-      study.pipeline->phenotype(), config);
+  const ss::core::VariantScanResult result =
+      ss::core::RunResampling(*study.pipeline,
+                              {ss::core::ResamplingMethod::kVariantScan, reps})
+          .scan;
   std::printf("variant scan with B=%llu finished in %.2fs\n",
-              static_cast<unsigned long long>(config.replicates),
+              static_cast<unsigned long long>(reps),
               stopwatch.ElapsedSeconds());
   const auto ranked = result.RankedByAsymptoticP();
   const std::size_t top =
@@ -354,10 +340,11 @@ int RunScan(const CliArgs& args) {
   std::printf("  %-8s %-12s %-12s %-12s %-12s\n", "snp", "score",
               "asym p", "emp p", "maxT p");
   for (std::size_t r = 0; r < top; ++r) {
-    const auto& s = result.by_snp.at(ranked[r]);
-    std::printf("  %-8u %-12.3f %-12.3g %-12.4f %-12.4f\n", ranked[r],
-                s.score, s.asymptotic_p, result.EmpiricalP(ranked[r]),
-                result.MaxTAdjustedP(ranked[r]));
+    const std::size_t i = ranked[r];
+    const ss::core::VariantStats& s = result.stats[i];
+    std::printf("  %-8u %-12.3f %-12.3g %-12.4f %-12.4f\n", result.snps[i],
+                s.score, s.asymptotic_p, result.EmpiricalP(i),
+                result.MaxTAdjustedP(i));
   }
   MaybePrintStages(args, *study.ctx);
   WriteRunArtifacts(args, *study.ctx);
