@@ -56,7 +56,6 @@ int main() {
     records.push_back({j, dataset.genotypes.by_snp[j]});
   }
   core::PipelineConfig pipeline_config;
-  pipeline_config.model = stats::ScoreModel::kGaussian;
   pipeline_config.seed = 888;
   core::SkatPipeline pipeline(
       ctx, pipeline_config, engine::Parallelize(ctx, records, 8),
@@ -83,7 +82,6 @@ int main() {
   }
   engine::EngineContext ctx2(options);
   core::PipelineConfig binary_config;
-  binary_config.model = stats::ScoreModel::kBinomial;
   binary_config.seed = 888;
   core::SkatPipeline binary_pipeline(
       ctx2, binary_config, engine::Parallelize(ctx2, records, 8),

@@ -60,7 +60,6 @@ int main() {
     records.push_back({j, dataset.genotypes.by_snp[j]});
   }
   core::PipelineConfig pipeline_config;
-  pipeline_config.model = stats::ScoreModel::kBinomial;
   pipeline_config.seed = 31;
   core::SkatPipeline pipeline(ctx, pipeline_config,
                               engine::Parallelize(ctx, records, 8),

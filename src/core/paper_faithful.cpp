@@ -124,29 +124,17 @@ SetScores PaperFaithful::ComputeObserved() {
 ScoreBlock PaperFaithful::ComputeMonteCarloScoreBlock(
     const std::vector<double>& zblock, std::size_t count,
     std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps) {
-  SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
   SS_CHECK(zblock.size() == count * phenotype_.n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "monte-carlo score block",
                          {engine::Arg("replicates", count)});
+  EnsureUBuilt();
   auto z = engine::MakeBroadcast(*ctx_, zblock);
   return CollectScoreBlock<NoScratch>(
       u_observed_, count, std::move(live_snps), "collect-score-block",
       [z, count](const std::pair<std::uint32_t, std::vector<double>>& record,
                  NoScratch*, double* row) {
         stats::BatchedReplicateScores(record.second, z->data(), count, row);
-      });
-}
-
-ScoreBlock PaperFaithful::CollectObservedScores() {
-  EnsureUBuilt();
-  return CollectScoreBlock<NoScratch>(
-      u_observed_, 1, nullptr, "collect-observed-scores",
-      [](const std::pair<std::uint32_t, std::vector<double>>& record,
-         NoScratch*, double* row) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        *row = total;
       });
 }
 

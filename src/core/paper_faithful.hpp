@@ -5,9 +5,13 @@
 //   - Steps 6-12 over U: the observed per-set scores (ComputeObserved) and
 //     Algorithm 2's full per-replicate rebuild under a permuted phenotype
 //     (ComputePermutationReplicate).
-//   - Algorithm 3 over the cached U: the observed marginal scores
-//     (CollectObservedScores) and one pass per batch of N(0,1) multiplier
-//     blocks (ComputeMonteCarloScoreBlock).
+//   - Algorithm 3 over the cached U: one pass per batch of N(0,1)
+//     multiplier blocks (ComputeMonteCarloScoreBlock), which builds U on
+//     its first call. The observed marginal scores U_j are the pass of the
+//     all-ones column (fl(1·U_ij) = U_ij), which the resampling driver
+//     puts first in an exhaustive run's first block, as it does the
+//     coefficients v on the default path; the pipeline's
+//     CollectObservedScores is that column's count-1 pass.
 //
 // The default system never builds U: it scores packed genotypes against
 // coefficient blocks (SkatPipeline::ComputeGenotypeScoreBlock). The
@@ -52,9 +56,6 @@ class PaperFaithful {
       const std::vector<double>& zblock, std::size_t count,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps);
 
-  /// See SkatPipeline::CollectObservedScores.
-  ScoreBlock CollectObservedScores();
-
   /// See SkatPipeline::ComputePermutationReplicate.
   SetScores ComputePermutationReplicate(const std::vector<std::uint32_t>& perm);
 
@@ -68,8 +69,9 @@ class PaperFaithful {
   /// Steps 8-12 from a U dataset: aggregate to per-set scores.
   SetScores SetScoresFromU(const UDataset& u) const;
 
-  /// Materializes the observed U RDD if needed (shared by all observed
-  /// paths); caches it when Algorithm 3 will re-read it.
+  /// Materializes the observed U RDD if needed (shared by ComputeObserved
+  /// and every Monte Carlo pass); caches it when Algorithm 3 will re-read
+  /// it.
   void EnsureUBuilt();
 
   engine::EngineContext* ctx_ = nullptr;

@@ -295,10 +295,8 @@ Result<SkatPipeline> SkatPipeline::Open(engine::EngineContext& ctx,
   Dataset<SnpRecord> genotypes =
       engine::TextFile(ctx, paths.genotypes).Map(ParseSnpRecordOrThrow);
 
-  PipelineConfig opened = config;
-  opened.model = phenotype.value().model;  // the staged file's model rules
   Dataset<stats::PackedSnpRecord> packed = FilterAndPack(ctx, genotypes, sets);
-  return SkatPipeline(ctx, opened, std::move(packed),
+  return SkatPipeline(ctx, config, std::move(packed),
                       std::move(phenotype).value(), std::move(weights),
                       std::move(sets));
 }
@@ -367,10 +365,8 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
   auto node = std::make_shared<StoreGenotypeNode>(&ctx, std::move(store),
                                                   std::move(membership));
 
-  PipelineConfig opened = config;
-  opened.model = phenotype.value().model;  // the staged file's model rules
   return SkatPipeline(
-      ctx, opened, Dataset<stats::PackedSnpRecord>(&ctx, std::move(node)),
+      ctx, config, Dataset<stats::PackedSnpRecord>(&ctx, std::move(node)),
       std::move(phenotype).value(),
       engine::Parallelize(ctx, weight_pairs, config.num_partitions),
       std::move(sets));
@@ -415,7 +411,7 @@ ScoreBlock SkatPipeline::ComputeMonteCarloScoreBlock(
 }
 
 ScoreBlock SkatPipeline::CollectObservedScores() {
-  return Faithful().CollectObservedScores();
+  return ComputeMonteCarloScoreBlock(std::vector<double>(n(), 1.0), 1);
 }
 
 SetScores SkatPipeline::ComputePermutationReplicate(

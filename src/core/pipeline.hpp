@@ -60,8 +60,6 @@ namespace ss::core {
 using SetScores = std::unordered_map<std::uint32_t, double>;
 
 struct PipelineConfig {
-  stats::ScoreModel model = stats::ScoreModel::kCox;
-
   /// Reduce partitions for the joins/aggregations (spark.default.parallelism).
   std::uint32_t num_reducers = 8;
 
@@ -161,7 +159,9 @@ class SkatPipeline {
   /// it: per SNP, the signed replicate scores Ũ_jb = Σ_i Z_ib U_ij for all
   /// `count` replicates of a patient-major Z block (stats::MonteCarloZBlock
   /// layout), computed in ONE engine pass over the cached U partitions
-  /// with the blocked stats::BatchedReplicateScores kernel. Only
+  /// with the blocked stats::BatchedReplicateScores kernel; the first
+  /// call builds U. An all-ones column scores the observed U_j bitwise
+  /// (fl(1·U_ij) = U_ij, summed in ascending i from +0). Only
   /// paper-faithful Monte Carlo (`paper_faithful_scores`) uses it; every
   /// other run scores V(z) blocks with ComputeGenotypeScoreBlock. Each
   /// partition writes its rows straight into its own flat buffer, and the
@@ -205,9 +205,8 @@ class SkatPipeline {
           nullptr);
 
   /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
-  /// driver as a count-1 ScoreBlock, for paper-faithful Monte Carlo's
-  /// canonical observed fold. Materializes the U RDD like
-  /// ComputeObserved.
+  /// driver as a count-1 ScoreBlock: ComputeMonteCarloScoreBlock of the
+  /// all-ones column.
   ScoreBlock CollectObservedScores();
 
   /// Driver-resident unsquared weights ω_j, collected once and memoized.

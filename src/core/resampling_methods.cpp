@@ -1,3 +1,7 @@
+// Every method's batches come from a ScoreBlockSource, and every engine
+// pass, the observed one included, is one ScoreBatch call; the drivers
+// (RunScoreBlocks, RunBatchedSkatO, RunBatchedVariantScan) differ only in
+// their driver-side folds. RunFaithfulPermutation scores no blocks.
 #include "core/resampling_methods.hpp"
 
 #include <algorithm>
@@ -44,29 +48,6 @@ std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
                                   ? request.batch_size
                                   : pipeline.config().resampling_batch_size;
   return std::max<std::uint64_t>(1, batch);
-}
-
-/// Generates the patient-major replicate block for replicates
-/// [begin, begin+count): a coefficient block, or a Z block for cached-U
-/// Monte Carlo. A pure function of its arguments — per-replicate
-/// splittable RNG streams — so the block is bitwise invariant to batching.
-using MakeBlock =
-    std::function<std::vector<double>(std::uint64_t begin, std::size_t count)>;
-
-/// [v | block]: the patient-major n × (count + 1) block whose column 0 is
-/// the observed coefficients v and whose columns 1..count are `block`'s
-/// (n × count). Every column of a score pass is its own accumulator
-/// chain, so column 0 scores bitwise as a count-1 pass of v would.
-std::vector<double> WithObservedColumn(const std::vector<double>& v,
-                                       const std::vector<double>& block,
-                                       std::size_t count) {
-  const std::size_t width = count + 1;
-  std::vector<double> out(v.size() * width);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i * width] = v[i];
-    std::copy_n(block.data() + i * count, count, out.data() + i * width + 1);
-  }
-  return out;
 }
 
 /// The shared driver loop: splits 0..B into [begin, end) ranges of at
@@ -400,48 +381,89 @@ void FinalizeAdaptive(const ResamplingRequest& request,
   }
 }
 
-/// Where a score-block run's replicates come from. Every source scores
-/// per-SNP rows against patient-major replicate blocks: permutation and
-/// Monte Carlo score the genotype partitions against permuted coefficient
-/// blocks (Algorithm 2, U_j^π = g_jᵀ(v∘π)) or V(z) blocks (Algorithm 3,
+/// Where a method's replicates come from. Every source scores per-SNP
+/// rows against patient-major blocks: permutation and Monte Carlo score
+/// the genotype partitions against permuted coefficient blocks
+/// (Algorithm 2, U_j^π = g_jᵀ(v∘π)) or V(z) blocks (Algorithm 3,
 /// Ũ_j = g_jᵀV(z)); paper-faithful Monte Carlo scores the cached U
-/// partitions against N(0,1) multiplier blocks.
+/// partitions against N(0,1) multiplier blocks. The observed per-SNP
+/// scores U_j are the same pass over `observed_column` (ScoreBatch).
 struct ScoreBlockSource {
   const char* algorithm;
-  /// Observed per-SNP marginal scores U_j, as a count-1 block.
-  std::function<ScoreBlock()> observed;
-  /// The coefficients v when the observed scores are the score pass of v
-  /// itself (the genotype sources): an exhaustive run then scores v as
-  /// column 0 of its first batch instead of calling `observed`. Empty for
-  /// the cached-U source.
+  /// The block column whose scores are the observed U_j: the coefficients
+  /// v for the genotype sources (U_j = g_jᵀv), the all-ones Z column for
+  /// the cached-U source (fl(1·U_ij) = U_ij, so Σ_i 1·U_ij, summed in
+  /// ascending i from +0, is bitwise U_j).
   std::vector<double> observed_column;
-  /// The block for replicates [begin, begin+count).
-  MakeBlock make_block;
-  /// One engine pass over a block: `count` replicate scores per SNP,
-  /// restricted to `live_snps` when non-null.
+  /// The patient-major block for replicates [begin, begin+count): a
+  /// coefficient block, or a Z block for cached-U Monte Carlo. A pure
+  /// function of its arguments (per-replicate splittable RNG streams), so
+  /// the block is bitwise invariant to batching.
+  std::function<std::vector<double>(std::uint64_t begin, std::size_t count)>
+      make_block;
+  /// One engine pass over a block: `count` scores per SNP, restricted to
+  /// `live_snps` when non-null.
   std::function<ScoreBlock(
       const std::vector<double>& block, std::size_t count,
       std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps)>
       score;
 };
 
-/// A source that never builds U: observed scores U_j = g_jᵀv from the
-/// coefficients v — column 0 of the first batch in exhaustive runs, a
-/// count-1 block of v in adaptive ones — and replicates from
-/// `make_block`'s coefficient blocks. `zero_sum_columns` must hold for
-/// every generated block; v is scored under the same rule, so a constant
-/// column's observed score is exactly 0 where its replicate scores are,
-/// and is the U path's value where they are.
-ScoreBlockSource GenotypeSource(const char* algorithm, SkatPipeline& pipeline,
-                                const std::vector<double>& v,
-                                bool zero_sum_columns,
-                                MakeBlock make_block) {
-  return {algorithm,
-          [&pipeline, v, zero_sum_columns] {
-            return pipeline.ComputeGenotypeScoreBlock(v, 1, zero_sum_columns);
-          },
-          v,
-          std::move(make_block),
+/// [v | block]: the patient-major n × (count + 1) block whose column 0 is
+/// v and whose columns 1..count are `block`'s (n × count).
+std::vector<double> WithObservedColumn(const std::vector<double>& v,
+                                       const std::vector<double>& block,
+                                       std::size_t count) {
+  const std::size_t width = count + 1;
+  std::vector<double> out(v.size() * width);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i * width] = v[i];
+    std::copy_n(block.data() + i * count, count, out.data() + i * width + 1);
+  }
+  return out;
+}
+
+/// One engine pass of a source, and the column its replicates start at.
+struct ScoredBatch {
+  ScoreBlock block;
+  std::size_t lead;  ///< 1 when column 0 holds the observed scores.
+};
+
+/// The one pass every batch of every method makes: builds the block for
+/// replicates [begin, begin+count) and scores it. With `observed_first`,
+/// the source's observed column leads the run's first block (begin = 0)
+/// as column 0 — [observed | replicate columns] — and a count-0 call is
+/// the observed column alone: the count-1 pass of an adaptive run (whose
+/// screen reads the observed statistics before the first batch) and of
+/// B = 0. Every column of a pass is its own accumulator chain, so column
+/// 0 scores bitwise as that count-1 pass does. Only the first batch pays
+/// the copy into the wider block.
+ScoredBatch ScoreBatch(
+    const ScoreBlockSource& source, std::uint64_t begin, std::size_t count,
+    bool observed_first,
+    std::shared_ptr<const std::unordered_set<std::uint32_t>> live_snps =
+        nullptr) {
+  std::vector<double> block;
+  if (count != 0) block = source.make_block(begin, count);
+  const std::size_t lead = observed_first && begin == 0 ? 1 : 0;
+  if (lead != 0) {
+    block = WithObservedColumn(source.observed_column, block, count);
+  }
+  return {source.score(block, lead + count, std::move(live_snps)), lead};
+}
+
+/// A source that never builds U: the observed column is the coefficients
+/// v, and replicates come from `make_block`'s coefficient blocks.
+/// `zero_sum_columns` must hold for every generated block; v is scored
+/// under the same rule, so a constant column's observed score is exactly
+/// 0 where its replicate scores are, and is the U path's value where they
+/// are.
+ScoreBlockSource GenotypeSource(
+    const char* algorithm, SkatPipeline& pipeline, std::vector<double> v,
+    bool zero_sum_columns,
+    std::function<std::vector<double>(std::uint64_t, std::size_t)>
+        make_block) {
+  return {algorithm, std::move(v), std::move(make_block),
           [&pipeline, zero_sum_columns](
               const std::vector<double>& block, std::size_t count,
               std::shared_ptr<const std::unordered_set<std::uint32_t>>
@@ -466,7 +488,8 @@ ScoreBlockSource PermutationSource(SkatPipeline& pipeline, std::uint64_t seed) {
 
 /// Replicate b's block column is V(z_b) with z_b from the same streams as
 /// stats::MonteCarloWeights (Algorithm 3 step 3), so replicate b is
-/// reproducible in isolation. The observed v is V(1).
+/// reproducible in isolation. The observed v is V(1). Monte Carlo, SKAT-O
+/// and the variant scan all score this pool.
 ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
   auto score_engine =
       std::make_shared<const stats::ScoreEngine>(pipeline.phenotype());
@@ -480,12 +503,11 @@ ScoreBlockSource MonteCarloSource(SkatPipeline& pipeline, std::uint64_t seed) {
 }
 
 /// Algorithm 3 as the paper runs it, for `paper_faithful_scores`: the
-/// observed U RDD is built and cached once, and every batch scores its
-/// partitions against a Z block.
+/// observed U RDD is built and cached by the first pass, and every pass
+/// scores its partitions against a Z block; the observed scores are the
+/// all-ones column's.
 ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
-  return {"monte-carlo",
-          [&pipeline] { return pipeline.CollectObservedScores(); },
-          {},
+  return {"monte-carlo", std::vector<double>(pipeline.n(), 1.0),
           [seed, n = pipeline.n()](std::uint64_t begin, std::size_t count) {
             return stats::MonteCarloZBlock(seed, n, begin, count);
           },
@@ -503,15 +525,15 @@ ScoreBlockSource CachedUSource(SkatPipeline& pipeline, std::uint64_t seed) {
 /// only the counters — is bitwise equal to the serial oracle's analysis
 /// from the same seed (baseline::SerialMonteCarloFactored; for the cached
 /// U source, baseline::SerialMonteCarlo); every method's result is bitwise
-/// invariant to batch size and thread count. An exhaustive run over a
-/// genotype source scores the observed v as column 0 of its first batch,
-/// so it makes one engine pass per batch and no other; an adaptive run
-/// (whose screen reads the observed statistics before it can name the
-/// first batch's live SNPs), the cached-U source and B = 0 take a count-1
-/// observed pass first. Exhaustive and adaptive runs share one counting
-/// path: every set that consumes replicates has a stopper (one that never
-/// stops when exhaustive), and each batch folds the sets still live into
-/// a flat set-major array that the stoppers read by position.
+/// invariant to batch size and thread count. An exhaustive run scores the
+/// source's observed column as column 0 of its first batch, so it makes
+/// one engine pass per batch and no other; an adaptive run (whose screen
+/// reads the observed statistics before it can name the first batch's
+/// live SNPs) and B = 0 take a count-1 observed pass first (ScoreBatch).
+/// Exhaustive and adaptive runs share one counting path: every set that
+/// consumes replicates has a stopper (one that never stops when
+/// exhaustive), and each batch folds the sets still live into a flat
+/// set-major array that the stoppers read by position.
 ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
                                 const ResamplingRequest& request,
                                 const ScoreBlockSource& source) {
@@ -523,9 +545,7 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
   ResamplingResult result;
   result.replicates = request.replicates;
   const bool adaptive = IsAdaptive(request);
-  const bool observed_in_first_batch = !adaptive &&
-                                       !source.observed_column.empty() &&
-                                       request.replicates != 0;
+  const bool observed_in_first_batch = !adaptive && request.replicates != 0;
   std::vector<double> observed;
   const auto record_observed = [&] {
     for (std::size_t k = 0; k < sets.size(); ++k) {
@@ -537,7 +557,9 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
     observed = [&] {
       engine::TraceSpan span(engine::Tracer::Global(), "algo",
                              "observed skat");
-      return FoldSetStatistics(plan, all_sets, source.observed());
+      return FoldSetStatistics(
+          plan, all_sets,
+          ScoreBatch(source, 0, 0, /*observed_first=*/true).block);
     }();
     record_observed();
   }
@@ -564,16 +586,6 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
         source.algorithm, request.replicates, batch_size, request.sink,
         [&](std::uint64_t begin, std::uint64_t end) {
           const std::size_t count = end - begin;
-          // Per batch: `count` × n block entries from the per-replicate
-          // streams (bitwise invariant to batching), led by the observed
-          // column in the first batch when it carries one.
-          std::vector<double> block = source.make_block(begin, count);
-          const std::size_t lead =
-              observed_in_first_batch && begin == 0 ? 1 : 0;
-          if (lead != 0) {
-            block = WithObservedColumn(source.observed_column, block, count);
-          }
-          const std::size_t width = lead + count;
           // Only the sets whose stopper has not stopped are folded, and
           // adaptive runs score only their SNPs; a set that stops
           // mid-batch stays live until the next batch.
@@ -584,10 +596,13 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
             live.push_back(&set);
             positions.push_back(set.position);
           }
-          const std::vector<double> scores = FoldSetStatistics(
-              plan, positions,
-              source.score(block, width,
-                           adaptive ? LiveSnps(sets, positions) : nullptr));
+          const ScoredBatch batch =
+              ScoreBatch(source, begin, count, observed_in_first_batch,
+                         adaptive ? LiveSnps(sets, positions) : nullptr);
+          const std::size_t lead = batch.lead;
+          const std::size_t width = lead + count;
+          const std::vector<double> scores =
+              FoldSetStatistics(plan, positions, batch.block);
           if (lead != 0) {
             // Exhaustive: every set is live in the first batch, in order.
             observed.resize(sets.size());
@@ -668,18 +683,17 @@ ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
 }
 
 /// SKAT-O over the batched Monte Carlo replicate pool: each batch scores
-/// the same V(z) genotype blocks as plain Monte Carlo, so U is never
-/// built, and folds per-set (SKAT, burden) pairs canonically on the
-/// driver. The observed pair folds v the same way, as column 0 of the
-/// first batch (a count-1 block of v when B = 0).
+/// the same V(z) genotype blocks as plain Monte Carlo (MonteCarloSource),
+/// so U is never built, and folds per-set (SKAT, burden) pairs
+/// canonically on the driver. The observed pair folds v the same way, as
+/// column 0 of the first batch (the count-1 pass when B = 0).
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
-                            const ResamplingRequest& request) {
+                            const ResamplingRequest& request,
+                            std::uint64_t seed) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
   const std::vector<stats::SnpSet>& sets = pipeline.sets();
   const FoldPlan plan(sets, pipeline.DriverWeights());
-  const stats::ScoreEngine score_engine(pipeline.phenotype());
-  const bool zero_sum_columns = score_engine.MultiplierColumnsSumToZero();
-  const std::vector<double> v = score_engine.Coefficients();
+  const ScoreBlockSource source = MonteCarloSource(pipeline, seed);
 
   // Observed (SKAT, burden) pair and grid per set, from column 0 of a
   // `width`-column fold.
@@ -701,30 +715,24 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
     engine::TraceSpan span(engine::Tracer::Global(), "algo",
                            "observed skat+burden");
     record_observed(
-        FoldSkatBurdenScores(plan, pipeline.ComputeGenotypeScoreBlock(
-                                       v, 1, zero_sum_columns)),
+        FoldSkatBurdenScores(
+            plan, ScoreBatch(source, 0, 0, /*observed_first=*/true).block),
         1);
   }
 
-  const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   std::vector<std::vector<std::vector<double>>> replicate_grids(sets.size());
-  const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
   RunBatches(
-      "skat-o", request.replicates, batch_size,
+      "skat-o", request.replicates, EffectiveBatchSize(pipeline, request),
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
-        std::vector<double> vblock = stats::MonteCarloCoefficientBlock(
-            seed, score_engine, begin, count);
-        const std::size_t lead = begin == 0 ? 1 : 0;
-        if (lead != 0) vblock = WithObservedColumn(v, vblock, count);
-        const std::size_t width = lead + count;
-        const SkatBurdenScores pairs = FoldSkatBurdenScores(
-            plan,
-            pipeline.ComputeGenotypeScoreBlock(vblock, width, zero_sum_columns));
-        if (lead != 0) record_observed(pairs, width);
+        const ScoredBatch batch =
+            ScoreBatch(source, begin, count, /*observed_first=*/true);
+        const std::size_t width = batch.lead + count;
+        const SkatBurdenScores pairs = FoldSkatBurdenScores(plan, batch.block);
+        if (batch.lead != 0) record_observed(pairs, width);
         for (std::size_t r = 0; r < count; ++r) {
           for (std::size_t k = 0; k < sets.size(); ++k) {
-            const std::size_t at = k * width + lead + r;
+            const std::size_t at = k * width + batch.lead + r;
             replicate_grids[k].push_back(stats::SkatOGridStatistics(
                 pairs.burden[at], pairs.skat[at], rho_grid));
           }
@@ -772,7 +780,7 @@ VariantScanResult RunBatchedVariantScan(SkatPipeline& pipeline,
       request.sink, [&](std::uint64_t begin, std::uint64_t end) {
         const std::size_t count = end - begin;
         const ScoreBlock block =
-            source.score(source.make_block(begin, count), count, nullptr);
+            ScoreBatch(source, begin, count, /*observed_first=*/false).block;
         double* replicate_max = result.replicate_max.data() + begin;
         for (std::size_t i = 0; i < result.snps.size(); ++i) {
           const double* row = block.row(result.snps[i]);
@@ -901,7 +909,7 @@ ResamplingRun RunResampling(SkatPipeline& pipeline,
               : MonteCarloSource(pipeline, seed));
       break;
     case ResamplingMethod::kSkatO:
-      run.skato = RunBatchedSkatO(pipeline, request);
+      run.skato = RunBatchedSkatO(pipeline, request, seed);
       break;
     case ResamplingMethod::kVariantScan:
       run.scan = RunBatchedVariantScan(pipeline, request, seed);

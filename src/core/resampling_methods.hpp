@@ -1,7 +1,7 @@
 // Algorithms 2 and 3: resampling inference drivers over the SkatPipeline.
 //
-// Both compute the observed scores S_k⁰ first, then run B replicates and
-// count, per SNP-set, how many replicate statistics S_k^b meet or exceed
+// Both compute the observed scores S_k⁰, run B replicates and count,
+// per SNP-set, how many replicate statistics S_k^b meet or exceed
 // S_k⁰ (the paper's counter_k). The empirical p-value follows directly.
 //
 //   * kPermutation — Algorithm 2: each replicate shuffles the phenotype
@@ -22,9 +22,11 @@
 //   * kVariantScan — the single-SNP scan (VariantScanResult) over the
 //     same V(z) blocks, with maxT over the per-replicate maxima.
 //
-// All methods share one batched driver loop: replicates are scheduled in
-// batches of `ResamplingRequest::batch_size`, and a batch is ONE engine
-// pass — an n×R block is broadcast and a blocked kernel computes every
+// All methods share one batched driver loop and one kind of replicate
+// source (a block generator, a scoring pass and an observed column):
+// replicates are scheduled in batches of `ResamplingRequest::batch_size`,
+// and a batch is ONE engine pass, made by one helper for every method —
+// an n×R block is broadcast and a blocked kernel computes every
 // replicate's per-SNP scores: for V(z) or permuted coefficients, the
 // rows of the block's pre-scaled [V; 2V; 3V] table that the non-zero
 // genotypes of the cached genotype partitions select are summed
@@ -32,9 +34,11 @@
 // multiply-accumulates Z multipliers against the cached U partitions
 // (stats::BatchedReplicateScores). Each pass collects one flat
 // ScoreBlock, and the per-set folds run driver-side over it in the
-// serial oracle's canonical accumulation order. Exhaustive runs over
-// coefficient blocks score the observed v as column 0 of the first
-// batch, so they make one engine pass per batch and no other.
+// serial oracle's canonical accumulation order. The observed scores are
+// the pass of the source's observed column — the coefficients v, or the
+// all-ones Z column over the cached U. Exhaustive runs score it as
+// column 0 of the first batch, so they make one engine pass per batch
+// and no other; adaptive runs and B = 0 score it alone first.
 // Results are bitwise invariant to the batch size, the thread count,
 // packing and the partitioning. The Monte Carlo ResamplingResult is
 // bitwise equal to baseline::SerialMonteCarloFactored from the same seed;

@@ -60,17 +60,6 @@ std::uint32_t ReadU32At(const std::uint8_t* base, std::uint64_t offset) {
   return v;
 }
 
-std::uint64_t ChecksumSpan(const std::uint8_t* data, std::uint64_t size) {
-  // FNV-1a, matching ss::Checksum (which takes a vector; spans avoid the
-  // copy for mapped regions).
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::uint64_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::uint64_t ByteSwap64(std::uint64_t v) {
 #if defined(__GNUC__) || defined(__clang__)
   return __builtin_bswap64(v);
@@ -95,7 +84,7 @@ std::vector<std::uint8_t> BuildHeader(const GenotypeStoreMeta& meta,
   writer.WriteU64(kHeaderBytes);  // index_offset: right after the header
   writer.WriteU64(index_entries);
   writer.WriteU64(data_end);
-  writer.WriteU64(ChecksumSpan(writer.bytes().data(), writer.bytes().size()));
+  writer.WriteU64(Checksum(writer.bytes()));
   return writer.TakeBytes();
 }
 
@@ -201,7 +190,7 @@ Status GenotypeStoreWriter::Finish() {
     index.WriteU32(entry.kind);
     index.WriteU32(entry.ordinal);
   }
-  index.WriteU64(ChecksumSpan(index.bytes().data(), index.bytes().size()));
+  index.WriteU64(Checksum(index.bytes()));
   const std::vector<std::uint8_t> header =
       BuildHeader(meta_, entries_.size(), write_offset_);
 
@@ -283,7 +272,7 @@ Result<std::shared_ptr<GenotypeStore>> GenotypeStore::Open(
     return Corrupt(path, "bad magic (not a genotype store)");
   }
   if (ReadU64At(base, kHeaderChecksummedBytes) !=
-      ChecksumSpan(base, kHeaderChecksummedBytes)) {
+      Checksum({base, kHeaderChecksummedBytes})) {
     return Corrupt(path, "header checksum mismatch");
   }
   const std::uint32_t version = ReadU32At(base, 8);
@@ -312,7 +301,7 @@ Result<std::shared_ptr<GenotypeStore>> GenotypeStore::Open(
     return Corrupt(path, "frame index truncated");
   }
   if (ReadU64At(base, index_offset + index_bytes) !=
-      ChecksumSpan(base + index_offset, index_bytes)) {
+      Checksum({base + index_offset, index_bytes})) {
     return Corrupt(path, "frame index checksum mismatch");
   }
   if (data_end > size) {
@@ -390,7 +379,7 @@ Result<std::vector<std::uint8_t>> GenotypeStore::ReadFrame(
                               std::to_string(ref.offset));
   }
   const std::uint8_t* payload = frame + kFrameHeaderBytes;
-  if (ChecksumSpan(payload, payload_size) != checksum) {
+  if (Checksum({payload, payload_size}) != checksum) {
     return Corrupt(path_, "frame payload checksum mismatch at offset " +
                               std::to_string(ref.offset));
   }

@@ -2,7 +2,7 @@
 
 namespace ss {
 
-std::uint64_t Checksum(const std::vector<std::uint8_t>& bytes) {
+std::uint64_t Checksum(std::span<const std::uint8_t> bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (std::uint8_t b : bytes) {
     hash ^= b;

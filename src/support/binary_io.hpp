@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -97,6 +98,6 @@ class BinaryReader {
 
 /// FNV-1a checksum over a byte span; the DFS stores one per block so that
 /// corruption (or a truncated replica) is detected at read time.
-std::uint64_t Checksum(const std::vector<std::uint8_t>& bytes);
+std::uint64_t Checksum(std::span<const std::uint8_t> bytes);
 
 }  // namespace ss

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
 #include "core/resampling_methods.hpp"
@@ -294,13 +296,39 @@ TEST(SkatPipelineTest, CachesUOnlyWhereItIsReRead) {
             8u);
 }
 
-TEST(SkatPipelineTest, MonteCarloRequiresObservedFirst) {
+TEST(SkatPipelineTest, MonteCarloOnesColumnIsTheObservedPass) {
+  // A fresh paper-faithful pipeline builds U on its first Monte Carlo
+  // pass, and the all-ones column scores the observed U_j = Σ_i U_ij
+  // bitwise (fl(1·U_ij) = U_ij, summed in ascending i from +0), as
+  // CollectObservedScores returns them.
   const simdata::SyntheticDataset dataset = SmallDataset();
+  PipelineConfig config;
+  config.paper_faithful_scores = true;
   engine::EngineContext ctx(LocalOptions());
-  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  EXPECT_DEATH(pipeline.ComputeMonteCarloScoreBlock(
-                   std::vector<double>(dataset.survival.n(), 1.0), 1),
-               "u_built_");
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  const ScoreBlock ones = pipeline.ComputeMonteCarloScoreBlock(
+      std::vector<double>(dataset.survival.n(), 1.0), 1);
+  engine::EngineContext ctx2(LocalOptions());
+  SkatPipeline fresh = SkatPipeline::FromMemory(ctx2, dataset, config);
+  const ScoreBlock observed = fresh.CollectObservedScores();
+
+  const stats::ScoreEngine engine(stats::Phenotype::Cox(dataset.survival),
+                                  /*paper_faithful=*/true);
+  ASSERT_EQ(ones.size(), observed.size());
+  ASSERT_GT(ones.size(), 0u);
+  for (std::uint32_t snp = 0; snp < ones.snp_end(); ++snp) {
+    ASSERT_EQ(ones.row(snp) == nullptr, observed.row(snp) == nullptr);
+    if (ones.row(snp) == nullptr) continue;
+    double direct = 0.0;
+    for (double u : engine.Contributions(dataset.genotypes.by_snp[snp])) {
+      direct += u;
+    }
+    EXPECT_EQ(std::memcmp(ones.row(snp), observed.row(snp), sizeof(double)),
+              0)
+        << "snp " << snp;
+    EXPECT_EQ(std::memcmp(ones.row(snp), &direct, sizeof(double)), 0)
+        << "snp " << snp;
+  }
 }
 
 TEST(SkatPipelineTest, GaussianStudyThroughDfs) {
@@ -321,7 +349,6 @@ TEST(SkatPipelineTest, GaussianStudyThroughDfs) {
   auto opened = SkatPipeline::Open(ctx, paths, {});
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened.value().phenotype().model, stats::ScoreModel::kGaussian);
-  EXPECT_EQ(opened.value().config().model, stats::ScoreModel::kGaussian);
   const SetScores from_dfs = opened.value().ComputeObserved();
 
   engine::EngineContext ctx2(LocalOptions());
@@ -370,9 +397,7 @@ TEST(SkatPipelineTest, GaussianModelPipeline) {
     records.push_back({j, dataset.genotypes.by_snp[j]});
   }
   engine::EngineContext ctx(LocalOptions());
-  PipelineConfig config;
-  config.model = stats::ScoreModel::kGaussian;
-  SkatPipeline pipeline(ctx, config,
+  SkatPipeline pipeline(ctx, {},
                         engine::Parallelize(ctx, records, 4),
                         stats::Phenotype::Gaussian(expression),
                         dataset.weights, dataset.sets);

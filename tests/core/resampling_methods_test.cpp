@@ -104,7 +104,6 @@ void ExpectPermutationMatchesSerial(const simdata::SyntheticDataset& dataset,
   engine::EngineContext ctx(LocalOptions());
   PipelineConfig config;
   config.seed = seed;
-  config.model = phenotype.model;
   config.resampling_batch_size = 8;
   SkatPipeline pipeline(ctx, config, engine::Parallelize(ctx, records, 4),
                         phenotype, dataset.weights, dataset.sets);
@@ -383,7 +382,6 @@ ModelMonteCarloRun RunModelMonteCarlo(const stats::Phenotype& phenotype,
   engine::EngineContext ctx(LocalOptions());
   PipelineConfig config;
   config.seed = seed;
-  config.model = phenotype.model;
   config.resampling_batch_size = 8;
   config.paper_faithful_scores = paper_faithful;
   SkatPipeline pipeline(ctx, config, engine::Parallelize(ctx, records, 4),
@@ -780,7 +778,8 @@ struct ColumnZeroRun {
 ColumnZeroRun RunCountingPasses(const simdata::SyntheticDataset& dataset,
                                 const ResamplingRequest& request,
                                 std::uint64_t batch_size,
-                                std::uint64_t threads) {
+                                std::uint64_t threads,
+                                bool paper_faithful = false) {
   std::atomic<std::uint64_t>& hash =
       engine::CounterRegistry::Global().Get("resampling.result_hash");
   engine::EngineContext::Options options = LocalOptions();
@@ -789,6 +788,7 @@ ColumnZeroRun RunCountingPasses(const simdata::SyntheticDataset& dataset,
   PipelineConfig config;
   config.seed = 77;
   config.resampling_batch_size = batch_size;
+  config.paper_faithful_scores = paper_faithful;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
   const std::uint64_t before = hash.load();
   ColumnZeroRun out;
@@ -800,10 +800,11 @@ ColumnZeroRun RunCountingPasses(const simdata::SyntheticDataset& dataset,
 
 TEST(ResamplingMethodsTest, ObservedScoresAreColumnZeroOfTheFirstBatch) {
   // Exhaustive Monte Carlo, permutation and SKAT-O score the observed
-  // coefficients v as column 0 of their first batch: at batch 63 and 64
-  // that pass is 64 and 65 columns wide, on both sides of the kernel's
-  // 64-lane block. The result must equal the serial oracle's (and the
-  // count-1 observed pass's) bit for bit, the run must make exactly
+  // coefficients v as column 0 of their first batch, and paper-faithful
+  // Monte Carlo the all-ones Z column against the cached U: at batch 63
+  // and 64 that pass is 64 and 65 columns wide, on both sides of the
+  // kernel's 64-lane block. The result must equal the serial oracle's (and
+  // the count-1 observed pass's) bit for bit, the run must make exactly
   // ⌈B/batch⌉ score passes, and an adaptive run, whose screen needs the
   // observed statistics first, exactly one more.
   const simdata::SyntheticDataset dataset = SmallDataset();
@@ -815,18 +816,30 @@ TEST(ResamplingMethodsTest, ObservedScoresAreColumnZeroOfTheFirstBatch) {
       baseline::SerialMonteCarloFactored(inputs, 77, kReplicates);
   const baseline::SkatAnalysis permutation =
       baseline::SerialPermutation(inputs, 77, kReplicates);
+  const baseline::SkatAnalysis faithful_monte_carlo =
+      baseline::SerialMonteCarlo(inputs, 77, kReplicates);
 
-  for (const ResamplingMethod method :
-       {ResamplingMethod::kMonteCarlo, ResamplingMethod::kPermutation}) {
+  struct Input {
+    ResamplingMethod method;
+    bool paper_faithful;
+    const baseline::SkatAnalysis* serial;
+  };
+  for (const Input& input :
+       {Input{ResamplingMethod::kMonteCarlo, false, &monte_carlo},
+        Input{ResamplingMethod::kPermutation, false, &permutation},
+        Input{ResamplingMethod::kMonteCarlo, true, &faithful_monte_carlo}}) {
+    const ResamplingMethod method = input.method;
     std::optional<std::uint64_t> first_hash;
     for (std::uint64_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {63u, 64u}) {
         SCOPED_TRACE("method=" + std::to_string(static_cast<int>(method)) +
+                     " faithful=" + std::to_string(input.paper_faithful) +
                      " threads=" + std::to_string(threads) +
                      " batch=" + std::to_string(batch));
         const std::size_t batches = (kReplicates + batch - 1) / batch;
-        const ColumnZeroRun exhaustive = RunCountingPasses(
-            dataset, ResamplingRequest(method, kReplicates), batch, threads);
+        const ColumnZeroRun exhaustive =
+            RunCountingPasses(dataset, ResamplingRequest(method, kReplicates),
+                              batch, threads, input.paper_faithful);
         EXPECT_EQ(exhaustive.score_passes, batches);
         if (!first_hash) first_hash = exhaustive.hash;
         EXPECT_EQ(exhaustive.hash, *first_hash);
@@ -836,15 +849,13 @@ TEST(ResamplingMethodsTest, ObservedScoresAreColumnZeroOfTheFirstBatch) {
         // from a count-1 pass before the first batch.
         ResamplingRequest adaptive_request(method, kReplicates);
         adaptive_request.early_stop = kReplicates + 1;
-        const ColumnZeroRun adaptive =
-            RunCountingPasses(dataset, adaptive_request, batch, threads);
+        const ColumnZeroRun adaptive = RunCountingPasses(
+            dataset, adaptive_request, batch, threads, input.paper_faithful);
         EXPECT_EQ(adaptive.score_passes, batches + 1);
 
         const ResamplingResult& fused = exhaustive.run.scores;
         const ResamplingResult& separate = adaptive.run.scores;
-        const baseline::SkatAnalysis& serial =
-            method == ResamplingMethod::kMonteCarlo ? monte_carlo
-                                                    : permutation;
+        const baseline::SkatAnalysis& serial = *input.serial;
         ASSERT_EQ(fused.observed.size(), dataset.sets.size());
         for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
           const std::uint32_t id = dataset.sets[k].id;

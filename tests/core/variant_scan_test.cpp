@@ -52,7 +52,6 @@ SkatPipeline Pipeline(engine::EngineContext& ctx, const Fixture& f,
                       stats::Phenotype phenotype,
                       std::uint32_t partitions = 4) {
   PipelineConfig config;
-  config.model = phenotype.model;
   config.num_partitions = partitions;
   return SkatPipeline(ctx, config,
                       engine::Parallelize(ctx, f.Records(), partitions),

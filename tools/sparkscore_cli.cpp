@@ -239,18 +239,34 @@ void WriteRunArtifacts(const CliArgs& args, ss::engine::EngineContext& ctx) {
   }
 }
 
+/// The request every subcommand runs: `method` with B from reps=
+/// (default `default_reps`) and the adaptive p-value keys pmethod=,
+/// early_stop= and refine_threshold=. SKAT-O and the scan get them too, so
+/// RunResampling warns that it ignores them rather than the CLI dropping
+/// them silently.
+ss::core::ResamplingRequest MakeRequest(const CliArgs& args,
+                                        ss::core::ResamplingMethod method,
+                                        std::uint64_t default_reps) {
+  ss::core::ResamplingRequest request(method,
+                                      args.GetU64("reps", default_reps));
+  request.pvalue_method =
+      ss::core::ParsePValueMethod(args.GetStr("pmethod", "resampling"))
+          .value();
+  request.refine_threshold = args.GetDouble("refine_threshold", 0.01);
+  request.early_stop = args.GetU64("early_stop", 0);
+  return request;
+}
+
 int RunSkat(const CliArgs& args, bool skato) {
   Study study = OpenStudy(args);
-  ss::core::ResamplingRequest request;
-  request.replicates = args.GetU64("reps", skato ? 99 : 499);
-  const std::uint64_t reps = request.replicates;
   ss::Stopwatch stopwatch;
   if (skato) {
-    request.method = ss::core::ResamplingMethod::kSkatO;
+    const ss::core::ResamplingRequest request =
+        MakeRequest(args, ss::core::ResamplingMethod::kSkatO, 99);
     const ss::core::SkatOResult result =
         ss::core::RunResampling(*study.pipeline, request).skato;
     std::printf("SKAT-O with B=%llu finished in %.2fs\n",
-                static_cast<unsigned long long>(reps),
+                static_cast<unsigned long long>(request.replicates),
                 stopwatch.ElapsedSeconds());
     const auto ranked = result.RankedPValues();
     const std::size_t top = std::min<std::size_t>(args.GetU64("top", 10),
@@ -263,23 +279,16 @@ int RunSkat(const CliArgs& args, bool skato) {
     }
   } else {
     const std::string method = args.GetStr("method", "mc");
-    request.method = method == "perm" ? ss::core::ResamplingMethod::kPermutation
-                                      : ss::core::ResamplingMethod::kMonteCarlo;
-    const std::string pmethod = args.GetStr("pmethod", "resampling");
-    const ss::Result<ss::core::PValueMethod> parsed =
-        ss::core::ParsePValueMethod(pmethod);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n", parsed.status().ToString().c_str());
-      return 1;
-    }
-    request.pvalue_method = parsed.value();
-    request.refine_threshold = args.GetDouble("refine_threshold", 0.01);
-    request.early_stop = args.GetU64("early_stop", 0);
+    const ss::core::ResamplingRequest request = MakeRequest(
+        args,
+        method == "perm" ? ss::core::ResamplingMethod::kPermutation
+                         : ss::core::ResamplingMethod::kMonteCarlo,
+        499);
     const ss::core::ResamplingResult result =
         ss::core::RunResampling(*study.pipeline, request).scores;
     std::printf("%s with B=%llu finished in %.2fs\n",
                 method == "perm" ? "Permutation" : "Monte Carlo",
-                static_cast<unsigned long long>(reps),
+                static_cast<unsigned long long>(request.replicates),
                 stopwatch.ElapsedSeconds());
     if (!result.inference.empty()) {
       std::uint64_t refined = 0;
@@ -293,10 +302,12 @@ int RunSkat(const CliArgs& args, bool skato) {
       std::printf(
           "  pvalue engine: %s, %llu/%zu sets refined, %llu early-stopped, "
           "%llu replicates consumed (of %llu scheduled ceiling)\n",
-          pmethod.c_str(), static_cast<unsigned long long>(refined),
+          args.GetStr("pmethod", "resampling").c_str(),
+          static_cast<unsigned long long>(refined),
           result.inference.size(), static_cast<unsigned long long>(stopped),
           static_cast<unsigned long long>(used),
-          static_cast<unsigned long long>(reps * result.inference.size()));
+          static_cast<unsigned long long>(request.replicates *
+                                          result.inference.size()));
     }
     std::fputs(ss::core::FormatTopHits(
                    result, static_cast<std::size_t>(args.GetU64("top", 10)))
@@ -325,14 +336,13 @@ int RunSkat(const CliArgs& args, bool skato) {
 
 int RunScan(const CliArgs& args) {
   Study study = OpenStudy(args);
-  const std::uint64_t reps = args.GetU64("reps", 199);
+  const ss::core::ResamplingRequest request =
+      MakeRequest(args, ss::core::ResamplingMethod::kVariantScan, 199);
   ss::Stopwatch stopwatch;
   const ss::core::VariantScanResult result =
-      ss::core::RunResampling(*study.pipeline,
-                              {ss::core::ResamplingMethod::kVariantScan, reps})
-          .scan;
+      ss::core::RunResampling(*study.pipeline, request).scan;
   std::printf("variant scan with B=%llu finished in %.2fs\n",
-              static_cast<unsigned long long>(reps),
+              static_cast<unsigned long long>(request.replicates),
               stopwatch.ElapsedSeconds());
   const auto ranked = result.RankedByAsymptoticP();
   const std::size_t top =
