@@ -18,7 +18,7 @@
 //
 // Keys: patients= count= iters= snps= seed= out=<json path>
 // `out=` writes a BENCH_kernels.json datapoint consumed by
-// tools/check_kernel_speedup.py (the bench_kernels_smoke ctest gate).
+// tools/check_bench.py (the bench_kernels_smoke ctest gate).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

@@ -10,7 +10,7 @@
 //
 // Keys: patients= snps= sets= reps= h= threshold= seed= out=<json path>
 // `out=` writes a BENCH_pvalue.json datapoint consumed by
-// tools/check_pvalue_savings.py (the bench_pvalue_smoke ctest gate:
+// tools/check_bench.py (the bench_pvalue_smoke ctest gate:
 // savings >= 10x, zero classification disagreements, tolerances hold).
 // The datapoint also records wall_ratio (hybrid seconds / exhaustive
 // seconds) with the host's core count and kernel level; wall time is

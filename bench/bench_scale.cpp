@@ -21,7 +21,8 @@
 // zero store corruption, and the flat-RSS assertion
 // peak_rss - baseline <= budget + rss_slack_mb for every constrained
 // run. Throughput ratios are reported in the datapoint and gated by
-// tools/check_scale.py (tight budget must stay within 2x of unlimited).
+// tools/check_bench.py (tight budget must stay within 2x of unlimited).
+// A datapoint= file that cannot be written also fails the run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -379,7 +380,7 @@ int Run(int argc, char** argv) {
   if (unlimited != nullptr && runs.size() > 1) {
     const double tight = runs.front().scores_per_sec;
     std::printf("  throughput: tightest budget runs at %.2fx the unlimited "
-                "baseline (gated >= 0.5x by tools/check_scale.py)\n\n",
+                "baseline (gated >= 0.5x by tools/check_bench.py)\n\n",
                 unlimited->scores_per_sec > 0.0
                     ? tight / unlimited->scores_per_sec
                     : 0.0);
@@ -435,6 +436,7 @@ int Run(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "could not write datapoint to %s\n",
                    datapoint_path.c_str());
+      return 1;
     }
   }
 

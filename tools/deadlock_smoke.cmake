@@ -9,6 +9,7 @@
 # 4. Bitwise-identity: the selftest's resampling result hash is unchanged
 #    when the analyzer is disabled at runtime — the analyzer observes,
 #    it never steers.
+# Steps 3 and 4 are gated by check_bench.py in same-result mode.
 #
 # Invoked as:
 #   cmake -DABBA=<deadlock_abba> -DSPARKSCORE=<sparkscore> -DPYTHON=<python3>
@@ -106,9 +107,8 @@ if(NOT self_off_rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${CMAKE_CURRENT_LIST_DIR}/check_deadlock_metrics.py"
-          --analyzer-active "${active_out}"
-          --metrics "${metrics_a}" --metrics-off "${metrics_b}"
+  COMMAND "${PYTHON}" "${CMAKE_CURRENT_LIST_DIR}/check_bench.py"
+          "--analyzer-active=${active_out}" "${metrics_a}" "${metrics_b}"
   RESULT_VARIABLE check_rc)
 if(NOT check_rc EQUAL 0)
   message(FATAL_ERROR "deadlock_smoke: metrics check failed (rc=${check_rc})")
