@@ -76,8 +76,8 @@ void RunSweep(const char* figure, const Workload& base,
 /// In the paper-faithful cost regime a U partition costs O(n²) per SNP to
 /// recompute, so the tight run pays for every evicted partition it reads
 /// again; the printed ratio is that cost. `datapoint=<file>` records the
-/// result as JSON.
-void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
+/// result as JSON. Returns false when that file cannot be written.
+bool RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   // Default budget: ~a quarter of the U RDD footprint (one row of n
   // doubles per SNP), forcing evictions while keeping some partitions.
   const std::uint64_t u_bytes =
@@ -127,29 +127,29 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
               t_unlimited, static_cast<unsigned long long>(budget));
 
   const std::string datapoint_path = args.GetStr("datapoint", "");
-  if (!datapoint_path.empty()) {
-    std::FILE* out = std::fopen(datapoint_path.c_str(), "w");
-    if (out != nullptr) {
-      std::fprintf(
-          out,
-          "{\"bench\":\"bench_caching\",\"mode\":\"constrained_budget\","
-          "\"patients\":%u,\"snps\":%u,\"iters\":%llu,\"budget_bytes\":%llu,"
-          "\"faithful\":%s,"
-          "\"seconds\":{\"unlimited\":%.6f,\"tight_recompute\":%.6f},"
-          "\"evictions\":%llu,\"computes\":%llu}\n",
-          base.generator.num_patients, base.generator.num_snps,
-          static_cast<unsigned long long>(iters),
-          static_cast<unsigned long long>(budget),
-          base.pipeline.paper_faithful_scores ? "true" : "false",
-          t_unlimited, t_tight, static_cast<unsigned long long>(evictions),
-          static_cast<unsigned long long>(computes));
-      std::fclose(out);
-      std::printf("datapoint written to %s\n", datapoint_path.c_str());
-    } else {
-      std::fprintf(stderr, "could not write datapoint to %s\n",
-                   datapoint_path.c_str());
-    }
+  if (datapoint_path.empty()) return true;
+  std::FILE* out = std::fopen(datapoint_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "could not write datapoint to %s\n",
+                 datapoint_path.c_str());
+    return false;
   }
+  std::fprintf(
+      out,
+      "{\"bench\":\"bench_caching\",\"mode\":\"constrained_budget\","
+      "\"patients\":%u,\"snps\":%u,\"iters\":%llu,\"budget_bytes\":%llu,"
+      "\"faithful\":%s,"
+      "\"seconds\":{\"unlimited\":%.6f,\"tight_recompute\":%.6f},"
+      "\"evictions\":%llu,\"computes\":%llu}\n",
+      base.generator.num_patients, base.generator.num_snps,
+      static_cast<unsigned long long>(iters),
+      static_cast<unsigned long long>(budget),
+      base.pipeline.paper_faithful_scores ? "true" : "false",
+      t_unlimited, t_tight, static_cast<unsigned long long>(evictions),
+      static_cast<unsigned long long>(computes));
+  std::fclose(out);
+  std::printf("datapoint written to %s\n", datapoint_path.c_str());
+  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -197,7 +197,7 @@ int Run(int argc, char** argv) {
 
   // Beyond the paper: what a budget too small for the U RDD costs
   // (budget= budget_iters= datapoint= keys).
-  RunConstrainedBudget(small, reps, args);
+  const bool datapoint_ok = RunConstrainedBudget(small, reps, args);
 
   // Per-replicate cost, amortized over every batch the sweeps ran — the
   // honest per-replicate figure now that one engine pass serves a whole
@@ -217,7 +217,7 @@ int Run(int argc, char** argv) {
                     static_cast<double>(replicates));
   }
   args.WarnUnknownKeys("bench_caching");
-  return 0;
+  return datapoint_ok ? 0 : 1;
 }
 
 }  // namespace

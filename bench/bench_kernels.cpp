@@ -16,8 +16,8 @@
 // list (PackedGenotypeBlock::DosageRowsInto) and `row_sum` it; the decode
 // walk is also timed alone.
 //
-// Keys: patients= count= iters= snps= seed= out=<json path>
-// `out=` writes a BENCH_kernels.json datapoint consumed by
+// Keys: patients= count= iters= snps= seed= datapoint=<json path>
+// `datapoint=` writes a BENCH_kernels.json datapoint consumed by
 // tools/check_bench.py (the bench_kernels_smoke ctest gate).
 #include <algorithm>
 #include <cstdint>
@@ -291,7 +291,7 @@ int Run(int argc, char** argv) {
   const bool sanitized = false;
 #endif
 
-  const std::string out_path = args.GetStr("out", "");
+  const std::string out_path = args.GetStr("datapoint", "");
   if (!out_path.empty()) {
     std::FILE* out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {

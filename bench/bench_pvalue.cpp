@@ -8,8 +8,8 @@
 // (saddlepoint screen + Besag–Clifford early stopping). Reports replicate
 // consumption, wall time, per-set agreement, and the savings ratio.
 //
-// Keys: patients= snps= sets= reps= h= threshold= seed= out=<json path>
-// `out=` writes a BENCH_pvalue.json datapoint consumed by
+// Keys: patients= snps= sets= reps= h= threshold= seed= datapoint=<json path>
+// `datapoint=` writes a BENCH_pvalue.json datapoint consumed by
 // tools/check_bench.py (the bench_pvalue_smoke ctest gate:
 // savings >= 10x, zero classification disagreements, tolerances hold).
 // The datapoint also records wall_ratio (hybrid seconds / exhaustive
@@ -147,7 +147,7 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(disagreements),
       static_cast<unsigned long long>(tolerance_violations));
 
-  const std::string out_path = args.GetStr("out", "");
+  const std::string out_path = args.GetStr("datapoint", "");
   if (!out_path.empty()) {
     std::FILE* out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {

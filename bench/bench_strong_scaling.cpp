@@ -40,6 +40,12 @@ int Run(int argc, char** argv) {
   // amortizing one recompute over a whole batch.
   base.pipeline.resampling_batch_size =
       std::max<std::uint64_t>(1, args.GetU64("batch", 1));
+  // One worker by default: tasks then reach the LRU cache in partition
+  // order, so the cache table (hits, misses, evictions) repeats exactly
+  // from run to run, and no replayed task time includes a concurrent
+  // task's contention. With threads>1 the order in which the last tasks
+  // of a pass finish decides which partitions survive it.
+  base.engine.physical_threads = args.GetU64("threads", 1);
 
   // The data are scaled ~50x below the paper's; the scheduling overheads
   // must scale with them or they dominate every prediction and flatten

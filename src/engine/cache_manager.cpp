@@ -1,11 +1,9 @@
 #include "engine/cache_manager.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "engine/trace.hpp"
 #include "support/log.hpp"
-#include "support/status.hpp"
 
 namespace ss::engine {
 
@@ -40,15 +38,13 @@ std::shared_ptr<void> CacheManager::Lookup(const CacheKey& key) {
 }
 
 void CacheManager::Insert(const CacheKey& key, std::shared_ptr<void> value,
-                          std::uint64_t bytes, int node,
-                          double compute_seconds) {
+                          std::uint64_t bytes, int node) {
   static std::atomic<std::uint64_t>& insertions =
       CacheCounter("cache.insertions");
   support::MutexLock lock(mutex_);
   EraseLocked(key);  // refresh semantics
   lru_.push_front(key);
-  entries_[key] =
-      Entry{std::move(value), bytes, node, compute_seconds, lru_.begin()};
+  entries_[key] = Entry{std::move(value), bytes, node, lru_.begin()};
   stats_.bytes_cached += bytes;
   ++stats_.insertions;
   insertions.fetch_add(1, std::memory_order_relaxed);
@@ -61,40 +57,20 @@ void CacheManager::Insert(const CacheKey& key, std::shared_ptr<void> value,
 
 void CacheManager::EvictIfNeededLocked() {
   SS_ASSERT_HELD(mutex_);
-  if (capacity_bytes_ == 0) return;
-  while (stats_.bytes_cached > capacity_bytes_ && lru_.size() > 1) {
-    EvictOneLocked();
-  }
-}
-
-void CacheManager::EvictOneLocked() {
-  SS_ASSERT_HELD(mutex_);
   static std::atomic<std::uint64_t>& evictions =
       CacheCounter("cache.evictions");
-
-  // Victim = cheapest recompute per byte; ties fall to the least recently
-  // used. The MRU front entry (just inserted) is exempt, so
-  // the cache never evicts its only entry.
-  auto victim_it = lru_.end();
-  double victim_cost = 0.0;
-  for (auto it = std::next(lru_.begin()); it != lru_.end(); ++it) {
-    const Entry& entry = entries_.at(*it);
-    const double cost =
-        entry.compute_seconds /
-        static_cast<double>(std::max<std::uint64_t>(1, entry.bytes));
-    if (victim_it == lru_.end() || cost <= victim_cost) {
-      victim_it = it;
-      victim_cost = cost;
-    }
+  if (capacity_bytes_ == 0) return;
+  // The victim is the least recently used entry; the MRU front entry
+  // (just inserted) is exempt, so the cache never evicts its only entry.
+  while (stats_.bytes_cached > capacity_bytes_ && lru_.size() > 1) {
+    const CacheKey victim = lru_.back();
+    Tracer::Global().Instant("cache", "evict",
+                             {Arg("dataset", victim.node_id),
+                              Arg("partition", victim.partition)});
+    EraseLocked(victim);
+    ++stats_.evictions;
+    evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  SS_CHECK(victim_it != lru_.end());
-  const CacheKey victim = *victim_it;
-  Tracer::Global().Instant("cache", "evict",
-                           {Arg("dataset", victim.node_id),
-                            Arg("partition", victim.partition)});
-  EraseLocked(victim);
-  ++stats_.evictions;
-  evictions.fetch_add(1, std::memory_order_relaxed);
 }
 
 void CacheManager::EraseLocked(const CacheKey& key) {
@@ -104,15 +80,6 @@ void CacheManager::EraseLocked(const CacheKey& key) {
   stats_.bytes_cached -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
-}
-
-void CacheManager::DropDataset(std::uint64_t node_id) {
-  support::MutexLock lock(mutex_);
-  std::vector<CacheKey> victims;
-  for (const auto& [key, entry] : entries_) {
-    if (key.node_id == node_id) victims.push_back(key);
-  }
-  for (const CacheKey& key : victims) EraseLocked(key);
 }
 
 int CacheManager::DropNode(int node) {
@@ -131,13 +98,6 @@ int CacheManager::DropNode(int node) {
                            << victims.size() << " cached partitions";
   }
   return static_cast<int>(victims.size());
-}
-
-void CacheManager::Clear() {
-  support::MutexLock lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  stats_.bytes_cached = 0;
 }
 
 void CacheManager::SetCapacityBytes(std::uint64_t capacity_bytes) {

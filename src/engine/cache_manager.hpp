@@ -9,14 +9,14 @@
 // cheap restores under a tight budget should read its genotypes from a
 // store (`store=`): those frames are the durable tier.
 //
-// Eviction is cost-based rather than pure LRU: each entry records what
-// its recompute cost (the task stopwatch around ComputePartition), and
-// the victim is the entry with the cheapest
-// recompute per byte (ties fall to least-recently-used). Each entry also
-// records the simulated node where the computing task ran so that an
-// injected node failure drops exactly that node's partitions, forcing
-// lineage recomputation — the fault-tolerance property the RDD paper
-// centres on.
+// Eviction is plain LRU, as in Spark's MemoryStore: a Lookup hit or an
+// Insert makes an entry the most recently used, and the victim is the
+// least recently used entry. The just-inserted entry is never the victim.
+// A cyclic scan over more partitions than the budget holds is LRU's worst
+// case: every re-read misses. Each entry also records the simulated node
+// where the computing task ran so that an injected node failure drops
+// exactly that node's partitions, forcing lineage recomputation — the
+// fault-tolerance property the RDD paper centres on.
 #pragma once
 
 #include <cstdint>
@@ -53,22 +53,12 @@ class CacheManager {
   /// Oversized single entries (larger than the whole budget) are admitted
   /// and the cache simply holds only them; matching Spark, the computation
   /// must still succeed even if caching is ineffective.
-  ///
-  /// `compute_seconds` is the lineage cost of this partition (what a
-  /// recompute would pay, from the task stopwatch); it ranks the entry
-  /// for eviction.
   void Insert(const CacheKey& key, std::shared_ptr<void> value,
-              std::uint64_t bytes, int node, double compute_seconds = 0.0);
-
-  /// Removes all partitions of a dataset (Dataset::Unpersist).
-  void DropDataset(std::uint64_t node_id);
+              std::uint64_t bytes, int node);
 
   /// Removes everything cached on a simulated node (node failure).
   /// Returns the number of partitions dropped.
   int DropNode(int node);
-
-  /// Drops everything.
-  void Clear();
 
   /// Re-applies the budget (0 = unlimited), evicting down to the new
   /// value. Lets PipelineConfig::cache_budget_bytes constrain a context
@@ -83,12 +73,10 @@ class CacheManager {
     std::shared_ptr<void> value;
     std::uint64_t bytes = 0;
     int node = 0;
-    double compute_seconds = 0.0;  ///< Lineage cost (recompute estimate).
     std::list<CacheKey>::iterator lru_it;
   };
 
   void EvictIfNeededLocked() SS_REQUIRES(mutex_);
-  void EvictOneLocked() SS_REQUIRES(mutex_);
   void EraseLocked(const CacheKey& key) SS_REQUIRES(mutex_);
 
   mutable support::RankedMutex mutex_{support::lock_rank::kCache};

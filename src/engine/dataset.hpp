@@ -353,9 +353,6 @@ class Dataset {
     return *this;
   }
 
-  /// Drops cached partitions (the dataset remains usable via lineage).
-  void Unpersist() const { node_->Unpersist(); }
-
   // -- Actions (eager) -----------------------------------------------------
 
   /// All elements, in partition order.

@@ -54,9 +54,6 @@ class NodeBase {
   void EnableCache() { cache_enabled_ = true; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// Drops this node's partitions from the cache.
-  void Unpersist() { ctx_->cache().DropDataset(id_); }
-
   /// Driver-side preparation: recursively readies parents, then this node.
   /// Shuffle nodes materialize their map stage here; narrow nodes no-op.
   /// Idempotent and safe to call repeatedly.
@@ -137,7 +134,7 @@ class Node : public NodeBase {
           static_cast<std::uint64_t>(compute_seconds * 1e9),
           std::memory_order_relaxed);
       ctx_->cache().Insert(key, computed, ApproxBytesOfPartition(*computed),
-                           task.node(), compute_seconds);
+                           task.node());
       return computed;
     }
     return std::make_shared<const std::vector<T>>(

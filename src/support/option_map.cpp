@@ -135,9 +135,8 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"budget_iters", OptionType::kU64, "",
        "replicates for the budget-mode comparison", "bench", {}},
       {"datapoint", OptionType::kString, "",
-       "append a JSON datapoint for this run to the given file", "bench", {}},
-      {"out", OptionType::kString, "", "bench output artifact path", "bench",
-       {}},
+       "write this run's JSON datapoint to the given file (overwrites it)",
+       "bench", {}},
       {"work", OptionType::kU64, "", "per-task synthetic work units", "bench",
        {}},
       {"count", OptionType::kU64, "", "bench-specific element count", "bench",

@@ -1,6 +1,6 @@
 // CacheManager unit tests plus Dataset::Cache() integration: hit counting,
-// cost-based eviction, node-tagged drops, and the guarantee that eviction
-// never changes results (lineage recomputes).
+// LRU eviction, node-tagged drops, and the guarantee that eviction never
+// changes results (lineage recomputes).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -69,17 +69,6 @@ TEST(CacheManagerTest, UnlimitedCapacityNeverEvicts) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(CacheManagerTest, DropDatasetRemovesAllItsPartitions) {
-  CacheManager cache;
-  cache.Insert({1, 0}, Payload(0), 10, 0);
-  cache.Insert({1, 1}, Payload(1), 10, 0);
-  cache.Insert({2, 0}, Payload(2), 10, 0);
-  cache.DropDataset(1);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
-  EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
-  EXPECT_NE(cache.Lookup({2, 0}), nullptr);
-}
-
 TEST(CacheManagerTest, DropNodeRemovesOnlyThatNodesEntries) {
   CacheManager cache;
   cache.Insert({1, 0}, Payload(0), 10, /*node=*/0);
@@ -90,42 +79,32 @@ TEST(CacheManagerTest, DropNodeRemovesOnlyThatNodesEntries) {
   EXPECT_EQ(cache.stats().dropped_by_failure, 1u);
 }
 
-TEST(CacheManagerTest, ClearResetsOccupancy) {
-  CacheManager cache;
-  cache.Insert({1, 0}, Payload(0), 10, 0);
-  cache.Clear();
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.stats().bytes_cached, 0u);
-}
+// -- Budget: LRU eviction, drop-on-evict ------------------------------------
 
-// -- Budget: cost-based eviction, drop-on-evict ------------------------------
-
-TEST(CacheBudgetTest, EvictsCheapestRecomputePerByte) {
-  CacheManager cache(/*capacity=*/250);
-  // {1,0} is least recently used, but {1,1} is ten times cheaper to
-  // recompute, so it is the rational victim.
-  cache.Insert({1, 0}, Payload(0), 100, 0, /*compute_seconds=*/10.0);
-  cache.Insert({1, 1}, Payload(1), 100, 0, /*compute_seconds=*/1.0);
-  cache.Insert({1, 2}, Payload(2), 100, 0, /*compute_seconds=*/10.0);
+TEST(CacheBudgetTest, EvictsLeastRecentlyUsed) {
+  CacheManager cache(/*capacity=*/300);
+  cache.Insert({1, 0}, Payload(0), 100, 0);
+  cache.Insert({1, 1}, Payload(1), 100, 0);
+  cache.Insert({1, 2}, Payload(2), 100, 0);
+  // Recency order (MRU first) is now 2, 1, 0; the lookup makes it 0, 2, 1.
+  ASSERT_NE(cache.Lookup({1, 0}), nullptr);
+  cache.Insert({1, 3}, Payload(3), 100, 0);  // 400 > 300: evict {1,1}
   EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
-  EXPECT_NE(cache.Lookup({1, 0}), nullptr);  // the LRU entry survived
   EXPECT_EQ(cache.stats().evictions, 1u);
+  // Order 3, 0, 2 (the miss above touched nothing): {1,2} goes next.
+  cache.Insert({1, 4}, Payload(4), 100, 0);
+  EXPECT_EQ(cache.Lookup({1, 2}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 0}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 3}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 4}), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 2u);
 
-  // The cost is per byte: the same recompute time over twice the bytes
-  // is the cheaper eviction. Equal costs fall to the LRU entry.
-  CacheManager per_byte(/*capacity=*/350);
-  per_byte.Insert({2, 0}, Payload(0), 100, 0, /*compute_seconds=*/1.0);
-  per_byte.Insert({2, 1}, Payload(1), 200, 0, /*compute_seconds=*/1.0);
-  per_byte.Insert({2, 2}, Payload(2), 100, 0, /*compute_seconds=*/1.0);
-  EXPECT_EQ(per_byte.Lookup({2, 1}), nullptr);
-  EXPECT_NE(per_byte.Lookup({2, 0}), nullptr);
-
-  CacheManager tie(/*capacity=*/250);
-  tie.Insert({3, 0}, Payload(0), 100, 0, /*compute_seconds=*/1.0);
-  tie.Insert({3, 1}, Payload(1), 100, 0, /*compute_seconds=*/1.0);
-  tie.Insert({3, 2}, Payload(2), 100, 0, /*compute_seconds=*/1.0);
-  EXPECT_EQ(tie.Lookup({3, 0}), nullptr);
-  EXPECT_NE(tie.Lookup({3, 1}), nullptr);
+  // The just-inserted entry is never the victim, even when evicting every
+  // older entry still leaves the cache over budget.
+  cache.Insert({1, 5}, Payload(5), 1000, 0);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_NE(cache.Lookup({1, 5}), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 5u);
 }
 
 TEST(CacheBudgetTest, EvictionDropsAndMissRecomputes) {
@@ -209,21 +188,6 @@ TEST(DatasetCacheTest, UncachedDatasetRecomputes) {
   EXPECT_EQ(compute_calls.load(), 8);
 }
 
-TEST(DatasetCacheTest, UnpersistForcesRecompute) {
-  EngineContext ctx(LocalOptions());
-  std::atomic<int> compute_calls{0};
-  auto ds = Parallelize(ctx, std::vector<int>{1, 2}, 1)
-                .Map([&compute_calls](const int& x) {
-                  compute_calls.fetch_add(1);
-                  return x;
-                });
-  ds.Cache();
-  ds.Collect();
-  ds.Unpersist();
-  ds.Collect();
-  EXPECT_EQ(compute_calls.load(), 4);
-}
-
 TEST(DatasetCacheTest, EvictionNeverChangesResults) {
   // Tiny cache budget forces constant eviction; lineage recomputation must
   // keep results identical.
@@ -236,6 +200,31 @@ TEST(DatasetCacheTest, EvictionNeverChangesResults) {
   const auto second = ds.Collect();
   EXPECT_EQ(first, second);
   EXPECT_GT(ctx.cache().stats().evictions, 0u);
+}
+
+TEST(DatasetCacheTest, CyclicScanOverBudgetMissesEveryPartition) {
+  // LRU's worst case, pinned so that a policy change is deliberate: a
+  // scan over 8 equal partitions with room for 4 evicts each partition
+  // before the next pass reaches it, so the second pass hits nothing.
+  EngineContext::Options options = LocalOptions(
+      4 * ApproxBytesOfPartition(std::vector<int>(8)));
+  options.physical_threads = 1;  // tasks run in partition order
+  EngineContext ctx(options);
+  std::vector<int> data(64);
+  std::iota(data.begin(), data.end(), 0);
+  auto ds = Parallelize(ctx, data, 8).Map([](const int& x) { return x - 1; });
+  ds.Cache();
+  const auto first = ds.Collect();
+  const CacheStats after_first = ctx.cache().stats();
+  EXPECT_EQ(after_first.hits, 0u);
+  EXPECT_EQ(after_first.misses, 8u);
+  EXPECT_EQ(after_first.evictions, 4u);
+  EXPECT_EQ(ds.Collect(), first);
+  const CacheStats after_second = ctx.cache().stats();
+  EXPECT_EQ(after_second.hits - after_first.hits, 0u);
+  EXPECT_EQ(after_second.misses - after_first.misses, 8u);
+  EXPECT_EQ(after_second.evictions - after_first.evictions, 8u);
+  EXPECT_EQ(ctx.cache().entry_count(), 4u);
 }
 
 TEST(DatasetCacheTest, DownstreamOfCachedNodeUsesCache) {

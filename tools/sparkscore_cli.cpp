@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,13 +91,36 @@ ss::stats::Phenotype StudyPhenotype(
       "model must be cox|gaussian|binomial, got '" + model + "'"));
 }
 
+/// Why the generator or the partitioner cannot serve this workload shape,
+/// or nullptr when they can. OpenStudy refuses a bad shape before any work
+/// (InvalidArgument, exit 2) instead of crashing on it.
+const char* BadShape(std::uint64_t patients, std::uint64_t snps,
+                     std::uint64_t sets, std::uint64_t partitions) {
+  if (std::max({patients, snps, sets, partitions}) >
+      std::numeric_limits<std::uint32_t>::max()) {
+    return "patients, snps, sets and partitions must each be below 2^32";
+  }
+  if (patients < 2) return "patients must be >= 2";
+  if (sets < 1) return "sets must be >= 1";
+  if (snps < sets) return "snps must be >= sets";
+  if (partitions < 1) return "partitions must be >= 1";
+  return nullptr;
+}
+
 Study OpenStudy(const CliArgs& args) {
   Study study;
+  const std::uint64_t patients = args.GetU64("patients", 300);
+  const std::uint64_t snps = args.GetU64("snps", 2000);
+  const std::uint64_t sets = args.GetU64("sets", 100);
+  const std::uint64_t partitions = args.GetU64("partitions", 8);
+  if (const char* problem = BadShape(patients, snps, sets, partitions)) {
+    throw ss::StatusError(
+        ss::Status(ss::StatusCode::kInvalidArgument, problem));
+  }
   ss::simdata::GeneratorConfig generator;
-  generator.num_patients =
-      static_cast<std::uint32_t>(args.GetU64("patients", 300));
-  generator.num_snps = static_cast<std::uint32_t>(args.GetU64("snps", 2000));
-  generator.num_sets = static_cast<std::uint32_t>(args.GetU64("sets", 100));
+  generator.num_patients = static_cast<std::uint32_t>(patients);
+  generator.num_snps = static_cast<std::uint32_t>(snps);
+  generator.num_sets = static_cast<std::uint32_t>(sets);
   generator.seed = args.GetU64("seed", 2016);
   generator.ld_block_size =
       static_cast<std::uint32_t>(args.GetU64("ld_block", 1));
@@ -106,8 +130,7 @@ Study OpenStudy(const CliArgs& args) {
       .num_nodes = std::max(2, nodes),
       .replication = 2,
       .block_lines = std::max<std::uint32_t>(
-          1, generator.num_snps /
-                 static_cast<std::uint32_t>(args.GetU64("partitions", 8)))});
+          1, generator.num_snps / static_cast<std::uint32_t>(partitions))});
 
   ss::engine::EngineContext::Options options;
   options.topology = ss::cluster::EmrCluster(nodes);
@@ -122,8 +145,7 @@ Study OpenStudy(const CliArgs& args) {
 
   ss::core::PipelineConfig config;
   config.seed = generator.seed;
-  config.num_partitions =
-      static_cast<std::uint32_t>(args.GetU64("partitions", 8));
+  config.num_partitions = static_cast<std::uint32_t>(partitions);
   config.num_reducers = static_cast<std::uint32_t>(args.GetU64("reducers", 8));
   // Resampling replicates per engine pass; results are bitwise invariant
   // to this knob (batch=1 recovers per-replicate scheduling).
