@@ -24,26 +24,27 @@ namespace {
 /// One Fig-4/5-style sweep over iteration counts, cached vs uncached.
 /// The uncached sweep stops early (`uncached_max`) exactly as the paper's
 /// N/A cells do — the configuration becomes impractically slow.
-void RunSweep(const char* figure, const Workload& base,
+void RunSweep(const char* figure, const core::StudySpec& base,
               const std::vector<std::uint64_t>& iteration_counts,
               std::uint64_t uncached_max, int reps, const Args* args) {
   Table table(figure, {"iterations", "MC w/ cache", "MC w/o cache"});
   double cached_at_max = 0.0;
   double uncached_at_cutoff = 0.0;
   for (std::uint64_t iters : iteration_counts) {
-    Workload cached = base;
+    core::StudySpec cached = base;
     cached.pipeline.cache_contributions = true;
     const auto cached_runs = TimeAnalysisRuns(
         cached, reps,
         [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+          core::RunResampling(pipeline,
+                              {core::ResamplingMethod::kMonteCarlo, iters});
         },
         args);
     cached_at_max = Mean(cached_runs);
 
     std::string uncached_cell = "N/A";
     if (iters <= uncached_max) {
-      Workload uncached = base;
+      core::StudySpec uncached = base;
       uncached.pipeline.cache_contributions = false;
       // Keep the paper's uncached cost model honest: a batched pass would
       // amortize the lineage recomputation over the whole batch, which is
@@ -51,7 +52,8 @@ void RunSweep(const char* figure, const Workload& base,
       uncached.pipeline.resampling_batch_size = 1;
       const auto uncached_runs =
           TimeAnalysisRuns(uncached, reps, [&](core::SkatPipeline& pipeline) {
-            core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+            core::RunResampling(pipeline,
+                                {core::ResamplingMethod::kMonteCarlo, iters});
           });
       uncached_cell = MeanStdevCell(uncached_runs);
       uncached_at_cutoff = Mean(uncached_runs);
@@ -77,7 +79,8 @@ void RunSweep(const char* figure, const Workload& base,
 /// recompute, so the tight run pays for every evicted partition it reads
 /// again; the printed ratio is that cost. `datapoint=<file>` records the
 /// result as JSON. Returns false when that file cannot be written.
-bool RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
+bool RunConstrainedBudget(const core::StudySpec& base, int reps,
+                          const Args& args) {
   // Default budget: ~a quarter of the U RDD footprint (one row of n
   // doubles per SNP), forcing evictions while keeping some partitions.
   const std::uint64_t u_bytes =
@@ -87,14 +90,13 @@ bool RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
       args.GetU64("budget", std::max<std::uint64_t>(1, u_bytes / 4));
   const std::uint64_t iters = args.GetU64("budget_iters", 100);
 
-  Workload unlimited = base;
+  core::StudySpec unlimited = base;
   unlimited.pipeline.cache_contributions = true;
-  Workload tight = unlimited;
+  core::StudySpec tight = unlimited;
   tight.engine.cache_capacity_bytes = budget;
-  tight.pipeline.cache_budget_bytes = budget;
 
   const auto mc = [iters](core::SkatPipeline& pipeline) {
-    core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+    core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters});
   };
   // Medians, not means: one slow rep (host noise) must not decide a
   // millisecond-scale comparison.
@@ -103,7 +105,7 @@ bool RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   };
   const double t_unlimited = median(TimeAnalysisRuns(unlimited, reps, mc));
   // Runs last with args so metrics=/trace= artifacts capture a run whose
-  // cache stats include nonzero evictions. Workload::Build zeroes the
+  // cache stats include nonzero evictions. core::OpenStudy zeroes the
   // counter registry, so the counters read after it describe exactly the
   // last timed repetition.
   const double t_tight = median(TimeAnalysisRuns(tight, reps, mc, &args));
@@ -152,18 +154,29 @@ bool RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   return true;
 }
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
+int Run(const Args& args) {
   const std::uint64_t snps_small = args.GetU64("snps_small", 500);
   const std::uint64_t snps_large = args.GetU64("snps_large", 5000);
   const int reps = static_cast<int>(args.GetU64("reps", 2));
+  // `mode=budget` skips the figure sweeps and runs only the constrained-
+  // budget comparison, on one worker by default: tasks then reach the LRU
+  // cache in partition order, so its eviction and compute counts repeat
+  // from run to run (with more workers the order in which a pass's last
+  // tasks finish decides which partitions survive it).
+  const bool sweeps = args.GetStr("mode", "all") != "budget";
 
-  // The small/large sweeps override snps/sets per figure; every other key
-  // (patients=, seed=, batch=, threads=, ...) flows through DefaultWorkload.
-  Workload small = DefaultWorkload(args, snps_small, snps_small / 10);
-  small.generator.num_snps = static_cast<std::uint32_t>(snps_small);
-  small.generator.num_sets = static_cast<std::uint32_t>(snps_small / 10);
+  // The small and large figures set their own SNP and set counts (snps=
+  // and sets= are not accepted); every other workload and engine key
+  // (patients=, seed=, batch=, threads=, ...) applies to both.
+  const auto figure_spec = [&args, sweeps](std::uint64_t snps) {
+    core::StudySpec spec = BenchSpec(static_cast<std::uint32_t>(snps),
+                                     static_cast<std::uint32_t>(snps / 10));
+    spec.engine.topology = cluster::EmrCluster(18);
+    if (!sweeps) spec.engine.physical_threads = 1;
+    return core::ApplyStudyKeys(args, spec).value();
+  };
+  const core::StudySpec small = figure_spec(snps_small);
+  const core::StudySpec large = figure_spec(snps_large);
 
   char scale[256];
   std::snprintf(scale, sizeof(scale),
@@ -177,19 +190,12 @@ int Run(int argc, char** argv) {
               "Figures 4 & 5 + Tables IV & V (MC with vs without caching)",
               scale);
 
-  small.engine.topology = cluster::EmrCluster(18);
-  // `mode=budget` skips the figure sweeps and runs only the constrained-
-  // budget comparison.
-  const bool sweeps = args.GetStr("mode", "all") != "budget";
   if (sweeps) {
     // Fig 4's x-axis (10, 100, ..., 10000) scaled down by ~10.
     RunSweep("Figure 4 / Table V — small genotype matrix (seconds)", small,
              {0, 10, 50, 100, 200, 500, 1000},
              /*uncached_max=*/100, reps, &args);
 
-    Workload large = small;
-    large.generator.num_snps = static_cast<std::uint32_t>(snps_large);
-    large.generator.num_sets = static_cast<std::uint32_t>(snps_large / 10);
     // Fig 5's x-axis (10..1000) scaled down by ~10.
     RunSweep("Figure 5 — large genotype matrix (seconds)", large,
              {0, 10, 50, 100}, /*uncached_max=*/10, reps, &args);
@@ -199,9 +205,10 @@ int Run(int argc, char** argv) {
   // (budget= budget_iters= datapoint= keys).
   const bool datapoint_ok = RunConstrainedBudget(small, reps, args);
 
-  // Per-replicate cost, amortized over every batch the sweeps ran — the
-  // honest per-replicate figure now that one engine pass serves a whole
-  // batch (see docs/OBSERVABILITY.md, `resampling.*` counters).
+  // Per-replicate cost of the last timed run (each study opens with
+  // zeroed counters), amortized over its batches — the honest
+  // per-replicate figure now that one engine pass serves a whole batch
+  // (see docs/OBSERVABILITY.md, `resampling.*` counters).
   const std::uint64_t nanos =
       engine::CounterRegistry::Global().Get("resampling.batch_nanos").load();
   const std::uint64_t replicates =
@@ -216,11 +223,15 @@ int Run(int argc, char** argv) {
                 static_cast<double>(nanos) / 1e6 /
                     static_cast<double>(replicates));
   }
-  args.WarnUnknownKeys("bench_caching");
   return datapoint_ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv,
+                             {"snps_small", "snps_large", "reps", "mode",
+                              "budget", "budget_iters", "datapoint"},
+                             ss::bench::Run, /*fixed=*/{"snps", "sets"});
+}

@@ -4,7 +4,9 @@
 // sizes default to scaled-down values that finish in seconds on a laptop;
 // pass key=value arguments (e.g. `bench_caching snps_large=100000 reps=5`)
 // to approach the paper's sizes. Every bench prints the scale it ran at so
-// EXPERIMENTS.md comparisons stay honest.
+// EXPERIMENTS.md comparisons stay honest. The study front end — key
+// checks, observability, staging, artifacts — is core/study.hpp, shared
+// with the CLI.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
+#include "core/study.hpp"
 #include "support/option_map.hpp"
 #include "support/stopwatch.hpp"
 #include "support/summary.hpp"
@@ -22,25 +25,22 @@
 
 namespace ss::bench {
 
-/// key=value command-line arguments with typed getters and unknown-key
-/// diagnostics; shared with the CLI. Benches should finish with
-/// `args.WarnUnknownKeys(<bench name>)` so typos are not silently ignored.
 using Args = support::OptionMap;
 
-/// Applies the shared observability keys every bench accepts:
-/// trace=<file> enables the engine tracer (the file is written by
-/// WriteRunArtifacts), metrics=<file> selects the run-summary path,
-/// profile=0|1 toggles task-timeline collection (default on; results are
-/// bitwise identical either way), and loglevel=debug|info|warn|error
-/// adjusts stderr verbosity. Call once before the timing loops; see
-/// docs/OBSERVABILITY.md.
-void ConfigureObservability(const Args& args);
+/// main() of a bench that builds studies: accepts the workload, engine and
+/// observability keys, faithful=, and the bench's own `keys` except the
+/// `fixed` ones it sets itself; refuses anything else with exit 2 before
+/// any work (core::RunStudyTool), then runs `body`.
+int RunBench(int argc, char** argv, std::vector<std::string> keys,
+             const std::function<int(const Args&)>& body,
+             std::vector<std::string> fixed = {});
 
-/// Writes the trace=/metrics= artifacts named in `args` from `ctx`'s
-/// recorded state. A path of "-" streams instead of writing a file —
-/// metrics to stdout, trace to stderr — for piping into tools/ss_prof.py
-/// or tools/check_trace.py. No-op for keys that were not passed.
-void WriteRunArtifacts(const Args& args, engine::EngineContext& ctx);
+/// The benches' default study, ~50x below the paper's Table II shape per
+/// dimension: 200 patients, 8 partitions on 6 nodes, 4 worker threads and
+/// the paper's cost regime (faithful=1: per-patient O(n²) Cox scores, a
+/// rebuild per permutation replicate, Monte Carlo over the cached U).
+/// Each bench sets its own defaults on top, then core::ApplyStudyKeys.
+core::StudySpec BenchSpec(std::uint32_t snps, std::uint32_t sets);
 
 /// Prints the bench banner: paper reference, simulated hardware (Table I),
 /// and the scale the bench runs at.
@@ -50,53 +50,17 @@ void PrintBanner(const std::string& bench_name, const std::string& reproduces,
 /// Times `fn` once, returning seconds.
 double TimeOnce(const std::function<void()>& fn);
 
-/// Times `fn` `reps` times, returning all measurements.
-std::vector<double> TimeRepeated(int reps, const std::function<void()>& fn);
-
-struct Workload;
-
-/// Builds a fresh pipeline per repetition (outside the timer — generation
-/// and DFS staging are not part of the measured analysis, matching the
-/// paper's timing of the Spark job only) and times `fn` over it. When
-/// `args` is given, the trace=/metrics= artifacts are written from the
-/// last repetition's context before it is torn down.
+/// Opens a fresh study per repetition (outside the timer — generation and
+/// staging are not part of the measured analysis, matching the paper's
+/// timing of the Spark job only) and times `fn` over it. When `args` is
+/// given, the last repetition's run artifacts are written
+/// (core::WriteRunArtifacts) before its study is torn down.
 std::vector<double> TimeAnalysisRuns(
-    const Workload& workload, int reps,
+    const core::StudySpec& spec, int reps,
     const std::function<void(core::SkatPipeline&)>& fn,
     const Args* args = nullptr);
 
 /// "123.4 ± 5.6" formatting for Table III/V style cells.
 std::string MeanStdevCell(const std::vector<double>& seconds);
-
-/// A generated study plus the engine scaffolding to analyze it.
-struct Workload {
-  simdata::GeneratorConfig generator;
-  core::PipelineConfig pipeline;
-  engine::EngineContext::Options engine;
-
-  /// Stage inputs in the mini-DFS and read them through Algorithm 1's
-  /// text-file path (default). This matters for the caching experiment:
-  /// without the cached U RDD each replicate re-reads and re-parses its
-  /// inputs, exactly like Spark re-scanning HDFS. Set false for a pure
-  /// in-memory pipeline.
-  bool use_dfs = true;
-
-  /// Builds a DFS (when configured) + context + pipeline over freshly
-  /// generated data; all owned by the returned Instance, destroyed
-  /// together (members declared in dependency order). Zeroes the
-  /// process-global CounterRegistry first so each configuration's
-  /// metrics JSON reflects only its own run.
-  struct Instance {
-    std::unique_ptr<dfs::MiniDfs> dfs;
-    std::unique_ptr<engine::EngineContext> ctx;
-    std::unique_ptr<core::SkatPipeline> pipeline;
-  };
-  Instance Build() const;
-};
-
-/// Default scaled-down workload derived from the paper's Table II shape
-/// (n patients=1000, 100k SNPs, 1000 sets) shrunk by ~50x per dimension.
-Workload DefaultWorkload(const Args& args, std::uint64_t snps_default = 2000,
-                         std::uint64_t sets_default = 100);
 
 }  // namespace ss::bench

@@ -13,23 +13,18 @@
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-  Workload workload = DefaultWorkload(args, /*snps_default=*/5000,
-                                      /*sets_default=*/200);
-  workload.pipeline.num_partitions =
-      static_cast<std::uint32_t>(args.GetU64("partitions", 512));
-  workload.pipeline.num_reducers =
-      static_cast<std::uint32_t>(args.GetU64("reducers", 64));
+int Run(const Args& args) {
+  core::StudySpec spec = BenchSpec(/*snps=*/5000, /*sets=*/200);
+  spec.pipeline.num_partitions = 512;
+  spec.pipeline.num_reducers = 64;
+  spec = core::ApplyStudyKeys(args, spec).value();
 
   char scale[256];
   std::snprintf(scale, sizeof(scale),
                 "patients=%u snps=%u sets=%u partitions=%u (paper Table VII: "
                 "n=1000, 1M SNPs, 1000 sets, 36 nodes)",
-                workload.generator.num_patients, workload.generator.num_snps,
-                workload.generator.num_sets,
-                workload.pipeline.num_partitions);
+                spec.generator.num_patients, spec.generator.num_snps,
+                spec.generator.num_sets, spec.pipeline.num_partitions);
   PrintBanner("bench_containers",
               "Figure 7 + Tables VII & VIII (container auto-tuning on YARN)",
               scale);
@@ -55,18 +50,19 @@ int Run(int argc, char** argv) {
                 {"iterations", "42 containers", "84 containers",
                  "126 containers", "max/min"});
   for (std::uint64_t iters : iteration_counts) {
-    Workload::Instance instance = workload.Build();
-    instance.ctx->metrics().Reset();
-    core::RunResampling(*instance.pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+    core::Study study = core::OpenStudy(spec).value();
+    study.ctx->metrics().Reset();
+    core::RunResampling(*study.pipeline,
+                        {core::ResamplingMethod::kMonteCarlo, iters});
     if (iters == iteration_counts.back()) {
-      WriteRunArtifacts(args, *instance.ctx);
+      core::WriteRunArtifacts(args, *study.ctx);
     }
 
     std::vector<std::string> row = {std::to_string(iters)};
     double lo = 1e100;
     double hi = 0.0;
     for (const auto& topology : configs) {
-      const double t = instance.ctx->ReplayOn(topology).total_s;
+      const double t = study.ctx->ReplayOn(topology).total_s;
       row.push_back(Table::Num(t, 2));
       lo = std::min(lo, t);
       hi = std::max(hi, t);
@@ -85,4 +81,6 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv, {}, ss::bench::Run);
+}

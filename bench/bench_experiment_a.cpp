@@ -18,12 +18,10 @@
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-  Workload workload = DefaultWorkload(args);
-  workload.generator.num_patients =
-      static_cast<std::uint32_t>(args.GetU64("patients", 300));
+int Run(const Args& args) {
+  core::StudySpec spec = BenchSpec(/*snps=*/2000, /*sets=*/100);
+  spec.generator.num_patients = 300;
+  spec = core::ApplyStudyKeys(args, spec).value();
   const std::uint64_t mc_max = args.GetU64("mc_max_iters", 1000);
   const int reps = static_cast<int>(args.GetU64("reps", 5));
 
@@ -31,11 +29,11 @@ int Run(int argc, char** argv) {
   std::snprintf(scale, sizeof(scale),
                 "patients=%u snps=%u sets=%u nodes=%d reps=%d batch=%llu "
                 "(paper: 1000/100000/1000/6/5)",
-                workload.generator.num_patients, workload.generator.num_snps,
-                workload.generator.num_sets,
-                workload.engine.topology.num_nodes, reps,
+                spec.generator.num_patients, spec.generator.num_snps,
+                spec.generator.num_sets,
+                spec.engine.topology.num_nodes, reps,
                 static_cast<unsigned long long>(
-                    workload.pipeline.resampling_batch_size));
+                    spec.pipeline.resampling_batch_size));
   PrintBanner("bench_experiment_a",
               "Figure 2 + Tables II & III (MC vs permutation scalability)",
               scale);
@@ -55,12 +53,14 @@ int Run(int argc, char** argv) {
   std::vector<double> perm16;
   for (std::uint64_t iters : both_methods) {
     const auto mc_runs =
-        TimeAnalysisRuns(workload, reps, [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+        TimeAnalysisRuns(spec, reps, [&](core::SkatPipeline& pipeline) {
+          core::RunResampling(pipeline,
+                              {core::ResamplingMethod::kMonteCarlo, iters});
         });
     const auto perm_runs =
-        TimeAnalysisRuns(workload, reps, [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kPermutation, iters}).scores;
+        TimeAnalysisRuns(spec, reps, [&](core::SkatPipeline& pipeline) {
+          core::RunResampling(pipeline,
+                              {core::ResamplingMethod::kPermutation, iters});
         });
     figure2.AddRow({std::to_string(iters), Table::Num(Mean(mc_runs), 3),
                     Table::Num(Mean(perm_runs), 3)});
@@ -75,8 +75,9 @@ int Run(int argc, char** argv) {
   double mc_at_max = 0.0;
   for (std::uint64_t iters : mc_only) {
     const auto mc_runs = TimeAnalysisRuns(
-        workload, std::min(reps, 2), [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+        spec, std::min(reps, 2), [&](core::SkatPipeline& pipeline) {
+          core::RunResampling(pipeline,
+                              {core::ResamplingMethod::kMonteCarlo, iters});
         });
     figure2.AddRow({std::to_string(iters), Table::Num(Mean(mc_runs), 3),
                     "N/A (too slow in the paper as well)"});
@@ -94,17 +95,18 @@ int Run(int argc, char** argv) {
   // which the strong-scaling bench models).
   {
     const simdata::SyntheticDataset dataset =
-        simdata::Generate(workload.generator);
+        simdata::Generate(spec.generator);
     const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
     baseline::SkatInputs inputs{&dataset.genotypes, &phenotype,
                                 &dataset.weights, &dataset.sets};
     const double serial_seconds = TimeOnce([&]() {
-      baseline::SerialMonteCarlo(inputs, workload.generator.seed, 16);
+      baseline::SerialMonteCarlo(inputs, spec.generator.seed, 16);
     });
     const auto engine_runs = TimeAnalysisRuns(
-        workload, 1,
+        spec, 1,
         [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, 16}).scores;
+          core::RunResampling(pipeline,
+                              {core::ResamplingMethod::kMonteCarlo, 16});
         },
         &args);
     std::printf("\nSerial baseline (engine-free, fast scores), MC B=16: "
@@ -125,11 +127,13 @@ int Run(int argc, char** argv) {
                 mc_at_max < Mean(perm16) ? "BEATS" : "does NOT beat",
                 mc_at_max, Mean(perm16));
   }
-  args.WarnUnknownKeys("bench_experiment_a");
   return 0;
 }
 
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv, {"mc_max_iters", "reps"},
+                             ss::bench::Run);
+}

@@ -69,9 +69,7 @@ struct SparseSnp {
   stats::PackedGenotypeBlock packed;
 };
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
+int Run(const Args& args) {
   const std::size_t n = args.GetU64("patients", 4096);
   const std::size_t count = args.GetU64("count", 256);
   const int iters = static_cast<int>(args.GetU64("iters", 40));
@@ -334,11 +332,16 @@ int Run(int argc, char** argv) {
     std::printf("datapoint written to %s\n", out_path.c_str());
   }
 
-  args.WarnUnknownKeys("bench_kernels");
   return bitwise_ok && sparse_bitwise_ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::core::RunStudyTool(
+      argc, argv, /*begin=*/1,
+      {.keys = {"patients", "count", "iters", "snps", "seed", "datapoint",
+                "loglevel"}},
+      ss::LogLevel::kWarn, ss::bench::Run);
+}

@@ -8,7 +8,8 @@
 // (saddlepoint screen + Besag–Clifford early stopping). Reports replicate
 // consumption, wall time, per-set agreement, and the savings ratio.
 //
-// Keys: patients= snps= sets= reps= h= threshold= seed= datapoint=<json path>
+// Keys: reps= h= threshold= datapoint=<json path>, plus the workload and
+// engine keys; trace= and metrics= describe the hybrid run.
 // `datapoint=` writes a BENCH_pvalue.json datapoint consumed by
 // tools/check_bench.py (the bench_pvalue_smoke ctest gate:
 // savings >= 10x, zero classification disagreements, tolerances hold).
@@ -43,22 +44,20 @@ double Tolerance(double p_exh, std::uint64_t replicates, bool early_stopped,
   return tol;
 }
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-  Workload workload = DefaultWorkload(args, /*snps_default=*/1200,
-                                      /*sets_default=*/60);
-  workload.use_dfs = false;  // the p-value engine, not the ingest path
+int Run(const Args& args) {
+  core::StudySpec spec = BenchSpec(/*snps=*/1200, /*sets=*/60);
+  spec.use_dfs = false;  // the p-value engine, not the ingest path
+  spec = core::ApplyStudyKeys(args, spec).value();
   const std::uint64_t replicates = args.GetU64("reps", 1000);
   const std::uint64_t h = args.GetU64("h", 9);
   const double threshold = args.GetDouble("threshold", 0.05);
-  const std::uint64_t seed = workload.generator.seed;
+  const std::uint64_t seed = spec.generator.seed;
 
   char scale[200];
   std::snprintf(scale, sizeof(scale),
                 "patients=%u snps=%u sets=%u reps=%llu h=%llu threshold=%g",
-                workload.generator.num_patients, workload.generator.num_snps,
-                workload.generator.num_sets,
+                spec.generator.num_patients, spec.generator.num_snps,
+                spec.generator.num_sets,
                 static_cast<unsigned long long>(replicates),
                 static_cast<unsigned long long>(h), threshold);
   PrintBanner("bench_pvalue",
@@ -69,26 +68,27 @@ int Run(int argc, char** argv) {
   core::ResamplingResult exhaustive;
   double exhaustive_seconds = 0.0;
   {
-    Workload::Instance inst = workload.Build();
+    core::Study study = core::OpenStudy(spec).value();
     core::ResamplingRequest request(core::ResamplingMethod::kMonteCarlo,
                                     replicates);
     exhaustive_seconds = TimeOnce([&] {
-      exhaustive = core::RunResampling(*inst.pipeline, request).scores;
+      exhaustive = core::RunResampling(*study.pipeline, request).scores;
     });
   }
 
   core::ResamplingResult hybrid;
   double hybrid_seconds = 0.0;
   {
-    Workload::Instance inst = workload.Build();
+    core::Study study = core::OpenStudy(spec).value();
     core::ResamplingRequest request(core::ResamplingMethod::kMonteCarlo,
                                     replicates);
     request.pvalue_method = core::PValueMethod::kHybrid;
     request.refine_threshold = threshold;
     request.early_stop = h;
     hybrid_seconds = TimeOnce([&] {
-      hybrid = core::RunResampling(*inst.pipeline, request).scores;
+      hybrid = core::RunResampling(*study.pipeline, request).scores;
     });
+    core::WriteRunArtifacts(args, *study.ctx);
   }
 
   const std::uint64_t num_sets = hybrid.inference.size();
@@ -166,8 +166,8 @@ int Run(int argc, char** argv) {
         "\"savings_ratio\":%.4f,\"wall_ratio\":%.4f,"
         "\"max_abs_diff\":%.9g,"
         "\"disagreements\":%llu,\"tolerance_violations\":%llu}\n",
-        workload.generator.num_patients, workload.generator.num_snps,
-        workload.generator.num_sets,
+        spec.generator.num_patients, spec.generator.num_snps,
+        spec.generator.num_sets,
         static_cast<unsigned long long>(replicates),
         static_cast<unsigned long long>(h), threshold,
         static_cast<unsigned long long>(seed), nproc, kernel_level,
@@ -183,11 +183,14 @@ int Run(int argc, char** argv) {
     std::printf("datapoint written to %s\n", out_path.c_str());
   }
 
-  args.WarnUnknownKeys("bench_pvalue");
   return (disagreements == 0 && tolerance_violations == 0) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv,
+                             {"reps", "h", "threshold", "datapoint"},
+                             ss::bench::Run);
+}

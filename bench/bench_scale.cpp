@@ -2,9 +2,9 @@
 // cluster handles, on one machine, under a cache budget far below the
 // data size. The cohort is staged once into a memory-mapped packed
 // genotype store (simdata::GenerateToStore — streaming, never holding
-// the dense matrix); every configuration then reopens that file with
-// SkatPipeline::OpenFromStore and runs budget-constrained Monte Carlo
-// resampling over partitions streamed off the mmap.
+// the dense matrix); every configuration then reopens that file
+// (core::OpenStudy's store= policy) and runs budget-constrained Monte
+// Carlo resampling over partitions streamed off the mmap.
 //
 // What the table shows, per cache budget:
 //   * throughput (replicate-SNP scores/s) — the cost of streaming vs
@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -42,9 +41,9 @@
 
 #include "bench_common.hpp"
 #include "core/resampling_methods.hpp"
-#include "dfs/genotype_store.hpp"
 #include "engine/trace.hpp"
 #include "simdata/store_codec.hpp"
+#include "support/string_util.hpp"
 
 namespace ss::bench {
 namespace {
@@ -135,33 +134,19 @@ struct ScaleRun {
   }
 };
 
-/// One budget configuration: fresh context + pipeline reopened from the
-/// staged store, one timed resampling run, counters snapshotted after.
-std::optional<ScaleRun> RunBudget(const Workload& base,
-                                  const std::string& store_path,
-                                  std::uint64_t fingerprint,
-                                  std::uint64_t budget, std::uint64_t iters,
-                                  const Args* args) {
-  engine::CounterRegistry::Global().ResetAll();
-  engine::EngineContext::Options options = base.engine;
-  options.cache_capacity_bytes = budget;
-  core::PipelineConfig pipeline_config = base.pipeline;
-  pipeline_config.cache_budget_bytes = budget;
-
-  engine::EngineContext ctx(options);
-  auto pipeline = core::SkatPipeline::OpenFromStore(ctx, store_path,
-                                                    pipeline_config, fingerprint);
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "bench_scale: OpenFromStore failed: %s\n",
-                 pipeline.status().ToString().c_str());
-    return std::nullopt;
-  }
+/// One budget configuration: the study reopened from the staged store
+/// under `budget`, one timed resampling run, counters snapshotted after.
+ScaleRun RunBudget(const core::StudySpec& base, std::uint64_t budget,
+                   std::uint64_t iters, const Args* args) {
+  core::StudySpec spec = base;
+  spec.engine.cache_capacity_bytes = budget;
+  core::Study study = core::OpenStudy(spec).value();
 
   ScaleRun run;
   run.budget = budget;
   RssSampler rss;
   run.seconds = TimeOnce([&] {
-    core::RunResampling(pipeline.value(),
+    core::RunResampling(*study.pipeline,
                         {core::ResamplingMethod::kMonteCarlo, iters});
   });
   rss.Stop();
@@ -179,7 +164,7 @@ std::optional<ScaleRun> RunBudget(const Workload& base,
   run.frame_reads = Counter("store.frame_reads");
   run.read_bytes = Counter("store.read_bytes");
   run.corrupt = Counter("store.corrupt");
-  if (args != nullptr) WriteRunArtifacts(*args, ctx);
+  if (args != nullptr) core::WriteRunArtifacts(*args, *study.ctx);
   return run;
 }
 
@@ -193,30 +178,32 @@ void WarmPageCache(const std::string& path) {
   }
 }
 
-std::vector<std::uint64_t> ParseBudgets(const std::string& text,
-                                        std::uint64_t store_bytes) {
+/// The budgets= list in bytes (0 = unlimited); empty when not given. A
+/// token that is not a byte count fails closed.
+std::vector<std::uint64_t> ParseBudgets(const std::string& text) {
   std::vector<std::uint64_t> budgets;
-  if (!text.empty()) {
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-      const std::size_t comma = text.find(',', begin);
-      const std::string token =
-          text.substr(begin, comma == std::string::npos ? std::string::npos
-                                                        : comma - begin);
-      if (!token.empty()) {
-        budgets.push_back(std::strtoull(token.c_str(), nullptr, 10));
-      }
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
+  for (const std::string& token : Split(text, ',')) {
+    std::int64_t budget = 0;
+    if (token.empty()) continue;
+    if (!ParseI64(token, &budget) || budget < 0) {
+      throw StatusError(Status::InvalidArgument(
+          "budgets= takes byte counts, got '" + token + "'"));
     }
+    budgets.push_back(static_cast<std::uint64_t>(budget));
   }
+  return budgets;
+}
+
+/// The ladder the runs take: `budgets`, or by default the unlimited
+/// baseline plus budgets at the packed file size and far below it (the
+/// out-of-core regime the store exists for). Tightest first, unlimited
+/// (0) last: constrained runs measure their RSS before the
+/// resident-everything baseline bloats the allocator.
+std::vector<std::uint64_t> BudgetLadder(std::vector<std::uint64_t> budgets,
+                                        std::uint64_t store_bytes) {
   if (budgets.empty()) {
-    // Default sweep: unlimited baseline plus budgets at the packed file
-    // size and far below it (the out-of-core regime the store exists for).
     budgets = {0, store_bytes, store_bytes / 4, store_bytes / 16};
   }
-  // Tightest first, unlimited (0) last: constrained runs measure their
-  // RSS before the resident-everything baseline bloats the allocator.
   std::sort(budgets.begin(), budgets.end(), [](std::uint64_t a, std::uint64_t b) {
     if ((a == 0) != (b == 0)) return b == 0;
     return a < b;
@@ -225,28 +212,25 @@ std::vector<std::uint64_t> ParseBudgets(const std::string& text,
   return budgets;
 }
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-
+int Run(const Args& args) {
   // Paper-scale defaults (Table II's 1M-SNP row): override for smoke runs.
-  Workload base = DefaultWorkload(args, /*snps_default=*/1'000'000,
-                                  /*sets_default=*/1'000);
-  // DefaultWorkload's 200-patient default suits the timing benches; the
-  // paper-scale cohort is 1M SNPs x 1k patients.
-  base.generator.num_patients =
-      static_cast<std::uint32_t>(args.GetU64("patients", 1'000));
+  core::StudySpec base = BenchSpec(/*snps=*/1'000'000, /*sets=*/1'000);
+  base.generator.num_patients = 1'000;
+  base.use_dfs = false;
   // The O(n^2)-per-SNP faithful Cox regime is for the timing benches;
   // at 10^9 genotype cells this bench times the streaming machinery, so
   // it defaults to the O(n) path.
-  base.pipeline.paper_faithful_scores = args.GetU64("faithful", 0) != 0;
+  base.pipeline.paper_faithful_scores = false;
+  base.pipeline.resampling_batch_size = 32;
+  // The cache budget is what this bench sweeps (budgets=; cache_budget=
+  // is not accepted).
+  base = core::ApplyStudyKeys(args, base).value();
   // ~1000 SNP rows per store frame keeps per-task transients (one decoded
   // partition + its U block) small relative to any sane budget.
-  base.pipeline.num_partitions = static_cast<std::uint32_t>(args.GetU64(
-      "partitions",
-      std::max<std::uint64_t>(1, base.generator.num_snps / 1000)));
-  base.pipeline.resampling_batch_size =
-      std::max<std::uint64_t>(1, args.GetU64("batch", 32));
+  if (!args.Has("partitions")) {
+    base.pipeline.num_partitions = std::max<std::uint32_t>(
+        1, base.generator.num_snps / 1000);
+  }
   // Cache the decoded genotype partitions (dropped and re-read off the
   // mmap under a tight budget) and, with faithful=1 only, the observed U
   // RDD that paper-faithful Monte Carlo reuses (recomputed through its
@@ -254,8 +238,15 @@ int Run(int argc, char** argv) {
   // scores genotype × V(z) blocks and never builds U. cache_u=0 ablates
   // both to recompute-per-pass.
   base.pipeline.cache_contributions = args.GetBool("cache_u", true);
-
-  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  // The default store is named by the cohort's fingerprint, so a default
+  // run never meets a store of another cohort.
+  const std::uint64_t fingerprint = simdata::StoreFingerprint(base.generator);
+  if (base.store.empty()) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "ss_bench_scale_%016llx.ssg",
+                  static_cast<unsigned long long>(fingerprint));
+    base.store = (std::filesystem::temp_directory_path() / name).string();
+  }
 
   // Resampling depth amortizes the streaming I/O: each MC replicate reuses
   // the same U partitions, so out-of-core overhead shrinks as B grows —
@@ -263,12 +254,15 @@ int Run(int argc, char** argv) {
   // a half hour on one core while staying in the amortized regime.
   const std::uint64_t iters = args.GetU64("iters", 32);
   const std::uint64_t slack_mb = args.GetU64("rss_slack_mb", 1024);
-  const std::string store_path = args.GetStr(
-      "store", (tmp / ("ss_bench_scale_" +
-                       std::to_string(base.generator.num_snps) + "x" +
-                       std::to_string(base.generator.num_patients) + "_s" +
-                       std::to_string(base.generator.seed) + ".ssg"))
-                   .string());
+  const std::vector<std::uint64_t> requested_budgets =
+      ParseBudgets(args.GetStr("budgets", ""));
+
+  // Stage the store once, or reopen it (core::OpenStudy): a file holding
+  // another cohort, or a corrupt one, is refused before any run.
+  std::optional<simdata::StoreStageResult> staged;
+  const double open_seconds =
+      TimeOnce([&] { staged = core::OpenStudy(base).value().staged; });
+  const double stage_seconds = staged ? open_seconds : 0.0;
 
   char scale[320];
   std::snprintf(scale, sizeof(scale),
@@ -285,52 +279,28 @@ int Run(int argc, char** argv) {
               "Out-of-core paper scale: mmap'd genotype store + streaming "
               "partitions under a cache budget",
               scale);
-
-  // Stage (or reuse) the store. A file whose fingerprint matches the
-  // generator parameters is trusted as-is — that is the store's contract;
-  // anything else (missing, corrupt, other parameters) is restaged.
-  const std::uint64_t fingerprint = simdata::StoreFingerprint(base.generator);
-  double stage_seconds = 0.0;
-  bool restage = true;
-  {
-    auto existing = dfs::GenotypeStore::Open(store_path);
-    if (existing.ok() && existing.value()->fingerprint() == fingerprint) {
-      restage = false;
-      std::printf("  store: reusing %s (fingerprint %016llx)\n",
-                  store_path.c_str(),
-                  static_cast<unsigned long long>(fingerprint));
-    }
-  }
-  if (restage) {
-    std::error_code ec;
-    std::filesystem::remove(store_path, ec);
-    stage_seconds = TimeOnce([&] {
-      auto staged = simdata::GenerateToStore(base.generator, store_path,
-                                             base.pipeline.num_partitions);
-      if (!staged.ok()) {
-        std::fprintf(stderr, "bench_scale: staging failed: %s\n",
-                     staged.status().ToString().c_str());
-        std::exit(2);
-      }
-    });
+  const std::string& store_path = base.store;
+  if (staged) {
     std::printf("  store: staged %s in %.1fs (streamed, no dense matrix)\n",
                 store_path.c_str(), stage_seconds);
+  } else {
+    std::printf("  store: reusing %s (fingerprint %016llx)\n",
+                store_path.c_str(),
+                static_cast<unsigned long long>(fingerprint));
   }
   const std::uint64_t store_bytes = std::filesystem::file_size(store_path);
   std::printf("  store file: %.1f MiB packed (2-bit genotypes + aux frames)\n\n",
               static_cast<double>(store_bytes) / (1024.0 * 1024.0));
 
   const std::vector<std::uint64_t> budgets =
-      ParseBudgets(args.GetStr("budgets", ""), store_bytes);
+      BudgetLadder(requested_budgets, store_bytes);
   WarmPageCache(store_path);
 
   std::vector<ScaleRun> runs;
   for (std::size_t i = 0; i < budgets.size(); ++i) {
     const bool last = i + 1 == budgets.size();
-    auto run = RunBudget(base, store_path, fingerprint, budgets[i], iters,
-                         last ? &args : nullptr);
-    if (!run.has_value()) return 2;
-    runs.push_back(*run);
+    runs.push_back(
+        RunBudget(base, budgets[i], iters, last ? &args : nullptr));
   }
 
   Table table("Streaming MC @ " + std::to_string(iters) + " iters, store=" +
@@ -440,11 +410,15 @@ int Run(int argc, char** argv) {
     }
   }
 
-  args.WarnUnknownKeys("bench_scale");
   return (hashes_identical && rss_ok && corrupt_free) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv,
+                             {"iters", "rss_slack_mb", "budgets", "cache_u",
+                              "datapoint"},
+                             ss::bench::Run, /*fixed=*/{"cache_budget"});
+}

@@ -17,9 +17,7 @@
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
+int Run(const Args& args) {
   const auto patients = static_cast<std::uint32_t>(args.GetU64("patients", 1000));
   const auto snps = static_cast<std::uint32_t>(args.GetU64("snps", 400));
 
@@ -112,4 +110,8 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::core::RunStudyTool(argc, argv, /*begin=*/1,
+                                {.keys = {"patients", "snps", "loglevel"}},
+                                ss::LogLevel::kWarn, ss::bench::Run);
+}

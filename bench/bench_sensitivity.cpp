@@ -12,14 +12,16 @@
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
+int Run(const Args& args) {
   // Iteration counts are kept large relative to the single observed pass
   // (as in the paper, where even the 10-iteration configuration amortizes
   // the observed 1M-SNP pass); otherwise the observed pass skews the
   // few-iteration configurations upward.
-  const std::uint64_t patients = args.GetU64("patients", 100);
+  // Each configuration sets the SNP and set counts (snps= and sets= are
+  // not accepted); every other workload and engine key applies.
+  core::StudySpec base = BenchSpec(/*snps=*/1000, /*sets=*/10);
+  base.generator.num_patients = 100;
+  base = core::ApplyStudyKeys(args, base).value();
   const std::uint64_t work = args.GetU64("work", 300000);  // iters x snps
   const int reps = static_cast<int>(args.GetU64("reps", 2));
 
@@ -27,7 +29,7 @@ int Run(int argc, char** argv) {
   std::snprintf(scale, sizeof(scale),
                 "patients=%llu iterations*snps=%llu reps=%d (paper: "
                 "n=1000, product=10^7)",
-                static_cast<unsigned long long>(patients),
+                static_cast<unsigned long long>(base.generator.num_patients),
                 static_cast<unsigned long long>(work), reps);
   PrintBanner("bench_sensitivity",
               "Figure 3 (runtime under constant iterations x SNPs)", scale);
@@ -47,20 +49,21 @@ int Run(int argc, char** argv) {
   std::vector<double> mc_means;
   std::vector<double> perm_means;
   for (const Config& config : configs) {
-    Args workload_args(0, nullptr);
-    Workload workload = DefaultWorkload(workload_args, config.snps,
-                                        std::max<std::uint64_t>(config.snps / 100, 1));
-    workload.generator.num_patients = static_cast<std::uint32_t>(patients);
-    workload.generator.num_snps = static_cast<std::uint32_t>(config.snps);
+    core::StudySpec spec = base;
+    spec.generator.num_snps = static_cast<std::uint32_t>(config.snps);
+    spec.generator.num_sets = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(config.snps / 100, 1));
 
     const auto mc_runs =
-        TimeAnalysisRuns(workload, reps, [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, config.iterations}).scores;
+        TimeAnalysisRuns(spec, reps, [&](core::SkatPipeline& pipeline) {
+          core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo,
+                                         config.iterations});
         });
     const auto perm_runs = TimeAnalysisRuns(
-        workload, reps,
+        spec, reps,
         [&](core::SkatPipeline& pipeline) {
-          core::RunResampling(pipeline, {core::ResamplingMethod::kPermutation, config.iterations}).scores;
+          core::RunResampling(pipeline, {core::ResamplingMethod::kPermutation,
+                                         config.iterations});
         },
         &args);
     mc_means.push_back(Mean(mc_runs));
@@ -90,4 +93,7 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv, {"work", "reps"}, ss::bench::Run,
+                             /*fixed=*/{"snps", "sets"});
+}

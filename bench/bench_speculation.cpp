@@ -3,57 +3,57 @@
 // Not a paper table — the paper runs on EMR where Spark's speculation and
 // straggler mitigation are ambient. This bench quantifies what that
 // machinery is worth for SparkScore's stage profile: the same recorded
-// Monte Carlo job is replayed on an 18-node cluster while the straggler
-// probability sweeps upward, with and without speculation.
+// Monte Carlo job is replayed on an 18-node cluster (nodes=) while the
+// straggler probability sweeps upward, with and without speculation.
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-  Workload workload = DefaultWorkload(args, /*snps_default=*/2000,
-                                      /*sets_default=*/100);
-  workload.pipeline.num_partitions =
-      static_cast<std::uint32_t>(args.GetU64("partitions", 144));
-  workload.engine.topology = cluster::EmrCluster(18);
+int Run(const Args& args) {
+  core::StudySpec spec = BenchSpec(/*snps=*/2000, /*sets=*/100);
+  spec.pipeline.num_partitions = 144;
+  spec.engine.topology = cluster::EmrCluster(18);
+  spec = core::ApplyStudyKeys(args, spec).value();
 
   char scale[256];
   std::snprintf(scale, sizeof(scale), "patients=%u snps=%u partitions=%u",
-                workload.generator.num_patients, workload.generator.num_snps,
-                workload.pipeline.num_partitions);
+                spec.generator.num_patients, spec.generator.num_snps,
+                spec.pipeline.num_partitions);
   PrintBanner("bench_speculation",
-              "Ablation: speculative execution vs stragglers (18 nodes)",
+              "Ablation: speculative execution vs stragglers (" +
+                  std::to_string(spec.engine.topology.num_nodes) + " nodes)",
               scale);
 
   // One real execution provides the task profile.
-  Workload::Instance instance = workload.Build();
-  instance.ctx->metrics().Reset();
-  core::RunResampling(*instance.pipeline, {core::ResamplingMethod::kMonteCarlo, 10}).scores;
-  const cluster::JobProfile profile = instance.ctx->metrics().ToJobProfile();
-  WriteRunArtifacts(args, *instance.ctx);
+  core::Study study = core::OpenStudy(spec).value();
+  study.ctx->metrics().Reset();
+  core::RunResampling(*study.pipeline,
+                      {core::ResamplingMethod::kMonteCarlo, 10});
+  const cluster::JobProfile profile = study.ctx->metrics().ToJobProfile();
+  core::WriteRunArtifacts(args, *study.ctx);
 
   Table table("Predicted makespan (seconds) vs straggler rate",
               {"straggler probability", "no speculation", "speculation",
                "recovered"});
   for (double p : {0.0, 0.01, 0.02, 0.05, 0.10}) {
-    cluster::CostModel model = workload.engine.cost_model;
+    cluster::CostModel model = spec.engine.cost_model;
     model.straggler_probability = p;
     model.straggler_slowdown = 10.0;
     const double plain =
-        cluster::VirtualScheduler(workload.engine.topology, model)
+        cluster::VirtualScheduler(spec.engine.topology, model)
             .Simulate(profile)
             .total_s;
     const double speculated =
-        cluster::VirtualScheduler(workload.engine.topology, model, true)
+        cluster::VirtualScheduler(spec.engine.topology, model, true)
             .Simulate(profile)
             .total_s;
     const double clean =
-        cluster::VirtualScheduler(workload.engine.topology,
-                                  workload.engine.cost_model)
+        cluster::VirtualScheduler(spec.engine.topology,
+                                  spec.engine.cost_model)
             .Simulate(profile)
             .total_s;
     const double recovered =
@@ -71,4 +71,6 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv, {}, ss::bench::Run);
+}

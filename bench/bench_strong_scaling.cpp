@@ -23,29 +23,25 @@
 namespace ss::bench {
 namespace {
 
-int Run(int argc, char** argv) {
-  const Args args(argc, argv);
-  ConfigureObservability(args);
-  Workload base = DefaultWorkload(args, /*snps_default=*/3000,
-                                  /*sets_default=*/200);
-  base.generator.num_patients =
-      static_cast<std::uint32_t>(args.GetU64("patients", 400));
-  base.pipeline.num_partitions =
-      static_cast<std::uint32_t>(args.GetU64("partitions", 96));
-  base.pipeline.num_reducers =
-      static_cast<std::uint32_t>(args.GetU64("reducers", 32));
+int Run(const Args& args) {
+  core::StudySpec base = BenchSpec(/*snps=*/3000, /*sets=*/200);
+  base.generator.num_patients = 400;
+  base.pipeline.num_partitions = 96;
+  base.pipeline.num_reducers = 32;
   // One replicate per engine pass, as in the uncached Figure 5 sweeps:
   // each iteration re-reads U, so a cluster whose aggregate cache cannot
   // hold it recomputes the evicted partitions every iteration instead of
   // amortizing one recompute over a whole batch.
-  base.pipeline.resampling_batch_size =
-      std::max<std::uint64_t>(1, args.GetU64("batch", 1));
+  base.pipeline.resampling_batch_size = 1;
   // One worker by default: tasks then reach the LRU cache in partition
   // order, so the cache table (hits, misses, evictions) repeats exactly
   // from run to run, and no replayed task time includes a concurrent
   // task's contention. With threads>1 the order in which the last tasks
   // of a pass finish decides which partitions survive it.
-  base.engine.physical_threads = args.GetU64("threads", 1);
+  base.engine.physical_threads = 1;
+  // The node count and the cache budget are what this bench sweeps
+  // (nodes= and cache_budget= are not accepted).
+  base = core::ApplyStudyKeys(args, base).value();
 
   // The data are scaled ~50x below the paper's; the scheduling overheads
   // must scale with them or they dominate every prediction and flatten
@@ -99,25 +95,25 @@ int Run(int argc, char** argv) {
     double t6 = 0.0;
     double t18 = 0.0;
     for (int nodes : node_counts) {
-      Workload workload = base;
-      workload.engine.topology = cluster::EmrCluster(nodes);
-      workload.engine.cache_capacity_bytes =
+      core::StudySpec spec = base;
+      spec.engine.topology = cluster::EmrCluster(nodes);
+      spec.engine.cache_capacity_bytes =
           per_node_cache * static_cast<std::uint64_t>(nodes);
 
-      Workload::Instance instance = workload.Build();
-      instance.ctx->metrics().Reset();
-      core::RunResampling(*instance.pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+      core::Study study = core::OpenStudy(spec).value();
+      study.ctx->metrics().Reset();
+      core::RunResampling(*study.pipeline,
+                          {core::ResamplingMethod::kMonteCarlo, iters});
       if (iters == iteration_counts.back() && nodes == node_counts.back()) {
-        WriteRunArtifacts(args, *instance.ctx);
+        core::WriteRunArtifacts(args, *study.ctx);
       }
-      const double t =
-          instance.ctx->ReplayOn(workload.engine.topology).total_s;
+      const double t = study.ctx->ReplayOn(spec.engine.topology).total_s;
       row.push_back(Table::Num(t, 2));
       if (nodes == 6) t6 = t;
       if (nodes == 18) t18 = t;
 
       if (iters == iteration_counts.back()) {
-        const engine::CacheStats stats = instance.ctx->cache().stats();
+        const engine::CacheStats stats = study.ctx->cache().stats();
         const std::uint64_t aggregate =
             per_node_cache * static_cast<std::uint64_t>(nodes);
         cache_table.AddRow(
@@ -150,4 +146,8 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace ss::bench
 
-int main(int argc, char** argv) { return ss::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return ss::bench::RunBench(argc, argv, {"per_node_cache_bytes"},
+                             ss::bench::Run,
+                             /*fixed=*/{"nodes", "cache_budget"});
+}

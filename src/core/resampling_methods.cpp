@@ -116,8 +116,6 @@ class FoldPlan {
     }
   }
 
-  std::size_t num_sets() const { return offsets_.size() - 1; }
-
   std::span<const Member> members(std::size_t position) const {
     return {members_.data() + offsets_[position],
             offsets_[position + 1] - offsets_[position]};
@@ -135,103 +133,128 @@ class FoldPlan {
 /// order, stats::SkatStatistic's order, so every value is independent of
 /// partitioning, thread count and batch size; a set with no scored
 /// member stays +0. The observed statistics are the same fold of column 0
-/// of the first batch's block, or of a count-1 block.
+/// of the first batch's block, or of a count-1 block. With `burden`, the
+/// same member walk also fills the burden statistics (Σ_j ω_j Ũ_j)² in the
+/// same layout, for SKAT-O.
 std::vector<double> FoldSetStatistics(const FoldPlan& plan,
                                       const std::vector<std::size_t>& positions,
-                                      const ScoreBlock& block) {
+                                      const ScoreBlock& block,
+                                      std::vector<double>* burden = nullptr) {
   const std::size_t count = block.count();
   const auto fold = stats::kernels::ActiveKernels().skat_fold;
   std::vector<double> out(positions.size() * count, 0.0);
+  if (burden != nullptr) burden->assign(out.size(), 0.0);
   for (std::size_t i = 0; i < positions.size(); ++i) {
     double* acc = out.data() + i * count;
+    double* sum = burden != nullptr ? burden->data() + i * count : nullptr;
     for (const FoldPlan::Member& member : plan.members(positions[i])) {
       const double* row = block.row(member.snp);
       if (row == nullptr) continue;  // SNP filtered out
       fold(row, count, member.weight_sq, acc);
-    }
-  }
-  return out;
-}
-
-/// Per-set SKAT and burden = (Σ_j ω_j Ũ_j)² statistics of every column of
-/// a score block, set-major over all sets, in FoldSetStatistics' order.
-struct SkatBurdenScores {
-  std::vector<double> skat;
-  std::vector<double> burden;
-};
-
-SkatBurdenScores FoldSkatBurdenScores(const FoldPlan& plan,
-                                      const ScoreBlock& block) {
-  const std::size_t count = block.count();
-  SkatBurdenScores out;
-  out.skat.assign(plan.num_sets() * count, 0.0);
-  out.burden.assign(plan.num_sets() * count, 0.0);
-  for (std::size_t k = 0; k < plan.num_sets(); ++k) {
-    double* skat = out.skat.data() + k * count;
-    double* burden = out.burden.data() + k * count;
-    for (const FoldPlan::Member& member : plan.members(k)) {
-      const double* row = block.row(member.snp);
-      if (row == nullptr) continue;  // SNP filtered out
-      for (std::size_t r = 0; r < count; ++r) {
-        skat[r] += member.weight_sq * (row[r] * row[r]);
-        burden[r] += member.weight * row[r];
+      for (std::size_t r = 0; sum != nullptr && r < count; ++r) {
+        sum[r] += member.weight * row[r];
       }
     }
   }
-  for (double& sum : out.burden) sum *= sum;
+  if (burden != nullptr) {
+    for (double& value : *burden) value *= value;
+  }
   return out;
 }
 
-/// FNV-1a over (B, sorted set ids, observed bit patterns, counters).
-/// Folded into the order-independent `resampling.result_hash` counter so
-/// two processes can assert bitwise-identical results by comparing their
-/// run-metrics JSON (the bench_smoke batch-invariance gate).
-std::uint64_t HashResamplingResult(const ResamplingResult& result) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t value) {
+/// FNV-1a, the mixer of every method's `resampling.result_hash`.
+class ResultHasher {
+ public:
+  void Mix(std::uint64_t value) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xff;
-      hash *= 1099511628211ULL;
+      hash_ ^= (value >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ULL;
     }
-  };
-  mix(result.replicates);
+  }
+  void MixBits(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Mix(bits);
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+/// Folds a result's hash into the order-independent
+/// `resampling.result_hash` counter, so two processes can assert
+/// bitwise-identical results by comparing their run-metrics JSON
+/// (tools/check_bench.py's same-result mode).
+void RecordResultHash(std::uint64_t hash) {
+  engine::CounterRegistry::Global().Add("resampling.result_hash", hash);
+}
+
+/// FNV-1a over (B, sorted set ids, observed bit patterns, counters).
+std::uint64_t HashResamplingResult(const ResamplingResult& result) {
+  ResultHasher hasher;
+  hasher.Mix(result.replicates);
   std::vector<std::uint32_t> ids;
   ids.reserve(result.observed.size());
   for (const auto& [set_id, score] : result.observed) ids.push_back(set_id);
   std::sort(ids.begin(), ids.end());
   for (std::uint32_t set_id : ids) {
-    const double observed = result.observed.at(set_id);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &observed, sizeof(bits));
-    mix(set_id);
-    mix(bits);
+    hasher.Mix(set_id);
+    hasher.MixBits(result.observed.at(set_id));
     auto it = result.exceed.find(set_id);
-    mix(it == result.exceed.end() ? 0 : it->second);
+    hasher.Mix(it == result.exceed.end() ? 0 : it->second);
   }
   // Adaptive fields are mixed ONLY when present, so the hash of a legacy
   // pure-resampling run is byte-identical to the pre-adaptive engine (the
   // bench_smoke / kernel-matrix cross-process gates compare it).
   if (!result.inference.empty()) {
-    mix(result.early_stop_h);
+    hasher.Mix(result.early_stop_h);
     for (std::uint32_t set_id : ids) {
       auto it = result.inference.find(set_id);
       if (it == result.inference.end()) continue;
       const SetInference& info = it->second;
-      std::uint64_t pbits = 0;
-      std::memcpy(&pbits, &info.analytic_p, sizeof(pbits));
-      mix(set_id);
-      mix(pbits);
-      mix(info.replicates_used);
-      mix(static_cast<std::uint64_t>(info.early_stopped ? 1 : 0) |
-          static_cast<std::uint64_t>(info.refined ? 2 : 0));
+      hasher.Mix(set_id);
+      hasher.MixBits(info.analytic_p);
+      hasher.Mix(info.replicates_used);
+      hasher.Mix(static_cast<std::uint64_t>(info.early_stopped ? 1 : 0) |
+                 static_cast<std::uint64_t>(info.refined ? 2 : 0));
     }
   }
-  return hash;
+  return hasher.hash();
 }
 
-void RecordResultHash(const ResamplingResult& result) {
-  engine::CounterRegistry::Global().Add("resampling.result_hash",
-                                        HashResamplingResult(result));
+/// FNV-1a over (B, and per set in ascending id order: the id and the
+/// SKAT, burden and p bits).
+std::uint64_t HashSkatOResult(const SkatOResult& result) {
+  ResultHasher hasher;
+  hasher.Mix(result.replicates);
+  std::vector<std::uint32_t> ids;
+  ids.reserve(result.by_set.size());
+  for (const auto& [set_id, per_set] : result.by_set) ids.push_back(set_id);
+  std::sort(ids.begin(), ids.end());
+  for (std::uint32_t set_id : ids) {
+    const SkatOResult::PerSet& per_set = result.by_set.at(set_id);
+    hasher.Mix(set_id);
+    hasher.MixBits(per_set.skat);
+    hasher.MixBits(per_set.burden);
+    hasher.MixBits(per_set.pvalue);
+  }
+  return hasher.hash();
+}
+
+/// FNV-1a over (B, per SNP the id, the score and variance bits and the
+/// exceedances, then every replicate maximum's bits).
+std::uint64_t HashVariantScanResult(const VariantScanResult& result) {
+  ResultHasher hasher;
+  hasher.Mix(result.replicates);
+  for (std::size_t i = 0; i < result.snps.size(); ++i) {
+    hasher.Mix(result.snps[i]);
+    hasher.MixBits(result.stats[i].score);
+    hasher.MixBits(result.stats[i].variance);
+    hasher.Mix(result.exceed[i]);
+  }
+  for (double max_stat : result.replicate_max) hasher.MixBits(max_stat);
+  return hasher.hash();
 }
 
 /// An adaptive run takes the screen/stopper path; anything else keeps the
@@ -639,7 +662,7 @@ ResamplingResult RunScoreBlocks(SkatPipeline& pipeline,
       result.exceed[sets[set.position].id] = set.stopper.exceed();
     }
   }
-  RecordResultHash(result);
+  RecordResultHash(HashResamplingResult(result));
   return result;
 }
 
@@ -678,21 +701,24 @@ ResamplingResult RunFaithfulPermutation(SkatPipeline& pipeline,
         }
         return true;
       });
-  RecordResultHash(result);
+  RecordResultHash(HashResamplingResult(result));
   return result;
 }
 
 /// SKAT-O over the batched Monte Carlo replicate pool: each batch scores
 /// the same V(z) genotype blocks as plain Monte Carlo (MonteCarloSource),
 /// so U is never built, and folds per-set (SKAT, burden) pairs
-/// canonically on the driver. The observed pair folds v the same way, as
-/// column 0 of the first batch (the count-1 pass when B = 0).
+/// canonically on the driver (FoldSetStatistics over every set). The
+/// observed pair folds v the same way, as column 0 of the first batch (the
+/// count-1 pass when B = 0).
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
                             const ResamplingRequest& request,
                             std::uint64_t seed) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
   const std::vector<stats::SnpSet>& sets = pipeline.sets();
   const FoldPlan plan(sets, pipeline.DriverWeights());
+  std::vector<std::size_t> all_sets(sets.size());
+  std::iota(all_sets.begin(), all_sets.end(), std::size_t{0});
   const ScoreBlockSource source = MonteCarloSource(pipeline, seed);
 
   // Observed (SKAT, burden) pair and grid per set, from column 0 of a
@@ -700,12 +726,13 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   SkatOResult result;
   result.replicates = request.replicates;
   std::vector<std::vector<double>> observed_grids(sets.size());
-  const auto record_observed = [&](const SkatBurdenScores& pairs,
+  const auto record_observed = [&](const std::vector<double>& skat,
+                                   const std::vector<double>& burden,
                                    std::size_t width) {
     for (std::size_t k = 0; k < sets.size(); ++k) {
       SkatOResult::PerSet per_set;
-      per_set.skat = pairs.skat[k * width];
-      per_set.burden = pairs.burden[k * width];
+      per_set.skat = skat[k * width];
+      per_set.burden = burden[k * width];
       result.by_set[sets[k].id] = per_set;
       observed_grids[k] =
           stats::SkatOGridStatistics(per_set.burden, per_set.skat, rho_grid);
@@ -714,10 +741,11 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   if (request.replicates == 0) {
     engine::TraceSpan span(engine::Tracer::Global(), "algo",
                            "observed skat+burden");
-    record_observed(
-        FoldSkatBurdenScores(
-            plan, ScoreBatch(source, 0, 0, /*observed_first=*/true).block),
-        1);
+    std::vector<double> burden;
+    const std::vector<double> skat = FoldSetStatistics(
+        plan, all_sets,
+        ScoreBatch(source, 0, 0, /*observed_first=*/true).block, &burden);
+    record_observed(skat, burden, 1);
   }
 
   std::vector<std::vector<std::vector<double>>> replicate_grids(sets.size());
@@ -728,25 +756,31 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
         const ScoredBatch batch =
             ScoreBatch(source, begin, count, /*observed_first=*/true);
         const std::size_t width = batch.lead + count;
-        const SkatBurdenScores pairs = FoldSkatBurdenScores(plan, batch.block);
-        if (batch.lead != 0) record_observed(pairs, width);
+        std::vector<double> burden;
+        const std::vector<double> skat =
+            FoldSetStatistics(plan, all_sets, batch.block, &burden);
+        if (batch.lead != 0) record_observed(skat, burden, width);
         for (std::size_t r = 0; r < count; ++r) {
           for (std::size_t k = 0; k < sets.size(); ++k) {
             const std::size_t at = k * width + batch.lead + r;
-            replicate_grids[k].push_back(stats::SkatOGridStatistics(
-                pairs.burden[at], pairs.skat[at], rho_grid));
+            replicate_grids[k].push_back(
+                stats::SkatOGridStatistics(burden[at], skat[at], rho_grid));
           }
           if (request.sink != nullptr) request.sink->OnReplicate(begin + r);
         }
         return true;
       });
 
-  // Min-p combination per set.
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    if (replicate_grids[k].empty()) continue;
-    result.by_set.at(sets[k].id).pvalue =
-        stats::SkatOPValue(observed_grids[k], replicate_grids[k]);
+  {
+    engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                           "skat-o min-p combination");
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      if (replicate_grids[k].empty()) continue;
+      result.by_set.at(sets[k].id).pvalue =
+          stats::SkatOPValue(observed_grids[k], replicate_grids[k]);
+    }
   }
+  RecordResultHash(HashSkatOResult(result));
   return result;
 }
 
@@ -798,6 +832,7 @@ VariantScanResult RunBatchedVariantScan(SkatPipeline& pipeline,
         }
         return true;
       });
+  RecordResultHash(HashVariantScanResult(result));
   return result;
 }
 

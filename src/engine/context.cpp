@@ -183,8 +183,7 @@ std::string EngineContext::RunMetricsJson() const {
       .store(lock_stats.acyclic ? 0 : 1, std::memory_order_relaxed);
   return ss::engine::RunMetricsJson(metrics_.stages(), cache_.stats(),
                                     metrics_.broadcast_bytes(),
-                                    tasks_completed(),
-                                    options_.straggler_mad_k);
+                                    tasks_completed());
 }
 
 }  // namespace ss::engine

@@ -58,10 +58,6 @@ class EngineContext {
     /// defaults to 4 attempts = 3 retries).
     int max_task_attempts = 4;
 
-    /// Straggler threshold for the timeline profile: a task is flagged
-    /// when slower than median + straggler_mad_k * MAD of its stage.
-    double straggler_mad_k = 3.0;
-
     /// Overhead model used when replaying metrics onto the topology.
     cluster::CostModel cost_model;
 

@@ -254,8 +254,7 @@ void AppendStageJson(std::string* out, const StageMetrics& stage) {
 std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
                            const CacheStats& cache,
                            std::uint64_t broadcast_bytes,
-                           std::uint64_t tasks_completed,
-                           double straggler_mad_k) {
+                           std::uint64_t tasks_completed) {
   std::uint64_t total_tasks = 0;
   std::uint64_t total_failures = 0;
   std::uint64_t shuffle_read = 0;
@@ -341,7 +340,7 @@ std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
     out += ",\"corrupt\":" + counter("store.corrupt") + "}";
   }
   out += ",";
-  AppendTimelineJson(&out, BuildRunProfile(stages, straggler_mad_k));
+  AppendTimelineJson(&out, BuildRunProfile(stages));
   out += ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : CounterRegistry::Global().Snapshot()) {

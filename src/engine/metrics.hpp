@@ -97,13 +97,12 @@ std::string FormatRunReport(const std::vector<StageMetrics>& stages,
 /// process-global CounterRegistry. v2 added the `timeline` section; v3
 /// dropped the spill keys of the `cache` section along with the spill
 /// tier; v4 dropped `store.prefetch_frames` along with the I/O lane.
-/// `straggler_mad_k` is the MAD multiple above the
-/// median task time at which a task is flagged as a straggler. Field
-/// reference in docs/OBSERVABILITY.md; validated by tools/check_trace.py.
+/// The timeline flags a task as a straggler above median + 3·MAD of its
+/// stage. Field reference in docs/OBSERVABILITY.md; validated by
+/// tools/check_trace.py.
 std::string RunMetricsJson(const std::vector<StageMetrics>& stages,
                            const CacheStats& cache,
                            std::uint64_t broadcast_bytes,
-                           std::uint64_t tasks_completed,
-                           double straggler_mad_k = 3.0);
+                           std::uint64_t tasks_completed);
 
 }  // namespace ss::engine

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 namespace ss::engine {
 namespace {
@@ -171,13 +170,6 @@ std::string Tracer::ChromeTraceJson() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-bool Tracer::WriteChromeTraceJson(const std::string& path) const {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return false;
-  file << ChromeTraceJson();
-  return static_cast<bool>(file);
 }
 
 CounterRegistry& CounterRegistry::Global() {

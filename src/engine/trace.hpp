@@ -101,9 +101,6 @@ class Tracer {
   /// Serializes all events as a Chrome trace_event JSON document.
   std::string ChromeTraceJson() const;
 
-  /// Writes ChromeTraceJson() to `path`; false on I/O failure.
-  bool WriteChromeTraceJson(const std::string& path) const;
-
  private:
   struct ThreadLog {
     support::RankedMutex mutex{support::lock_rank::kTraceThreadLog};

@@ -50,7 +50,7 @@ struct StoreStageResult {
 /// one partition — never the dense matrix — which is what makes 1M-SNP
 /// staging feasible. An existing file at `path` is overwritten; callers
 /// that want stage-once semantics open first and stage only on NotFound
-/// (as the CLI does).
+/// (as core::OpenStudy does).
 Result<StoreStageResult> GenerateToStore(const GeneratorConfig& config,
                                          const std::string& path,
                                          std::uint32_t requested_partitions);

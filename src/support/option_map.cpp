@@ -1,7 +1,6 @@
 #include "support/option_map.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "support/string_util.hpp"
 
@@ -118,17 +117,14 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"profile_report", OptionType::kBool, "0",
        "print the critical-path/straggler/utilization report",
        "observability", {}},
-      {"straggler_mad_k", OptionType::kDouble, "3",
-       "straggler threshold: median + k*MAD of the stage", "observability",
-       {}},
       {"loglevel", OptionType::kChoice, "error", "stderr log verbosity",
        "observability", {"debug", "info", "warn", "error"}},
       // -- bench: knobs specific to individual benchmarks -------------------
       {"iters", OptionType::kU64, "", "replicates per timed configuration",
        "bench", {}},
-      {"mode", OptionType::kString, "",
-       "bench-specific mode selector (e.g. bench_caching mode=budget)",
-       "bench", {}},
+      {"mode", OptionType::kChoice, "all",
+       "bench_caching: all figures, or only the constrained-budget "
+       "comparison", "bench", {"all", "budget"}},
       {"budget", OptionType::kU64, "",
        "constrained cache budget in bytes for budget-mode benches", "bench",
        {}},
@@ -160,6 +156,11 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "bench_scale: cache the observed U RDD and the decoded store "
        "partitions; U exists only with faithful=1 (paper-faithful Monte "
        "Carlo), so without it this affects only the genotype partitions",
+       "bench", {}},
+      {"h", OptionType::kU64, "",
+       "bench_pvalue: Besag-Clifford stop after h exceedances", "bench", {}},
+      {"threshold", OptionType::kDouble, "",
+       "bench_pvalue: refine sets whose analytic screen p is below this",
        "bench", {}},
       {"faithful", OptionType::kBool, "1",
        "paper-faithful cost mode: per-patient Cox scores, a full "
@@ -355,15 +356,6 @@ std::vector<std::string> OptionMap::Problems() const {
     problems.push_back("malformed value for '" + key + "': " + problem);
   }
   return problems;
-}
-
-std::size_t OptionMap::WarnUnknownKeys(const std::string& program) const {
-  const std::vector<std::string> problems = Problems();
-  for (const std::string& problem : problems) {
-    std::fprintf(stderr, "%s: warning: %s\n", program.c_str(),
-                 problem.c_str());
-  }
-  return problems.size();
 }
 
 }  // namespace ss::support

@@ -9,8 +9,8 @@
 // known, so after a tool has read its configuration (or declared its
 // registry groups up front), Problems diagnoses unrecognized keys
 // (usually typos like `snsp=100`, which key=value interfaces otherwise
-// ignore silently). The CLI refuses such a command line before any work;
-// the benches warn after their run (WarnUnknownKeys).
+// ignore silently). Every tool refuses such a command line before any
+// work (core::RunStudyTool).
 //
 // The key REGISTRY (OptionKeyRegistry) defines each key exactly once —
 // name, type, default, one-line help, group, enumerated choices — so a
@@ -92,12 +92,8 @@ class OptionMap {
   /// value of a registered key that does not fit its type (kU64, kDouble,
   /// kBool as 0|1) or enumerated choices. Type and choice checks need no
   /// getter to have run: after DeclareKeys, a tool can call this before
-  /// it starts work and refuse the command line (the CLI exits 2).
+  /// it starts work and refuse the command line (exit 2).
   std::vector<std::string> Problems() const;
-
-  /// Prints each of Problems() to stderr as a warning and returns how
-  /// many there were (the benches call it after their run).
-  std::size_t WarnUnknownKeys(const std::string& program) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -4,11 +4,11 @@
 #      validated by check_trace.py (v4 schema, timeline invariants).
 #   2. ss_prof.py --check reconciles the analyzer's critical path against
 #      a recomputation from the raw trace and the measured wall-clock.
-#   3. A deliberately heavier run (20x the SNPs, 4x the replicates; its
-#      critical path is ~50x the light run's) must trip ss_prof.py
-#      --compare's regression gate (nonzero exit) against the fastest of
-#      three light runs interleaved with it, while comparing the baseline
-#      against itself must pass.
+#   3. A deliberately heavier run (20x the SNPs, 4x the replicates, one
+#      worker; its critical path is ~50-100x the light run's) must trip
+#      ss_prof.py --compare's regression gate (nonzero exit) against the
+#      fastest of three light runs interleaved with it, while comparing
+#      the baseline against itself must pass.
 #   4. profile=0 must still produce a valid v4 document (timeline section
 #      present with collected:false).
 # Invoked as:
@@ -51,9 +51,9 @@ if(NOT prof_check_result EQUAL 0)
   message(FATAL_ERROR "ss_prof.py --check failed (exit ${prof_check_result})")
 endif()
 
-# Heavier run: ~50x the light run's critical path (~0.15 s against
-# ~3 ms unloaded), on one worker thread so it does not crowd the timing
-# gates `ctest -j` runs beside it. A light run's critical path is only a
+# Heavier run: ~50-100x the light run's critical path (~0.08-0.1 s on
+# its one worker thread against ~1-2 ms unloaded); one worker so it does
+# not crowd the timing gates `ctest -j` runs beside it. A light run's critical path is only a
 # few milliseconds, so under a loaded `ctest -j` one light run alone can
 # be inflated several-fold; the gate therefore compares against the
 # fastest of three light runs taken before and after the heavy one. The
