@@ -159,24 +159,27 @@ int Run(const Args& args) {
   const std::uint64_t snps_large = args.GetU64("snps_large", 5000);
   const int reps = static_cast<int>(args.GetU64("reps", 2));
   // `mode=budget` skips the figure sweeps and runs only the constrained-
-  // budget comparison, on one worker by default: tasks then reach the LRU
-  // cache in partition order, so its eviction and compute counts repeat
-  // from run to run (with more workers the order in which a pass's last
-  // tasks finish decides which partitions survive it).
+  // budget comparison.
   const bool sweeps = args.GetStr("mode", "all") != "budget";
 
   // The small and large figures set their own SNP and set counts (snps=
   // and sets= are not accepted); every other workload and engine key
-  // (patients=, seed=, batch=, threads=, ...) applies to both.
-  const auto figure_spec = [&args, sweeps](std::uint64_t snps) {
+  // (patients=, seed=, batch=, threads=, ...) applies to both. The
+  // constrained-budget comparison runs on one worker unless threads= says
+  // otherwise: tasks then reach the LRU cache in partition order, so its
+  // eviction and compute counts repeat from run to run (with more workers
+  // the order in which a pass's last tasks finish decides which
+  // partitions survive it).
+  const auto figure_spec = [&args](std::uint64_t snps, bool one_worker) {
     core::StudySpec spec = BenchSpec(static_cast<std::uint32_t>(snps),
                                      static_cast<std::uint32_t>(snps / 10));
     spec.engine.topology = cluster::EmrCluster(18);
-    if (!sweeps) spec.engine.physical_threads = 1;
+    if (one_worker) spec.engine.physical_threads = 1;
     return core::ApplyStudyKeys(args, spec).value();
   };
-  const core::StudySpec small = figure_spec(snps_small);
-  const core::StudySpec large = figure_spec(snps_large);
+  const core::StudySpec small = figure_spec(snps_small, false);
+  const core::StudySpec large = figure_spec(snps_large, false);
+  const core::StudySpec budget = figure_spec(snps_small, true);
 
   char scale[256];
   std::snprintf(scale, sizeof(scale),
@@ -203,7 +206,7 @@ int Run(const Args& args) {
 
   // Beyond the paper: what a budget too small for the U RDD costs
   // (budget= budget_iters= datapoint= keys).
-  const bool datapoint_ok = RunConstrainedBudget(small, reps, args);
+  const bool datapoint_ok = RunConstrainedBudget(budget, reps, args);
 
   // Per-replicate cost of the last timed run (each study opens with
   // zeroed counters), amortized over its batches — the honest

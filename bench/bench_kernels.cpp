@@ -1,12 +1,13 @@
 // bench_kernels — microbenchmark for the runtime-dispatched SIMD kernels
 // (src/stats/kernels): the multiply-free sparse replicate kernel
-// (`row_sum`) and the per-set SKAT fold, timed at every dispatch level
-// this CPU can execute, plus the scalar dense MAC the sparse kernel
-// replaces and 2-bit genotype pack/unpack. Cross-level outputs are
-// verified bitwise equal while timing, so the speedup numbers compare
-// identical computations; the sparse kernel is also verified bitwise
-// equal to the dense MAC (stats::BatchedReplicateScores) on the widened
-// dosages.
+// (`row_sum`), the per-set SKAT fold and the analytic screen's two
+// kernels (`gram_tile` over a set's Gram, `householder_step` through
+// stats::SymmetricEigenvalues), timed at every dispatch level this CPU
+// can execute, plus the scalar dense MAC the sparse kernel replaces and
+// 2-bit genotype pack/unpack. Cross-level outputs are verified bitwise
+// equal while timing, so the speedup numbers compare identical
+// computations; the sparse kernel is also verified bitwise equal to the
+// dense MAC (stats::BatchedReplicateScores) on the widened dosages.
 //
 // The per-SNP rows score `snps` SNPs with generator-like density
 // (per-SNP allele frequency ~ U(0.05, 0.5), binomial dosages; ~46%
@@ -15,6 +16,10 @@
 // pass's [V; 2V; 3V] table, then per SNP walk the packed bytes to the row
 // list (PackedGenotypeBlock::DosageRowsInto) and `row_sum` it; the decode
 // walk is also timed alone.
+//
+// The screen rows use a fixed shape, n = 1000 patients (perfbench's
+// `hybrid` cohort) and sets of d = 100 and 700 SNPs: one whole Gram
+// (every upper-triangle tile) and one eigensolve of it per sample.
 //
 // Keys: patients= count= iters= snps= seed= datapoint=<json path>
 // `datapoint=` writes a BENCH_kernels.json datapoint consumed by
@@ -31,6 +36,7 @@
 #include "bench_common.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/kernels/packed_genotype.hpp"
+#include "stats/linalg.hpp"
 #include "stats/resampling.hpp"
 #include "support/distributions.hpp"
 
@@ -60,6 +66,31 @@ struct LevelTiming {
   // and its packed-bytes-to-row-list decode alone.
   double sparse_snp_seconds = std::numeric_limits<double>::infinity();
   double decode_snp_seconds = std::numeric_limits<double>::infinity();
+};
+
+/// The screen shapes: patients per contribution row, and set sizes.
+constexpr std::size_t kScreenPatients = 1000;
+constexpr std::size_t kScreenDims[] = {100, 700};
+
+/// One set's Gram over `rows` (each kScreenPatients long, unit weights),
+/// every row tile in turn, as the set-gram stage fills it.
+stats::Matrix TiledGram(const std::vector<const double*>& rows,
+                        stats::kernels::KernelTable::GramTileFn gram_tile) {
+  const std::size_t d = rows.size();
+  const std::vector<double> ones(d, 1.0);
+  stats::Matrix gram(d, d);
+  for (std::size_t t = 0; 4 * t < d; ++t) {
+    stats::FillWeightedGramRowTile(rows, ones, kScreenPatients, t, gram_tile,
+                                   &gram);
+  }
+  return gram;
+}
+
+/// Per set size: one whole Gram from `gram_tile`, and one eigensolve
+/// (`householder_step` does its cubic part), best of the samples.
+struct ScreenTiming {
+  double gram_seconds = std::numeric_limits<double>::infinity();
+  double eigen_seconds = std::numeric_limits<double>::infinity();
 };
 
 /// One SNP as both MAC inputs: the dosages widened to doubles (dense)
@@ -214,6 +245,51 @@ int Run(const Args& args) {
     }
   }
 
+  // The screen kernels at n = 1000: every level's Gram and spectrum per
+  // set size, samples alternating between the levels (best of 3), and
+  // both checked bitwise against the scalar level's. The eigensolve
+  // reads the dispatched table, so each sample installs its level.
+  const std::size_t num_dims = std::size(kScreenDims);
+  std::vector<std::vector<ScreenTiming>> screen(
+      levels.size(), std::vector<ScreenTiming>(num_dims));
+  const DispatchLevel saved_level = stats::kernels::ActiveDispatchLevel();
+  for (std::size_t k = 0; k < num_dims; ++k) {
+    const std::size_t d = kScreenDims[k];
+    std::vector<double> values(d * kScreenPatients);
+    for (double& v : values) v = rng.NextDouble() * 2.0 - 1.0;
+    std::vector<const double*> rows(d);
+    for (std::size_t a = 0; a < d; ++a) rows[a] = &values[a * kScreenPatients];
+    std::vector<stats::Matrix> grams(levels.size());
+    std::vector<std::vector<double>> spectra(levels.size());
+    for (int sample = 0; sample < 3; ++sample) {
+      for (std::size_t l = 0; l < levels.size(); ++l) {
+        const stats::kernels::KernelTable& table =
+            stats::kernels::KernelsFor(levels[l]);
+        ScreenTiming& timing = screen[l][k];
+        timing.gram_seconds =
+            std::min(timing.gram_seconds, TimeOnce([&]() {
+                       grams[l] = TiledGram(rows, table.gram_tile);
+                     }));
+        stats::kernels::SetDispatchLevel(levels[l]);
+        timing.eigen_seconds =
+            std::min(timing.eigen_seconds, TimeOnce([&]() {
+                       spectra[l] = stats::SymmetricEigenvalues(grams.front());
+                     }));
+      }
+    }
+    for (std::size_t l = 1; l < levels.size(); ++l) {
+      const bool gram_equal =
+          std::memcmp(&grams[l].at(0, 0), &grams.front().at(0, 0),
+                      d * d * sizeof(double)) == 0;
+      if (!gram_equal || !BitEqual(spectra[l], spectra.front())) {
+        bitwise_ok = false;
+        std::fprintf(stderr, "SCREEN MISMATCH at level %s, d=%zu\n",
+                     timings[l].name, d);
+      }
+    }
+  }
+  stats::kernels::SetDispatchLevel(saved_level);
+
   // Pack/unpack throughput and the byte savings the partition cache sees.
   std::vector<std::vector<std::uint8_t>> snps(num_snps);
   std::uint64_t unpacked_bytes = 0;
@@ -264,6 +340,23 @@ int Run(const Args& args) {
                       "x"});
   }
   table.Print();
+  Table screen_table("Screen kernels, n = 1000 (seconds per set, lower is "
+                     "better)",
+                     {"level", "set size", "gram_tile Gram", "speedup",
+                      "eigensolve", "speedup"});
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    for (std::size_t k = 0; k < num_dims; ++k) {
+      const ScreenTiming& t = screen[l][k];
+      const ScreenTiming& base = screen.front()[k];
+      screen_table.AddRow(
+          {timings[l].name, std::to_string(kScreenDims[k]),
+           Table::Num(t.gram_seconds, 5),
+           Table::Num(base.gram_seconds / t.gram_seconds, 2) + "x",
+           Table::Num(t.eigen_seconds, 5),
+           Table::Num(base.eigen_seconds / t.eigen_seconds, 2) + "x"});
+    }
+  }
+  screen_table.Print();
   std::printf("  genotype packing: %llu -> %llu bytes (%.2fx), pack %.4fs, "
               "unpack %.4fs, non-zero decode %.4fs (sink %llu)\n",
               static_cast<unsigned long long>(unpacked_bytes),
@@ -302,22 +395,31 @@ int Run(const Args& args) {
                  "\"iters\":%d,\"snps\":%zu,\"optimized\":%s,\"sanitized\":%s,"
                  "\"bitwise_identical\":%s,\"sparse_bitwise_identical\":%s,"
                  "\"sparse_density\":%.4f,\"dense_snp_seconds\":%.9f,"
-                 "\"best_level\":\"%s\",\"levels\":{",
+                 "\"screen_patients\":%zu,\"best_level\":\"%s\","
+                 "\"levels\":{",
                  n, count, iters, num_snps, optimized ? "true" : "false",
                  sanitized ? "true" : "false", bitwise_ok ? "true" : "false",
                  sparse_bitwise_ok ? "true" : "false", density,
-                 dense_snp_seconds, timings.back().name);
+                 dense_snp_seconds, kScreenPatients, timings.back().name);
     for (std::size_t i = 0; i < timings.size(); ++i) {
       const LevelTiming& t = timings[i];
       std::fprintf(out,
                    "%s\"%s\":{\"sparse_snp_seconds\":%.9f,"
                    "\"decode_snp_seconds\":%.9f,"
                    "\"fold_seconds\":%.9f,\"row_sum_speedup\":%.4f,"
-                   "\"sparse_speedup\":%.4f}",
+                   "\"sparse_speedup\":%.4f,\"screen\":{",
                    i == 0 ? "" : ",", t.name, t.sparse_snp_seconds,
                    t.decode_snp_seconds, t.fold_seconds,
                    scalar_sparse / t.sparse_snp_seconds,
                    dense_snp_seconds / t.sparse_snp_seconds);
+      for (std::size_t k = 0; k < num_dims; ++k) {
+        std::fprintf(out,
+                     "%s\"d%zu\":{\"gram_seconds\":%.9f,"
+                     "\"eigen_seconds\":%.9f}",
+                     k == 0 ? "" : ",", kScreenDims[k],
+                     screen[i][k].gram_seconds, screen[i][k].eigen_seconds);
+      }
+      std::fprintf(out, "}}");
     }
     std::fprintf(out,
                  "},\"pack\":{\"unpacked_bytes\":%llu,\"packed_bytes\":%llu,"

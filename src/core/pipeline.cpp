@@ -103,51 +103,6 @@ Dataset<stats::PackedSnpRecord> FilterAndPack(
   });
 }
 
-/// Row a of a weighted Gram over d contribution rows of length n, entries
-/// (a, b≥a) and their mirrors: M_ab = w_a w_b Σ_i u_a[i] u_b[i]. Four
-/// columns share each pass over u_a, but every dot is still its own
-/// ascending-i accumulator chain, so each entry is bitwise the plain
-/// one-column loop's.
-void FillGramRow(const std::vector<const double*>& u,
-                 const std::vector<double>& w, std::size_t n, std::size_t a,
-                 stats::Matrix* gram) {
-  const std::size_t d = u.size();
-  const double* ua = u[a];
-  const auto store = [&](std::size_t b, double dot) {
-    const double m = w[a] * w[b] * dot;
-    gram->at(a, b) = m;
-    gram->at(b, a) = m;
-  };
-  std::size_t b = a;
-  for (; b + 4 <= d; b += 4) {
-    const double* u0 = u[b];
-    const double* u1 = u[b + 1];
-    const double* u2 = u[b + 2];
-    const double* u3 = u[b + 3];
-    double dot0 = 0.0;
-    double dot1 = 0.0;
-    double dot2 = 0.0;
-    double dot3 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = ua[i];
-      dot0 += x * u0[i];
-      dot1 += x * u1[i];
-      dot2 += x * u2[i];
-      dot3 += x * u3[i];
-    }
-    store(b, dot0);
-    store(b + 1, dot1);
-    store(b + 2, dot2);
-    store(b + 3, dot3);
-  }
-  for (; b < d; ++b) {
-    const double* ub = u[b];
-    double dot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) dot += ua[i] * ub[i];
-    store(b, dot);
-  }
-}
-
 /// out[r] = Σ_i G_i · V[i*count + r] for a SNP with `n` patients, from
 /// the `nnz` rows of kernels::DosageScaledTable over V that
 /// PackedGenotypeBlock::DosageRowsInto listed for its non-zero genotypes.
@@ -526,39 +481,44 @@ SkatPipeline::CollectSetGramMatrices() {
     members.push_back(std::move(entry));
   }
 
-  // Tasks are fixed (set, row-block) ranges of about kDotsPerTask upper-
-  // triangle entries each, so a large set is split across workers. Task
-  // [a_begin, a_end) owns entries (a, b≥a) and their mirrors (b, a): no
-  // two tasks write the same entry, and a retried task rewrites the same
-  // values. Each entry is a fixed ascending-i dot (FillGramRow), so the
-  // Grams are bitwise independent of the split and the thread count.
-  constexpr std::size_t kDotsPerTask = 2048;
-  struct RowBlock {
+  // Tasks are fixed (set, row-tile) ranges of about kDotsPerTask tile
+  // dots each, so a large set is split across workers. Task
+  // [t_begin, t_end) owns the entries (a, b≥a) of rows [4·t_begin,
+  // 4·t_end) and their mirrors (b, a): no two tasks write the same entry,
+  // and a retried task rewrites the same values. Each entry is a fixed
+  // ascending-i dot (stats::FillWeightedGramRowTile), so the Grams are
+  // bitwise independent of the split, the thread count and the dispatch
+  // level.
+  constexpr std::size_t kDotsPerTask = 4096;
+  struct RowTiles {
     const SetMembers* set;
-    std::size_t a_begin;
-    std::size_t a_end;
+    std::size_t t_begin;
+    std::size_t t_end;
   };
-  std::vector<RowBlock> blocks;
+  std::vector<RowTiles> blocks;
   for (const SetMembers& entry : members) {
-    const std::size_t d = entry.u.size();
-    std::size_t a_begin = 0;
+    const std::size_t tiles = (entry.u.size() + 3) / 4;
+    std::size_t t_begin = 0;
     std::size_t dots = 0;
-    for (std::size_t a = 0; a < d; ++a) {
-      dots += d - a;
-      if (dots >= kDotsPerTask || a + 1 == d) {
-        blocks.push_back({&entry, a_begin, a + 1});
-        a_begin = a + 1;
+    for (std::size_t t = 0; t < tiles; ++t) {
+      dots += 16 * (tiles - t);
+      if (dots >= kDotsPerTask || t + 1 == tiles) {
+        blocks.push_back({&entry, t_begin, t + 1});
+        t_begin = t + 1;
         dots = 0;
       }
     }
   }
   if (blocks.empty()) return grams;
+  const stats::kernels::KernelTable::GramTileFn gram_tile =
+      stats::kernels::ActiveKernels().gram_tile;
   ctx_->RunTasks(
       "set-gram", static_cast<std::uint32_t>(blocks.size()),
-      [&blocks, n](engine::TaskContext& task) {
-        const RowBlock& block = blocks[task.partition()];
-        for (std::size_t a = block.a_begin; a < block.a_end; ++a) {
-          FillGramRow(block.set->u, block.set->w, n, a, block.set->gram);
+      [&blocks, n, gram_tile](engine::TaskContext& task) {
+        const RowTiles& block = blocks[task.partition()];
+        for (std::size_t t = block.t_begin; t < block.t_end; ++t) {
+          stats::FillWeightedGramRowTile(block.set->u, block.set->w, n, t,
+                                         gram_tile, block.set->gram);
         }
       });
   return grams;

@@ -1,5 +1,6 @@
 #include "stats/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -46,9 +47,76 @@ void SkatFoldScalar(const double* scores, std::size_t count, double weight_sq,
   }
 }
 
+void GramTileScalar(const double* const* a, const double* const* b,
+                    std::size_t n, double* out) {
+  // Per a-row, the four b-columns share each pass over it; every dot is
+  // its own ascending-i chain from +0.
+  for (std::size_t s = 0; s < 4; ++s) {
+    const double* x = a[s];
+    double dot0 = 0.0;
+    double dot1 = 0.0;
+    double dot2 = 0.0;
+    double dot3 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double xi = x[i];
+      dot0 += xi * b[0][i];
+      dot1 += xi * b[1][i];
+      dot2 += xi * b[2][i];
+      dot3 += xi * b[3][i];
+    }
+    out[4 * s + 0] = dot0;
+    out[4 * s + 1] = dot1;
+    out[4 * s + 2] = dot2;
+    out[4 * s + 3] = dot3;
+  }
+}
+
+void HouseholderProductRows(const double* a, std::size_t stride,
+                            std::size_t j_begin, std::size_t i,
+                            const double* u, double* q) {
+  // q = A·u from the lower triangle: row j contributes its dot with u
+  // to q[j] and, by symmetry, row[k]·u[j] to every q[k] with k < j.
+  for (std::size_t j = j_begin; j < i; ++j) {
+    const double* row = a + j * stride;
+    const double uj = u[j];
+    double dot = 0.0;
+    for (std::size_t k = 0; k < j; ++k) {
+      dot += row[k] * u[k];
+      q[k] += row[k] * uj;
+    }
+    q[j] += dot + row[j] * uj;
+  }
+}
+
+void HouseholderScaleQ(std::size_t i, const double* u, double h, double* q) {
+  // p = A·u / h, then q = p - (uᵀp / 2h)·u.
+  double k_coeff = 0.0;
+  for (std::size_t j = 0; j < i; ++j) {
+    q[j] /= h;
+    k_coeff += u[j] * q[j];
+  }
+  k_coeff /= h + h;
+  for (std::size_t j = 0; j < i; ++j) q[j] -= k_coeff * u[j];
+}
+
+void HouseholderStepScalar(double* a, std::size_t stride, std::size_t i,
+                           const double* u, double h, double* q) {
+  std::fill(q, q + i, 0.0);
+  HouseholderProductRows(a, stride, 0, i, u, q);
+  HouseholderScaleQ(i, u, h, q);
+  for (std::size_t j = 0; j < i; ++j) {
+    const double qj = q[j];
+    const double uj = u[j];
+    double* row = a + j * stride;
+    for (std::size_t k = 0; k <= j; ++k) row[k] -= qj * u[k] + uj * q[k];
+  }
+}
+
 const KernelTable kScalarTable = {
     .row_sum = &RowSumScalar,
     .skat_fold = &SkatFoldScalar,
+    .gram_tile = &GramTileScalar,
+    .householder_step = &HouseholderStepScalar,
 };
 
 }  // namespace internal

@@ -1,18 +1,19 @@
-// Runtime-dispatched compute kernels for the default resampling path.
+// Runtime-dispatched compute kernels.
 //
-// The two loops every default Monte Carlo and permutation batch spends
-// its time in — the multiply-free sparse replicate kernel (summing
-// pre-scaled coefficient rows for a SNP's non-zero genotypes) and the
-// driver's per-set SKAT fold — are routed through a function-pointer
-// table selected once per process from the best instruction set the CPU
-// supports (scalar / AVX2). The AVX2 variants preserve the scalar
-// kernel's per-element accumulation order bit for bit: lanes map to
-// *replicates*, never to patients, so each replicate's accumulator still
-// sums in ascending order and `resampling.result_hash` is invariant to
-// the dispatch level (see docs/KERNELS.md). Loops off the default path
-// (the dense U × Z MAC of paper-faithful Monte Carlo, the Cox
-// contribution scan, the SKAT-O fold) are plain scalar functions at
-// their call sites.
+// The loops the default resampling path and the hybrid screen spend
+// their time in — the multiply-free sparse replicate kernel (summing
+// pre-scaled coefficient rows for a SNP's non-zero genotypes), the
+// driver's per-set SKAT fold, the screen's set-Gram dot tiles and the
+// Householder step of its eigensolve — are routed through a
+// function-pointer table selected once per process from the best
+// instruction set the CPU supports (scalar / AVX2). The AVX2 variants
+// preserve the scalar kernel's accumulation order bit for bit: lanes
+// never split a summation index, so every sum is still one chain in
+// ascending order and `resampling.result_hash` is invariant to the
+// dispatch level (see docs/KERNELS.md). Loops off these paths (the
+// dense U × Z MAC of paper-faithful Monte Carlo, the Cox contribution
+// scan, the SKAT-O fold, the eigensolve's QL sweep) are plain scalar
+// functions at their call sites.
 //
 // The level can be forced with the SS_KERNEL environment variable
 // (scalar|avx2) or programmatically via SetDispatchLevel (the CLI
@@ -77,8 +78,29 @@ struct KernelTable {
   using SkatFoldFn = void (*)(const double* scores, std::size_t count,
                               double weight_sq, double* acc);
 
+  /// A 4×4 tile of dot products over rows of length n:
+  ///   out[4·s + t] = sum_i a[s][i] * b[t][i],
+  /// each entry one chain that starts from +0 and adds the rounded
+  /// products in ascending i. a and b hold four row pointers each (a row
+  /// may repeat). The set-Gram stage of the analytic screen walks a
+  /// set's upper triangle in these tiles.
+  using GramTileFn = void (*)(const double* const* a, const double* const* b,
+                              std::size_t n, double* out);
+  /// One step of the Householder tridiagonalization in
+  /// stats::SymmetricEigenvalues, on the leading i×i lower triangle of the
+  /// row-major matrix `a` (row j starts at a + j·stride; entries k ≤ j):
+  ///   q = A·u / h,  q -= (uᵀq / 2h)·u,  A ← A − q uᵀ − u qᵀ.
+  /// `q` is i doubles of scratch. In A·u, q[j] receives row j's dot with
+  /// u (one ascending-k chain from +0) plus row[j]·u[j], then every later
+  /// row's row[j]·u[row] in ascending row order.
+  using HouseholderStepFn = void (*)(double* a, std::size_t stride,
+                                     std::size_t i, const double* u, double h,
+                                     double* q);
+
   RowSumFn row_sum = nullptr;
   SkatFoldFn skat_fold = nullptr;
+  GramTileFn gram_tile = nullptr;
+  HouseholderStepFn householder_step = nullptr;
 };
 
 /// The pre-scaled coefficient table `row_sum` reads for 2-bit dosages:

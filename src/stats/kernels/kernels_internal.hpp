@@ -16,6 +16,13 @@ void RowSumScalar(const double* const* rows, std::size_t nrows,
                   std::size_t count, double* out);
 void SkatFoldScalar(const double* scores, std::size_t count, double weight_sq,
                     double* acc);
+// Pieces of the Householder step that every level runs as scalar code:
+// q += A·u over rows [j_begin, i), one row at a time in ascending order;
+// and p = q / h, q = p - (uᵀp / 2h)·u.
+void HouseholderProductRows(const double* a, std::size_t stride,
+                            std::size_t j_begin, std::size_t i,
+                            const double* u, double* q);
+void HouseholderScaleQ(std::size_t i, const double* u, double h, double* q);
 
 // Defined in kernels.cpp / kernels_avx2.cpp. The AVX2 table degrades to
 // scalar entries when its TU is compiled for a target without the

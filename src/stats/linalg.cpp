@@ -10,6 +10,37 @@
 
 namespace ss::stats {
 
+void FillWeightedGramRowTile(const std::vector<const double*>& rows,
+                             const std::vector<double>& weights, std::size_t n,
+                             std::size_t t,
+                             kernels::KernelTable::GramTileFn gram_tile,
+                             Matrix* gram) {
+  const std::size_t d = rows.size();
+  const auto tile_rows = [&rows, d](std::size_t first, const double** out) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      out[s] = rows[std::min(first + s, d - 1)];
+    }
+  };
+  const std::size_t a_first = 4 * t;
+  const double* a_rows[4];
+  tile_rows(a_first, a_rows);
+  double dots[16];
+  for (std::size_t b_first = a_first; b_first < d; b_first += 4) {
+    const double* b_rows[4];
+    tile_rows(b_first, b_rows);
+    gram_tile(a_rows, b_rows, n, dots);
+    for (std::size_t a = a_first; a < std::min(a_first + 4, d); ++a) {
+      for (std::size_t b = std::max(a, b_first); b < std::min(b_first + 4, d);
+           ++b) {
+        const double m =
+            weights[a] * weights[b] * dots[4 * (a - a_first) + (b - b_first)];
+        gram->at(a, b) = m;
+        gram->at(b, a) = m;
+      }
+    }
+  }
+}
+
 std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
   SS_CHECK(symmetric.rows() == symmetric.cols());
   const std::size_t d = symmetric.rows();
@@ -27,8 +58,11 @@ std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
   // Householder reduction to tridiagonal form: step i annihilates row i
   // left of the subdiagonal, recording diag[i] and off[i] (the (i, i-1)
   // entry), and applies H = I - u uᵀ/h to the leading i×i block as the
-  // rank-2 update A ← A - q uᵀ - u qᵀ. Both the product A·u and the
+  // rank-2 update A ← A - q uᵀ - u qᵀ (the dispatched householder_step
+  // kernel, bitwise equal at every level). Both the product A·u and the
   // update walk contiguous rows of the lower triangle.
+  const kernels::KernelTable::HouseholderStepFn householder_step =
+      kernels::ActiveKernels().householder_step;
   std::vector<double> diag(d, 0.0);
   std::vector<double> off(d, 0.0);
   std::vector<double> u(d, 0.0);
@@ -51,33 +85,7 @@ std::vector<double> SymmetricEigenvalues(const Matrix& symmetric) {
     off[i] = scale * g;
     h -= f * g;
     u[i - 1] = f - g;
-    // q = A·u from the lower triangle: row j contributes its dot with u
-    // to q[j] and, by symmetry, row[k]·u[j] to every q[k] with k < j.
-    std::fill(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double* row = &a.at(j, 0);
-      const double uj = u[j];
-      double dot = 0.0;
-      for (std::size_t k = 0; k < j; ++k) {
-        dot += row[k] * u[k];
-        q[k] += row[k] * uj;
-      }
-      q[j] += dot + row[j] * uj;
-    }
-    // p = A·u / h, then q = p - (uᵀp / 2h)·u.
-    double k_coeff = 0.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      q[j] /= h;
-      k_coeff += u[j] * q[j];
-    }
-    k_coeff /= h + h;
-    for (std::size_t j = 0; j < i; ++j) q[j] -= k_coeff * u[j];
-    for (std::size_t j = 0; j < i; ++j) {
-      const double qj = q[j];
-      const double uj = u[j];
-      double* row = &a.at(j, 0);
-      for (std::size_t k = 0; k <= j; ++k) row[k] -= qj * u[k] + uj * q[k];
-    }
+    householder_step(&a.at(0, 0), d, i, u.data(), h, q.data());
   }
   diag[0] = a.at(0, 0);
 

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/kernels/kernels.hpp"
+
 namespace ss::stats {
 
 /// Row-major dense matrix.
@@ -27,6 +29,19 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Row tile t of the weighted Gram M_ab = w_a·w_b·Σ_i u_a[i]·u_b[i] of the
+/// d = rows.size() rows of length n: rows a ∈ [4t, 4t + 4) against every
+/// 4-column tile from 4t on, written to entries (a, b ≥ a) of the d × d
+/// `gram` and mirrored to (b, a). Each dot comes from `gram_tile` as one
+/// ascending-i chain, so every entry is bitwise the plain one-column loop's
+/// at any tiling and dispatch level. A tile's slots past d repeat the last
+/// row; their dots are dropped. Distinct row tiles write distinct entries.
+void FillWeightedGramRowTile(const std::vector<const double*>& rows,
+                             const std::vector<double>& weights, std::size_t n,
+                             std::size_t t,
+                             kernels::KernelTable::GramTileFn gram_tile,
+                             Matrix* gram);
 
 /// Eigenvalues of a symmetric matrix, sorted descending: Householder
 /// reduction to tridiagonal form (≈ 4/3·d³ flops) then implicit QL with

@@ -287,14 +287,16 @@ TEST(DeterminismTest, HybridRunsIdenticalAcrossSchedulingKnobs) {
 // task may move a bit of the result.
 // ---------------------------------------------------------------------
 
-simdata::SyntheticDataset LargeSetDataset() {
+/// A generated cohort of `num_patients` whose set k is the SNP range
+/// [bounds[k], bounds[k + 1]).
+simdata::SyntheticDataset RangeSetDataset(
+    std::uint32_t num_patients, const std::vector<std::uint32_t>& bounds) {
   simdata::GeneratorConfig config;
-  config.num_patients = 120;
-  config.num_snps = 320;
-  config.num_sets = 5;
+  config.num_patients = num_patients;
+  config.num_snps = bounds.back();
+  config.num_sets = static_cast<std::uint32_t>(bounds.size() - 1);
   config.seed = kSeed;
   simdata::SyntheticDataset dataset = simdata::Generate(config);
-  const std::vector<std::uint32_t> bounds = {0, 220, 260, 290, 310, 320};
   for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
     dataset.sets[k].id = static_cast<std::uint32_t>(k);
     dataset.sets[k].snps.clear();
@@ -303,6 +305,10 @@ simdata::SyntheticDataset LargeSetDataset() {
     }
   }
   return dataset;
+}
+
+simdata::SyntheticDataset LargeSetDataset() {
+  return RangeSetDataset(120, {0, 220, 260, 290, 310, 320});
 }
 
 struct HashedRun {
@@ -375,6 +381,54 @@ TEST(DeterminismTest, SetGramStageBitwiseEqualsSerialGram) {
       }
     }
   }
+}
+
+TEST(DeterminismTest, SetGramTilesBitwiseEqualSerialGramAtOddShapes) {
+  // LargeSetDataset's pattern at n = 121, so every dot ends in the
+  // vector kernel's scalar i-tail, with sets of 221, 42, 31, 13 and 7 SNPs
+  // (d % 4 = 1, 2, 3, 1, 3: every padded row-tile shape). At every
+  // executable level each entry must be the plain serial
+  // w_a·w_b·Σ_i u_a[i]·u_b[i].
+  const simdata::SyntheticDataset dataset =
+      RangeSetDataset(121, {0, 221, 263, 294, 307, 314});
+  const stats::ScoreEngine engine(stats::Phenotype::Cox(dataset.survival));
+  const stats::kernels::DispatchLevel saved =
+      stats::kernels::ActiveDispatchLevel();
+  for (stats::kernels::DispatchLevel level :
+       stats::kernels::ExecutableLevels()) {
+    stats::kernels::SetDispatchLevel(level);
+    SCOPED_TRACE(std::string("level=") +
+                 stats::kernels::DispatchLevelName(level));
+    engine::EngineContext ctx(OptionsWithThreads(4));
+    PipelineConfig pipeline_config;
+    pipeline_config.seed = kSeed;
+    SkatPipeline pipeline =
+        SkatPipeline::FromMemory(ctx, dataset, pipeline_config);
+    const auto grams = pipeline.CollectSetGramMatrices();
+    for (const stats::SnpSet& set : dataset.sets) {
+      SCOPED_TRACE("set " + std::to_string(set.id));
+      const std::size_t d = set.snps.size();
+      const stats::Matrix& gram = grams.at(set.id);
+      ASSERT_EQ(gram.rows(), d);
+      std::vector<std::vector<double>> u;
+      for (std::uint32_t snp : set.snps) {
+        u.push_back(engine.Contributions(dataset.genotypes.by_snp[snp]));
+      }
+      for (std::size_t a = 0; a < d; ++a) {
+        for (std::size_t b = 0; b < d; ++b) {
+          double dot = 0.0;
+          for (std::size_t i = 0; i < u[a].size(); ++i) {
+            dot += u[a][i] * u[b][i];
+          }
+          const double expected = dataset.weights[set.snps[a]] *
+                                  dataset.weights[set.snps[b]] * dot;
+          ASSERT_TRUE(BitEqual(gram.at(a, b), expected))
+              << "entry (" << a << ", " << b << ")";
+        }
+      }
+    }
+  }
+  stats::kernels::SetDispatchLevel(saved);
 }
 
 TEST(DeterminismTest, ScreenStagesIdenticalAcrossSchedulingKnobs) {

@@ -2,7 +2,8 @@
 // dispatch level this CPU can execute must produce output bitwise equal
 // to the scalar reference kernel, on random inputs across awkward sizes
 // (vector-width multiples, remainders, tiny cases). The sparse kernel is
-// also held bitwise to the dense scalar MAC it replaces.
+// also held bitwise to the dense scalar MAC it replaces, and the screen's
+// Gram tiles to the plain one-dot loop.
 #include "stats/kernels/kernels.hpp"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "stats/cox_score.hpp"
 #include "stats/kernels/packed_genotype.hpp"
+#include "stats/linalg.hpp"
 #include "stats/resampling.hpp"
 #include "stats/survival.hpp"
 #include "support/rng.hpp"
@@ -191,6 +193,154 @@ TEST(KernelDifferentialTest, SkatFoldsBitwiseEqualAcrossLevels) {
         ASSERT_EQ(Bits(acc[r]), Bits(expected[r]))
             << "level=" << kernels::DispatchLevelName(level) << " r=" << r;
       }
+    }
+  }
+}
+
+/// The set sizes the screen kernels are checked at: every d % 4 tail
+/// around one, two and four tiles, and the determinism cohort's 220.
+constexpr std::size_t kScreenDims[] = {1,  2,  3,  4,  5,  6,  7,  8, 9,
+                                       15, 16, 17, 64, 65, 220};
+
+/// Walks a set's tiles as the set-gram stage does — tiles (s, t ≥ s) of
+/// the d rows of `u`, slots past d repeating the last row — and checks
+/// every tile against the plain one-chain dot from +0 and, at every
+/// level, against the scalar entry, with memcmp.
+void ExpectGramTilesMatch(const std::vector<std::vector<double>>& u,
+                          std::size_t n, const std::string& label) {
+  const std::size_t d = u.size();
+  const kernels::KernelTable& scalar =
+      kernels::KernelsFor(DispatchLevel::kScalar);
+  const auto tile_rows = [&u, d](std::size_t first, const double** rows) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      rows[s] = u[std::min(first + s, d - 1)].data();
+    }
+  };
+  for (std::size_t a_first = 0; a_first < d; a_first += 4) {
+    for (std::size_t b_first = a_first; b_first < d; b_first += 4) {
+      SCOPED_TRACE(label + " tile (" + std::to_string(a_first) + ", " +
+                   std::to_string(b_first) + ")");
+      const double* a_rows[4];
+      const double* b_rows[4];
+      tile_rows(a_first, a_rows);
+      tile_rows(b_first, b_rows);
+      double expected[16];
+      for (std::size_t s = 0; s < 4; ++s) {
+        for (std::size_t t = 0; t < 4; ++t) {
+          double dot = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            dot += a_rows[s][i] * b_rows[t][i];
+          }
+          expected[4 * s + t] = dot;
+        }
+      }
+      double reference[16];
+      scalar.gram_tile(a_rows, b_rows, n, reference);
+      ASSERT_EQ(std::memcmp(reference, expected, sizeof(expected)), 0);
+      for (DispatchLevel level : kernels::ExecutableLevels()) {
+        double out[16];
+        std::fill(out, out + 16, -1.0);
+        kernels::KernelsFor(level).gram_tile(a_rows, b_rows, n, out);
+        ASSERT_EQ(std::memcmp(out, reference, sizeof(reference)), 0)
+            << "level=" << kernels::DispatchLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, GramTilesBitwiseEqualScalarAndSerialDots) {
+  // Ordinary values, and signed zeros, subnormals and huge values (whose
+  // inf and NaN sums would hide a reordered add on their own). The n
+  // cover every n % 4 tail, with and without a vector part before it.
+  Rng rng(20160807);
+  for (std::size_t n :
+       {0u, 1u, 3u, 4u, 5u, 6u, 7u, 120u, 121u, 122u, 123u, 1001u}) {
+    for (std::size_t d : kScreenDims) {
+      for (bool awkward : {false, true}) {
+        std::vector<std::vector<double>> u(d);
+        for (std::vector<double>& row : u) {
+          row = awkward ? AwkwardDoubles(rng, n) : RandomDoubles(rng, n);
+        }
+        ExpectGramTilesMatch(u, n,
+                             "n=" + std::to_string(n) + " d=" +
+                                 std::to_string(d) +
+                                 (awkward ? " awkward" : " plain"));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, HouseholderStepsBitwiseEqualScalar) {
+  // One step on the leading i×i lower triangle of a matrix with a wider
+  // row stride (entries right of the triangle must stay untouched), from
+  // ordinary values and from signed zeros, subnormals and huge values:
+  // the updated matrix and q match the scalar entry with memcmp at every
+  // level.
+  Rng rng(20160808);
+  const kernels::KernelTable& scalar =
+      kernels::KernelsFor(DispatchLevel::kScalar);
+  for (std::size_t i : kScreenDims) {
+    for (const auto& [stride, awkward] :
+         {std::pair{i, false}, std::pair{i + 3, false}, std::pair{i, true},
+          std::pair{i + 3, true}}) {
+      const auto fill = [&rng, awkward = awkward](std::size_t count) {
+        return awkward ? AwkwardDoubles(rng, count) : RandomDoubles(rng, count);
+      };
+      const std::vector<double> a = fill(i * stride);
+      const std::vector<double> u = fill(i);
+      const double h = 0.5 + rng.NextDouble();
+      std::vector<double> a_ref = a;
+      std::vector<double> q_ref(i, -1.0);
+      scalar.householder_step(a_ref.data(), stride, i, u.data(), h,
+                              q_ref.data());
+      for (DispatchLevel level : kernels::ExecutableLevels()) {
+        std::vector<double> a_out = a;
+        std::vector<double> q_out(i, -2.0);
+        kernels::KernelsFor(level).householder_step(a_out.data(), stride, i,
+                                                    u.data(), h, q_out.data());
+        ASSERT_EQ(std::memcmp(a_out.data(), a_ref.data(),
+                              a.size() * sizeof(double)),
+                  0)
+            << "level=" << kernels::DispatchLevelName(level) << " i=" << i
+            << " stride=" << stride << " awkward=" << awkward;
+        ASSERT_EQ(std::memcmp(q_out.data(), q_ref.data(), i * sizeof(double)),
+                  0)
+            << "level=" << kernels::DispatchLevelName(level) << " i=" << i
+            << " stride=" << stride << " awkward=" << awkward;
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, EigenvaluesBitwiseEqualAcrossLevels) {
+  // The whole tridiagonalization through the routed step: the spectrum of
+  // a random Gram (the screen's input) is bitwise the same at every level.
+  Rng rng(20160809);
+  for (std::size_t d : kScreenDims) {
+    const std::size_t n = d + 7;
+    const std::vector<double> x = RandomDoubles(rng, d * n);
+    Matrix gram(d, d);
+    for (std::size_t a = 0; a < d; ++a) {
+      for (std::size_t b = 0; b < d; ++b) {
+        double dot = 0.0;
+        for (std::size_t i = 0; i < n; ++i) dot += x[a * n + i] * x[b * n + i];
+        gram.at(a, b) = dot;
+      }
+    }
+    std::vector<double> reference;
+    {
+      ScopedDispatchLevel guard(DispatchLevel::kScalar);
+      reference = SymmetricEigenvalues(gram);
+    }
+    for (DispatchLevel level : kernels::ExecutableLevels()) {
+      ScopedDispatchLevel guard(level);
+      const std::vector<double> spectrum = SymmetricEigenvalues(gram);
+      ASSERT_EQ(spectrum.size(), reference.size());
+      ASSERT_EQ(std::memcmp(spectrum.data(), reference.data(),
+                            d * sizeof(double)),
+                0)
+          << "level=" << kernels::DispatchLevelName(level) << " d=" << d;
     }
   }
 }

@@ -79,6 +79,10 @@ def kernel_gates(doc, _args):
                   f"{level['decode_snp_seconds']:.3g} s of sparse "
                   f"{level.get('sparse_snp_seconds', 0.0):.3g} s per SNP "
                   "(information only)")
+        for shape, screen in level.get("screen", {}).items():
+            print(f"check_bench: {name}: screen {shape}: Gram "
+                  f"{screen['gram_seconds']:.3g} s, eigensolve "
+                  f"{screen['eigen_seconds']:.3g} s (information only)")
     if not times_honestly(doc):
         return
     yield ("scalar sparse (row_sum) vs dense MAC speedup",
